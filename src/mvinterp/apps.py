@@ -23,7 +23,6 @@ from .approx import (
     ApproxInstance,
     lift_instance,
     pack_solution,
-    trim_instance,
     unpack_solution,
     verify_approx,
 )
@@ -71,28 +70,30 @@ def solve_approx(
     """Backend dispatch plus the small-field fallback.
 
     When a prime field is too small for the solver's sampling-set floor, the
-    backend first runs in the base field sampling from the whole field; its
-    Solution (verified) or NoSolution (certified by a completed elimination)
-    stands whatever the field size.  Only its Failure leads to the
-    extend-then-project path.  A caller-supplied subset_size is honoured
-    and skips the base-field attempt; allow_extension=False re-raises
-    FieldTooSmall before either fallback.
+    backend runs in the base field sampling from the whole field, decided
+    before the first call; its Solution (verified) or NoSolution (certified
+    by a completed elimination) stands whatever the field size.  Only its
+    Failure leads to the extend-then-project path.  A caller-supplied
+    subset_size is honoured and skips the base-field attempt;
+    allow_extension=False lets the backend raise FieldTooSmall instead.
     """
     try:
         solver = BACKENDS[backend]
     except KeyError:
         raise Degenerate(f"unknown backend {backend!r}") from None
-    try:
-        return solver(a, rng, max_retries, **kw)
-    except FieldTooSmall:
-        if not allow_extension or a.ctx.d != 1:
-            raise
-    if kw.get("subset_size") is None:
+    # trim_instance keeps at most total_rows + 1 columns; the solver pads to square
+    need = subset_floor(max(a.total_rows, min(a.total_cols, a.total_rows + 1)))
+    small = a.ctx.d == 1 and a.ctx.order < need
+    if small and allow_extension and kw.get("subset_size") is None:
         out = solver(a, rng, max_retries, **{**kw, "subset_size": a.ctx.order})
         if not isinstance(out, Failure):
             return out
-    trimmed, _, _ = trim_instance(a)
-    need = subset_floor(max(trimmed.total_rows, trimmed.total_cols))
+    else:
+        try:
+            return solver(a, rng, max_retries, **kw)
+        except FieldTooSmall:
+            if not allow_extension or a.ctx.d != 1:
+                raise
     d, order = 1, a.ctx.p
     while order < need:
         order *= a.ctx.p
@@ -209,7 +210,6 @@ class ReencodePlan:
     raw_bounds: tuple
     kept: tuple
     approx: ApproxInstance  # None when every unknown was dropped or no rows remain
-    free_rows: bool  # True when there are no nonzero-y points (no conditions)
 
 
 def reencode_build(p: GsParams, n0: int) -> ReencodePlan:
@@ -222,7 +222,7 @@ def reencode_build(p: GsParams, n0: int) -> ReencodePlan:
     )
     kept = tuple(j for j, bnd in enumerate(raw_bounds) if bnd >= 1)
     if not kept or not tail:
-        return ReencodePlan(g0, raw_bounds, kept, None, not tail)
+        return ReencodePlan(g0, raw_bounds, kept, None)
     xs1 = [x for x, _ in tail]
     G = weighted_product(ctx, xs1, [1] * len(xs1))
     R = lagrange_interp(ctx, xs1, [y for _, y in tail])
@@ -243,7 +243,7 @@ def reencode_build(p: GsParams, n0: int) -> ReencodePlan:
             tuple(row.get(j, Poly.zero(ctx)) for j in kept)
         )
     approx = ApproxInstance(ctx, moduli, residues, tuple(raw_bounds[j] for j in kept))
-    return ReencodePlan(g0, raw_bounds, kept, approx, False)
+    return ReencodePlan(g0, raw_bounds, kept, approx)
 
 
 def reencode_interpolate(p: GsParams, n0: int, rng, backend: str = "hankel", **kw):
@@ -310,7 +310,6 @@ class WuPlan:
     raw_bounds: tuple
     kept: tuple
     approx: ApproxInstance
-    free_rows: bool
 
 
 def wu_build(points, p: GsParams) -> WuPlan:
@@ -326,7 +325,7 @@ def wu_build(points, p: GsParams) -> WuPlan:
     )
     kept = tuple(t for t, bnd in enumerate(raw_bounds) if bnd >= 1)
     if not kept or not finite:
-        return WuPlan(g_inf, raw_bounds, kept, None, not finite)
+        return WuPlan(g_inf, raw_bounds, kept, None)
     xs = [x for x, _ in finite]
     G = weighted_product(ctx, xs, [1] * len(xs))
     R = lagrange_interp(ctx, xs, [y for _, y in finite])
@@ -345,7 +344,7 @@ def wu_build(points, p: GsParams) -> WuPlan:
             rpow = poly_mod(rpow * R, p_i)
         residues.append(tuple(row.get(t, Poly.zero(ctx)) for t in kept))
     approx = ApproxInstance(ctx, moduli, residues, tuple(raw_bounds[t] for t in kept))
-    return WuPlan(g_inf, raw_bounds, kept, approx, False)
+    return WuPlan(g_inf, raw_bounds, kept, approx)
 
 
 def wu_infinity_ok(Q: MultiPoly, inf_xs, m: int, ell: int) -> bool:

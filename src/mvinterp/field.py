@@ -2,8 +2,9 @@
 
 A FieldCtx describes either a prime field (d = 1) or an extension
 F_p[t]/(f) with f monic irreducible of degree d.  FieldElement is a value
-type holding a fully reduced coefficient vector of length d.  All higher
-modules are written against this interface and never branch on d.
+type holding a fully reduced coefficient vector of length d, and
+FieldArrays does the same arithmetic on whole numpy arrays of values.  All
+higher modules are written against this interface and never branch on d.
 
 Also provides the sampling subset used by the probabilistic solver and the
 projection of extension-field nullspace vectors back to the base field.
@@ -12,6 +13,8 @@ projection of extension-field nullspace vectors back to the base field.
 from __future__ import annotations
 
 import functools
+
+import numpy as np
 
 from .errors import (
     CtxMismatch,
@@ -354,6 +357,59 @@ class FieldElement:
         if self.ctx.d == 1:
             return f"{self.c[0]}"
         return "(" + ",".join(str(a) for a in self.c) + ")"
+
+
+class FieldArrays:
+    """Elementwise arithmetic on numpy arrays of values of one field.
+
+    Only the representation depends on the field: int64 residues when
+    p < 2^31, so every product of two residues stays below 2^62; object
+    arrays of Python ints for larger primes; object arrays of FieldElement
+    for F_{p^d}, whose operators reduce by themselves.  Callers write one
+    code path with `+`, `-`, `*` and reduce with `mod`.
+    """
+
+    __slots__ = ("ctx", "p", "dtype")
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx = ctx
+        self.p = ctx.p if ctx.d == 1 else None
+        self.dtype = np.int64 if ctx.d == 1 and ctx.p < 2**31 else object
+
+    def scalar(self, e: FieldElement):
+        return e if self.p is None else e.c[0]
+
+    def const(self, v: int):
+        return self.ctx.el(v) if self.p is None else v % self.p
+
+    def array(self, elems) -> np.ndarray:
+        return np.array([self.scalar(e) for e in elems], dtype=self.dtype)
+
+    def full(self, n: int, value) -> np.ndarray:
+        return np.full(n, value, dtype=self.dtype)
+
+    def mod(self, a):
+        return a if self.p is None else a % self.p
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        """Elementwise inverse; every entry must be nonzero."""
+        if self.p is None:
+            return np.array([e.inv() for e in a], dtype=object)
+        return np.array([pow(int(v), -1, self.p) for v in a], dtype=self.dtype)
+
+    def total(self, a: np.ndarray):
+        """Sum of a nonempty array, reduced."""
+        return self.mod(np.add.reduce(a))
+
+    def nonzero(self, a: np.ndarray) -> np.ndarray:
+        if self.p is None:
+            return np.array([not e.is_zero() for e in a], dtype=bool)
+        return a != 0
+
+    def elements(self, a) -> list:
+        if self.p is None:
+            return list(a)
+        return [FieldElement(self.ctx, (int(v),)) for v in a]
 
 
 def field_arith(a: FieldElement, b, op: str) -> FieldElement:

@@ -20,7 +20,7 @@ from .errors import (
     DuplicateNode,
     NotInvertible,
 )
-from .field import FieldCtx, FieldElement
+from .field import FieldArrays, FieldCtx, FieldElement
 
 _KARATSUBA_CUTOFF = 32
 _NEWTON_DIV_CUTOFF = 32
@@ -326,7 +326,15 @@ def poly_mod(a: Poly, b: Poly) -> Poly:
 
 
 def lagrange_interp(ctx: FieldCtx, xs, ys) -> Poly:
-    """Unique polynomial of degree < n through (xs[i], ys[i]); xs distinct."""
+    """Unique polynomial of degree < n through (xs[i], ys[i]); xs distinct.
+
+    Barycentric form on whole arrays over the nodes: weights
+    w_i = prod_{k != i} (x_i - x_k), c_i = y_i / w_i, and the result
+    sum_i c_i * M / (X - x_i) with M = prod_k (X - x_k).  All n quotients
+    M / (X - x_i) come from one synthetic division run on arrays, one
+    output coefficient per step, so the whole interpolation is O(n) array
+    operations of length n.
+    """
     xs = [ctx.el(x) for x in xs]
     ys = [ctx.el(y) for y in ys]
     if len(xs) != len(ys):
@@ -336,15 +344,23 @@ def lagrange_interp(ctx: FieldCtx, xs, ys) -> Poly:
     n = len(xs)
     if n == 0:
         return Poly.zero(ctx)
-    # Newton form via divided differences, expanded incrementally: O(n^2).
-    dd = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    poly = Poly(ctx, (dd[n - 1],))
-    for i in range(n - 2, -1, -1):
-        poly = poly * Poly(ctx, (-xs[i], ctx.one())) + Poly(ctx, (dd[i],))
-    return poly
+    fa = FieldArrays(ctx)
+    x = fa.array(xs)
+    w = fa.full(n, fa.const(1))
+    for k in range(n):
+        diff = fa.mod(x - x[k])
+        diff[k] = fa.const(1)
+        w = fa.mod(w * diff)
+    c = fa.mod(fa.array(ys) * fa.inv(w))
+    m = fa.array(weighted_product(ctx, xs, [1] * n).c)
+    # synthetic division: q holds coefficient t of every M / (X - x_i)
+    q = fa.full(n, m[n])
+    out = [None] * n
+    for t in range(n - 1, -1, -1):
+        out[t] = fa.total(fa.mod(c * q))
+        if t:
+            q = fa.mod(q * x + m[t])
+    return Poly(ctx, fa.elements(out))
 
 
 def weighted_product(ctx: FieldCtx, xs, ms) -> Poly:

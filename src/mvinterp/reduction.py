@@ -19,8 +19,10 @@ brute-force shift-expansion oracle used by tests.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .approx import ApproxInstance
 from .errors import (
@@ -31,7 +33,7 @@ from .errors import (
     DuplicateNode,
     NoSolutionSpace,
 )
-from .field import FieldCtx, FieldElement
+from .field import FieldArrays, FieldCtx, FieldElement
 from .outcomes import NoSolution, NotApplicable, Solution
 from .poly import Poly, lagrange_interp, poly_mod, weighted_product
 
@@ -66,24 +68,11 @@ def exp_leq(i, j) -> bool:
     return all(a <= b for a, b in zip(i, j))
 
 
-@functools.lru_cache(maxsize=None)
-def _binom_table(p: int, nmax: int):
-    rows = [(1,)]
-    for n in range(1, nmax + 1):
-        prev = rows[-1]
-        row = [1]
-        for k in range(1, n):
-            row.append((prev[k - 1] + prev[k]) % p)
-        row.append(1)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def binom_mod(ctx: FieldCtx, n: int, k: int) -> FieldElement:
-    """Binomial coefficient reduced mod the characteristic (Pascal rule)."""
+    """Binomial coefficient reduced mod the characteristic."""
     if k < 0 or k > n:
         return ctx.zero()
-    return ctx.el(_binom_table(ctx.p, n)[n][k])
+    return ctx.el(math.comb(n, k))
 
 
 def multi_binom(ctx: FieldCtx, j, i) -> FieldElement:
@@ -265,9 +254,31 @@ def hasse_shift_expand(Q: MultiPoly, point):
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+def _hasse_arrays(fa: FieldArrays, q: Poly, x, m: int) -> list:
+    """Hasse derivatives of orders 0..min(m, deg q + 1) - 1 of q at every
+    entry of x, by Horner on the first m Taylor coefficients: multiplying by
+    X = x + T maps coefficient h to x * a_h + a_(h-1).  No binomials, so it
+    holds in every characteristic."""
+    acc = [fa.full(len(x), fa.const(0)) for _ in range(min(m, q.deg + 1))]
+    for c in reversed(q.c):
+        for h in range(len(acc) - 1, 0, -1):
+            acc[h] = fa.mod(acc[h] * x + acc[h - 1])
+        acc[0] = fa.mod(acc[0] * x + fa.scalar(c))
+    return acc
+
+
 def verify_solution(inst: InterpolationInstance, Q: MultiPoly) -> bool:
     """Check all four conditions: nonzero, Y-degree, weighted degree, and
-    per-point vanishing multiplicity (via targeted shift coefficients)."""
+    per-point vanishing multiplicity.
+
+    The vanishing check runs on whole arrays over the points.  The
+    coefficient of X^h Y^i in Q(X + x_r, Y + y_r) is
+    sum_{j >= i} binom(j, i) y_r^(j-i) H_{j,h}(x_r), with H_{j,h} the
+    order-h Hasse derivative of Q_j.  Every H_{j,h} at every x_r comes from
+    one Horner pass per Q_j; then for each (i, h) with h + |i| below the
+    largest multiplicity the sum is formed as one array and must vanish at
+    every point with m_r > h + |i|.
+    """
     if Q.is_zero():
         return False
     if Q.nvars != inst.nvars or Q.ctx != inst.ctx:
@@ -276,28 +287,39 @@ def verify_solution(inst: InterpolationInstance, Q: MultiPoly) -> bool:
         return False
     if Q.wdeg(inst.weights) >= inst.wdeg_bound:
         return False
-    for (x, ys), m_r in zip(inst.points, inst.mults):
-        # coefficient of X^h Y^i in the shifted polynomial, for h + |i| < m_r:
-        #   sum_{j >= i} binom(j, i) y^(j-i) * (order-h Hasse derivative of Q_j)(x)
-        hasse = {
-            (j, h): _hasse_eval(q, x, h)
-            for j, q in Q.terms.items()
-            for h in range(min(q.deg, m_r - 1) + 1)
-        }
-        for i in graded_exponents(inst.nvars, m_r, strict=True):
-            for h in range(m_r - sum(i)):
-                acc = inst.ctx.zero()
-                for j, q in Q.terms.items():
-                    if not exp_leq(i, j) or (j, h) not in hasse:
-                        continue
-                    coef = multi_binom(inst.ctx, j, i)
-                    if coef.is_zero():
-                        continue
-                    for t in range(inst.nvars):
-                        coef = coef * ys[t] ** (j[t] - i[t])
-                    acc = acc + coef * hasse[(j, h)]
-                if not acc.is_zero():
-                    return False
+    ctx = inst.ctx
+    fa = FieldArrays(ctx)
+    n, m = inst.n, inst.max_mult
+    x = fa.array([x for x, _ in inst.points])
+    mults = np.array(inst.mults)
+    hasse = {j: _hasse_arrays(fa, q, x, m) for j, q in Q.terms.items()}
+    ypow = []  # ypow[t][e] = y_t^e at every point
+    for t in range(inst.nvars):
+        y = fa.array([ys[t] for _, ys in inst.points])
+        pw = [fa.full(n, fa.const(1))]
+        for _ in range(Q.ydeg):
+            pw.append(fa.mod(pw[-1] * y))
+        ypow.append(pw)
+    for i in graded_exponents(inst.nvars, m, strict=True):
+        weighted = []  # (H_j, binom(j, i) * y^(j-i)) for the j >= i that count
+        for j in Q.terms:
+            if not exp_leq(i, j):
+                continue
+            b = multi_binom(ctx, j, i)
+            if b.is_zero():
+                continue
+            w = fa.full(n, fa.scalar(b))
+            for t in range(inst.nvars):
+                if j[t] > i[t]:
+                    w = fa.mod(w * ypow[t][j[t] - i[t]])
+            weighted.append((hasse[j], w))
+        for h in range(m - sum(i)):
+            acc = fa.full(n, fa.const(0))
+            for hj, w in weighted:
+                if h < len(hj):
+                    acc = fa.mod(acc + w * hj[h])
+            if (fa.nonzero(acc) & (mults > h + sum(i))).any():
+                return False
     return True
 
 

@@ -155,8 +155,8 @@ def test_criterion_01_cross_route_and_dense_agreement():
     corpus completes in well under two minutes.
 
     The routes run through solve_approx, which supplies the production
-    small-field behavior (extension fields once the sampling-set floor
-    exceeds the field order) while keeping verdicts in the base field.
+    small-field behavior (base field first, extension only on Failure)
+    while keeping verdicts in the base field.
     Size caps per prime keep extension arithmetic affordable; all other
     envelope bounds are exercised in full.
     """

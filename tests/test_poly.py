@@ -227,6 +227,28 @@ def test_lagrange_roundtrip_random():
             assert f.eval(F.el(x)) == F.el(y)
 
 
+@pytest.mark.parametrize(
+    "ctx, n",
+    [
+        (FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1)), 40),  # GF(2^8)
+        (FieldCtx(3, (1, 0, 1)), 9),  # F_9, every element a node
+        (prime_field(2147483659), 30),  # first prime above 2^31
+        (prime_field(2**61 - 1), 30),
+        (prime_field(16777213), 256),
+    ],
+)
+def test_lagrange_roundtrip_every_field(ctx, n):
+    rng = random.Random(n)
+    xs = [ctx.from_index(i) for i in rng.sample(range(min(ctx.order, 10**9)), n)]
+    ys = [ctx.rand(rng) for _ in range(n)]
+    f = lagrange_interp(ctx, xs, ys)
+    assert f.deg < n
+    assert [f.eval(x) for x in xs] == ys
+    # a polynomial of degree < n comes back unchanged
+    g = Poly(ctx, ys)
+    assert lagrange_interp(ctx, xs, [g.eval(x) for x in xs]) == g
+
+
 def test_lagrange_errors():
     with pytest.raises(DuplicateNode):
         lagrange_interp(F13, (1, 1), (2, 3))

@@ -4,7 +4,7 @@ import pytest
 
 from mvinterp.approx import verify_approx
 from mvinterp.errors import DegreeViolation, DuplicateNode, NoSolutionSpace
-from mvinterp.field import prime_field
+from mvinterp.field import FieldCtx, prime_field
 from mvinterp.outcomes import NoSolution, NotApplicable, Solution
 from mvinterp.poly import Poly
 from mvinterp.reduction import (
@@ -20,6 +20,8 @@ from mvinterp.reduction import (
     trivial_weight_check,
     verify_solution,
 )
+
+from helpers import random_poly
 
 F13 = prime_field(13)
 
@@ -139,6 +141,63 @@ def test_verify_matches_full_expansion():
             for pt, m_r in zip(inst.points, inst.mults)
         )
         assert verify_solution(inst, Q) == by_expansion
+
+
+def _mp_mul(A, B):
+    terms = {}
+    for ja, qa in A.terms.items():
+        for jb, qb in B.terms.items():
+            j = tuple(u + v for u, v in zip(ja, jb))
+            terms[j] = terms.get(j, Poly.zero(A.ctx)) + qa * qb
+    return MultiPoly(A.ctx, A.nvars, terms)
+
+
+def _mp_pow(A, e):
+    out = MultiPoly(A.ctx, A.nvars, {(0,) * A.nvars: Poly.one(A.ctx)})
+    for _ in range(e):
+        out = _mp_mul(out, A)
+    return out
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1)),  # GF(2^8)
+        FieldCtx(3, (1, 0, 1)),  # F_9
+        prime_field(2147483659),  # first prime above 2^31
+    ],
+)
+def test_verify_matches_full_expansion_every_field(ctx):
+    # points on Y_1 = R_1(X), Y_2 = R_2(X); (Y_1 - R_1)^a (Y_2 - R_2)^b f(X)
+    # vanishes to order at least a + b there, so mixed multiplicities around
+    # a + b give accepted and rejected Q alike
+    rng = random.Random(ctx.order)
+    verdicts = []
+    for _ in range(8):
+        n = rng.randint(1, 4)
+        xs = [ctx.from_index(i) for i in rng.sample(range(min(ctx.order, 10**6)), n)]
+        rs = [random_poly(ctx, rng.randint(1, 3), rng) for _ in range(2)]
+        points = tuple((x, (rs[0].eval(x), rs[1].eval(x))) for x in xs)
+        a, b = rng.randint(0, 2), rng.randint(1, 2)
+        lines = [
+            MultiPoly(ctx, 2, {(1, 0): Poly.one(ctx), (0, 0): -rs[0]}),
+            MultiPoly(ctx, 2, {(0, 1): Poly.one(ctx), (0, 0): -rs[1]}),
+        ]
+        Q = _mp_mul(_mp_pow(lines[0], a), _mp_pow(lines[1], b))
+        Q = Q.mul_univariate(random_poly(ctx, 2, rng, exact=True))
+        if rng.random() < 0.3:  # a term that breaks order 0 somewhere
+            Q = MultiPoly(ctx, 2, {**Q.terms, (0, 0): Q.coeff((0, 0)) + random_poly(ctx, 2, rng)})
+        mults = tuple(rng.randint(1, a + b + 1) for _ in range(n))
+        inst = InterpolationInstance(ctx, 2, 4, 40, (1, 1), points, mults)
+        if Q.is_zero():
+            continue
+        by_expansion = all(
+            all(h + sum(i) >= m_r for (h, i) in hasse_shift_expand(Q, pt))
+            for pt, m_r in zip(inst.points, inst.mults)
+        )
+        assert verify_solution(inst, Q) == by_expansion
+        verdicts.append(by_expansion)
+    assert any(verdicts) and not all(verdicts)
 
 
 # ---------------------------------------------------------------- preprocessing
