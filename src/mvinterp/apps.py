@@ -361,6 +361,27 @@ def wu_infinity_ok(Q: MultiPoly, inf_xs, m: int, ell: int) -> bool:
     return True
 
 
+def verify_wu(points, p: GsParams, Q: MultiPoly) -> bool:
+    """Q answers the infinity-aware problem: nonzero, Y-degree <= ell,
+    weighted degree < b, vanishing to order m at every finite point, and
+    the divisibility conditions of the points at infinity."""
+    ok = not Q.is_zero() and Q.ydeg <= p.ell and Q.wdeg((p.k,)) < p.b
+    finite = tuple((pt.x, (pt.y,)) for pt in points if not pt.is_infinite)
+    if ok and finite:
+        inst = InterpolationInstance(
+            p.ctx,
+            nvars=1,
+            ydeg_bound=p.ell,
+            wdeg_bound=p.b,
+            weights=(p.k,),
+            points=finite,
+            mults=(p.m,) * len(finite),
+        )
+        ok = verify_solution(inst, Q)
+    inf_xs = [pt.x for pt in points if pt.is_infinite]
+    return ok and wu_infinity_ok(Q, inf_xs, p.m, p.ell)
+
+
 def wu_interpolate(points, p: GsParams, rng, backend: str = "hankel", **kw):
     """Interpolation where points may sit at y = infinity (handled through
     the Y-reversal divisibility conditions on the top coefficients)."""
@@ -374,8 +395,6 @@ def wu_interpolate(points, p: GsParams, rng, backend: str = "hankel", **kw):
         raise AssumptionViolated("H1")
 
     ctx = p.ctx
-    inf_xs = [pt.x for pt in points if pt.is_infinite]
-    finite = [(pt.x, pt.y) for pt in points if not pt.is_infinite]
     plan = wu_build(points, p)
     if plan.approx is None:
         if not plan.kept:
@@ -397,21 +416,7 @@ def wu_interpolate(points, p: GsParams, rng, backend: str = "hankel", **kw):
         terms[(t,)] = q * plan.g_inf ** (p.m - p.ell + t) if t > low else q
     Q = MultiPoly(ctx, 1, terms)
 
-    ok = not Q.is_zero() and Q.ydeg <= p.ell and Q.wdeg((p.k,)) < p.b
-    if ok and finite:
-        fin_inst = InterpolationInstance(
-            ctx,
-            nvars=1,
-            ydeg_bound=p.ell,
-            wdeg_bound=p.b,
-            weights=(p.k,),
-            points=tuple((x, (y,)) for x, y in finite),
-            mults=(p.m,) * len(finite),
-        )
-        ok = verify_solution(fin_inst, Q)
-    if ok:
-        ok = wu_infinity_ok(Q, inf_xs, p.m, p.ell)
-    if not ok:
+    if not verify_wu(points, p, Q):
         raise MvInterpError("internal error: infinity-aware solution failed verification")
     return Solution(Q)
 

@@ -16,6 +16,8 @@ from .linalg import kernel_vector_echelon
 from .outcomes import NoSolution, Solution
 from .struct_solve import TAG_HANKEL, hankel_to_toeplitz, nullspace_structured
 
+DENSE_GUARD_CELLS = 1 << 20  # largest matrix either linearization builds densely
+
 
 def _finish(a: ApproxInstance, trimmed: ApproxInstance, dropped: int, vec):
     qs = unpack_solution(trimmed.ctx, vec, trimmed.col_bounds)
@@ -32,7 +34,6 @@ def solve_with_builder(
     *,
     max_retries: int = 8,
     dense_threshold: int = 16,
-    force_object: bool = False,
     subset_size: int = None,
 ):
     """Trim, linearize through `build` (returns a GeneratorPair of either
@@ -51,7 +52,6 @@ def solve_with_builder(
         rng,
         max_retries,
         dense_threshold=dense_threshold,
-        force_object=force_object,
         subset_size=subset_size,
     )
     if not isinstance(out, Solution):

@@ -21,7 +21,7 @@ from .apps import (
     reencode_interpolate,
     soft_interpolate,
     solve_approx,
-    wu_infinity_ok,
+    verify_wu,
     wu_interpolate,
 )
 from .errors import MvInterpError
@@ -71,6 +71,22 @@ def _gs_params(parsed: ParsedInstance) -> GsParams:
     )
 
 
+def _wu_params(parsed: ParsedInstance):
+    """Points (y may be infinite) and parameters of a wu-mode instance."""
+    if parsed.s != 1:
+        raise ParseError("wu mode needs s = 1")
+    pts = tuple(ExtPoint(x, ys[0]) for x, _, ys in parsed.rows)
+    p = GsParams(
+        parsed.ctx,
+        k=parsed.weights[0],
+        m=parsed.uniform_mult(),
+        ell=parsed.ell,
+        b=parsed.b,
+        points=(),
+    )
+    return pts, p
+
+
 def _solve_parsed(parsed, mode: str, rng, backend: str, max_retries: int):
     """Run the requested pipeline; returns (outcome, verifier callback)."""
     kw = {"max_retries": max_retries}
@@ -89,30 +105,9 @@ def _solve_parsed(parsed, mode: str, rng, backend: str, max_retries: int):
             lambda Q: verify_solution(inst, Q)
         )
     if mode == "wu":
-        if parsed.s != 1:
-            raise ParseError("wu mode needs s = 1")
-        m = parsed.uniform_mult()
-        pts = tuple(ExtPoint(x, ys[0]) for x, _, ys in parsed.rows)
-        p = GsParams(
-            parsed.ctx, k=parsed.weights[0], m=m, ell=parsed.ell, b=parsed.b, points=()
-        )
+        pts, p = _wu_params(parsed)
         out = wu_interpolate(pts, p, rng, backend, **kw)
-        inf_xs = [pt.x for pt in pts if pt.is_infinite]
-
-        def check(Q):
-            fin = [(pt.x, pt.y) for pt in pts if not pt.is_infinite]
-            ok = not Q.is_zero() and Q.ydeg <= p.ell and Q.wdeg((p.k,)) < p.b
-            if ok and fin:
-                ok = verify_solution(
-                    parsed.__class__(
-                        parsed.ctx, 1, p.ell, p.b, (p.k,),
-                        tuple((x, m, (y,)) for x, y in fin),
-                    ).interpolation_instance(),
-                    Q,
-                )
-            return ok and wu_infinity_ok(Q, inf_xs, p.m, p.ell)
-
-        return out, check
+        return out, lambda Q: verify_wu(pts, p, Q)
     if mode == "reencode":
         if parsed.n0 is None:
             raise ParseError("reencode mode needs an n0 line in the instance file")
@@ -187,18 +182,7 @@ def cmd_verify(args) -> int:
             qs = [Q.coeff((j,)) for j in range(a.nu)]
             ok = any(not q.is_zero() for q in qs) and verify_approx(a, qs)
         elif parsed.has_infinite():
-            m = parsed.uniform_mult()
-            fin = [(x, ys[0]) for x, _, ys in parsed.rows if ys[0] is not None]
-            inf_xs = [x for x, _, ys in parsed.rows if ys[0] is None]
-            ok = not Q.is_zero() and Q.ydeg <= parsed.ell
-            ok = ok and Q.wdeg(parsed.weights) < parsed.b
-            if ok and fin:
-                sub = ParsedInstance(
-                    parsed.ctx, 1, parsed.ell, parsed.b, parsed.weights,
-                    tuple((x, m, (y,)) for x, y in fin),
-                )
-                ok = verify_solution(sub.interpolation_instance(), Q)
-            ok = ok and wu_infinity_ok(Q, inf_xs, m, parsed.ell)
+            ok = verify_wu(*_wu_params(parsed), Q)
         else:
             inst = parsed.interpolation_instance(allow_duplicate_x=True)
             ok = verify_solution(inst, Q)

@@ -412,23 +412,6 @@ class FieldArrays:
         return [FieldElement(self.ctx, (int(v),)) for v in a]
 
 
-def field_arith(a: FieldElement, b, op: str) -> FieldElement:
-    """Dispatch wrapper kept for symmetry with the operator overloads."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    raise ValueError(f"unknown op {op!r}")
-
-
 def build_extension(base: FieldCtx, d: int, rng) -> FieldCtx:
     """Return F_{p^d} with a randomly found monic irreducible defining polynomial."""
     if base.d != 1:

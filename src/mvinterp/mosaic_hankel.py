@@ -18,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .approx import ApproxInstance
-from .backend import solve_with_builder
+from .backend import DENSE_GUARD_CELLS, solve_with_builder
 from .errors import TooLarge
 from .poly import Poly, reverse, series_inv, trunc
 from .struct_solve import TAG_HANKEL, GeneratorPair
-
-_DENSE_GUARD_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ def compute_s_star(a: ApproxInstance):
 def dense_build_A(a: ApproxInstance):
     """The mosaic-Hankel matrix itself (oracle / small-instance use)."""
     M, N = a.total_rows, a.total_cols
-    if M * N > _DENSE_GUARD_CELLS:
+    if M * N > DENSE_GUARD_CELLS:
         raise TooLarge(f"{M}x{N} dense mosaic exceeds the guard")
     s_star = compute_s_star(a)
     layout = layout_for(a)

@@ -256,10 +256,6 @@ def _karatsuba(a: list, b: list, ctx: FieldCtx) -> list:
 # -- named operations -------------------------------------------------
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
 def trunc(f: Poly, n: int) -> Poly:
     """f mod X^n."""
     if n <= 0:

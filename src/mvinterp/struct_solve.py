@@ -13,13 +13,23 @@ except in the desk-scale dense fallback / oracle.
 The solve itself: flip Hankel structure to Toeplitz (column reversal), pad
 to square, pre/post-multiply by random unit-triangular Toeplitz matrices to
 force a generic rank profile, then run a Schur-complement elimination that
-only touches generators (each trailing submatrix of the preconditioned
-matrix is again Toeplitz-like of displacement rank <= alpha + 2, compressed
-back after every step).  A completed elimination certifies the exact rank;
-the recorded pivot rows give the nullspace by back-substitution with
+only touches generators.  Each trailing submatrix of the preconditioned
+matrix is again Toeplitz-like; its generator grows by two columns per step
+and is compressed back to exact length rank(V·W) once it has doubled, or
+when a leading entry vanishes.  A completed elimination certifies the exact
+rank; the recorded pivot rows give the nullspace by back-substitution with
 randomly drawn free coordinates.  Every candidate is verified by applying A
 through the generator, so a returned Solution is unconditionally correct;
 NoSolution is returned only on a certified full-column-rank elimination.
+
+One representation serves every field.  A vector over F_{p^d} is a (d, n)
+array of residues mod p, d = 1 for a prime field, and a generator half is
+one stacked (alpha, d, n) array, so a compression pivot updates all later
+generator columns with one outer-product op.  Products use the
+multiplication table of F_p[t]/(f); polynomial products are d^2 residue
+convolutions folded by that table.  FieldElements appear only at the
+boundary: the input generator, the random draws, scalar inverses and the
+returned vector.
 """
 
 from __future__ import annotations
@@ -29,15 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldTooSmall, TooLarge, WrongTag, ZeroInput
-from .field import FieldCtx, sample_subset_element
+from .errors import FieldTooSmall, TooLarge, WrongTag
+from .field import FieldCtx, FieldElement, sample_subset_element
 from .linalg import kernel_basis
 from .outcomes import Failure, NoSolution, Solution
 
 TAG_TOEPLITZ = "toeplitz"
 TAG_HANKEL = "hankel"
 
-_DENSE_GUARD_CELLS = 1 << 14
+_RECONSTRUCT_GUARD_CELLS = 1 << 14
 _INT64_SAFE = 2**62
 
 
@@ -83,7 +93,7 @@ PadInfo = namedtuple("PadInfo", "kind offset")
 def reconstruct_dense(G: GeneratorPair):
     """The unique matrix with the given displacement, as FieldElement rows."""
     M, N = G.nrows, G.ncols
-    if M * N > _DENSE_GUARD_CELLS:
+    if M * N > _RECONSTRUCT_GUARD_CELLS:
         raise TooLarge(f"{M}x{N} exceeds the dense reconstruction guard")
     ctx = G.ctx
     z = ctx.zero()
@@ -109,38 +119,6 @@ def reconstruct_dense(G: GeneratorPair):
                 Ai[j] = Ai[j] + Ni[j]
         cur = nxt
     return A
-
-
-def displacement_of_dense(tag: str, rows, ctx: FieldCtx):
-    """A - Z A Z^T (toeplitz) or A - Z A Z (hankel) of a dense matrix."""
-    M = len(rows)
-    N = len(rows[0]) if rows else 0
-    z = ctx.zero()
-    out = []
-    for i in range(M):
-        line = []
-        for j in range(N):
-            if i == 0:
-                line.append(rows[i][j])
-            elif tag == TAG_TOEPLITZ:
-                line.append(rows[i][j] - (rows[i - 1][j - 1] if j >= 1 else z))
-            else:
-                line.append(rows[i][j] - (rows[i - 1][j + 1] if j + 1 < N else z))
-        out.append(line)
-    return out
-
-
-def generator_product(G: GeneratorPair):
-    """V·W as dense FieldElement rows (the displacement the generator claims)."""
-    z = G.ctx.zero()
-    out = [[z] * G.ncols for _ in range(G.nrows)]
-    for col, row in zip(G.v_cols, G.w_rows):
-        for i, vi in enumerate(col):
-            if not vi.is_zero():
-                oi = out[i]
-                for j, wj in enumerate(row):
-                    oi[j] = oi[j] + vi * wj
-    return out
 
 
 # ---------------------------------------------------------------- conversions
@@ -199,382 +177,243 @@ def unpad_solution(info: PadInfo, vec):
     return vec
 
 
-# ---------------------------------------------------------------- arithmetic kernels
-
-# The elimination is written once against a tiny vector-ops protocol with two
-# implementations: int64 numpy (prime field, modulus small enough that dot
-# products of length P cannot overflow) and plain FieldElement lists.
+# ---------------------------------------------------------------- residue arrays
 
 
-class _NumpyOps:
-    scalar_zero = 0
-    scalar_one = 1
+class _Residues:
+    """Arithmetic on (..., d, n) residue arrays of one field, d = 1 included.
 
-    def __init__(self, ctx, min_size):
-        self.ctx = ctx
-        self.p = ctx.p
-        self.min_size = min_size
+    The dtype is int64 when d*(p-1)^2*terms < 2^62, where terms bounds how
+    many products of residues one sum adds up before it is reduced; above
+    that it is object (Python ints), with the same code.
+    """
 
-    def vec(self, elems):
-        return np.array([e.c[0] for e in elems], dtype=np.int64)
+    def __init__(self, ctx: FieldCtx, terms: int):
+        p, d = ctx.p, ctx.d
+        self.ctx, self.p, self.d = ctx, p, d
+        self.dtype = np.int64 if d * (p - 1) ** 2 * terms < _INT64_SAFE else object
+        powers = [[1] + [0] * (d - 1)]  # t^e mod f, e < 2d - 1
+        for _ in range(2 * d - 2):
+            prev = powers[-1]
+            shifted = zip([0] + prev[:-1], ctx.modulus)
+            powers.append([(lo - prev[-1] * f) % p for lo, f in shifted])
+        # table[a, b, k]: coefficient of t^k in t^(a+b) mod f
+        table = np.array(
+            [[powers[a + b] for b in range(d)] for a in range(d)], dtype=self.dtype
+        )
+        self._by_scalar = table.transpose(0, 2, 1).reshape(d, d * d)
+        self._fold = table.reshape(d * d, d).T.copy()
 
-    def elems(self, v):
-        return [self.ctx.el(int(x)) for x in v]
+    def array(self, elems) -> np.ndarray:
+        """(d, n) residues of n FieldElements."""
+        a = np.array([e.c for e in elems], dtype=self.dtype)
+        return a.reshape(len(elems), self.d).T.copy()
 
-    def zeros(self, n):
-        return np.zeros(n, dtype=np.int64)
+    def stack(self, vectors, n: int) -> np.ndarray:
+        """(alpha, d, n) residues of alpha FieldElement vectors of length n."""
+        a = np.array([[e.c for e in v] for v in vectors], dtype=self.dtype)
+        return a.reshape(len(vectors), n, self.d).transpose(0, 2, 1).copy()
 
-    def unit(self, n, i):
-        v = np.zeros(n, dtype=np.int64)
-        v[i] = 1
-        return v
+    def elements(self, a: np.ndarray) -> list:
+        return [FieldElement(self.ctx, tuple(c)) for c in a.T.tolist()]
 
-    def copy(self, v):
-        return v.copy()
+    def zeros(self, n: int) -> np.ndarray:
+        return np.zeros((self.d, n), dtype=self.dtype)
 
-    def tail(self, v, k):
-        return v[k:].copy()
+    def unit(self, n: int, i: int) -> np.ndarray:
+        e = self.zeros(n)
+        e[0, i] = 1
+        return e
 
-    def head(self, v, k):
-        return v[:k].copy()
+    def is_zero(self, a: np.ndarray) -> bool:
+        return not np.count_nonzero(a)
 
-    def get(self, v, i):
-        return int(v[i])
+    def inv(self, s: np.ndarray) -> np.ndarray:
+        inverse = FieldElement(self.ctx, tuple(s.tolist())).inv()
+        return np.array(inverse.c, dtype=self.dtype)
 
-    def put(self, v, i, s):
-        v[i] = s
+    def mul_matrix(self, c: np.ndarray) -> np.ndarray:
+        """(..., d, d) matrices of multiplication by the scalars c (..., d)."""
+        m = (c @ self._by_scalar) % self.p
+        return m.reshape(c.shape[:-1] + (self.d, self.d))
 
-    def is_zero_vec(self, v):
-        return not v.any()
+    def mul(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Scalars c (..., d) times the scalar s (d,), reduced."""
+        return (c @ self.mul_matrix(s).T) % self.p
 
-    def first_nonzero(self, v):
-        nz = np.nonzero(v)[0]
-        return int(nz[0]) if nz.size else None
-
-    def dot(self, x, y):
-        return int(x @ y) % self.p
-
-    def add_scaled(self, x, s, y):
-        return (x + s * y) % self.p
-
-    def sub_scaled(self, x, s, y):
-        return (x - s * y) % self.p
-
-    def scale(self, x, s):
-        return x * s % self.p
-
-    def neg(self, x):
-        return (-x) % self.p
-
-    def shift1(self, x):
-        out = np.empty_like(x)
-        out[0] = 0
-        out[1:] = x[:-1]
+    def times(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Scalars, given by their multiplication matrices m (..., d, d), times
+        the vector v (d, n) as (..., d, n), not reduced: each entry is below
+        d*(p-1)^2."""
+        out = m[..., 0, None] * v[0]
+        for b in range(1, self.d):
+            out += m[..., b, None] * v[b]
         return out
 
-    def corr(self, a, b):
-        # out[t] = sum_u a[t+u] * b[u], t < len(a)
-        full = np.convolve(a, b[::-1])
-        return full[len(b) - 1 : len(b) - 1 + len(a)] % self.p
+    def combine(self, m: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """sum_j c_j * vs_j for scalars c_j given by their multiplication
+        matrices m (J, d, d) and vectors vs (J, d, n), reduced."""
+        J, d, n = vs.shape
+        flat = m.transpose(1, 0, 2).reshape(d, J * d)
+        return (flat @ vs.reshape(J * d, n)) % self.p
 
-    def conv_trunc(self, a, b, n):
-        full = np.convolve(a, b)[:n] % self.p
-        if full.shape[0] < n:
-            full = np.concatenate([full, np.zeros(n - full.shape[0], dtype=np.int64)])
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_u a[u] * b[u] of two (d, n) vectors, as a reduced scalar (d,)."""
+        pairs = (a @ b.T) % self.p
+        return (self._fold @ pairs.reshape(-1)) % self.p
+
+    def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Polynomial product of (d, n) and (d, m) as (d, n + m - 1), reduced."""
+        pairs = np.array([[np.convolve(x, y) for y in b] for x in a], dtype=self.dtype)
+        pairs %= self.p
+        return (self._fold @ pairs.reshape(self.d * self.d, -1)) % self.p
+
+    def corr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """out[t] = sum_u a[t+u] * b[u] for t < len(a)."""
+        m = b.shape[1]
+        return self.conv(a, b[:, ::-1])[:, m - 1 : m - 1 + a.shape[1]]
+
+    def conv_trunc(self, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+        full = self.conv(a, b)[:, :n]
+        if full.shape[1] < n:
+            full = np.concatenate([full, self.zeros(n - full.shape[1])], axis=1)
         return full
 
-    def s_inv(self, s):
-        return pow(int(s), -1, self.p)
 
-    def s_mul(self, a, b):
-        return a * b % self.p
-
-    def s_neg(self, a):
-        return (-a) % self.p
-
-    def s_is_zero(self, a):
-        return a == 0
-
-    def sample(self, rng):
-        return sample_subset_element(self.ctx, self.min_size, rng).c[0]
-
-
-class _ObjectOps:
-    def __init__(self, ctx, min_size):
-        self.ctx = ctx
-        self.min_size = min_size
-        self.scalar_zero = ctx.zero()
-        self.scalar_one = ctx.one()
-
-    def vec(self, elems):
-        return list(elems)
-
-    def elems(self, v):
-        return list(v)
-
-    def zeros(self, n):
-        return [self.ctx.zero()] * n
-
-    def unit(self, n, i):
-        v = [self.ctx.zero()] * n
-        v[i] = self.ctx.one()
-        return v
-
-    def copy(self, v):
-        return list(v)
-
-    def tail(self, v, k):
-        return v[k:]
-
-    def head(self, v, k):
-        return v[:k]
-
-    def get(self, v, i):
-        return v[i]
-
-    def put(self, v, i, s):
-        v[i] = s
-
-    def is_zero_vec(self, v):
-        return all(e.is_zero() for e in v)
-
-    def first_nonzero(self, v):
-        for i, e in enumerate(v):
-            if not e.is_zero():
-                return i
-        return None
-
-    def dot(self, x, y):
-        acc = self.ctx.zero()
-        for a, b in zip(x, y):
-            if not (a.is_zero() or b.is_zero()):
-                acc = acc + a * b
-        return acc
-
-    def add_scaled(self, x, s, y):
-        return [a + s * b for a, b in zip(x, y)]
-
-    def sub_scaled(self, x, s, y):
-        return [a - s * b for a, b in zip(x, y)]
-
-    def scale(self, x, s):
-        return [a * s for a in x]
-
-    def neg(self, x):
-        return [-a for a in x]
-
-    def shift1(self, x):
-        return [self.ctx.zero()] + x[:-1]
-
-    def corr(self, a, b):
-        out = []
-        la, lb = len(a), len(b)
-        for t in range(la):
-            acc = self.ctx.zero()
-            for u in range(min(lb, la - t)):
-                if not b[u].is_zero():
-                    acc = acc + a[t + u] * b[u]
-            out.append(acc)
-        return out
-
-    def conv_trunc(self, a, b, n):
-        z = self.ctx.zero()
-        out = [z] * n
-        for i, ai in enumerate(a):
-            if ai.is_zero() or i >= n:
-                continue
-            for j, bj in enumerate(b):
-                if i + j >= n:
-                    break
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-        return out
-
-    def s_inv(self, s):
-        return s.inv()
-
-    def s_mul(self, a, b):
-        return a * b
-
-    def s_neg(self, a):
-        return -a
-
-    def s_is_zero(self, a):
-        return a.is_zero()
-
-    def sample(self, rng):
-        return sample_subset_element(self.ctx, self.min_size, rng)
-
-
-def _pick_ops(ctx, size, min_size, force_object):
-    if force_object or ctx.d != 1:
-        return _ObjectOps(ctx, min_size)
-    if (ctx.p - 1) * (ctx.p - 1) * (size + 1) >= _INT64_SAFE:
-        return _ObjectOps(ctx, min_size)
-    return _NumpyOps(ctx, min_size)
+def _draw(R: _Residues, min_size: int, rng, k: int) -> np.ndarray:
+    """k draws from the sampling subset, as a (d, k) residue array."""
+    return R.array([sample_subset_element(R.ctx, min_size, rng) for _ in range(k)])
 
 
 # ---------------------------------------------------------------- generator algebra
 
 
-def _apply(ops, v_cols, w_rows, x, nrows):
+def _apply(R, v, w, x, nrows):
     """A·x through a toeplitz-tagged generator: sum_c L(v_c) U(w_c) x."""
-    out = ops.zeros(nrows)
-    for col, row in zip(v_cols, w_rows):
-        y = ops.corr(x, row)  # y[k] = sum_u w[u] x[k+u]
-        out = ops.add_scaled(out, ops.scalar_one, ops.conv_trunc(col, y, nrows))
-    return out
+    out = R.zeros(nrows)
+    for col, row in zip(v, w):
+        out += R.conv_trunc(col, R.corr(x, row), nrows)  # corr: sum_u w[u] x[k+u]
+    return out % R.p
 
 
-def apply_generator(G: GeneratorPair, elems):
-    """A·x from a generator of either tag (FieldElement vectors in and out)."""
-    if len(elems) != G.ncols:
-        raise ZeroInput(f"vector of length {len(elems)} for {G.ncols} columns")
-    ops = _pick_ops(G.ctx, max(G.nrows, G.ncols), 0, False)
-    x = ops.vec(elems)
-    out = ops.zeros(G.nrows)
-    for col_e, row_e in zip(G.v_cols, G.w_rows):
-        col, row = ops.vec(col_e), ops.vec(row_e)
-        if G.tag == TAG_TOEPLITZ:
-            y = ops.corr(x, row)
-        else:
-            y = ops.corr(row, x)  # y[t] = sum_u w[t+u] x[u]
-        out = ops.add_scaled(out, ops.scalar_one, ops.conv_trunc(col, y, G.nrows))
-    return ops.elems(out)
+def _echelon(R, A, B):
+    """Row-echelon form of the rows of A, each row operation undone in B so
+    that sum_c A_c (x) B_c is unchanged; rows that become zero are dropped.
+
+    Right-looking: each pivot updates all later rows with one outer-product
+    op.  Later rows are reduced mod p only when they become pivots, which
+    the dtype's bound on accumulated products allows.
+    """
+    A = A.copy()
+    B = B.copy()
+    p = R.p
+    keep = []
+    for i in range(len(A)):
+        A[i] %= p
+        cols = A[i].T.nonzero()[0]
+        if not cols.size:
+            continue
+        keep.append(i)
+        if i + 1 < len(A):
+            pc = cols[0]
+            # A_j -= (a_j / s) A_i  and  B_i += (a_j / s) B_j
+            m = R.mul_matrix(R.mul(A[i + 1 :, :, pc] % p, R.inv(A[i, :, pc])))
+            A[i + 1 :] -= R.times(m, A[i])
+            B[i] = (B[i] + R.combine(m, B[i + 1 :])) % p
+    return A[keep], B[keep]
 
 
-def _compress(ops, v_cols, w_rows):
+def _compress(R, v, w):
     """Shrink a generator to exact length rank(V·W), preserving the product."""
-    kept_v, kept_w, piv_rows = [], [], []
-    for col, row in zip(v_cols, w_rows):
-        col = ops.copy(col)
-        row = ops.copy(row)
-        for i, pr in enumerate(piv_rows):
-            coef = ops.get(col, pr)
-            if not ops.s_is_zero(coef):
-                col = ops.sub_scaled(col, coef, kept_v[i])
-                kept_w[i] = ops.add_scaled(kept_w[i], coef, row)
-        pr = ops.first_nonzero(col)
-        if pr is None:
-            continue
-        s = ops.get(col, pr)
-        kept_v.append(ops.scale(col, ops.s_inv(s)))
-        kept_w.append(ops.scale(row, s))
-        piv_rows.append(pr)
-    final_v, final_w, piv_cols = [], [], []
-    for col, row in zip(kept_v, kept_w):
-        for i, pc in enumerate(piv_cols):
-            coef = ops.get(row, pc)
-            if not ops.s_is_zero(coef):
-                row = ops.sub_scaled(row, coef, final_w[i])
-                final_v[i] = ops.add_scaled(final_v[i], coef, col)
-        pc = ops.first_nonzero(row)
-        if pc is None:
-            continue
-        s = ops.get(row, pc)
-        final_w.append(ops.scale(row, ops.s_inv(s)))
-        final_v.append(ops.scale(col, s))
-        piv_cols.append(pc)
-    return final_v, final_w
+    v, w = _echelon(R, v, w)
+    w, v = _echelon(R, w, v)
+    return v, w
 
 
 class _PivotBreakdown(Exception):
     """Leading entry of a nonzero Schur complement vanished (bad luck)."""
 
 
-def _precondition(ops, v_cols, w_rows, size, u_coefs, l_coefs):
+def _precondition(R, v, w, u_full, l_full):
     """Generator of U·A·L for unit-triangular Toeplitz U (upper, first row
-    1,u_1,..) and L (lower, first column 1,l_1,..): width grows by 4."""
-    u_full = ops.zeros(size)
-    ops.put(u_full, 0, ops.scalar_one)
-    l_full = ops.zeros(size)
-    ops.put(l_full, 0, ops.scalar_one)
-    a_vec = ops.zeros(size)
-    b_vec = ops.zeros(size)
-    c_vec = ops.zeros(size)
-    f_vec = ops.zeros(size)
-    for k in range(1, size):
-        ops.put(u_full, k, u_coefs[k - 1])
-        ops.put(l_full, k, l_coefs[k - 1])
-        ops.put(a_vec, k - 1, u_coefs[k - 1])
-        ops.put(b_vec, size - k, u_coefs[k - 1])
-        ops.put(c_vec, k - 1, l_coefs[k - 1])
-        ops.put(f_vec, size - k, l_coefs[k - 1])
+    u_full = 1,u_1,..) and L (lower, first column l_full = 1,l_1,..):
+    width grows by 4."""
+    size = u_full.shape[1]
+    zero = R.zeros(1)
+    a_vec = np.concatenate([u_full[:, 1:], zero], axis=1)
+    b_vec = np.concatenate([zero, u_full[:, :0:-1]], axis=1)
+    c_vec = np.concatenate([l_full[:, 1:], zero], axis=1)
+    f_vec = np.concatenate([zero, l_full[:, :0:-1]], axis=1)
+    e_first, e_last = R.unit(size, 0), R.unit(size, size - 1)
 
-    def U_apply(x):
-        return ops.corr(x, u_full)
+    def shift1(x):
+        return np.concatenate([zero, x[:, :-1]], axis=1)
 
-    def L_row(w):
-        return ops.corr(w, l_full)
+    new_v = [R.corr(c, u_full) for c in v]
+    new_w = [R.corr(r, l_full) for r in w]
 
-    new_v = [U_apply(c) for c in v_cols]
-    new_w = [L_row(r) for r in w_rows]
+    Ac = _apply(R, v, w, c_vec, size)
+    new_v.append(R.corr(shift1(Ac), u_full))
+    new_w.append(e_first)
 
-    Ac = _apply(ops, v_cols, w_rows, c_vec, size)
-    new_v.append(U_apply(ops.shift1(Ac)))
-    new_w.append(ops.unit(size, 0))
-
-    Ae = _apply(ops, v_cols, w_rows, ops.unit(size, size - 1), size)
-    new_v.append(ops.neg(U_apply(ops.shift1(Ae))))
+    Ae = _apply(R, v, w, e_last, size)
+    new_v.append(-R.corr(shift1(Ae), u_full) % R.p)
     new_w.append(f_vec)
 
-    # transpose applies: generator of A^T is (rows as columns, columns as rows)
-    atA = _apply(ops, w_rows, v_cols, a_vec, size)
-    new_v.append(ops.unit(size, 0))
-    new_w.append(ops.shift1(L_row(atA)))
+    # transpose applies: generator of A^T swaps the halves
+    atA = _apply(R, w, v, a_vec, size)
+    new_v.append(e_first)
+    new_w.append(shift1(R.corr(atA, l_full)))
 
-    eA = _apply(ops, w_rows, v_cols, ops.unit(size, size - 1), size)
-    new_v.append(ops.neg(b_vec))
-    new_w.append(ops.shift1(L_row(eA)))
-    return new_v, new_w
+    eA = _apply(R, w, v, e_last, size)
+    new_v.append(-b_vec % R.p)
+    new_w.append(shift1(R.corr(eA, l_full)))
+    return np.stack(new_v), np.stack(new_w)
 
 
-def _eliminate(ops, v_cols, w_rows, size):
+def _eliminate(R, v, w, size):
     """Generator-based Schur elimination under a generic rank profile.
 
     Returns (rank, pivot_rows) where pivot_rows[t] is the normalized row t
-    of the elimination (support starting at global column t).  Raises
-    _PivotBreakdown when the rank profile is not generic.
+    of the elimination, a (d, size - t) array.  Raises _PivotBreakdown when
+    the rank profile is not generic.
+
+    The generator gains two columns per step and is compressed once it has
+    doubled, or when the leading entry vanishes: then an empty compressed
+    generator means a zero Schur complement (the rank is certified) and a
+    nonempty one a breakdown.
     """
+    p = R.p
     pivot_rows = []
-    for t in range(size):
-        v_cols, w_rows = _compress(ops, v_cols, w_rows)
-        if not v_cols:
-            return len(pivot_rows), pivot_rows
-        row0 = None
-        col0 = None
-        for col, row in zip(v_cols, w_rows):
-            cv = ops.get(col, 0)
-            rv = ops.get(row, 0)
-            row0 = ops.scale(row, cv) if row0 is None else ops.add_scaled(row0, cv, row)
-            col0 = ops.scale(col, rv) if col0 is None else ops.add_scaled(col0, rv, col)
-        d = ops.get(row0, 0)
-        if ops.s_is_zero(d):
+    limit = 2 * len(v) + 2
+    for _ in range(size):
+        row0 = R.combine(R.mul_matrix(v[:, :, 0]), w)
+        if R.is_zero(row0[:, 0]):
+            v, w = _compress(R, v, w)
+            if not len(v):
+                break  # the Schur complement is zero: rank certified
             raise _PivotBreakdown()
-        norm = ops.scale(row0, ops.s_inv(d))
+        col0 = R.combine(R.mul_matrix(w[:, :, 0]), v)
+        norm = R.times(R.mul_matrix(R.inv(row0[:, 0])), row0) % p
         pivot_rows.append(norm)
-        if len(row0) == 1:
-            return len(pivot_rows), pivot_rows
-        next_v = [ops.tail(c, 1) for c in v_cols]
-        next_w = [ops.tail(r, 1) for r in w_rows]
-        next_v.append(ops.neg(ops.tail(col0, 1)))
-        next_w.append(ops.tail(norm, 1))
-        next_v.append(ops.head(col0, len(col0) - 1))
-        next_w.append(ops.head(norm, len(norm) - 1))
-        v_cols, w_rows = next_v, next_w
+        if norm.shape[1] == 1:
+            break
+        v = np.concatenate([v[:, :, 1:], -col0[None, :, 1:] % p, col0[None, :, :-1]])
+        w = np.concatenate([w[:, :, 1:], norm[None, :, 1:], norm[None, :, :-1]])
+        if len(v) > limit:
+            v, w = _compress(R, v, w)
+            limit = 2 * len(v) + 2
     return len(pivot_rows), pivot_rows
 
 
-def _back_substitute(ops, pivot_rows, size, rng):
-    """Random element of the nullspace of the staircase system."""
+def _back_substitute(R, pivot_rows, free):
+    """Element of the nullspace of the staircase system whose trailing
+    (free) coordinates are the given (d, size - rank) draws."""
     rank = len(pivot_rows)
-    x = ops.zeros(size)
-    for i in range(rank, size):
-        ops.put(x, i, ops.sample(rng))
+    x = np.concatenate([R.zeros(rank), free], axis=1)
     for t in range(rank - 1, -1, -1):
-        row = pivot_rows[t]  # length size - t, row[0] == 1
-        s = ops.dot(ops.tail(row, 1), ops.tail(x, t + 1))
-        ops.put(x, t, ops.s_neg(s))
+        row = pivot_rows[t]  # (d, size - t), leading entry 1
+        x[:, t] = -R.dot(row[:, 1:], x[:, t + 1 :]) % R.p
     return x
 
 
@@ -587,7 +426,6 @@ def nullspace_structured(
     max_retries: int = 8,
     *,
     dense_threshold: int = 16,
-    force_object: bool = False,
     subset_size: int = None,
 ):
     """Nonzero right-nullspace element of the represented matrix, or a
@@ -616,37 +454,34 @@ def nullspace_structured(
         raise FieldTooSmall(
             f"need a sampling set of {min_size} elements, field has {ctx.order}"
         )
-    ops = _pick_ops(ctx, size, min_size, force_object)
-    base_v = [ops.vec(c) for c in padded.v_cols]
-    base_w = [ops.vec(r) for r in padded.w_rows]
-    base_v, base_w = _compress(ops, base_v, base_w)
-
-    orig_v = [ops.vec(c) for c in G.v_cols]
-    orig_w = [ops.vec(r) for r in G.w_rows]
+    # no sum outgrows the longest generator _eliminate builds (2*size + 12
+    # columns), the input's alpha, the vector length or d^2 folded pairs
+    R = _Residues(ctx, max(2 * size + 12, G.alpha) + ctx.d)
+    base_v, base_w = _compress(
+        R, R.stack(padded.v_cols, size), R.stack(padded.w_rows, size)
+    )
+    orig_v, orig_w = R.stack(G.v_cols, G.nrows), R.stack(G.w_rows, G.ncols)
+    one = R.unit(1, 0)
 
     attempts = 0
     while attempts < max_retries:
         attempts += 1
-        u_coefs = [ops.sample(rng) for _ in range(size - 1)]
-        l_coefs = [ops.sample(rng) for _ in range(size - 1)]
-        pre_v, pre_w = _precondition(ops, base_v, base_w, size, u_coefs, l_coefs)
+        u_full = np.concatenate([one, _draw(R, min_size, rng, size - 1)], axis=1)
+        l_full = np.concatenate([one, _draw(R, min_size, rng, size - 1)], axis=1)
+        pre_v, pre_w = _precondition(R, base_v, base_w, u_full, l_full)
         try:
-            rank, pivot_rows = _eliminate(ops, pre_v, pre_w, size)
+            rank, pivot_rows = _eliminate(R, pre_v, pre_w, size)
         except _PivotBreakdown:
             continue
         if rank == n_orig:
             return NoSolution("certified rank equals the unknown count")
-        x = _back_substitute(ops, pivot_rows, size, rng)
-        l_full = ops.zeros(size)
-        ops.put(l_full, 0, ops.scalar_one)
-        for k in range(1, size):
-            ops.put(l_full, k, l_coefs[k - 1])
-        y = ops.conv_trunc(l_full, x, size)  # L·x
-        vec = unpad_solution(pad, ops.elems(y))
-        arr = ops.vec(vec)
-        if ops.is_zero_vec(arr):
+        x = _back_substitute(R, pivot_rows, _draw(R, min_size, rng, size - rank))
+        y = R.conv(l_full, x)[:, :size]  # L·x
+        vec = unpad_solution(pad, R.elements(y))
+        arr = R.array(vec)
+        if R.is_zero(arr):
             continue
-        if not ops.is_zero_vec(_apply(ops, orig_v, orig_w, arr, G.nrows)):
+        if not R.is_zero(_apply(R, orig_v, orig_w, arr, G.nrows)):
             continue  # never on a correct run; belt and braces
         return Solution(vec)
     return Failure(attempts)

@@ -15,12 +15,10 @@ the blocks.
 from __future__ import annotations
 
 from .approx import ApproxInstance
-from .backend import solve_with_builder, solve_with_dense_matrix
+from .backend import DENSE_GUARD_CELLS, solve_with_builder, solve_with_dense_matrix
 from .errors import BadLength, TooLarge
 from .poly import Poly, extend_recurrence, poly_mod, reverse
 from .struct_solve import TAG_TOEPLITZ, GeneratorPair
-
-_DENSE_GUARD_CELLS = 1 << 20
 
 
 def last_coeff_sequence(P: Poly, F: Poly, count: int):
@@ -66,7 +64,7 @@ def _alpha_columns(p: Poly, f: Poly, count: int):
 def dense_build_Aprime(a: ApproxInstance):
     """The matrix of the defining map itself (oracle / dense baseline)."""
     M, N = a.total_rows, a.total_cols
-    if M * N > _DENSE_GUARD_CELLS:
+    if M * N > DENSE_GUARD_CELLS:
         raise TooLarge(f"{M}x{N} dense matrix exceeds the guard")
     rows = [[a.ctx.zero()] * N for _ in range(M)]
     r0 = 0

@@ -1,7 +1,8 @@
-"""Shared random-object factories for the test suite.
+"""Shared random-object factories and dense oracles for the test suite.
 
-Everything takes an explicit random.Random so failures reproduce from the
-seed printed by the test that drew them.
+Everything random takes an explicit random.Random so failures reproduce
+from the seed printed by the test that drew them.  The dense oracles work
+on plain FieldElement rows, independently of the structured kernel.
 """
 
 import random
@@ -10,6 +11,7 @@ from mvinterp.approx import ApproxInstance
 from mvinterp.field import prime_field
 from mvinterp.poly import Poly
 from mvinterp.reduction import InterpolationInstance
+from mvinterp.struct_solve import TAG_TOEPLITZ, GeneratorPair, reconstruct_dense
 
 
 def random_poly(ctx, deg_bound, rng, monic=False, exact=False):
@@ -84,3 +86,84 @@ def spread_seeds(base, count):
     """Independent child seeds from one base seed."""
     top = random.Random(base)
     return [top.randrange(2**63) for _ in range(count)]
+
+
+# ------------------------------------------------------------ matrices and generators
+
+
+def rand_el(ctx, rng):
+    return ctx.from_index(rng.randrange(ctx.order))
+
+
+def rand_matrix(ctx, m, n, rng):
+    return [[rand_el(ctx, rng) for _ in range(n)] for _ in range(m)]
+
+
+def low_rank_matrix(ctx, m, n, r, rng):
+    B = rand_matrix(ctx, m, r, rng)
+    C = rand_matrix(ctx, r, n, rng)
+    return [
+        [sum((B[i][k] * C[k][j] for k in range(r)), ctx.zero()) for j in range(n)]
+        for i in range(m)
+    ]
+
+
+def gen_from_dense(tag, rows, ctx):
+    """Width-N generator straight from the displacement (V = D, W = I)."""
+    m, n = len(rows), len(rows[0])
+    D = displacement_of_dense(tag, rows, ctx)
+    v_cols = tuple(tuple(D[i][j] for i in range(m)) for j in range(n))
+    w_rows = tuple(
+        tuple(ctx.one() if k == j else ctx.zero() for k in range(n)) for j in range(n)
+    )
+    return GeneratorPair(tag, m, n, v_cols, w_rows, ctx)
+
+
+def rand_generator(tag, ctx, m, n, alpha, rng):
+    v = tuple(tuple(rand_el(ctx, rng) for _ in range(m)) for _ in range(alpha))
+    w = tuple(tuple(rand_el(ctx, rng) for _ in range(n)) for _ in range(alpha))
+    return GeneratorPair(tag, m, n, v, w, ctx)
+
+
+# ------------------------------------------------------------ dense oracles
+
+
+def mat_vec(rows, x, ctx):
+    return [sum((a * b for a, b in zip(r, x)), ctx.zero()) for r in rows]
+
+
+def apply_generator(G, x):
+    """A·x for the matrix a generator of either tag represents."""
+    return mat_vec(reconstruct_dense(G), x, G.ctx)
+
+
+def generator_product(G):
+    """V·W as dense FieldElement rows (the displacement the generator claims)."""
+    z = G.ctx.zero()
+    out = [[z] * G.ncols for _ in range(G.nrows)]
+    for col, row in zip(G.v_cols, G.w_rows):
+        for i, vi in enumerate(col):
+            if not vi.is_zero():
+                oi = out[i]
+                for j, wj in enumerate(row):
+                    oi[j] = oi[j] + vi * wj
+    return out
+
+
+def displacement_of_dense(tag, rows, ctx):
+    """A - Z A Z^T (toeplitz) or A - Z A Z (hankel) of a dense matrix."""
+    M = len(rows)
+    N = len(rows[0]) if rows else 0
+    z = ctx.zero()
+    out = []
+    for i in range(M):
+        line = []
+        for j in range(N):
+            if i == 0:
+                line.append(rows[i][j])
+            elif tag == TAG_TOEPLITZ:
+                line.append(rows[i][j] - (rows[i - 1][j - 1] if j >= 1 else z))
+            else:
+                line.append(rows[i][j] - (rows[i - 1][j + 1] if j + 1 < N else z))
+        out.append(line)
+    return out

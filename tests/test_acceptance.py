@@ -53,8 +53,6 @@ from mvinterp.reduction import (
 from mvinterp.struct_solve import (
     TAG_HANKEL,
     TAG_TOEPLITZ,
-    displacement_of_dense,
-    generator_product,
     subset_floor,
 )
 from mvinterp.toeplitz_like import (
@@ -64,7 +62,14 @@ from mvinterp.toeplitz_like import (
     solve_via_toeplitz,
 )
 
-from helpers import random_approx_instance, random_interp_instance, random_monic, random_poly
+from helpers import (
+    displacement_of_dense,
+    generator_product,
+    random_approx_instance,
+    random_interp_instance,
+    random_monic,
+    random_poly,
+)
 
 
 # ------------------------------------------------------------------ helpers

@@ -267,6 +267,21 @@ def test_verify_rejects_degree_violation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_wu_infinity_violation(tmp_path, capsys):
+    text = SAMPLE.replace("2 1 5\n", "2 1 inf\n")
+    inst = write(tmp_path, "w.txt", text)
+    head = f"hash {instance_hash(text)}\nbackend dense\n"
+    # Y - X - 1 vanishes at both finite points, but X - 2 does not divide
+    # its Y-coefficient, as the point at infinity over x = 2 requires
+    bad = write(tmp_path, "bad.txt", head + "0 : 12 12\n1 : 1\n")
+    assert main(["verify", "--in", inst, "--solution", bad]) == 1
+    assert "not a solution" in capsys.readouterr().err
+    # (X - 2)(Y - X - 1) meets the same finite points and the divisibility
+    good = write(tmp_path, "good.txt", head + "0 : 2 1 12\n1 : 11 1\n")
+    assert main(["verify", "--in", inst, "--solution", good]) == 0
+    capsys.readouterr()
+
+
 def test_bench_csv_shape(capsys):
     assert main(["bench", "--sizes", "4,6", "--backend", "hankel,dense",
                  "--reps", "2"]) == 0

@@ -6,7 +6,6 @@ from mvinterp.errors import CtxMismatch, DivisionByZero, FieldTooSmall, ZeroInpu
 from mvinterp.field import (
     FieldCtx,
     build_extension,
-    field_arith,
     is_probable_prime,
     prime_field,
     project_solution_to_base,
@@ -46,17 +45,6 @@ def test_prime_field_basic_arith():
     # 3 * 5 = 15 = 1 mod 7, so inv(3) = 5
     assert a.inv() == b
     assert (a / b).c == ((3 * pow(5, -1, 7)) % 7,)
-
-
-def test_field_arith_dispatch():
-    F = prime_field(13)
-    a, b = F.el(9), F.el(4)
-    assert field_arith(a, b, "add") == F.el(0)
-    assert field_arith(a, b, "sub") == F.el(5)
-    assert field_arith(a, b, "mul") == F.el(10)
-    assert field_arith(a, b, "div") == a * b.inv()
-    assert field_arith(a, None, "neg") == F.el(4)
-    assert field_arith(b, None, "inv") == F.el(10)  # 4*10 = 40 = 1 mod 13
 
 
 def test_exhaustive_inverses_f101():

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from helpers import random_approx_instance, spread_seeds
+from helpers import (
+    displacement_of_dense,
+    generator_product,
+    random_approx_instance,
+    spread_seeds,
+)
 from mvinterp.approx import ApproxInstance, pack_solution, trim_instance, unpack_solution, verify_approx
 from mvinterp.errors import FieldTooSmall, TooLarge
 from mvinterp.field import prime_field
@@ -16,7 +21,6 @@ from mvinterp.mosaic_hankel import (
 )
 from mvinterp.outcomes import NoSolution, Solution
 from mvinterp.poly import Poly, poly_mod, reverse, trunc
-from mvinterp.struct_solve import displacement_of_dense, generator_product
 
 F13 = prime_field(13)
 F65537 = prime_field(65537)

@@ -2,20 +2,29 @@ import random
 
 import pytest
 
-from helpers import spread_seeds
+from helpers import (
+    apply_generator,
+    displacement_of_dense,
+    gen_from_dense,
+    generator_product,
+    low_rank_matrix,
+    mat_vec,
+    rand_el,
+    rand_generator,
+    rand_matrix,
+    spread_seeds,
+)
 from mvinterp.errors import FieldTooSmall, TooLarge, WrongTag
-from mvinterp.field import build_extension, prime_field
+from mvinterp.field import FieldCtx, build_extension, prime_field
 from mvinterp.linalg import matrix_rank
 from mvinterp.outcomes import NoSolution, Solution
 from mvinterp.struct_solve import (
     GeneratorPair,
+    _apply,
     _compress,
     _eliminate,
-    _pick_ops,
     _precondition,
-    apply_generator,
-    displacement_of_dense,
-    generator_product,
+    _Residues,
     hankel_to_toeplitz,
     nullspace_structured,
     pad_to_square,
@@ -27,43 +36,18 @@ from mvinterp.struct_solve import (
 F13 = prime_field(13)
 F65537 = prime_field(65537)
 
-
-def rand_el(ctx, rng):
-    return ctx.from_index(rng.randrange(ctx.order))
-
-
-def rand_matrix(ctx, m, n, rng):
-    return [[rand_el(ctx, rng) for _ in range(n)] for _ in range(m)]
-
-
-def low_rank_matrix(ctx, m, n, r, rng):
-    B = rand_matrix(ctx, m, r, rng)
-    C = rand_matrix(ctx, r, n, rng)
-    return [
-        [sum((B[i][k] * C[k][j] for k in range(r)), ctx.zero()) for j in range(n)]
-        for i in range(m)
-    ]
+# one field per residue kind: int64 prime, int64 extension, object dtype
+KERNEL_FIELDS = pytest.mark.parametrize(
+    "ctx",
+    [F65537, FieldCtx(13, (6, 12, 6, 0, 1)), prime_field(2**61 - 1)],
+    ids=["F65537", "F13^4", "M61"],
+)
 
 
-def gen_from_dense(tag, rows, ctx):
-    """Width-N generator straight from the displacement (V = D, W = I)."""
-    m, n = len(rows), len(rows[0])
-    D = displacement_of_dense(tag, rows, ctx)
-    v_cols = tuple(tuple(D[i][j] for i in range(m)) for j in range(n))
-    w_rows = tuple(
-        tuple(ctx.one() if k == j else ctx.zero() for k in range(n)) for j in range(n)
-    )
-    return GeneratorPair(tag, m, n, v_cols, w_rows, ctx)
-
-
-def rand_generator(tag, ctx, m, n, alpha, rng):
-    v = tuple(tuple(rand_el(ctx, rng) for _ in range(m)) for _ in range(alpha))
-    w = tuple(tuple(rand_el(ctx, rng) for _ in range(n)) for _ in range(alpha))
-    return GeneratorPair(tag, m, n, v, w, ctx)
-
-
-def mat_vec(rows, x, ctx):
-    return [sum((a * b for a, b in zip(r, x)), ctx.zero()) for r in rows]
+def residues(ctx, size, alpha):
+    R = _Residues(ctx, 2 * size + alpha + 12)
+    assert (R.dtype is object) == (ctx.p > 2**31)
+    return R
 
 
 def mat_mul(A, B, ctx):
@@ -195,33 +179,35 @@ def test_pad_random_consistency():
 
 @pytest.mark.parametrize("tag", ["toeplitz", "hankel"])
 def test_apply_generator_matches_dense(tag):
+    # the kernel applies toeplitz-tagged generators; hankel ones after the
+    # column-reversing flip, on the reversed vector
     rng = random.Random(13)
     for _ in range(15):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         G = rand_generator(tag, F13, m, n, 2, rng)
-        A = reconstruct_dense(G)
         x = [rand_el(F13, rng) for _ in range(n)]
-        assert apply_generator(G, x) == mat_vec(A, x, F13)
+        T = hankel_to_toeplitz(G) if tag == "hankel" else G
+        y = x[::-1] if tag == "hankel" else x
+        R = residues(F13, max(m, n), 2)
+        got = _apply(R, R.stack(T.v_cols, m), R.stack(T.w_rows, n), R.array(y), m)
+        assert R.elements(got) == apply_generator(G, x)
 
 
-@pytest.mark.parametrize("force_object", [False, True])
-def test_compress_preserves_product_and_reaches_rank(force_object):
+@KERNEL_FIELDS
+def test_compress_preserves_product_and_reaches_rank(ctx):
     rng = random.Random(17)
-    ctx = F65537
     for _ in range(20):
         m, n = rng.randint(1, 8), rng.randint(1, 8)
         alpha = rng.randint(0, 6)
         G = rand_generator("toeplitz", ctx, m, n, alpha, rng)
-        ops = _pick_ops(ctx, max(m, n), 0, force_object)
-        v = [ops.vec(c) for c in G.v_cols]
-        w = [ops.vec(r) for r in G.w_rows]
-        cv, cw = _compress(ops, v, w)
+        R = residues(ctx, max(m, n), alpha)
+        cv, cw = _compress(R, R.stack(G.v_cols, m), R.stack(G.w_rows, n))
         H = GeneratorPair(
             "toeplitz",
             m,
             n,
-            tuple(tuple(ops.elems(c)) for c in cv),
-            tuple(tuple(ops.elems(r)) for r in cw),
+            [R.elements(c) for c in cv],
+            [R.elements(r) for r in cw],
             ctx,
         )
         prod = generator_product(G)
@@ -250,31 +236,29 @@ def dense_unit_lower(ctx, coefs, size):
     return rows
 
 
-@pytest.mark.parametrize("force_object", [False, True])
-def test_precondition_matches_dense_oracle(force_object):
+@KERNEL_FIELDS
+def test_precondition_matches_dense_oracle(ctx):
     rng = random.Random(19)
-    ctx = F65537
     for size in (1, 2, 3, 5, 8):
         for _ in range(6):
             A = rand_matrix(ctx, size, size, rng)
             G = gen_from_dense("toeplitz", A, ctx)
-            ops = _pick_ops(ctx, size, 0, force_object)
-            v = [ops.vec(c) for c in G.v_cols]
-            w = [ops.vec(r) for r in G.w_rows]
+            R = residues(ctx, size, G.alpha)
             u_coefs = [rand_el(ctx, rng) for _ in range(size - 1)]
             l_coefs = [rand_el(ctx, rng) for _ in range(size - 1)]
-            if force_object:
-                us, ls = list(u_coefs), list(l_coefs)
-            else:
-                us = [c.c[0] for c in u_coefs]
-                ls = [c.c[0] for c in l_coefs]
-            pv, pw = _precondition(ops, v, w, size, us, ls)
+            pv, pw = _precondition(
+                R,
+                R.stack(G.v_cols, size),
+                R.stack(G.w_rows, size),
+                R.array([ctx.one()] + u_coefs),
+                R.array([ctx.one()] + l_coefs),
+            )
             got = GeneratorPair(
                 "toeplitz",
                 size,
                 size,
-                tuple(tuple(ops.elems(c)) for c in pv),
-                tuple(tuple(ops.elems(r)) for r in pw),
+                [R.elements(c) for c in pv],
+                [R.elements(r) for r in pw],
                 ctx,
             )
             U = dense_unit_upper(ctx, u_coefs, size)
@@ -288,19 +272,22 @@ def test_precondition_matches_dense_oracle(force_object):
 def test_eliminate_certifies_rank():
     rng = random.Random(23)
     ctx = F65537
-    ops = _pick_ops(ctx, 16, 0, False)
     for _ in range(25):
         size = rng.randint(1, 10)
         r = rng.randint(0, size)
         A = low_rank_matrix(ctx, size, size, r, rng)
         true_rank = matrix_rank(ctx, A, size)
         G = gen_from_dense("toeplitz", A, ctx)
-        v = [ops.vec(c) for c in G.v_cols]
-        w = [ops.vec(r_) for r_ in G.w_rows]
-        u_coefs = [rng.randrange(ctx.p) for _ in range(size - 1)]
-        l_coefs = [rng.randrange(ctx.p) for _ in range(size - 1)]
-        pv, pw = _precondition(ops, v, w, size, u_coefs, l_coefs)
-        rank, rows = _eliminate(ops, pv, pw, size)
+        R = residues(ctx, size, G.alpha)
+        coefs = [ctx.el(rng.randrange(ctx.p)) for _ in range(2 * size - 2)]
+        pv, pw = _precondition(
+            R,
+            R.stack(G.v_cols, size),
+            R.stack(G.w_rows, size),
+            R.array([ctx.one()] + coefs[: size - 1]),
+            R.array([ctx.one()] + coefs[size - 1 :]),
+        )
+        rank, rows = _eliminate(R, pv, pw, size)
         assert rank == true_rank
         assert len(rows) == rank
 
@@ -437,20 +424,3 @@ def test_nullspace_object_ops_extension_field():
         assert isinstance(out, Solution)
         y = mat_vec(A, out.value, ext)
         assert all(e.is_zero() for e in y)
-
-
-def test_nullspace_force_object_agrees():
-    ctx = F65537
-    rng = random.Random(79)
-    for seed in spread_seeds(83, 10):
-        r = random.Random(seed)
-        n = r.randint(2, 8)
-        A = low_rank_matrix(ctx, n, n, r.randint(1, n), r)
-        G = gen_from_dense("toeplitz", A, ctx)
-        out_np = nullspace_structured(G, random.Random(seed), 8, dense_threshold=0)
-        out_ob = nullspace_structured(
-            G, random.Random(seed), 8, dense_threshold=0, force_object=True
-        )
-        assert type(out_np) is type(out_ob)
-        if isinstance(out_np, Solution):
-            assert out_np.value == out_ob.value  # same rng stream, same draws

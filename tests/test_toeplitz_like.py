@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from helpers import random_approx_instance, random_monic, random_poly, spread_seeds
+from helpers import (
+    displacement_of_dense,
+    generator_product,
+    random_approx_instance,
+    random_monic,
+    random_poly,
+    spread_seeds,
+)
 from mvinterp.approx import ApproxInstance, pack_solution, verify_approx
 from mvinterp.errors import BadLength, TooLarge
 from mvinterp.field import prime_field
@@ -10,7 +17,6 @@ from mvinterp.linalg import kernel_basis, matrix_rank
 from mvinterp.mosaic_hankel import solve_via_hankel
 from mvinterp.outcomes import NoSolution, Solution
 from mvinterp.poly import Poly, poly_mod
-from mvinterp.struct_solve import displacement_of_dense, generator_product
 from mvinterp.toeplitz_like import (
     build_toeplitz_generators,
     dense_build_Aprime,
