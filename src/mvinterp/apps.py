@@ -4,10 +4,10 @@ Every pipeline follows the same arc: validate its parameter assumptions,
 reduce the interpolation problem to a simultaneous approximation instance,
 hand that to a backend (structured hankel / toeplitz route or the dense
 baseline), and re-verify the assembled multivariate answer against the
-original points before returning it.  When a prime base field is too small
-for the probabilistic solver's sampling set, the solver first runs in the
-base field sampling from the whole field; only if that attempt ends in
-Failure is the instance lifted to a just big enough extension and the
+original points before returning it.  When a field is too small for the
+probabilistic solver's sampling set, the solver first runs in that field
+sampling from the whole field; only if that attempt ends in Failure over a
+prime field is the instance lifted to a just big enough extension and the
 solution projected back coefficient-wise.
 
 The decoding-flavoured pipelines (gs / reencode / wu) are univariate in Y
@@ -69,13 +69,14 @@ def solve_approx(
 ):
     """Backend dispatch plus the small-field fallback.
 
-    When a prime field is too small for the solver's sampling-set floor, the
-    backend runs in the base field sampling from the whole field, decided
-    before the first call; its Solution (verified) or NoSolution (certified
-    by a completed elimination) stands whatever the field size.  Only its
-    Failure leads to the extend-then-project path.  A caller-supplied
-    subset_size is honoured and skips the base-field attempt;
-    allow_extension=False lets the backend raise FieldTooSmall instead.
+    When a field is too small for the solver's sampling-set floor, the
+    backend runs in that field sampling from the whole field, decided before
+    the first call; its Solution (verified) or NoSolution (certified by a
+    completed elimination) stands whatever the field size.  Only its Failure
+    over a prime field leads to the extend-then-project path; over F_{p^d}
+    the Failure is returned.  A caller-supplied subset_size is honoured and
+    skips the whole-field attempt; allow_extension=False lets the backend
+    raise FieldTooSmall instead.
     """
     try:
         solver = BACKENDS[backend]
@@ -83,10 +84,9 @@ def solve_approx(
         raise Degenerate(f"unknown backend {backend!r}") from None
     # trim_instance keeps at most total_rows + 1 columns; the solver pads to square
     need = subset_floor(max(a.total_rows, min(a.total_cols, a.total_rows + 1)))
-    small = a.ctx.d == 1 and a.ctx.order < need
-    if small and allow_extension and kw.get("subset_size") is None:
+    if a.ctx.order < need and allow_extension and kw.get("subset_size") is None:
         out = solver(a, rng, max_retries, **{**kw, "subset_size": a.ctx.order})
-        if not isinstance(out, Failure):
+        if not isinstance(out, Failure) or a.ctx.d != 1:
             return out
     else:
         try:

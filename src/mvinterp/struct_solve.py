@@ -14,13 +14,14 @@ The solve itself: flip Hankel structure to Toeplitz (column reversal), pad
 to square, pre/post-multiply by random unit-triangular Toeplitz matrices to
 force a generic rank profile, then run a Schur-complement elimination that
 only touches generators.  Each trailing submatrix of the preconditioned
-matrix is again Toeplitz-like; its generator grows by two columns per step
-and is compressed back to exact length rank(V·W) once it has doubled, or
-when a leading entry vanishes.  A completed elimination certifies the exact
-rank; the recorded pivot rows give the nullspace by back-substitution with
-randomly drawn free coordinates.  Every candidate is verified by applying A
-through the generator, so a returned Solution is unconditionally correct;
-NoSolution is returned only on a certified full-column-rank elimination.
+matrix is again Toeplitz-like with no larger displacement rank, so after one
+compression each step keeps the generator at that length (a generalized
+Schur step); it is compressed again only when a leading entry vanishes.  A
+completed elimination certifies the exact rank; the recorded pivot rows
+give the nullspace by back-substitution with randomly drawn free
+coordinates.  Every candidate is verified by applying A through the
+generator, so a returned Solution is unconditionally correct; NoSolution is
+returned only on a certified full-column-rank elimination.
 
 One representation serves every field.  A vector over F_{p^d} is a (d, n)
 array of residues mod p, d = 1 for a prime field, and a generator half is
@@ -72,12 +73,10 @@ class GeneratorPair:
             raise WrongTag("generator halves of different lengths")
         object.__setattr__(self, "v_cols", tuple(tuple(c) for c in self.v_cols))
         object.__setattr__(self, "w_rows", tuple(tuple(r) for r in self.w_rows))
-        for c in self.v_cols:
-            if len(c) != self.nrows:
-                raise WrongTag("generator column of wrong height")
-        for r in self.w_rows:
-            if len(r) != self.ncols:
-                raise WrongTag("generator row of wrong width")
+        if any(len(c) != self.nrows for c in self.v_cols):
+            raise WrongTag("generator column of wrong height")
+        if any(len(r) != self.ncols for r in self.w_rows):
+            raise WrongTag("generator row of wrong width")
 
     @property
     def alpha(self) -> int:
@@ -149,26 +148,12 @@ def pad_to_square(G: GeneratorPair):
         return G, PadInfo("square", 0)
     z = G.ctx.zero()
     if M < N:
-        k = N - M
-        padded = GeneratorPair(
-            TAG_TOEPLITZ,
-            N,
-            N,
-            tuple((z,) * k + c for c in G.v_cols),
-            G.w_rows,
-            G.ctx,
-        )
-        return padded, PadInfo("wide", k)
-    k = M - N
-    padded = GeneratorPair(
-        TAG_TOEPLITZ,
-        M,
-        M,
-        G.v_cols,
-        tuple((z,) * k + r for r in G.w_rows),
-        G.ctx,
-    )
-    return padded, PadInfo("tall", k)
+        v_cols = tuple((z,) * (N - M) + c for c in G.v_cols)
+        padded = GeneratorPair(TAG_TOEPLITZ, N, N, v_cols, G.w_rows, G.ctx)
+        return padded, PadInfo("wide", N - M)
+    w_rows = tuple((z,) * (M - N) + r for r in G.w_rows)
+    padded = GeneratorPair(TAG_TOEPLITZ, M, M, G.v_cols, w_rows, G.ctx)
+    return padded, PadInfo("tall", M - N)
 
 
 def unpad_solution(info: PadInfo, vec):
@@ -273,12 +258,6 @@ class _Residues:
         m = b.shape[1]
         return self.conv(a, b[:, ::-1])[:, m - 1 : m - 1 + a.shape[1]]
 
-    def conv_trunc(self, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-        full = self.conv(a, b)[:, :n]
-        if full.shape[1] < n:
-            full = np.concatenate([full, self.zeros(n - full.shape[1])], axis=1)
-        return full
-
 
 def _draw(R: _Residues, min_size: int, rng, k: int) -> np.ndarray:
     """k draws from the sampling subset, as a (d, k) residue array."""
@@ -292,7 +271,7 @@ def _apply(R, v, w, x, nrows):
     """A·x through a toeplitz-tagged generator: sum_c L(v_c) U(w_c) x."""
     out = R.zeros(nrows)
     for col, row in zip(v, w):
-        out += R.conv_trunc(col, R.corr(x, row), nrows)  # corr: sum_u w[u] x[k+u]
+        out += R.conv(col, R.corr(x, row))[:, :nrows]  # corr: sum_u w[u] x[k+u]
     return out % R.p
 
 
@@ -371,6 +350,35 @@ def _precondition(R, v, w, u_full, l_full):
     return np.stack(new_v), np.stack(new_w)
 
 
+def _schur_step(R, v, w):
+    """One generalized Schur step: the normalized first row of the matrix
+    and a generator of its Schur complement of the same length, or None when
+    the leading entry is zero.
+
+    Two Gauss transforms bring the generator to proper form: one clears W's
+    first column except at an index k (its inverse applied to V), the other
+    V's first row except at k.  Pair k is then the first column and the
+    normalized first row; shifting it down by one and dropping every other
+    pair's first entry leaves the Schur complement's displacement.
+    """
+    p = R.p
+    v0, w0 = v[:, :, 0], w[:, :, 0]
+    m_w = R.mul_matrix(w0)
+    col0 = R.combine(m_w, v)
+    if R.is_zero(col0[:, 0]):
+        return None
+    m_v = R.mul_matrix(v0) @ R.mul_matrix(R.inv(col0[:, 0])) % p  # v0 / pivot
+    norm = R.combine(m_v, w)  # the first row over the pivot
+    # W -= w0 (x) w_k / w0_k, then V -= (v0 / pivot) (x) col0: pair k is
+    # (col0, norm) and every other pair starts with a zero
+    k = w0.nonzero()[0][0]
+    w_k = R.times(R.mul_matrix(R.inv(w0[k])), w[k, :, 1:]) % p
+    w = (w[:, :, 1:] - R.times(m_w, w_k)) % p
+    v = (v[:, :, 1:] - R.times(m_v, col0[:, 1:])) % p
+    v[k], w[k] = col0[:, :-1], norm[:, :-1]
+    return norm, v, w
+
+
 def _eliminate(R, v, w, size):
     """Generator-based Schur elimination under a generic rank profile.
 
@@ -378,31 +386,22 @@ def _eliminate(R, v, w, size):
     of the elimination, a (d, size - t) array.  Raises _PivotBreakdown when
     the rank profile is not generic.
 
-    The generator gains two columns per step and is compressed once it has
-    doubled, or when the leading entry vanishes: then an empty compressed
-    generator means a zero Schur complement (the rank is certified) and a
-    nonempty one a breakdown.
+    The generator is compressed once, then every _schur_step keeps its
+    length.  At a vanishing leading entry it is compressed again: empty
+    means a zero Schur complement (the rank is certified), nonempty a
+    breakdown.
     """
-    p = R.p
+    v, w = _compress(R, v, w)
     pivot_rows = []
-    limit = 2 * len(v) + 2
     for _ in range(size):
-        row0 = R.combine(R.mul_matrix(v[:, :, 0]), w)
-        if R.is_zero(row0[:, 0]):
+        step = _schur_step(R, v, w)
+        if step is None:
             v, w = _compress(R, v, w)
             if not len(v):
                 break  # the Schur complement is zero: rank certified
             raise _PivotBreakdown()
-        col0 = R.combine(R.mul_matrix(w[:, :, 0]), v)
-        norm = R.times(R.mul_matrix(R.inv(row0[:, 0])), row0) % p
+        norm, v, w = step
         pivot_rows.append(norm)
-        if norm.shape[1] == 1:
-            break
-        v = np.concatenate([v[:, :, 1:], -col0[None, :, 1:] % p, col0[None, :, :-1]])
-        w = np.concatenate([w[:, :, 1:], norm[None, :, 1:], norm[None, :, :-1]])
-        if len(v) > limit:
-            v, w = _compress(R, v, w)
-            limit = 2 * len(v) + 2
     return len(pivot_rows), pivot_rows
 
 
@@ -454,12 +453,11 @@ def nullspace_structured(
         raise FieldTooSmall(
             f"need a sampling set of {min_size} elements, field has {ctx.order}"
         )
-    # no sum outgrows the longest generator _eliminate builds (2*size + 12
-    # columns), the input's alpha, the vector length or d^2 folded pairs
-    R = _Residues(ctx, max(2 * size + 12, G.alpha) + ctx.d)
-    base_v, base_w = _compress(
-        R, R.stack(padded.v_cols, size), R.stack(padded.w_rows, size)
-    )
+    # the longest sum adds size products (a convolution or dot product) or
+    # one per preconditioned pair, at most G.alpha + 4 (a combine, or a row
+    # _echelon leaves unreduced), plus a reduced entry or d^2 folded pairs
+    R = _Residues(ctx, max(size, G.alpha + 4) + ctx.d)
+    base_v, base_w = R.stack(padded.v_cols, size), R.stack(padded.w_rows, size)
     orig_v, orig_w = R.stack(G.v_cols, G.nrows), R.stack(G.w_rows, G.ncols)
     one = R.unit(1, 0)
 

@@ -29,10 +29,10 @@ from mvinterp.errors import (
     FieldTooSmall,
     PreconditionViolated,
 )
-from mvinterp.field import prime_field
+from mvinterp.field import FieldCtx, prime_field
 from mvinterp.linalg import matrix_rank
 from mvinterp.mosaic_hankel import dense_build_A
-from mvinterp.outcomes import NoSolution, Solution
+from mvinterp.outcomes import Failure, NoSolution, Solution
 from mvinterp.poly import Poly
 from mvinterp.reduction import InterpolationInstance, build_reduction, verify_solution
 from mvinterp.struct_solve import subset_floor
@@ -468,6 +468,28 @@ def test_caller_subset_size_is_honoured_on_small_fields(monkeypatch):
     assert out.value.ctx == ctx
     assert verify_solution(params_instance(p), out.value)
     assert len(lifts) == 1
+
+
+def test_small_extension_field_samples_the_whole_field(monkeypatch):
+    # GF(2^8) is below the sampling-set floor of this gs instance and has no
+    # prime base to lift from: the default backend samples the whole field
+    ctx = FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1))
+    rng = random.Random(2008)
+    pts = tuple(
+        (ctx.from_index(x), ctx.from_index(rng.randrange(ctx.order)))
+        for x in rng.sample(range(ctx.order), 20)
+    )
+    p = GsParams(ctx, k=5, m=1, ell=2, b=12, points=pts)
+    _, a = build_reduction(params_instance(p))
+    assert subset_floor(a.total_rows) > ctx.order
+    out = gs_interpolate(p, random.Random(5))
+    assert isinstance(out, Solution)
+    assert verify_solution(params_instance(p), out.value)
+    assert isinstance(gs_interpolate(p, random.Random(5), backend="dense"), Solution)
+    # a Failure there is the answer: a non-prime base is never lifted
+    monkeypatch.setitem(apps.BACKENDS, "hankel", lambda *args, **kw: Failure(8))
+    monkeypatch.setattr(apps, "build_extension", None)
+    assert isinstance(solve_approx(a, random.Random(5)), Failure)
 
 
 def test_engine_random_instances_verify():

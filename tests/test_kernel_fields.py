@@ -16,13 +16,24 @@ from helpers import (
     gen_from_dense,
     low_rank_matrix,
     mat_vec,
+    rand_el,
     rand_generator,
     spread_seeds,
 )
+from mvinterp import struct_solve
+from mvinterp.apps import GsParams, gs_interpolate
 from mvinterp.field import FieldCtx, prime_field
 from mvinterp.linalg import matrix_rank
 from mvinterp.outcomes import NoSolution, Solution
-from mvinterp.struct_solve import nullspace_structured, reconstruct_dense
+from mvinterp.struct_solve import (
+    GeneratorPair,
+    _compress,
+    _precondition,
+    _Residues,
+    _schur_step,
+    nullspace_structured,
+    reconstruct_dense,
+)
 
 F7 = prime_field(7)
 F65537 = prime_field(65537)
@@ -66,6 +77,85 @@ def test_nullspace_matches_dense_oracle(name):
             assert all(e.is_zero() for e in mat_vec(A, out.value, ctx))
             solved += 1
     assert solved and refused
+
+
+# ------------------------------------------------------------ the Schur step
+
+
+def generator_matrix(R, v, w, n):
+    cols, rows = [R.elements(c) for c in v], [R.elements(r) for r in w]
+    return reconstruct_dense(GeneratorPair("toeplitz", n, n, cols, rows, R.ctx))
+
+
+def dense_schur_complement(S):
+    inv = S[0][0].inv()
+    return [[row[j] - row[0] * inv * S[0][j] for j in range(1, len(S))] for row in S[1:]]
+
+
+@pytest.mark.parametrize("name", ["F65537", "F13^4", "M61", "GF256"])
+def test_schur_step_tracks_the_dense_schur_complement(name):
+    # after every step the generator represents the next Schur complement of
+    # the preconditioned matrix, at no more than its compressed length; a
+    # zero complement reached mid-elimination compresses to nothing
+    ctx = FIELDS[name][0]
+    certified = completed = 0
+    for k, seed in enumerate(spread_seeds(31, 8)):
+        r = random.Random(seed)
+        size = r.randint(2, 7)
+        if k % 2:
+            G = rand_generator("toeplitz", ctx, size, size, r.randint(1, 3), r)
+        else:
+            rank = r.randint(1, size - 1)
+            G = gen_from_dense("toeplitz", low_rank_matrix(ctx, size, size, rank, r), ctx)
+        R = _Residues(ctx, max(size, G.alpha + 4) + ctx.d)
+        u = [ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)]
+        l = [ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)]
+        v, w = _precondition(
+            R, R.stack(G.v_cols, size), R.stack(G.w_rows, size), R.array(u), R.array(l)
+        )
+        S = generator_matrix(R, v, w, size)
+        v, w = _compress(R, v, w)
+        alpha = len(v)
+        assert generator_matrix(R, v, w, size) == S
+        while S:
+            step = _schur_step(R, v, w)
+            if S[0][0].is_zero():
+                assert step is None
+                zero = all(e.is_zero() for row in S for e in row)
+                assert (not len(_compress(R, v, w)[0])) == zero
+                certified += zero and len(S) < size
+                break
+            norm, v, w = step
+            assert R.elements(norm) == [e * S[0][0].inv() for e in S[0]]
+            S = dense_schur_complement(S)
+            assert len(v) <= alpha
+            if S:
+                assert generator_matrix(R, v, w, len(S)) == S
+        else:
+            completed += 1
+    assert certified and completed
+
+
+def test_one_compression_per_attempt(monkeypatch):
+    # a 384 x 385 system of displacement rank 10 (gs, n=64, m=3, l=6): each
+    # attempt compresses its preconditioned generator once, and once more at
+    # the leading entry that vanishes where the Schur complement is zero
+    ctx = prime_field(16777213)
+    rng = random.Random(64)
+    xs = rng.sample(range(ctx.p), 64)
+    pts = tuple((ctx.el(x), ctx.el(rng.randrange(ctx.p))) for x in xs)
+    params = GsParams(ctx, k=16, m=3, ell=6, b=103, points=pts)
+    calls = dict.fromkeys(["_compress", "_precondition"], 0)
+    for name in calls:
+
+        def counted(*args, real=getattr(struct_solve, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(struct_solve, name, counted)
+    assert isinstance(gs_interpolate(params, random.Random(5)), Solution)
+    attempts = calls["_precondition"]
+    assert attempts <= calls["_compress"] <= 2 * attempts
 
 
 # ------------------------------------------------------------ golden vectors
