@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BadLength, CtxMismatch, Degenerate
 from .field import FieldCtx
 from .poly import Poly, poly_mod
@@ -141,7 +143,8 @@ def lift_instance(a: ApproxInstance, ext) -> ApproxInstance:
         raise CtxMismatch("instance lifting needs a prime base and a matching extension")
 
     def lift_poly(f):
-        return Poly(ext, [ext.el(c.c[0]) for c in (f.coeff(i) for i in range(f.deg + 1))])
+        zeros = np.zeros((ext.d - 1, f.a.shape[1]), f.a.dtype)
+        return Poly.from_residues(ext, np.concatenate([f.a, zeros]))
 
     return ApproxInstance(
         ext,

@@ -37,7 +37,7 @@ from .errors import (
 from .field import FieldCtx, build_extension, project_solution_to_base
 from .mosaic_hankel import solve_via_hankel
 from .outcomes import Failure, NoSolution, NotApplicable, Solution
-from .poly import Poly, lagrange_interp, poly_divrem, poly_mod, weighted_product
+from .poly import Poly, lagrange_interp, poly_divrem, remainder_by, weighted_product
 from .reduction import (
     InterpolationInstance,
     MultiPoly,
@@ -231,14 +231,15 @@ def reencode_build(p: GsParams, n0: int) -> ReencodePlan:
     for i in range(p.m):
         p_i = G ** (p.m - i)
         moduli.append(p_i)
+        rem = remainder_by(p_i, p_i.deg + max(n0 * p.m, len(xs1)))
         rpow = Poly.one(ctx)
         row = {}
         for j in range(i, p.ell + 1):
             f = rpow.scale(binom_mod(ctx, j, i))
             if j < p.m:
                 f = f * g0 ** (p.m - j)
-            row[j] = poly_mod(f, p_i)
-            rpow = poly_mod(rpow * R, p_i)
+            row[j] = rem(f)
+            rpow = rem(rpow * R)
         residues.append(
             tuple(row.get(j, Poly.zero(ctx)) for j in kept)
         )
@@ -334,14 +335,15 @@ def wu_build(points, p: GsParams) -> WuPlan:
     for i in range(p.m):
         p_i = G ** (p.m - i)
         moduli.append(p_i)
+        rem = remainder_by(p_i, p_i.deg + max(n_inf * p.m, len(xs)))
         rpow = Poly.one(ctx)
         row = {}
         for t in range(i, p.ell + 1):
             f = rpow.scale(binom_mod(ctx, t, i))
             if t > low:
                 f = f * g_inf ** (p.m - p.ell + t)
-            row[t] = poly_mod(f, p_i)
-            rpow = poly_mod(rpow * R, p_i)
+            row[t] = rem(f)
+            rpow = rem(rpow * R)
         residues.append(tuple(row.get(t, Poly.zero(ctx)) for t in kept))
     approx = ApproxInstance(ctx, moduli, residues, tuple(raw_bounds[t] for t in kept))
     return WuPlan(g_inf, raw_bounds, kept, approx)

@@ -2,9 +2,11 @@
 
 A FieldCtx describes either a prime field (d = 1) or an extension
 F_p[t]/(f) with f monic irreducible of degree d.  FieldElement is a value
-type holding a fully reduced coefficient vector of length d, and
-FieldArrays does the same arithmetic on whole numpy arrays of values.  All
-higher modules are written against this interface and never branch on d.
+type holding a fully reduced coefficient vector of length d.  Residues is
+the one array layer: n values of either kind of field are a (d, n) array of
+residues mod p, and every bulk computation (polynomials, generators, the
+structured kernel, the verifiers) runs on it.  All higher modules are
+written against this interface and never branch on d.
 
 Also provides the sampling subset used by the probabilistic solver and the
 projection of extension-field nullspace vectors back to the base field.
@@ -13,6 +15,7 @@ projection of extension-field nullspace vectors back to the base field.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -27,6 +30,8 @@ from .errors import (
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24,
 # which covers every word-sized characteristic.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_INT64_SAFE = 2**62
+_SKEW_CELLS = 1 << 16  # largest product table Residues.conv builds at once
 
 
 def is_probable_prime(n: int) -> bool:
@@ -153,7 +158,7 @@ def _is_irreducible(f, p):
 class FieldCtx:
     """Immutable description of F_p (d = 1) or F_p[t]/(f) (d > 1)."""
 
-    __slots__ = ("p", "d", "modulus", "_zero", "_one")
+    __slots__ = ("p", "d", "modulus", "_zero", "_one", "_layers")
 
     def __init__(self, p: int, modulus=None, _trusted: bool = False):
         if not _trusted and not is_probable_prime(p):
@@ -172,6 +177,7 @@ class FieldCtx:
             self.modulus = mod
         self._zero = FieldElement(self, (0,) * self.d)
         self._one = FieldElement(self, (1,) + (0,) * (self.d - 1))
+        self._layers = {}  # residues(): one Residues per dtype
 
     @property
     def order(self) -> int:
@@ -186,7 +192,7 @@ class FieldCtx:
     def el(self, value) -> "FieldElement":
         """Coerce an int (d = 1 semantics: value mod p in slot 0) or a coefficient sequence."""
         if isinstance(value, FieldElement):
-            if value.ctx != self:
+            if value.ctx is not self and value.ctx != self:
                 raise CtxMismatch("element from a different field")
             return value
         if isinstance(value, int):
@@ -359,57 +365,184 @@ class FieldElement:
         return "(" + ",".join(str(a) for a in self.c) + ")"
 
 
-class FieldArrays:
-    """Elementwise arithmetic on numpy arrays of values of one field.
+class Residues:
+    """Arithmetic on (..., d, n) residue arrays of one field, d = 1 included.
 
-    Only the representation depends on the field: int64 residues when
-    p < 2^31, so every product of two residues stays below 2^62; object
-    arrays of Python ints for larger primes; object arrays of FieldElement
-    for F_{p^d}, whose operators reduce by themselves.  Callers write one
-    code path with `+`, `-`, `*` and reduce with `mod`.
+    A vector of n elements of F_p[t]/(f) is a (d, n) array of residues mod
+    p; products use the multiplication table of F_p[t]/(f), and polynomial
+    products are d^2 residue convolutions folded by it.  The dtype is int64
+    when d*(p-1)^2*terms < 2^62, where terms bounds how many products of
+    residues one sum adds up before it is reduced (a fold adds d more, so
+    terms >= d); above that it is object (Python ints), with the same code.
+    conv and evaluate cast their inputs to that dtype.
     """
 
-    __slots__ = ("ctx", "p", "dtype")
-
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
-        self.p = ctx.p if ctx.d == 1 else None
-        self.dtype = np.int64 if ctx.d == 1 and ctx.p < 2**31 else object
-
-    def scalar(self, e: FieldElement):
-        return e if self.p is None else e.c[0]
-
-    def const(self, v: int):
-        return self.ctx.el(v) if self.p is None else v % self.p
+    def __init__(self, ctx: FieldCtx, terms: int):
+        p, d = ctx.p, ctx.d
+        self.ctx, self.p, self.d = ctx, p, d
+        self.dtype = np.int64 if d * (p - 1) ** 2 * terms < _INT64_SAFE else object
+        powers = [[1] + [0] * (d - 1)]  # t^e mod f, e < 2d - 1
+        for _ in range(2 * d - 2):
+            prev = powers[-1]
+            shifted = zip([0] + prev[:-1], ctx.modulus)
+            powers.append([(lo - prev[-1] * f) % p for lo, f in shifted])
+        # table[a, b, k]: coefficient of t^k in t^(a+b) mod f
+        table = np.array(
+            [[powers[a + b] for b in range(d)] for a in range(d)], dtype=self.dtype
+        )
+        self._by_scalar = table.transpose(0, 2, 1).reshape(d, d * d)
+        self._fold = table.reshape(d * d, d).T.copy()
 
     def array(self, elems) -> np.ndarray:
-        return np.array([self.scalar(e) for e in elems], dtype=self.dtype)
+        """(d, n) residues of n FieldElements."""
+        a = np.array([e.c for e in elems], dtype=self.dtype)
+        return a.reshape(len(elems), self.d).T.copy()
 
-    def full(self, n: int, value) -> np.ndarray:
-        return np.full(n, value, dtype=self.dtype)
+    def elements(self, a: np.ndarray) -> list:
+        return [FieldElement(self.ctx, tuple(c)) for c in a.T.tolist()]
 
-    def mod(self, a):
-        return a if self.p is None else a % self.p
+    def zeros(self, n: int) -> np.ndarray:
+        return np.zeros((self.d, n), dtype=self.dtype)
 
-    def inv(self, a: np.ndarray) -> np.ndarray:
-        """Elementwise inverse; every entry must be nonzero."""
-        if self.p is None:
-            return np.array([e.inv() for e in a], dtype=object)
-        return np.array([pow(int(v), -1, self.p) for v in a], dtype=self.dtype)
+    def unit(self, n: int, i: int) -> np.ndarray:
+        e = self.zeros(n)
+        e[0, i] = 1
+        return e
 
-    def total(self, a: np.ndarray):
-        """Sum of a nonempty array, reduced."""
-        return self.mod(np.add.reduce(a))
+    def is_zero(self, a: np.ndarray) -> bool:
+        return not np.count_nonzero(a)
 
-    def nonzero(self, a: np.ndarray) -> np.ndarray:
-        if self.p is None:
-            return np.array([not e.is_zero() for e in a], dtype=bool)
-        return a != 0
+    def inv(self, s: np.ndarray) -> np.ndarray:
+        inverse = FieldElement(self.ctx, tuple(s.tolist())).inv()
+        return np.array(inverse.c, dtype=self.dtype)
 
-    def elements(self, a) -> list:
-        if self.p is None:
-            return list(a)
-        return [FieldElement(self.ctx, (int(v),)) for v in a]
+    def inv_each(self, a: np.ndarray) -> np.ndarray:
+        """Entrywise inverses of a (..., d, n) array without zero entries,
+        as a^(|F| - 2) by repeated squaring."""
+        out = np.zeros_like(a, dtype=self.dtype)
+        out[..., 0, :] = 1
+        e = self.ctx.order - 2
+        while e:
+            if e & 1:
+                out = self.emul(out, a)
+            a = self.emul(a, a)
+            e >>= 1
+        return out
+
+    def mul_matrix(self, c: np.ndarray) -> np.ndarray:
+        """(..., d, d) matrices of multiplication by the scalars c (..., d)."""
+        m = (c @ self._by_scalar) % self.p
+        return m.reshape(c.shape[:-1] + (self.d, self.d))
+
+    def mul(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Scalars c (..., d) times the scalar s (d,), reduced."""
+        return (c @ self.mul_matrix(s).T) % self.p
+
+    def times(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Scalars, given by their multiplication matrices m (..., d, d), times
+        the vector v (d, n) as (..., d, n), not reduced: each entry is below
+        d*(p-1)^2."""
+        out = m[..., 0, None] * v[0]
+        for b in range(1, self.d):
+            out += m[..., b, None] * v[b]
+        return out
+
+    def _fold_pairs(self, pairs: np.ndarray) -> np.ndarray:
+        """(..., d, d, n) reduced products of residue pairs (a, b) folded by
+        t^(a+b) mod f into (..., d, n), reduced; for d = 1 the fold is the
+        identity."""
+        if self.d == 1:
+            return pairs[..., 0, :, :]
+        flat = pairs.reshape(pairs.shape[:-3] + (self.d * self.d, pairs.shape[-1]))
+        return (self._fold @ flat) % self.p
+
+    def emul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Entrywise products of (..., d, n) arrays, reduced."""
+        return self._fold_pairs((a[..., :, None, :] * b[..., None, :, :]) % self.p)
+
+    def evaluate(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Values of the polynomials with (..., d, L) coefficient arrays at
+        every entry of x (d, n), as (..., d, n): one product with the table
+        of the powers x^s, s < L, which takes log L entrywise products.
+        Its sums add L products."""
+        L = coeffs.shape[-1]
+        powers = np.zeros((L,) + x.shape, dtype=self.dtype)
+        powers[0, 0] = 1
+        k, xk = 1, x
+        while k < L:
+            take = min(k, L - k)
+            powers[k : k + take] = self.emul(powers[:take], xk)
+            k, xk = 2 * k, self.emul(xk, xk)
+        pairs = coeffs.astype(self.dtype, copy=False) @ powers.reshape(L, -1)
+        return self._fold_pairs(pairs.reshape(coeffs.shape[:-1] + x.shape) % self.p)
+
+    def combine(self, m: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """sum_j c_j * vs_j for scalars c_j given by their multiplication
+        matrices m (J, d, d) and vectors vs (J, d, n), reduced."""
+        J, d, n = vs.shape
+        flat = m.transpose(1, 0, 2).reshape(d, J * d)
+        return (flat @ vs.reshape(J * d, n)) % self.p
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_u a[u] * b[u] of two (d, n) vectors, as a reduced scalar (d,)."""
+        pairs = (a @ b.T) % self.p
+        return (self._fold @ pairs.reshape(-1)) % self.p
+
+    def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Polynomial products of (..., d, n) and (..., d, m) arrays with the
+        same leading axes, as (..., d, n + m - 1), reduced.
+
+        Many short products run at once: every y_u * x goes into row u of a
+        table whose rows are then skewed by u and summed.  Otherwise each
+        pair of residue rows is one np.convolve, or with Python ints one
+        product of two long integers (Kronecker substitution).
+        """
+        a, b = a.astype(self.dtype, copy=False), b.astype(self.dtype, copy=False)
+        if a.shape[-1] < b.shape[-1]:
+            a, b = b, a
+        d, n, m = self.d, a.shape[-1], b.shape[-1]
+        lead = a.shape[:-1] + (d,)
+        count = math.prod(lead)
+        if m <= count and count * m * (n + m) <= _SKEW_CELLS:
+            table = np.zeros(lead + (m, n + m), dtype=self.dtype)
+            table[..., :n] = a[..., :, None, None, :] * b[..., None, :, :, None]
+            flat = table.reshape(lead + (m * (n + m),))[..., : m * (n + m - 1)]
+            pairs = flat.reshape(lead + (m, n + m - 1)).sum(axis=-2)
+        else:
+            rows = zip(a.reshape(-1, d, n), b.reshape(-1, d, m))
+            one = np.convolve if self.dtype is np.int64 else _kronecker
+            pairs = [one(x, y) for xs, ys in rows for x in xs for y in ys]
+            pairs = np.array(pairs, dtype=self.dtype).reshape(lead + (n + m - 1,))
+        return self._fold_pairs(pairs % self.p)
+
+    def corr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """out[t] = sum_u a[t+u] * b[u] for t < len(a)."""
+        m = b.shape[-1]
+        return self.conv(a, b[..., ::-1])[..., m - 1 : m - 1 + a.shape[-1]]
+
+
+def _kronecker(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact convolution of two arrays of nonnegative Python ints: each is
+    packed into one integer with a slot wide enough for any output
+    coefficient, the two are multiplied, and the product is unpacked."""
+    bound = min(len(x), len(y)) * max(int(x.max()), 1) * max(int(y.max()), 1)
+    width = bound.bit_length() // 8 + 1
+    packed = [
+        int.from_bytes(b"".join(int(c).to_bytes(width, "little") for c in v), "little")
+        for v in (x, y)
+    ]
+    out = (packed[0] * packed[1]).to_bytes(width * (len(x) + len(y) - 1), "little")
+    slots = range(0, len(out), width)
+    return np.array([int.from_bytes(out[s : s + width], "little") for s in slots], dtype=object)
+
+
+def residues(ctx: FieldCtx, terms: int) -> Residues:
+    """The residue layer of ctx for sums of `terms` products; there are two,
+    one per dtype, built once per context."""
+    big = ctx.d * (ctx.p - 1) ** 2 * terms >= _INT64_SAFE
+    if big not in ctx._layers:
+        ctx._layers[big] = Residues(ctx, terms)
+    return ctx._layers[big]
 
 
 def build_extension(base: FieldCtx, d: int, rng) -> FieldCtx:
@@ -438,11 +571,14 @@ def sample_subset_element(ctx: FieldCtx, min_size: int, rng) -> FieldElement:
     min_size elements of the canonical enumeration.  Raises FieldTooSmall
     when even the whole field is smaller than min_size.
     """
-    order = ctx.order
-    if order < min_size:
-        raise FieldTooSmall(f"|F| = {order} < required subset size {min_size}")
-    size = order if order < 2 * min_size else min_size
-    return ctx.from_index(rng.randrange(size))
+    if ctx.order < min_size:
+        raise FieldTooSmall(f"|F| = {ctx.order} < required subset size {min_size}")
+    return ctx.from_index(rng.randrange(subset_range(ctx, min_size)))
+
+
+def subset_range(ctx: FieldCtx, min_size: int) -> int:
+    """|S|, the size of the sampling subset of sample_subset_element."""
+    return ctx.order if ctx.order < 2 * min_size else min_size
 
 
 def project_solution_to_base(sol, base: FieldCtx = None):

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .approx import ApproxInstance
 from .backend import DENSE_GUARD_CELLS, solve_with_builder
 from .errors import TooLarge
@@ -95,53 +97,38 @@ def build_hankel_generators(a: ApproxInstance):
 
     The displacement is supported on the first row of every row block and
     the last column of every column block; everything else telescopes away
-    along the Hankel antidiagonals.
+    along the Hankel antidiagonals.  Both halves are written as stacked
+    residue arrays straight from the series sections.
     """
-    ctx = a.ctx
-    z = ctx.zero()
-    s_star = compute_s_star(a)
+    p, mu, nu = a.ctx.p, a.mu, a.nu
+    mis, njs = a.row_bounds, a.col_bounds
+    s = [
+        [f.coeffs(mi + nj - 1) for f, nj in zip(row, njs)]
+        for row, mi in zip(compute_s_star(a), mis)
+    ]
     layout = layout_for(a)
-    M, N = a.total_rows, a.total_cols
-    mu, nu = a.mu, a.nu
-    col_starts = [c - n + 1 for c, n in zip(layout.col_offsets, a.col_bounds)]
-
-    v_cols = []
-    w_rows = []
+    v = np.zeros((mu + nu, a.ctx.d, a.total_rows), s[0][0].dtype)
+    w = np.zeros((mu + nu, a.ctx.d, a.total_cols), s[0][0].dtype)
     # one pair per column block: the last-column profile against a unit row
-    for j in range(nu):
-        nj = a.col_bounds[j]
-        col = [z] * M
-        for i, mi in enumerate(a.row_bounds):
-            r0 = layout.row_offsets[i]
-            for u in range(1, mi):
-                val = s_star[i][j].coeff(u + nj - 1)
-                if j + 1 < nu:
-                    val = val - s_star[i][j + 1].coeff(u - 1)
-                col[r0 + u] = val
-        row = [z] * N
-        row[layout.col_offsets[j]] = ctx.one()
-        v_cols.append(tuple(col))
-        w_rows.append(tuple(row))
+    for j, nj in enumerate(njs):
+        for i, (mi, r0) in enumerate(zip(mis, layout.row_offsets)):
+            col = s[i][j][:, nj : nj + mi - 1]
+            if j + 1 < nu:
+                col = col - s[i][j + 1][:, : mi - 1]
+            v[j, :, r0 + 1 : r0 + mi] = col % p
+        w[j, 0, layout.col_offsets[j]] = 1
     # one pair per row block: a unit column against the first-row profile
-    for i in range(mu):
-        mi_prev = a.row_bounds[i - 1] if i > 0 else 0
-        col = [z] * M
-        col[layout.row_offsets[i]] = ctx.one()
-        row = [z] * N
-        for j, nj in enumerate(a.col_bounds):
-            c0 = col_starts[j]
-            for v in range(nj - 1):
-                val = s_star[i][j].coeff(v)
-                if i > 0:
-                    val = val - s_star[i - 1][j].coeff(mi_prev + v)
-                row[c0 + v] = val
-            val = s_star[i][j].coeff(nj - 1)
-            if i > 0 and j + 1 < nu:
-                val = val - s_star[i - 1][j + 1].coeff(mi_prev - 1)
-            row[c0 + nj - 1] = val
-        v_cols.append(tuple(col))
-        w_rows.append(tuple(row))
-    G = GeneratorPair(TAG_HANKEL, M, N, tuple(v_cols), tuple(w_rows), ctx)
+    for i, r0 in enumerate(layout.row_offsets):
+        v[nu + i, 0, r0] = 1
+        for j, (nj, c1) in enumerate(zip(njs, layout.col_offsets)):
+            row = s[i][j][:, :nj].copy()
+            if i > 0:
+                mp = mis[i - 1]
+                row[:, :-1] -= s[i - 1][j][:, mp : mp + nj - 1]
+                if j + 1 < nu:
+                    row[:, -1] -= s[i - 1][j + 1][:, mp - 1]
+            w[nu + i, :, c1 - nj + 1 : c1 + 1] = row % p
+    G = GeneratorPair(TAG_HANKEL, a.total_rows, a.total_cols, v, w, a.ctx)
     return G, layout
 
 

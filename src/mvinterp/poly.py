@@ -1,15 +1,16 @@
 """Dense univariate polynomial arithmetic over a FieldCtx.
 
-Poly is an immutable coefficient vector (low-to-high, trailing zeros
-stripped, empty tuple = zero polynomial).  Multiplication dispatches to an
-exact numpy int64 convolution for prime fields when the coefficient bound
-allows, and to Karatsuba over generic field elements otherwise.  Division
-and power-series inversion switch to Newton iteration at larger degrees.
+Poly is an immutable polynomial whose coefficients (low-to-high, trailing
+zeros stripped) are one (d, n) residue array of the field's Residues layer,
+the same for every field; FieldElements are built only when a caller asks
+for them (`c`, `coeff`, `lead`, `to_ints`, `eval`).  A product is one
+residue convolution.  Power-series inversion is Newton iteration, division
+switches to it for long quotients, and products of many linear factors
+(`weighted_product`, `lagrange_interp`) run level by level on a product
+tree of stacked arrays.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -20,41 +21,64 @@ from .errors import (
     DuplicateNode,
     NotInvertible,
 )
-from .field import FieldArrays, FieldCtx, FieldElement
+from .field import FieldCtx, FieldElement, residues
 
-_KARATSUBA_CUTOFF = 32
 _NEWTON_DIV_CUTOFF = 32
-_INT64_SAFE = 2**62
+
+
+def _layer(ctx: FieldCtx, terms: int):
+    """Residue layer for sums of `terms` products plus a fold."""
+    return residues(ctx, terms + ctx.d)
+
+
+def _mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of (..., d, n) and (..., d, m) coefficient arrays, reduced,
+    in the storage dtype; the dtype of the sums follows the shorter factor."""
+    out = _layer(ctx, min(a.shape[-1], b.shape[-1])).conv(a, b)
+    return out.astype(_layer(ctx, 0).dtype, copy=False)
+
+
+def _strip(a: np.ndarray) -> np.ndarray:
+    if not a.shape[1] or a[:, -1].any():
+        return a
+    nz = np.flatnonzero((a != 0).any(axis=0))
+    return a[:, : nz[-1] + 1 if nz.size else 0]
 
 
 class Poly:
-    """Immutable dense polynomial over a fixed FieldCtx."""
+    """Immutable dense polynomial over a fixed FieldCtx.
 
-    __slots__ = ("ctx", "c")
+    `a` is the (d, deg + 1) residue array of its coefficients; `c`, the
+    FieldElement tuple, is built on first use.
+    """
 
-    def __init__(self, ctx: FieldCtx, coeffs, _normalized: bool = False):
-        self.ctx = ctx
-        if _normalized:
-            self.c = coeffs
-        else:
-            cs = [ctx.el(v) if not isinstance(v, FieldElement) else v for v in coeffs]
-            while cs and cs[-1].is_zero():
-                cs.pop()
-            self.c = tuple(cs)
+    __slots__ = ("ctx", "a", "_c")
+
+    def __init__(self, ctx: FieldCtx, coeffs):
+        cs = [v if isinstance(v, FieldElement) else ctx.el(v) for v in coeffs]
+        self.ctx, self.a, self._c = ctx, _strip(_layer(ctx, 0).array(cs)), None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def from_residues(cls, ctx: FieldCtx, a: np.ndarray) -> "Poly":
+        """Polynomial of a reduced (d, n) coefficient array."""
+        f = object.__new__(cls)
+        f.ctx, f._c = ctx, None
+        f.a = _strip(a.astype(_layer(ctx, 0).dtype, copy=False))
+        return f
+
+    @classmethod
     def zero(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (), _normalized=True)
+        return cls(ctx, ())
 
     @classmethod
     def one(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (ctx.one(),), _normalized=True)
+        return cls(ctx, (ctx.one(),))
 
     @classmethod
     def x(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (ctx.zero(), ctx.one()), _normalized=True)
+        return cls(ctx, (ctx.zero(), ctx.one()))
 
     @classmethod
     def from_ints(cls, ctx: FieldCtx, ints) -> "Poly":
@@ -63,28 +87,41 @@ class Poly:
     # -- structure ----------------------------------------------------
 
     @property
+    def c(self) -> tuple:
+        if self._c is None:
+            self._c = tuple(_layer(self.ctx, 0).elements(self.a))
+        return self._c
+
+    @property
     def deg(self) -> int:
         """Degree, with deg(0) = -1."""
-        return len(self.c) - 1
+        return self.a.shape[1] - 1
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.a.shape[1]
 
     def coeff(self, i: int) -> FieldElement:
-        if 0 <= i < len(self.c):
-            return self.c[i]
+        if 0 <= i < self.a.shape[1]:
+            return FieldElement(self.ctx, tuple(self.a[:, i].tolist()))
         return self.ctx.zero()
 
+    def coeffs(self, n: int) -> np.ndarray:
+        """Coefficients 0..n-1 as a (d, n) residue array."""
+        if n <= self.a.shape[1]:
+            return self.a[:, :n]
+        zeros = np.zeros((self.ctx.d, n - self.a.shape[1]), self.a.dtype)
+        return np.concatenate([self.a, zeros], axis=1)
+
     def lead(self) -> FieldElement:
-        if not self.c:
+        if self.is_zero():
             raise DivisionByZero("leading coefficient of zero polynomial")
-        return self.c[-1]
+        return self.coeff(self.deg)
 
     def to_ints(self) -> list:
         """Coefficients as ints (prime field) or coefficient tuples (extension)."""
         if self.ctx.d == 1:
-            return [e.c[0] for e in self.c]
-        return [e.c for e in self.c]
+            return self.a[0].tolist()
+        return [tuple(c) for c in self.a.T.tolist()]
 
     # -- ring operations ----------------------------------------------
 
@@ -94,56 +131,44 @@ class Poly:
         if self.ctx != other.ctx:
             raise CtxMismatch(f"{self.ctx} vs {other.ctx}")
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         self._check(other)
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = out[i] + v
-        return Poly(self.ctx, out)
+        n = max(self.a.shape[1], other.a.shape[1])
+        out = (self.coeffs(n) + sign * other.coeffs(n)) % self.ctx.p
+        return Poly.from_residues(self.ctx, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        n = max(len(self.c), len(other.c))
-        z = self.ctx.zero()
-        out = [
-            (self.c[i] if i < len(self.c) else z) - (other.c[i] if i < len(other.c) else z)
-            for i in range(n)
-        ]
-        return Poly(self.ctx, out)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Poly(self.ctx, tuple(-v for v in self.c), _normalized=True)
+        return Poly.from_residues(self.ctx, -self.a % self.ctx.p)
 
     def __mul__(self, other):
         self._check(other)
-        if not self.c or not other.c:
+        if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
-        ctx = self.ctx
-        if ctx.d == 1:
-            out = _intmul([e.c[0] for e in self.c], [e.c[0] for e in other.c], ctx.p)
-            return Poly(ctx, tuple(FieldElement(ctx, (v,)) for v in out), _normalized=True)
-        return Poly(ctx, _karatsuba(list(self.c), list(other.c), ctx))
+        return Poly.from_residues(self.ctx, _mul(self.ctx, self.a, other.a))
 
     def scale(self, k: FieldElement) -> "Poly":
-        if k.is_zero():
-            return Poly.zero(self.ctx)
-        return Poly(self.ctx, tuple(v * k for v in self.c), _normalized=True)
+        if k == self.ctx.one():
+            return self
+        R = _layer(self.ctx, 0)
+        m = R.mul_matrix(np.array(k.c, dtype=R.dtype))
+        return Poly.from_residues(self.ctx, R.times(m, self.a) % R.p)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by X^k (k >= 0)."""
-        if not self.c:
+        if self.is_zero():
             return self
-        return Poly(self.ctx, (self.ctx.zero(),) * k + self.c, _normalized=True)
+        zeros = np.zeros((self.ctx.d, k), self.a.dtype)
+        return Poly.from_residues(self.ctx, np.concatenate([zeros, self.a], axis=1))
 
     def monic(self) -> "Poly":
-        if not self.c:
-            raise DivisionByZero("monic form of zero polynomial")
-        if self.c[-1] == self.ctx.one():
-            return self
-        return self.scale(self.c[-1].inv())
+        lead = self.lead()
+        return self if lead == self.ctx.one() else self.scale(lead.inv())
 
     def eval(self, x: FieldElement) -> FieldElement:
         acc = self.ctx.zero()
@@ -164,93 +189,18 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.ctx == other.ctx and self.c == other.c
+        return (
+            isinstance(other, Poly)
+            and self.ctx == other.ctx
+            and self.a.shape == other.a.shape
+            and bool((self.a == other.a).all())
+        )
 
     def __hash__(self):
-        return hash((self.ctx, self.c))
+        return hash((self.ctx, tuple(self.a.ravel().tolist())))
 
     def __repr__(self):
         return f"Poly({self.to_ints()} over {self.ctx})"
-
-
-# -- multiplication kernels -------------------------------------------
-
-
-def _intmul(a: list, b: list, p: int) -> list:
-    """Exact product of int coefficient lists mod p."""
-    la, lb = len(a), len(b)
-    if min(la, lb) * (p - 1) * (p - 1) < _INT64_SAFE:
-        conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return [int(v) for v in conv % p]
-    if min(la, lb) < _KARATSUBA_CUTOFF:
-        out = [0] * (la + lb - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return [v % p for v in out]
-    n = max(la, lb)
-    h = n // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _intmul(a0, b0, p) if a0 and b0 else []
-    z2 = _intmul(a1, b1, p) if a1 and b1 else []
-    sa = [x + y for x, y in _zip_pad(a0, a1)]
-    sb = [x + y for x, y in _zip_pad(b0, b1)]
-    z1 = _intmul(sa, sb, p) if sa and sb else []
-    out = [0] * (la + lb - 1)
-    for i, v in enumerate(z0):
-        out[i] += v
-    for i, v in enumerate(z1):
-        out[h + i] += v
-    for i, v in enumerate(z0):
-        out[h + i] -= v
-    for i, v in enumerate(z2):
-        out[h + i] -= v
-    for i, v in enumerate(z2):
-        out[2 * h + i] += v
-    return [v % p for v in out]
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
-
-
-def _karatsuba(a: list, b: list, ctx: FieldCtx) -> list:
-    """Generic Karatsuba over FieldElement lists (extension fields)."""
-    la, lb = len(a), len(b)
-    if min(la, lb) < _KARATSUBA_CUTOFF:
-        z = ctx.zero()
-        out = [z] * (la + lb - 1)
-        for i, ai in enumerate(a):
-            if not ai.is_zero():
-                for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-        return out
-    n = max(la, lb)
-    h = n // 2
-    z = ctx.zero()
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _karatsuba(a0, b0, ctx) if a0 and b0 else []
-    z2 = _karatsuba(a1, b1, ctx) if a1 and b1 else []
-    sa = [(a0[i] if i < len(a0) else z) + (a1[i] if i < len(a1) else z) for i in range(max(len(a0), len(a1)))]
-    sb = [(b0[i] if i < len(b0) else z) + (b1[i] if i < len(b1) else z) for i in range(max(len(b0), len(b1)))]
-    z1 = _karatsuba(sa, sb, ctx) if sa and sb else []
-    out = [z] * (la + lb - 1)
-    for i, v in enumerate(z0):
-        out[i] = out[i] + v
-    for i, v in enumerate(z1):
-        out[h + i] = out[h + i] + v
-    for i, v in enumerate(z0):
-        out[h + i] = out[h + i] - v
-    for i, v in enumerate(z2):
-        out[h + i] = out[h + i] - v
-    for i, v in enumerate(z2):
-        out[2 * h + i] = out[2 * h + i] + v
-    return out
 
 
 # -- named operations -------------------------------------------------
@@ -258,78 +208,111 @@ def _karatsuba(a: list, b: list, ctx: FieldCtx) -> list:
 
 def trunc(f: Poly, n: int) -> Poly:
     """f mod X^n."""
-    if n <= 0:
-        return Poly.zero(f.ctx)
-    if len(f.c) <= n:
-        return f
-    return Poly(f.ctx, f.c[:n])
+    return Poly.from_residues(f.ctx, f.a[:, : max(n, 0)])
 
 
 def reverse(f: Poly, n: int) -> Poly:
     """Degree-n reversal X^n * f(1/X); requires deg f <= n."""
     if f.deg > n:
         raise BadLength(f"cannot reverse degree {f.deg} at length {n}")
-    return Poly(f.ctx, tuple(f.coeff(n - i) for i in range(n + 1)))
+    return Poly.from_residues(f.ctx, f.coeffs(n + 1)[:, ::-1])
 
 
 def series_inv(f: Poly, n: int) -> Poly:
     """Inverse of f modulo X^n by Newton iteration; needs f(0) != 0."""
     if n <= 0:
         return Poly.zero(f.ctx)
-    c0 = f.coeff(0)
-    if c0.is_zero():
+    if f.coeff(0).is_zero():
         raise NotInvertible("constant term is zero")
-    ctx = f.ctx
-    g = Poly(ctx, (c0.inv(),), _normalized=True)
-    two = Poly(ctx, (ctx.el(2),))
+    ctx, p = f.ctx, f.ctx.p
+    g = _layer(ctx, 0).inv(f.a[:, 0])[:, None]
     k = 1
     while k < n:
         k = min(2 * k, n)
-        fg = trunc(trunc(f, k) * g, k)
-        g = trunc(g * (two - fg), k)
-    return g
+        e = -_mul(ctx, f.a[:, :k], g)[:, :k] % p  # g * (2 - f g) mod X^k
+        e[0, 0] = (e[0, 0] + 2) % p
+        g = _mul(ctx, g, e)[:, :k]
+    return Poly.from_residues(ctx, g)
+
+
+def _quotient(a: Poly, b: Poly, b_rev_inv: Poly) -> Poly:
+    """Quotient of a by b from an inverse of rev(b) to precision >= dq + 1."""
+    dq = a.deg - b.deg
+    return reverse(trunc(reverse(a, a.deg) * trunc(b_rev_inv, dq + 1), dq + 1), dq)
 
 
 def poly_divrem(a: Poly, b: Poly) -> tuple:
-    """Quotient and remainder of a by b; Newton division at large degrees."""
+    """Quotient and remainder of a by b; Newton division for long quotients."""
     if b.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if a.ctx != b.ctx:
         raise CtxMismatch(f"{a.ctx} vs {b.ctx}")
+    ctx = a.ctx
     da, db = a.deg, b.deg
     if da < db:
-        return Poly.zero(a.ctx), a
+        return Poly.zero(ctx), a
     dq = da - db
-    if dq >= _NEWTON_DIV_CUTOFF and db >= _NEWTON_DIV_CUTOFF:
-        rq = trunc(reverse(a, da) * series_inv(reverse(b, db), dq + 1), dq + 1)
-        q = reverse(rq, dq)
+    if dq >= _NEWTON_DIV_CUTOFF:
+        q = _quotient(a, b, series_inv(reverse(b, db), dq + 1))
         return q, a - b * q
-    inv_lead = b.lead().inv()
-    rem = list(a.c)
-    q = [a.ctx.zero()] * (dq + 1)
+    R = _layer(ctx, 0)
+    inv_lead = R.inv(b.a[:, -1])
+    rem = a.a.astype(R.dtype)
+    q = R.zeros(dq + 1)
     for i in range(da, db - 1, -1):
-        c = rem[i]
-        if not c.is_zero():
-            c = c * inv_lead
-            q[i - db] = c
-            for j in range(db + 1):
-                rem[i - db + j] = rem[i - db + j] - c * b.c[j]
-    return Poly(a.ctx, q), Poly(a.ctx, rem[:db])
+        if rem[:, i].any():
+            q[:, i - db] = R.mul(rem[:, i], inv_lead)
+            step = R.times(R.mul_matrix(q[:, i - db]), b.a)
+            rem[:, i - db : i + 1] = (rem[:, i - db : i + 1] - step) % R.p
+    return Poly.from_residues(ctx, q), Poly.from_residues(ctx, rem[:, :db])
 
 
 def poly_mod(a: Poly, b: Poly) -> Poly:
     return poly_divrem(a, b)[1]
 
 
+def remainder_by(b: Poly, count: int):
+    """a -> a mod b for polynomials of degree < count, with the Newton
+    inverse of rev(b) computed once, when a quotient first needs it."""
+    db = b.deg
+    inv = []  # the inverse, once a quotient needs it
+
+    def rem(a: Poly) -> Poly:
+        if a.deg < db:
+            return a
+        if a.deg >= count:
+            return poly_mod(a, b)
+        if not inv:
+            inv.append(series_inv(reverse(b, db), count - db))
+        return a - b * _quotient(a, b, inv[0])
+
+    return rem
+
+
+def _product_tree(ctx: FieldCtx, roots: np.ndarray) -> list:
+    """Levels of the product tree of the factors X - roots[:, k]: level t is
+    a (2^(h-t), d, 2^t + 1) stack of products of 2^t factors, the leaves
+    padded with the constant 1 to a power of two."""
+    d, n = roots.shape
+    leaves = np.zeros((1 << max(n - 1, 0).bit_length(), d, 2), roots.dtype)
+    leaves[:n, :, 0] = -roots.T % ctx.p
+    leaves[:n, 0, 1] = 1
+    leaves[n:, 0, 0] = 1
+    levels = [leaves]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        levels.append(_mul(ctx, level[0::2], level[1::2]))
+    return levels
+
+
 def lagrange_interp(ctx: FieldCtx, xs, ys) -> Poly:
     """Unique polynomial of degree < n through (xs[i], ys[i]); xs distinct.
 
-    Barycentric form on whole arrays over the nodes: weights
-    w_i = prod_{k != i} (x_i - x_k), c_i = y_i / w_i, and the result
-    sum_i c_i * M / (X - x_i) with M = prod_k (X - x_k).  All n quotients
-    M / (X - x_i) come from one synthetic division run on arrays, one
-    output coefficient per step, so the whole interpolation is O(n) array
-    operations of length n.
+    Barycentric form on the product tree of the nodes: weights
+    w_i = prod_{k != i} (x_i - x_k) by a halving product over all
+    differences, c_i = y_i / w_i, and sum_i c_i * M / (X - x_i) with
+    M = prod_k (X - x_k) combined up the tree as f_L * M_R + f_R * M_L,
+    one stacked product per level.
     """
     xs = [ctx.el(x) for x in xs]
     ys = [ctx.el(y) for y in ys]
@@ -340,51 +323,34 @@ def lagrange_interp(ctx: FieldCtx, xs, ys) -> Poly:
     n = len(xs)
     if n == 0:
         return Poly.zero(ctx)
-    fa = FieldArrays(ctx)
-    x = fa.array(xs)
-    w = fa.full(n, fa.const(1))
-    for k in range(n):
-        diff = fa.mod(x - x[k])
-        diff[k] = fa.const(1)
-        w = fa.mod(w * diff)
-    c = fa.mod(fa.array(ys) * fa.inv(w))
-    m = fa.array(weighted_product(ctx, xs, [1] * n).c)
-    # synthetic division: q holds coefficient t of every M / (X - x_i)
-    q = fa.full(n, m[n])
-    out = [None] * n
-    for t in range(n - 1, -1, -1):
-        out[t] = fa.total(fa.mod(c * q))
-        if t:
-            q = fa.mod(q * x + m[t])
-    return Poly(ctx, fa.elements(out))
+    R, p = _layer(ctx, 0), ctx.p
+    x = R.array(xs)
+    diff = x.T[:, :, None] - x[None, :, :]  # x_i - x_k, reduced by the products
+    diff[np.arange(n), :, np.arange(n)] = R.unit(1, 0)[:, 0]
+    while diff.shape[-1] > 1:
+        if diff.shape[-1] % 2:
+            diff = np.concatenate([diff, np.broadcast_to(R.unit(1, 0), (n, ctx.d, 1))], axis=2)
+        diff = R.emul(diff[..., 0::2], diff[..., 1::2])
+    c = R.emul(R.array(ys), R.inv_each(diff[..., 0].T))
+    levels = _product_tree(ctx, x)
+    f = np.zeros((len(levels[0]), ctx.d, 1), R.dtype)
+    f[:n, :, 0] = c.T
+    for m in levels[:-1]:
+        f = (_mul(ctx, f[0::2], m[1::2]) + _mul(ctx, f[1::2], m[0::2])) % p
+    return Poly.from_residues(ctx, f[0])
 
 
 def weighted_product(ctx: FieldCtx, xs, ms) -> Poly:
-    """prod_i (X - xs[i])^ms[i] for distinct nodes, smallest factors first."""
+    """prod_i (X - xs[i])^ms[i] for distinct nodes, as one product tree."""
     xs = [ctx.el(x) for x in xs]
     if len(xs) != len(ms):
         raise BadLength(f"{len(xs)} nodes vs {len(ms)} multiplicities")
     if len(set(xs)) != len(xs):
         raise DuplicateNode("product nodes must be pairwise distinct")
-    heap = []
-    count = 0
-    for x, m in zip(xs, ms):
-        if m < 0:
-            raise ValueError("negative multiplicity")
-        lin = Poly(ctx, (-x, ctx.one()))
-        for _ in range(m):
-            heap.append((1, count, lin))
-            count += 1
-    if not heap:
-        return Poly.one(ctx)
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        _, _, f = heapq.heappop(heap)
-        _, _, g = heapq.heappop(heap)
-        fg = f * g
-        heapq.heappush(heap, (len(fg.c), count, fg))
-        count += 1
-    return heap[0][2]
+    if any(m < 0 for m in ms):
+        raise ValueError("negative multiplicity")
+    roots = _layer(ctx, 0).array([x for x, m in zip(xs, ms) for _ in range(m)])
+    return Poly.from_residues(ctx, _product_tree(ctx, roots)[-1][0])
 
 
 def extend_recurrence(init, charpoly: Poly, count: int) -> list:

@@ -13,8 +13,7 @@ of the t-th Y-coordinate and P_i the product of (X - x_r)^(mults[r] - |i|)
 over points still constrained at order |i|.
 
 Also here: the multiplicity-capping preprocessor and the large-weight
-shortcut (both elementary solution-space transformations), plus the
-brute-force shift-expansion oracle used by tests.
+shortcut (both elementary solution-space transformations).
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from .errors import (
     DuplicateNode,
     NoSolutionSpace,
 )
-from .field import FieldArrays, FieldCtx, FieldElement
+from .field import FieldCtx, FieldElement, residues
 from .outcomes import NoSolution, NotApplicable, Solution
-from .poly import Poly, lagrange_interp, poly_mod, weighted_product
+from .poly import Poly, lagrange_interp, remainder_by, weighted_product
 
 # ---------------------------------------------------------------- indices
 
@@ -213,71 +212,37 @@ class ReductionPlan:
         return len(self.exponents)
 
 
-# ---------------------------------------------------------------- oracles
+# ---------------------------------------------------------------- verification
 
 
-def _hasse_eval(q: Poly, x: FieldElement, h: int) -> FieldElement:
-    """Order-h Hasse derivative of q evaluated at x (characteristic-safe)."""
-    ctx = q.ctx
-    if h > q.deg:
-        return ctx.zero()
-    acc = ctx.zero()
-    for t in range(q.deg, h - 1, -1):
-        acc = acc * x + binom_mod(ctx, t, h) * q.c[t]
-    return acc
-
-
-def hasse_shift_expand(Q: MultiPoly, point):
-    """All nonzero coefficients of Q(X + x, Y + y) as {(h, i): value}.
-
-    Brute-force expansion; verification oracle for desk-scale inputs only.
-    """
-    x, ys = point
-    ctx = Q.ctx
-    out = {}
-    for j, q in Q.terms.items():
-        shifted = [_hasse_eval(q, x, h) for h in range(q.deg + 1)]
-        for i in graded_exponents(Q.nvars, sum(j)):
-            if not exp_leq(i, j):
-                continue
-            coef = multi_binom(ctx, j, i)
-            if coef.is_zero():
-                continue
-            for t in range(Q.nvars):
-                coef = coef * ys[t] ** (j[t] - i[t])
-            if coef.is_zero():
-                continue
-            for h, u in enumerate(shifted):
-                if not u.is_zero():
-                    key = (h, i)
-                    out[key] = out.get(key, ctx.zero()) + u * coef
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _hasse_arrays(fa: FieldArrays, q: Poly, x, m: int) -> list:
-    """Hasse derivatives of orders 0..min(m, deg q + 1) - 1 of q at every
-    entry of x, by Horner on the first m Taylor coefficients: multiplying by
-    X = x + T maps coefficient h to x * a_h + a_(h-1).  No binomials, so it
-    holds in every characteristic."""
-    acc = [fa.full(len(x), fa.const(0)) for _ in range(min(m, q.deg + 1))]
-    for c in reversed(q.c):
-        for h in range(len(acc) - 1, 0, -1):
-            acc[h] = fa.mod(acc[h] * x + acc[h - 1])
-        acc[0] = fa.mod(acc[0] * x + fa.scalar(c))
-    return acc
+def _hasse_arrays(ctx: FieldCtx, qs, x, m: int) -> np.ndarray:
+    """Hasse derivatives of orders 0..m-1 of every q in qs at every entry of
+    x, as one (m, len(qs), d, n) array.  The order-h one is
+    sum_t binom(t, h) q_t x^(t-h), binomials reduced mod p, so every order
+    is one evaluation of binomial-weighted coefficients."""
+    length = max(q.deg for q in qs) + 1
+    R = residues(ctx, length + ctx.d)
+    coef = np.stack([q.coeffs(length) for q in qs]).astype(R.dtype)
+    binom = np.ones(length, dtype=R.dtype)  # binom(t, h) for t < length
+    shifted = np.zeros((m,) + coef.shape, dtype=R.dtype)
+    for h in range(min(m, length)):
+        shifted[h, :, :, : length - h] = binom[h:] * coef[:, :, h:] % R.p
+        binom = np.concatenate([[0], np.cumsum(binom)[:-1] % R.p]).astype(R.dtype)
+    return R.evaluate(shifted, x)
 
 
 def verify_solution(inst: InterpolationInstance, Q: MultiPoly) -> bool:
     """Check all four conditions: nonzero, Y-degree, weighted degree, and
     per-point vanishing multiplicity.
 
-    The vanishing check runs on whole arrays over the points.  The
+    The vanishing check runs on residue arrays over the points.  The
     coefficient of X^h Y^i in Q(X + x_r, Y + y_r) is
     sum_{j >= i} binom(j, i) y_r^(j-i) H_{j,h}(x_r), with H_{j,h} the
     order-h Hasse derivative of Q_j.  Every H_{j,h} at every x_r comes from
-    one Horner pass per Q_j; then for each (i, h) with h + |i| below the
-    largest multiplicity the sum is formed as one array and must vanish at
-    every point with m_r > h + |i|.
+    one product of binomial-weighted coefficients with a table of powers of
+    the x_r; then for each i with |i| below the largest multiplicity the
+    sums for every h are formed as one array and must vanish at every point
+    with m_r > h + |i|.
     """
     if Q.is_zero():
         return False
@@ -288,38 +253,33 @@ def verify_solution(inst: InterpolationInstance, Q: MultiPoly) -> bool:
     if Q.wdeg(inst.weights) >= inst.wdeg_bound:
         return False
     ctx = inst.ctx
-    fa = FieldArrays(ctx)
-    n, m = inst.n, inst.max_mult
-    x = fa.array([x for x, _ in inst.points])
+    R = residues(ctx, ctx.d)
+    m = inst.max_mult
+    x = R.array([x for x, _ in inst.points])
     mults = np.array(inst.mults)
-    hasse = {j: _hasse_arrays(fa, q, x, m) for j, q in Q.terms.items()}
+    js = list(Q.terms)
+    hasse = _hasse_arrays(ctx, [Q.terms[j] for j in js], x, m)
     ypow = []  # ypow[t][e] = y_t^e at every point
     for t in range(inst.nvars):
-        y = fa.array([ys[t] for _, ys in inst.points])
-        pw = [fa.full(n, fa.const(1))]
+        pw = [R.unit(1, 0)]
+        y = R.array([ys[t] for _, ys in inst.points])
         for _ in range(Q.ydeg):
-            pw.append(fa.mod(pw[-1] * y))
+            pw.append(R.emul(pw[-1], y))
         ypow.append(pw)
     for i in graded_exponents(inst.nvars, m, strict=True):
-        weighted = []  # (H_j, binom(j, i) * y^(j-i)) for the j >= i that count
-        for j in Q.terms:
-            if not exp_leq(i, j):
-                continue
-            b = multi_binom(ctx, j, i)
+        depth = m - sum(i)
+        acc = np.zeros((depth, R.d, inst.n), R.dtype)
+        for col, j in enumerate(js):
+            b = multi_binom(ctx, j, i) if exp_leq(i, j) else ctx.zero()
             if b.is_zero():
                 continue
-            w = fa.full(n, fa.scalar(b))
-            for t in range(inst.nvars):
-                if j[t] > i[t]:
-                    w = fa.mod(w * ypow[t][j[t] - i[t]])
-            weighted.append((hasse[j], w))
-        for h in range(m - sum(i)):
-            acc = fa.full(n, fa.const(0))
-            for hj, w in weighted:
-                if h < len(hj):
-                    acc = fa.mod(acc + w * hj[h])
-            if (fa.nonzero(acc) & (mults > h + sum(i))).any():
-                return False
+            w = b.c[0] * ypow[0][j[0] - i[0]]  # binomials lie in the prime field
+            for t in range(1, inst.nvars):
+                w = R.emul(w % R.p, ypow[t][j[t] - i[t]])
+            acc += R.emul(hasse[:depth, col], w % R.p)
+        need = mults > np.arange(depth)[:, None] + sum(i)  # m_r > h + |i|
+        if ((acc % R.p != 0).any(axis=1) & need).any():
+            return False
     return True
 
 
@@ -394,41 +354,43 @@ def build_reduction(inst: InterpolationInstance):
         if any(j[t] > 0 for j in cols):
             interp[t] = lagrange_interp(ctx, xs, [ys[t] for _, ys in inst.points])
 
-    # moduli depend on |i| only
-    mod_by_depth = {}
+    # moduli, their remainder maps and the powers of the interpolants
+    # reduced by them depend on |i| only
+    mod_by_depth, rem_by_depth, memo_by_depth = [], [], []
     for depth in range(m):
         sub_x = [x for x, mm in zip(xs, inst.mults) if mm > depth]
         sub_e = [mm - depth for mm in inst.mults if mm > depth]
-        mod_by_depth[depth] = weighted_product(ctx, sub_x, sub_e)
+        p_d = weighted_product(ctx, sub_x, sub_e)
+        rem = remainder_by(p_d, 2 * p_d.deg)
+        mod_by_depth.append(p_d)
+        rem_by_depth.append(rem)
+        memo = {(0,) * inst.nvars: Poly.one(ctx)}
+        for t, f in enumerate(interp):
+            if f is not None:
+                memo[tuple(int(u == t) for u in range(inst.nvars))] = rem(f)
+        memo_by_depth.append(memo)
+
+    def rpow(delta, depth):
+        memo = memo_by_depth[depth]
+        if delta not in memo:
+            t = next(idx for idx, e in enumerate(delta) if e > 0)
+            prev = rpow(delta[:t] + (delta[t] - 1,) + delta[t + 1 :], depth)
+            unit = tuple(int(u == t) for u in range(inst.nvars))
+            memo[delta] = rem_by_depth[depth](prev * memo[unit])
+        return memo[delta]
 
     moduli = []
     residues = []
     for i in rows:
-        p_i = mod_by_depth[sum(i)]
-        moduli.append(p_i)
-        # memoized incremental powers of the interpolants mod p_i
-        memo = {(0,) * inst.nvars: Poly.one(ctx)}
-
-        def rpow(delta, _memo=memo, _p=p_i):
-            got = _memo.get(delta)
-            if got is not None:
-                return got
-            t = next(idx for idx, e in enumerate(delta) if e > 0)
-            prev = rpow(delta[:t] + (delta[t] - 1,) + delta[t + 1 :], _memo, _p)
-            val = poly_mod(prev * interp[t], _p)
-            _memo[delta] = val
-            return val
-
+        moduli.append(mod_by_depth[sum(i)])
         row = []
         for j in cols:
-            if not exp_leq(i, j):
-                row.append(Poly.zero(ctx))
-                continue
-            coef = multi_binom(ctx, j, i)
+            coef = multi_binom(ctx, j, i) if exp_leq(i, j) else ctx.zero()
             if coef.is_zero():
                 row.append(Poly.zero(ctx))
                 continue
-            row.append(rpow(tuple(a - b for a, b in zip(j, i))).scale(coef))
+            delta = tuple(a - b for a, b in zip(j, i))
+            row.append(rpow(delta, sum(i)).scale(coef))
         residues.append(row)
 
     plan = ReductionPlan(

@@ -23,14 +23,13 @@ coordinates.  Every candidate is verified by applying A through the
 generator, so a returned Solution is unconditionally correct; NoSolution is
 returned only on a certified full-column-rank elimination.
 
-One representation serves every field.  A vector over F_{p^d} is a (d, n)
-array of residues mod p, d = 1 for a prime field, and a generator half is
-one stacked (alpha, d, n) array, so a compression pivot updates all later
-generator columns with one outer-product op.  Products use the
-multiplication table of F_p[t]/(f); polynomial products are d^2 residue
-convolutions folded by that table.  FieldElements appear only at the
-boundary: the input generator, the random draws, scalar inverses and the
-returned vector.
+One representation serves every field: the residue arrays of
+field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
+d = 1 for a prime field, and a generator half is one stacked (alpha, d, n)
+array, as the builders write it, so a compression pivot updates all later
+generator columns with one outer-product op.  The random draws are digits
+of the sampled indices.  FieldElements appear only for scalar inverses, the
+dense fallback and the returned vector.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldTooSmall, TooLarge, WrongTag
-from .field import FieldCtx, FieldElement, sample_subset_element
+from .field import FieldCtx, residues, subset_range
 from .linalg import kernel_basis
 from .outcomes import Failure, NoSolution, Solution
 
@@ -49,7 +48,6 @@ TAG_TOEPLITZ = "toeplitz"
 TAG_HANKEL = "hankel"
 
 _RECONSTRUCT_GUARD_CELLS = 1 << 14
-_INT64_SAFE = 2**62
 
 
 def subset_floor(size: int) -> int:
@@ -57,30 +55,31 @@ def subset_floor(size: int) -> int:
     return 6 * (size + 1) * (size + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorPair:
+    """Length-alpha generator: v holds the alpha columns of V as one
+    (alpha, d, nrows) residue array, w the alpha rows of W as
+    (alpha, d, ncols)."""
+
     tag: str
     nrows: int
     ncols: int
-    v_cols: tuple  # alpha columns of V, each nrows long
-    w_rows: tuple  # alpha rows of W, each ncols long
+    v: np.ndarray
+    w: np.ndarray
     ctx: FieldCtx
 
     def __post_init__(self):
         if self.tag not in (TAG_TOEPLITZ, TAG_HANKEL):
             raise WrongTag(f"unknown tag {self.tag!r}")
-        if len(self.v_cols) != len(self.w_rows):
-            raise WrongTag("generator halves of different lengths")
-        object.__setattr__(self, "v_cols", tuple(tuple(c) for c in self.v_cols))
-        object.__setattr__(self, "w_rows", tuple(tuple(r) for r in self.w_rows))
-        if any(len(c) != self.nrows for c in self.v_cols):
-            raise WrongTag("generator column of wrong height")
-        if any(len(r) != self.ncols for r in self.w_rows):
-            raise WrongTag("generator row of wrong width")
+        d = self.ctx.d
+        if self.v.shape != (self.alpha, d, self.nrows) or self.w.shape != (
+            self.alpha, d, self.ncols
+        ):
+            raise WrongTag(f"halves {self.v.shape}, {self.w.shape} for {self.nrows}x{self.ncols}")
 
     @property
     def alpha(self) -> int:
-        return len(self.v_cols)
+        return len(self.v)
 
 
 PadInfo = namedtuple("PadInfo", "kind offset")
@@ -97,7 +96,8 @@ def reconstruct_dense(G: GeneratorPair):
     ctx = G.ctx
     z = ctx.zero()
     D = [[z] * N for _ in range(M)]
-    for col, row in zip(G.v_cols, G.w_rows):
+    R = residues(ctx, ctx.d)
+    for col, row in zip(map(R.elements, G.v), map(R.elements, G.w)):
         for i, vi in enumerate(col):
             if not vi.is_zero():
                 Di = D[i]
@@ -128,14 +128,7 @@ def hankel_to_toeplitz(G: GeneratorPair) -> GeneratorPair:
     Toeplitz-like.  A nullspace vector v of A·J pulls back as J·v."""
     if G.tag != TAG_HANKEL:
         raise WrongTag("expected a hankel-tagged generator")
-    return GeneratorPair(
-        TAG_TOEPLITZ,
-        G.nrows,
-        G.ncols,
-        G.v_cols,
-        tuple(tuple(reversed(r)) for r in G.w_rows),
-        G.ctx,
-    )
+    return GeneratorPair(TAG_TOEPLITZ, G.nrows, G.ncols, G.v, G.w[:, :, ::-1], G.ctx)
 
 
 def pad_to_square(G: GeneratorPair):
@@ -146,14 +139,14 @@ def pad_to_square(G: GeneratorPair):
     M, N = G.nrows, G.ncols
     if M == N:
         return G, PadInfo("square", 0)
-    z = G.ctx.zero()
-    if M < N:
-        v_cols = tuple((z,) * (N - M) + c for c in G.v_cols)
-        padded = GeneratorPair(TAG_TOEPLITZ, N, N, v_cols, G.w_rows, G.ctx)
-        return padded, PadInfo("wide", N - M)
-    w_rows = tuple((z,) * (M - N) + r for r in G.w_rows)
-    padded = GeneratorPair(TAG_TOEPLITZ, M, M, G.v_cols, w_rows, G.ctx)
-    return padded, PadInfo("tall", M - N)
+    size = max(M, N)
+
+    def pad(x):
+        zeros = np.zeros(x.shape[:2] + (size - x.shape[2],), x.dtype)
+        return np.concatenate([zeros, x], axis=2)
+
+    padded = GeneratorPair(TAG_TOEPLITZ, size, size, pad(G.v), pad(G.w), G.ctx)
+    return padded, PadInfo("wide" if M < N else "tall", abs(N - M))
 
 
 def unpad_solution(info: PadInfo, vec):
@@ -162,106 +155,18 @@ def unpad_solution(info: PadInfo, vec):
     return vec
 
 
-# ---------------------------------------------------------------- residue arrays
-
-
-class _Residues:
-    """Arithmetic on (..., d, n) residue arrays of one field, d = 1 included.
-
-    The dtype is int64 when d*(p-1)^2*terms < 2^62, where terms bounds how
-    many products of residues one sum adds up before it is reduced; above
-    that it is object (Python ints), with the same code.
-    """
-
-    def __init__(self, ctx: FieldCtx, terms: int):
-        p, d = ctx.p, ctx.d
-        self.ctx, self.p, self.d = ctx, p, d
-        self.dtype = np.int64 if d * (p - 1) ** 2 * terms < _INT64_SAFE else object
-        powers = [[1] + [0] * (d - 1)]  # t^e mod f, e < 2d - 1
-        for _ in range(2 * d - 2):
-            prev = powers[-1]
-            shifted = zip([0] + prev[:-1], ctx.modulus)
-            powers.append([(lo - prev[-1] * f) % p for lo, f in shifted])
-        # table[a, b, k]: coefficient of t^k in t^(a+b) mod f
-        table = np.array(
-            [[powers[a + b] for b in range(d)] for a in range(d)], dtype=self.dtype
-        )
-        self._by_scalar = table.transpose(0, 2, 1).reshape(d, d * d)
-        self._fold = table.reshape(d * d, d).T.copy()
-
-    def array(self, elems) -> np.ndarray:
-        """(d, n) residues of n FieldElements."""
-        a = np.array([e.c for e in elems], dtype=self.dtype)
-        return a.reshape(len(elems), self.d).T.copy()
-
-    def stack(self, vectors, n: int) -> np.ndarray:
-        """(alpha, d, n) residues of alpha FieldElement vectors of length n."""
-        a = np.array([[e.c for e in v] for v in vectors], dtype=self.dtype)
-        return a.reshape(len(vectors), n, self.d).transpose(0, 2, 1).copy()
-
-    def elements(self, a: np.ndarray) -> list:
-        return [FieldElement(self.ctx, tuple(c)) for c in a.T.tolist()]
-
-    def zeros(self, n: int) -> np.ndarray:
-        return np.zeros((self.d, n), dtype=self.dtype)
-
-    def unit(self, n: int, i: int) -> np.ndarray:
-        e = self.zeros(n)
-        e[0, i] = 1
-        return e
-
-    def is_zero(self, a: np.ndarray) -> bool:
-        return not np.count_nonzero(a)
-
-    def inv(self, s: np.ndarray) -> np.ndarray:
-        inverse = FieldElement(self.ctx, tuple(s.tolist())).inv()
-        return np.array(inverse.c, dtype=self.dtype)
-
-    def mul_matrix(self, c: np.ndarray) -> np.ndarray:
-        """(..., d, d) matrices of multiplication by the scalars c (..., d)."""
-        m = (c @ self._by_scalar) % self.p
-        return m.reshape(c.shape[:-1] + (self.d, self.d))
-
-    def mul(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Scalars c (..., d) times the scalar s (d,), reduced."""
-        return (c @ self.mul_matrix(s).T) % self.p
-
-    def times(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Scalars, given by their multiplication matrices m (..., d, d), times
-        the vector v (d, n) as (..., d, n), not reduced: each entry is below
-        d*(p-1)^2."""
-        out = m[..., 0, None] * v[0]
-        for b in range(1, self.d):
-            out += m[..., b, None] * v[b]
-        return out
-
-    def combine(self, m: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """sum_j c_j * vs_j for scalars c_j given by their multiplication
-        matrices m (J, d, d) and vectors vs (J, d, n), reduced."""
-        J, d, n = vs.shape
-        flat = m.transpose(1, 0, 2).reshape(d, J * d)
-        return (flat @ vs.reshape(J * d, n)) % self.p
-
-    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """sum_u a[u] * b[u] of two (d, n) vectors, as a reduced scalar (d,)."""
-        pairs = (a @ b.T) % self.p
-        return (self._fold @ pairs.reshape(-1)) % self.p
-
-    def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Polynomial product of (d, n) and (d, m) as (d, n + m - 1), reduced."""
-        pairs = np.array([[np.convolve(x, y) for y in b] for x in a], dtype=self.dtype)
-        pairs %= self.p
-        return (self._fold @ pairs.reshape(self.d * self.d, -1)) % self.p
-
-    def corr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """out[t] = sum_u a[t+u] * b[u] for t < len(a)."""
-        m = b.shape[1]
-        return self.conv(a, b[:, ::-1])[:, m - 1 : m - 1 + a.shape[1]]
-
-
-def _draw(R: _Residues, min_size: int, rng, k: int) -> np.ndarray:
-    """k draws from the sampling subset, as a (d, k) residue array."""
-    return R.array([sample_subset_element(R.ctx, min_size, rng) for _ in range(k)])
+def _draw(R, min_size: int, rng, k: int) -> np.ndarray:
+    """k draws from the sampling subset, as a (d, k) residue array: the
+    randrange calls of sample_subset_element, in the same order, with each
+    index turned into its little-endian base-p digits."""
+    size = subset_range(R.ctx, min_size)
+    idx = [rng.randrange(size) for _ in range(k)]
+    idx = np.array(idx, dtype=np.int64 if size < 2**63 else object)
+    out = R.zeros(k)
+    for t in range(R.d):
+        out[t] = idx % R.p
+        idx //= R.p
+    return out
 
 
 # ---------------------------------------------------------------- generator algebra
@@ -273,6 +178,11 @@ def _apply(R, v, w, x, nrows):
     for col, row in zip(v, w):
         out += R.conv(col, R.corr(x, row))[:, :nrows]  # corr: sum_u w[u] x[k+u]
     return out % R.p
+
+
+def _apply_last(R, v, w, nrows):
+    """A·e_last, the last column: corr(e_last, w_c) is w_c reversed."""
+    return R.conv(v, w[:, :, ::-1])[:, :, :nrows].sum(axis=0) % R.p
 
 
 def _echelon(R, A, B):
@@ -323,7 +233,7 @@ def _precondition(R, v, w, u_full, l_full):
     b_vec = np.concatenate([zero, u_full[:, :0:-1]], axis=1)
     c_vec = np.concatenate([l_full[:, 1:], zero], axis=1)
     f_vec = np.concatenate([zero, l_full[:, :0:-1]], axis=1)
-    e_first, e_last = R.unit(size, 0), R.unit(size, size - 1)
+    e_first = R.unit(size, 0)
 
     def shift1(x):
         return np.concatenate([zero, x[:, :-1]], axis=1)
@@ -335,7 +245,7 @@ def _precondition(R, v, w, u_full, l_full):
     new_v.append(R.corr(shift1(Ac), u_full))
     new_w.append(e_first)
 
-    Ae = _apply(R, v, w, e_last, size)
+    Ae = _apply_last(R, v, w, size)
     new_v.append(-R.corr(shift1(Ae), u_full) % R.p)
     new_w.append(f_vec)
 
@@ -344,7 +254,7 @@ def _precondition(R, v, w, u_full, l_full):
     new_v.append(e_first)
     new_w.append(shift1(R.corr(atA, l_full)))
 
-    eA = _apply(R, w, v, e_last, size)
+    eA = _apply_last(R, w, v, size)
     new_v.append(-b_vec % R.p)
     new_w.append(shift1(R.corr(eA, l_full)))
     return np.stack(new_v), np.stack(new_w)
@@ -456,9 +366,9 @@ def nullspace_structured(
     # the longest sum adds size products (a convolution or dot product) or
     # one per preconditioned pair, at most G.alpha + 4 (a combine, or a row
     # _echelon leaves unreduced), plus a reduced entry or d^2 folded pairs
-    R = _Residues(ctx, max(size, G.alpha + 4) + ctx.d)
-    base_v, base_w = R.stack(padded.v_cols, size), R.stack(padded.w_rows, size)
-    orig_v, orig_w = R.stack(G.v_cols, G.nrows), R.stack(G.w_rows, G.ncols)
+    R = residues(ctx, max(size, G.alpha + 4) + ctx.d)
+    base_v, base_w = padded.v.astype(R.dtype), padded.w.astype(R.dtype)
+    orig_v, orig_w = G.v.astype(R.dtype), G.w.astype(R.dtype)
     one = R.unit(1, 0)
 
     attempts = 0

@@ -7,26 +7,30 @@ companion-matrix actions on the residue — which makes A' - Z A' Z^T of
 rank at most mu+nu: shifting a column right and down differs from the next
 companion action only through the reduction term (a multiple of P_i's
 coefficient vector scaled by the outgoing top coefficient) plus block
-boundary corrections.  The top-coefficient sequences are computed fast by
-linear-recurrence extension (last_coeff_sequence), never by materializing
-the blocks.
+boundary corrections.  The top-coefficient sequences are computed fast as
+power-series quotients (last_coeff_sequence), never by materializing the
+blocks.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .approx import ApproxInstance
 from .backend import DENSE_GUARD_CELLS, solve_with_builder, solve_with_dense_matrix
 from .errors import BadLength, TooLarge
-from .poly import Poly, extend_recurrence, poly_mod, reverse
+from .poly import Poly, poly_mod, reverse, series_inv, trunc
 from .struct_solve import TAG_TOEPLITZ, GeneratorPair
 
 
 def last_coeff_sequence(P: Poly, F: Poly, count: int):
     """c_i = top coefficient (degree m-1) of X^i * F mod P, for i < count.
 
-    Runs the m-term recurrence induced by monic P on the top-coefficient
-    stream of X^i mod P and correlates it with F's coefficients; two
-    polynomial products overall instead of count modular multiplications.
+    The top coefficients of X^i mod P satisfy the m-term recurrence of
+    monic P, so their generating function is X^(m-1) / rev(P); correlating
+    it with F's coefficients gives the c_i as the first count terms of
+    rev(F) / rev(P).  One series inverse and one product overall instead of
+    count modular multiplications.
     """
     m = P.deg
     if m < 1 or P.lead() != P.ctx.one():
@@ -35,11 +39,14 @@ def last_coeff_sequence(P: Poly, F: Poly, count: int):
         return ()
     if F.deg >= m:
         raise BadLength("residue degree must stay below the modulus degree")
-    ctx = P.ctx
-    init = [ctx.zero()] * (m - 1) + [ctx.one()]
-    bs = extend_recurrence(init, P, m + count - 1)
-    prod = reverse(F, m - 1) * Poly(ctx, bs)
-    return tuple(prod.coeff(m - 1 + i) for i in range(count))
+    s = _tops(P, F, series_inv(reverse(P, m), count), count)
+    return tuple(s.coeff(i) for i in range(count))
+
+
+def _tops(P: Poly, F: Poly, rev_inv: Poly, count: int) -> Poly:
+    """The first count terms of rev(F) / rev(P), the top coefficients of
+    X^i * F mod P, from an inverse of rev(P) to at least count terms."""
+    return trunc(reverse(F, P.deg - 1) * trunc(rev_inv, count), count)
 
 
 def _alpha_columns(p: Poly, f: Poly, count: int):
@@ -90,51 +97,28 @@ def build_toeplitz_generators(a: ApproxInstance) -> GeneratorPair:
     image X^{N'_{j-1}} F_{i,j-1} mod P_i of the previous block) against a
     unit row at the block's first column.
     """
-    ctx = a.ctx
-    z = ctx.zero()
+    ctx, p, mu, nu = a.ctx, a.ctx.p, a.mu, a.nu
     M, N = a.total_rows, a.total_cols
-    mu, nu = a.mu, a.nu
-    row_offsets = []
-    acc = 0
-    for m in a.row_bounds:
-        row_offsets.append(acc)
-        acc += m
-    col_starts = []
-    acc = 0
-    for b in a.col_bounds:
-        col_starts.append(acc)
-        acc += b
-
-    v_cols = []
-    w_rows = []
-    for i, p in enumerate(a.moduli):
-        col = [z] * M
-        r0 = row_offsets[i]
-        for u in range(p.deg):
-            col[r0 + u] = z - p.coeff(u)
+    row_offsets = np.cumsum((0,) + a.row_bounds)
+    col_starts = np.cumsum((0,) + a.col_bounds)
+    v = np.zeros((mu + nu, ctx.d, M), a.moduli[0].a.dtype)
+    w = np.zeros((mu + nu, ctx.d, N), v.dtype)
+    for i, P in enumerate(a.moduli):
+        r0, m = row_offsets[i], P.deg
+        v[i, :, r0 : r0 + m] = -P.coeffs(m) % p
         if i + 1 < mu:
-            col[row_offsets[i + 1]] = z - ctx.one()
-        tops = []
-        for j, bound in enumerate(a.col_bounds):
-            tops.extend(last_coeff_sequence(p, a.residues[i][j], bound))
-        row = [z] + tops[: N - 1]
-        v_cols.append(tuple(col))
-        w_rows.append(tuple(row))
+            v[i, 0, r0 + m] = p - 1
+        rev_inv = series_inv(reverse(P, m), max(a.col_bounds))
+        tops = [_tops(P, f, rev_inv, b).coeffs(b) for f, b in zip(a.residues[i], a.col_bounds)]
+        w[i, :, 1:] = np.concatenate(tops, axis=1)[:, : N - 1]
     for j, bound in enumerate(a.col_bounds):
-        col = [z] * M
-        for i, p in enumerate(a.moduli):
-            r0 = row_offsets[i]
+        for i, P in enumerate(a.moduli):
             f = a.residues[i][j]
             if j > 0:
-                shifted_in = poly_mod(a.residues[i][j - 1].shift(a.col_bounds[j - 1]), p)
-                f = f - shifted_in
-            for u in range(p.deg):
-                col[r0 + u] = f.coeff(u)
-        row = [z] * N
-        row[col_starts[j]] = ctx.one()
-        v_cols.append(tuple(col))
-        w_rows.append(tuple(row))
-    return GeneratorPair(TAG_TOEPLITZ, M, N, tuple(v_cols), tuple(w_rows), ctx)
+                f = f - poly_mod(a.residues[i][j - 1].shift(a.col_bounds[j - 1]), P)
+            v[mu + j, :, row_offsets[i] : row_offsets[i + 1]] = f.coeffs(P.deg)
+        w[mu + j, 0, col_starts[j]] = 1
+    return GeneratorPair(TAG_TOEPLITZ, M, N, v, w, ctx)
 
 
 def solve_via_toeplitz(a: ApproxInstance, rng, max_retries: int = 8, **kw):

@@ -7,10 +7,18 @@ on plain FieldElement rows, independently of the structured kernel.
 
 import random
 
+import numpy as np
+
 from mvinterp.approx import ApproxInstance
-from mvinterp.field import prime_field
+from mvinterp.field import prime_field, residues
 from mvinterp.poly import Poly
-from mvinterp.reduction import InterpolationInstance
+from mvinterp.reduction import (
+    InterpolationInstance,
+    binom_mod,
+    exp_leq,
+    graded_exponents,
+    multi_binom,
+)
 from mvinterp.struct_solve import TAG_TOEPLITZ, GeneratorPair, reconstruct_dense
 
 
@@ -108,6 +116,23 @@ def low_rank_matrix(ctx, m, n, r, rng):
     ]
 
 
+def generator(tag, m, n, v_cols, w_rows, ctx):
+    """GeneratorPair from FieldElement columns of V and rows of W."""
+    R = residues(ctx, ctx.d)
+
+    def stack(vectors, length):
+        arrays = [R.array(x) for x in vectors]
+        return np.stack(arrays) if arrays else np.zeros((0, ctx.d, length), R.dtype)
+
+    return GeneratorPair(tag, m, n, stack(v_cols, m), stack(w_rows, n), ctx)
+
+
+def halves(G):
+    """The columns of V and the rows of W as FieldElement lists."""
+    R = residues(G.ctx, G.ctx.d)
+    return [R.elements(c) for c in G.v], [R.elements(r) for r in G.w]
+
+
 def gen_from_dense(tag, rows, ctx):
     """Width-N generator straight from the displacement (V = D, W = I)."""
     m, n = len(rows), len(rows[0])
@@ -116,13 +141,13 @@ def gen_from_dense(tag, rows, ctx):
     w_rows = tuple(
         tuple(ctx.one() if k == j else ctx.zero() for k in range(n)) for j in range(n)
     )
-    return GeneratorPair(tag, m, n, v_cols, w_rows, ctx)
+    return generator(tag, m, n, v_cols, w_rows, ctx)
 
 
 def rand_generator(tag, ctx, m, n, alpha, rng):
     v = tuple(tuple(rand_el(ctx, rng) for _ in range(m)) for _ in range(alpha))
     w = tuple(tuple(rand_el(ctx, rng) for _ in range(n)) for _ in range(alpha))
-    return GeneratorPair(tag, m, n, v, w, ctx)
+    return generator(tag, m, n, v, w, ctx)
 
 
 # ------------------------------------------------------------ dense oracles
@@ -141,7 +166,7 @@ def generator_product(G):
     """V·W as dense FieldElement rows (the displacement the generator claims)."""
     z = G.ctx.zero()
     out = [[z] * G.ncols for _ in range(G.nrows)]
-    for col, row in zip(G.v_cols, G.w_rows):
+    for col, row in zip(*halves(G)):
         for i, vi in enumerate(col):
             if not vi.is_zero():
                 oi = out[i]
@@ -167,3 +192,44 @@ def displacement_of_dense(tag, rows, ctx):
                 line.append(rows[i][j] - (rows[i - 1][j + 1] if j + 1 < N else z))
         out.append(line)
     return out
+
+
+# ------------------------------------------------------------ Hasse expansion
+
+
+def _hasse_eval(q, x, h):
+    """Order-h Hasse derivative of q evaluated at x (characteristic-safe)."""
+    ctx = q.ctx
+    if h > q.deg:
+        return ctx.zero()
+    acc = ctx.zero()
+    for t in range(q.deg, h - 1, -1):
+        acc = acc * x + binom_mod(ctx, t, h) * q.c[t]
+    return acc
+
+
+def hasse_shift_expand(Q, point):
+    """All nonzero coefficients of Q(X + x, Y + y) as {(h, i): value}.
+
+    Brute-force expansion; verification oracle for desk-scale inputs only.
+    """
+    x, ys = point
+    ctx = Q.ctx
+    out = {}
+    for j, q in Q.terms.items():
+        shifted = [_hasse_eval(q, x, h) for h in range(q.deg + 1)]
+        for i in graded_exponents(Q.nvars, sum(j)):
+            if not exp_leq(i, j):
+                continue
+            coef = multi_binom(ctx, j, i)
+            if coef.is_zero():
+                continue
+            for t in range(Q.nvars):
+                coef = coef * ys[t] ** (j[t] - i[t])
+            if coef.is_zero():
+                continue
+            for h, u in enumerate(shifted):
+                if not u.is_zero():
+                    key = (h, i)
+                    out[key] = out.get(key, ctx.zero()) + u * coef
+    return {k: v for k, v in out.items() if not v.is_zero()}

@@ -22,14 +22,13 @@ from helpers import (
 )
 from mvinterp import struct_solve
 from mvinterp.apps import GsParams, gs_interpolate
-from mvinterp.field import FieldCtx, prime_field
+from mvinterp.field import FieldCtx, Residues, prime_field
 from mvinterp.linalg import matrix_rank
 from mvinterp.outcomes import NoSolution, Solution
 from mvinterp.struct_solve import (
     GeneratorPair,
     _compress,
     _precondition,
-    _Residues,
     _schur_step,
     nullspace_structured,
     reconstruct_dense,
@@ -83,8 +82,7 @@ def test_nullspace_matches_dense_oracle(name):
 
 
 def generator_matrix(R, v, w, n):
-    cols, rows = [R.elements(c) for c in v], [R.elements(r) for r in w]
-    return reconstruct_dense(GeneratorPair("toeplitz", n, n, cols, rows, R.ctx))
+    return reconstruct_dense(GeneratorPair("toeplitz", n, n, v, w, R.ctx))
 
 
 def dense_schur_complement(S):
@@ -107,12 +105,10 @@ def test_schur_step_tracks_the_dense_schur_complement(name):
         else:
             rank = r.randint(1, size - 1)
             G = gen_from_dense("toeplitz", low_rank_matrix(ctx, size, size, rank, r), ctx)
-        R = _Residues(ctx, max(size, G.alpha + 4) + ctx.d)
+        R = Residues(ctx, max(size, G.alpha + 4) + ctx.d)
         u = [ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)]
         l = [ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)]
-        v, w = _precondition(
-            R, R.stack(G.v_cols, size), R.stack(G.w_rows, size), R.array(u), R.array(l)
-        )
+        v, w = _precondition(R, G.v, G.w, R.array(u), R.array(l))
         S = generator_matrix(R, v, w, size)
         v, w = _compress(R, v, w)
         alpha = len(v)

@@ -10,7 +10,7 @@ from helpers import (
 )
 from mvinterp.approx import ApproxInstance, pack_solution, trim_instance, unpack_solution, verify_approx
 from mvinterp.errors import FieldTooSmall, TooLarge
-from mvinterp.field import prime_field
+from mvinterp.field import FieldCtx, prime_field
 from mvinterp.linalg import kernel_basis, matrix_rank
 from mvinterp.mosaic_hankel import (
     build_hankel_generators,
@@ -184,16 +184,27 @@ def test_generator_zero_residues():
     assert all(e.is_zero() for row in prod for e in row)
 
 
-def test_generator_matches_displacement_randomly():
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        F13,
+        prime_field(16777213),
+        prime_field(2**61 - 1),
+        FieldCtx(13, (6, 12, 6, 0, 1)),
+        FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1)),
+    ],
+    ids=["F13", "P24", "M61", "F13^4", "GF256"],
+)
+def test_generator_matches_displacement_randomly(ctx):
     for seed in spread_seeds(313, 60):
         rng = random.Random(seed)
-        a = random_approx_instance(F13, rng)
+        a = random_approx_instance(ctx, rng)
         G, _ = build_hankel_generators(a)
         assert G.alpha == a.mu + a.nu
         A = dense_build_A(a)
-        disp = displacement_of_dense("hankel", A, F13)
+        disp = displacement_of_dense("hankel", A, ctx)
         assert generator_product(G) == disp
-        assert matrix_rank(F13, disp, a.total_cols) <= a.mu + a.nu
+        assert matrix_rank(ctx, disp, a.total_cols) <= a.mu + a.nu
 
 
 # ----------------------------------------------------------------- solving

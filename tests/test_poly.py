@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvinterp.errors import BadLength, DivisionByZero, DuplicateNode, NotInvertible
-from mvinterp.field import FieldCtx, prime_field
+from mvinterp.field import FieldCtx, prime_field, residues
 from mvinterp.poly import (
     Poly,
     extend_recurrence,
@@ -20,9 +21,28 @@ from mvinterp.poly import (
 
 F13 = prime_field(13)
 
+# int64 prime fields (small and 24-bit), Python-int residues (2^61 - 1), an
+# odd-characteristic extension and GF(2^8)
+EVERY_FIELD = pytest.mark.parametrize(
+    "ctx",
+    [
+        F13,
+        prime_field(16777213),
+        prime_field(2**61 - 1),
+        FieldCtx(13, (6, 12, 6, 0, 1)),
+        FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1)),
+    ],
+    ids=["F13", "P24", "M61", "F13^4", "GF256"],
+)
+
 
 def P13(*ints):
     return Poly.from_ints(F13, ints)
+
+
+def rand(ctx, rng, low=0):
+    """Uniform element of index >= low (an int mod p on F13)."""
+    return ctx.from_index(rng.randrange(low, ctx.order))
 
 
 def naive_mul(a, b):
@@ -111,12 +131,40 @@ def test_mul_extension_field():
     assert a * b == Poly(F4, (t, t, t))
 
 
-def test_mul_extension_karatsuba_path():
+def test_mul_extension_long_operands():
     F4 = FieldCtx(2, (1, 1, 1))
     rng = random.Random(3)
     a = Poly(F4, [F4.from_index(rng.randrange(4)) for _ in range(70)])
     b = Poly(F4, [F4.from_index(rng.randrange(4)) for _ in range(65)])
     assert a * b == naive_mul(a, b)
+
+
+def int_product(a, b, p):
+    """Exact product of int coefficient lists mod p on Python ints: a
+    schoolbook sum for each of the sampled coefficients t."""
+    return {
+        t: sum(a[u] * b[t - u] for u in range(max(0, t - len(b) + 1), min(t + 1, len(a)))) % p
+        for t in {0, len(a) - 1, (len(a) + len(b)) // 2, len(a) + len(b) - 2}
+    }
+
+
+@pytest.mark.parametrize("p, n", [(2**31 - 1, 40), (16777213, (1 << 14) + 8)])
+def test_mul_crosses_the_int64_bound(p, n):
+    # each product sums n products of residues, which passes 2^62: the
+    # convolution runs on Python ints and must agree with plain int sums
+    F = prime_field(p)
+    rng = random.Random(p)
+    a = [rng.randrange(p) for _ in range(n)]
+    b = [rng.randrange(p) for _ in range(n - 3)] + [p - 1] * 3
+    assert Poly.from_ints(F, a).a.dtype == np.int64  # stored as int64 residues
+    assert residues(F, n + 1).dtype is object
+    got = (Poly.from_ints(F, a) * Poly.from_ints(F, b)).to_ints()
+    assert len(got) == 2 * n - 1
+    assert {t: got[t] for t in int_product(a, b, p)} == int_product(a, b, p)
+    if n < 100:
+        assert Poly.from_ints(F, a) * Poly.from_ints(F, b) == naive_mul(
+            Poly.from_ints(F, a), Poly.from_ints(F, b)
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,11 +192,12 @@ def test_divrem_known():
     assert poly_mod(P13(0, 0, 1), P13(12, 0, 1)) == P13(1)  # X^2 mod (X^2-1) = 1
 
 
-def test_divrem_property_small_and_newton():
+@EVERY_FIELD
+def test_divrem_property_small_and_newton(ctx):
     rng = random.Random(5)
     for da, db in [(6, 3), (10, 1), (4, 4), (90, 40), (200, 64)]:
-        a = Poly.from_ints(F13, [rng.randrange(13) for _ in range(da)] + [1])
-        b = Poly.from_ints(F13, [rng.randrange(13) for _ in range(db)] + [rng.randrange(1, 13)])
+        a = Poly(ctx, [rand(ctx, rng) for _ in range(da)] + [ctx.one()])
+        b = Poly(ctx, [rand(ctx, rng) for _ in range(db)] + [rand(ctx, rng, 1)])
         q, r = poly_divrem(a, b)
         assert a == q * b + r
         assert r.deg < b.deg
@@ -182,12 +231,13 @@ def test_series_inv_known():
     assert series_inv(f, 4) == P13(1, 1, 1, 1)
 
 
-def test_series_inv_property():
+@EVERY_FIELD
+def test_series_inv_property(ctx):
     rng = random.Random(9)
     for n in (1, 2, 7, 50, 129):
-        f = Poly.from_ints(F13, [rng.randrange(1, 13)] + [rng.randrange(13) for _ in range(20)])
+        f = Poly(ctx, [rand(ctx, rng, 1)] + [rand(ctx, rng) for _ in range(20)])
         g = series_inv(f, n)
-        assert trunc(f * g, n) == Poly.one(F13)
+        assert trunc(f * g, n) == Poly.one(ctx)
         assert g.deg < n
 
 

@@ -14,14 +14,13 @@ from mvinterp.reduction import (
     binom_mod,
     build_reduction,
     graded_exponents,
-    hasse_shift_expand,
     multi_binom,
     preprocess_high_multiplicity,
     trivial_weight_check,
     verify_solution,
 )
 
-from helpers import random_poly
+from helpers import hasse_shift_expand, random_poly
 
 F13 = prime_field(13)
 

@@ -6,6 +6,7 @@ from helpers import (
     apply_generator,
     displacement_of_dense,
     gen_from_dense,
+    generator,
     generator_product,
     low_rank_matrix,
     mat_vec,
@@ -15,7 +16,7 @@ from helpers import (
     spread_seeds,
 )
 from mvinterp.errors import FieldTooSmall, TooLarge, WrongTag
-from mvinterp.field import FieldCtx, build_extension, prime_field
+from mvinterp.field import FieldCtx, Residues, build_extension, prime_field
 from mvinterp.linalg import matrix_rank
 from mvinterp.outcomes import NoSolution, Solution
 from mvinterp.struct_solve import (
@@ -24,7 +25,6 @@ from mvinterp.struct_solve import (
     _compress,
     _eliminate,
     _precondition,
-    _Residues,
     hankel_to_toeplitz,
     nullspace_structured,
     pad_to_square,
@@ -45,7 +45,7 @@ KERNEL_FIELDS = pytest.mark.parametrize(
 
 
 def residues(ctx, size, alpha):
-    R = _Residues(ctx, 2 * size + alpha + 12)
+    R = Residues(ctx, 2 * size + alpha + 12)
     assert (R.dtype is object) == (ctx.p > 2**31)
     return R
 
@@ -73,7 +73,7 @@ def test_reconstruct_triangle_of_ones():
     n = 5
     ones = tuple(F13.one() for _ in range(n))
     e0 = tuple(F13.one() if j == 0 else F13.zero() for j in range(n))
-    G = GeneratorPair("toeplitz", n, n, (ones,), (e0,), F13)
+    G = generator("toeplitz", n, n, (ones,), (e0,), F13)
     A = reconstruct_dense(G)
     for i in range(n):
         for j in range(n):
@@ -84,7 +84,7 @@ def test_reconstruct_triangle_of_ones():
 def test_reconstruct_zero_generator():
     z = tuple(F13.zero() for _ in range(3))
     for tag in ("toeplitz", "hankel"):
-        G = GeneratorPair(tag, 3, 3, (z,), (z,), F13)
+        G = generator(tag, 3, 3, (z,), (z,), F13)
         A = reconstruct_dense(G)
         assert all(e.is_zero() for row in A for e in row)
 
@@ -101,7 +101,7 @@ def test_reconstruct_displacement_roundtrip(tag):
 
 def test_reconstruct_guard():
     z = tuple(F13.zero() for _ in range(200))
-    G = GeneratorPair("toeplitz", 200, 200, (z,), (z,), F13)
+    G = generator("toeplitz", 200, 200, (z,), (z,), F13)
     with pytest.raises(TooLarge):
         reconstruct_dense(G)
 
@@ -189,7 +189,7 @@ def test_apply_generator_matches_dense(tag):
         T = hankel_to_toeplitz(G) if tag == "hankel" else G
         y = x[::-1] if tag == "hankel" else x
         R = residues(F13, max(m, n), 2)
-        got = _apply(R, R.stack(T.v_cols, m), R.stack(T.w_rows, n), R.array(y), m)
+        got = _apply(R, T.v, T.w, R.array(y), m)
         assert R.elements(got) == apply_generator(G, x)
 
 
@@ -201,15 +201,8 @@ def test_compress_preserves_product_and_reaches_rank(ctx):
         alpha = rng.randint(0, 6)
         G = rand_generator("toeplitz", ctx, m, n, alpha, rng)
         R = residues(ctx, max(m, n), alpha)
-        cv, cw = _compress(R, R.stack(G.v_cols, m), R.stack(G.w_rows, n))
-        H = GeneratorPair(
-            "toeplitz",
-            m,
-            n,
-            [R.elements(c) for c in cv],
-            [R.elements(r) for r in cw],
-            ctx,
-        )
+        cv, cw = _compress(R, G.v, G.w)
+        H = GeneratorPair("toeplitz", m, n, cv, cw, ctx)
         prod = generator_product(G)
         assert_same_matrix(generator_product(H), prod)
         assert len(cv) == matrix_rank(ctx, prod, n)
@@ -248,19 +241,12 @@ def test_precondition_matches_dense_oracle(ctx):
             l_coefs = [rand_el(ctx, rng) for _ in range(size - 1)]
             pv, pw = _precondition(
                 R,
-                R.stack(G.v_cols, size),
-                R.stack(G.w_rows, size),
+                G.v,
+                G.w,
                 R.array([ctx.one()] + u_coefs),
                 R.array([ctx.one()] + l_coefs),
             )
-            got = GeneratorPair(
-                "toeplitz",
-                size,
-                size,
-                [R.elements(c) for c in pv],
-                [R.elements(r) for r in pw],
-                ctx,
-            )
+            got = GeneratorPair("toeplitz", size, size, pv, pw, ctx)
             U = dense_unit_upper(ctx, u_coefs, size)
             L = dense_unit_lower(ctx, l_coefs, size)
             UAL = mat_mul(mat_mul(U, A, ctx), L, ctx)
@@ -282,8 +268,8 @@ def test_eliminate_certifies_rank():
         coefs = [ctx.el(rng.randrange(ctx.p)) for _ in range(2 * size - 2)]
         pv, pw = _precondition(
             R,
-            R.stack(G.v_cols, size),
-            R.stack(G.w_rows, size),
+            G.v,
+            G.w,
             R.array([ctx.one()] + coefs[: size - 1]),
             R.array([ctx.one()] + coefs[size - 1 :]),
         )
