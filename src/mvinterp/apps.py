@@ -231,7 +231,7 @@ def reencode_build(p: GsParams, n0: int) -> ReencodePlan:
     for i in range(p.m):
         p_i = G ** (p.m - i)
         moduli.append(p_i)
-        rem = remainder_by(p_i, p_i.deg + max(n0 * p.m, len(xs1)))
+        rem = remainder_by(p_i)
         rpow = Poly.one(ctx)
         row = {}
         for j in range(i, p.ell + 1):
@@ -335,7 +335,7 @@ def wu_build(points, p: GsParams) -> WuPlan:
     for i in range(p.m):
         p_i = G ** (p.m - i)
         moduli.append(p_i)
-        rem = remainder_by(p_i, p_i.deg + max(n_inf * p.m, len(xs)))
+        rem = remainder_by(p_i)
         rpow = Poly.one(ctx)
         row = {}
         for t in range(i, p.ell + 1):

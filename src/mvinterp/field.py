@@ -158,7 +158,7 @@ def _is_irreducible(f, p):
 class FieldCtx:
     """Immutable description of F_p (d = 1) or F_p[t]/(f) (d > 1)."""
 
-    __slots__ = ("p", "d", "modulus", "_zero", "_one", "_layers")
+    __slots__ = ("p", "d", "modulus", "_zero", "_one", "_residues")
 
     def __init__(self, p: int, modulus=None, _trusted: bool = False):
         if not _trusted and not is_probable_prime(p):
@@ -177,7 +177,7 @@ class FieldCtx:
             self.modulus = mod
         self._zero = FieldElement(self, (0,) * self.d)
         self._one = FieldElement(self, (1,) + (0,) * (self.d - 1))
-        self._layers = {}  # residues(): one Residues per dtype
+        self._residues = None  # built by residues() on first use
 
     @property
     def order(self) -> int:
@@ -370,17 +370,19 @@ class Residues:
 
     A vector of n elements of F_p[t]/(f) is a (d, n) array of residues mod
     p; products use the multiplication table of F_p[t]/(f), and polynomial
-    products are d^2 residue convolutions folded by it.  The dtype is int64
-    when d*(p-1)^2*terms < 2^62, where terms bounds how many products of
-    residues one sum adds up before it is reduced (a fold adds d more, so
-    terms >= d); above that it is object (Python ints), with the same code.
-    conv and evaluate cast their inputs to that dtype.
+    products are d^2 residue convolutions folded by it.  Arrays are stored
+    in `dtype`, int64 while an entrywise product and its fold stay below
+    2^62, else object (Python ints), with the same code.  The long sums
+    (conv, evaluate, combine, dot) choose their own accumulation dtype by
+    sum_dtype from the number of products they add and return the storage
+    dtype, or object when an operand is object.
     """
 
-    def __init__(self, ctx: FieldCtx, terms: int):
+    def __init__(self, ctx: FieldCtx):
         p, d = ctx.p, ctx.d
         self.ctx, self.p, self.d = ctx, p, d
-        self.dtype = np.int64 if d * (p - 1) ** 2 * terms < _INT64_SAFE else object
+        self._int64_terms = (_INT64_SAFE - 1) // (d * (p - 1) ** 2) - d
+        self.dtype = self.sum_dtype(0)
         powers = [[1] + [0] * (d - 1)]  # t^e mod f, e < 2d - 1
         for _ in range(2 * d - 2):
             prev = powers[-1]
@@ -392,6 +394,19 @@ class Residues:
         )
         self._by_scalar = table.transpose(0, 2, 1).reshape(d, d * d)
         self._fold = table.reshape(d * d, d).T.copy()
+
+    def sum_dtype(self, terms: int):
+        """int64 while d*(p-1)^2*(terms + d) < 2^62, object above: the dtype
+        for sums of `terms` products of field elements in residue form (a
+        fold of d^2 residue products included), left unreduced."""
+        return np.int64 if terms <= self._int64_terms else object
+
+    def _dtypes(self, terms: int, a: np.ndarray, b: np.ndarray):
+        """Accumulation and result dtypes for sums of `terms` products of
+        entries of a and b: object throughout when an operand is object."""
+        if self.dtype is object or a.dtype.hasobject or b.dtype.hasobject:
+            return object, object
+        return self.sum_dtype(terms), np.int64
 
     def array(self, elems) -> np.ndarray:
         """(d, n) residues of n FieldElements."""
@@ -466,27 +481,32 @@ class Residues:
         of the powers x^s, s < L, which takes log L entrywise products.
         Its sums add L products."""
         L = coeffs.shape[-1]
-        powers = np.zeros((L,) + x.shape, dtype=self.dtype)
+        acc, out = self._dtypes(L, coeffs, x)
+        powers = np.zeros((L,) + x.shape, dtype=x.dtype)
         powers[0, 0] = 1
         k, xk = 1, x
         while k < L:
             take = min(k, L - k)
             powers[k : k + take] = self.emul(powers[:take], xk)
             k, xk = 2 * k, self.emul(xk, xk)
-        pairs = coeffs.astype(self.dtype, copy=False) @ powers.reshape(L, -1)
-        return self._fold_pairs(pairs.reshape(coeffs.shape[:-1] + x.shape) % self.p)
+        pairs = coeffs.astype(acc, copy=False) @ powers.astype(acc, copy=False).reshape(L, -1)
+        pairs = pairs.reshape(coeffs.shape[:-1] + x.shape) % self.p
+        return self._fold_pairs(pairs).astype(out, copy=False)
 
     def combine(self, m: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """sum_j c_j * vs_j for scalars c_j given by their multiplication
         matrices m (J, d, d) and vectors vs (J, d, n), reduced."""
         J, d, n = vs.shape
-        flat = m.transpose(1, 0, 2).reshape(d, J * d)
-        return (flat @ vs.reshape(J * d, n)) % self.p
+        acc, out = self._dtypes(J, m, vs)
+        flat = m.transpose(1, 0, 2).reshape(d, J * d).astype(acc, copy=False)
+        sums = flat @ vs.reshape(J * d, n).astype(acc, copy=False)
+        return (sums % self.p).astype(out, copy=False)
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """sum_u a[u] * b[u] of two (d, n) vectors, as a reduced scalar (d,)."""
-        pairs = (a @ b.T) % self.p
-        return (self._fold @ pairs.reshape(-1)) % self.p
+        acc, out = self._dtypes(a.shape[-1], a, b)
+        pairs = (a.astype(acc, copy=False) @ b.T.astype(acc, copy=False)) % self.p
+        return ((self._fold @ pairs.reshape(-1)) % self.p).astype(out, copy=False)
 
     def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Polynomial products of (..., d, n) and (..., d, m) arrays with the
@@ -497,23 +517,24 @@ class Residues:
         pair of residue rows is one np.convolve, or with Python ints one
         product of two long integers (Kronecker substitution).
         """
-        a, b = a.astype(self.dtype, copy=False), b.astype(self.dtype, copy=False)
         if a.shape[-1] < b.shape[-1]:
             a, b = b, a
         d, n, m = self.d, a.shape[-1], b.shape[-1]
+        acc, out = self._dtypes(m, a, b)
+        a, b = a.astype(acc, copy=False), b.astype(acc, copy=False)
         lead = a.shape[:-1] + (d,)
         count = math.prod(lead)
         if m <= count and count * m * (n + m) <= _SKEW_CELLS:
-            table = np.zeros(lead + (m, n + m), dtype=self.dtype)
+            table = np.zeros(lead + (m, n + m), dtype=acc)
             table[..., :n] = a[..., :, None, None, :] * b[..., None, :, :, None]
             flat = table.reshape(lead + (m * (n + m),))[..., : m * (n + m - 1)]
             pairs = flat.reshape(lead + (m, n + m - 1)).sum(axis=-2)
         else:
             rows = zip(a.reshape(-1, d, n), b.reshape(-1, d, m))
-            one = np.convolve if self.dtype is np.int64 else _kronecker
+            one = np.convolve if acc is np.int64 else _kronecker
             pairs = [one(x, y) for xs, ys in rows for x in xs for y in ys]
-            pairs = np.array(pairs, dtype=self.dtype).reshape(lead + (n + m - 1,))
-        return self._fold_pairs(pairs % self.p)
+            pairs = np.array(pairs, dtype=acc).reshape(lead + (n + m - 1,))
+        return self._fold_pairs(pairs % self.p).astype(out, copy=False)
 
     def corr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """out[t] = sum_u a[t+u] * b[u] for t < len(a)."""
@@ -536,13 +557,11 @@ def _kronecker(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([int.from_bytes(out[s : s + width], "little") for s in slots], dtype=object)
 
 
-def residues(ctx: FieldCtx, terms: int) -> Residues:
-    """The residue layer of ctx for sums of `terms` products; there are two,
-    one per dtype, built once per context."""
-    big = ctx.d * (ctx.p - 1) ** 2 * terms >= _INT64_SAFE
-    if big not in ctx._layers:
-        ctx._layers[big] = Residues(ctx, terms)
-    return ctx._layers[big]
+def residues(ctx: FieldCtx) -> Residues:
+    """The residue layer of ctx, built once per context."""
+    if ctx._residues is None:
+        ctx._residues = Residues(ctx)
+    return ctx._residues
 
 
 def build_extension(base: FieldCtx, d: int, rng) -> FieldCtx:

@@ -24,18 +24,7 @@ from .errors import (
 from .field import FieldCtx, FieldElement, residues
 
 _NEWTON_DIV_CUTOFF = 32
-
-
-def _layer(ctx: FieldCtx, terms: int):
-    """Residue layer for sums of `terms` products plus a fold."""
-    return residues(ctx, terms + ctx.d)
-
-
-def _mul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of (..., d, n) and (..., d, m) coefficient arrays, reduced,
-    in the storage dtype; the dtype of the sums follows the shorter factor."""
-    out = _layer(ctx, min(a.shape[-1], b.shape[-1])).conv(a, b)
-    return out.astype(_layer(ctx, 0).dtype, copy=False)
+_WEIGHT_CELLS = 1 << 16  # largest array of node differences at once
 
 
 def _strip(a: np.ndarray) -> np.ndarray:
@@ -56,7 +45,7 @@ class Poly:
 
     def __init__(self, ctx: FieldCtx, coeffs):
         cs = [v if isinstance(v, FieldElement) else ctx.el(v) for v in coeffs]
-        self.ctx, self.a, self._c = ctx, _strip(_layer(ctx, 0).array(cs)), None
+        self.ctx, self.a, self._c = ctx, _strip(residues(ctx).array(cs)), None
 
     # -- constructors -------------------------------------------------
 
@@ -65,7 +54,7 @@ class Poly:
         """Polynomial of a reduced (d, n) coefficient array."""
         f = object.__new__(cls)
         f.ctx, f._c = ctx, None
-        f.a = _strip(a.astype(_layer(ctx, 0).dtype, copy=False))
+        f.a = _strip(a.astype(residues(ctx).dtype, copy=False))
         return f
 
     @classmethod
@@ -89,7 +78,7 @@ class Poly:
     @property
     def c(self) -> tuple:
         if self._c is None:
-            self._c = tuple(_layer(self.ctx, 0).elements(self.a))
+            self._c = tuple(residues(self.ctx).elements(self.a))
         return self._c
 
     @property
@@ -150,12 +139,12 @@ class Poly:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
-        return Poly.from_residues(self.ctx, _mul(self.ctx, self.a, other.a))
+        return Poly.from_residues(self.ctx, residues(self.ctx).conv(self.a, other.a))
 
     def scale(self, k: FieldElement) -> "Poly":
         if k == self.ctx.one():
             return self
-        R = _layer(self.ctx, 0)
+        R = residues(self.ctx)
         m = R.mul_matrix(np.array(k.c, dtype=R.dtype))
         return Poly.from_residues(self.ctx, R.times(m, self.a) % R.p)
 
@@ -224,15 +213,15 @@ def series_inv(f: Poly, n: int) -> Poly:
         return Poly.zero(f.ctx)
     if f.coeff(0).is_zero():
         raise NotInvertible("constant term is zero")
-    ctx, p = f.ctx, f.ctx.p
-    g = _layer(ctx, 0).inv(f.a[:, 0])[:, None]
+    R, p = residues(f.ctx), f.ctx.p
+    g = R.inv(f.a[:, 0])[:, None]
     k = 1
     while k < n:
         k = min(2 * k, n)
-        e = -_mul(ctx, f.a[:, :k], g)[:, :k] % p  # g * (2 - f g) mod X^k
+        e = -R.conv(f.a[:, :k], g)[:, :k] % p  # g * (2 - f g) mod X^k
         e[0, 0] = (e[0, 0] + 2) % p
-        g = _mul(ctx, g, e)[:, :k]
-    return Poly.from_residues(ctx, g)
+        g = R.conv(g, e)[:, :k]
+    return Poly.from_residues(f.ctx, g)
 
 
 def _quotient(a: Poly, b: Poly, b_rev_inv: Poly) -> Poly:
@@ -255,7 +244,7 @@ def poly_divrem(a: Poly, b: Poly) -> tuple:
     if dq >= _NEWTON_DIV_CUTOFF:
         q = _quotient(a, b, series_inv(reverse(b, db), dq + 1))
         return q, a - b * q
-    R = _layer(ctx, 0)
+    R = residues(ctx)
     inv_lead = R.inv(b.a[:, -1])
     rem = a.a.astype(R.dtype)
     q = R.zeros(dq + 1)
@@ -271,19 +260,20 @@ def poly_mod(a: Poly, b: Poly) -> Poly:
     return poly_divrem(a, b)[1]
 
 
-def remainder_by(b: Poly, count: int):
-    """a -> a mod b for polynomials of degree < count, with the Newton
-    inverse of rev(b) computed once, when a quotient first needs it."""
+def remainder_by(b: Poly):
+    """a -> a mod b, reusing one Newton inverse of rev(b) for every
+    quotient.  It is computed when a quotient first needs it, to at least
+    deg b terms (enough for a product of two remainders), and again at
+    twice the precision or more when a later quotient is longer."""
     db = b.deg
-    inv = []  # the inverse, once a quotient needs it
+    inv = [Poly.zero(b.ctx), 0]  # the inverse of rev(b) and its precision
 
     def rem(a: Poly) -> Poly:
         if a.deg < db:
             return a
-        if a.deg >= count:
-            return poly_mod(a, b)
-        if not inv:
-            inv.append(series_inv(reverse(b, db), count - db))
+        if a.deg - db + 1 > inv[1]:
+            k = max(a.deg - db + 1, db, 2 * inv[1])
+            inv[:] = series_inv(reverse(b, db), k), k
         return a - b * _quotient(a, b, inv[0])
 
     return rem
@@ -301,7 +291,7 @@ def _product_tree(ctx: FieldCtx, roots: np.ndarray) -> list:
     levels = [leaves]
     while len(levels[-1]) > 1:
         level = levels[-1]
-        levels.append(_mul(ctx, level[0::2], level[1::2]))
+        levels.append(residues(ctx).conv(level[0::2], level[1::2]))
     return levels
 
 
@@ -309,10 +299,9 @@ def lagrange_interp(ctx: FieldCtx, xs, ys) -> Poly:
     """Unique polynomial of degree < n through (xs[i], ys[i]); xs distinct.
 
     Barycentric form on the product tree of the nodes: weights
-    w_i = prod_{k != i} (x_i - x_k) by a halving product over all
-    differences, c_i = y_i / w_i, and sum_i c_i * M / (X - x_i) with
-    M = prod_k (X - x_k) combined up the tree as f_L * M_R + f_R * M_L,
-    one stacked product per level.
+    w_i = prod_{k != i} (x_i - x_k) (_node_weights), c_i = y_i / w_i, and
+    sum_i c_i * M / (X - x_i) with M = prod_k (X - x_k) combined up the
+    tree as f_L * M_R + f_R * M_L, one stacked product per level.
     """
     xs = [ctx.el(x) for x in xs]
     ys = [ctx.el(y) for y in ys]
@@ -323,21 +312,32 @@ def lagrange_interp(ctx: FieldCtx, xs, ys) -> Poly:
     n = len(xs)
     if n == 0:
         return Poly.zero(ctx)
-    R, p = _layer(ctx, 0), ctx.p
+    R, p = residues(ctx), ctx.p
     x = R.array(xs)
-    diff = x.T[:, :, None] - x[None, :, :]  # x_i - x_k, reduced by the products
-    diff[np.arange(n), :, np.arange(n)] = R.unit(1, 0)[:, 0]
-    while diff.shape[-1] > 1:
-        if diff.shape[-1] % 2:
-            diff = np.concatenate([diff, np.broadcast_to(R.unit(1, 0), (n, ctx.d, 1))], axis=2)
-        diff = R.emul(diff[..., 0::2], diff[..., 1::2])
-    c = R.emul(R.array(ys), R.inv_each(diff[..., 0].T))
+    step = max(1, _WEIGHT_CELLS // (ctx.d * n))
+    w = [_node_weights(R, x, lo, min(lo + step, n)) for lo in range(0, n, step)]
+    c = R.emul(R.array(ys), R.inv_each(np.concatenate(w, axis=1)))
     levels = _product_tree(ctx, x)
     f = np.zeros((len(levels[0]), ctx.d, 1), R.dtype)
     f[:n, :, 0] = c.T
     for m in levels[:-1]:
-        f = (_mul(ctx, f[0::2], m[1::2]) + _mul(ctx, f[1::2], m[0::2])) % p
+        f = (R.conv(f[0::2], m[1::2]) + R.conv(f[1::2], m[0::2])) % p
     return Poly.from_residues(ctx, f[0])
+
+
+def _node_weights(R, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """prod_{k != i} (x_i - x_k) for the nodes lo <= i < hi of x (d, n), as
+    a (d, hi - lo) array: a halving product over the (hi - lo, d, n) array
+    of differences, which lagrange_interp keeps to _WEIGHT_CELLS cells."""
+    rows = hi - lo
+    diff = x.T[lo:hi, :, None] - x[None, :, :]  # reduced by the products
+    diff[np.arange(rows), :, np.arange(lo, hi)] = R.unit(1, 0)[:, 0]
+    while diff.shape[-1] > 1:
+        if diff.shape[-1] % 2:
+            one = np.broadcast_to(R.unit(1, 0), (rows, R.d, 1))
+            diff = np.concatenate([diff, one], axis=2)
+        diff = R.emul(diff[..., 0::2], diff[..., 1::2])
+    return diff[..., 0].T
 
 
 def weighted_product(ctx: FieldCtx, xs, ms) -> Poly:
@@ -349,27 +349,5 @@ def weighted_product(ctx: FieldCtx, xs, ms) -> Poly:
         raise DuplicateNode("product nodes must be pairwise distinct")
     if any(m < 0 for m in ms):
         raise ValueError("negative multiplicity")
-    roots = _layer(ctx, 0).array([x for x, m in zip(xs, ms) for _ in range(m)])
+    roots = residues(ctx).array([x for x, m in zip(xs, ms) for _ in range(m)])
     return Poly.from_residues(ctx, _product_tree(ctx, roots)[-1][0])
-
-
-def extend_recurrence(init, charpoly: Poly, count: int) -> list:
-    """First `count` terms of the sequence with b[:m] = init and
-    b[i+m] = -sum_j charpoly[j] * b[i+j], charpoly monic of degree m.
-
-    Computed through the generating function: B = N / rev(charpoly) as a
-    power series, with N determined by the initial terms.
-    """
-    ctx = charpoly.ctx
-    m = charpoly.deg
-    if m < 1 or charpoly.lead() != ctx.one():
-        raise BadLength("characteristic polynomial must be monic of degree >= 1")
-    init = [ctx.el(v) for v in init]
-    if len(init) != m:
-        raise BadLength(f"need {m} initial terms, got {len(init)}")
-    if count <= m:
-        return init[:count]
-    denom = reverse(charpoly, m)
-    numer = trunc(Poly(ctx, init) * denom, m)
-    series = trunc(numer * series_inv(denom, count), count)
-    return [series.coeff(i) for i in range(count)]

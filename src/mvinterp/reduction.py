@@ -221,8 +221,8 @@ def _hasse_arrays(ctx: FieldCtx, qs, x, m: int) -> np.ndarray:
     sum_t binom(t, h) q_t x^(t-h), binomials reduced mod p, so every order
     is one evaluation of binomial-weighted coefficients."""
     length = max(q.deg for q in qs) + 1
-    R = residues(ctx, length + ctx.d)
-    coef = np.stack([q.coeffs(length) for q in qs]).astype(R.dtype)
+    R = residues(ctx)
+    coef = np.stack([q.coeffs(length) for q in qs])
     binom = np.ones(length, dtype=R.dtype)  # binom(t, h) for t < length
     shifted = np.zeros((m,) + coef.shape, dtype=R.dtype)
     for h in range(min(m, length)):
@@ -253,7 +253,7 @@ def verify_solution(inst: InterpolationInstance, Q: MultiPoly) -> bool:
     if Q.wdeg(inst.weights) >= inst.wdeg_bound:
         return False
     ctx = inst.ctx
-    R = residues(ctx, ctx.d)
+    R = residues(ctx)
     m = inst.max_mult
     x = R.array([x for x, _ in inst.points])
     mults = np.array(inst.mults)
@@ -361,7 +361,7 @@ def build_reduction(inst: InterpolationInstance):
         sub_x = [x for x, mm in zip(xs, inst.mults) if mm > depth]
         sub_e = [mm - depth for mm in inst.mults if mm > depth]
         p_d = weighted_product(ctx, sub_x, sub_e)
-        rem = remainder_by(p_d, 2 * p_d.deg)
+        rem = remainder_by(p_d)
         mod_by_depth.append(p_d)
         rem_by_depth.append(rem)
         memo = {(0,) * inst.nvars: Poly.one(ctx)}
@@ -380,7 +380,7 @@ def build_reduction(inst: InterpolationInstance):
         return memo[delta]
 
     moduli = []
-    residues = []
+    entries = []
     for i in rows:
         moduli.append(mod_by_depth[sum(i)])
         row = []
@@ -391,7 +391,7 @@ def build_reduction(inst: InterpolationInstance):
                 continue
             delta = tuple(a - b for a, b in zip(j, i))
             row.append(rpow(delta, sum(i)).scale(coef))
-        residues.append(row)
+        entries.append(row)
 
     plan = ReductionPlan(
         ctx,
@@ -401,7 +401,7 @@ def build_reduction(inst: InterpolationInstance):
         tuple(p.deg for p in moduli),
         tuple(col_bounds),
     )
-    approx = ApproxInstance(ctx, moduli, residues, col_bounds)
+    approx = ApproxInstance(ctx, moduli, entries, col_bounds)
     return plan, approx
 
 

@@ -96,7 +96,7 @@ def reconstruct_dense(G: GeneratorPair):
     ctx = G.ctx
     z = ctx.zero()
     D = [[z] * N for _ in range(M)]
-    R = residues(ctx, ctx.d)
+    R = residues(ctx)
     for col, row in zip(map(R.elements, G.v), map(R.elements, G.w)):
         for i, vi in enumerate(col):
             if not vi.is_zero():
@@ -174,7 +174,7 @@ def _draw(R, min_size: int, rng, k: int) -> np.ndarray:
 
 def _apply(R, v, w, x, nrows):
     """A·x through a toeplitz-tagged generator: sum_c L(v_c) U(w_c) x."""
-    out = R.zeros(nrows)
+    out = np.zeros((R.d, nrows), v.dtype)
     for col, row in zip(v, w):
         out += R.conv(col, R.corr(x, row))[:, :nrows]  # corr: sum_u w[u] x[k+u]
     return out % R.p
@@ -363,12 +363,13 @@ def nullspace_structured(
         raise FieldTooSmall(
             f"need a sampling set of {min_size} elements, field has {ctx.order}"
         )
-    # the longest sum adds size products (a convolution or dot product) or
-    # one per preconditioned pair, at most G.alpha + 4 (a combine, or a row
-    # _echelon leaves unreduced), plus a reduced entry or d^2 folded pairs
-    R = residues(ctx, max(size, G.alpha + 4) + ctx.d)
-    base_v, base_w = padded.v.astype(R.dtype), padded.w.astype(R.dtype)
-    orig_v, orig_w = G.v.astype(R.dtype), G.w.astype(R.dtype)
+    # _echelon leaves up to one update per preconditioned pair, G.alpha + 4,
+    # unreduced in a row, so the generators are cast once to the dtype of
+    # sums that long; conv, dot and combine choose their own
+    R = residues(ctx)
+    wide = R.sum_dtype(G.alpha + 4)
+    base_v, base_w = padded.v.astype(wide), padded.w.astype(wide)
+    orig_v, orig_w = G.v.astype(wide), G.w.astype(wide)
     one = R.unit(1, 0)
 
     attempts = 0

@@ -11,7 +11,8 @@ import numpy as np
 
 from mvinterp.approx import ApproxInstance
 from mvinterp.field import prime_field, residues
-from mvinterp.poly import Poly
+from mvinterp.errors import BadLength
+from mvinterp.poly import Poly, reverse, series_inv, trunc
 from mvinterp.reduction import (
     InterpolationInstance,
     binom_mod,
@@ -118,7 +119,7 @@ def low_rank_matrix(ctx, m, n, r, rng):
 
 def generator(tag, m, n, v_cols, w_rows, ctx):
     """GeneratorPair from FieldElement columns of V and rows of W."""
-    R = residues(ctx, ctx.d)
+    R = residues(ctx)
 
     def stack(vectors, length):
         arrays = [R.array(x) for x in vectors]
@@ -129,7 +130,7 @@ def generator(tag, m, n, v_cols, w_rows, ctx):
 
 def halves(G):
     """The columns of V and the rows of W as FieldElement lists."""
-    R = residues(G.ctx, G.ctx.d)
+    R = residues(G.ctx)
     return [R.elements(c) for c in G.v], [R.elements(r) for r in G.w]
 
 
@@ -233,3 +234,25 @@ def hasse_shift_expand(Q, point):
                     key = (h, i)
                     out[key] = out.get(key, ctx.zero()) + u * coef
     return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def extend_recurrence(init, charpoly, count):
+    """First `count` terms of the sequence with b[:m] = init and
+    b[i+m] = -sum_j charpoly[j] * b[i+j], charpoly monic of degree m.
+
+    Computed through the generating function: B = N / rev(charpoly) as a
+    power series, with N determined by the initial terms.
+    """
+    ctx = charpoly.ctx
+    m = charpoly.deg
+    if m < 1 or charpoly.lead() != ctx.one():
+        raise BadLength("characteristic polynomial must be monic of degree >= 1")
+    init = [ctx.el(v) for v in init]
+    if len(init) != m:
+        raise BadLength(f"need {m} initial terms, got {len(init)}")
+    if count <= m:
+        return init[:count]
+    denom = reverse(charpoly, m)
+    numer = trunc(Poly(ctx, init) * denom, m)
+    series = trunc(numer * series_inv(denom, count), count)
+    return [series.coeff(i) for i in range(count)]

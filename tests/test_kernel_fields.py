@@ -25,6 +25,7 @@ from mvinterp.apps import GsParams, gs_interpolate
 from mvinterp.field import FieldCtx, Residues, prime_field
 from mvinterp.linalg import matrix_rank
 from mvinterp.outcomes import NoSolution, Solution
+from mvinterp.reduction import InterpolationInstance, verify_solution
 from mvinterp.struct_solve import (
     GeneratorPair,
     _compress,
@@ -105,7 +106,7 @@ def test_schur_step_tracks_the_dense_schur_complement(name):
         else:
             rank = r.randint(1, size - 1)
             G = gen_from_dense("toeplitz", low_rank_matrix(ctx, size, size, rank, r), ctx)
-        R = Residues(ctx, max(size, G.alpha + 4) + ctx.d)
+        R = Residues(ctx)
         u = [ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)]
         l = [ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)]
         v, w = _precondition(R, G.v, G.w, R.array(u), R.array(l))
@@ -152,6 +153,23 @@ def test_one_compression_per_attempt(monkeypatch):
     assert isinstance(gs_interpolate(params, random.Random(5)), Solution)
     attempts = calls["_precondition"]
     assert attempts <= calls["_compress"] <= 2 * attempts
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 998244353, 479001599])
+def test_gs_solves_over_mid_size_primes(p):
+    # residues are stored as int64, but the longer sums of the reduction and
+    # the verifiers pass 2^62 and run on Python ints; over 479001599 the
+    # kernel keeps int64 generators (alpha 6) while its convolutions of
+    # length 37 run on Python ints
+    ctx = prime_field(p)
+    rng = random.Random(p)
+    xs = rng.sample(range(10**6), 12)
+    pts = tuple((ctx.el(x), ctx.el(rng.randrange(p))) for x in xs)
+    params = GsParams(ctx, k=3, m=2, ell=3, b=14, points=pts)
+    out = gs_interpolate(params, random.Random(5))
+    assert isinstance(out, Solution)
+    inst = InterpolationInstance(ctx, 1, 3, 14, (3,), tuple((x, (y,)) for x, y in pts), (2,) * 12)
+    assert verify_solution(inst, out.value)
 
 
 # ------------------------------------------------------------ golden vectors

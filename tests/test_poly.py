@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import extend_recurrence
 from mvinterp.errors import BadLength, DivisionByZero, DuplicateNode, NotInvertible
 from mvinterp.field import FieldCtx, prime_field, residues
 from mvinterp.poly import (
     Poly,
-    extend_recurrence,
     lagrange_interp,
     poly_divrem,
     poly_mod,
@@ -157,7 +157,7 @@ def test_mul_crosses_the_int64_bound(p, n):
     a = [rng.randrange(p) for _ in range(n)]
     b = [rng.randrange(p) for _ in range(n - 3)] + [p - 1] * 3
     assert Poly.from_ints(F, a).a.dtype == np.int64  # stored as int64 residues
-    assert residues(F, n + 1).dtype is object
+    assert residues(F).sum_dtype(n) is object
     got = (Poly.from_ints(F, a) * Poly.from_ints(F, b)).to_ints()
     assert len(got) == 2 * n - 1
     assert {t: got[t] for t in int_product(a, b, p)} == int_product(a, b, p)
@@ -323,7 +323,7 @@ def test_weighted_product_duplicate_nodes():
         weighted_product(F13, (2, 2), (1, 1))
 
 
-# ---------------------------------------------------------------- recurrences
+# ------------------------------------ recurrences (helpers.extend_recurrence)
 
 
 def test_extend_recurrence_known():

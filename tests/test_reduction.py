@@ -164,6 +164,9 @@ def _mp_pow(A, e):
         FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1)),  # GF(2^8)
         FieldCtx(3, (1, 0, 1)),  # F_9
         prime_field(2147483659),  # first prime above 2^31
+        # int64 residues, Python-int sums once deg Q >= 1 or >= 4
+        prime_field(2**31 - 1),
+        prime_field(998244353),
     ],
 )
 def test_verify_matches_full_expansion_every_field(ctx):

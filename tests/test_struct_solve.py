@@ -44,8 +44,8 @@ KERNEL_FIELDS = pytest.mark.parametrize(
 )
 
 
-def residues(ctx, size, alpha):
-    R = Residues(ctx, 2 * size + alpha + 12)
+def residues(ctx):
+    R = Residues(ctx)
     assert (R.dtype is object) == (ctx.p > 2**31)
     return R
 
@@ -188,7 +188,7 @@ def test_apply_generator_matches_dense(tag):
         x = [rand_el(F13, rng) for _ in range(n)]
         T = hankel_to_toeplitz(G) if tag == "hankel" else G
         y = x[::-1] if tag == "hankel" else x
-        R = residues(F13, max(m, n), 2)
+        R = residues(F13)
         got = _apply(R, T.v, T.w, R.array(y), m)
         assert R.elements(got) == apply_generator(G, x)
 
@@ -200,7 +200,7 @@ def test_compress_preserves_product_and_reaches_rank(ctx):
         m, n = rng.randint(1, 8), rng.randint(1, 8)
         alpha = rng.randint(0, 6)
         G = rand_generator("toeplitz", ctx, m, n, alpha, rng)
-        R = residues(ctx, max(m, n), alpha)
+        R = residues(ctx)
         cv, cw = _compress(R, G.v, G.w)
         H = GeneratorPair("toeplitz", m, n, cv, cw, ctx)
         prod = generator_product(G)
@@ -236,7 +236,7 @@ def test_precondition_matches_dense_oracle(ctx):
         for _ in range(6):
             A = rand_matrix(ctx, size, size, rng)
             G = gen_from_dense("toeplitz", A, ctx)
-            R = residues(ctx, size, G.alpha)
+            R = residues(ctx)
             u_coefs = [rand_el(ctx, rng) for _ in range(size - 1)]
             l_coefs = [rand_el(ctx, rng) for _ in range(size - 1)]
             pv, pw = _precondition(
@@ -264,7 +264,7 @@ def test_eliminate_certifies_rank():
         A = low_rank_matrix(ctx, size, size, r, rng)
         true_rank = matrix_rank(ctx, A, size)
         G = gen_from_dense("toeplitz", A, ctx)
-        R = residues(ctx, size, G.alpha)
+        R = residues(ctx)
         coefs = [ctx.el(rng.randrange(ctx.p)) for _ in range(2 * size - 2)]
         pv, pw = _precondition(
             R,

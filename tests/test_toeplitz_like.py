@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     displacement_of_dense,
+    extend_recurrence,
     generator_product,
     random_approx_instance,
     random_monic,
@@ -75,7 +76,10 @@ def test_tops_against_naive():
         P = random_monic(F13, rng.randint(1, 6), rng)
         F = random_poly(F13, P.deg, rng)
         n = rng.randint(1, 12)
-        assert last_coeff_sequence(P, F, n) == naive_tops(P, F, n)
+        seq = last_coeff_sequence(P, F, n)
+        assert seq == naive_tops(P, F, n)
+        if n >= P.deg:  # the tops follow the m-term recurrence of P
+            assert list(seq) == extend_recurrence(seq[: P.deg], P, n)
 
 
 # ------------------------------------------------------------- dense matrix
