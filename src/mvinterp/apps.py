@@ -12,7 +12,11 @@ solution projected back coefficient-wise.
 
 The decoding-flavoured pipelines (gs / reencode / wu) are univariate in Y
 (one weight k); the bare `interpolate_instance` engine and the soft-decoding
-grouping accept anything `build_reduction` accepts.
+grouping accept anything `build_reduction` accepts.  Re-encoding and points
+at infinity are thin maps of known divisors of the Q_j (powers of the
+vanishing polynomial of the zero-valued prefix or of the infinite points)
+over `build_reduction` on the remaining points, and all four pipelines share
+one solve-and-assemble tail.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ from .errors import (
 from .field import FieldCtx, build_extension, project_solution_to_base
 from .mosaic_hankel import solve_via_hankel
 from .outcomes import Failure, NoSolution, NotApplicable, Solution
-from .poly import Poly, lagrange_interp, poly_divrem, remainder_by, weighted_product
+from .poly import Poly, poly_divrem, weighted_product
 from .reduction import (
     InterpolationInstance,
     MultiPoly,
+    ReductionPlan,
     assemble_Q,
-    binom_mod,
     build_reduction,
     preprocess_high_multiplicity,
     trivial_weight_check,
@@ -109,6 +113,15 @@ def solve_approx(
     return Solution(qs)
 
 
+def _solve_reduced(plan: ReductionPlan, a: ApproxInstance, rng, backend, **kw):
+    """The tail every pipeline shares: solve the reduced instance, then
+    assemble Q with the known divisors multiplied back in."""
+    out = solve_approx(a, rng, backend, **kw)
+    if not isinstance(out, Solution):
+        return out
+    return Solution(assemble_Q(plan, out.value))
+
+
 def interpolate_instance(inst: InterpolationInstance, rng, backend: str = "hankel", **kw):
     """Bare engine: degenerate-weight shortcut, multiplicity capping, reduce,
     solve, assemble, verify."""
@@ -122,10 +135,10 @@ def interpolate_instance(inst: InterpolationInstance, rng, backend: str = "hanke
         plan, a = build_reduction(capped)
     except NoSolutionSpace as exc:
         return NoSolution(f"NoSolutionSpace: {exc}")
-    out = solve_approx(a, rng, backend, **kw)
+    out = _solve_reduced(plan, a, rng, backend, **kw)
     if not isinstance(out, Solution):
         return out
-    Q = assemble_Q(plan, out.value)
+    Q = out.value
     if multiplier.deg > 0:
         Q = Q.mul_univariate(multiplier)
     if not verify_solution(inst, Q):
@@ -154,15 +167,17 @@ class GsParams:
         return len(self.points)
 
 
-def _gs_instance(p: GsParams) -> InterpolationInstance:
+def _gs_instance(p: GsParams, points=None) -> InterpolationInstance:
+    """The instance of p, or of p's bounds on other (x, y) points."""
+    points = p.points if points is None else points
     return InterpolationInstance(
         p.ctx,
         nvars=1,
         ydeg_bound=p.ell,
         wdeg_bound=p.b,
         weights=(p.k,),
-        points=tuple((x, (y,)) for x, y in p.points),
-        mults=(p.m,) * p.n,
+        points=tuple((x, (y,)) for x, y in points),
+        mults=(p.m,) * len(points),
     )
 
 
@@ -194,57 +209,54 @@ def gs_interpolate(p: GsParams, rng, backend: str = "hankel", **kw):
     return interpolate_instance(_gs_instance(p), rng, backend, **kw)
 
 
-# ------------------------------------------------------- re-encoding pipeline
+# ------------------------------------------------ pipelines with known divisors
 
 
 @dataclass(frozen=True)
-class ReencodePlan:
-    """All the shared structure of a re-encoded instance.
+class DivisorPlan:
+    """A uniform-multiplicity gs instance whose Q_j have known factors D_j.
 
-    raw_bounds keeps every unknown's degree budget b - j*k - n_0*(m-j)^+
-    before nonpositive ones are dropped; kept maps the approx instance's
-    columns back to Y-exponents.
+    raw_bounds keeps every unknown's degree budget b - j*k - deg D_j before
+    nonpositive ones are dropped; kept lists the Y-exponents that remain.
+    reduction and approx are None when nothing is kept or no point remains.
     """
 
-    g0: Poly
+    divisors: dict  # (j,) -> D_j
     raw_bounds: tuple
     kept: tuple
-    approx: ApproxInstance  # None when every unknown was dropped or no rows remain
+    reduction: ReductionPlan
+    approx: ApproxInstance
 
 
-def reencode_build(p: GsParams, n0: int) -> ReencodePlan:
-    ctx = p.ctx
-    xs0 = [x for x, _ in p.points[:n0]]
-    tail = p.points[n0:]
-    g0 = weighted_product(ctx, xs0, [1] * len(xs0))
+def _divisor_plan(p: GsParams, points, divisors) -> DivisorPlan:
     raw_bounds = tuple(
-        p.b - j * p.k - (n0 * (p.m - j) if j < p.m else 0) for j in range(p.ell + 1)
+        p.b - j * p.k - (divisors[(j,)].deg if (j,) in divisors else 0)
+        for j in range(p.ell + 1)
     )
     kept = tuple(j for j, bnd in enumerate(raw_bounds) if bnd >= 1)
-    if not kept or not tail:
-        return ReencodePlan(g0, raw_bounds, kept, None)
-    xs1 = [x for x, _ in tail]
-    G = weighted_product(ctx, xs1, [1] * len(xs1))
-    R = lagrange_interp(ctx, xs1, [y for _, y in tail])
-    moduli = []
-    residues = []
-    for i in range(p.m):
-        p_i = G ** (p.m - i)
-        moduli.append(p_i)
-        rem = remainder_by(p_i)
-        rpow = Poly.one(ctx)
-        row = {}
-        for j in range(i, p.ell + 1):
-            f = rpow.scale(binom_mod(ctx, j, i))
-            if j < p.m:
-                f = f * g0 ** (p.m - j)
-            row[j] = rem(f)
-            rpow = rem(rpow * R)
-        residues.append(
-            tuple(row.get(j, Poly.zero(ctx)) for j in kept)
-        )
-    approx = ApproxInstance(ctx, moduli, residues, tuple(raw_bounds[j] for j in kept))
-    return ReencodePlan(g0, raw_bounds, kept, approx)
+    if not kept or not points:
+        return DivisorPlan(divisors, raw_bounds, kept, None, None)
+    reduction, approx = build_reduction(_gs_instance(p, points), divisors)
+    return DivisorPlan(divisors, raw_bounds, kept, reduction, approx)
+
+
+def _solve_divisor_plan(plan: DivisorPlan, ctx: FieldCtx, rng, backend, **kw):
+    if not plan.kept:
+        return NoSolution("every unknown's degree budget is exhausted")
+    if plan.approx is None:
+        # no conditions: the divisor of any admissible single unknown works
+        j = (plan.kept[0],)
+        return Solution(MultiPoly(ctx, 1, {j: plan.divisors.get(j, Poly.one(ctx))}))
+    return _solve_reduced(plan.reduction, plan.approx, rng, backend, **kw)
+
+
+# ------------------------------------------------------- re-encoding pipeline
+
+
+def reencode_build(p: GsParams, n0: int) -> DivisorPlan:
+    """Pre-solve the zero-valued prefix: g0^(m-j) divides Q_j for j < m."""
+    g0 = weighted_product(p.ctx, [x for x, _ in p.points[:n0]], [1] * n0)
+    return _divisor_plan(p, p.points[n0:], {(j,): g0 ** (p.m - j) for j in range(p.m)})
 
 
 def reencode_interpolate(p: GsParams, n0: int, rng, backend: str = "hankel", **kw):
@@ -264,30 +276,10 @@ def reencode_interpolate(p: GsParams, n0: int, rng, backend: str = "hankel", **k
     if bad:
         raise AssumptionViolated(bad[0])
 
-    plan = reencode_build(p, n0)
-    ctx = p.ctx
-    if plan.approx is None:
-        if not plan.kept:
-            return NoSolution("every unknown's degree budget is exhausted")
-        # no conditions: any admissible single unknown works
-        qs_star = [Poly.zero(ctx)] * (p.ell + 1)
-        qs_star[plan.kept[0]] = Poly.one(ctx)
-    else:
-        out = solve_approx(plan.approx, rng, backend, **kw)
-        if not isinstance(out, Solution):
-            return out
-        qs_star = [Poly.zero(ctx)] * (p.ell + 1)
-        for j, q in zip(plan.kept, out.value):
-            qs_star[j] = q
-    terms = {}
-    for j, q in enumerate(qs_star):
-        if q.is_zero():
-            continue
-        terms[(j,)] = q * plan.g0 ** (p.m - j) if j < p.m else q
-    Q = MultiPoly(ctx, 1, terms)
-    if not verify_solution(_gs_instance(p), Q):
+    out = _solve_divisor_plan(reencode_build(p, n0), p.ctx, rng, backend, **kw)
+    if isinstance(out, Solution) and not verify_solution(_gs_instance(p), out.value):
         raise MvInterpError("internal error: re-encoded solution failed verification")
-    return Solution(Q)
+    return out
 
 
 # --------------------------------------------------------------- Wu pipeline
@@ -305,48 +297,14 @@ class ExtPoint:
         return self.y is None
 
 
-@dataclass(frozen=True)
-class WuPlan:
-    g_inf: Poly
-    raw_bounds: tuple
-    kept: tuple
-    approx: ApproxInstance
-
-
-def wu_build(points, p: GsParams) -> WuPlan:
-    ctx = p.ctx
-    finite = [(pt.x, pt.y) for pt in points if not pt.is_infinite]
+def wu_build(points, p: GsParams) -> DivisorPlan:
+    """The points at infinity as divisibility: g_inf^(m-ell+t) divides Q_t
+    for t > ell - m."""
     inf_xs = [pt.x for pt in points if pt.is_infinite]
-    n_inf = len(inf_xs)
-    g_inf = weighted_product(ctx, inf_xs, [1] * n_inf)
-    low = p.ell - p.m  # unknowns with t <= low carry no infinity factor
-    raw_bounds = tuple(
-        p.b - t * p.k - (0 if t <= low else (p.m - p.ell + t) * n_inf)
-        for t in range(p.ell + 1)
-    )
-    kept = tuple(t for t, bnd in enumerate(raw_bounds) if bnd >= 1)
-    if not kept or not finite:
-        return WuPlan(g_inf, raw_bounds, kept, None)
-    xs = [x for x, _ in finite]
-    G = weighted_product(ctx, xs, [1] * len(xs))
-    R = lagrange_interp(ctx, xs, [y for _, y in finite])
-    moduli = []
-    residues = []
-    for i in range(p.m):
-        p_i = G ** (p.m - i)
-        moduli.append(p_i)
-        rem = remainder_by(p_i)
-        rpow = Poly.one(ctx)
-        row = {}
-        for t in range(i, p.ell + 1):
-            f = rpow.scale(binom_mod(ctx, t, i))
-            if t > low:
-                f = f * g_inf ** (p.m - p.ell + t)
-            row[t] = rem(f)
-            rpow = rem(rpow * R)
-        residues.append(tuple(row.get(t, Poly.zero(ctx)) for t in kept))
-    approx = ApproxInstance(ctx, moduli, residues, tuple(raw_bounds[t] for t in kept))
-    return WuPlan(g_inf, raw_bounds, kept, approx)
+    g_inf = weighted_product(p.ctx, inf_xs, [1] * len(inf_xs))
+    divisors = {(t,): g_inf ** (p.m - p.ell + t) for t in range(p.ell - p.m + 1, p.ell + 1)}
+    finite = [(pt.x, pt.y) for pt in points if not pt.is_infinite]
+    return _divisor_plan(p, finite, divisors)
 
 
 def wu_infinity_ok(Q: MultiPoly, inf_xs, m: int, ell: int) -> bool:
@@ -368,18 +326,9 @@ def verify_wu(points, p: GsParams, Q: MultiPoly) -> bool:
     weighted degree < b, vanishing to order m at every finite point, and
     the divisibility conditions of the points at infinity."""
     ok = not Q.is_zero() and Q.ydeg <= p.ell and Q.wdeg((p.k,)) < p.b
-    finite = tuple((pt.x, (pt.y,)) for pt in points if not pt.is_infinite)
+    finite = [(pt.x, pt.y) for pt in points if not pt.is_infinite]
     if ok and finite:
-        inst = InterpolationInstance(
-            p.ctx,
-            nvars=1,
-            ydeg_bound=p.ell,
-            wdeg_bound=p.b,
-            weights=(p.k,),
-            points=finite,
-            mults=(p.m,) * len(finite),
-        )
-        ok = verify_solution(inst, Q)
+        ok = verify_solution(_gs_instance(p, finite), Q)
     inf_xs = [pt.x for pt in points if pt.is_infinite]
     return ok and wu_infinity_ok(Q, inf_xs, p.m, p.ell)
 
@@ -396,31 +345,10 @@ def wu_interpolate(points, p: GsParams, rng, backend: str = "hankel", **kw):
     if p.m > p.ell:
         raise AssumptionViolated("H1")
 
-    ctx = p.ctx
-    plan = wu_build(points, p)
-    if plan.approx is None:
-        if not plan.kept:
-            return NoSolution("every unknown's degree budget is exhausted")
-        qs_star = [Poly.zero(ctx)] * (p.ell + 1)
-        qs_star[plan.kept[0]] = Poly.one(ctx)
-    else:
-        out = solve_approx(plan.approx, rng, backend, **kw)
-        if not isinstance(out, Solution):
-            return out
-        qs_star = [Poly.zero(ctx)] * (p.ell + 1)
-        for t, q in zip(plan.kept, out.value):
-            qs_star[t] = q
-    low = p.ell - p.m
-    terms = {}
-    for t, q in enumerate(qs_star):
-        if q.is_zero():
-            continue
-        terms[(t,)] = q * plan.g_inf ** (p.m - p.ell + t) if t > low else q
-    Q = MultiPoly(ctx, 1, terms)
-
-    if not verify_wu(points, p, Q):
+    out = _solve_divisor_plan(wu_build(points, p), p.ctx, rng, backend, **kw)
+    if isinstance(out, Solution) and not verify_wu(points, p, out.value):
         raise MvInterpError("internal error: infinity-aware solution failed verification")
-    return Solution(Q)
+    return out
 
 
 # ------------------------------------------------------------- soft decoding
@@ -481,10 +409,7 @@ def soft_interpolate(inst: InterpolationInstance, rng, backend: str = "hankel", 
         plan, combined, _ = soft_reduce(inst)
     except NoSolutionSpace as exc:
         return NoSolution(f"NoSolutionSpace: {exc}")
-    out = solve_approx(combined, rng, backend, **kw)
-    if not isinstance(out, Solution):
-        return out
-    Q = assemble_Q(plan, out.value)
-    if not verify_solution(inst, Q):
+    out = _solve_reduced(plan, combined, rng, backend, **kw)
+    if isinstance(out, Solution) and not verify_solution(inst, out.value):
         raise MvInterpError("internal error: grouped solution failed verification")
-    return Solution(Q)
+    return out

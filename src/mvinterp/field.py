@@ -23,7 +23,6 @@ from .errors import (
     CtxMismatch,
     DivisionByZero,
     ExtensionSearchFailed,
-    FieldTooSmall,
     ZeroInput,
 )
 
@@ -583,20 +582,10 @@ def build_extension(base: FieldCtx, d: int, rng) -> FieldCtx:
     raise ExtensionSearchFailed(f"no irreducible of degree {d} over F_{p} found in {budget} tries")
 
 
-def sample_subset_element(ctx: FieldCtx, min_size: int, rng) -> FieldElement:
-    """Uniform draw from the canonical subset S of >= min_size elements.
-
-    S is the whole field when |ctx| < 2*min_size, otherwise the first
-    min_size elements of the canonical enumeration.  Raises FieldTooSmall
-    when even the whole field is smaller than min_size.
-    """
-    if ctx.order < min_size:
-        raise FieldTooSmall(f"|F| = {ctx.order} < required subset size {min_size}")
-    return ctx.from_index(rng.randrange(subset_range(ctx, min_size)))
-
-
 def subset_range(ctx: FieldCtx, min_size: int) -> int:
-    """|S|, the size of the sampling subset of sample_subset_element."""
+    """|S| of the solver's sampling subset S of >= min_size elements: the
+    whole field when |ctx| < 2*min_size, otherwise the first min_size
+    elements of the canonical enumeration."""
     return ctx.order if ctx.order < 2 * min_size else min_size
 
 

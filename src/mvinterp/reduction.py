@@ -10,7 +10,10 @@ build_reduction turns this into an ApproxInstance row-indexed by derivative
 orders i (|i| < max mult) and column-indexed by admissible exponents j: the
 residues are binom(j, i) * R^(j-i) mod P_i with R_t the Lagrange interpolant
 of the t-th Y-coordinate and P_i the product of (X - x_r)^(mults[r] - |i|)
-over points still constrained at order |i|.
+over points still constrained at order |i|.  A column may carry a known
+factor D_j of Q_j (re-encoding and points at infinity give one): it then
+solves for Q_j / D_j, its residues gain the factor D_j and assemble_Q
+multiplies it back in.
 
 Also here: the multiplicity-capping preprocessor and the large-weight
 shortcut (both elementary solution-space transformations).
@@ -202,6 +205,7 @@ class ReductionPlan:
     row_indices: tuple  # derivative-order tuples (rows), graded-lex
     row_bounds: tuple  # modulus degree per row
     col_bounds: tuple  # unknown degree bound per column
+    divisors: tuple  # known factor D_j of Q_j per column, None when there is none
 
     @property
     def mu(self):
@@ -327,25 +331,34 @@ def trivial_weight_check(inst: InterpolationInstance):
 # ---------------------------------------------------------------- reduction
 
 
-def build_reduction(inst: InterpolationInstance):
+def build_reduction(inst: InterpolationInstance, divisors=None):
     """Reduce to an ApproxInstance; returns (plan, approx).
 
     Row i (derivative order, |i| < max mult) has modulus
     P_i = prod_{mults[r] > |i|} (X - x_r)^(mults[r] - |i|) and residues
-    F_{i,j} = binom(j, i) * prod_t R_t^(j_t - i_t) mod P_i, where R_t
+    F_{i,j} = binom(j, i) * prod_t R_t^(j_t - i_t) * D_j mod P_i, where R_t
     interpolates the t-th Y-coordinates at the x-nodes.
+
+    divisors maps a Y-exponent j to a known nonzero factor D_j of Q_j
+    (D_j = 1 where absent).  Column j then stands for Q_j / D_j, with the
+    bound wdeg_bound - j.weights - deg D_j; a column whose bound is below 1
+    is dropped.
     """
     ctx = inst.ctx
     m = inst.max_mult
-    cols = [
-        j
-        for j in graded_exponents(inst.nvars, inst.ydeg_bound)
-        if exp_dot(j, inst.weights) < inst.wdeg_bound
-    ]
+    divisors = {tuple(j): d for j, d in (divisors or {}).items()}
+    if any(d.is_zero() for d in divisors.values()):
+        raise Degenerate("a known divisor is zero")
+
+    def bound(j):
+        known = divisors[j].deg if j in divisors else 0
+        return inst.wdeg_bound - exp_dot(j, inst.weights) - known
+
+    cols = [j for j in graded_exponents(inst.nvars, inst.ydeg_bound) if bound(j) >= 1]
     if not cols:
         raise NoSolutionSpace("no admissible Y-exponent satisfies the degree bounds")
     rows = graded_exponents(inst.nvars, m, strict=True)
-    col_bounds = [inst.wdeg_bound - exp_dot(j, inst.weights) for j in cols]
+    col_bounds = [bound(j) for j in cols]
 
     xs = [x for x, _ in inst.points]
     # interpolant per Y-coordinate, only where some admissible exponent uses it
@@ -355,14 +368,19 @@ def build_reduction(inst: InterpolationInstance):
             interp[t] = lagrange_interp(ctx, xs, [ys[t] for _, ys in inst.points])
 
     # moduli, their remainder maps and the powers of the interpolants
-    # reduced by them depend on |i| only
-    mod_by_depth, rem_by_depth, memo_by_depth = [], [], []
-    for depth in range(m):
+    # reduced by them depend on |i| only.  P_|i| is P_(|i|+1) times the
+    # vanishing product g of the points with mults > |i|, rebuilt only when
+    # that set grows
+    mod_by_depth = [None] * m
+    g = None
+    for depth in reversed(range(m)):
         sub_x = [x for x, mm in zip(xs, inst.mults) if mm > depth]
-        sub_e = [mm - depth for mm in inst.mults if mm > depth]
-        p_d = weighted_product(ctx, sub_x, sub_e)
-        rem = remainder_by(p_d)
-        mod_by_depth.append(p_d)
+        if g is None or g.deg != len(sub_x):
+            g = weighted_product(ctx, sub_x, [1] * len(sub_x))
+        mod_by_depth[depth] = g if depth == m - 1 else mod_by_depth[depth + 1] * g
+    rem_by_depth, memo_by_depth = [], []
+    for depth in range(m):
+        rem = remainder_by(mod_by_depth[depth])
         rem_by_depth.append(rem)
         memo = {(0,) * inst.nvars: Poly.one(ctx)}
         for t, f in enumerate(interp):
@@ -382,15 +400,18 @@ def build_reduction(inst: InterpolationInstance):
     moduli = []
     entries = []
     for i in rows:
-        moduli.append(mod_by_depth[sum(i)])
+        depth = sum(i)
+        moduli.append(mod_by_depth[depth])
         row = []
         for j in cols:
             coef = multi_binom(ctx, j, i) if exp_leq(i, j) else ctx.zero()
             if coef.is_zero():
                 row.append(Poly.zero(ctx))
                 continue
-            delta = tuple(a - b for a, b in zip(j, i))
-            row.append(rpow(delta, sum(i)).scale(coef))
+            f = rpow(tuple(a - b for a, b in zip(j, i)), depth)
+            if j in divisors:
+                f = rem_by_depth[depth](f * divisors[j])
+            row.append(f.scale(coef))
         entries.append(row)
 
     plan = ReductionPlan(
@@ -400,16 +421,19 @@ def build_reduction(inst: InterpolationInstance):
         tuple(rows),
         tuple(p.deg for p in moduli),
         tuple(col_bounds),
+        tuple(divisors.get(j) for j in cols),
     )
     approx = ApproxInstance(ctx, moduli, entries, col_bounds)
     return plan, approx
 
 
 def assemble_Q(plan: ReductionPlan, qs) -> MultiPoly:
-    """Pack per-column polynomials into the multivariate solution."""
+    """Pack per-column polynomials into the multivariate solution,
+    multiplying each column's known divisor back in."""
     if len(qs) != plan.nu:
         raise BadLength(f"{len(qs)} polynomials for {plan.nu} columns")
     for q, bound in zip(qs, plan.col_bounds):
         if q.deg >= bound:
             raise DegreeViolation(f"degree {q.deg} not below bound {bound}")
-    return MultiPoly(plan.ctx, plan.nvars, dict(zip(plan.exponents, qs)))
+    terms = {j: q if d is None else q * d for j, q, d in zip(plan.exponents, qs, plan.divisors)}
+    return MultiPoly(plan.ctx, plan.nvars, terms)

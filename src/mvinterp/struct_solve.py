@@ -156,9 +156,10 @@ def unpad_solution(info: PadInfo, vec):
 
 
 def _draw(R, min_size: int, rng, k: int) -> np.ndarray:
-    """k draws from the sampling subset, as a (d, k) residue array: the
-    randrange calls of sample_subset_element, in the same order, with each
-    index turned into its little-endian base-p digits."""
+    """k uniform draws from the sampling subset S, as a (d, k) residue
+    array: each is randrange(|S|) (subset_range), its index turned into
+    little-endian base-p digits, so S is the first |S| elements of the
+    field's canonical enumeration."""
     size = subset_range(R.ctx, min_size)
     idx = [rng.randrange(size) for _ in range(k)]
     idx = np.array(idx, dtype=np.int64 if size < 2**63 else object)
@@ -386,11 +387,10 @@ def nullspace_structured(
             return NoSolution("certified rank equals the unknown count")
         x = _back_substitute(R, pivot_rows, _draw(R, min_size, rng, size - rank))
         y = R.conv(l_full, x)[:, :size]  # L·x
-        vec = unpad_solution(pad, R.elements(y))
-        arr = R.array(vec)
-        if R.is_zero(arr):
+        vec = unpad_solution(pad, y.T).T  # unknowns along the leading axis
+        if R.is_zero(vec):
             continue
-        if not R.is_zero(_apply(R, orig_v, orig_w, arr, G.nrows)):
+        if not R.is_zero(_apply(R, orig_v, orig_w, vec, G.nrows)):
             continue  # never on a correct run; belt and braces
-        return Solution(vec)
+        return Solution(R.elements(vec))
     return Failure(attempts)

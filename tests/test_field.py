@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from mvinterp.errors import CtxMismatch, DivisionByZero, FieldTooSmall, ZeroInput
+from mvinterp.errors import CtxMismatch, DivisionByZero, ZeroInput
 from mvinterp.field import (
     FieldCtx,
     build_extension,
     is_probable_prime,
     prime_field,
     project_solution_to_base,
-    sample_subset_element,
+    residues,
 )
+from mvinterp.struct_solve import _draw
 
 # ---------------------------------------------------------------- primality
 
@@ -138,25 +139,24 @@ def test_known_irreducible_f3():
 # ---------------------------------------------------------------- sampling
 
 
+def _draws(F, min_size, rng, k):
+    """k draws of the structured solver's sampler over a prime field."""
+    return _draw(residues(F), min_size, rng, k)[0].tolist()
+
+
 def test_sample_subset_small_field_uses_whole_field():
     # |F_101| = 101 < 2*min_size = 120 -> whole field
     F = prime_field(101)
     rng = random.Random(1)
-    seen = {sample_subset_element(F, 60, rng).c[0] for _ in range(3000)}
+    seen = set(_draws(F, 60, rng, 3000))
     assert max(seen) > 60  # draws exceed the min_size prefix
 
 
 def test_sample_subset_large_field_uses_prefix():
     F = prime_field(65537)
     rng = random.Random(2)
-    for _ in range(2000):
-        v = sample_subset_element(F, 50, rng).c[0]
+    for v in _draws(F, 50, rng, 2000):
         assert 0 <= v < 50
-
-
-def test_sample_subset_too_small():
-    with pytest.raises(FieldTooSmall):
-        sample_subset_element(prime_field(5), 6, random.Random(0))
 
 
 def test_sample_subset_roughly_uniform():
@@ -164,8 +164,8 @@ def test_sample_subset_roughly_uniform():
     rng = random.Random(3)
     counts = [0] * 13
     n = 13 * 500
-    for _ in range(n):
-        counts[sample_subset_element(F, 7, rng).c[0]] += 1
+    for v in _draws(F, 7, rng, n):
+        counts[v] += 1
     # chi-squared against uniform; 12 dof, 99.9% quantile ~ 32.9
     expected = n / 13
     chi2 = sum((c - expected) ** 2 / expected for c in counts)

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from mvinterp.approx import verify_approx
+from mvinterp.approx import unpack_solution, verify_approx
 from mvinterp.errors import DegreeViolation, DuplicateNode, NoSolutionSpace
 from mvinterp.field import FieldCtx, prime_field
 from mvinterp.outcomes import NoSolution, NotApplicable, Solution
-from mvinterp.poly import Poly
+from mvinterp.linalg import kernel_basis
+from mvinterp.poly import Poly, poly_divrem
 from mvinterp.reduction import (
     InterpolationInstance,
     MultiPoly,
@@ -20,7 +21,15 @@ from mvinterp.reduction import (
     verify_solution,
 )
 
-from helpers import hasse_shift_expand, random_poly
+from mvinterp.toeplitz_like import dense_build_Aprime
+
+from helpers import (
+    hasse_shift_expand,
+    random_interp_instance,
+    random_monic,
+    random_poly,
+    spread_seeds,
+)
 
 F13 = prime_field(13)
 
@@ -299,6 +308,46 @@ def test_build_reduction_empty_exponent_set():
     inst = mk_inst(F13, [(0, 1)], (1,), 1, 0, (1,))  # wdeg_bound 0 admits nothing
     with pytest.raises(NoSolutionSpace):
         build_reduction(inst)
+
+
+def test_build_reduction_known_divisors():
+    """A known monic divisor D_j lowers column j's bound by deg D_j, a column
+    whose budget is spent is dropped, and every dense-kernel vector of the
+    reduced system assembles to a Q with D_j | Q_j that verifies."""
+    checked = nontrivial = dropped = 0
+    for seed in spread_seeds(5150, 30):
+        rng = random.Random(seed)
+        inst = random_interp_instance(
+            rng.choice([13, 101]), rng, max_s=2, max_n=4, max_mult=2, max_ell=3
+        )
+        plain, _ = build_reduction(inst)
+        divisors = {
+            j: random_monic(inst.ctx, rng.randint(0, 4), rng)
+            for j in plain.exponents
+            if rng.random() < 0.6
+        }
+        budget = {
+            j: bnd - (divisors[j].deg if j in divisors else 0)
+            for j, bnd in zip(plain.exponents, plain.col_bounds)
+        }
+        kept = tuple(j for j in plain.exponents if budget[j] >= 1)
+        dropped += len(plain.exponents) - len(kept)
+        if not kept:
+            with pytest.raises(NoSolutionSpace):
+                build_reduction(inst, divisors)
+            continue
+        plan, approx = build_reduction(inst, divisors)
+        assert plan.exponents == kept, seed
+        assert plan.col_bounds == tuple(budget[j] for j in kept), seed
+        kernel = kernel_basis(inst.ctx, dense_build_Aprime(approx), approx.total_cols)
+        for vec in kernel:
+            Q = assemble_Q(plan, unpack_solution(inst.ctx, vec, plan.col_bounds))
+            for j, d in divisors.items():
+                assert poly_divrem(Q.coeff(j), d)[1].is_zero(), seed
+            assert verify_solution(inst, Q), seed
+        checked += 1
+        nontrivial += bool(kernel)
+    assert checked >= 15 and nontrivial > 0 and dropped > 0
 
 
 def test_row_dimension_identity():
