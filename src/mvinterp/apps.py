@@ -4,11 +4,11 @@ Every pipeline follows the same arc: validate its parameter assumptions,
 reduce the interpolation problem to a simultaneous approximation instance,
 hand that to a backend (structured hankel / toeplitz route or the dense
 baseline), and re-verify the assembled multivariate answer against the
-original points before returning it.  When a field is too small for the
-probabilistic solver's sampling set, the solver first runs in that field
-sampling from the whole field; only if that attempt ends in Failure over a
-prime field is the instance lifted to a just big enough extension and the
-solution projected back coefficient-wise.
+original points before returning it.  The solver always runs in the
+instance's own field, sampling the whole field when it is smaller than the
+probabilistic solver's sampling set; only a Failure there over a small prime
+field lifts the instance to a just big enough extension, whose solution is
+projected back coefficient-wise.
 
 The decoding-flavoured pipelines (gs / reencode / wu) are univariate in Y
 (one weight k); the bare `interpolate_instance` engine and the soft-decoding
@@ -33,7 +33,6 @@ from .approx import (
 from .errors import (
     AssumptionViolated,
     Degenerate,
-    FieldTooSmall,
     MvInterpError,
     NoSolutionSpace,
     PreconditionViolated,
@@ -58,52 +57,35 @@ from .toeplitz_like import solve_via_dense, solve_via_toeplitz
 BACKENDS = {
     "hankel": solve_via_hankel,
     "toeplitz": solve_via_toeplitz,
-    "dense": lambda a, rng, max_retries, **kw: solve_via_dense(a),
+    "dense": lambda a, rng, max_retries: solve_via_dense(a),
 }
 
 
-def solve_approx(
-    a: ApproxInstance,
-    rng,
-    backend: str = "hankel",
-    *,
-    max_retries: int = 8,
-    allow_extension: bool = True,
-    **kw,
-):
-    """Backend dispatch plus the small-field fallback.
+def solve_approx(a: ApproxInstance, rng, backend: str = "hankel", *, max_retries: int = 8):
+    """Backend dispatch plus the small-field lift.
 
-    When a field is too small for the solver's sampling-set floor, the
-    backend runs in that field sampling from the whole field, decided before
-    the first call; its Solution (verified) or NoSolution (certified by a
-    completed elimination) stands whatever the field size.  Only its Failure
-    over a prime field leads to the extend-then-project path; over F_{p^d}
-    the Failure is returned.  A caller-supplied subset_size is honoured and
-    skips the whole-field attempt; allow_extension=False lets the backend
-    raise FieldTooSmall instead.
+    The backend runs once in the instance's own field; below the solver's
+    sampling-set floor it samples the whole field, and its Solution
+    (verified) or NoSolution (certified by a completed elimination) stands
+    whatever the field size.  Only a Failure over a prime field below that
+    floor is lifted: the instance is solved again in a just big enough
+    extension and the solution projected back coefficient-wise.
     """
     try:
         solver = BACKENDS[backend]
     except KeyError:
         raise Degenerate(f"unknown backend {backend!r}") from None
+    out = solver(a, rng, max_retries)
     # trim_instance keeps at most total_rows + 1 columns; the solver pads to square
     need = subset_floor(max(a.total_rows, min(a.total_cols, a.total_rows + 1)))
-    if a.ctx.order < need and allow_extension and kw.get("subset_size") is None:
-        out = solver(a, rng, max_retries, **{**kw, "subset_size": a.ctx.order})
-        if not isinstance(out, Failure) or a.ctx.d != 1:
-            return out
-    else:
-        try:
-            return solver(a, rng, max_retries, **kw)
-        except FieldTooSmall:
-            if not allow_extension or a.ctx.d != 1:
-                raise
+    if not isinstance(out, Failure) or a.ctx.d != 1 or a.ctx.order >= need:
+        return out
     d, order = 1, a.ctx.p
     while order < need:
         order *= a.ctx.p
         d += 1
     ext = build_extension(a.ctx, d, rng)
-    out = solver(lift_instance(a, ext), rng, max_retries, **kw)
+    out = solver(lift_instance(a, ext), rng, max_retries)
     if not isinstance(out, Solution):
         return out
     base_vec = project_solution_to_base(pack_solution(out.value, a.col_bounds), a.ctx)

@@ -27,33 +27,20 @@ def _finish(a: ApproxInstance, trimmed: ApproxInstance, dropped: int, vec):
     return Solution(qs)
 
 
-def solve_with_builder(
-    a: ApproxInstance,
-    rng,
-    build,
-    *,
-    max_retries: int = 8,
-    dense_threshold: int = 16,
-    subset_size: int = None,
-):
+def solve_with_builder(a: ApproxInstance, rng, build, *, max_retries: int = 8):
     """Trim, linearize through `build` (returns a GeneratorPair of either
     tag), solve structurally, and map the vector back to polynomials.
 
-    FieldTooSmall propagates to the caller, who may lift the instance to an
-    extension field and project the solution back.
+    Over a field below the kernel's sampling-set floor the kernel samples
+    the whole field; lifting its Failure to an extension is the caller's
+    choice (apps.solve_approx).
     """
     trimmed, dropped, _ = trim_instance(a)
     G = build(trimmed)
     flipped = G.tag == TAG_HANKEL
     if flipped:
         G = hankel_to_toeplitz(G)
-    out = nullspace_structured(
-        G,
-        rng,
-        max_retries,
-        dense_threshold=dense_threshold,
-        subset_size=subset_size,
-    )
+    out = nullspace_structured(G, rng, max_retries)
     if not isinstance(out, Solution):
         return out
     vec = list(reversed(out.value)) if flipped else list(out.value)

@@ -122,6 +122,8 @@ def _solve_parsed(parsed, mode: str, rng, backend: str, max_retries: int):
 
 
 def cmd_solve(args) -> int:
+    if args.max_retries < 1:
+        return _die("--max-retries must be at least 1")
     try:
         text = _read(args.infile)
     except OSError as exc:
@@ -302,6 +304,8 @@ def _bench_kernel(a, bk: str):
 def cmd_bench(args) -> int:
     try:
         sizes = [int(t) for t in args.sizes.split(",") if t]
+        if any(n < 1 for n in sizes) or args.reps < 1:
+            raise ParseError("sizes and --reps must be at least 1")
         backends = [t for t in args.backend.split(",") if t]
         for bk in backends:
             if bk not in BACKEND_NAMES:

@@ -23,7 +23,10 @@ class NotInvertible(MvInterpError):
 
 
 class FieldTooSmall(MvInterpError):
-    """The field has fewer elements than the requested sampling subset."""
+    """The field has fewer elements than a requested sampling subset.
+
+    Kept for callers that catch it; the library no longer raises it, since
+    the structured kernel samples the whole of a field below its floor."""
 
 
 class ZeroInput(MvInterpError):

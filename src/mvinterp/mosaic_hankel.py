@@ -132,11 +132,8 @@ def build_hankel_generators(a: ApproxInstance):
     return G, layout
 
 
-def solve_via_hankel(a: ApproxInstance, rng, max_retries: int = 8, **kw):
-    """Solve an instance through the mosaic-Hankel route (Las Vegas).
-
-    FieldTooSmall propagates; callers may lift to an extension field.
-    """
+def solve_via_hankel(a: ApproxInstance, rng, max_retries: int = 8):
+    """Solve an instance through the mosaic-Hankel route (Las Vegas)."""
     return solve_with_builder(
-        a, rng, lambda t: build_hankel_generators(t)[0], max_retries=max_retries, **kw
+        a, rng, lambda t: build_hankel_generators(t)[0], max_retries=max_retries
     )

@@ -7,8 +7,7 @@ V·W equal to its displacement:
 - tag "hankel":    A - Z A Z
 
 Both operators are nilpotent-invertible, so (V, W) determines A; callers
-build generators in O(alpha * size) and this module never materializes A
-except in the desk-scale dense fallback / oracle.
+build generators in O(alpha * size) and this module never materializes A.
 
 The solve itself: flip Hankel structure to Toeplitz (column reversal), pad
 to square, pre/post-multiply by random unit-triangular Toeplitz matrices to
@@ -23,13 +22,20 @@ coordinates.  Every candidate is verified by applying A through the
 generator, so a returned Solution is unconditionally correct; NoSolution is
 returned only on a certified full-column-rank elimination.
 
+The random draws come from a sampling set of subset_floor(size) elements,
+enough for one attempt to succeed with probability >= 1/2.  A field smaller
+than that is sampled whole and never refused: its Solution and NoSolution
+are as certain as anywhere else, only Failure grows likelier, and over a
+prime field the caller may answer it by lifting to an extension
+(apps.solve_approx).
+
 One representation serves every field: the residue arrays of
 field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
 d = 1 for a prime field, and a generator half is one stacked (alpha, d, n)
 array, as the builders write it, so a compression pivot updates all later
 generator columns with one outer-product op.  The random draws are digits
-of the sampled indices.  FieldElements appear only for scalar inverses, the
-dense fallback and the returned vector.
+of the sampled indices.  FieldElements appear only for scalar inverses and
+the returned vector.
 """
 
 from __future__ import annotations
@@ -39,15 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldTooSmall, TooLarge, WrongTag
+from .errors import WrongTag
 from .field import FieldCtx, residues, subset_range
-from .linalg import kernel_basis
 from .outcomes import Failure, NoSolution, Solution
 
 TAG_TOEPLITZ = "toeplitz"
 TAG_HANKEL = "hankel"
-
-_RECONSTRUCT_GUARD_CELLS = 1 << 14
 
 
 def subset_floor(size: int) -> int:
@@ -83,41 +86,6 @@ class GeneratorPair:
 
 
 PadInfo = namedtuple("PadInfo", "kind offset")
-
-
-# ---------------------------------------------------------------- dense views
-
-
-def reconstruct_dense(G: GeneratorPair):
-    """The unique matrix with the given displacement, as FieldElement rows."""
-    M, N = G.nrows, G.ncols
-    if M * N > _RECONSTRUCT_GUARD_CELLS:
-        raise TooLarge(f"{M}x{N} exceeds the dense reconstruction guard")
-    ctx = G.ctx
-    z = ctx.zero()
-    D = [[z] * N for _ in range(M)]
-    R = residues(ctx)
-    for col, row in zip(map(R.elements, G.v), map(R.elements, G.w)):
-        for i, vi in enumerate(col):
-            if not vi.is_zero():
-                Di = D[i]
-                for j, wj in enumerate(row):
-                    Di[j] = Di[j] + vi * wj
-    A = [list(r) for r in D]
-    cur = D
-    for _ in range(1, min(M, N)):
-        if G.tag == TAG_TOEPLITZ:
-            nxt = [[z] * N] + [[z] + r[:-1] for r in cur[:-1]]
-        else:
-            nxt = [[z] * N] + [r[1:] + [z] for r in cur[:-1]]
-        if not any(any(not e.is_zero() for e in r) for r in nxt):
-            break
-        for i in range(M):
-            Ai, Ni = A[i], nxt[i]
-            for j in range(N):
-                Ai[j] = Ai[j] + Ni[j]
-        cur = nxt
-    return A
 
 
 # ---------------------------------------------------------------- conversions
@@ -330,44 +298,24 @@ def _back_substitute(R, pivot_rows, free):
 # ---------------------------------------------------------------- entry point
 
 
-def nullspace_structured(
-    G: GeneratorPair,
-    rng,
-    max_retries: int = 8,
-    *,
-    dense_threshold: int = 16,
-    subset_size: int = None,
-):
+def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     """Nonzero right-nullspace element of the represented matrix, or a
     certified NoSolution, or Failure after max_retries attempts.
 
-    Needs a toeplitz-tagged generator (flip Hankel structure first).  At or
-    below dense_threshold the matrix is reconstructed and solved exactly;
-    above it, sampling requires |field| >= subset_floor(padded size), else
-    FieldTooSmall (callers may extend the field and project back).
+    Needs a toeplitz-tagged generator (flip Hankel structure first).  Draws
+    come from subset_range(field, subset_floor(padded size)), the whole field
+    when it is smaller than that floor.
     """
     if G.tag != TAG_TOEPLITZ:
         raise WrongTag("nullspace_structured expects a toeplitz-tagged generator")
-    ctx = G.ctx
     n_orig = G.ncols
-    if max(G.nrows, G.ncols) <= dense_threshold:
-        dense = reconstruct_dense(G)
-        basis = kernel_basis(ctx, dense, n_orig)
-        if not basis:
-            return NoSolution("dense rank equals the unknown count")
-        return Solution(basis[0])
-
     padded, pad = pad_to_square(G)
     size = padded.nrows
-    min_size = subset_floor(size) if subset_size is None else subset_size
-    if ctx.order < min_size:
-        raise FieldTooSmall(
-            f"need a sampling set of {min_size} elements, field has {ctx.order}"
-        )
+    min_size = subset_floor(size)
     # _echelon leaves up to one update per preconditioned pair, G.alpha + 4,
     # unreduced in a row, so the generators are cast once to the dtype of
     # sums that long; conv, dot and combine choose their own
-    R = residues(ctx)
+    R = residues(G.ctx)
     wide = R.sum_dtype(G.alpha + 4)
     base_v, base_w = padded.v.astype(wide), padded.w.astype(wide)
     orig_v, orig_w = G.v.astype(wide), G.w.astype(wide)

@@ -121,14 +121,9 @@ def build_toeplitz_generators(a: ApproxInstance) -> GeneratorPair:
     return GeneratorPair(TAG_TOEPLITZ, M, N, v, w, ctx)
 
 
-def solve_via_toeplitz(a: ApproxInstance, rng, max_retries: int = 8, **kw):
-    """Solve an instance through the Toeplitz-like route (Las Vegas).
-
-    FieldTooSmall propagates; callers may lift to an extension field.
-    """
-    return solve_with_builder(
-        a, rng, build_toeplitz_generators, max_retries=max_retries, **kw
-    )
+def solve_via_toeplitz(a: ApproxInstance, rng, max_retries: int = 8):
+    """Solve an instance through the Toeplitz-like route (Las Vegas)."""
+    return solve_with_builder(a, rng, build_toeplitz_generators, max_retries=max_retries)
 
 
 def solve_via_dense(a: ApproxInstance, rng=None, max_retries: int = 0):

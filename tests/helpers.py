@@ -11,7 +11,7 @@ import numpy as np
 
 from mvinterp.approx import ApproxInstance
 from mvinterp.field import prime_field, residues
-from mvinterp.errors import BadLength
+from mvinterp.errors import BadLength, TooLarge
 from mvinterp.poly import Poly, reverse, series_inv, trunc
 from mvinterp.reduction import (
     InterpolationInstance,
@@ -20,7 +20,9 @@ from mvinterp.reduction import (
     graded_exponents,
     multi_binom,
 )
-from mvinterp.struct_solve import TAG_TOEPLITZ, GeneratorPair, reconstruct_dense
+from mvinterp.struct_solve import TAG_TOEPLITZ, GeneratorPair
+
+_RECONSTRUCT_GUARD_CELLS = 1 << 14
 
 
 def random_poly(ctx, deg_bound, rng, monic=False, exact=False):
@@ -152,6 +154,36 @@ def rand_generator(tag, ctx, m, n, alpha, rng):
 
 
 # ------------------------------------------------------------ dense oracles
+
+
+def reconstruct_dense(G):
+    """The unique matrix with the given displacement, as FieldElement rows."""
+    M, N = G.nrows, G.ncols
+    if M * N > _RECONSTRUCT_GUARD_CELLS:
+        raise TooLarge(f"{M}x{N} exceeds the dense reconstruction guard")
+    z = G.ctx.zero()
+    D = [[z] * N for _ in range(M)]
+    for col, row in zip(*halves(G)):
+        for i, vi in enumerate(col):
+            if not vi.is_zero():
+                Di = D[i]
+                for j, wj in enumerate(row):
+                    Di[j] = Di[j] + vi * wj
+    A = [list(r) for r in D]
+    cur = D
+    for _ in range(1, min(M, N)):
+        if G.tag == TAG_TOEPLITZ:
+            nxt = [[z] * N] + [[z] + r[:-1] for r in cur[:-1]]
+        else:
+            nxt = [[z] * N] + [r[1:] + [z] for r in cur[:-1]]
+        if not any(any(not e.is_zero() for e in r) for r in nxt):
+            break
+        for i in range(M):
+            Ai, Ni = A[i], nxt[i]
+            for j in range(N):
+                Ai[j] = Ai[j] + Ni[j]
+        cur = nxt
+    return A
 
 
 def mat_vec(rows, x, ctx):

@@ -310,8 +310,7 @@ def test_criterion_05_probability_floor_and_las_vegas():
     for idx, a in enumerate(corpus):
         route = solve_via_hankel if idx % 2 == 0 else solve_via_toeplitz
         for rep in range(10):
-            out = route(a, random.Random(9000 + 17 * idx + rep),
-                        max_retries=1, dense_threshold=0)
+            out = route(a, random.Random(9000 + 17 * idx + rep), max_retries=1)
             assert not isinstance(out, NoSolution)
             attempts += 1
             hits += int(isinstance(out, Solution))
@@ -321,7 +320,7 @@ def test_criterion_05_probability_floor_and_las_vegas():
 
     for idx, a in enumerate(corpus):
         route = solve_via_hankel if idx % 2 == 0 else solve_via_toeplitz
-        out = route(a, random.Random(7000 + idx), max_retries=8, dense_threshold=0)
+        out = route(a, random.Random(7000 + idx), max_retries=8)
         assert isinstance(out, Solution)
 
 
@@ -492,7 +491,7 @@ def test_criterion_10_small_field_extension_path():
         params = GsParams(ctx, k=0, m=m, ell=ell, b=b, points=pts)
         rows = n * tri
         assert subset_floor(rows + 1) > ctx.order  # base field really is too small
-        out = gs_interpolate(params, random.Random(2020 + done), dense_threshold=0)
+        out = gs_interpolate(params, random.Random(2020 + done))
         assert isinstance(out, Solution)
         Q = out.value
         assert Q.ctx == ctx

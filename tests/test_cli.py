@@ -157,8 +157,14 @@ def test_solve_sample_and_verify(tmp_path, capsys):
     assert main(["solve", "--in", inst, "--seed", "5", "--out", sol]) == 0
     assert main(["verify", "--in", inst, "--solution", sol]) == 0
     assert "verified" in capsys.readouterr().out
-    # tampering breaks verification
-    bad = open(sol).read().replace(" : 1", " : 2", 1)
+    # changing one coefficient breaks verification: the monomial it adds
+    # is nonzero at the point (1, 2)
+    text = open(sol).read()
+    head, sep, tail = text.rpartition(" : ")
+    coefs = tail.split()
+    coefs[0] = str((int(coefs[0]) + 1) % 13)
+    bad = head + sep + " ".join(coefs) + "\n"
+    assert bad != text
     badf = write(tmp_path, "bad.txt", bad)
     assert main(["verify", "--in", inst, "--solution", badf]) == 1
 
@@ -190,6 +196,16 @@ def test_solve_input_errors_exit1(tmp_path, capsys):
     assert main(["solve", "--in", dup, "--seed", "1"]) == 1  # duplicate x outside soft
     noN0 = write(tmp_path, "r.txt", SAMPLE)
     assert main(["solve", "--mode", "reencode", "--in", noN0, "--seed", "1"]) == 1
+    capsys.readouterr()
+
+
+def test_solve_rejects_max_retries_below_one(tmp_path, capsys):
+    # zero attempts could only ever end in FAILURE, so it is bad input
+    inst = write(tmp_path, "i.txt", SAMPLE)
+    for retries in ("0", "-3"):
+        assert main(["solve", "--in", inst, "--seed", "1", "--max-retries", retries]) == 1
+        assert "error:" in capsys.readouterr().err
+    assert main(["solve", "--in", inst, "--seed", "1", "--max-retries", "1"]) in (0, 3)
     capsys.readouterr()
 
 
@@ -299,3 +315,11 @@ def test_bench_csv_shape(capsys):
 def test_bench_rejects_unknown_backend(capsys):
     assert main(["bench", "--sizes", "4", "--backend", "qr"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [["--sizes", "0"], ["--sizes", "-4"], ["--reps", "0"]])
+def test_bench_rejects_bad_sizes_and_reps(args, capsys):
+    assert main(["bench", "--backend", "dense", "--sizes", "4", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""

@@ -18,6 +18,7 @@ from helpers import (
     mat_vec,
     rand_el,
     rand_generator,
+    reconstruct_dense,
     spread_seeds,
 )
 from mvinterp import struct_solve
@@ -32,7 +33,6 @@ from mvinterp.struct_solve import (
     _precondition,
     _schur_step,
     nullspace_structured,
-    reconstruct_dense,
 )
 
 F7 = prime_field(7)
@@ -42,19 +42,13 @@ P31 = prime_field(2147483659)
 M61 = prime_field(2**61 - 1)
 GF256 = FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1))
 
-# name: (field, subset_size); GF(2^8) is below subset_floor of these sizes
-FIELDS = {
-    "F65537": (F65537, None),
-    "F13^4": (F13_4, None),
-    "P2147483659": (P31, None),
-    "M61": (M61, None),
-    "GF256": (GF256, 256),
-}
+# GF(2^8) is below subset_floor of these sizes, so the kernel samples all of it
+FIELDS = {"F65537": F65537, "F13^4": F13_4, "P2147483659": P31, "M61": M61, "GF256": GF256}
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
 def test_nullspace_matches_dense_oracle(name):
-    ctx, subset = FIELDS[name]
+    ctx = FIELDS[name]
     rng = random.Random(79)
     solved = refused = 0
     for k, seed in enumerate(spread_seeds(83, 12)):
@@ -67,7 +61,7 @@ def test_nullspace_matches_dense_oracle(name):
                 "toeplitz", low_rank_matrix(ctx, m, n, r.randint(1, min(m, n)), r), ctx
             )
         A = reconstruct_dense(G)
-        out = nullspace_structured(G, rng, 8, dense_threshold=0, subset_size=subset)
+        out = nullspace_structured(G, rng, 8)
         if matrix_rank(ctx, A, n) == n:
             assert isinstance(out, NoSolution)
             refused += 1
@@ -96,7 +90,7 @@ def test_schur_step_tracks_the_dense_schur_complement(name):
     # after every step the generator represents the next Schur complement of
     # the preconditioned matrix, at no more than its compressed length; a
     # zero complement reached mid-elimination compresses to nothing
-    ctx = FIELDS[name][0]
+    ctx = FIELDS[name]
     certified = completed = 0
     for k, seed in enumerate(spread_seeds(31, 8)):
         r = random.Random(seed)
@@ -174,16 +168,10 @@ def test_gs_solves_over_mid_size_primes(p):
 
 # ------------------------------------------------------------ golden vectors
 
-GOLDEN_FIELDS = {
-    "F7": (F7, 7),
-    "F65537": (F65537, None),
-    "F13^4": (F13_4, None),
-    "M61": (M61, None),
-    "GF256": (GF256, 256),
-}
+GOLDEN_FIELDS = {"F7": F7, "F65537": F65537, "F13^4": F13_4, "M61": M61, "GF256": GF256}
 
-# nullspace_structured(G, random.Random(100 + seed), 8, dense_threshold=0,
-# subset_size=...) for the generator golden_case(field, kind, seed) builds.
+# nullspace_structured(G, random.Random(100 + seed), 8) for the generator
+# golden_case(field, kind, seed) builds; F7 and GF256 are sampled whole.
 # Recorded from the per-vector implementation this kernel replaced.  The F7
 # case sees one pivot breakdown before it succeeds.
 GOLDEN = {
@@ -246,11 +234,9 @@ def golden_case(ctx, kind, seed):
 @pytest.mark.parametrize("key", list(GOLDEN), ids=["-".join(map(str, k)) for k in GOLDEN])
 def test_nullspace_golden_vectors(key):
     name, kind, seed = key
-    ctx, subset = GOLDEN_FIELDS[name]
+    ctx = GOLDEN_FIELDS[name]
     G = golden_case(ctx, kind, seed)
-    out = nullspace_structured(
-        G, random.Random(100 + seed), 8, dense_threshold=0, subset_size=subset
-    )
+    out = nullspace_structured(G, random.Random(100 + seed), 8)
     assert isinstance(out, Solution)
     want = [v if isinstance(v, tuple) else (v,) for v in GOLDEN[key]]
     assert [e.c for e in out.value] == want

@@ -9,7 +9,7 @@ from helpers import (
     spread_seeds,
 )
 from mvinterp.approx import ApproxInstance, pack_solution, trim_instance, unpack_solution, verify_approx
-from mvinterp.errors import FieldTooSmall, TooLarge
+from mvinterp.errors import TooLarge
 from mvinterp.field import FieldCtx, prime_field
 from mvinterp.linalg import kernel_basis, matrix_rank
 from mvinterp.mosaic_hankel import (
@@ -242,7 +242,7 @@ def test_solve_structured_path_agrees_with_dense_verdict():
     for seed in spread_seeds(331, 50):
         rng = random.Random(seed)
         a = random_approx_instance(F65537, rng, max_mu=2, max_nu=3, max_moddeg=3)
-        out = solve_via_hankel(a, rng, dense_threshold=0)
+        out = solve_via_hankel(a, rng)
         A = dense_build_A(a)
         solvable = matrix_rank(F65537, A, a.total_cols) < a.total_cols
         hits[solvable] += 1
@@ -255,12 +255,13 @@ def test_solve_structured_path_agrees_with_dense_verdict():
 
 
 def test_solve_small_field_structured_raises():
+    # F_13 is far below the sampling-set floor of this 20x21 system: the
+    # route samples the whole field and never refuses it
     ctx = F13
     P = Poly(ctx, [ctx.zero()] * 20 + [ctx.one()])
     a = ApproxInstance(ctx, (P,), ((P13(0, 1),),), (21,))
-    with pytest.raises(FieldTooSmall):
-        solve_via_hankel(a, random.Random(0), dense_threshold=0)
-    # with the dense fallback enabled the same instance is routine
-    out = solve_via_hankel(a, random.Random(0), dense_threshold=32)
-    assert isinstance(out, Solution)
-    assert verify_approx(a, out.value)
+    out = solve_via_hankel(a, random.Random(0))
+    if isinstance(out, Solution):
+        assert verify_approx(a, out.value)
+    elif isinstance(out, NoSolution):
+        assert matrix_rank(ctx, dense_build_A(a), a.total_cols) == a.total_cols
