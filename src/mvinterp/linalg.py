@@ -2,9 +2,10 @@
 
 Two tiers:
 
-- kernel_basis / matrix_rank: oracle-grade full reduced row echelon, with a
-  vectorized numpy int64 path for prime fields (p < 2^31) and a generic
-  element-wise path for extensions and large characteristics.
+- matrix_rank: oracle-grade full reduced row echelon, with a vectorized
+  numpy int64 path for prime fields (p < 2^31) and a generic element-wise
+  path for extensions and large characteristics.  The tests build their
+  dense kernel oracle on the same echelon forms.
 - kernel_vector_echelon: a deliberately plain, loop-only single-vector
   kernel solve.  This is the honest cubic baseline the benchmark pits the
   structured solver against, so it must not borrow numpy's constant factor.
@@ -85,45 +86,6 @@ def matrix_rank(ctx: FieldCtx, rows, ncols: int) -> int:
     if _np_eligible(ctx):
         return len(_rref_np(_to_np(ctx, rows, ncols), ctx.p))
     return len(_rref_generic(rows, ctx)[1])
-
-
-def kernel_basis(ctx: FieldCtx, rows, ncols: int):
-    """Basis of the right nullspace as a list of FieldElement vectors."""
-    if ncols == 0:
-        return []
-    if not rows:
-        basis = []
-        for f in range(ncols):
-            v = [ctx.zero()] * ncols
-            v[f] = ctx.one()
-            basis.append(v)
-        return basis
-    if _np_eligible(ctx):
-        arr = _to_np(ctx, rows, ncols)
-        pivots = _rref_np(arr, ctx.p)
-        piv_set = set(pivots)
-        basis = []
-        for f in range(ncols):
-            if f in piv_set:
-                continue
-            v = [0] * ncols
-            v[f] = 1
-            for i, c in enumerate(pivots):
-                v[c] = int(-arr[i, f]) % ctx.p
-            basis.append([ctx.el(x) for x in v])
-        return basis
-    red, pivots = _rref_generic(rows, ctx)
-    piv_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in piv_set:
-            continue
-        v = [ctx.zero()] * ncols
-        v[f] = ctx.one()
-        for i, c in enumerate(pivots):
-            v[c] = -red[i][f]
-        basis.append(v)
-    return basis
 
 
 def kernel_vector_echelon(ctx: FieldCtx, rows, ncols: int):

@@ -33,9 +33,13 @@ One representation serves every field: the residue arrays of
 field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
 d = 1 for a prime field, and a generator half is one stacked (alpha, d, n)
 array, as the builders write it, so a compression pivot updates all later
-generator columns with one outer-product op.  The random draws are digits
-of the sampled indices.  FieldElements appear only for scalar inverses and
-the returned vector.
+generator columns with one outer-product op.  The elimination stacks both
+halves into one array.  Over a prime field (R.d == 1, the test linalg's
+numpy paths make too) its steps and the back-substitution run on plain 2-D
+(alpha, n) integer rows with pow(x, -1, p) inverses; extension fields keep
+the generic (alpha, d, n) step.  The random draws are digits of the sampled
+indices.  FieldElements appear only for the other scalar inverses and the
+returned vector.
 """
 
 from __future__ import annotations
@@ -229,10 +233,11 @@ def _precondition(R, v, w, u_full, l_full):
     return np.stack(new_v), np.stack(new_w)
 
 
-def _schur_step(R, v, w):
-    """One generalized Schur step: the normalized first row of the matrix
-    and a generator of its Schur complement of the same length, or None when
-    the leading entry is zero.
+def _schur_step(R, G):
+    """One generalized Schur step on the halves stacked as one
+    (2, alpha, d, n) array G = (V, W): the normalized first row of the
+    matrix and a generator of its Schur complement of the same length, or
+    None when the leading entry is zero.
 
     Two Gauss transforms bring the generator to proper form: one clears W's
     first column except at an index k (its inverse applied to V), the other
@@ -241,6 +246,7 @@ def _schur_step(R, v, w):
     pair's first entry leaves the Schur complement's displacement.
     """
     p = R.p
+    v, w = G
     v0, w0 = v[:, :, 0], w[:, :, 0]
     m_w = R.mul_matrix(w0)
     col0 = R.combine(m_w, v)
@@ -255,7 +261,33 @@ def _schur_step(R, v, w):
     w = (w[:, :, 1:] - R.times(m_w, w_k)) % p
     v = (v[:, :, 1:] - R.times(m_v, col0[:, 1:])) % p
     v[k], w[k] = col0[:, :-1], norm[:, :-1]
-    return norm, v, w
+    return norm, np.stack([v, w])
+
+
+def _schur_step_prime(R, G):
+    """_schur_step over a prime field on the 2-D (alpha, n) rows of both
+    halves at once: one product gives the first column and row, one
+    broadcast product the two Gauss transforms, written into a new
+    contiguous array (faster than in place in G), and x -= (x // p) * p
+    reduces it (faster than % on int64, exact for negative x)."""
+    p = R.p
+    X = G[:, :, 0]
+    f = X[:, :, 0]  # (v0, w0)
+    c = f[::-1, None] @ X % p  # (w0 @ V, v0 @ W): the first column and row
+    col0 = c[0, 0]
+    if not col0[0]:
+        return None
+    inv = pow(int(col0[0]), -1, p)
+    norm = c[1, 0] * inv % p
+    k = f[1].nonzero()[0][0]
+    # V -= (v0 / pivot) (x) col0 and W -= (w0 / w0_k) (x) W_k
+    c[1, 0] = X[1, k]
+    m = f * np.array([[inv], [pow(int(f[1, k]), -1, p)]]) % p
+    Y = m[:, :, None] * c[:, :, 1:]
+    np.subtract(X[:, :, 1:], Y, out=Y)
+    Y -= Y // p * p
+    Y[0, k], Y[1, k] = col0[:-1], norm[:-1]
+    return norm[None], Y[:, :, None]
 
 
 def _eliminate(R, v, w, size):
@@ -265,30 +297,38 @@ def _eliminate(R, v, w, size):
     of the elimination, a (d, size - t) array.  Raises _PivotBreakdown when
     the rank profile is not generic.
 
-    The generator is compressed once, then every _schur_step keeps its
-    length.  At a vanishing leading entry it is compressed again: empty
-    means a zero Schur complement (the rank is certified), nonempty a
-    breakdown.
+    The generator is compressed once, then every Schur step keeps its
+    length; prime fields take _schur_step_prime.  At a vanishing leading
+    entry it is compressed again: empty means a zero Schur complement (the
+    rank is certified), nonempty a breakdown.
     """
-    v, w = _compress(R, v, w)
+    G = np.stack(_compress(R, v, w))
+    schur_step = _schur_step_prime if R.d == 1 else _schur_step
     pivot_rows = []
     for _ in range(size):
-        step = _schur_step(R, v, w)
+        step = schur_step(R, G)
         if step is None:
-            v, w = _compress(R, v, w)
-            if not len(v):
+            if not len(_compress(R, *G)[0]):
                 break  # the Schur complement is zero: rank certified
             raise _PivotBreakdown()
-        norm, v, w = step
+        norm, G = step
         pivot_rows.append(norm)
     return len(pivot_rows), pivot_rows
 
 
 def _back_substitute(R, pivot_rows, free):
     """Element of the nullspace of the staircase system whose trailing
-    (free) coordinates are the given (d, size - rank) draws."""
+    (free) coordinates are the given (d, size - rank) draws.  Over a prime
+    field each coordinate is one dot product, in the dtype of sums of size
+    products."""
     rank = len(pivot_rows)
     x = np.concatenate([R.zeros(rank), free], axis=1)
+    if R.d == 1:
+        acc = R.sum_dtype(x.shape[1])
+        y = x[0].astype(acc)
+        for t in range(rank - 1, -1, -1):
+            y[t] = -(pivot_rows[t][0, 1:].astype(acc, copy=False) @ y[t + 1 :]) % R.p
+        return y[None].astype(x.dtype)
     for t in range(rank - 1, -1, -1):
         row = pivot_rows[t]  # (d, size - t), leading entry 1
         x[:, t] = -R.dot(row[:, 1:], x[:, t + 1 :]) % R.p

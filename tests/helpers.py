@@ -11,6 +11,7 @@ import numpy as np
 
 from mvinterp.approx import ApproxInstance
 from mvinterp.field import prime_field, residues
+from mvinterp.linalg import _np_eligible, _rref_generic, _rref_np, _to_np
 from mvinterp.errors import BadLength, TooLarge
 from mvinterp.poly import Poly, reverse, series_inv, trunc
 from mvinterp.reduction import (
@@ -225,6 +226,45 @@ def displacement_of_dense(tag, rows, ctx):
                 line.append(rows[i][j] - (rows[i - 1][j + 1] if j + 1 < N else z))
         out.append(line)
     return out
+
+
+def kernel_basis(ctx, rows, ncols):
+    """Basis of the right nullspace as a list of FieldElement vectors."""
+    if ncols == 0:
+        return []
+    if not rows:
+        basis = []
+        for f in range(ncols):
+            v = [ctx.zero()] * ncols
+            v[f] = ctx.one()
+            basis.append(v)
+        return basis
+    if _np_eligible(ctx):
+        arr = _to_np(ctx, rows, ncols)
+        pivots = _rref_np(arr, ctx.p)
+        piv_set = set(pivots)
+        basis = []
+        for f in range(ncols):
+            if f in piv_set:
+                continue
+            v = [0] * ncols
+            v[f] = 1
+            for i, c in enumerate(pivots):
+                v[c] = int(-arr[i, f]) % ctx.p
+            basis.append([ctx.el(x) for x in v])
+        return basis
+    red, pivots = _rref_generic(rows, ctx)
+    piv_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in piv_set:
+            continue
+        v = [ctx.zero()] * ncols
+        v[f] = ctx.one()
+        for i, c in enumerate(pivots):
+            v[c] = -red[i][f]
+        basis.append(v)
+    return basis
 
 
 # ------------------------------------------------------------ Hasse expansion

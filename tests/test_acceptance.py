@@ -26,7 +26,7 @@ from mvinterp.apps import (
 )
 from mvinterp.cli import main
 from mvinterp.field import prime_field
-from mvinterp.linalg import kernel_basis, matrix_rank
+from mvinterp.linalg import matrix_rank
 from mvinterp.mosaic_hankel import (
     build_hankel_generators,
     compute_s_star,
@@ -65,6 +65,7 @@ from mvinterp.toeplitz_like import (
 from helpers import (
     displacement_of_dense,
     generator_product,
+    kernel_basis,
     random_approx_instance,
     random_interp_instance,
     random_monic,

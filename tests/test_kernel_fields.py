@@ -10,10 +10,12 @@ invariants of the preconditioned matrix).
 
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
     gen_from_dense,
+    generator,
     low_rank_matrix,
     mat_vec,
     rand_el,
@@ -32,6 +34,7 @@ from mvinterp.struct_solve import (
     _compress,
     _precondition,
     _schur_step,
+    _schur_step_prime,
     nullspace_structured,
 )
 
@@ -89,7 +92,8 @@ def dense_schur_complement(S):
 def test_schur_step_tracks_the_dense_schur_complement(name):
     # after every step the generator represents the next Schur complement of
     # the preconditioned matrix, at no more than its compressed length; a
-    # zero complement reached mid-elimination compresses to nothing
+    # zero complement reached mid-elimination compresses to nothing.  Prime
+    # fields (F65537, M61) run _schur_step_prime, the others _schur_step
     ctx = FIELDS[name]
     certified = completed = 0
     for k, seed in enumerate(spread_seeds(31, 8)):
@@ -108,15 +112,16 @@ def test_schur_step_tracks_the_dense_schur_complement(name):
         v, w = _compress(R, v, w)
         alpha = len(v)
         assert generator_matrix(R, v, w, size) == S
+        schur_step = _schur_step_prime if ctx.d == 1 else _schur_step  # as _eliminate picks
         while S:
-            step = _schur_step(R, v, w)
+            step = schur_step(R, np.stack([v, w]))
             if S[0][0].is_zero():
                 assert step is None
                 zero = all(e.is_zero() for row in S for e in row)
                 assert (not len(_compress(R, v, w)[0])) == zero
                 certified += zero and len(S) < size
                 break
-            norm, v, w = step
+            norm, (v, w) = step
             assert R.elements(norm) == [e * S[0][0].inv() for e in S[0]]
             S = dense_schur_complement(S)
             assert len(v) <= alpha
@@ -127,15 +132,20 @@ def test_schur_step_tracks_the_dense_schur_complement(name):
     assert certified and completed
 
 
-def test_one_compression_per_attempt(monkeypatch):
-    # a 384 x 385 system of displacement rank 10 (gs, n=64, m=3, l=6): each
-    # attempt compresses its preconditioned generator once, and once more at
-    # the leading entry that vanishes where the Schur complement is zero
+def gs_deep_params():
+    """gs at n=64, m=3, l=6: a 384 x 385 system of displacement rank 10."""
     ctx = prime_field(16777213)
     rng = random.Random(64)
     xs = rng.sample(range(ctx.p), 64)
     pts = tuple((ctx.el(x), ctx.el(rng.randrange(ctx.p))) for x in xs)
-    params = GsParams(ctx, k=16, m=3, ell=6, b=103, points=pts)
+    return GsParams(ctx, k=16, m=3, ell=6, b=103, points=pts)
+
+
+def test_one_compression_per_attempt(monkeypatch):
+    # each attempt on the gs 384 x 385 system compresses its preconditioned
+    # generator once, and once more at the leading entry that vanishes where
+    # the Schur complement is zero
+    params = gs_deep_params()
     calls = dict.fromkeys(["_compress", "_precondition"], 0)
     for name in calls:
 
@@ -147,6 +157,62 @@ def test_one_compression_per_attempt(monkeypatch):
     assert isinstance(gs_interpolate(params, random.Random(5)), Solution)
     attempts = calls["_precondition"]
     assert attempts <= calls["_compress"] <= 2 * attempts
+
+
+@pytest.mark.parametrize("case", ["gs-384x385", "F7-breakdown"])
+def test_prime_elimination_matches_the_generic_step(monkeypatch, case):
+    # over a prime field _eliminate runs _schur_step_prime; with the
+    # (alpha, d, n) _schur_step in its place every attempt must end the same:
+    # the same rank and pivot rows, or a pivot breakdown in both
+    def solve():
+        if case == "gs-384x385":
+            return gs_interpolate(gs_deep_params(), random.Random(5))
+        return nullspace_structured(golden_case(F7, "square", 1), random.Random(101), 8)
+
+    runs = []
+    for generic in (False, True):
+        attempts = []
+
+        def recorded(R, v, w, size, real=struct_solve._eliminate):
+            try:
+                rank, rows = real(R, v, w, size)
+            except struct_solve._PivotBreakdown:
+                attempts.append("breakdown")
+                raise
+            attempts.append((rank, [row.tolist() for row in rows]))
+            return rank, rows
+
+        with monkeypatch.context() as patch:
+            patch.setattr(struct_solve, "_eliminate", recorded)
+            if generic:
+                patch.setattr(struct_solve, "_schur_step_prime", struct_solve._schur_step)
+            out = solve()
+        assert isinstance(out, Solution)
+        runs.append((attempts, out))
+    assert runs[0] == runs[1]
+    attempts = runs[0][0]
+    assert ("breakdown" in attempts) == (case == "F7-breakdown")
+    assert attempts[-1][0] == (384 if case == "gs-384x385" else 5)
+
+
+def test_back_substitution_sums_past_int64():
+    # over p = 479001599 the generators stay int64 (alpha 6 after
+    # preconditioning), but a back-substitution row of a 250 x 251 system
+    # sums up to 250 products of residues; uniform residues average p^2/4 a
+    # product, so such a sum passes 2^63 (it needs 161 terms on average, 41
+    # at worst) and must run in R.sum_dtype(size), not int64
+    ctx = prime_field(479001599)
+    rng = random.Random(479)
+    m, n = 250, 251
+    t = {k: rand_el(ctx, rng) for k in range(1 - n, m)}
+    A = [[t[i - j] for j in range(n)] for i in range(m)]  # Toeplitz: displacement rank 2
+    e0_m, e0_n = ([ctx.one()] + [ctx.zero()] * (k - 1) for k in (m, n))
+    first_col = [ctx.zero()] + [A[i][0] for i in range(1, m)]
+    G = generator("toeplitz", m, n, [e0_m, first_col], [A[0], e0_n], ctx)
+    out = nullspace_structured(G, random.Random(5), 8)
+    assert isinstance(out, Solution)
+    assert any(not e.is_zero() for e in out.value)
+    assert all(e.is_zero() for e in mat_vec(A, out.value, ctx))
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 998244353, 479001599])

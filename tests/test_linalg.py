@@ -1,12 +1,11 @@
 import random
 
-from helpers import spread_seeds
+from helpers import kernel_basis, spread_seeds
 from mvinterp.field import build_extension, prime_field
 from mvinterp.linalg import (
     _rref_generic,
     _rref_np,
     _to_np,
-    kernel_basis,
     kernel_vector_echelon,
     matrix_rank,
 )

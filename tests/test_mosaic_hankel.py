@@ -5,13 +5,14 @@ import pytest
 from helpers import (
     displacement_of_dense,
     generator_product,
+    kernel_basis,
     random_approx_instance,
     spread_seeds,
 )
 from mvinterp.approx import ApproxInstance, pack_solution, trim_instance, unpack_solution, verify_approx
 from mvinterp.errors import TooLarge
 from mvinterp.field import FieldCtx, prime_field
-from mvinterp.linalg import kernel_basis, matrix_rank
+from mvinterp.linalg import matrix_rank
 from mvinterp.mosaic_hankel import (
     build_hankel_generators,
     compute_s_star,

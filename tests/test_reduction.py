@@ -6,7 +6,6 @@ from mvinterp.approx import unpack_solution, verify_approx
 from mvinterp.errors import DegreeViolation, DuplicateNode, NoSolutionSpace
 from mvinterp.field import FieldCtx, prime_field
 from mvinterp.outcomes import NoSolution, NotApplicable, Solution
-from mvinterp.linalg import kernel_basis
 from mvinterp.poly import Poly, poly_divrem
 from mvinterp.reduction import (
     InterpolationInstance,
@@ -25,6 +24,7 @@ from mvinterp.toeplitz_like import dense_build_Aprime
 
 from helpers import (
     hasse_shift_expand,
+    kernel_basis,
     random_interp_instance,
     random_monic,
     random_poly,

@@ -6,6 +6,7 @@ from helpers import (
     displacement_of_dense,
     extend_recurrence,
     generator_product,
+    kernel_basis,
     random_approx_instance,
     random_monic,
     random_poly,
@@ -15,7 +16,7 @@ from mvinterp.approx import ApproxInstance, pack_solution, verify_approx
 from mvinterp.apps import solve_approx
 from mvinterp.errors import BadLength, TooLarge
 from mvinterp.field import prime_field
-from mvinterp.linalg import kernel_basis, matrix_rank
+from mvinterp.linalg import matrix_rank
 from mvinterp.outcomes import NoSolution, Solution
 from mvinterp.poly import Poly, poly_mod
 from mvinterp.toeplitz_like import (
