@@ -322,7 +322,10 @@ def cmd_bench(args) -> int:
         _, a = build_reduction(parsed.interpolation_instance())
         a, _, _ = trim_instance(a)
         for bk in backends:
-            run = _bench_kernel(a, bk)
+            try:
+                run = _bench_kernel(a, bk)
+            except MvInterpError as exc:  # the dense build's size guard
+                return _die(str(exc))
             run(random.Random(0))  # warm-up, untimed
             times = []
             verdict = "?"

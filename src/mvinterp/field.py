@@ -31,6 +31,9 @@ from .errors import (
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _INT64_SAFE = 2**62
 _SKEW_CELLS = 1 << 16  # largest product table Residues.conv builds at once
+# residue-row products times m^2 from which conv_sum takes FFT products: in the
+# kernel's applies they win at 1.5e6 (10 pairs, m = 385), lose at 2.6e5 (4, 257)
+_FFT_WORK = 500_000
 
 
 def is_probable_prime(n: int) -> bool:
@@ -210,9 +213,6 @@ class FieldCtx:
             i //= p
         return FieldElement(self, tuple(c))
 
-    def rand(self, rng) -> "FieldElement":
-        return self.from_index(rng.randrange(self.order))
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldCtx)
@@ -375,6 +375,11 @@ class Residues:
     (conv, evaluate, combine, dot) choose their own accumulation dtype by
     sum_dtype from the number of products they add and return the storage
     dtype, or object when an operand is object.
+
+    Polynomial products choose their method by size, as sum_dtype chooses
+    the dtype: long ones are exact float64 FFT products of the b-bit limbs
+    that fft_limbs picks within Percival's rounding bound, short ones
+    np.convolve calls or one skewed product table (conv_sum).
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -399,6 +404,24 @@ class Residues:
         for sums of `terms` products of field elements in residue form (a
         fold of d^2 residue products included), left unreduced."""
         return np.int64 if terms <= self._int64_terms else object
+
+    def fft_limbs(self, n: int, terms: int):
+        """(k, b): the fewest b-bit limbs per residue, k <= 2, for which
+        float64 FFT products of operands up to n long, `terms` of them
+        summed per coefficient, round exactly; None if two are not enough.
+
+        With transform length 2^L >= 2n - 1 and limbs below 2^b, a sum of
+        `terms` limb products is off by less than terms * n * (2^b - 1)^2 *
+        (13 L + 3) * 2^-53 (Percival, Math. Comp. 2003, unit roundoff and
+        twiddle error 2^-53), which must stay below 1/2.
+        """
+        L = (2 * n - 2).bit_length()
+        bits = (self.p - 1).bit_length()
+        for k in (1, 2):
+            b = -(-bits // k)
+            if terms * n * ((1 << b) - 1) ** 2 * (13 * L + 3) < 1 << 52:
+                return k, b
+        return None
 
     def _dtypes(self, terms: int, a: np.ndarray, b: np.ndarray):
         """Accumulation and result dtypes for sums of `terms` products of
@@ -507,22 +530,34 @@ class Residues:
         pairs = (a.astype(acc, copy=False) @ b.T.astype(acc, copy=False)) % self.p
         return ((self._fold @ pairs.reshape(-1)) % self.p).astype(out, copy=False)
 
-    def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Polynomial products of (..., d, n) and (..., d, m) arrays with the
-        same leading axes, as (..., d, n + m - 1), reduced.
+    def conv(self, a: np.ndarray, b: np.ndarray, keep=slice(None)) -> np.ndarray:
+        """Polynomial products of (..., d, n) and (..., d, m) arrays of
+        reduced residues, leading axes broadcast, as (..., d, n + m - 1),
+        reduced, or only the coefficients `keep`.
 
-        Many short products run at once: every y_u * x goes into row u of a
-        table whose rows are then skewed by u and summed.  Otherwise each
-        pair of residue rows is one np.convolve, or with Python ints one
+        Over int64 residues, once the residue-row products times m^2 (m the
+        shorter length) reach _FFT_WORK and fft_limbs finds limbs, these are
+        float64 FFT products of b-bit limbs.  Otherwise many short products
+        run at once as one table of every y_u * x skewed by u and summed, or
+        each pair of residue rows is one np.convolve, or with Python ints one
         product of two long integers (Kronecker substitution).
         """
         if a.shape[-1] < b.shape[-1]:
             a, b = b, a
         d, n, m = self.d, a.shape[-1], b.shape[-1]
         acc, out = self._dtypes(m, a, b)
+        lead = a.shape[:-2]
+        if lead != b.shape[:-2]:
+            lead = np.broadcast_shapes(lead, b.shape[:-2])
+        count = math.prod(lead) * d * d
+        limbs = self.dtype is np.int64 and count * m * m >= _FFT_WORK and self.fft_limbs(n, 1)
+        if limbs:
+            pairs = self._fft_pairs(a[None], b[None], keep, *limbs)
+            return self._fold_pairs(pairs).astype(out, copy=False)
         a, b = a.astype(acc, copy=False), b.astype(acc, copy=False)
-        lead = a.shape[:-1] + (d,)
-        count = math.prod(lead)
+        if a.shape[:-2] != b.shape[:-2]:
+            a, b = np.broadcast_to(a, lead + (d, n)), np.broadcast_to(b, lead + (d, m))
+        lead += (d, d)
         if m <= count and count * m * (n + m) <= _SKEW_CELLS:
             table = np.zeros(lead + (m, n + m), dtype=acc)
             table[..., :n] = a[..., :, None, None, :] * b[..., None, :, :, None]
@@ -533,12 +568,47 @@ class Residues:
             one = np.convolve if acc is np.int64 else _kronecker
             pairs = [one(x, y) for xs, ys in rows for x in xs for y in ys]
             pairs = np.array(pairs, dtype=acc).reshape(lead + (n + m - 1,))
-        return self._fold_pairs(pairs % self.p).astype(out, copy=False)
+        return self._fold_pairs(pairs[..., keep] % self.p).astype(out, copy=False)
+
+    def conv_sum(self, a: np.ndarray, b: np.ndarray, keep=slice(None)) -> np.ndarray:
+        """sum_c conv(a_c, b_c) over the first axis of (c, ..., d, n) and
+        (c, ..., d, m) arrays, reduced; FFT products are summed over c in the
+        frequency domain before one inverse transform."""
+        n, m = max(a.shape[-1], b.shape[-1]), min(a.shape[-1], b.shape[-1])
+        count = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])) * self.d**2
+        limbs = self.dtype is np.int64 and count * m * m >= _FFT_WORK and self.fft_limbs(n, len(a))
+        if not limbs:
+            return self.conv(a, b, keep).sum(axis=0) % self.p
+        out = self._dtypes(0, a, b)[1]
+        return self._fold_pairs(self._fft_pairs(a, b, keep, *limbs)).astype(out, copy=False)
+
+    def _fft_pairs(self, a: np.ndarray, b: np.ndarray, keep, k: int, bits: int) -> np.ndarray:
+        """Products of (c, ..., d, n) and (c, ..., d, m) arrays summed over c,
+        as (..., d, d, n + m - 1) residue-row pairs before the fold, reduced:
+        the operands' k limbs of `bits` bits are transformed once, the limb
+        products summed over c in the frequency domain, and after one inverse
+        transform the rounded sums are recombined mod p."""
+        p, size = self.p, a.shape[-1] + b.shape[-1] - 1
+        length = 1 << (size - 1).bit_length()
+        A, B = (
+            np.fft.rfft(np.stack([(x >> bits * i) & ((1 << bits) - 1) for i in range(k)]), length)
+            for x in (a.astype(np.int64), b.astype(np.int64))
+        )
+        sums = np.fft.irfft(np.einsum("kc...iz,lc...jz->kl...ijz", A, B), length)[..., :size]
+        sums = sums[..., keep]
+        sums += 0.5  # each is within 1/2 of an integer in [0, 2^52): truncation rounds
+        sums = sums.astype(np.int64)
+        out = sums[-1, -1] % p
+        for s in range(2 * k - 3, -1, -1):  # sum_s 2^(bits s) sum_{i+j=s} sums[i, j]
+            out <<= bits
+            out += sum(sums[i, s - i] for i in range(k) if 0 <= s - i < k)
+            out %= p
+        return out
 
     def corr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """out[t] = sum_u a[t+u] * b[u] for t < len(a)."""
         m = b.shape[-1]
-        return self.conv(a, b[..., ::-1])[..., m - 1 : m - 1 + a.shape[-1]]
+        return self.conv(a, b[..., ::-1], slice(m - 1, m - 1 + a.shape[-1]))
 
 
 def _kronecker(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import ApproxInstance
-from .backend import DENSE_GUARD_CELLS, solve_with_builder
-from .errors import TooLarge
+from .backend import solve_with_builder
 from .poly import Poly, reverse, series_inv, trunc
 from .struct_solve import TAG_HANKEL, GeneratorPair
 
@@ -69,27 +68,6 @@ def compute_s_star(a: ApproxInstance):
             row.append(trunc(f_rev * inv, m + a.col_bounds[j] - 1))
         out.append(tuple(row))
     return tuple(out)
-
-
-def dense_build_A(a: ApproxInstance):
-    """The mosaic-Hankel matrix itself (oracle / small-instance use)."""
-    M, N = a.total_rows, a.total_cols
-    if M * N > DENSE_GUARD_CELLS:
-        raise TooLarge(f"{M}x{N} dense mosaic exceeds the guard")
-    s_star = compute_s_star(a)
-    layout = layout_for(a)
-    col_starts = [c - n + 1 for c, n in zip(layout.col_offsets, a.col_bounds)]
-    rows = [[a.ctx.zero()] * N for _ in range(M)]
-    for i, mi in enumerate(a.row_bounds):
-        r0 = layout.row_offsets[i]
-        for j, nj in enumerate(a.col_bounds):
-            c0 = col_starts[j]
-            s = s_star[i][j]
-            for u in range(mi):
-                row = rows[r0 + u]
-                for v in range(nj):
-                    row[c0 + v] = s.coeff(u + v)
-    return rows
 
 
 def build_hankel_generators(a: ApproxInstance):

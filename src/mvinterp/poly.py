@@ -69,10 +69,6 @@ class Poly:
     def x(cls, ctx: FieldCtx) -> "Poly":
         return cls(ctx, (ctx.zero(), ctx.one()))
 
-    @classmethod
-    def from_ints(cls, ctx: FieldCtx, ints) -> "Poly":
-        return cls(ctx, [ctx.el(v) for v in ints])
-
     # -- structure ----------------------------------------------------
 
     @property

@@ -40,6 +40,11 @@ numpy paths make too) its steps and the back-substitution run on plain 2-D
 the generic (alpha, d, n) step.  The random draws are digits of the sampled
 indices.  FieldElements appear only for the other scalar inverses and the
 returned vector.
+
+Generator applies (_apply, _apply_last, _precondition) are batched products
+of the stacked halves: A·x is conv_sum(V, corr(x, W)), reduced mod p between
+the two, so that long pair products are FFT products summed over the pairs
+in the frequency domain before one inverse transform.
 """
 
 from __future__ import annotations
@@ -147,15 +152,12 @@ def _draw(R, min_size: int, rng, k: int) -> np.ndarray:
 
 def _apply(R, v, w, x, nrows):
     """A·x through a toeplitz-tagged generator: sum_c L(v_c) U(w_c) x."""
-    out = np.zeros((R.d, nrows), v.dtype)
-    for col, row in zip(v, w):
-        out += R.conv(col, R.corr(x, row))[:, :nrows]  # corr: sum_u w[u] x[k+u]
-    return out % R.p
+    return R.conv_sum(v, R.corr(x, w), slice(nrows))  # corr: sum_u w_c[u] x[k+u]
 
 
 def _apply_last(R, v, w, nrows):
     """A·e_last, the last column: corr(e_last, w_c) is w_c reversed."""
-    return R.conv(v, w[:, :, ::-1])[:, :, :nrows].sum(axis=0) % R.p
+    return R.conv_sum(v, w[:, :, ::-1], slice(nrows))
 
 
 def _echelon(R, A, B):
@@ -206,31 +208,22 @@ def _precondition(R, v, w, u_full, l_full):
     b_vec = np.concatenate([zero, u_full[:, :0:-1]], axis=1)
     c_vec = np.concatenate([l_full[:, 1:], zero], axis=1)
     f_vec = np.concatenate([zero, l_full[:, :0:-1]], axis=1)
-    e_first = R.unit(size, 0)
 
     def shift1(x):
-        return np.concatenate([zero, x[:, :-1]], axis=1)
-
-    new_v = [R.corr(c, u_full) for c in v]
-    new_w = [R.corr(r, l_full) for r in w]
+        return np.concatenate([np.zeros_like(x[..., :1]), x[..., :-1]], axis=-1)
 
     Ac = _apply(R, v, w, c_vec, size)
-    new_v.append(R.corr(shift1(Ac), u_full))
-    new_w.append(e_first)
-
     Ae = _apply_last(R, v, w, size)
-    new_v.append(-R.corr(shift1(Ae), u_full) % R.p)
-    new_w.append(f_vec)
-
     # transpose applies: generator of A^T swaps the halves
     atA = _apply(R, w, v, a_vec, size)
-    new_v.append(e_first)
-    new_w.append(shift1(R.corr(atA, l_full)))
-
     eA = _apply_last(R, w, v, size)
-    new_v.append(-b_vec % R.p)
-    new_w.append(shift1(R.corr(eA, l_full)))
-    return np.stack(new_v), np.stack(new_w)
+    new_v = R.corr(np.concatenate([v, shift1(np.stack([Ac, -Ae % R.p]))]), u_full)
+    new_w = R.corr(np.concatenate([w, np.stack([atA, eA])]), l_full)
+    new_w[-2:] = shift1(new_w[-2:])
+    e_first = R.unit(size, 0)[None]
+    new_v = np.concatenate([new_v, e_first, -b_vec[None] % R.p])
+    new_w = np.concatenate([new_w[:-2], e_first, f_vec[None], new_w[-2:]])
+    return new_v, new_w
 
 
 def _schur_step(R, G):

@@ -12,7 +12,9 @@ import numpy as np
 from mvinterp.approx import ApproxInstance
 from mvinterp.field import prime_field, residues
 from mvinterp.linalg import _np_eligible, _rref_generic, _rref_np, _to_np
+from mvinterp.backend import DENSE_GUARD_CELLS
 from mvinterp.errors import BadLength, TooLarge
+from mvinterp.mosaic_hankel import compute_s_star, layout_for
 from mvinterp.poly import Poly, reverse, series_inv, trunc
 from mvinterp.reduction import (
     InterpolationInstance,
@@ -24,6 +26,11 @@ from mvinterp.reduction import (
 from mvinterp.struct_solve import TAG_TOEPLITZ, GeneratorPair
 
 _RECONSTRUCT_GUARD_CELLS = 1 << 14
+
+
+def from_ints(ctx, ints):
+    """The polynomial with coefficients ints (low degree first) mod p."""
+    return Poly(ctx, [ctx.el(v) for v in ints])
 
 
 def random_poly(ctx, deg_bound, rng, monic=False, exact=False):
@@ -328,3 +335,51 @@ def extend_recurrence(init, charpoly, count):
     numer = trunc(Poly(ctx, init) * denom, m)
     series = trunc(numer * series_inv(denom, count), count)
     return [series.coeff(i) for i in range(count)]
+
+
+def dense_build_A(a: ApproxInstance):
+    """The mosaic-Hankel matrix of an instance itself, as FieldElement rows."""
+    M, N = a.total_rows, a.total_cols
+    if M * N > DENSE_GUARD_CELLS:
+        raise TooLarge(f"{M}x{N} dense mosaic exceeds the guard")
+    s_star = compute_s_star(a)
+    layout = layout_for(a)
+    col_starts = [c - n + 1 for c, n in zip(layout.col_offsets, a.col_bounds)]
+    rows = [[a.ctx.zero()] * N for _ in range(M)]
+    for i, mi in enumerate(a.row_bounds):
+        r0 = layout.row_offsets[i]
+        for j, nj in enumerate(a.col_bounds):
+            c0 = col_starts[j]
+            s = s_star[i][j]
+            for u in range(mi):
+                row = rows[r0 + u]
+                for v in range(nj):
+                    row[c0 + v] = s.coeff(u + v)
+    return rows
+
+
+# ------------------------------------------------------------ dense residue oracles
+
+
+def dense_from_halves(R, v, w):
+    """The matrix A with A - Z A Z^T = V·W of toeplitz-tagged halves v
+    (alpha, d, M) and w (alpha, d, N), as an (M, d, N) residue array: V·W
+    from entrywise products, then A[i, j] = (V·W)[i, j] + A[i-1, j-1]."""
+    A = sum(R.emul(vc.T[:, :, None], wc[None]) for vc, wc in zip(v, w)) % R.p
+    for i in range(1, len(A)):
+        A[i, :, 1:] = (A[i, :, 1:] + A[i - 1, :, :-1]) % R.p
+    return A
+
+
+def dense_toeplitz(R, first, upper):
+    """The unit-triangular Toeplitz matrix with first row (upper) or first
+    column (lower) `first` (d, n), as an (n, d, n) residue array."""
+    n = first.shape[1]
+    i, j = np.indices((n, n))
+    k = j - i if upper else i - j
+    return np.where(k[:, None, :] >= 0, first[:, k.clip(0)].transpose(1, 0, 2), 0)
+
+
+def dense_matvec(R, A, x):
+    """A·x for an (M, d, N) residue matrix and a (d, N) vector, as (d, M)."""
+    return (R.emul(A, x[None]).sum(axis=-1) % R.p).T

@@ -7,11 +7,13 @@ from mvinterp.errors import BadLength, Degenerate
 from mvinterp.field import prime_field
 from mvinterp.poly import Poly
 
+from helpers import from_ints
+
 F13 = prime_field(13)
 
 
 def P13(*ints):
-    return Poly.from_ints(F13, ints)
+    return from_ints(F13, ints)
 
 
 def single(P, F, bound):
@@ -109,11 +111,11 @@ def test_trim_preserves_solutions_by_padding():
         residues = []
         for _ in range(mu):
             d = rng.randrange(1, 4)
-            p = Poly.from_ints(F13, [rng.randrange(13) for _ in range(d)] + [1])
+            p = from_ints(F13, [rng.randrange(13) for _ in range(d)] + [1])
             moduli.append(p)
         for p in moduli:
             residues.append(
-                [Poly.from_ints(F13, [rng.randrange(13) for _ in range(p.deg)]) for _ in range(nu)]
+                [from_ints(F13, [rng.randrange(13) for _ in range(p.deg)]) for _ in range(nu)]
             )
         bounds = [rng.randrange(1, 5) for _ in range(nu)]
         a = ApproxInstance(F13, moduli, residues, bounds)
@@ -121,7 +123,7 @@ def test_trim_preserves_solutions_by_padding():
         assert t.total_cols <= a.total_rows + 1
         # any solution of the trimmed instance lifts by zero-padding
         qs = [
-            Poly.from_ints(F13, [rng.randrange(13) for _ in range(bnd)])
+            from_ints(F13, [rng.randrange(13) for _ in range(bnd)])
             for bnd in t.col_bounds
         ]
         if verify_approx(t, qs):

@@ -32,13 +32,12 @@ from mvinterp.errors import (
 )
 from mvinterp.field import FieldCtx, prime_field
 from mvinterp.linalg import matrix_rank
-from mvinterp.mosaic_hankel import dense_build_A
 from mvinterp.outcomes import Failure, NoSolution, Solution
 from mvinterp.poly import Poly
 from mvinterp.reduction import InterpolationInstance, build_reduction, verify_solution
 from mvinterp.struct_solve import subset_floor
 
-from helpers import random_interp_instance, spread_seeds
+from helpers import dense_build_A, random_interp_instance, spread_seeds
 
 F13 = prime_field(13)
 F101 = prime_field(101)

@@ -323,3 +323,11 @@ def test_bench_rejects_bad_sizes_and_reps(args, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+def test_bench_reports_the_dense_guard(capsys):
+    # the dense build refuses n = 1024 (TooLarge) before any timing
+    assert main(["bench", "--backend", "dense", "--sizes", "1024", "--reps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out.strip() == "size,backend,median_ms,verdict,reps"

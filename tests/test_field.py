@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvinterp.errors import CtxMismatch, DivisionByZero, ZeroInput
 from mvinterp.field import (
@@ -10,7 +13,9 @@ from mvinterp.field import (
     prime_field,
     project_solution_to_base,
     residues,
+    _kronecker,
 )
+import mvinterp.field as field_module
 from mvinterp.struct_solve import _draw
 
 # ---------------------------------------------------------------- primality
@@ -211,3 +216,77 @@ def test_project_picks_first_nonzero_slice():
     v = [E.el((0, 2)), E.el((0, 3))]  # slice 0 all zero, slice 1 = (2, 3)
     proj = project_solution_to_base(v)
     assert [e.c[0] for e in proj] == [2, 3]
+
+
+# ---------------------------------------------------------------- FFT products
+
+
+def kronecker_conv_sum(R, a, b):
+    """conv_sum on Python ints: one Kronecker product per residue-row pair,
+    summed over the first axis, folded by the multiplication table."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, lead + a.shape[-2:]).astype(object)
+    b = np.broadcast_to(b, lead + b.shape[-2:]).astype(object)
+    rows = zip(a.reshape(-1, R.d, a.shape[-1]), b.reshape(-1, R.d, b.shape[-1]))
+    pairs = [_kronecker(x, y) for xs, ys in rows for x in xs for y in ys]
+    pairs = np.array(pairs, dtype=object).reshape(lead + (R.d, R.d, -1)).sum(axis=0) % R.p
+    return R._fold_pairs(pairs) % R.p
+
+
+def longest_length(R, terms, k):
+    """The longest operand length for which fft_limbs picks k limbs."""
+    lo, hi = 1, 1 << 24
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        limbs = R.fft_limbs(mid, terms)
+        lo, hi = (mid, hi) if limbs and limbs[0] <= k else (lo, mid - 1)
+    return lo
+
+
+@pytest.mark.parametrize(
+    "p, k, terms",
+    [(131071, 1, 1), (131071, 1, 4), (2**31 - 1, 2, 1), (2**31 - 1, 2, 8)],
+)
+def test_fft_products_exact_at_the_rounding_bound(p, k, terms):
+    # every residue p - 1 at the longest length the bound allows for k
+    # limbs, summed over `terms` pairs as _apply sums its generator pairs
+    R = residues(prime_field(p))
+    n = longest_length(R, terms, k)
+    assert R.fft_limbs(n, terms)[0] == k and R.fft_limbs(n + 1, terms) != R.fft_limbs(n, terms)
+    assert terms * n * n >= field_module._FFT_WORK  # the FFT path runs
+    a = np.full((terms, 1, n), p - 1, dtype=np.int64)
+    got = R.conv_sum(a, a)
+    ones = np.convolve(np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64))
+    want = [terms * (p - 1) ** 2 * int(c) % p for c in ones]
+    assert got.dtype == np.int64 and got[0].tolist() == want
+    assert (got == kronecker_conv_sum(R, a, a)).all()
+
+
+FFT_FIELDS = [
+    prime_field(13),
+    prime_field(16777213),
+    prime_field(479001599),
+    prime_field(998244353),
+    prime_field(2**31 - 1),
+    FieldCtx(2, (1, 1, 0, 1, 1, 0, 0, 0, 1)),  # GF(2^8) = F_2[t]/(t^8+t^4+t^3+t+1)
+    FieldCtx(13, (6, 12, 6, 0, 1)),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(FFT_FIELDS),
+    st.integers(1, 4),
+    st.integers(1, 600),
+    st.integers(0, 40),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_conv_sum_matches_python_ints_across_the_crossover(ctx, terms, m, extra, broadcast, seed):
+    R = residues(ctx)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, ctx.p, (terms, 1 if broadcast else 2, ctx.d, m + extra))
+    b = rng.integers(0, ctx.p, (terms, 2, ctx.d, m))
+    assert (R.conv_sum(a, b) == kronecker_conv_sum(R, a, b)).all()
+    keep = slice(m // 2, m + extra)
+    assert (R.conv(a[0], b[0], keep) == kronecker_conv_sum(R, a[:1], b[:1])[..., keep]).all()

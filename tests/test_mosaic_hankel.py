@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    dense_build_A,
     displacement_of_dense,
     generator_product,
     kernel_basis,
@@ -16,7 +17,6 @@ from mvinterp.linalg import matrix_rank
 from mvinterp.mosaic_hankel import (
     build_hankel_generators,
     compute_s_star,
-    dense_build_A,
     layout_for,
     solve_via_hankel,
 )

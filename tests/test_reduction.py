@@ -23,6 +23,7 @@ from mvinterp.reduction import (
 from mvinterp.toeplitz_like import dense_build_Aprime
 
 from helpers import (
+    from_ints,
     hasse_shift_expand,
     kernel_basis,
     random_interp_instance,
@@ -35,7 +36,7 @@ F13 = prime_field(13)
 
 
 def P13(*ints):
-    return Poly.from_ints(F13, ints)
+    return from_ints(F13, ints)
 
 
 def mk_inst(F, pts, mults, ydeg, wdeg, weights, **kw):
@@ -87,7 +88,7 @@ def test_shift_expand_no_shift():
 
 def test_shift_expand_char2():
     F2 = prime_field(2)
-    Q = MultiPoly(F2, 1, {(2,): Poly.from_ints(F2, [1])})
+    Q = MultiPoly(F2, 1, {(2,): from_ints(F2, [1])})
     out = hasse_shift_expand(Q, (F2.el(0), (F2.el(1),)))
     # (Y+1)^2 = Y^2 + 1 in characteristic 2
     assert out == {(0, (2,)): F2.el(1), (0, (0,)): F2.el(1)}
@@ -140,7 +141,7 @@ def test_verify_matches_full_expansion():
         terms = {}
         for j in graded_exponents(s, ydeg):
             if rng.random() < 0.5:
-                terms[j] = Poly.from_ints(F, [rng.randrange(101) for _ in range(rng.randrange(1, 4))])
+                terms[j] = from_ints(F, [rng.randrange(101) for _ in range(rng.randrange(1, 4))])
         Q = MultiPoly(F, s, terms)
         if Q.is_zero() or Q.wdeg(weights) >= 8:
             continue
@@ -236,7 +237,7 @@ def test_preprocess_roundtrip_verdicts():
         terms = {}
         for j in [(0,), (1,)]:
             if rng.random() < 0.7:
-                terms[j] = Poly.from_ints(F13, [rng.randrange(13) for _ in range(rng.randrange(1, 6))])
+                terms[j] = from_ints(F13, [rng.randrange(13) for _ in range(rng.randrange(1, 6))])
         Q = MultiPoly(F13, 1, terms)
         if Q.is_zero():
             continue

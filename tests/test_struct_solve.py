@@ -1,9 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
     apply_generator,
+    dense_from_halves,
+    dense_matvec,
+    dense_toeplitz,
     displacement_of_dense,
     gen_from_dense,
     generator,
@@ -23,6 +27,7 @@ from mvinterp.outcomes import NoSolution, Solution
 from mvinterp.struct_solve import (
     GeneratorPair,
     _apply,
+    _apply_last,
     _compress,
     _eliminate,
     _precondition,
@@ -394,3 +399,31 @@ def test_nullspace_object_ops_extension_field():
         assert isinstance(out, Solution)
         y = mat_vec(A, out.value, ext)
         assert all(e.is_zero() for e in y)
+
+
+# ------------------------------------------------------------ batched applies
+
+
+@pytest.mark.parametrize(
+    "ctx, size, alpha",
+    [
+        (F65537, 40, 3),
+        (F65537, 600, 3),  # above the FFT crossover
+        (build_extension(F13, 4, random.Random(5)), 40, 3),
+        (build_extension(F13, 4, random.Random(5)), 200, 3),  # FFT, 16 row pairs
+    ],
+)
+def test_batched_applies_match_the_dense_matrix(ctx, size, alpha):
+    R = residues(ctx)
+    rng = np.random.default_rng(size)
+    shapes = [(alpha, ctx.d, size)] * 2 + [(ctx.d, size)] * 3
+    v, w, x, u, l = (rng.integers(0, ctx.p, s) for s in shapes)
+    u[:, 0], l[:, 0] = R.unit(1, 0)[:, 0], R.unit(1, 0)[:, 0]
+    A = dense_from_halves(R, v, w)
+    assert np.array_equal(_apply(R, v, w, x, size), dense_matvec(R, A, x))
+    assert np.array_equal(_apply_last(R, v, w, size), A[:, :, -1].T)
+    pv, pw = _precondition(R, v, w, u, l)
+    U, L = dense_toeplitz(R, u, True), dense_toeplitz(R, l, False)
+    UALx = dense_matvec(R, U, dense_matvec(R, A, dense_matvec(R, L, x)))
+    assert np.array_equal(dense_matvec(R, dense_from_halves(R, pv, pw), x), UALx)
+    assert np.array_equal(_apply(R, pv, pw, x, size), UALx)
