@@ -15,19 +15,25 @@ force a generic rank profile, then run a Schur-complement elimination that
 only touches generators.  Each trailing submatrix of the preconditioned
 matrix is again Toeplitz-like with no larger displacement rank, so after one
 compression each step keeps the generator at that length (a generalized
-Schur step); it is compressed again only when a leading entry vanishes.  A
-completed elimination certifies the exact rank; the recorded pivot rows
+Schur step); it is compressed again only when a leading entry vanishes.
+Empty then means a zero Schur complement: the rank is certified.  Nonempty
+is a pivot breakdown, and the complement, Toeplitz-like as well, is
+preconditioned with fresh draws and eliminated in turn, keeping the pivots
+already found.  Each level's leading block is invertible, so the rank is
+the sum of the levels' ranks (rank M = t + rank S).  The recorded pivot rows
 give the nullspace by back-substitution with randomly drawn free
-coordinates.  Every candidate is verified by applying A through the
-generator, so a returned Solution is unconditionally correct; NoSolution is
-returned only on a certified full-column-rank elimination.
+coordinates, climbing back out through the levels.  Every candidate is
+verified by applying A through the generator, so a returned Solution is
+unconditionally correct; NoSolution is returned only when the certified
+rank equals the column count.
 
 The random draws come from a sampling set of subset_floor(size) elements,
-enough for one attempt to succeed with probability >= 1/2.  A field smaller
-than that is sampled whole and never refused: its Solution and NoSolution
-are as certain as anywhere else, only Failure grows likelier, and over a
-prime field the caller may answer it by lifting to an extension
-(apps.solve_approx).
+enough for one preconditioning to succeed with probability >= 1/2.  A field
+smaller than that is sampled whole and never refused: its Solution and
+NoSolution are as certain as anywhere else, only breakdowns grow likelier.
+Every preconditioning, of the whole matrix or of a complement, is one
+attempt, so Failure needs max_retries of them; over a prime field the
+caller may answer it by lifting to an extension (apps.solve_approx).
 
 One representation serves every field: the residue arrays of
 field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
@@ -166,11 +172,15 @@ def _echelon(R, A, B):
 
     Right-looking: each pivot updates all later rows with one outer-product
     op.  Later rows are reduced mod p only when they become pivots, which
-    the dtype's bound on accumulated products allows.
+    the dtype's bound on accumulated products allows.  Over a prime field
+    it runs on the 2-D (alpha, n) rows with pow(x, -1, p) inverses.
     """
+    p = R.p
+    prime = R.d == 1
+    if prime:
+        A, B = A[:, 0], B[:, 0]
     A = A.copy()
     B = B.copy()
-    p = R.p
     keep = []
     for i in range(len(A)):
         A[i] %= p
@@ -181,9 +191,16 @@ def _echelon(R, A, B):
         if i + 1 < len(A):
             pc = cols[0]
             # A_j -= (a_j / s) A_i  and  B_i += (a_j / s) B_j
-            m = R.mul_matrix(R.mul(A[i + 1 :, :, pc] % p, R.inv(A[i, :, pc])))
-            A[i + 1 :] -= R.times(m, A[i])
-            B[i] = (B[i] + R.combine(m, B[i + 1 :])) % p
+            if prime:
+                m = A[i + 1 :, pc] % p * pow(int(A[i, pc]), -1, p) % p
+                A[i + 1 :] -= m[:, None] * A[i]
+                B[i] = (B[i] + m @ B[i + 1 :]) % p
+            else:
+                m = R.mul_matrix(R.mul(A[i + 1 :, :, pc] % p, R.inv(A[i, :, pc])))
+                A[i + 1 :] -= R.times(m, A[i])
+                B[i] = (B[i] + R.combine(m, B[i + 1 :])) % p
+    if prime:
+        return A[keep, None], B[keep, None]
     return A[keep], B[keep]
 
 
@@ -192,10 +209,6 @@ def _compress(R, v, w):
     v, w = _echelon(R, v, w)
     w, v = _echelon(R, w, v)
     return v, w
-
-
-class _PivotBreakdown(Exception):
-    """Leading entry of a nonzero Schur complement vanished (bad luck)."""
 
 
 def _precondition(R, v, w, u_full, l_full):
@@ -286,14 +299,15 @@ def _schur_step_prime(R, G):
 def _eliminate(R, v, w, size):
     """Generator-based Schur elimination under a generic rank profile.
 
-    Returns (rank, pivot_rows) where pivot_rows[t] is the normalized row t
-    of the elimination, a (d, size - t) array.  Raises _PivotBreakdown when
-    the rank profile is not generic.
+    Returns (pivot_rows, rest): pivot_rows[t] is the normalized row t of
+    the elimination, a (d, size - t) array.  At a vanishing leading entry
+    the generator is compressed again; rest is None when that leaves it
+    empty (a zero Schur complement) or after all size steps, and otherwise
+    the compressed (v, w) halves of the nonzero complement: a pivot
+    breakdown.
 
     The generator is compressed once, then every Schur step keeps its
-    length; prime fields take _schur_step_prime.  At a vanishing leading
-    entry it is compressed again: empty means a zero Schur complement (the
-    rank is certified), nonempty a breakdown.
+    length; prime fields take _schur_step_prime.
     """
     G = np.stack(_compress(R, v, w))
     schur_step = _schur_step_prime if R.d == 1 else _schur_step
@@ -301,12 +315,11 @@ def _eliminate(R, v, w, size):
     for _ in range(size):
         step = schur_step(R, G)
         if step is None:
-            if not len(_compress(R, *G)[0]):
-                break  # the Schur complement is zero: rank certified
-            raise _PivotBreakdown()
+            rest = _compress(R, *G)
+            return pivot_rows, rest if len(rest[0]) else None
         norm, G = step
         pivot_rows.append(norm)
-    return len(pivot_rows), pivot_rows
+    return pivot_rows, None
 
 
 def _back_substitute(R, pivot_rows, free):
@@ -335,9 +348,14 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     """Nonzero right-nullspace element of the represented matrix, or a
     certified NoSolution, or Failure after max_retries attempts.
 
+    An attempt counts one preconditioning: a pivot breakdown resumes on the
+    Schur complement with fresh draws, and the rank certified at the end is
+    the sum of the levels' ranks.  A zero or unverified candidate starts a
+    new attempt on the whole matrix.
+
     Needs a toeplitz-tagged generator (flip Hankel structure first).  Draws
     come from subset_range(field, subset_floor(padded size)), the whole field
-    when it is smaller than that floor.
+    when it is smaller than that floor, at every level.
     """
     if G.tag != TAG_TOEPLITZ:
         raise WrongTag("nullspace_structured expects a toeplitz-tagged generator")
@@ -345,29 +363,38 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     padded, pad = pad_to_square(G)
     size = padded.nrows
     min_size = subset_floor(size)
-    # _echelon leaves up to one update per preconditioned pair, G.alpha + 4,
-    # unreduced in a row, so the generators are cast once to the dtype of
+    # _echelon leaves up to one update per preconditioned pair, alpha + 4,
+    # unreduced in a row, so every generator it sees is cast to the dtype of
     # sums that long; conv, dot and combine choose their own
     R = residues(G.ctx)
     wide = R.sum_dtype(G.alpha + 4)
-    base_v, base_w = padded.v.astype(wide), padded.w.astype(wide)
     orig_v, orig_w = G.v.astype(wide), G.w.astype(wide)
     one = R.unit(1, 0)
 
     attempts = 0
     while attempts < max_retries:
-        attempts += 1
-        u_full = np.concatenate([one, _draw(R, min_size, rng, size - 1)], axis=1)
-        l_full = np.concatenate([one, _draw(R, min_size, rng, size - 1)], axis=1)
-        pre_v, pre_w = _precondition(R, base_v, base_w, u_full, l_full)
-        try:
-            rank, pivot_rows = _eliminate(R, pre_v, pre_w, size)
-        except _PivotBreakdown:
-            continue
-        if rank == n_orig:
+        # one attempt is a chain of levels: precondition and eliminate the
+        # padded matrix, then after each pivot breakdown the Schur complement
+        # left, until the rank is certified
+        rest, left, levels = (padded.v, padded.w), size, []
+        while rest is not None and attempts < max_retries:
+            attempts += 1
+            v, w = (x.astype(R.sum_dtype(len(x) + 4)) for x in rest)
+            u_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
+            l_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
+            pivot_rows, rest = _eliminate(R, *_precondition(R, v, w, u_full, l_full), left)
+            levels.append((pivot_rows, l_full))
+            left -= len(pivot_rows)
+        if rest is not None:
+            break
+        if size - left == n_orig:
             return NoSolution("certified rank equals the unknown count")
-        x = _back_substitute(R, pivot_rows, _draw(R, min_size, rng, size - rank))
-        y = R.conv(l_full, x)[:, :size]  # L·x
+        # the innermost free coordinates, then each level's solution x, as
+        # L·x, is the free tail of the level above
+        y = _draw(R, min_size, rng, left)
+        for pivot_rows, l_full in reversed(levels):
+            x = _back_substitute(R, pivot_rows, y)
+            y = R.conv(l_full, x)[:, : x.shape[1]]  # L·x
         vec = unpad_solution(pad, y.T).T  # unknowns along the leading axis
         if R.is_zero(vec):
             continue
