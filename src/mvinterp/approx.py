@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BadLength, CtxMismatch, Degenerate
 from .field import FieldCtx
 from .poly import Poly, poly_mod
@@ -124,34 +122,6 @@ def unpack_solution(ctx, vec, bounds):
         qs.append(Poly(ctx, vec[pos : pos + b]))
         pos += b
     return tuple(qs)
-
-
-def pack_solution(qs, bounds):
-    """Flat coefficient vector of a solution tuple (inverse of unpack_solution)."""
-    vec = []
-    for q, b in zip(qs, bounds):
-        if q.deg >= b:
-            raise BadLength(f"degree {q.deg} exceeds bound {b}")
-        vec.extend(q.coeff(i) for i in range(b))
-    return vec
-
-
-def lift_instance(a: ApproxInstance, ext) -> ApproxInstance:
-    """The same instance with every coefficient embedded into an extension
-    of the (prime) base field."""
-    if a.ctx.d != 1 or ext.p != a.ctx.p:
-        raise CtxMismatch("instance lifting needs a prime base and a matching extension")
-
-    def lift_poly(f):
-        zeros = np.zeros((ext.d - 1, f.a.shape[1]), f.a.dtype)
-        return Poly.from_residues(ext, np.concatenate([f.a, zeros]))
-
-    return ApproxInstance(
-        ext,
-        tuple(lift_poly(p) for p in a.moduli),
-        tuple(tuple(lift_poly(f) for f in row) for row in a.residues),
-        a.col_bounds,
-    )
 
 
 def verify_approx(a: ApproxInstance, qs) -> bool:

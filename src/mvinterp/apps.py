@@ -5,10 +5,9 @@ reduce the interpolation problem to a simultaneous approximation instance,
 hand that to a backend (structured hankel / toeplitz route or the dense
 baseline), and re-verify the assembled multivariate answer against the
 original points before returning it.  The solver always runs in the
-instance's own field, sampling the whole field when it is smaller than the
-probabilistic solver's sampling set; only a Failure there over a small prime
-field lifts the instance to a just big enough extension, whose solution is
-projected back coefficient-wise.
+instance's own field; the small-field policy (sampling the whole field, and
+lifting a Failure over a too-small prime field to an extension) lives in the
+structured kernel, so the pipelines never see another field.
 
 The decoding-flavoured pipelines (gs / reencode / wu) are univariate in Y
 (one weight k); the bare `interpolate_instance` engine and the soft-decoding
@@ -23,13 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .approx import (
-    ApproxInstance,
-    lift_instance,
-    pack_solution,
-    unpack_solution,
-    verify_approx,
-)
+from .approx import ApproxInstance
 from .errors import (
     AssumptionViolated,
     Degenerate,
@@ -37,9 +30,9 @@ from .errors import (
     NoSolutionSpace,
     PreconditionViolated,
 )
-from .field import FieldCtx, build_extension, project_solution_to_base
+from .field import FieldCtx
 from .mosaic_hankel import solve_via_hankel
-from .outcomes import Failure, NoSolution, NotApplicable, Solution
+from .outcomes import NoSolution, NotApplicable, Solution
 from .poly import Poly, poly_divrem, weighted_product
 from .reduction import (
     InterpolationInstance,
@@ -51,7 +44,6 @@ from .reduction import (
     trivial_weight_check,
     verify_solution,
 )
-from .struct_solve import subset_floor
 from .toeplitz_like import solve_via_dense, solve_via_toeplitz
 
 BACKENDS = {
@@ -62,37 +54,15 @@ BACKENDS = {
 
 
 def solve_approx(a: ApproxInstance, rng, backend: str = "hankel", *, max_retries: int = 8):
-    """Backend dispatch plus the small-field lift.
-
-    The backend runs once in the instance's own field; below the solver's
-    sampling-set floor it samples the whole field, and its Solution
-    (verified) or NoSolution (certified by a completed elimination) stands
-    whatever the field size.  Only a Failure over a prime field below that
-    floor is lifted: the instance is solved again in a just big enough
-    extension and the solution projected back coefficient-wise.
-    """
+    """Backend dispatch.  The structured backends solve in the instance's
+    own field and lift a Failure over a too-small prime field inside the
+    kernel (struct_solve.nullspace_structured), so every outcome is already
+    in the base field."""
     try:
         solver = BACKENDS[backend]
     except KeyError:
         raise Degenerate(f"unknown backend {backend!r}") from None
-    out = solver(a, rng, max_retries)
-    # trim_instance keeps at most total_rows + 1 columns; the solver pads to square
-    need = subset_floor(max(a.total_rows, min(a.total_cols, a.total_rows + 1)))
-    if not isinstance(out, Failure) or a.ctx.d != 1 or a.ctx.order >= need:
-        return out
-    d, order = 1, a.ctx.p
-    while order < need:
-        order *= a.ctx.p
-        d += 1
-    ext = build_extension(a.ctx, d, rng)
-    out = solver(lift_instance(a, ext), rng, max_retries)
-    if not isinstance(out, Solution):
-        return out
-    base_vec = project_solution_to_base(pack_solution(out.value, a.col_bounds), a.ctx)
-    qs = unpack_solution(a.ctx, base_vec, a.col_bounds)
-    if not verify_approx(a, qs):
-        raise MvInterpError("internal error: projected solution failed verification")
-    return Solution(qs)
+    return solver(a, rng, max_retries)
 
 
 def _solve_reduced(plan: ReductionPlan, a: ApproxInstance, rng, backend, **kw):

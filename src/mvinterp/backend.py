@@ -32,8 +32,8 @@ def solve_with_builder(a: ApproxInstance, rng, build, *, max_retries: int = 8):
     tag), solve structurally, and map the vector back to polynomials.
 
     Over a field below the kernel's sampling-set floor the kernel samples
-    the whole field; lifting its Failure to an extension is the caller's
-    choice (apps.solve_approx).
+    the whole field, and over a prime field lifts its Failure to an
+    extension itself, so its outcome is always in the instance's field.
     """
     trimmed, dropped, _ = trim_instance(a)
     G = build(trimmed)

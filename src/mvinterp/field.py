@@ -8,8 +8,8 @@ residues mod p, and every bulk computation (polynomials, generators, the
 structured kernel, the verifiers) runs on it.  All higher modules are
 written against this interface and never branch on d.
 
-Also provides the sampling subset used by the probabilistic solver and the
-projection of extension-field nullspace vectors back to the base field.
+Also builds the extension fields F_{p^d} that the structured kernel lifts a
+too-small prime field to.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import (
     CtxMismatch,
     DivisionByZero,
     ExtensionSearchFailed,
-    ZeroInput,
 )
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24,
@@ -650,32 +649,3 @@ def build_extension(base: FieldCtx, d: int, rng) -> FieldCtx:
         if _is_irreducible(f, p):
             return FieldCtx(p, tuple(f), _trusted=True)
     raise ExtensionSearchFailed(f"no irreducible of degree {d} over F_{p} found in {budget} tries")
-
-
-def subset_range(ctx: FieldCtx, min_size: int) -> int:
-    """|S| of the solver's sampling subset S of >= min_size elements: the
-    whole field when |ctx| < 2*min_size, otherwise the first min_size
-    elements of the canonical enumeration."""
-    return ctx.order if ctx.order < 2 * min_size else min_size
-
-
-def project_solution_to_base(sol, base: FieldCtx = None):
-    """Extract a nonzero base-field slice from an extension-field nullspace vector.
-
-    If A has base-field entries and A*sol = 0 over F_{p^d}, every coefficient
-    slice of sol is in the base-field nullspace of A; this returns the first
-    nonzero one.
-    """
-    if not sol:
-        raise ZeroInput("empty solution vector")
-    ctx = sol[0].ctx
-    if base is None:
-        base = prime_field(ctx.p)
-    if ctx.d == 1:
-        if all(e.is_zero() for e in sol):
-            raise ZeroInput("zero solution vector")
-        return list(sol)
-    for i in range(ctx.d):
-        if any(e.c[i] for e in sol):
-            return [base.el(e.c[i]) for e in sol]
-    raise ZeroInput("zero solution vector")

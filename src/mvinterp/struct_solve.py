@@ -27,13 +27,17 @@ verified by applying A through the generator, so a returned Solution is
 unconditionally correct; NoSolution is returned only when the certified
 rank equals the column count.
 
-The random draws come from a sampling set of subset_floor(size) elements,
-enough for one preconditioning to succeed with probability >= 1/2.  A field
-smaller than that is sampled whole and never refused: its Solution and
-NoSolution are as certain as anywhere else, only breakdowns grow likelier.
-Every preconditioning, of the whole matrix or of a complement, is one
-attempt, so Failure needs max_retries of them; over a prime field the
-caller may answer it by lifting to an extension (apps.solve_approx).
+This module owns the whole small-field policy.  The random draws come
+from a sampling set of subset_floor(size) elements, enough for one
+preconditioning to succeed with probability >= 1/2.  A field smaller than
+that is sampled whole and never refused: its Solution and NoSolution are as
+certain as anywhere else, only breakdowns grow likelier.  Every
+preconditioning, of the whole matrix or of a complement, is one attempt, so
+Failure needs max_retries of them.  Over a prime field below the floor that
+Failure is answered by the lift: the generator's residue arrays are embedded
+into a just big enough extension F_{p^d}, the matrix is solved there, and
+the first nonzero residue row of the answer, a base-field nullspace vector,
+is returned.  An extension field is never lifted.
 
 One representation serves every field: the residue arrays of
 field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
@@ -61,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongTag
-from .field import FieldCtx, residues, subset_range
+from .field import FieldCtx, build_extension, residues
 from .outcomes import Failure, NoSolution, Solution
 
 TAG_TOEPLITZ = "toeplitz"
@@ -71,6 +75,13 @@ TAG_HANKEL = "hankel"
 def subset_floor(size: int) -> int:
     """Sampling-set size that keeps one solve attempt succeeding w.p. >= 1/2."""
     return 6 * (size + 1) * (size + 1)
+
+
+def subset_range(ctx: FieldCtx, min_size: int) -> int:
+    """|S| of the sampling subset S of >= min_size elements: the whole
+    field when |ctx| < 2*min_size, otherwise the first min_size elements
+    of the canonical enumeration."""
+    return ctx.order if ctx.order < 2 * min_size else min_size
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +366,9 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
 
     Needs a toeplitz-tagged generator (flip Hankel structure first).  Draws
     come from subset_range(field, subset_floor(padded size)), the whole field
-    when it is smaller than that floor, at every level.
+    when it is smaller than that floor, at every level.  Over a prime field
+    below that floor a Failure is lifted (_lift); the extension's NoSolution
+    and Failure are returned as they are.
     """
     if G.tag != TAG_TOEPLITZ:
         raise WrongTag("nullspace_structured expects a toeplitz-tagged generator")
@@ -401,4 +414,31 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
         if not R.is_zero(_apply(R, orig_v, orig_w, vec, G.nrows)):
             continue  # never on a correct run; belt and braces
         return Solution(R.elements(vec))
-    return Failure(attempts)
+    if R.d != 1 or R.p >= min_size:
+        return Failure(attempts)
+    # the lift: an extension's NoSolution or Failure is the answer, since a
+    # base-field matrix has the same rank over F_{p^d}
+    lifted = _lift(G, min_size, rng)
+    out = nullspace_structured(lifted, rng, max_retries)
+    if not isinstance(out, Solution):
+        return out
+    vec = residues(lifted.ctx).array(out.value)
+    vec = vec[vec.any(axis=1)][:1]  # the first nonzero residue row
+    if not R.is_zero(_apply(R, orig_v, orig_w, vec, G.nrows)):
+        return Failure(attempts)  # never on a correct run; belt and braces
+    return Solution(R.elements(vec))
+
+
+def _lift(G: GeneratorPair, min_size: int, rng) -> GeneratorPair:
+    """G over F_{p^d}, the smallest extension with at least min_size
+    elements: its residue arrays gain d - 1 zero rows.  A nullspace vector
+    sum_t x_t u^t of the embedded matrix has base-field rows x_t that each
+    lie in the base nullspace."""
+    p = G.ctx.p
+    d, order = 1, p
+    while order < min_size:
+        order *= p
+        d += 1
+    ext = build_extension(G.ctx, d, rng)
+    rows = ((0, 0), (0, d - 1), (0, 0))
+    return GeneratorPair(G.tag, G.nrows, G.ncols, np.pad(G.v, rows), np.pad(G.w, rows), ext)

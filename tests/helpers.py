@@ -337,6 +337,17 @@ def extend_recurrence(init, charpoly, count):
     return [series.coeff(i) for i in range(count)]
 
 
+def pack_solution(qs, bounds):
+    """Flat coefficient vector of a solution tuple (inverse of
+    approx.unpack_solution)."""
+    vec = []
+    for q, b in zip(qs, bounds):
+        if q.deg >= b:
+            raise BadLength(f"degree {q.deg} exceeds bound {b}")
+        vec.extend(q.coeff(i) for i in range(b))
+    return vec
+
+
 def dense_build_A(a: ApproxInstance):
     """The mosaic-Hankel matrix of an instance itself, as FieldElement rows."""
     M, N = a.total_rows, a.total_cols

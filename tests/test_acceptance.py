@@ -160,9 +160,9 @@ def test_criterion_01_cross_route_and_dense_agreement():
     routes agree with dense-elimination solvability and all outputs verify;
     corpus completes in well under two minutes.
 
-    The routes run through solve_approx, which supplies the production
-    small-field behavior (base field first, extension only on Failure)
-    while keeping verdicts in the base field.
+    The routes run through solve_approx, whose structured kernel supplies
+    the production small-field behavior (base field first, extension only
+    on Failure) while keeping verdicts in the base field.
     Size caps per prime keep extension arithmetic affordable; all other
     envelope bounds are exercised in full.
     """

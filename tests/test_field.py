@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvinterp.errors import CtxMismatch, DivisionByZero, ZeroInput
+from mvinterp.errors import CtxMismatch, DivisionByZero
 from mvinterp.field import (
     FieldCtx,
     build_extension,
     is_probable_prime,
     prime_field,
-    project_solution_to_base,
     residues,
     _kronecker,
 )
@@ -175,47 +174,6 @@ def test_sample_subset_roughly_uniform():
     expected = n / 13
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < 40
-
-
-# ---------------------------------------------------------------- projection
-
-
-def test_project_identity_on_prime_field():
-    F = prime_field(7)
-    v = [F.el(1), F.el(0), F.el(3)]
-    assert project_solution_to_base(v) == v
-
-
-def test_project_zero_raises():
-    F = prime_field(7)
-    with pytest.raises(ZeroInput):
-        project_solution_to_base([F.zero(), F.zero()])
-
-
-def test_project_extension_slice_is_nullvector():
-    # A over F_3, nullspace vector found over F_9: each coefficient slice of
-    # the vector is a base-field nullspace vector; the first nonzero one is
-    # returned.  Check A @ projected == 0 for a matrix with known kernel.
-    base = prime_field(3)
-    E = FieldCtx(3, (1, 0, 1))
-    # A = [[1, 2, 0], [0, 0, 1]] over F_3; kernel spanned by (1, 1, 0)
-    A = [[1, 2, 0], [0, 0, 1]]
-    t = E.el((0, 1))
-    sol = [t * E.el(1), t * E.el(1), E.zero()]  # extension-scaled kernel vector
-    proj = project_solution_to_base(sol, base)
-    assert any(not e.is_zero() for e in proj)
-    for row in A:
-        acc = base.zero()
-        for aij, xj in zip(row, proj):
-            acc = acc + base.el(aij) * xj
-        assert acc.is_zero()
-
-
-def test_project_picks_first_nonzero_slice():
-    E = FieldCtx(5, (2, 0, 1))  # t^2 + 2 irreducible over F_5? check: -2=3 QR mod 5? 3 is not a QR mod 5 (1,4 are)
-    v = [E.el((0, 2)), E.el((0, 3))]  # slice 0 all zero, slice 1 = (2, 3)
-    proj = project_solution_to_base(v)
-    assert [e.c[0] for e in proj] == [2, 3]
 
 
 # ---------------------------------------------------------------- FFT products

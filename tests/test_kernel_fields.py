@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    dense_from_halves,
+    dense_matvec,
     gen_from_dense,
     generator,
     low_rank_matrix,
@@ -367,12 +369,13 @@ def test_tiny_field_verdicts_match_the_dense_rank(name):
             assert matrix_rank(ctx, A, n) == n
         outcomes.append(type(out))
     assert Solution in outcomes and NoSolution in outcomes
-    assert outcomes.count(Failure) <= 3
+    # a prime field's Failure is lifted to an extension; GF4 is never lifted
+    assert outcomes.count(Failure) <= (3 if ctx.d > 1 else 0)
 
 
 def test_f5_square_systems_rarely_fail():
-    # random 20 x 20 systems over F_5, each of rank 19 or 20: with at most
-    # 8 preconditionings in all, at most one solve ends in Failure
+    # random 20 x 20 systems over F_5, each of rank 19 or 20: at most 8
+    # preconditionings in all, then the lift, so no solve ends in Failure
     F5 = prime_field(5)
     outcomes = []
     for seed in range(37, 47):
@@ -384,4 +387,83 @@ def test_f5_square_systems_rarely_fail():
         elif isinstance(out, NoSolution):
             assert matrix_rank(F5, A, 20) == 20
         outcomes.append(type(out))
-    assert outcomes.count(Failure) <= 1
+    assert Failure not in outcomes
+
+
+# ------------------------------------------------------------ the lift
+
+
+@pytest.mark.parametrize("p, m", [(5, 60), (13, 130)])
+def test_small_prime_field_failures_are_lifted(p, m):
+    # systems many times larger than p eliminate about p pivots per level,
+    # so the 8 preconditionings run out in the base field; the lift to
+    # F_{p^d} answers each with a base-field vector in the dense kernel
+    ctx = prime_field(p)
+    R = Residues(ctx)
+    for seed in range(6):
+        r = random.Random(seed)
+        G = rand_generator("toeplitz", ctx, m, m + 1, 3, r)
+        out = nullspace_structured(G, r, 8)
+        assert isinstance(out, Solution)  # more unknowns than equations
+        assert all(e.ctx == ctx for e in out.value)
+        x = R.array(out.value)
+        assert x.any()
+        assert not dense_matvec(R, dense_from_halves(R, G.v, G.w), x).any()
+
+
+def break_down_in_prime_fields(monkeypatch):
+    """Make every prime-field elimination a pivot breakdown with no pivots,
+    so the base field runs out of attempts and the kernel lifts."""
+    real = struct_solve._eliminate
+    monkeypatch.setattr(
+        struct_solve,
+        "_eliminate",
+        lambda R, v, w, size: ([], (v, w)) if R.d == 1 else real(R, v, w, size),
+    )
+
+
+def test_a_size_two_system_over_f2_lifts_to_degree_six(monkeypatch):
+    # subset_floor(2) = 54 and 2^5 < 54 <= 2^6: with every base-field
+    # elimination breaking down, the one lift goes to F_64
+    F2 = prime_field(2)
+    break_down_in_prime_fields(monkeypatch)
+    lifts = []
+    build = struct_solve.build_extension
+    monkeypatch.setattr(
+        struct_solve, "build_extension", lambda *args: lifts.append(args[:2]) or build(*args)
+    )
+    A = [[F2.one(), F2.one()], [F2.one(), F2.one()]]
+    out = nullspace_structured(gen_from_dense("toeplitz", A, F2), random.Random(0), 8)
+    assert lifts == [(F2, 6)]
+    assert isinstance(out, Solution) and out.value == [F2.one(), F2.one()]
+
+
+@pytest.mark.parametrize(
+    "scalar, vec, expected",
+    [
+        ((0, 1, 0), (1, 2, 1), (1, 2, 1)),  # residue row 0 is zero: row 1 is kept
+        ((0, 0, 2), (1, 2, 1), (2, 4, 2)),
+        ((3, 1, 0), (1, 2, 1), (3, 1, 3)),  # row 0 wins over row 1
+        ((0, 1, 0), (1, 0, 0), None),  # a projection outside the kernel is refused
+    ],
+)
+def test_the_lift_keeps_the_first_nonzero_residue_row(monkeypatch, scalar, vec, expected):
+    # (1, 2, 1) spans the kernel of this 2 x 3 system over F_5, which pads to
+    # size 3 and so lifts to F_125.  The extension's answer is replaced by
+    # scalar * vec; the kernel returns its first nonzero residue row only
+    # when the matrix maps that row to zero
+    F5 = prime_field(5)
+    A = [[F5.el(a) for a in row] for row in ((1, 0, 4), (0, 1, 3))]
+    break_down_in_prime_fields(monkeypatch)
+    real = struct_solve.nullspace_structured
+
+    def over_extension(G, rng, max_retries):
+        assert G.ctx.d == 3
+        return Solution([G.ctx.el(scalar) * G.ctx.el(x) for x in vec])
+
+    monkeypatch.setattr(struct_solve, "nullspace_structured", over_extension)
+    out = real(gen_from_dense("toeplitz", A, F5), random.Random(0), 8)
+    if expected is None:
+        assert out == Failure(8)
+    else:
+        assert out == Solution([F5.el(x) for x in expected])

@@ -7,10 +7,11 @@ from helpers import (
     displacement_of_dense,
     generator_product,
     kernel_basis,
+    pack_solution,
     random_approx_instance,
     spread_seeds,
 )
-from mvinterp.approx import ApproxInstance, pack_solution, trim_instance, unpack_solution, verify_approx
+from mvinterp.approx import ApproxInstance, trim_instance, unpack_solution, verify_approx
 from mvinterp.errors import TooLarge
 from mvinterp.field import FieldCtx, prime_field
 from mvinterp.linalg import matrix_rank

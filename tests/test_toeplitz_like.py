@@ -7,12 +7,13 @@ from helpers import (
     extend_recurrence,
     generator_product,
     kernel_basis,
+    pack_solution,
     random_approx_instance,
     random_monic,
     random_poly,
     spread_seeds,
 )
-from mvinterp.approx import ApproxInstance, pack_solution, verify_approx
+from mvinterp.approx import ApproxInstance, verify_approx
 from mvinterp.apps import solve_approx
 from mvinterp.errors import BadLength, TooLarge
 from mvinterp.field import prime_field
@@ -208,7 +209,7 @@ def test_solve_structured_agrees_with_dense_verdict():
 
 def test_cross_route_verdict_agreement():
     # F_13 is below the sampling-set floor of most of these instances, so
-    # each route goes through solve_approx, which lifts a Failure there
+    # the kernel of each route lifts a Failure there
     for seed in spread_seeds(433, 100):
         rng = random.Random(seed)
         a = random_approx_instance(F13, rng)
