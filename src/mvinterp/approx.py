@@ -112,14 +112,14 @@ def lift_trimmed(a: ApproxInstance, qs, dropped: int):
 
 
 def unpack_solution(ctx, vec, bounds):
-    """Split a flat coefficient vector into polynomials, low-to-high per block."""
+    """Split a (d, n) residue vector into polynomials, low-to-high per block."""
     bounds = tuple(bounds)
-    if len(vec) != sum(bounds):
-        raise BadLength(f"vector of length {len(vec)} for bounds summing {sum(bounds)}")
+    if vec.shape[1] != sum(bounds):
+        raise BadLength(f"vector of length {vec.shape[1]} for bounds summing {sum(bounds)}")
     qs = []
     pos = 0
     for b in bounds:
-        qs.append(Poly(ctx, vec[pos : pos + b]))
+        qs.append(Poly.from_residues(ctx, vec[:, pos : pos + b]))
         pos += b
     return tuple(qs)
 

@@ -2,9 +2,9 @@
 
 Every pipeline follows the same arc: validate its parameter assumptions,
 reduce the interpolation problem to a simultaneous approximation instance,
-hand that to a backend (structured hankel / toeplitz route or the dense
-baseline), and re-verify the assembled multivariate answer against the
-original points before returning it.  The solver always runs in the
+hand that to `backend.solve_approx` (structured hankel / toeplitz route or
+the dense baseline), and re-verify the assembled multivariate answer
+against the original points before returning it.  The solver always runs in the
 instance's own field; the small-field policy (sampling the whole field, and
 lifting a Failure over a too-small prime field to an extension) lives in the
 structured kernel, so the pipelines never see another field.
@@ -23,15 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .approx import ApproxInstance
+from .backend import solve_approx
 from .errors import (
     AssumptionViolated,
-    Degenerate,
     MvInterpError,
     NoSolutionSpace,
     PreconditionViolated,
 )
 from .field import FieldCtx
-from .mosaic_hankel import solve_via_hankel
 from .outcomes import NoSolution, NotApplicable, Solution
 from .poly import Poly, poly_divrem, weighted_product
 from .reduction import (
@@ -44,25 +43,6 @@ from .reduction import (
     trivial_weight_check,
     verify_solution,
 )
-from .toeplitz_like import solve_via_dense, solve_via_toeplitz
-
-BACKENDS = {
-    "hankel": solve_via_hankel,
-    "toeplitz": solve_via_toeplitz,
-    "dense": lambda a, rng, max_retries: solve_via_dense(a),
-}
-
-
-def solve_approx(a: ApproxInstance, rng, backend: str = "hankel", *, max_retries: int = 8):
-    """Backend dispatch.  The structured backends solve in the instance's
-    own field and lift a Failure over a too-small prime field inside the
-    kernel (struct_solve.nullspace_structured), so every outcome is already
-    in the base field."""
-    try:
-        solver = BACKENDS[backend]
-    except KeyError:
-        raise Degenerate(f"unknown backend {backend!r}") from None
-    return solver(a, rng, max_retries)
 
 
 def _solve_reduced(plan: ReductionPlan, a: ApproxInstance, rng, backend, **kw):

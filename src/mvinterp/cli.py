@@ -24,6 +24,7 @@ from .apps import (
     verify_wu,
     wu_interpolate,
 )
+from .backend import BUILDERS, solve_built
 from .errors import MvInterpError
 from .formats import (
     ParsedApprox,
@@ -41,7 +42,6 @@ from .outcomes import Failure, NoSolution, Solution
 from .reduction import MultiPoly, verify_solution
 
 MODES = ("gs", "reencode", "wu", "soft", "raw-approx")
-BACKEND_NAMES = ("hankel", "toeplitz", "dense")
 
 
 def _die(msg: str) -> int:
@@ -270,37 +270,6 @@ def cmd_gen(args) -> int:
 BENCH_PRIME = 16777213
 
 
-def _bench_kernel(a, bk: str):
-    """A (setup, run-once) pair timing only the nullspace kernel; the
-    surrounding representation is built once outside the clock."""
-    from .linalg import kernel_vector_echelon
-    from .mosaic_hankel import build_hankel_generators
-    from .struct_solve import hankel_to_toeplitz, nullspace_structured
-    from .toeplitz_like import build_toeplitz_generators, dense_build_Aprime
-
-    if bk == "dense":
-        rows = dense_build_Aprime(a)
-
-        def run(rng):
-            vec = kernel_vector_echelon(a.ctx, rows, a.total_cols)
-            return NoSolution() if vec is None else Solution(vec)
-
-        return run
-    if bk == "hankel":
-        G, _ = build_hankel_generators(a)
-        G = hankel_to_toeplitz(G)
-
-        def run(rng):
-            out = nullspace_structured(G, rng)
-            if isinstance(out, Solution):
-                return Solution(list(reversed(out.value)))
-            return out
-
-        return run
-    G = build_toeplitz_generators(a)
-    return lambda rng: nullspace_structured(G, rng)
-
-
 def cmd_bench(args) -> int:
     try:
         sizes = [int(t) for t in args.sizes.split(",") if t]
@@ -308,12 +277,12 @@ def cmd_bench(args) -> int:
             raise ParseError("sizes and --reps must be at least 1")
         backends = [t for t in args.backend.split(",") if t]
         for bk in backends:
-            if bk not in BACKEND_NAMES:
+            if bk not in BUILDERS:
                 raise ParseError(f"unknown backend {bk!r}")
     except (ParseError, ValueError) as exc:
         return _die(str(exc))
 
-    from .approx import trim_instance, unpack_solution, verify_approx
+    from .approx import trim_instance, unpack_solution
     from .reduction import build_reduction
 
     print("size,backend,median_ms,verdict,reps")
@@ -322,17 +291,19 @@ def cmd_bench(args) -> int:
         _, a = build_reduction(parsed.interpolation_instance())
         a, _, _ = trim_instance(a)
         for bk in backends:
+            # only the nullspace kernel is timed: the linearization is built
+            # once outside the clock
             try:
-                run = _bench_kernel(a, bk)
+                built = BUILDERS[bk](a)
             except MvInterpError as exc:  # the dense build's size guard
                 return _die(str(exc))
-            run(random.Random(0))  # warm-up, untimed
+            solve_built(a, built, random.Random(0))  # warm-up, untimed
             times = []
             verdict = "?"
             for rep in range(args.reps):
                 rng = random.Random(1000 * n + rep)
                 t0 = time.perf_counter()
-                out = run(rng)
+                out = solve_built(a, built, rng)
                 times.append((time.perf_counter() - t0) * 1000.0)
                 if isinstance(out, Solution):
                     qs = unpack_solution(a.ctx, out.value, a.col_bounds)
@@ -356,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     so = sub.add_parser("solve", help="solve an instance file")
     so.add_argument("--mode", choices=MODES, default="gs")
-    so.add_argument("--backend", choices=BACKEND_NAMES, default="hankel")
+    so.add_argument("--backend", choices=tuple(BUILDERS), default="hankel")
     so.add_argument("--seed", type=int, required=True)
     so.add_argument("--max-retries", type=int, default=8)
     so.add_argument("--in", dest="infile", required=True)

@@ -29,10 +29,6 @@ class FieldTooSmall(MvInterpError):
     the structured kernel samples the whole of a field below its floor."""
 
 
-class ZeroInput(MvInterpError):
-    """An argument that must be nonzero was zero."""
-
-
 class DuplicateNode(MvInterpError):
     """Interpolation nodes are not pairwise distinct."""
 

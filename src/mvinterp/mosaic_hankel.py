@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import ApproxInstance
-from .backend import solve_with_builder
-from .poly import Poly, reverse, series_inv, trunc
+from .poly import reverse, series_inv, trunc
 from .struct_solve import TAG_HANKEL, GeneratorPair
 
 
@@ -108,10 +107,3 @@ def build_hankel_generators(a: ApproxInstance):
             w[nu + i, :, c1 - nj + 1 : c1 + 1] = row % p
     G = GeneratorPair(TAG_HANKEL, a.total_rows, a.total_cols, v, w, a.ctx)
     return G, layout
-
-
-def solve_via_hankel(a: ApproxInstance, rng, max_retries: int = 8):
-    """Solve an instance through the mosaic-Hankel route (Las Vegas)."""
-    return solve_with_builder(
-        a, rng, lambda t: build_hankel_generators(t)[0], max_retries=max_retries
-    )

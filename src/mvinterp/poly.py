@@ -65,10 +65,6 @@ class Poly:
     def one(cls, ctx: FieldCtx) -> "Poly":
         return cls(ctx, (ctx.one(),))
 
-    @classmethod
-    def x(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (ctx.zero(), ctx.one()))
-
     # -- structure ----------------------------------------------------
 
     @property

@@ -9,13 +9,14 @@ V·W equal to its displacement:
 Both operators are nilpotent-invertible, so (V, W) determines A; callers
 build generators in O(alpha * size) and this module never materializes A.
 
-The solve itself: flip Hankel structure to Toeplitz (column reversal), pad
-to square, pre/post-multiply by random unit-triangular Toeplitz matrices to
-force a generic rank profile, then run a Schur-complement elimination that
-only touches generators.  Each trailing submatrix of the preconditioned
-matrix is again Toeplitz-like with no larger displacement rank, so after one
-compression each step keeps the generator at that length (a generalized
-Schur step); it is compressed again only when a leading entry vanishes.
+The solve itself: flip Hankel structure to Toeplitz (column reversal,
+undone on the answer), pad to square, pre/post-multiply by random
+unit-triangular Toeplitz matrices to force a generic rank profile, then run
+a Schur-complement elimination that only touches generators.  Each trailing
+submatrix of the preconditioned matrix is again Toeplitz-like with no
+larger displacement rank, so after one compression each step keeps the
+generator at that length (a generalized Schur step); it is compressed
+again only when a leading entry vanishes.
 Empty then means a zero Schur complement: the rank is certified.  Nonempty
 is a pivot breakdown, and the complement, Toeplitz-like as well, is
 preconditioned with fresh draws and eliminated in turn, keeping the pivots
@@ -48,8 +49,8 @@ halves into one array.  Over a prime field (R.d == 1, the test linalg's
 numpy paths make too) its steps and the back-substitution run on plain 2-D
 (alpha, n) integer rows with pow(x, -1, p) inverses; extension fields keep
 the generic (alpha, d, n) step.  The random draws are digits of the sampled
-indices.  FieldElements appear only for the other scalar inverses and the
-returned vector.
+indices.  The returned vector is a residue array as well; FieldElements
+appear only for the other scalar inverses.
 
 Generator applies (_apply, _apply_last, _precondition) are batched products
 of the stacked halves: A·x is conv_sum(V, corr(x, W)), reduced mod p between
@@ -364,14 +365,17 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     the sum of the levels' ranks.  A zero or unverified candidate starts a
     new attempt on the whole matrix.
 
-    Needs a toeplitz-tagged generator (flip Hankel structure first).  Draws
-    come from subset_range(field, subset_floor(padded size)), the whole field
-    when it is smaller than that floor, at every level.  Over a prime field
-    below that floor a Failure is lifted (_lift); the extension's NoSolution
-    and Failure are returned as they are.
+    A Solution holds the vector as the (d, ncols) residue array that _apply
+    has checked.  A hankel-tagged generator is solved as hankel_to_toeplitz(G)
+    and the answer reversed.  Draws come from subset_range(field,
+    subset_floor(padded size)), the whole field when it is smaller than that
+    floor, at every level.  Over a prime field below that floor a Failure is
+    lifted (_lift); the extension's NoSolution and Failure are returned as
+    they are.
     """
-    if G.tag != TAG_TOEPLITZ:
-        raise WrongTag("nullspace_structured expects a toeplitz-tagged generator")
+    if G.tag == TAG_HANKEL:
+        out = nullspace_structured(hankel_to_toeplitz(G), rng, max_retries)
+        return Solution(out.value[:, ::-1]) if isinstance(out, Solution) else out
     n_orig = G.ncols
     padded, pad = pad_to_square(G)
     size = padded.nrows
@@ -413,7 +417,7 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
             continue
         if not R.is_zero(_apply(R, orig_v, orig_w, vec, G.nrows)):
             continue  # never on a correct run; belt and braces
-        return Solution(R.elements(vec))
+        return Solution(vec)
     if R.d != 1 or R.p >= min_size:
         return Failure(attempts)
     # the lift: an extension's NoSolution or Failure is the answer, since a
@@ -422,11 +426,10 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     out = nullspace_structured(lifted, rng, max_retries)
     if not isinstance(out, Solution):
         return out
-    vec = residues(lifted.ctx).array(out.value)
-    vec = vec[vec.any(axis=1)][:1]  # the first nonzero residue row
+    vec = out.value[out.value.any(axis=1)][:1]  # the first nonzero residue row
     if not R.is_zero(_apply(R, orig_v, orig_w, vec, G.nrows)):
         return Failure(attempts)  # never on a correct run; belt and braces
-    return Solution(R.elements(vec))
+    return Solution(vec)
 
 
 def _lift(G: GeneratorPair, min_size: int, rng) -> GeneratorPair:

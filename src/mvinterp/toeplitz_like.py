@@ -17,10 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from .approx import ApproxInstance
-from .backend import DENSE_GUARD_CELLS, solve_with_builder, solve_with_dense_matrix
 from .errors import BadLength, TooLarge
 from .poly import Poly, poly_mod, reverse, series_inv, trunc
 from .struct_solve import TAG_TOEPLITZ, GeneratorPair
+
+DENSE_GUARD_CELLS = 1 << 20  # largest matrix either linearization builds densely
 
 
 def last_coeff_sequence(P: Poly, F: Poly, count: int):
@@ -119,17 +120,3 @@ def build_toeplitz_generators(a: ApproxInstance) -> GeneratorPair:
             v[mu + j, :, row_offsets[i] : row_offsets[i + 1]] = f.coeffs(P.deg)
         w[mu + j, 0, col_starts[j]] = 1
     return GeneratorPair(TAG_TOEPLITZ, M, N, v, w, ctx)
-
-
-def solve_via_toeplitz(a: ApproxInstance, rng, max_retries: int = 8):
-    """Solve an instance through the Toeplitz-like route (Las Vegas)."""
-    return solve_with_builder(a, rng, build_toeplitz_generators, max_retries=max_retries)
-
-
-def solve_via_dense(a: ApproxInstance, rng=None, max_retries: int = 0):
-    """Deterministic cubic baseline on the dense defining matrix.
-
-    rng and max_retries are accepted (and ignored) so the three backends
-    share a call shape.
-    """
-    return solve_with_dense_matrix(a, dense_build_Aprime)

@@ -12,7 +12,6 @@ import numpy as np
 from mvinterp.approx import ApproxInstance
 from mvinterp.field import prime_field, residues
 from mvinterp.linalg import _np_eligible, _rref_generic, _rref_np, _to_np
-from mvinterp.backend import DENSE_GUARD_CELLS
 from mvinterp.errors import BadLength, TooLarge
 from mvinterp.mosaic_hankel import compute_s_star, layout_for
 from mvinterp.poly import Poly, reverse, series_inv, trunc
@@ -24,6 +23,7 @@ from mvinterp.reduction import (
     multi_binom,
 )
 from mvinterp.struct_solve import TAG_TOEPLITZ, GeneratorPair
+from mvinterp.toeplitz_like import DENSE_GUARD_CELLS
 
 _RECONSTRUCT_GUARD_CELLS = 1 << 14
 
@@ -198,6 +198,11 @@ def mat_vec(rows, x, ctx):
     return [sum((a * b for a, b in zip(r, x)), ctx.zero()) for r in rows]
 
 
+def elements(ctx, x):
+    """FieldElements of a (d, n) residue vector, such as a kernel Solution's."""
+    return residues(ctx).elements(x)
+
+
 def apply_generator(G, x):
     """A·x for the matrix a generator of either tag represents."""
     return mat_vec(reconstruct_dense(G), x, G.ctx)
@@ -338,8 +343,8 @@ def extend_recurrence(init, charpoly, count):
 
 
 def pack_solution(qs, bounds):
-    """Flat coefficient vector of a solution tuple (inverse of
-    approx.unpack_solution)."""
+    """Flat FieldElement coefficient vector of a solution tuple (what
+    approx.unpack_solution splits, as a residue array)."""
     vec = []
     for q, b in zip(qs, bounds):
         if q.deg >= b:

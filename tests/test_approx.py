@@ -1,10 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
-from mvinterp.approx import ApproxInstance, lift_trimmed, trim_instance, verify_approx
+from mvinterp.approx import (
+    ApproxInstance,
+    lift_trimmed,
+    trim_instance,
+    unpack_solution,
+    verify_approx,
+)
 from mvinterp.errors import BadLength, Degenerate
-from mvinterp.field import prime_field
+from mvinterp.field import FieldCtx, prime_field, residues
 from mvinterp.poly import Poly
 
 from helpers import from_ints
@@ -22,6 +29,10 @@ def single(P, F, bound):
 
 X2 = P13(0, 0, 1)  # X^2
 X = P13(0, 1)
+
+UNPACK_FIELDS = pytest.mark.parametrize(
+    "ctx", [F13, FieldCtx(2, (1, 1, 1))], ids=["F13", "GF4"]
+)
 
 
 # ---------------------------------------------------------------- construction
@@ -128,3 +139,25 @@ def test_trim_preserves_solutions_by_padding():
         ]
         if verify_approx(t, qs):
             assert verify_approx(a, lift_trimmed(t, qs, dropped))
+
+
+# ---------------------------------------------------------------- unpacking
+
+
+@UNPACK_FIELDS
+def test_unpack_splits_a_residue_vector(ctx):
+    # the (d, n) vector splits low-to-high into one polynomial per bound
+    x = np.random.default_rng(ctx.order).integers(0, ctx.p, (ctx.d, 7))
+    qs = unpack_solution(ctx, x, (3, 4))
+    assert [q.coeffs(b).tolist() for q, b in zip(qs, (3, 4))] == [
+        x[:, :3].tolist(),
+        x[:, 3:].tolist(),
+    ]
+
+
+@UNPACK_FIELDS
+@pytest.mark.parametrize("n", [6, 8])
+def test_unpack_rejects_a_residue_vector_of_wrong_length(ctx, n):
+    # the length is the vector's second axis; its first is d
+    with pytest.raises(BadLength):
+        unpack_solution(ctx, residues(ctx).zeros(n), (3, 4))

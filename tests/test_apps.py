@@ -8,8 +8,8 @@ import pytest
 
 from mvinterp import apps, struct_solve
 from mvinterp.approx import trim_instance, verify_approx
+from mvinterp.backend import BUILDERS
 from mvinterp.apps import (
-    BACKENDS,
     ExtPoint,
     GsParams,
     check_assumptions,
@@ -82,7 +82,7 @@ def test_gs_worked_example():
 
 def test_gs_every_backend_solves_worked_example():
     p = GsParams(F13, k=1, m=1, ell=1, b=3, points=gs_points(F13, [(0, 1), (1, 2), (2, 5)]))
-    for bk in BACKENDS:
+    for bk in BUILDERS:
         out = gs_interpolate(p, random.Random(2), backend=bk)
         assert isinstance(out, Solution), bk
         assert verify_solution(params_instance(p), out.value), bk
@@ -140,7 +140,7 @@ def test_gs_random_backends_agree():
         rng = random.Random(seed)
         ctx = rng.choice([F13, F101])
         p = random_gs_params(ctx, rng)
-        outs = {bk: gs_interpolate(p, random.Random(seed + 1), backend=bk) for bk in BACKENDS}
+        outs = {bk: gs_interpolate(p, random.Random(seed + 1), backend=bk) for bk in BUILDERS}
         kinds = {bk: type(o).__name__ for bk, o in outs.items()}
         assert len(set(kinds.values())) == 1, (seed, kinds)
         for bk, o in outs.items():
@@ -520,7 +520,9 @@ def test_benchmark_tracer_finds_every_layer(monkeypatch):
     # perfbench/layers.py times the library by wrapping names at the module
     # globals their callers look them up in; a renamed or re-imported name
     # would silently read 0 there, so every one must still be found, except
-    # the three lift layers apps no longer calls: the kernel lifts itself
+    # the three lift layers apps no longer calls (the kernel lifts itself),
+    # the Hankel flip (the kernel flips a hankel-tagged generator itself) and
+    # the dense route wrapper (the dense backend is a BUILDERS entry)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     layers = importlib.import_module("layers")
     with layers.Tracer(layers.LAYERS + layers.DENSE) as tracer:
@@ -528,5 +530,7 @@ def test_benchmark_tracer_finds_every_layer(monkeypatch):
             "approx.lift_instance",
             "field.build_extension",
             "field.project_solution_to_base",
+            "struct_solve.hankel_to_toeplitz",
+            "toeplitz_like.solve_via_dense",
         ]
     assert apps.solve_approx is solve_approx  # originals restored on exit

@@ -4,7 +4,7 @@ import pytest
 
 from mvinterp.approx import unpack_solution, verify_approx
 from mvinterp.errors import DegreeViolation, DuplicateNode, NoSolutionSpace
-from mvinterp.field import FieldCtx, prime_field
+from mvinterp.field import FieldCtx, prime_field, residues
 from mvinterp.outcomes import NoSolution, NotApplicable, Solution
 from mvinterp.poly import Poly, poly_divrem
 from mvinterp.reduction import (
@@ -342,7 +342,8 @@ def test_build_reduction_known_divisors():
         assert plan.col_bounds == tuple(budget[j] for j in kept), seed
         kernel = kernel_basis(inst.ctx, dense_build_Aprime(approx), approx.total_cols)
         for vec in kernel:
-            Q = assemble_Q(plan, unpack_solution(inst.ctx, vec, plan.col_bounds))
+            x = residues(inst.ctx).array(vec)
+            Q = assemble_Q(plan, unpack_solution(inst.ctx, x, plan.col_bounds))
             for j, d in divisors.items():
                 assert poly_divrem(Q.coeff(j), d)[1].is_zero(), seed
             assert verify_solution(inst, Q), seed

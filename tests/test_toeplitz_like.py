@@ -24,8 +24,6 @@ from mvinterp.toeplitz_like import (
     build_toeplitz_generators,
     dense_build_Aprime,
     last_coeff_sequence,
-    solve_via_dense,
-    solve_via_toeplitz,
 )
 
 F13 = prime_field(13)
@@ -186,9 +184,9 @@ def test_block_last_rows_match_tops():
 
 
 def test_solve_worked_examples():
-    out = solve_via_toeplitz(xsq_instance(1), random.Random(0))
+    out = solve_approx(xsq_instance(1), random.Random(0), "toeplitz")
     assert isinstance(out, NoSolution)
-    out = solve_via_toeplitz(xsq_instance(2), random.Random(1))
+    out = solve_approx(xsq_instance(2), random.Random(1), "toeplitz")
     assert isinstance(out, Solution)
     (q,) = out.value
     assert q.coeff(0).is_zero() and not q.coeff(1).is_zero()
@@ -198,7 +196,7 @@ def test_solve_structured_agrees_with_dense_verdict():
     for seed in spread_seeds(431, 50):
         rng = random.Random(seed)
         a = random_approx_instance(F65537, rng, max_mu=2, max_nu=3, max_moddeg=3)
-        out = solve_via_toeplitz(a, rng)
+        out = solve_approx(a, rng, "toeplitz")
         A = dense_build_Aprime(a)
         if matrix_rank(F65537, A, a.total_cols) < a.total_cols:
             assert isinstance(out, Solution)
@@ -225,8 +223,8 @@ def test_solve_via_dense_deterministic_and_correct():
     for seed in spread_seeds(439, 40):
         rng = random.Random(seed)
         a = random_approx_instance(F13, rng)
-        out1 = solve_via_dense(a)
-        out2 = solve_via_dense(a, random.Random(0), 5)
+        out1 = solve_approx(a, None, "dense")
+        out2 = solve_approx(a, random.Random(0), "dense", max_retries=5)
         assert type(out1) is type(out2)
         A = dense_build_Aprime(a)
         solvable = matrix_rank(F13, A, a.total_cols) < a.total_cols
