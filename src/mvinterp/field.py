@@ -29,10 +29,14 @@ from .errors import (
 # which covers every word-sized characteristic.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _INT64_SAFE = 2**62
+_INT64 = np.dtype(np.int64)
 _SKEW_CELLS = 1 << 16  # largest product table Residues.conv builds at once
-# residue-row products times m^2 from which conv_sum takes FFT products: in the
-# kernel's applies they win at 1.5e6 (10 pairs, m = 385), lose at 2.6e5 (4, 257)
-_FFT_WORK = 500_000
+# residue-row products times m^2 from which conv and conv_sum take FFT products.
+# A kernel level on kept spectra (Residues.transform), FFT against np.convolve
+# per level: 1.14x at 1.3e5 (2 pairs, m = 257), 0.94x at 1.6e5 (4, 200), 0.81x
+# at 2.6e5 (4, 257: gs_wide), 0.38x at 1.5e6 (10, 385: gs_deep); products of
+# fresh operands tie from 2e5 to 3e5 (0.8-1.2x by how far m pads to 2^L)
+_FFT_WORK = 200_000
 
 
 def is_probable_prime(n: int) -> bool:
@@ -410,15 +414,16 @@ class Residues:
         summed per coefficient, round exactly; None if two are not enough.
 
         With transform length 2^L >= 2n - 1 and limbs below 2^b, a sum of
-        `terms` limb products is off by less than terms * n * (2^b - 1)^2 *
-        (13 L + 3) * 2^-53 (Percival, Math. Comp. 2003, unit roundoff and
-        twiddle error 2^-53), which must stay below 1/2.
+        t limb products is off by less than t * n * (2^b - 1)^2 * (13 L + 3)
+        * 2^-53 (Percival, Math. Comp. 2003, unit roundoff and twiddle error
+        2^-53), which must stay below 1/2.  The inverse transforms take the
+        limb products of equal shift together, so t = terms * k.
         """
         L = (2 * n - 2).bit_length()
         bits = (self.p - 1).bit_length()
         for k in (1, 2):
             b = -(-bits // k)
-            if terms * n * ((1 << b) - 1) ** 2 * (13 * L + 3) < 1 << 52:
+            if terms * k * n * ((1 << b) - 1) ** 2 * (13 * L + 3) < 1 << 52:
                 return k, b
         return None
 
@@ -529,31 +534,65 @@ class Residues:
         pairs = (a.astype(acc, copy=False) @ b.T.astype(acc, copy=False)) % self.p
         return ((self._fold @ pairs.reshape(-1)) % self.p).astype(out, copy=False)
 
+    def _plan(self, count: int, n: int, m: int, terms: int):
+        """(length, k, bits) of the FFT products of `count` residue-row pairs
+        of lengths n >= m, `terms` of them summed per coefficient, when the
+        pairs times m^2 reach _FFT_WORK over int64 residues and fft_limbs
+        finds limbs; None when they are not FFT products."""
+        if self.dtype is not np.int64 or count * m * m < _FFT_WORK:
+            return None
+        limbs = self.fft_limbs(n, terms)
+        return limbs and (1 << (n + m - 2).bit_length(),) + limbs
+
+    def transform(self, x: np.ndarray, m: int):
+        """x (c, ..., d, n) as a Spectrum for its products with operands up
+        to m long (conv_sum over c, conv and corr) when those are FFT
+        products, decided from the sizes as conv_sum decides; else x."""
+        n = x.shape[-1]
+        plan = self._plan(math.prod(x.shape[:-2]) * self.d**2, max(n, m), min(n, m), len(x))
+        if plan is None:
+            return x
+        both = _limb_spectra(np.stack([x, x[..., ::-1]]), *plan)
+        return Spectrum(x, plan, both[:, 0], both[:, 1])
+
     def conv(self, a: np.ndarray, b: np.ndarray, keep=slice(None)) -> np.ndarray:
         """Polynomial products of (..., d, n) and (..., d, m) arrays of
         reduced residues, leading axes broadcast, as (..., d, n + m - 1),
-        reduced, or only the coefficients `keep`.
+        reduced, or only the coefficients `keep`.  Either operand may be a
+        Spectrum.
 
-        Over int64 residues, once the residue-row products times m^2 (m the
+        One pair of int64 residue rows (d = 1, no leading axes) below the
+        FFT crossover is one np.convolve and one reduction.  Otherwise, over
+        int64 residues, once the residue-row products times m^2 (m the
         shorter length) reach _FFT_WORK and fft_limbs finds limbs, these are
-        float64 FFT products of b-bit limbs.  Otherwise many short products
-        run at once as one table of every y_u * x skewed by u and summed, or
-        each pair of residue rows is one np.convolve, or with Python ints one
-        product of two long integers (Kronecker substitution).
+        float64 FFT products of b-bit limbs, taking a Spectrum's kept limb
+        spectra.  Below that, many short products run at once as one table
+        of every y_u * x skewed by u and summed, or each pair of residue
+        rows is one np.convolve, or with Python ints one product of two long
+        integers (Kronecker substitution).
         """
         if a.shape[-1] < b.shape[-1]:
             a, b = b, a
         d, n, m = self.d, a.shape[-1], b.shape[-1]
+        if (
+            d == 1
+            and type(a) is type(b) is np.ndarray
+            and a.ndim == b.ndim == 2
+            and m <= self._int64_terms
+            and m * m < _FFT_WORK
+            and a.dtype is b.dtype is _INT64
+        ):
+            return (np.convolve(a[0], b[0])[keep] % self.p)[None]
         acc, out = self._dtypes(m, a, b)
         lead = a.shape[:-2]
         if lead != b.shape[:-2]:
             lead = np.broadcast_shapes(lead, b.shape[:-2])
         count = math.prod(lead) * d * d
-        limbs = self.dtype is np.int64 and count * m * m >= _FFT_WORK and self.fft_limbs(n, 1)
-        if limbs:
-            pairs = self._fft_pairs(a[None], b[None], keep, *limbs)
+        plan = self._plan(count, n, m, 1)
+        if plan:
+            pairs = self._fft_pairs(_one_term(a), _one_term(b), keep, plan)
             return self._fold_pairs(pairs).astype(out, copy=False)
-        a, b = a.astype(acc, copy=False), b.astype(acc, copy=False)
+        a, b = _array(a).astype(acc, copy=False), _array(b).astype(acc, copy=False)
         if a.shape[:-2] != b.shape[:-2]:
             a, b = np.broadcast_to(a, lead + (d, n)), np.broadcast_to(b, lead + (d, m))
         lead += (d, d)
@@ -571,43 +610,93 @@ class Residues:
 
     def conv_sum(self, a: np.ndarray, b: np.ndarray, keep=slice(None)) -> np.ndarray:
         """sum_c conv(a_c, b_c) over the first axis of (c, ..., d, n) and
-        (c, ..., d, m) arrays, reduced; FFT products are summed over c in the
-        frequency domain before one inverse transform."""
+        (c, ..., d, m) arrays or Spectra, reduced; FFT products are summed
+        over c in the frequency domain before the inverse transforms."""
         n, m = max(a.shape[-1], b.shape[-1]), min(a.shape[-1], b.shape[-1])
         count = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])) * self.d**2
-        limbs = self.dtype is np.int64 and count * m * m >= _FFT_WORK and self.fft_limbs(n, len(a))
-        if not limbs:
-            return self.conv(a, b, keep).sum(axis=0) % self.p
+        plan = self._plan(count, n, m, a.shape[0])
+        if not plan:
+            return self.conv(_array(a), _array(b), keep).sum(axis=0) % self.p
         out = self._dtypes(0, a, b)[1]
-        return self._fold_pairs(self._fft_pairs(a, b, keep, *limbs)).astype(out, copy=False)
+        return self._fold_pairs(self._fft_pairs(a, b, keep, plan)).astype(out, copy=False)
 
-    def _fft_pairs(self, a: np.ndarray, b: np.ndarray, keep, k: int, bits: int) -> np.ndarray:
-        """Products of (c, ..., d, n) and (c, ..., d, m) arrays summed over c,
-        as (..., d, d, n + m - 1) residue-row pairs before the fold, reduced:
-        the operands' k limbs of `bits` bits are transformed once, the limb
-        products summed over c in the frequency domain, and after one inverse
-        transform the rounded sums are recombined mod p."""
+    def _fft_pairs(self, a, b, keep, plan) -> np.ndarray:
+        """Products of (c, ..., d, n) and (c, ..., d, m) arrays or Spectra
+        summed over c, as (..., d, d, n + m - 1) residue-row pairs before the
+        fold, reduced.  Each operand's k limbs of `bits` bits are transformed
+        at `length` (a Spectrum made for this plan brings them), the limb
+        products summed over c and over i + j = s in the frequency domain,
+        and after 2k - 1 inverse transforms the rounded sums are recombined
+        mod p.  A merged sum holds up to k limb products; fft_limbs allows
+        for them."""
+        length, k, bits = plan
         p, size = self.p, a.shape[-1] + b.shape[-1] - 1
-        length = 1 << (size - 1).bit_length()
         A, B = (
-            np.fft.rfft(np.stack([(x >> bits * i) & ((1 << bits) - 1) for i in range(k)]), length)
-            for x in (a.astype(np.int64), b.astype(np.int64))
+            x.data if isinstance(x, Spectrum) and x.plan == plan else _limb_spectra(_array(x), *plan)
+            for x in (a, b)
         )
-        sums = np.fft.irfft(np.einsum("kc...iz,lc...jz->kl...ijz", A, B), length)[..., :size]
+        prods = np.einsum("kc...iz,lc...jz->kl...ijz", A, B)
+        prods = prods.reshape((k * k,) + prods.shape[2:])
+        if k == 2:  # rows 0, 1, 2 become the limb shifts 0, 1, 2
+            prods[1] += prods[2]
+            prods[2] = prods[3]
+        sums = np.fft.irfft(prods[: 2 * k - 1], length)[..., :size]
         sums = sums[..., keep]
         sums += 0.5  # each is within 1/2 of an integer in [0, 2^52): truncation rounds
         sums = sums.astype(np.int64)
-        out = sums[-1, -1] % p
-        for s in range(2 * k - 3, -1, -1):  # sum_s 2^(bits s) sum_{i+j=s} sums[i, j]
+        out = sums[-1] % p
+        for s in range(len(sums) - 2, -1, -1):  # sum_s 2^(bits s) sums[s]
             out <<= bits
-            out += sum(sums[i, s - i] for i in range(k) if 0 <= s - i < k)
+            out += sums[s]
             out %= p
         return out
 
     def corr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """out[t] = sum_u a[t+u] * b[u] for t < len(a)."""
+        """out[t] = sum_u a[t+u] * b[u] for t < len(a); either operand may
+        be a Spectrum."""
         m = b.shape[-1]
-        return self.conv(a, b[..., ::-1], slice(m - 1, m - 1 + a.shape[-1]))
+        return self.conv(a, flip(b), slice(m - 1, m - 1 + a.shape[-1]))
+
+
+class Spectrum:
+    """A (c, ..., d, n) residue array kept with the limb spectra its FFT
+    products take: the rfft at transform length `length` of its k limbs of
+    `bits` bits, plan = (length, k, bits), and those of the array reversed.
+    Residues.transform makes one; conv, conv_sum and corr take it in place
+    of the array, so an operand of many products is transformed once."""
+
+    __slots__ = ("array", "shape", "dtype", "plan", "data", "rev")
+
+    def __init__(self, array: np.ndarray, plan: tuple, data: np.ndarray, rev: np.ndarray):
+        self.array, self.shape, self.dtype = array, array.shape, array.dtype
+        self.plan, self.data, self.rev = plan, data, rev
+
+
+def flip(x):
+    """x reversed along its last axis: a view of an array, or a Spectrum of
+    the reversal, whose limb spectra x keeps."""
+    if isinstance(x, Spectrum):
+        return Spectrum(x.array[..., ::-1], x.plan, x.rev, x.data)
+    return x[..., ::-1]
+
+
+def _array(x):
+    return x.array if isinstance(x, Spectrum) else x
+
+
+def _one_term(x):
+    """x as a sum of one term: a leading axis of length 1."""
+    if isinstance(x, Spectrum):
+        return Spectrum(x.array[None], x.plan, x.data[:, None], x.rev[:, None])
+    return x[None]
+
+
+def _limb_spectra(x: np.ndarray, length: int, k: int, bits: int) -> np.ndarray:
+    """rfft at `length` of the k limbs of `bits` bits of the residues x, as
+    (k,) + x.shape[:-1] + (length // 2 + 1,)."""
+    x = x.astype(np.int64, copy=False)
+    mask = (1 << bits) - 1
+    return np.fft.rfft(np.stack([(x >> bits * i) & mask for i in range(k)]), length)
 
 
 def _kronecker(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -55,7 +55,12 @@ appear only for the other scalar inverses.
 Generator applies (_apply, _apply_last, _precondition) are batched products
 of the stacked halves: A·x is conv_sum(V, corr(x, W)), reduced mod p between
 the two, so that long pair products are FFT products summed over the pairs
-in the frequency domain before one inverse transform.
+in the frequency domain before the inverse transforms.  The halves do not
+change within a level, so once their products are FFT products (from
+gs_wide's alpha = 4, size 257 up) _kept transforms V, W and their reversals
+once per level (field.Residues.transform): the four applies and both
+correlations of _precondition take those spectra, and the top level's serve
+every attempt and the final check, which applies the padded generator.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongTag
-from .field import FieldCtx, build_extension, residues
+from .field import FieldCtx, build_extension, flip, residues
 from .outcomes import Failure, NoSolution, Solution
 
 TAG_TOEPLITZ = "toeplitz"
@@ -169,13 +174,22 @@ def _draw(R, min_size: int, rng, k: int) -> np.ndarray:
 
 
 def _apply(R, v, w, x, nrows):
-    """A·x through a toeplitz-tagged generator: sum_c L(v_c) U(w_c) x."""
+    """A·x through a toeplitz-tagged generator: sum_c L(v_c) U(w_c) x.  The
+    halves v and w may be their Spectra (_kept), here and below."""
     return R.conv_sum(v, R.corr(x, w), slice(nrows))  # corr: sum_u w_c[u] x[k+u]
 
 
 def _apply_last(R, v, w, nrows):
     """A·e_last, the last column: corr(e_last, w_c) is w_c reversed."""
-    return R.conv_sum(v, w[:, :, ::-1], slice(nrows))
+    return R.conv_sum(v, flip(w), slice(nrows))
+
+
+def _kept(R, halves, size):
+    """One level's halves as its products take them: cast to the dtype of
+    sums of alpha + 4 products, the most _echelon leaves unreduced in the
+    preconditioned generator, and transformed once (R.transform) when their
+    products with length-size operands are FFT products."""
+    return [R.transform(x.astype(R.sum_dtype(len(x) + 4)), size) for x in halves]
 
 
 def _echelon(R, A, B):
@@ -242,13 +256,21 @@ def _precondition(R, v, w, u_full, l_full):
     # transpose applies: generator of A^T swaps the halves
     atA = _apply(R, w, v, a_vec, size)
     eA = _apply_last(R, w, v, size)
-    new_v = R.corr(np.concatenate([v, shift1(np.stack([Ac, -Ae % R.p]))]), u_full)
-    new_w = R.corr(np.concatenate([w, np.stack([atA, eA])]), l_full)
+    new_v = _corr_rows(R, v, shift1(np.stack([Ac, -Ae % R.p])), u_full)
+    new_w = _corr_rows(R, w, np.stack([atA, eA]), l_full)
     new_w[-2:] = shift1(new_w[-2:])
     e_first = R.unit(size, 0)[None]
     new_v = np.concatenate([new_v, e_first, -b_vec[None] % R.p])
     new_w = np.concatenate([new_w[:-2], e_first, f_vec[None], new_w[-2:]])
     return new_v, new_w
+
+
+def _corr_rows(R, x, rows, u):
+    """R.corr of x with the rows appended against u: one product of the
+    stacked arrays, or of x's Spectrum and of the rows apart."""
+    if isinstance(x, np.ndarray):
+        return R.corr(np.concatenate([x, rows]), u)
+    return np.concatenate([R.corr(x, u), R.corr(rows, u)])
 
 
 def _schur_step(R, G):
@@ -380,12 +402,8 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     padded, pad = pad_to_square(G)
     size = padded.nrows
     min_size = subset_floor(size)
-    # _echelon leaves up to one update per preconditioned pair, alpha + 4,
-    # unreduced in a row, so every generator it sees is cast to the dtype of
-    # sums that long; conv, dot and combine choose their own
     R = residues(G.ctx)
-    wide = R.sum_dtype(G.alpha + 4)
-    orig_v, orig_w = G.v.astype(wide), G.w.astype(wide)
+    top = _kept(R, (padded.v, padded.w), size)
     one = R.unit(1, 0)
 
     attempts = 0
@@ -393,16 +411,16 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
         # one attempt is a chain of levels: precondition and eliminate the
         # padded matrix, then after each pivot breakdown the Schur complement
         # left, until the rank is certified
-        rest, left, levels = (padded.v, padded.w), size, []
-        while rest is not None and attempts < max_retries:
+        halves, left, levels = top, size, []
+        while halves is not None and attempts < max_retries:
             attempts += 1
-            v, w = (x.astype(R.sum_dtype(len(x) + 4)) for x in rest)
             u_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
             l_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
-            pivot_rows, rest = _eliminate(R, *_precondition(R, v, w, u_full, l_full), left)
+            pivot_rows, rest = _eliminate(R, *_precondition(R, *halves, u_full, l_full), left)
             levels.append((pivot_rows, l_full))
             left -= len(pivot_rows)
-        if rest is not None:
+            halves = None if rest is None else _kept(R, rest, left)
+        if halves is not None:
             break
         if size - left == n_orig:
             return NoSolution("certified rank equals the unknown count")
@@ -415,7 +433,9 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
         vec = unpad_solution(pad, y.T).T  # unknowns along the leading axis
         if R.is_zero(vec):
             continue
-        if not R.is_zero(_apply(R, orig_v, orig_w, vec, G.nrows)):
+        # the padded matrix is A under zero rows (wide) or right of zero
+        # columns (tall), so it maps y to zero exactly when A maps vec there
+        if not R.is_zero(_apply(R, *top, y, size)):
             continue  # never on a correct run; belt and braces
         return Solution(vec)
     if R.d != 1 or R.p >= min_size:
@@ -427,7 +447,7 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     if not isinstance(out, Solution):
         return out
     vec = out.value[out.value.any(axis=1)][:1]  # the first nonzero residue row
-    if not R.is_zero(_apply(R, orig_v, orig_w, vec, G.nrows)):
+    if not R.is_zero(_apply(R, G.v, G.w, vec, G.nrows)):
         return Failure(attempts)  # never on a correct run; belt and braces
     return Solution(vec)
 

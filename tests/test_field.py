@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from mvinterp.errors import CtxMismatch, DivisionByZero
 from mvinterp.field import (
     FieldCtx,
+    Spectrum,
     build_extension,
+    flip,
     is_probable_prime,
     prime_field,
     residues,
@@ -218,6 +221,33 @@ def test_fft_products_exact_at_the_rounding_bound(p, k, terms):
     want = [terms * (p - 1) ** 2 * int(c) % p for c in ones]
     assert got.dtype == np.int64 and got[0].tolist() == want
     assert (got == kronecker_conv_sum(R, a, a)).all()
+    # one operand passed as its kept spectra, and as those of its reversal
+    spectrum = R.transform(a, n)
+    assert isinstance(spectrum, Spectrum) and spectrum.plan[1:] == (k, R.fft_limbs(n, terms)[1])
+    assert (R.conv_sum(spectrum, a) == got).all() and (R.conv_sum(a, flip(spectrum)) == got).all()
+
+
+@pytest.mark.parametrize("p", [13, 16777213, 2**31 - 1])
+def test_one_pair_products_match_python_ints(p, monkeypatch):
+    # a (1, n) x (1, m) product below the FFT crossover is one np.convolve
+    # while m products of residues fit int64; at 2^31 - 1 not even one does
+    R = residues(prime_field(p))
+    rows = []
+    real = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda x, y: rows.append(x.dtype) or real(x, y))
+    rng = np.random.default_rng(p)
+    crossover = math.isqrt(field_module._FFT_WORK - 1)  # the longest m off the FFT route
+    for n, m in [(1, 1), (5, 3), (40, 40), (300, 7), (crossover + 20, crossover)]:
+        for a in (rng.integers(0, p, (1, n)), np.full((1, n), p - 1)):
+            b = rng.integers(0, p, (1, m))
+            want = _kronecker(a[0].astype(object), b[0].astype(object)) % p
+            rows.clear()
+            got = R.conv(b, a)
+            assert got.dtype == np.int64 and got.shape == (1, n + m - 1)
+            assert got[0].tolist() == want.tolist()
+            assert rows == ([np.dtype(np.int64)] if R._int64_terms >= m else [])
+            keep = slice(m - 1, n + m - 1)
+            assert R.corr(a, b[:, ::-1])[0].tolist() == want[keep].tolist()
 
 
 FFT_FIELDS = [

@@ -22,7 +22,8 @@ from helpers import (
     spread_seeds,
 )
 from mvinterp.errors import TooLarge, WrongTag
-from mvinterp.field import FieldCtx, Residues, build_extension, prime_field
+import mvinterp.field as field_module
+from mvinterp.field import FieldCtx, Residues, Spectrum, build_extension, prime_field
 from mvinterp.linalg import matrix_rank
 from mvinterp.outcomes import NoSolution, Solution
 from mvinterp.struct_solve import (
@@ -31,6 +32,7 @@ from mvinterp.struct_solve import (
     _apply_last,
     _compress,
     _eliminate,
+    _kept,
     _precondition,
     hankel_to_toeplitz,
     nullspace_structured,
@@ -424,19 +426,38 @@ def test_nullspace_object_ops_extension_field():
         (F65537, 600, 3),  # above the FFT crossover
         (build_extension(F13, 4, random.Random(5)), 40, 3),
         (build_extension(F13, 4, random.Random(5)), 200, 3),  # FFT, 16 row pairs
+        (prime_field(16777213), 257, 4),  # gs_wide's: FFT with the halves' spectra kept
     ],
 )
 def test_batched_applies_match_the_dense_matrix(ctx, size, alpha):
+    # every apply of the kernel, on the halves and on their kept spectra
     R = residues(ctx)
     rng = np.random.default_rng(size)
     shapes = [(alpha, ctx.d, size)] * 2 + [(ctx.d, size)] * 3
     v, w, x, u, l = (rng.integers(0, ctx.p, s) for s in shapes)
     u[:, 0], l[:, 0] = R.unit(1, 0)[:, 0], R.unit(1, 0)[:, 0]
     A = dense_from_halves(R, v, w)
-    assert np.array_equal(_apply(R, v, w, x, size), dense_matvec(R, A, x))
-    assert np.array_equal(_apply_last(R, v, w, size), A[:, :, -1].T)
-    pv, pw = _precondition(R, v, w, u, l)
     U, L = dense_toeplitz(R, u, True), dense_toeplitz(R, l, False)
     UALx = dense_matvec(R, U, dense_matvec(R, A, dense_matvec(R, L, x)))
-    assert np.array_equal(dense_matvec(R, dense_from_halves(R, pv, pw), x), UALx)
-    assert np.array_equal(_apply(R, pv, pw, x, size), UALx)
+    kept = _kept(R, (v, w), size)
+    fft = alpha * ctx.d**2 * size**2 >= field_module._FFT_WORK
+    assert [isinstance(h, Spectrum) for h in kept] == [fft, fft]
+    for hv, hw in ((v, w), kept):
+        assert np.array_equal(_apply(R, hv, hw, x, size), dense_matvec(R, A, x))
+        assert np.array_equal(_apply_last(R, hv, hw, size), A[:, :, -1].T)
+        pv, pw = _precondition(R, hv, hw, u, l)
+        assert np.array_equal(dense_matvec(R, dense_from_halves(R, pv, pw), x), UALx)
+        assert np.array_equal(_apply(R, pv, pw, x, size), UALx)
+    # the final check applies the padded generator's kept spectra: a wide
+    # matrix sits under zero rows, a tall one right of zero columns
+    cut = size // 4
+    for nrows, ncols in ((size - cut, size), (size, size - cut)):
+        G = GeneratorPair("toeplitz", nrows, ncols, v[:, :, :nrows], w[:, :, :ncols], ctx)
+        padded, pad = pad_to_square(G)
+        A = dense_from_halves(R, padded.v, padded.w)
+        top = _kept(R, (padded.v, padded.w), size)
+        assert pad.offset == cut and [isinstance(h, Spectrum) for h in top] == [fft, fft]
+        rows, cols = (cut, 0) if pad.kind == "wide" else (0, cut)
+        assert not A[:rows].any() and not A[:, :, :cols].any()
+        assert np.array_equal(A[rows:, :, cols:], dense_from_halves(R, G.v, G.w))
+        assert np.array_equal(_apply(R, *top, x, size), dense_matvec(R, A, x))
