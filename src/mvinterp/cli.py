@@ -275,6 +275,8 @@ def cmd_bench(args) -> int:
         sizes = [int(t) for t in args.sizes.split(",") if t]
         if any(n < 1 for n in sizes) or args.reps < 1:
             raise ParseError("sizes and --reps must be at least 1")
+        if any(n > BENCH_PRIME for n in sizes):
+            raise ParseError(f"sizes must be at most {BENCH_PRIME}, the bench prime")
         backends = [t for t in args.backend.split(",") if t]
         for bk in backends:
             if bk not in BUILDERS:

@@ -383,6 +383,11 @@ class Residues:
     the dtype: long ones are exact float64 FFT products of the b-bit limbs
     that fft_limbs picks within Percival's rounding bound, short ones
     np.convolve calls or one skewed product table (conv_sum).
+
+    Callers never branch on d; the prime-field shortcuts are here.  At
+    d = 1 inv is one pow(s, -1, p), emul and mul one product, scale one
+    broadcast multiply left unreduced, combine one product of the scalars
+    with the rows, dot one 1-D dot, and the residue-pair fold a view.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -454,6 +459,13 @@ class Residues:
         return not np.count_nonzero(a)
 
     def inv(self, s: np.ndarray) -> np.ndarray:
+        """Inverse of the scalar s (d,), as (d,); DivisionByZero on zero.  At
+        d = 1 it is one pow(s, -1, p), else FieldElement's extended Euclid."""
+        if self.d == 1:
+            try:
+                return np.array([pow(int(s[0]), -1, self.p)], dtype=self.dtype)
+            except ValueError:
+                raise DivisionByZero("inverse of zero") from None
         inverse = FieldElement(self.ctx, tuple(s.tolist())).inv()
         return np.array(inverse.c, dtype=self.dtype)
 
@@ -476,17 +488,10 @@ class Residues:
         return m.reshape(c.shape[:-1] + (self.d, self.d))
 
     def mul(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Scalars c (..., d) times the scalar s (d,), reduced."""
-        return (c @ self.mul_matrix(s).T) % self.p
-
-    def times(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Scalars, given by their multiplication matrices m (..., d, d), times
-        the vector v (d, n) as (..., d, n), not reduced: each entry is below
-        d*(p-1)^2."""
-        out = m[..., 0, None] * v[0]
-        for b in range(1, self.d):
-            out += m[..., b, None] * v[b]
-        return out
+        """Scalars c (..., d) times scalars s (..., d), broadcast, reduced."""
+        if self.d == 1:
+            return c * s % self.p
+        return self.emul(c[..., None], s[..., None])[..., 0]
 
     def _fold_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """(..., d, d, n) reduced products of residue pairs (a, b) folded by
@@ -498,8 +503,20 @@ class Residues:
         return (self._fold @ flat) % self.p
 
     def emul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Entrywise products of (..., d, n) arrays, reduced."""
+        """Entrywise products of (..., d, n) arrays, reduced; at d = 1 one
+        product and one reduction."""
+        if self.d == 1:
+            return a * b % self.p
         return self._fold_pairs((a[..., :, None, :] * b[..., None, :, :]) % self.p)
+
+    def scale(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The vectors v (..., d, n) times the scalars a (..., d), leading
+        axes broadcast, each entry below p^2.  At d = 1 it is one broadcast
+        multiply, left unreduced; above, one product of a's multiplication
+        matrices with v, reduced."""
+        if self.d == 1:
+            return a[..., None] * v
+        return self.mul_matrix(a) @ v % self.p
 
     def evaluate(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Values of the polynomials with (..., d, L) coefficient arrays at
@@ -519,19 +536,30 @@ class Residues:
         pairs = pairs.reshape(coeffs.shape[:-1] + x.shape) % self.p
         return self._fold_pairs(pairs).astype(out, copy=False)
 
-    def combine(self, m: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """sum_j c_j * vs_j for scalars c_j given by their multiplication
-        matrices m (J, d, d) and vectors vs (J, d, n), reduced."""
-        J, d, n = vs.shape
-        acc, out = self._dtypes(J, m, vs)
-        flat = m.transpose(1, 0, 2).reshape(d, J * d).astype(acc, copy=False)
-        sums = flat @ vs.reshape(J * d, n).astype(acc, copy=False)
+    def combine(self, c: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """sum_j c_j * vs_j for scalars c (..., J, d) and vectors vs
+        (..., J, d, n), leading axes broadcast, as (..., d, n), reduced: one
+        product, at d = 1 of c with vs, above of c's multiplication matrices
+        with vs."""
+        J, d = c.shape[-2:]
+        acc, out = self._dtypes(J, c, vs)
+        if d == 1:
+            flat, vs = c.swapaxes(-1, -2), vs[..., 0, :]
+        else:
+            flat = self.mul_matrix(c).swapaxes(-3, -2).reshape(c.shape[:-2] + (d, J * d))
+            vs = vs.reshape(vs.shape[:-3] + (J * d, vs.shape[-1]))
+        sums = flat.astype(acc, copy=False) @ vs  # vs is promoted to acc
         return (sums % self.p).astype(out, copy=False)
 
-    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """sum_u a[u] * b[u] of two (d, n) vectors, as a reduced scalar (d,)."""
+    def dot(self, a: np.ndarray, b: np.ndarray):
+        """sum_u a[u] * b[u] of two (d, n) vectors, as a reduced scalar (d,).
+        At d = 1 it is one np.vdot, which reads both rows flat, in the
+        accumulation dtype (object when b is), and the scalar is a number."""
+        if self.d == 1:
+            return np.vdot(a.astype(self.sum_dtype(a.shape[-1]), copy=False), b) % self.p
         acc, out = self._dtypes(a.shape[-1], a, b)
-        pairs = (a.astype(acc, copy=False) @ b.T.astype(acc, copy=False)) % self.p
+        a, b = a.astype(acc, copy=False), b.astype(acc, copy=False)
+        pairs = (a @ b.T) % self.p
         return ((self._fold @ pairs.reshape(-1)) % self.p).astype(out, copy=False)
 
     def _plan(self, count: int, n: int, m: int, terms: int):

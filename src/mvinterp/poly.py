@@ -137,8 +137,8 @@ class Poly:
         if k == self.ctx.one():
             return self
         R = residues(self.ctx)
-        m = R.mul_matrix(np.array(k.c, dtype=R.dtype))
-        return Poly.from_residues(self.ctx, R.times(m, self.a) % R.p)
+        k = np.array(k.c, dtype=R.dtype)
+        return Poly.from_residues(self.ctx, R.scale(k, self.a) % R.p)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by X^k (k >= 0)."""
@@ -243,7 +243,7 @@ def poly_divrem(a: Poly, b: Poly) -> tuple:
     for i in range(da, db - 1, -1):
         if rem[:, i].any():
             q[:, i - db] = R.mul(rem[:, i], inv_lead)
-            step = R.times(R.mul_matrix(q[:, i - db]), b.a)
+            step = R.scale(q[:, i - db], b.a)
             rem[:, i - db : i + 1] = (rem[:, i - db : i + 1] - step) % R.p
     return Poly.from_residues(ctx, q), Poly.from_residues(ctx, rem[:, :db])
 

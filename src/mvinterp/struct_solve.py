@@ -45,12 +45,14 @@ field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
 d = 1 for a prime field, and a generator half is one stacked (alpha, d, n)
 array, as the builders write it, so a compression pivot updates all later
 generator columns with one outer-product op.  The elimination stacks both
-halves into one array.  Over a prime field (R.d == 1, the test linalg's
-numpy paths make too) its steps and the back-substitution run on plain 2-D
-(alpha, n) integer rows with pow(x, -1, p) inverses; extension fields keep
-the generic (alpha, d, n) step.  The random draws are digits of the sampled
-indices.  The returned vector is a residue array as well; FieldElements
-appear only for the other scalar inverses.
+halves into one array.  The Schur step, the echelon and the
+back-substitution are written once for every field: each op is one
+field.Residues call, whose d = 1 shortcuts (one product where an extension
+applies its multiplication table, pow(x, -1, p) inverses) keep prime fields
+near the cost of plain integer rows, and d appears here only in the lift
+policy.  The
+random draws are digits of the sampled indices.  The returned vector is a
+residue array as well.
 
 Generator applies (_apply, _apply_last, _precondition) are batched products
 of the stacked halves: A·x is conv_sum(V, corr(x, W)), reduced mod p between
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WrongTag
+from .errors import DivisionByZero, WrongTag
 from .field import FieldCtx, build_extension, flip, residues
 from .outcomes import Failure, NoSolution, Solution
 
@@ -196,17 +198,17 @@ def _echelon(R, A, B):
     """Row-echelon form of the rows of A, each row operation undone in B so
     that sum_c A_c (x) B_c is unchanged; rows that become zero are dropped.
 
-    Right-looking: each pivot updates all later rows with one outer-product
-    op.  Later rows are reduced mod p only when they become pivots, which
-    the dtype's bound on accumulated products allows.  Over a prime field
-    it runs on the 2-D (alpha, n) rows with pow(x, -1, p) inverses.
+    Right-looking: each pivot updates all later rows of A with one
+    outer-product op (R.scale).  Later rows are reduced mod p only when they
+    become pivots, which the dtype's bound on accumulated products allows.
+    Row i of B takes the multipliers of pivot i against the rows of B below
+    it, none of which has changed yet, so B is one product (R.combine) with
+    the unit upper-triangular matrix T of all multipliers.
     """
     p = R.p
-    prime = R.d == 1
-    if prime:
-        A, B = A[:, 0], B[:, 0]
     A = A.copy()
-    B = B.copy()
+    T = np.zeros((len(A),) + A.shape[:2], dtype=A.dtype)  # (alpha, alpha, d) scalars
+    T[..., 0] = np.eye(len(A), dtype=A.dtype)
     keep = []
     for i in range(len(A)):
         A[i] %= p
@@ -214,20 +216,11 @@ def _echelon(R, A, B):
         if not cols.size:
             continue
         keep.append(i)
-        if i + 1 < len(A):
-            pc = cols[0]
-            # A_j -= (a_j / s) A_i  and  B_i += (a_j / s) B_j
-            if prime:
-                m = A[i + 1 :, pc] % p * pow(int(A[i, pc]), -1, p) % p
-                A[i + 1 :] -= m[:, None] * A[i]
-                B[i] = (B[i] + m @ B[i + 1 :]) % p
-            else:
-                m = R.mul_matrix(R.mul(A[i + 1 :, :, pc] % p, R.inv(A[i, :, pc])))
-                A[i + 1 :] -= R.times(m, A[i])
-                B[i] = (B[i] + R.combine(m, B[i + 1 :])) % p
-    if prime:
-        return A[keep, None], B[keep, None]
-    return A[keep], B[keep]
+        pc = cols[0]
+        # A_j -= (a_j / s) A_i  and  B_i += (a_j / s) B_j
+        T[i, i + 1 :] = R.mul(A[i + 1 :, :, pc] % p, R.inv(A[i, :, pc]))
+        A[i + 1 :] -= R.scale(T[i, i + 1 :], A[i])
+    return A[keep], R.combine(T[keep], B)
 
 
 def _compress(R, v, w):
@@ -276,58 +269,39 @@ def _corr_rows(R, x, rows, u):
 def _schur_step(R, G):
     """One generalized Schur step on the halves stacked as one
     (2, alpha, d, n) array G = (V, W): the normalized first row of the
-    matrix and a generator of its Schur complement of the same length, or
-    None when the leading entry is zero.
+    matrix, a (d, n) array, and a generator of its Schur complement of the
+    same length, or None when the leading entry is zero.
 
     Two Gauss transforms bring the generator to proper form: one clears W's
     first column except at an index k (its inverse applied to V), the other
     V's first row except at k.  Pair k is then the first column and the
     normalized first row; shifting it down by one and dropping every other
     pair's first entry leaves the Schur complement's displacement.
+
+    One product of (w0, v0) with both halves (R.combine) gives the first
+    column and row, and one product of their scalars with (col0, W_k)
+    (R.scale) both Gauss transforms, written into a new contiguous array
+    (faster than in place in G); x -= (x // p) * p reduces it (faster than
+    % on int64, exact for negative x).
     """
     p = R.p
-    v, w = G
-    v0, w0 = v[:, :, 0], w[:, :, 0]
-    m_w = R.mul_matrix(w0)
-    col0 = R.combine(m_w, v)
-    if R.is_zero(col0[:, 0]):
+    f = G[..., 0]  # (v0, w0): (2, alpha, d) scalars
+    c = R.combine(f[::-1], G)  # (w0 . V, v0 . W): the first column and row
+    col0 = c[0]
+    try:
+        inv_pivot = R.inv(col0[:, 0])
+    except DivisionByZero:  # the leading entry is zero
         return None
-    m_v = R.mul_matrix(v0) @ R.mul_matrix(R.inv(col0[:, 0])) % p  # v0 / pivot
-    norm = R.combine(m_v, w)  # the first row over the pivot
-    # W -= w0 (x) w_k / w0_k, then V -= (v0 / pivot) (x) col0: pair k is
-    # (col0, norm) and every other pair starts with a zero
-    k = w0.nonzero()[0][0]
-    w_k = R.times(R.mul_matrix(R.inv(w0[k])), w[k, :, 1:]) % p
-    w = (w[:, :, 1:] - R.times(m_w, w_k)) % p
-    v = (v[:, :, 1:] - R.times(m_v, col0[:, 1:])) % p
-    v[k], w[k] = col0[:, :-1], norm[:, :-1]
-    return norm, np.stack([v, w])
-
-
-def _schur_step_prime(R, G):
-    """_schur_step over a prime field on the 2-D (alpha, n) rows of both
-    halves at once: one product gives the first column and row, one
-    broadcast product the two Gauss transforms, written into a new
-    contiguous array (faster than in place in G), and x -= (x // p) * p
-    reduces it (faster than % on int64, exact for negative x)."""
-    p = R.p
-    X = G[:, :, 0]
-    f = X[:, :, 0]  # (v0, w0)
-    c = f[::-1, None] @ X % p  # (w0 @ V, v0 @ W): the first column and row
-    col0 = c[0, 0]
-    if not col0[0]:
-        return None
-    inv = pow(int(col0[0]), -1, p)
-    norm = c[1, 0] * inv % p
     k = f[1].nonzero()[0][0]
+    inv = np.array([[inv_pivot], [R.inv(f[1, k])]])
+    norm = R.scale(inv_pivot, c[1]) % p  # the first row over the pivot
     # V -= (v0 / pivot) (x) col0 and W -= (w0 / w0_k) (x) W_k
-    c[1, 0] = X[1, k]
-    m = f * np.array([[inv], [pow(int(f[1, k]), -1, p)]]) % p
-    Y = m[:, :, None] * c[:, :, 1:]
-    np.subtract(X[:, :, 1:], Y, out=Y)
+    c[1] = G[1, k]
+    Y = R.scale(R.mul(f, inv), c[:, None, :, 1:])
+    np.subtract(G[..., 1:], Y, out=Y)
     Y -= Y // p * p
-    Y[0, k], Y[1, k] = col0[:-1], norm[:-1]
-    return norm[None], Y[:, :, None]
+    Y[0, k], Y[1, k] = col0[:, :-1], norm[:, :-1]
+    return norm, Y
 
 
 def _eliminate(R, v, w, size):
@@ -341,13 +315,12 @@ def _eliminate(R, v, w, size):
     breakdown.
 
     The generator is compressed once, then every Schur step keeps its
-    length; prime fields take _schur_step_prime.
+    length.
     """
     G = np.stack(_compress(R, v, w))
-    schur_step = _schur_step_prime if R.d == 1 else _schur_step
     pivot_rows = []
     for _ in range(size):
-        step = schur_step(R, G)
+        step = _schur_step(R, G)
         if step is None:
             rest = _compress(R, *G)
             return pivot_rows, rest if len(rest[0]) else None
@@ -358,21 +331,15 @@ def _eliminate(R, v, w, size):
 
 def _back_substitute(R, pivot_rows, free):
     """Element of the nullspace of the staircase system whose trailing
-    (free) coordinates are the given (d, size - rank) draws.  Over a prime
-    field each coordinate is one dot product, in the dtype of sums of size
+    (free) coordinates are the given (d, size - rank) draws.  Each
+    coordinate is one R.dot, on a vector kept in the dtype of sums of size
     products."""
     rank = len(pivot_rows)
     x = np.concatenate([R.zeros(rank), free], axis=1)
-    if R.d == 1:
-        acc = R.sum_dtype(x.shape[1])
-        y = x[0].astype(acc)
-        for t in range(rank - 1, -1, -1):
-            y[t] = -(pivot_rows[t][0, 1:].astype(acc, copy=False) @ y[t + 1 :]) % R.p
-        return y[None].astype(x.dtype)
+    y = x.astype(R.sum_dtype(x.shape[1]))
     for t in range(rank - 1, -1, -1):
-        row = pivot_rows[t]  # (d, size - t), leading entry 1
-        x[:, t] = -R.dot(row[:, 1:], x[:, t + 1 :]) % R.p
-    return x
+        y[:, t] = -R.dot(pivot_rows[t][:, 1:], y[:, t + 1 :]) % R.p
+    return y.astype(x.dtype)
 
 
 # ---------------------------------------------------------------- entry point

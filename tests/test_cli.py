@@ -317,7 +317,9 @@ def test_bench_rejects_unknown_backend(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("args", [["--sizes", "0"], ["--sizes", "-4"], ["--reps", "0"]])
+@pytest.mark.parametrize(
+    "args", [["--sizes", "0"], ["--sizes", "-4"], ["--reps", "0"], ["--sizes", "16777214"]]
+)
 def test_bench_rejects_bad_sizes_and_reps(args, capsys):
     assert main(["bench", "--backend", "dense", "--sizes", "4", *args]) == 1
     captured = capsys.readouterr()

@@ -119,6 +119,32 @@ def test_extension_exhaustive_f9():
             assert (a + b) * (a - b) == a * a - b * b
 
 
+GF256 = FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("ctx", [prime_field(101), prime_field(2**61 - 1), GF256], ids=repr)
+def test_residue_inverses_round_trip(ctx):
+    # Residues.inv: pow(s, -1, p) at d = 1, extended Euclid above; s * s^-1
+    # is one and the inverse of the inverse is s, for both residue dtypes
+    R = residues(ctx)
+    rng = random.Random(ctx.order % 1000)
+    for _ in range(50):
+        a = ctx.from_index(rng.randrange(1, ctx.order))
+        s = R.array([a])[:, 0]
+        inv = R.inv(s)
+        assert inv.shape == (ctx.d,) and inv.dtype == R.dtype
+        assert R.elements(inv[:, None]) == [a.inv()]
+        assert R.emul(s[:, None], inv[:, None]).tolist() == R.unit(1, 0).tolist()
+        assert R.inv(inv).tolist() == s.tolist()
+
+
+@pytest.mark.parametrize("ctx", [prime_field(101), GF256], ids=repr)
+def test_residue_inverse_of_zero_raises(ctx):
+    R = residues(ctx)
+    with pytest.raises(DivisionByZero):
+        R.inv(R.zeros(1)[:, 0])
+
+
 def test_reducible_modulus_rejected():
     # t^2 - 1 = (t-1)(t+1) over F_5
     with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """The structured kernel on every kind of field it accepts.
 
 Prime fields with int64 residues, a large prime and 2^61 - 1 (Python-int
-residues), an odd-characteristic extension and GF(2^8).  Verdicts are
+residues), an odd-characteristic extension, a quadratic extension of the
+large prime (Python-int residues) and GF(2^8).  Verdicts are
 checked against the dense matrix the generator represents; the golden
 vectors pin the exact output for fixed draws, which depends only on the
 matrix and the random stream (the pivot rows of the elimination are
@@ -29,7 +30,7 @@ from helpers import (
 )
 from mvinterp import struct_solve
 from mvinterp.apps import GsParams, gs_interpolate
-from mvinterp.field import FieldCtx, Residues, prime_field
+from mvinterp.field import FieldCtx, Residues, build_extension, prime_field
 from mvinterp.linalg import matrix_rank
 from mvinterp.outcomes import Failure, NoSolution, Solution
 from mvinterp.reduction import InterpolationInstance, verify_solution
@@ -38,7 +39,6 @@ from mvinterp.struct_solve import (
     _compress,
     _precondition,
     _schur_step,
-    _schur_step_prime,
     nullspace_structured,
 )
 
@@ -49,8 +49,17 @@ P31 = prime_field(2147483659)
 M61 = prime_field(2**61 - 1)
 GF256 = FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1))
 
+P31_2 = build_extension(P31, 2, random.Random(3))  # object residues, d = 2
+
 # GF(2^8) is below subset_floor of these sizes, so the kernel samples all of it
-FIELDS = {"F65537": F65537, "F13^4": F13_4, "P2147483659": P31, "M61": M61, "GF256": GF256}
+FIELDS = {
+    "F65537": F65537,
+    "F13^4": F13_4,
+    "P2147483659": P31,
+    "P2147483659^2": P31_2,
+    "M61": M61,
+    "GF256": GF256,
+}
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
@@ -92,12 +101,12 @@ def dense_schur_complement(S):
     return [[row[j] - row[0] * inv * S[0][j] for j in range(1, len(S))] for row in S[1:]]
 
 
-@pytest.mark.parametrize("name", ["F65537", "F13^4", "M61", "GF256"])
+@pytest.mark.parametrize("name", ["F65537", "F13^4", "P2147483659^2", "M61", "GF256"])
 def test_schur_step_tracks_the_dense_schur_complement(name):
     # after every step the generator represents the next Schur complement of
     # the preconditioned matrix, at no more than its compressed length; a
-    # zero complement reached mid-elimination compresses to nothing.  Prime
-    # fields (F65537, M61) run _schur_step_prime, the others _schur_step
+    # zero complement reached mid-elimination compresses to nothing.  One
+    # step serves every field: int64 and object residues, d = 1 and d > 1
     ctx = FIELDS[name]
     certified = completed = 0
     for k, seed in enumerate(spread_seeds(31, 8)):
@@ -116,9 +125,8 @@ def test_schur_step_tracks_the_dense_schur_complement(name):
         v, w = _compress(R, v, w)
         alpha = len(v)
         assert generator_matrix(R, v, w, size) == S
-        schur_step = _schur_step_prime if ctx.d == 1 else _schur_step  # as _eliminate picks
         while S:
-            step = schur_step(R, np.stack([v, w]))
+            step = _schur_step(R, np.stack([v, w]))
             if S[0][0].is_zero():
                 assert step is None
                 zero = all(e.is_zero() for row in S for e in row)
@@ -164,43 +172,30 @@ def test_one_compression_per_attempt(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["gs-384x385", "F7-breakdown"])
-def test_prime_elimination_matches_the_generic_step(monkeypatch, case):
-    # over a prime field _eliminate runs _schur_step_prime; with the
-    # (alpha, d, n) _schur_step in its place every call must end the same:
-    # the same pivot rows, and the same certified end or the same
-    # compressed Schur complement left by a pivot breakdown
-    def solve():
-        if case == "gs-384x385":
-            return gs_interpolate(gs_deep_params(), random.Random(5))
-        return nullspace_structured(golden_case(F7, "square", 1), random.Random(101), 8)
+def test_last_attempt_levels_sum_to_the_rank(monkeypatch, case):
+    # over the recorded _eliminate calls of one solve, the last attempt
+    # (from the last call on the whole padded matrix) ends certified, and
+    # its levels' ranks sum to the matrix rank: 384 for the gs system in one
+    # level, 5 for the F7 case, which breaks down into several
+    calls = []
 
-    runs = []
-    for generic in (False, True):
-        calls = []
+    def recorded(R, v, w, size, real=struct_solve._eliminate):
+        rows, rest = real(R, v, w, size)
+        calls.append((size, len(rows), rest is None))
+        return rows, rest
 
-        def recorded(R, v, w, size, real=struct_solve._eliminate):
-            rows, rest = real(R, v, w, size)
-            left = None if rest is None else [half.tolist() for half in rest]
-            calls.append((size, [row.tolist() for row in rows], rest is None, left))
-            return rows, rest
-
-        with monkeypatch.context() as patch:
-            patch.setattr(struct_solve, "_eliminate", recorded)
-            if generic:
-                patch.setattr(struct_solve, "_schur_step_prime", struct_solve._schur_step)
-            out = solve()
-        assert isinstance(out, Solution)
-        value = out.value
-        runs.append((calls, value.tolist() if case == "F7-breakdown" else value))
-    assert runs[0] == runs[1]
-    calls = runs[0][0]
-    # the last attempt: from the last call on the whole padded matrix
+    monkeypatch.setattr(struct_solve, "_eliminate", recorded)
+    if case == "gs-384x385":
+        out = gs_interpolate(gs_deep_params(), random.Random(5))
+    else:
+        out = nullspace_structured(golden_case(F7, "square", 1), random.Random(101), 8)
+    assert isinstance(out, Solution)
     size = calls[0][0]
     start = max(i for i, call in enumerate(calls) if call[0] == size)
     last = calls[start:]
     assert last[-1][2]
     assert (len(last) > 1) == (case == "F7-breakdown")
-    assert sum(len(rows) for _, rows, _, _ in last) == (384 if case == "gs-384x385" else 5)
+    assert sum(rank for _, rank, _ in last) == (384 if case == "gs-384x385" else 5)
 
 
 def test_back_substitution_sums_past_int64():
