@@ -37,6 +37,13 @@ _SKEW_CELLS = 1 << 16  # largest product table Residues.conv builds at once
 # at 2.6e5 (4, 257: gs_wide), 0.38x at 1.5e6 (10, 385: gs_deep); products of
 # fresh operands tie from 2e5 to 3e5 (0.8-1.2x by how far m pads to 2^L)
 _FFT_WORK = 200_000
+# bytes of complex128 limb products per chunk of an FFT product's output rows
+# (_fft_pairs), so that a batch of products needs temporaries no larger than
+# its parts did.  Minor page faults per gs_deep kernel call, median over 59
+# instances: 474 unchunked, 323 at 2^16 to 2^18, 407 at 2^19 (315 before the
+# preconditioning's products were batched); over 6 instances solved again and
+# again, per solve: 434 unchunked, 88 at 2^16, 17 at 2^17, 1 at 2^18 (142)
+_FFT_CHUNK = 1 << 18
 
 
 def is_probable_prime(n: int) -> bool:
@@ -387,7 +394,7 @@ class Residues:
     Callers never branch on d; the prime-field shortcuts are here.  At
     d = 1 inv is one pow(s, -1, p), emul and mul one product, scale one
     broadcast multiply left unreduced, combine one product of the scalars
-    with the rows, dot one 1-D dot, and the residue-pair fold a view.
+    with the rows, dot one np.vdot, and the residue-pair fold a view.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -552,15 +559,14 @@ class Residues:
         return (sums % self.p).astype(out, copy=False)
 
     def dot(self, a: np.ndarray, b: np.ndarray):
-        """sum_u a[u] * b[u] of two (d, n) vectors, as a reduced scalar (d,).
-        At d = 1 it is one np.vdot, which reads both rows flat, in the
-        accumulation dtype (object when b is), and the scalar is a number."""
+        """sum_u a[:, u] * b[u] of a (d, n) vector and an (n, d) one, as a
+        reduced scalar (d,), in b's dtype, which the caller casts to
+        sum_dtype(n) once for many dots.  At d = 1 it is one np.vdot, which
+        reads both flat, and the scalar is a number."""
         if self.d == 1:
-            return np.vdot(a.astype(self.sum_dtype(a.shape[-1]), copy=False), b) % self.p
-        acc, out = self._dtypes(a.shape[-1], a, b)
-        a, b = a.astype(acc, copy=False), b.astype(acc, copy=False)
-        pairs = (a @ b.T) % self.p
-        return ((self._fold @ pairs.reshape(-1)) % self.p).astype(out, copy=False)
+            return np.vdot(a, b) % self.p
+        pairs = (a @ b) % self.p
+        return (self._fold @ pairs.reshape(-1)) % self.p
 
     def _plan(self, count: int, n: int, m: int, terms: int):
         """(length, k, bits) of the FFT products of `count` residue-row pairs
@@ -589,28 +595,29 @@ class Residues:
         reduced, or only the coefficients `keep`.  Either operand may be a
         Spectrum.
 
-        One pair of int64 residue rows (d = 1, no leading axes) below the
-        FFT crossover is one np.convolve and one reduction.  Otherwise, over
-        int64 residues, once the residue-row products times m^2 (m the
-        shorter length) reach _FFT_WORK and fft_limbs finds limbs, these are
-        float64 FFT products of b-bit limbs, taking a Spectrum's kept limb
-        spectra.  Below that, many short products run at once as one table
-        of every y_u * x skewed by u and summed, or each pair of residue
-        rows is one np.convolve, or with Python ints one product of two long
-        integers (Kronecker substitution).
+        One pair of int64 residue rows (d = 1, all leading axes of length
+        1) below the FFT crossover is one np.convolve and one reduction.
+        Otherwise, over int64 residues, once the residue-row products times
+        m^2 (m the shorter length) reach _FFT_WORK and fft_limbs finds limbs,
+        these are float64 FFT products of b-bit limbs, taking a Spectrum's
+        kept limb spectra.  Below that, many short products run at once as
+        one table of every y_u * x skewed by u and summed, or each pair of
+        residue rows is one np.convolve, or with Python ints one product of
+        two long integers (Kronecker substitution).
         """
         if a.shape[-1] < b.shape[-1]:
             a, b = b, a
         d, n, m = self.d, a.shape[-1], b.shape[-1]
         if (
-            d == 1
-            and type(a) is type(b) is np.ndarray
-            and a.ndim == b.ndim == 2
+            type(a) is type(b) is np.ndarray
+            and a.size == n
+            and b.size == m
             and m <= self._int64_terms
             and m * m < _FFT_WORK
             and a.dtype is b.dtype is _INT64
         ):
-            return (np.convolve(a[0], b[0])[keep] % self.p)[None]
+            out = np.convolve(a.ravel(), b.ravel())[keep] % self.p
+            return out[(None,) * (max(a.ndim, b.ndim) - 1)]  # the leading axes
         acc, out = self._dtypes(m, a, b)
         lead = a.shape[:-2]
         if lead != b.shape[:-2]:
@@ -618,7 +625,7 @@ class Residues:
         count = math.prod(lead) * d * d
         plan = self._plan(count, n, m, 1)
         if plan:
-            pairs = self._fft_pairs(_one_term(a), _one_term(b), keep, plan)
+            pairs = self._fft_pairs(a[None], b[None], keep, plan)  # sums of one term
             return self._fold_pairs(pairs).astype(out, copy=False)
         a, b = _array(a).astype(acc, copy=False), _array(b).astype(acc, copy=False)
         if a.shape[:-2] != b.shape[:-2]:
@@ -652,17 +659,32 @@ class Residues:
         """Products of (c, ..., d, n) and (c, ..., d, m) arrays or Spectra
         summed over c, as (..., d, d, n + m - 1) residue-row pairs before the
         fold, reduced.  Each operand's k limbs of `bits` bits are transformed
-        at `length` (a Spectrum made for this plan brings them), the limb
-        products summed over c and over i + j = s in the frequency domain,
-        and after 2k - 1 inverse transforms the rounded sums are recombined
-        mod p.  A merged sum holds up to k limb products; fft_limbs allows
-        for them."""
-        length, k, bits = plan
-        p, size = self.p, a.shape[-1] + b.shape[-1] - 1
+        at `length` (a Spectrum made for this plan brings them).  The output
+        is made in chunks along its first leading axis whose limb products
+        take at most _FFT_CHUNK bytes (_fft_chunk)."""
         A, B = (
             x.data if isinstance(x, Spectrum) and x.plan == plan else _limb_spectra(_array(x), *plan)
             for x in (a, b)
         )
+        if A.ndim != B.ndim:  # align the leading axes of both
+            nd = max(A.ndim, B.ndim)
+            A, B = (x.reshape(x.shape[:2] + (1,) * (nd - x.ndim) + x.shape[2:]) for x in (A, B))
+        lead = tuple(map(max, A.shape[2:-2], B.shape[2:-2]))  # the broadcast shape
+        size = a.shape[-1] + b.shape[-1] - 1
+        row = plan[1] ** 2 * math.prod(lead[1:]) * A.shape[-2] * B.shape[-2] * A.shape[-1] * 16
+        step = max(1, _FFT_CHUNK // row)  # rows of complex128 limb products per chunk
+        if not lead or step >= lead[0]:
+            return self._fft_chunk(A, B, keep, plan, size)
+        rows = [slice(i, i + step) for i in range(0, lead[0], step)]
+        A, B = ([x[:, :, r] if x.shape[2] > 1 else x for r in rows] for x in (A, B))
+        return np.concatenate([self._fft_chunk(x, y, keep, plan, size) for x, y in zip(A, B)])
+
+    def _fft_chunk(self, A, B, keep, plan, size) -> np.ndarray:
+        """_fft_pairs of limb spectra: the limb products summed over c and
+        over i + j = s in the frequency domain, and after 2k - 1 inverse
+        transforms the rounded sums recombined mod p.  A merged sum holds up
+        to k limb products; fft_limbs allows for them."""
+        (length, k, bits), p = plan, self.p
         prods = np.einsum("kc...iz,lc...jz->kl...ijz", A, B)
         prods = prods.reshape((k * k,) + prods.shape[2:])
         if k == 2:  # rows 0, 1, 2 become the limb shifts 0, 1, 2
@@ -691,13 +713,18 @@ class Spectrum:
     products take: the rfft at transform length `length` of its k limbs of
     `bits` bits, plan = (length, k, bits), and those of the array reversed.
     Residues.transform makes one; conv, conv_sum and corr take it in place
-    of the array, so an operand of many products is transformed once."""
+    of the array, so an operand of many products is transformed once, and
+    its leading axes index like the array's."""
 
     __slots__ = ("array", "shape", "dtype", "plan", "data", "rev")
 
     def __init__(self, array: np.ndarray, plan: tuple, data: np.ndarray, rev: np.ndarray):
         self.array, self.shape, self.dtype = array, array.shape, array.dtype
         self.plan, self.data, self.rev = plan, data, rev
+
+    def __getitem__(self, key):
+        at = (slice(None),) + (key if isinstance(key, tuple) else (key,))  # past the limbs
+        return Spectrum(self.array[at[1:]], self.plan, self.data[at], self.rev[at])
 
 
 def flip(x):
@@ -710,13 +737,6 @@ def flip(x):
 
 def _array(x):
     return x.array if isinstance(x, Spectrum) else x
-
-
-def _one_term(x):
-    """x as a sum of one term: a leading axis of length 1."""
-    if isinstance(x, Spectrum):
-        return Spectrum(x.array[None], x.plan, x.data[:, None], x.rev[:, None])
-    return x[None]
 
 
 def _limb_spectra(x: np.ndarray, length: int, k: int, bits: int) -> np.ndarray:

@@ -14,9 +14,9 @@ undone on the answer), pad to square, pre/post-multiply by random
 unit-triangular Toeplitz matrices to force a generic rank profile, then run
 a Schur-complement elimination that only touches generators.  Each trailing
 submatrix of the preconditioned matrix is again Toeplitz-like with no
-larger displacement rank, so after one compression each step keeps the
-generator at that length (a generalized Schur step); it is compressed
-again only when a leading entry vanishes.
+larger displacement rank, so each step keeps the generator at its length
+(a generalized Schur step).  It is compressed before the first step from
+size _COMPRESS_FROM up, and again only when a leading entry vanishes.
 Empty then means a zero Schur complement: the rank is certified.  Nonempty
 is a pivot breakdown, and the complement, Toeplitz-like as well, is
 preconditioned with fresh draws and eliminated in turn, keeping the pivots
@@ -57,12 +57,12 @@ residue array as well.
 Generator applies (_apply, _apply_last, _precondition) are batched products
 of the stacked halves: A·x is conv_sum(V, corr(x, W)), reduced mod p between
 the two, so that long pair products are FFT products summed over the pairs
-in the frequency domain before the inverse transforms.  The halves do not
-change within a level, so once their products are FFT products (from
-gs_wide's alpha = 4, size 257 up) _kept transforms V, W and their reversals
-once per level (field.Residues.transform): the four applies and both
-correlations of _precondition take those spectra, and the top level's serve
-every attempt and the final check, which applies the padded generator.
+in the frequency domain before the inverse transforms.  _kept stacks a
+level's halves into one array of pairs (v_c, w_c), whose swap is the
+generator of A^T, transformed once per level once their products are FFT
+products (from decoders' alpha = 5, size 145 up); _precondition makes four
+products of them, and the top level's serve every attempt and the final
+check, which applies the padded generator.
 """
 
 from __future__ import annotations
@@ -78,6 +78,11 @@ from .outcomes import Failure, NoSolution, Solution
 
 TAG_TOEPLITZ = "toeplitz"
 TAG_HANKEL = "hankel"
+# levels this large compress before the first Schur step.  _eliminate without
+# / with it, on generators from gs solves (24-bit prime, 2 rows fewer): 0.78x
+# at size 33, 0.89x at 65, 0.91x at 97, 1.01x at 129, 1.02x at 257 and 385;
+# GF(2^8): 0.78x at 17, 0.93x at 33, 1.07x at 49; F_5 lifted (d = 7): 0.87x at 61
+_COMPRESS_FROM = 64
 
 
 def subset_floor(size: int) -> int:
@@ -187,11 +192,14 @@ def _apply_last(R, v, w, nrows):
 
 
 def _kept(R, halves, size):
-    """One level's halves as its products take them: cast to the dtype of
-    sums of alpha + 4 products, the most _echelon leaves unreduced in the
-    preconditioned generator, and transformed once (R.transform) when their
-    products with length-size operands are FFT products."""
-    return [R.transform(x.astype(R.sum_dtype(len(x) + 4)), size) for x in halves]
+    """One level's halves (v, w) stacked as its products take them, one
+    (alpha, 2, d, size) array of the pairs (v_c, w_c) cast to the dtype of
+    sums of alpha + 4 products (the most _echelon leaves unreduced) and
+    transformed once (R.transform) when those are FFT products; and A's
+    last column and row, one _apply_last of the halves and their swap."""
+    x = np.stack(halves, axis=1)
+    x = R.transform(x.astype(R.sum_dtype(len(x) + 4)), size)
+    return x, _apply_last(R, x, x[:, ::-1], size)
 
 
 def _echelon(R, A, B):
@@ -230,10 +238,12 @@ def _compress(R, v, w):
     return v, w
 
 
-def _precondition(R, v, w, u_full, l_full):
+def _precondition(R, halves, last, u_full, l_full):
     """Generator of U·A·L for unit-triangular Toeplitz U (upper, first row
-    u_full = 1,u_1,..) and L (lower, first column l_full = 1,l_1,..):
-    width grows by 4."""
+    u_full = 1,u_1,..) and L (lower, first column l_full = 1,l_1,..), from
+    A's level as _kept gives it: width grows by 4.  Four products, on arrays
+    and Spectra alike: one corr and one conv_sum make A·c and A^T·a, and one
+    corr each of the halves and of the new rows with u_full and l_full."""
     size = u_full.shape[1]
     zero = R.zeros(1)
     a_vec = np.concatenate([u_full[:, 1:], zero], axis=1)
@@ -244,26 +254,18 @@ def _precondition(R, v, w, u_full, l_full):
     def shift1(x):
         return np.concatenate([np.zeros_like(x[..., :1]), x[..., :-1]], axis=-1)
 
-    Ac = _apply(R, v, w, c_vec, size)
-    Ae = _apply_last(R, v, w, size)
-    # transpose applies: generator of A^T swaps the halves
-    atA = _apply(R, w, v, a_vec, size)
-    eA = _apply_last(R, w, v, size)
-    new_v = _corr_rows(R, v, shift1(np.stack([Ac, -Ae % R.p])), u_full)
-    new_w = _corr_rows(R, w, np.stack([atA, eA]), l_full)
+    cols = R.corr(np.stack([c_vec, a_vec]), halves[:, ::-1])  # corr(x, w) of _apply
+    Ac, atA = R.conv_sum(halves, cols, slice(size))
+    Ae, eA = last
+    rows = np.stack([shift1(np.stack([Ac, -Ae % R.p])), np.stack([atA, eA])], axis=1)
+    ul = np.stack([u_full, l_full])
+    out = np.concatenate([R.corr(halves, ul), R.corr(rows, ul)])
+    new_v, new_w = out[:, 0], out[:, 1]
     new_w[-2:] = shift1(new_w[-2:])
     e_first = R.unit(size, 0)[None]
     new_v = np.concatenate([new_v, e_first, -b_vec[None] % R.p])
     new_w = np.concatenate([new_w[:-2], e_first, f_vec[None], new_w[-2:]])
     return new_v, new_w
-
-
-def _corr_rows(R, x, rows, u):
-    """R.corr of x with the rows appended against u: one product of the
-    stacked arrays, or of x's Spectrum and of the rows apart."""
-    if isinstance(x, np.ndarray):
-        return R.corr(np.concatenate([x, rows]), u)
-    return np.concatenate([R.corr(x, u), R.corr(rows, u)])
 
 
 def _schur_step(R, G):
@@ -314,10 +316,10 @@ def _eliminate(R, v, w, size):
     the compressed (v, w) halves of the nonzero complement: a pivot
     breakdown.
 
-    The generator is compressed once, then every Schur step keeps its
-    length.
+    From size _COMPRESS_FROM up the generator is compressed first; every
+    Schur step keeps its length.
     """
-    G = np.stack(_compress(R, v, w))
+    G = np.stack(_compress(R, v, w) if size >= _COMPRESS_FROM else (v, w))
     pivot_rows = []
     for _ in range(size):
         step = _schur_step(R, G)
@@ -331,15 +333,16 @@ def _eliminate(R, v, w, size):
 
 def _back_substitute(R, pivot_rows, free):
     """Element of the nullspace of the staircase system whose trailing
-    (free) coordinates are the given (d, size - rank) draws.  Each
-    coordinate is one R.dot, on a vector kept in the dtype of sums of size
-    products."""
+    (free) coordinates are the given (d, size - rank) draws.  Coordinate t
+    is one R.dot of pivot row t, whose leading 1 meets the coordinate while
+    it is still zero, with the coordinates from t on: they are kept along
+    the leading axis, cast once to the dtype of sums of size products."""
     rank = len(pivot_rows)
     x = np.concatenate([R.zeros(rank), free], axis=1)
-    y = x.astype(R.sum_dtype(x.shape[1]))
+    y = x.T.astype(R.sum_dtype(x.shape[1]))
     for t in range(rank - 1, -1, -1):
-        y[:, t] = -R.dot(pivot_rows[t][:, 1:], y[:, t + 1 :]) % R.p
-    return y.astype(x.dtype)
+        y[t] = -R.dot(pivot_rows[t], y[t:]) % R.p
+    return y.T.astype(x.dtype)
 
 
 # ---------------------------------------------------------------- entry point
@@ -378,16 +381,16 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
         # one attempt is a chain of levels: precondition and eliminate the
         # padded matrix, then after each pivot breakdown the Schur complement
         # left, until the rank is certified
-        halves, left, levels = top, size, []
-        while halves is not None and attempts < max_retries:
+        level, left, levels = top, size, []
+        while level is not None and attempts < max_retries:
             attempts += 1
             u_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
             l_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
-            pivot_rows, rest = _eliminate(R, *_precondition(R, *halves, u_full, l_full), left)
+            pivot_rows, rest = _eliminate(R, *_precondition(R, *level, u_full, l_full), left)
             levels.append((pivot_rows, l_full))
             left -= len(pivot_rows)
-            halves = None if rest is None else _kept(R, rest, left)
-        if halves is not None:
+            level = None if rest is None else _kept(R, rest, left)
+        if level is not None:
             break
         if size - left == n_orig:
             return NoSolution("certified rank equals the unknown count")
@@ -402,7 +405,7 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
             continue
         # the padded matrix is A under zero rows (wide) or right of zero
         # columns (tall), so it maps y to zero exactly when A maps vec there
-        if not R.is_zero(_apply(R, *top, y, size)):
+        if not R.is_zero(_apply(R, top[0][:, 0], top[0][:, 1], y, size)):
             continue  # never on a correct run; belt and braces
         return Solution(vec)
     if R.d != 1 or R.p >= min_size:

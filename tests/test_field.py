@@ -256,7 +256,8 @@ def test_fft_products_exact_at_the_rounding_bound(p, k, terms):
 @pytest.mark.parametrize("p", [13, 16777213, 2**31 - 1])
 def test_one_pair_products_match_python_ints(p, monkeypatch):
     # a (1, n) x (1, m) product below the FFT crossover is one np.convolve
-    # while m products of residues fit int64; at 2^31 - 1 not even one does
+    # while m products of residues fit int64; at 2^31 - 1 not even one does.
+    # So is one pair with leading axes of length 1, as at a product tree's top
     R = residues(prime_field(p))
     rows = []
     real = np.convolve
@@ -274,6 +275,37 @@ def test_one_pair_products_match_python_ints(p, monkeypatch):
             assert rows == ([np.dtype(np.int64)] if R._int64_terms >= m else [])
             keep = slice(m - 1, n + m - 1)
             assert R.corr(a, b[:, ::-1])[0].tolist() == want[keep].tolist()
+            for x, y in ((b[None], a[None]), (b[None], a), (b, a[None])):
+                rows.clear()
+                got = R.conv(x, y)
+                assert got.dtype == np.int64 and got.shape == (1, 1, n + m - 1)
+                assert got.reshape(-1).tolist() == want.tolist()
+                assert rows == ([np.dtype(np.int64)] if R._int64_terms >= m else [])
+
+
+@pytest.mark.parametrize("ctx", [prime_field(16777213), FieldCtx(13, (6, 12, 6, 0, 1))], ids=repr)
+def test_chunked_fft_products_match_python_ints(ctx, monkeypatch):
+    # an FFT product is made in chunks along its first leading output axis,
+    # here one row each, whichever operand broadcasts along it, on arrays,
+    # on a Spectrum and on a Spectrum's leading-axis view
+    R = residues(ctx)
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, ctx.p, (3, 4, 2, ctx.d, 300))
+    b = rng.integers(0, ctx.p, (3, 1, 2, ctx.d, 300))
+    want = kronecker_conv_sum(R, a, b)
+    spectrum = R.transform(a, 300)
+    assert isinstance(spectrum, Spectrum)
+    chunks = []
+    real = field_module.Residues._fft_chunk
+    monkeypatch.setattr(field_module.Residues, "_fft_chunk", lambda *x: chunks.append(1) or real(*x))
+    for size, count in ((1, 4), (1 << 62, 1)):
+        monkeypatch.setattr(field_module, "_FFT_CHUNK", size)
+        chunks.clear()
+        assert (R.conv_sum(a, b) == want).all() and len(chunks) == count
+        assert (R.conv_sum(spectrum, b) == want).all()
+        assert (R.conv_sum(spectrum[:, 1:3], b) == want[1:3]).all()
+        one = kronecker_conv_sum(R, a[:1], b[:1])
+        assert (R.conv(a[0], b[0]) == one).all() and (R.conv(b[0, 0], a[0]) == one).all()
 
 
 FFT_FIELDS = [

@@ -37,12 +37,15 @@ from mvinterp.reduction import InterpolationInstance, verify_solution
 from mvinterp.struct_solve import (
     GeneratorPair,
     _compress,
+    _kept,
     _precondition,
     _schur_step,
     nullspace_structured,
 )
 
 F7 = prime_field(7)
+F13 = prime_field(13)
+F24 = prime_field(16777213)
 F65537 = prime_field(65537)
 F13_4 = FieldCtx(13, (6, 12, 6, 0, 1))
 P31 = prime_field(2147483659)
@@ -120,7 +123,7 @@ def test_schur_step_tracks_the_dense_schur_complement(name):
         R = Residues(ctx)
         u = [ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)]
         l = [ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)]
-        v, w = _precondition(R, G.v, G.w, R.array(u), R.array(l))
+        v, w = _precondition(R, *_kept(R, (G.v, G.w), size), R.array(u), R.array(l))
         S = generator_matrix(R, v, w, size)
         v, w = _compress(R, v, w)
         alpha = len(v)
@@ -156,19 +159,61 @@ def gs_deep_params():
 def test_one_compression_per_attempt(monkeypatch):
     # each attempt on the gs 384 x 385 system compresses its preconditioned
     # generator once, and once more at the leading entry that vanishes where
-    # the Schur complement is zero
-    params = gs_deep_params()
-    calls = dict.fromkeys(["_compress", "_precondition"], 0)
+    # the Schur complement is zero.  The F7 case's levels are below
+    # _COMPRESS_FROM: they compress only where a leading entry vanishes
+    calls = dict.fromkeys(["_compress", "_precondition", "_schur_step"], 0)
+    vanished = []
     for name in calls:
 
         def counted(*args, real=getattr(struct_solve, name), name=name):
             calls[name] += 1
-            return real(*args)
+            out = real(*args)
+            if name == "_schur_step" and out is None:
+                vanished.append(args[1].shape[-1])
+            return out
 
         monkeypatch.setattr(struct_solve, name, counted)
-    assert isinstance(gs_interpolate(params, random.Random(5)), Solution)
+    assert isinstance(gs_interpolate(gs_deep_params(), random.Random(5)), Solution)
     attempts = calls["_precondition"]
     assert attempts <= calls["_compress"] <= 2 * attempts
+    calls.update(dict.fromkeys(calls, 0))
+    vanished.clear()
+    out = nullspace_structured(golden_case(F7, "square", 1), random.Random(101), 8)
+    assert isinstance(out, Solution)
+    assert max(vanished) < struct_solve._COMPRESS_FROM
+    assert calls["_compress"] == len(vanished) > 1
+
+
+@pytest.mark.parametrize(
+    "ctx", [F13, F24, F13_4, GF256], ids=["F13", "F16777213", "F13^4", "GF256"]
+)
+def test_elimination_with_and_without_the_first_compression(monkeypatch, ctx):
+    # the pivot rows, the rank and whether a nonzero Schur complement is
+    # left depend on the preconditioned matrix alone, not on its generator:
+    # compressed before the first step, or as _precondition gives it
+    R = Residues(ctx)
+    breakdowns = certified = 0
+    for k, seed in enumerate(spread_seeds(47, 8)):
+        r = random.Random(seed)
+        size = r.randint(6, 30)
+        if k % 2:
+            A = low_rank_matrix(ctx, size, size, r.randint(1, size - 1), r)
+            G = gen_from_dense("toeplitz", A, ctx)
+        else:
+            G = rand_generator("toeplitz", ctx, size, size, r.randint(1, 4), r)
+        u, l = ([ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)] for _ in range(2))
+        v, w = _precondition(R, *_kept(R, (G.v, G.w), size), R.array(u), R.array(l))
+        out = []
+        for first in (0, size + 1):  # compress up front always, never
+            monkeypatch.setattr(struct_solve, "_COMPRESS_FROM", first)
+            out.append(struct_solve._eliminate(R, v, w, size))
+        (rows, rest), (rows_b, rest_b) = out
+        assert len(rows) == len(rows_b)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, rows_b))
+        assert (rest is None) == (rest_b is None)
+        breakdowns += rest is not None
+        certified += rest is None and len(rows) < size
+    assert certified and (breakdowns or ctx is not F13)
 
 
 @pytest.mark.parametrize("case", ["gs-384x385", "F7-breakdown"])
@@ -324,9 +369,9 @@ def test_breakdown_resumes_on_the_schur_complement(monkeypatch):
     # climbs back through the levels is in the kernel
     sizes = []
 
-    def recorded(R, v, w, u_full, l_full, real=struct_solve._precondition):
+    def recorded(R, halves, last, u_full, l_full, real=struct_solve._precondition):
         sizes.append(u_full.shape[1])
-        return real(R, v, w, u_full, l_full)
+        return real(R, halves, last, u_full, l_full)
 
     monkeypatch.setattr(struct_solve, "_precondition", recorded)
     G = golden_case(F7, "square", 1)

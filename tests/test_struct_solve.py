@@ -249,8 +249,7 @@ def test_precondition_matches_dense_oracle(ctx):
             l_coefs = [rand_el(ctx, rng) for _ in range(size - 1)]
             pv, pw = _precondition(
                 R,
-                G.v,
-                G.w,
+                *_kept(R, (G.v, G.w), size),
                 R.array([ctx.one()] + u_coefs),
                 R.array([ctx.one()] + l_coefs),
             )
@@ -276,8 +275,7 @@ def test_eliminate_certifies_rank():
         coefs = [ctx.el(rng.randrange(ctx.p)) for _ in range(2 * size - 2)]
         pv, pw = _precondition(
             R,
-            G.v,
-            G.w,
+            *_kept(R, (G.v, G.w), size),
             R.array([ctx.one()] + coefs[: size - 1]),
             R.array([ctx.one()] + coefs[size - 1 :]),
         )
@@ -420,6 +418,46 @@ def test_nullspace_object_ops_extension_field():
 
 
 @pytest.mark.parametrize(
+    "ctx, size, alpha, fft",
+    [
+        (F65537, 40, 3, False),
+        (build_extension(F13, 4, random.Random(5)), 200, 3, True),
+        (prime_field(16777213), 257, 4, True),  # gs_wide's
+        (prime_field(2**61 - 1), 30, 3, False),  # object residues
+    ],
+)
+def test_precondition_takes_at_most_four_products(monkeypatch, ctx, size, alpha, fft):
+    # one preconditioning makes at most four top-level Residues products, on
+    # the stacked halves as arrays and as their kept spectra alike
+    R = residues(ctx)
+    rng = np.random.default_rng(size)
+    v, w = (rng.integers(0, ctx.p, (alpha, ctx.d, size)) for _ in range(2))
+    u, l = (rng.integers(0, ctx.p, (ctx.d, size)) for _ in range(2))
+    u[:, 0], l[:, 0] = R.unit(1, 0)[:, 0], R.unit(1, 0)[:, 0]
+    kept, last = _kept(R, (v, w), size)
+    assert isinstance(kept, Spectrum) == fft
+    calls, depth = [], [0]
+    for name in ("conv", "corr", "conv_sum"):
+
+        def counted(self, *args, real=getattr(Residues, name), name=name):
+            if not depth[0]:
+                calls.append(name)
+            depth[0] += 1
+            try:
+                return real(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(Residues, name, counted)
+    outs = []
+    for halves in (np.stack([v, w], axis=1), kept):
+        calls.clear()
+        outs.append(_precondition(R, halves, last, u, l))
+        assert 0 < len(calls) <= 4
+    assert all(np.array_equal(a, b) for a, b in zip(*outs))
+
+
+@pytest.mark.parametrize(
     "ctx, size, alpha",
     [
         (F65537, 40, 3),
@@ -439,13 +477,15 @@ def test_batched_applies_match_the_dense_matrix(ctx, size, alpha):
     A = dense_from_halves(R, v, w)
     U, L = dense_toeplitz(R, u, True), dense_toeplitz(R, l, False)
     UALx = dense_matvec(R, U, dense_matvec(R, A, dense_matvec(R, L, x)))
-    kept = _kept(R, (v, w), size)
+    kept, last = _kept(R, (v, w), size)
     fft = alpha * ctx.d**2 * size**2 >= field_module._FFT_WORK
-    assert [isinstance(h, Spectrum) for h in kept] == [fft, fft]
-    for hv, hw in ((v, w), kept):
+    assert [isinstance(h, Spectrum) for h in (kept[:, 0], kept[:, 1])] == [fft, fft]
+    assert np.array_equal(last, np.stack([A[:, :, -1].T, A[-1]]))  # last column and row
+    for halves in (np.stack([v, w], axis=1), kept):
+        hv, hw = halves[:, 0], halves[:, 1]
         assert np.array_equal(_apply(R, hv, hw, x, size), dense_matvec(R, A, x))
         assert np.array_equal(_apply_last(R, hv, hw, size), A[:, :, -1].T)
-        pv, pw = _precondition(R, hv, hw, u, l)
+        pv, pw = _precondition(R, halves, last, u, l)
         assert np.array_equal(dense_matvec(R, dense_from_halves(R, pv, pw), x), UALx)
         assert np.array_equal(_apply(R, pv, pw, x, size), UALx)
     # the final check applies the padded generator's kept spectra: a wide
@@ -455,9 +495,10 @@ def test_batched_applies_match_the_dense_matrix(ctx, size, alpha):
         G = GeneratorPair("toeplitz", nrows, ncols, v[:, :, :nrows], w[:, :, :ncols], ctx)
         padded, pad = pad_to_square(G)
         A = dense_from_halves(R, padded.v, padded.w)
-        top = _kept(R, (padded.v, padded.w), size)
-        assert pad.offset == cut and [isinstance(h, Spectrum) for h in top] == [fft, fft]
+        top, _ = _kept(R, (padded.v, padded.w), size)
+        assert pad.offset == cut
+        assert [isinstance(h, Spectrum) for h in (top[:, 0], top[:, 1])] == [fft, fft]
         rows, cols = (cut, 0) if pad.kind == "wide" else (0, cut)
         assert not A[:rows].any() and not A[:, :, :cols].any()
         assert np.array_equal(A[rows:, :, cols:], dense_from_halves(R, G.v, G.w))
-        assert np.array_equal(_apply(R, *top, x, size), dense_matvec(R, A, x))
+        assert np.array_equal(_apply(R, top[:, 0], top[:, 1], x, size), dense_matvec(R, A, x))
