@@ -25,9 +25,11 @@ from .errors import (
     ExtensionSearchFailed,
 )
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24,
-# which covers every word-sized characteristic.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses, the first 13 primes: deterministic below _MR_BOUND,
+# the smallest strong pseudoprime to all of them (Sorenson & Webster, Math.
+# Comp. 2017), so FieldCtx refuses a characteristic from there up
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 _INT64_SAFE = 2**62
 _INT64 = np.dtype(np.int64)
 _SKEW_CELLS = 1 << 16  # largest product table Residues.conv builds at once
@@ -47,7 +49,7 @@ _FFT_CHUNK = 1 << 18
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for word-sized n."""
+    """Miller-Rabin primality test, deterministic for n < _MR_BOUND."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:
@@ -173,6 +175,8 @@ class FieldCtx:
     __slots__ = ("p", "d", "modulus", "_zero", "_one", "_residues")
 
     def __init__(self, p: int, modulus=None, _trusted: bool = False):
+        if not _trusted and p >= _MR_BOUND:
+            raise ValueError(f"characteristic {p} is too large to certify prime")
         if not _trusted and not is_probable_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p

@@ -126,6 +126,8 @@ def _content_lines(text: str):
 
 
 def _parse_field(toks) -> FieldCtx:
+    if not toks:
+        raise ParseError("field line needs a prime")
     if len(toks) == 1:
         p = _int(toks[0], "prime")
         try:
@@ -151,7 +153,6 @@ def parse_instance(text: str):
     header = {}
     weights = None
     rows = []
-    want_rows = None
     # raw-approx parts
     approx_dims = None
     bounds = None
@@ -160,9 +161,9 @@ def parse_instance(text: str):
 
     for lineno, toks in _content_lines(text):
         key = toks[0]
-        if want_rows is not None and len(rows) < want_rows:
-            if ctx is None:
-                raise ParseError("field line must precede the points")
+        if len(rows) < header.get("points", 0):
+            if ctx is None or "s" not in header:
+                raise ParseError("field and s lines must precede the points")
             if len(toks) != 2 + header["s"]:
                 raise ParseError(f"line {lineno}: point row needs x, m and {header['s']} y values")
             x = parse_element(ctx, toks[0])
@@ -174,14 +175,12 @@ def parse_instance(text: str):
             continue
         if key == "field":
             ctx = _parse_field(toks[1:])
-        elif key in ("s", "ell", "b", "n0"):
+        elif key in ("s", "ell", "b", "n0", "points"):
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: {key} takes one value")
             header[key] = _int(toks[1], key)
         elif key == "k":
             weights = tuple(_int(t, "weight") for t in toks[1:])
-        elif key == "points":
-            want_rows = _int(toks[1], "point count")
         elif key == "approx":
             if len(toks) != 3:
                 raise ParseError(f"line {lineno}: approx takes mu and nu")
@@ -233,10 +232,10 @@ def parse_instance(text: str):
             raise ParseError(f"missing {key} line")
     if weights is None or len(weights) != header["s"]:
         raise ParseError("k line must list one weight per variable")
-    if want_rows is None:
+    if "points" not in header:
         raise ParseError("missing points line")
-    if len(rows) != want_rows:
-        raise ParseError(f"expected {want_rows} point rows, found {len(rows)}")
+    if len(rows) != header["points"]:
+        raise ParseError(f"expected {header['points']} point rows, found {len(rows)}")
     return ParsedInstance(
         ctx, header["s"], header["ell"], header["b"], weights, tuple(rows),
         header.get("n0"),

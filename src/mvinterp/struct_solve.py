@@ -10,9 +10,11 @@ Both operators are nilpotent-invertible, so (V, W) determines A; callers
 build generators in O(alpha * size) and this module never materializes A.
 
 The solve itself: flip Hankel structure to Toeplitz (column reversal,
-undone on the answer), pad to square, pre/post-multiply by random
-unit-triangular Toeplitz matrices to force a generic rank profile, then run
-a Schur-complement elimination that only touches generators.  Each trailing
+undone on the answer), pad to square with zero rows on top of a wide matrix
+or zero columns left of a tall one (its generator needs the same padding
+only, which _kept writes), pre/post-multiply by random unit-triangular
+Toeplitz matrices to force a generic rank profile, then run a
+Schur-complement elimination that only touches generators.  Each trailing
 submatrix of the preconditioned matrix is again Toeplitz-like with no
 larger displacement rank, so each step keeps the generator at its length
 (a generalized Schur step).  It is compressed before the first step from
@@ -61,13 +63,12 @@ in the frequency domain before the inverse transforms.  _kept stacks a
 level's halves into one array of pairs (v_c, w_c), whose swap is the
 generator of A^T, transformed once per level once their products are FFT
 products (from decoders' alpha = 5, size 145 up); _precondition makes four
-products of them, and the top level's serve every attempt and the final
-check, which applies the padded generator.
+products of them, and the top level's, the padded matrix's, serve every
+attempt and the final check.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,9 +125,6 @@ class GeneratorPair:
         return len(self.v)
 
 
-PadInfo = namedtuple("PadInfo", "kind offset")
-
-
 # ---------------------------------------------------------------- conversions
 
 
@@ -138,30 +136,6 @@ def hankel_to_toeplitz(G: GeneratorPair) -> GeneratorPair:
     return GeneratorPair(TAG_TOEPLITZ, G.nrows, G.ncols, G.v, G.w[:, :, ::-1], G.ctx)
 
 
-def pad_to_square(G: GeneratorPair):
-    """Zero rows on top (wide) or zero columns on the left (tall); the
-    padded matrix's displacement generator needs the same padding only."""
-    if G.tag != TAG_TOEPLITZ:
-        raise WrongTag("expected a toeplitz-tagged generator")
-    M, N = G.nrows, G.ncols
-    if M == N:
-        return G, PadInfo("square", 0)
-    size = max(M, N)
-
-    def pad(x):
-        zeros = np.zeros(x.shape[:2] + (size - x.shape[2],), x.dtype)
-        return np.concatenate([zeros, x], axis=2)
-
-    padded = GeneratorPair(TAG_TOEPLITZ, size, size, pad(G.v), pad(G.w), G.ctx)
-    return padded, PadInfo("wide" if M < N else "tall", abs(N - M))
-
-
-def unpad_solution(info: PadInfo, vec):
-    if info.kind == "tall":
-        return vec[info.offset :]
-    return vec
-
-
 def _draw(R, min_size: int, rng, k: int) -> np.ndarray:
     """k uniform draws from the sampling subset S, as a (d, k) residue
     array: each is randrange(|S|) (subset_range), its index turned into
@@ -169,7 +143,7 @@ def _draw(R, min_size: int, rng, k: int) -> np.ndarray:
     field's canonical enumeration."""
     size = subset_range(R.ctx, min_size)
     idx = [rng.randrange(size) for _ in range(k)]
-    idx = np.array(idx, dtype=np.int64 if size < 2**63 else object)
+    idx = np.array(idx, dtype=np.int64 if max(size, R.p) < 2**63 else object)
     out = R.zeros(k)
     for t in range(R.d):
         out[t] = idx % R.p
@@ -191,14 +165,18 @@ def _apply_last(R, v, w, nrows):
     return R.conv_sum(v, flip(w), slice(nrows))
 
 
-def _kept(R, halves, size):
-    """One level's halves (v, w) stacked as its products take them, one
-    (alpha, 2, d, size) array of the pairs (v_c, w_c) cast to the dtype of
-    sums of alpha + 4 products (the most _echelon leaves unreduced) and
-    transformed once (R.transform) when those are FFT products; and A's
-    last column and row, one _apply_last of the halves and their swap."""
-    x = np.stack(halves, axis=1)
-    x = R.transform(x.astype(R.sum_dtype(len(x) + 4)), size)
+def _kept(R, v, w, size):
+    """One level's halves v and w, padded to size and stacked as its products
+    take them: one zeroed (alpha, 2, d, size) array of the pairs (v_c, w_c),
+    in the dtype of sums of alpha + 4 products (the most _echelon leaves
+    unreduced), with v and w written right-aligned, so that a wide matrix
+    sits under zero rows and a tall one right of zero columns; transformed
+    once (R.transform) when its products are FFT products.  Returned with
+    A's last column and row, one _apply_last of the halves and their swap."""
+    x = np.zeros((len(v), 2, R.d, size), R.sum_dtype(len(v) + 4))
+    x[:, 0, :, size - v.shape[2] :] = v
+    x[:, 1, :, size - w.shape[2] :] = w
+    x = R.transform(x, size)
     return x, _apply_last(R, x, x[:, ::-1], size)
 
 
@@ -357,23 +335,22 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     the sum of the levels' ranks.  A zero or unverified candidate starts a
     new attempt on the whole matrix.
 
-    A Solution holds the vector as the (d, ncols) residue array that _apply
-    has checked.  A hankel-tagged generator is solved as hankel_to_toeplitz(G)
-    and the answer reversed.  Draws come from subset_range(field,
-    subset_floor(padded size)), the whole field when it is smaller than that
-    floor, at every level.  Over a prime field below that floor a Failure is
-    lifted (_lift); the extension's NoSolution and Failure are returned as
-    they are.
+    The matrix is solved padded to size = max(nrows, ncols) (_kept), and a
+    Solution holds the (d, ncols) residue array whose padded (d, size)
+    vector _apply has checked.  A hankel-tagged generator is solved as
+    hankel_to_toeplitz(G) and the answer reversed.  Draws come from
+    subset_range(field, subset_floor(size)), the whole field when it is
+    smaller than that floor, at every level.  Over a prime field below that
+    floor a Failure is lifted (_lift); the extension's NoSolution and
+    Failure are returned as they are.
     """
     if G.tag == TAG_HANKEL:
         out = nullspace_structured(hankel_to_toeplitz(G), rng, max_retries)
         return Solution(out.value[:, ::-1]) if isinstance(out, Solution) else out
-    n_orig = G.ncols
-    padded, pad = pad_to_square(G)
-    size = padded.nrows
+    size = max(G.nrows, G.ncols)
     min_size = subset_floor(size)
     R = residues(G.ctx)
-    top = _kept(R, (padded.v, padded.w), size)
+    top = _kept(R, G.v, G.w, size)
     one = R.unit(1, 0)
 
     attempts = 0
@@ -389,10 +366,10 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
             pivot_rows, rest = _eliminate(R, *_precondition(R, *level, u_full, l_full), left)
             levels.append((pivot_rows, l_full))
             left -= len(pivot_rows)
-            level = None if rest is None else _kept(R, rest, left)
+            level = None if rest is None else _kept(R, *rest, left)
         if level is not None:
             break
-        if size - left == n_orig:
+        if size - left == G.ncols:
             return NoSolution("certified rank equals the unknown count")
         # the innermost free coordinates, then each level's solution x, as
         # L·x, is the free tail of the level above
@@ -400,7 +377,7 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
         for pivot_rows, l_full in reversed(levels):
             x = _back_substitute(R, pivot_rows, y)
             y = R.conv(l_full, x)[:, : x.shape[1]]  # L·x
-        vec = unpad_solution(pad, y.T).T  # unknowns along the leading axis
+        vec = y[:, size - G.ncols :]  # a tall matrix's zero columns dropped
         if R.is_zero(vec):
             continue
         # the padded matrix is A under zero rows (wide) or right of zero

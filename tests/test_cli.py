@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mvinterp import cli
 from mvinterp.cli import _auto_b, main
 from mvinterp.formats import (
     ParsedApprox,
@@ -199,6 +200,35 @@ def test_solve_input_errors_exit1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["solve"], SAMPLE.replace("s 1\n", "") + "s 1\n"),  # points before s
+        (["solve"], SAMPLE.replace("points 3", "points")),
+        (["solve"], SAMPLE.replace("field 13", "field")),
+        (["gen", "--p", "318665857834031151167461", "--n", "8"], None),  # a pseudoprime
+    ],
+    ids=["points-before-s", "points-without-count", "bare-field", "gen-pseudoprime"],
+)
+def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, text):
+    if text is not None:
+        argv = argv + ["--in", write(tmp_path, "i.txt", text)]
+    assert main(argv + ["--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_gen_past_int64_primes(tmp_path):
+    # rng.sample takes no range past sys.maxsize; the x are drawn one by one
+    path = write(tmp_path, "g.txt", "")
+    assert main(["gen", "--p", "18446744073709551557", "--n", "8", "--seed", "1",
+                 "--out", path]) == 0
+    parsed = parse_instance(open(path).read())
+    assert len({x.c for x, _, _ in parsed.rows}) == 8
+    sol = write(tmp_path, "g.sol", "")
+    assert main(["solve", "--in", path, "--seed", "1", "--out", sol]) == 0
+    assert main(["verify", "--in", path, "--solution", sol]) == 0
+
+
 def test_solve_rejects_max_retries_below_one(tmp_path, capsys):
     # zero attempts could only ever end in FAILURE, so it is bad input
     inst = write(tmp_path, "i.txt", SAMPLE)
@@ -218,12 +248,18 @@ def test_solver_failure_maps_to_exit3(tmp_path, monkeypatch, capsys):
     assert "FAILURE" in capsys.readouterr().out
 
 
-def test_raw_approx_solve_and_verify(tmp_path):
+def test_raw_approx_solve_and_verify(tmp_path, capsys):
     inst = write(tmp_path, "a.txt", APPROX_SAMPLE)
     sol = write(tmp_path, "a.sol", "")
     assert main(["solve", "--mode", "raw-approx", "--in", inst, "--seed", "2",
                  "--out", sol]) == 0
     assert main(["verify", "--in", inst, "--solution", sol]) == 0
+    # a record for an unknown the instance does not have (nu = 2)
+    extra = write(tmp_path, "x.sol", open(sol).read() + "7 : 3 4\n")
+    capsys.readouterr()
+    assert main(["verify", "--in", inst, "--solution", extra]) == 1
+    captured = capsys.readouterr()
+    assert "not a solution" in captured.err and "verified" not in captured.out
     # the gs pipeline refuses an approx-format file
     assert main(["solve", "--in", inst, "--seed", "2"]) == 1
 
@@ -310,6 +346,47 @@ def test_bench_csv_shape(capsys):
         assert cells[3] in ("solution", "no-solution")
         assert cells[4] == "2"
         float(cells[2])
+
+
+def test_bench_reports_a_failure_in_any_rep(monkeypatch, capsys):
+    calls = []
+
+    def solve_built(a, built, rng, real=cli.solve_built):
+        calls.append(rng)
+        return Failure(8) if len(calls) == 3 else real(a, built, rng)  # warm-up, rep 0, rep 1
+
+    monkeypatch.setattr(cli, "solve_built", solve_built)
+    assert main(["bench", "--sizes", "6", "--backend", "hankel", "--reps", "3"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["mixed"]
+
+
+@pytest.mark.parametrize(
+    "mode, verifier",
+    [
+        ("gs", "mvinterp.apps.verify_solution"),
+        ("reencode", "mvinterp.apps.verify_solution"),
+        ("wu", "mvinterp.apps.verify_wu"),
+        ("soft", "mvinterp.apps.verify_solution"),
+        ("raw-approx", "mvinterp.backend.verify_approx"),
+    ],
+)
+def test_solve_reports_a_pipeline_verifier_rejection(tmp_path, monkeypatch, capsys, mode,
+                                                      verifier):
+    # every pipeline verifies its own Solution; solve does not check it again
+    inst = write(tmp_path, "i.txt", APPROX_SAMPLE if mode == "raw-approx" else "")
+    if mode != "raw-approx":
+        assert main(["gen", "--p", "13", "--n", "6", "--m", "1", "--ell", "2", "--k", "1",
+                     "--mode", mode, "--seed", "3", "--out", inst]) == 0
+    sol = tmp_path / "s.sol"
+    argv = ["solve", "--mode", mode, "--in", inst, "--seed", "2", "--out", str(sol)]
+    assert main(argv) == 0 and sol.exists()
+    sol.unlink()
+    monkeypatch.setattr(verifier, lambda *args: False)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: internal error")
+    assert not sol.exists()
 
 
 def test_bench_rejects_unknown_backend(capsys):

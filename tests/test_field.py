@@ -40,6 +40,14 @@ def test_ctx_rejects_composite():
         FieldCtx(15)
 
 
+@pytest.mark.parametrize(
+    # the smallest strong pseudoprimes to the first 12 and 13 prime bases
+    "n", [318665857834031151167461, 3317044064679887385961981]
+)
+def test_ctx_rejects_strong_pseudoprimes(n):
+    with pytest.raises(ValueError):
+        FieldCtx(n)
+
 # ---------------------------------------------------------------- prime fields
 
 

@@ -123,7 +123,7 @@ def test_schur_step_tracks_the_dense_schur_complement(name):
         R = Residues(ctx)
         u = [ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)]
         l = [ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)]
-        v, w = _precondition(R, *_kept(R, (G.v, G.w), size), R.array(u), R.array(l))
+        v, w = _precondition(R, *_kept(R, G.v, G.w, size), R.array(u), R.array(l))
         S = generator_matrix(R, v, w, size)
         v, w = _compress(R, v, w)
         alpha = len(v)
@@ -202,7 +202,7 @@ def test_elimination_with_and_without_the_first_compression(monkeypatch, ctx):
         else:
             G = rand_generator("toeplitz", ctx, size, size, r.randint(1, 4), r)
         u, l = ([ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)] for _ in range(2))
-        v, w = _precondition(R, *_kept(R, (G.v, G.w), size), R.array(u), R.array(l))
+        v, w = _precondition(R, *_kept(R, G.v, G.w, size), R.array(u), R.array(l))
         out = []
         for first in (0, size + 1):  # compress up front always, never
             monkeypatch.setattr(struct_solve, "_COMPRESS_FROM", first)
@@ -278,6 +278,21 @@ def test_gs_solves_over_mid_size_primes(p):
     assert isinstance(out, Solution)
     inst = InterpolationInstance(ctx, 1, 3, 14, (3,), tuple((x, (y,)) for x, y in pts), (2,) * 12)
     assert verify_solution(inst, out.value)
+
+
+@pytest.mark.parametrize("p", [2**64 - 59, 2**79 - 67])
+def test_gs_solves_past_int64_primes(p):
+    # residues and the kernel's draws are Python ints past 2^63
+    ctx = prime_field(p)
+    rng = random.Random(p)
+    pts = tuple((ctx.el(x), ctx.el(rng.randrange(p))) for x in rng.sample(range(10**6), 32))
+    params = GsParams(ctx, k=4, m=2, ell=3, b=31, points=pts)  # b: cli._auto_b(32, 2, 3, 4)
+    inst = InterpolationInstance(ctx, 1, 3, 31, (4,), tuple((x, (y,)) for x, y in pts), (2,) * 32)
+    assert isinstance(gs_interpolate(params, random.Random(1), "dense"), Solution)
+    for backend in ("hankel", "toeplitz"):
+        out = gs_interpolate(params, random.Random(5), backend)
+        assert isinstance(out, Solution)
+        assert verify_solution(inst, out.value)
 
 
 # ------------------------------------------------------------ golden vectors

@@ -36,9 +36,7 @@ from mvinterp.struct_solve import (
     _precondition,
     hankel_to_toeplitz,
     nullspace_structured,
-    pad_to_square,
     subset_floor,
-    unpad_solution,
 )
 
 F13 = prime_field(13)
@@ -142,44 +140,45 @@ def test_flip_wrong_tag():
     with pytest.raises(WrongTag):
         hankel_to_toeplitz(G)
     with pytest.raises(WrongTag):
-        pad_to_square(rand_generator("hankel", F13, 2, 2, 1, random.Random(0)))
+        GeneratorPair("circulant", 2, 2, G.v, G.w, F13)
+    with pytest.raises(WrongTag):
+        GeneratorPair("toeplitz", 2, 3, G.v, G.w, F13)  # halves of a 2x2 matrix
+
+
+def kept_dense(A, ctx):
+    """The dense matrix of _kept's pairs for A's generator, padded to
+    size max(m, n), as FieldElement rows."""
+    G = gen_from_dense("toeplitz", A, ctx)
+    R = residues(ctx)
+    size = max(G.nrows, G.ncols)
+    kept, _ = _kept(R, G.v, G.w, size)
+    assert kept.shape == (G.alpha, 2, ctx.d, size)
+    return [R.elements(row) for row in dense_from_halves(R, kept[:, 0], kept[:, 1])]
 
 
 def test_pad_wide_example():
-    A = [[F13.one(), F13.zero()]]
-    G = gen_from_dense("toeplitz", A, F13)
-    P, info = pad_to_square(G)
-    assert (info.kind, info.offset) == ("wide", 1)
-    padded = reconstruct_dense(P)
-    assert_same_matrix(padded, [[F13.zero(), F13.zero()], [F13.one(), F13.zero()]])
-    assert unpad_solution(info, [1, 2]) == [1, 2]
+    # a wide matrix sits under zero rows
+    z, one = F13.zero(), F13.one()
+    assert_same_matrix(kept_dense([[one, z]], F13), [[z, z], [one, z]])
 
 
 def test_pad_tall_example():
-    A = [[F13.one()], [F13.zero()]]
-    G = gen_from_dense("toeplitz", A, F13)
-    P, info = pad_to_square(G)
-    assert (info.kind, info.offset) == ("tall", 1)
-    padded = reconstruct_dense(P)
-    assert_same_matrix(padded, [[F13.zero(), F13.one()], [F13.zero(), F13.zero()]])
-    assert unpad_solution(info, [5, 7]) == [7]
+    # a tall matrix sits right of zero columns
+    z, one = F13.zero(), F13.one()
+    assert_same_matrix(kept_dense([[one], [z]], F13), [[z, one], [z, z]])
 
 
 def test_pad_random_consistency():
     rng = random.Random(11)
+    z = F13.zero()
     for _ in range(20):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         A = rand_matrix(F13, m, n, rng)
-        G = gen_from_dense("toeplitz", A, F13)
-        P, info = pad_to_square(G)
-        assert P.nrows == P.ncols == max(m, n)
-        padded = reconstruct_dense(P)
-        z = F13.zero()
         if m <= n:
             expect = [[z] * n for _ in range(n - m)] + A
         else:
             expect = [[z] * (m - n) + row for row in A]
-        assert_same_matrix(padded, expect)
+        assert_same_matrix(kept_dense(A, F13), expect)
 
 
 # ------------------------------------------------------------ apply / compress
@@ -249,7 +248,7 @@ def test_precondition_matches_dense_oracle(ctx):
             l_coefs = [rand_el(ctx, rng) for _ in range(size - 1)]
             pv, pw = _precondition(
                 R,
-                *_kept(R, (G.v, G.w), size),
+                *_kept(R, G.v, G.w, size),
                 R.array([ctx.one()] + u_coefs),
                 R.array([ctx.one()] + l_coefs),
             )
@@ -275,7 +274,7 @@ def test_eliminate_certifies_rank():
         coefs = [ctx.el(rng.randrange(ctx.p)) for _ in range(2 * size - 2)]
         pv, pw = _precondition(
             R,
-            *_kept(R, (G.v, G.w), size),
+            *_kept(R, G.v, G.w, size),
             R.array([ctx.one()] + coefs[: size - 1]),
             R.array([ctx.one()] + coefs[size - 1 :]),
         )
@@ -380,9 +379,9 @@ def test_nullspace_square_verdicts_match_dense():
 
 
 def test_nullspace_tall_pad_path():
-    ctx = F65537
+    # the answer is the padded vector without the pad's zero columns
     rng = random.Random(59)
-    for seed in spread_seeds(61, 25):
+    for ctx, seed in zip([F65537] * 25 + [F13] * 20, spread_seeds(61, 45)):
         r = random.Random(seed)
         m = r.randint(4, 9)
         n = r.randint(1, m - 1)
@@ -394,7 +393,7 @@ def test_nullspace_tall_pad_path():
             assert isinstance(out, NoSolution)
         else:
             assert isinstance(out, Solution)
-            assert out.value.any()
+            assert out.value.shape == (1, n) and out.value.any()
             y = mat_vec(A, elements(ctx, out.value), ctx)
             assert all(e.is_zero() for e in y)
 
@@ -434,7 +433,7 @@ def test_precondition_takes_at_most_four_products(monkeypatch, ctx, size, alpha,
     v, w = (rng.integers(0, ctx.p, (alpha, ctx.d, size)) for _ in range(2))
     u, l = (rng.integers(0, ctx.p, (ctx.d, size)) for _ in range(2))
     u[:, 0], l[:, 0] = R.unit(1, 0)[:, 0], R.unit(1, 0)[:, 0]
-    kept, last = _kept(R, (v, w), size)
+    kept, last = _kept(R, v, w, size)
     assert isinstance(kept, Spectrum) == fft
     calls, depth = [], [0]
     for name in ("conv", "corr", "conv_sum"):
@@ -477,7 +476,7 @@ def test_batched_applies_match_the_dense_matrix(ctx, size, alpha):
     A = dense_from_halves(R, v, w)
     U, L = dense_toeplitz(R, u, True), dense_toeplitz(R, l, False)
     UALx = dense_matvec(R, U, dense_matvec(R, A, dense_matvec(R, L, x)))
-    kept, last = _kept(R, (v, w), size)
+    kept, last = _kept(R, v, w, size)
     fft = alpha * ctx.d**2 * size**2 >= field_module._FFT_WORK
     assert [isinstance(h, Spectrum) for h in (kept[:, 0], kept[:, 1])] == [fft, fft]
     assert np.array_equal(last, np.stack([A[:, :, -1].T, A[-1]]))  # last column and row
@@ -492,13 +491,13 @@ def test_batched_applies_match_the_dense_matrix(ctx, size, alpha):
     # matrix sits under zero rows, a tall one right of zero columns
     cut = size // 4
     for nrows, ncols in ((size - cut, size), (size, size - cut)):
-        G = GeneratorPair("toeplitz", nrows, ncols, v[:, :, :nrows], w[:, :, :ncols], ctx)
-        padded, pad = pad_to_square(G)
-        A = dense_from_halves(R, padded.v, padded.w)
-        top, _ = _kept(R, (padded.v, padded.w), size)
-        assert pad.offset == cut
+        top, _ = _kept(R, v[:, :, :nrows], w[:, :, :ncols], size)
         assert [isinstance(h, Spectrum) for h in (top[:, 0], top[:, 1])] == [fft, fft]
-        rows, cols = (cut, 0) if pad.kind == "wide" else (0, cut)
+        pairs = top.array if fft else top
+        assert pairs.shape == (alpha, 2, ctx.d, size)
+        A = dense_from_halves(R, pairs[:, 0], pairs[:, 1])
+        rows, cols = size - nrows, size - ncols
         assert not A[:rows].any() and not A[:, :, :cols].any()
-        assert np.array_equal(A[rows:, :, cols:], dense_from_halves(R, G.v, G.w))
+        unpadded = dense_from_halves(R, v[:, :, :nrows], w[:, :, :ncols])
+        assert np.array_equal(A[rows:, :, cols:], unpadded)
         assert np.array_equal(_apply(R, top[:, 0], top[:, 1], x, size), dense_matvec(R, A, x))
