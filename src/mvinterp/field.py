@@ -46,6 +46,10 @@ _FFT_WORK = 200_000
 # preconditioning's products were batched); over 6 instances solved again and
 # again, per solve: 434 unchunked, 88 at 2^16, 17 at 2^17, 1 at 2^18 (142)
 _FFT_CHUNK = 1 << 18
+# n + m - 1 = 2^L + w runs cyclic at 2^L while w^2 <= _WRAP * 2^L (_plan).  A
+# kernel level against 2^(L+1), median of 40 runs: 2^L = 256 0.85x at w = 1,
+# 0.98x at 33, 1.07x at 47; 512 0.83x at 1, 1.03x at 47; 1024 0.84x at 63
+_WRAP = 4
 
 
 def is_probable_prime(n: int) -> bool:
@@ -392,13 +396,14 @@ class Residues:
 
     Polynomial products choose their method by size, as sum_dtype chooses
     the dtype: long ones are exact float64 FFT products of the b-bit limbs
-    that fft_limbs picks within Percival's rounding bound, short ones
-    np.convolve calls or one skewed product table (conv_sum).
+    that fft_limbs picks within Percival's rounding bound, cyclic when they
+    just pass a power of two (_plan), short ones np.convolve calls or one
+    skewed product table (conv_sum).
 
     Callers never branch on d; the prime-field shortcuts are here.  At
-    d = 1 inv is one pow(s, -1, p), emul and mul one product, scale one
-    broadcast multiply left unreduced, combine one product of the scalars
-    with the rows, dot one np.vdot, and the residue-pair fold a view.
+    d = 1 inv is pow(s, -1, p) of Python ints, emul and mul one product,
+    scale one broadcast multiply left unreduced, combine one product (no
+    casts over int64), dot one np.vdot, and the residue-pair fold a view.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -429,11 +434,13 @@ class Residues:
         float64 FFT products of operands up to n long, `terms` of them
         summed per coefficient, round exactly; None if two are not enough.
 
-        With transform length 2^L >= 2n - 1 and limbs below 2^b, a sum of
-        t limb products is off by less than t * n * (2^b - 1)^2 * (13 L + 3)
-        * 2^-53 (Percival, Math. Comp. 2003, unit roundoff and twiddle error
-        2^-53), which must stay below 1/2.  The inverse transforms take the
-        limb products of equal shift together, so t = terms * k.
+        With limbs below 2^b, a sum of t cyclic convolutions at length 2^L
+        is off by less than t * n * (2^b - 1)^2 * (13 L + 3) * 2^-53
+        (Percival, Math. Comp. 2003, unit roundoff and twiddle error 2^-53),
+        which must stay below 1/2: n (2^b - 1)^2 bounds the product of the
+        operands' Euclidean norms, cyclic products (_plan) included, and
+        2^L >= 2n - 1 their length.  The inverse transforms take the limb
+        products of equal shift together, so t = terms * k.
         """
         L = (2 * n - 2).bit_length()
         bits = (self.p - 1).bit_length()
@@ -469,16 +476,16 @@ class Residues:
     def is_zero(self, a: np.ndarray) -> bool:
         return not np.count_nonzero(a)
 
-    def inv(self, s: np.ndarray) -> np.ndarray:
-        """Inverse of the scalar s (d,), as (d,); DivisionByZero on zero.  At
-        d = 1 it is one pow(s, -1, p), else FieldElement's extended Euclid."""
+    def inv(self, *s: np.ndarray) -> np.ndarray:
+        """Inverses of the scalars s, each (d,), stacked as (len(s), d);
+        DivisionByZero on a zero.  At d = 1 each is one pow(x, -1, p) of a
+        Python int, else FieldElement's extended Euclid."""
         if self.d == 1:
             try:
-                return np.array([pow(int(s[0]), -1, self.p)], dtype=self.dtype)
+                return np.array([[pow(int(x[0]), -1, self.p)] for x in s], self.dtype)
             except ValueError:
                 raise DivisionByZero("inverse of zero") from None
-        inverse = FieldElement(self.ctx, tuple(s.tolist())).inv()
-        return np.array(inverse.c, dtype=self.dtype)
+        return np.array([FieldElement(self.ctx, tuple(x.tolist())).inv().c for x in s], self.dtype)
 
     def inv_each(self, a: np.ndarray) -> np.ndarray:
         """Entrywise inverses of a (..., d, n) array without zero entries,
@@ -553,12 +560,16 @@ class Residues:
         product, at d = 1 of c with vs, above of c's multiplication matrices
         with vs."""
         J, d = c.shape[-2:]
-        acc, out = self._dtypes(J, c, vs)
         if d == 1:
             flat, vs = c.swapaxes(-1, -2), vs[..., 0, :]
         else:
             flat = self.mul_matrix(c).swapaxes(-3, -2).reshape(c.shape[:-2] + (d, J * d))
             vs = vs.reshape(vs.shape[:-3] + (J * d, vs.shape[-1]))
+        if c.dtype is vs.dtype is _INT64 and J <= self._int64_terms:  # no casts
+            sums = flat @ vs
+            sums %= self.p
+            return sums
+        acc, out = self._dtypes(J, c, vs)
         sums = flat.astype(acc, copy=False) @ vs  # vs is promoted to acc
         return (sums % self.p).astype(out, copy=False)
 
@@ -576,11 +587,17 @@ class Residues:
         """(length, k, bits) of the FFT products of `count` residue-row pairs
         of lengths n >= m, `terms` of them summed per coefficient, when the
         pairs times m^2 reach _FFT_WORK over int64 residues and fft_limbs
-        finds limbs; None when they are not FFT products."""
+        finds limbs; None when they are not FFT products.  The length is the
+        power of two at or above n + m - 1, or half that when n + m - 1 passes
+        it by w < m with w^2 <= _WRAP * length: cyclic products (_unwrap)."""
         if self.dtype is not np.int64 or count * m * m < _FFT_WORK:
             return None
+        length = 1 << (n + m - 2).bit_length()
+        w = n + m - 1 - length // 2
+        if w < m and w * w <= _WRAP * length // 2:
+            length //= 2
         limbs = self.fft_limbs(n, terms)
-        return limbs and (1 << (n + m - 2).bit_length(),) + limbs
+        return limbs and (length,) + limbs
 
     def transform(self, x: np.ndarray, m: int):
         """x (c, ..., d, n) as a Spectrum for its products with operands up
@@ -662,40 +679,43 @@ class Residues:
     def _fft_pairs(self, a, b, keep, plan) -> np.ndarray:
         """Products of (c, ..., d, n) and (c, ..., d, m) arrays or Spectra
         summed over c, as (..., d, d, n + m - 1) residue-row pairs before the
-        fold, reduced.  Each operand's k limbs of `bits` bits are transformed
-        at `length` (a Spectrum made for this plan brings them).  The output
-        is made in chunks along its first leading axis whose limb products
-        take at most _FFT_CHUNK bytes (_fft_chunk)."""
+        fold, reduced, or only the coefficients `keep` (a slice).  Each
+        operand's k limbs of `bits` bits are transformed at `length` (a
+        Spectrum made for this plan brings them).  The output is made in
+        chunks along its first leading axis whose limb products take at most
+        _FFT_CHUNK bytes (_fft_chunk), and unwrapped if cyclic (_unwrap)."""
+        nd = max(len(a.shape), len(b.shape))  # align the leading axes of both
+        a, b = (x[(slice(None),) + (None,) * (nd - len(x.shape))] for x in (a, b))
         A, B = (
             x.data if isinstance(x, Spectrum) and x.plan == plan else _limb_spectra(_array(x), *plan)
             for x in (a, b)
         )
-        if A.ndim != B.ndim:  # align the leading axes of both
-            nd = max(A.ndim, B.ndim)
-            A, B = (x.reshape(x.shape[:2] + (1,) * (nd - x.ndim) + x.shape[2:]) for x in (A, B))
         lead = tuple(map(max, A.shape[2:-2], B.shape[2:-2]))  # the broadcast shape
         size = a.shape[-1] + b.shape[-1] - 1
+        lo, hi, _ = keep.indices(size)
+        cyclic = slice(lo, min(hi, plan[0]))
         row = plan[1] ** 2 * math.prod(lead[1:]) * A.shape[-2] * B.shape[-2] * A.shape[-1] * 16
         step = max(1, _FFT_CHUNK // row)  # rows of complex128 limb products per chunk
         if not lead or step >= lead[0]:
-            return self._fft_chunk(A, B, keep, plan, size)
-        rows = [slice(i, i + step) for i in range(0, lead[0], step)]
-        A, B = ([x[:, :, r] if x.shape[2] > 1 else x for r in rows] for x in (A, B))
-        return np.concatenate([self._fft_chunk(x, y, keep, plan, size) for x, y in zip(A, B)])
+            out = self._fft_chunk(A, B, cyclic, plan)
+        else:
+            rows = [slice(i, i + step) for i in range(0, lead[0], step)]
+            A, B = ([x[:, :, r] if x.shape[2] > 1 else x for r in rows] for x in (A, B))
+            out = np.concatenate([self._fft_chunk(x, y, cyclic, plan) for x, y in zip(A, B)])
+        return out if size <= plan[0] else self._unwrap(_array(a), _array(b), out, lo, hi, plan[0])
 
-    def _fft_chunk(self, A, B, keep, plan, size) -> np.ndarray:
+    def _fft_chunk(self, A, B, keep, plan) -> np.ndarray:
         """_fft_pairs of limb spectra: the limb products summed over c and
         over i + j = s in the frequency domain, and after 2k - 1 inverse
-        transforms the rounded sums recombined mod p.  A merged sum holds up
-        to k limb products; fft_limbs allows for them."""
+        transforms the rounded sums at `keep` recombined mod p.  A merged sum
+        holds up to k limb products; fft_limbs allows for them."""
         (length, k, bits), p = plan, self.p
         prods = np.einsum("kc...iz,lc...jz->kl...ijz", A, B)
         prods = prods.reshape((k * k,) + prods.shape[2:])
         if k == 2:  # rows 0, 1, 2 become the limb shifts 0, 1, 2
             prods[1] += prods[2]
             prods[2] = prods[3]
-        sums = np.fft.irfft(prods[: 2 * k - 1], length)[..., :size]
-        sums = sums[..., keep]
+        sums = np.fft.irfft(prods[: 2 * k - 1], length)[..., keep]
         sums += 0.5  # each is within 1/2 of an integer in [0, 2^52): truncation rounds
         sums = sums.astype(np.int64)
         out = sums[-1] % p
@@ -704,6 +724,23 @@ class Residues:
             out += sums[s]
             out %= p
         return out
+
+    def _unwrap(self, a, b, out, lo, hi, length) -> np.ndarray:
+        """Coefficients lo..hi-1 of _fft_pairs' products from `out`, their
+        cyclic ones at `length` from lo on.  Coefficient length + i, i < w,
+        wrapped onto coefficient i: it is sum_c,r a_c[n-1-r] b_c[m-w+i+r],
+        a's last w coefficients against the w x w Hankel matrix of b's."""
+        p, w = self.p, a.shape[-1] + b.shape[-1] - 1 - length
+        acc = self.sum_dtype(max(len(a), len(b)) * w)
+        tail = np.zeros(b.shape[:-1] + (2 * w - 1,), acc)
+        tail[..., :w] = b[..., -w:]
+        hankel = tail[..., np.add.outer(np.arange(w), np.arange(w))]  # [i, r]: b[m-w+i+r]
+        wrapped = np.einsum("c...xr,c...yir->...xyi", a[..., : -w - 1 : -1].astype(acc), hankel)
+        wrapped = (wrapped % p).astype(np.int64, copy=False)
+        head = out[..., : max(min(hi, w) - lo, 0)]  # the kept coefficients below w
+        head -= wrapped[..., lo : lo + head.shape[-1]]
+        head %= p
+        return np.concatenate([out, wrapped[..., max(lo - length, 0) : max(hi - length, 0)]], -1)
 
     def corr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """out[t] = sum_u a[t+u] * b[u] for t < len(a); either operand may

@@ -6,7 +6,7 @@ the same for every field; FieldElements are built only when a caller asks
 for them (`c`, `coeff`, `lead`, `to_ints`, `eval`).  A product is one
 residue convolution.  Power-series inversion is Newton iteration, division
 switches to it for long quotients, and products of many linear factors
-(`weighted_product`, `lagrange_interp`) run level by level on a product
+(`weighted_product`, `lagrange_rows`) run level by level on a product
 tree of stacked arrays.
 """
 
@@ -206,7 +206,7 @@ def series_inv(f: Poly, n: int) -> Poly:
     if f.coeff(0).is_zero():
         raise NotInvertible("constant term is zero")
     R, p = residues(f.ctx), f.ctx.p
-    g = R.inv(f.a[:, 0])[:, None]
+    g = R.inv(f.a[:, 0]).T
     k = 1
     while k < n:
         k = min(2 * k, n)
@@ -237,7 +237,7 @@ def poly_divrem(a: Poly, b: Poly) -> tuple:
         q = _quotient(a, b, series_inv(reverse(b, db), dq + 1))
         return q, a - b * q
     R = residues(ctx)
-    inv_lead = R.inv(b.a[:, -1])
+    inv_lead = R.inv(b.a[:, -1])[0]
     rem = a.a.astype(R.dtype)
     q = R.zeros(dq + 1)
     for i in range(da, db - 1, -1):
@@ -288,39 +288,44 @@ def _product_tree(ctx: FieldCtx, roots: np.ndarray) -> list:
 
 
 def lagrange_interp(ctx: FieldCtx, xs, ys) -> Poly:
-    """Unique polynomial of degree < n through (xs[i], ys[i]); xs distinct.
-
-    Barycentric form on the product tree of the nodes: weights
-    w_i = prod_{k != i} (x_i - x_k) (_node_weights), c_i = y_i / w_i, and
-    sum_i c_i * M / (X - x_i) with M = prod_k (X - x_k) combined up the
-    tree as f_L * M_R + f_R * M_L, one stacked product per level.
-    """
-    xs = [ctx.el(x) for x in xs]
-    ys = [ctx.el(y) for y in ys]
+    """Unique polynomial of degree < n through (xs[i], ys[i]); xs distinct."""
+    xs, ys = [ctx.el(x) for x in xs], [ctx.el(y) for y in ys]
     if len(xs) != len(ys):
         raise BadLength(f"{len(xs)} nodes vs {len(ys)} values")
+    return lagrange_rows(ctx, xs, [ys])[0][0] if xs else Poly.zero(ctx)
+
+
+def lagrange_rows(ctx: FieldCtx, xs, rows) -> tuple:
+    """([f_t], M): the polynomial f_t of degree < n through (xs[i],
+    rows[t][i]) for each row t, and M = prod_k (X - xs[k]), from one product
+    tree of the n >= 1 distinct nodes (FieldElements).  Barycentric form:
+    weights w_i = prod_{k != i} (x_i - x_k) (_node_weights), c_i = y_i / w_i,
+    and sum_i c_i * M / (X - x_i) combined up the tree as f_L * M_R + f_R *
+    M_L, one stacked product of every row per level."""
     if len(set(xs)) != len(xs):
         raise DuplicateNode("interpolation nodes must be pairwise distinct")
     n = len(xs)
-    if n == 0:
-        return Poly.zero(ctx)
     R, p = residues(ctx), ctx.p
     x = R.array(xs)
-    step = max(1, _WEIGHT_CELLS // (ctx.d * n))
-    w = [_node_weights(R, x, lo, min(lo + step, n)) for lo in range(0, n, step)]
-    c = R.emul(R.array(ys), R.inv_each(np.concatenate(w, axis=1)))
     levels = _product_tree(ctx, x)
-    f = np.zeros((len(levels[0]), ctx.d, 1), R.dtype)
-    f[:n, :, 0] = c.T
-    for m in levels[:-1]:
-        f = (R.conv(f[0::2], m[1::2]) + R.conv(f[1::2], m[0::2])) % p
-    return Poly.from_residues(ctx, f[0])
+    fs = []
+    if rows:
+        step = max(1, _WEIGHT_CELLS // (ctx.d * n))
+        w = [_node_weights(R, x, lo, min(lo + step, n)) for lo in range(0, n, step)]
+        c = R.emul(np.stack([R.array(ys) for ys in rows]), R.inv_each(np.concatenate(w, axis=1)))
+        f = np.zeros((len(rows) * len(levels[0]), ctx.d, 1), R.dtype)  # the rows' leaves in turn
+        f.reshape(len(rows), -1, ctx.d)[:, :n] = c.transpose(0, 2, 1)
+        for m in levels[:-1]:
+            m = np.tile(m, (len(rows), 1, 1)) if len(rows) > 1 else m
+            f = (R.conv(f[0::2], m[1::2]) + R.conv(f[1::2], m[0::2])) % p
+        fs = [Poly.from_residues(ctx, g) for g in f]
+    return fs, Poly.from_residues(ctx, levels[-1][0])
 
 
 def _node_weights(R, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """prod_{k != i} (x_i - x_k) for the nodes lo <= i < hi of x (d, n), as
     a (d, hi - lo) array: a halving product over the (hi - lo, d, n) array
-    of differences, which lagrange_interp keeps to _WEIGHT_CELLS cells."""
+    of differences, which lagrange_rows keeps to _WEIGHT_CELLS cells."""
     rows = hi - lo
     diff = x.T[lo:hi, :, None] - x[None, :, :]  # reduced by the products
     diff[np.arange(rows), :, np.arange(lo, hi)] = R.unit(1, 0)[:, 0]

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .field import FieldCtx, FieldElement, residues
 from .outcomes import NoSolution, NotApplicable, Solution
-from .poly import Poly, lagrange_interp, remainder_by, weighted_product
+from .poly import Poly, lagrange_rows, remainder_by, weighted_product
 
 # ---------------------------------------------------------------- indices
 
@@ -46,18 +46,20 @@ def graded_exponents(nvars: int, bound: int, strict: bool = False):
     """Exponent tuples with total degree <= bound (< bound when strict),
     in graded lexicographic order."""
     top = bound - 1 if strict else bound
-    out = []
-    for total in range(top + 1):
-        out.extend(_compositions(total, nvars))
-    return out
+    return _graded((top,) * nvars, top)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        return [(total,)]
+def _graded(caps, top: int):
+    """Exponent tuples j with |j| <= top and each j_t <= caps[t], graded."""
+    return [j for total in range(min(top, sum(caps)) + 1) for j in _compositions(total, caps)]
+
+
+def _compositions(total: int, caps):
+    if len(caps) == 1:
+        return [(total,)] if total <= caps[0] else []
     out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(min(total, caps[0]) + 1):
+        for rest in _compositions(total - first, caps[1:]):
             out.append((first,) + rest)
     return out
 
@@ -316,16 +318,20 @@ def preprocess_high_multiplicity(inst: InterpolationInstance):
 
 
 def trivial_weight_check(inst: InterpolationInstance):
-    """Shortcut when every weight is >= n: the only Y-degrees that can appear
-    are 0, so solvability reduces to comparing wdeg_bound with the degree of
-    the forced vanishing product."""
-    if any(w < inst.n for w in inst.weights):
-        return NotApplicable()
-    prod = weighted_product(inst.ctx, [x for x, _ in inst.points], inst.mults)
-    if inst.wdeg_bound > prod.deg:
-        zero_key = (0,) * inst.nvars
-        return Solution(MultiPoly(inst.ctx, inst.nvars, {zero_key: prod}))
-    return NoSolution("degree budget below the forced vanishing product")
+    """Shortcuts by degree count, before any product is built.  With every
+    weight >= n only Y-degree 0 can appear: compare wdeg_bound with the
+    degree of the forced vanishing product.  Otherwise NoSolution where the
+    multiplier of preprocess_high_multiplicity, of degree sum_r (m_r - ell)^+,
+    leaves no column bound >= 1 (the budget less ell times a negative k)."""
+    if all(w >= inst.n for w in inst.weights):
+        if inst.wdeg_bound <= sum(inst.mults):
+            return NoSolution("degree budget below the forced vanishing product")
+        prod = weighted_product(inst.ctx, [x for x, _ in inst.points], inst.mults)
+        return Solution(MultiPoly(inst.ctx, inst.nvars, {(0,) * inst.nvars: prod}))
+    ell = inst.ydeg_bound
+    if inst.wdeg_bound - sum(max(m - ell, 0) for m in inst.mults) - ell * min(0, *inst.weights) < 1:
+        return NoSolution("NoSolutionSpace: no admissible Y-exponent satisfies the degree bounds")
+    return NotApplicable()
 
 
 # ---------------------------------------------------------------- reduction
@@ -354,18 +360,21 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
         known = divisors[j].deg if j in divisors else 0
         return inst.wdeg_bound - exp_dot(j, inst.weights) - known
 
-    cols = [j for j in graded_exponents(inst.nvars, inst.ydeg_bound) if bound(j) >= 1]
+    # bound(j) >= 1 caps j_t, weight > 0, by the budget negative weights leave
+    ell = inst.ydeg_bound
+    budget = inst.wdeg_bound - 1 - ell * sum(w for w in inst.weights if w < 0)
+    caps = tuple(min(ell, budget // w) if w > 0 else ell for w in inst.weights)
+    cols = [j for j in _graded(caps, ell) if bound(j) >= 1]
     if not cols:
         raise NoSolutionSpace("no admissible Y-exponent satisfies the degree bounds")
     rows = graded_exponents(inst.nvars, m, strict=True)
     col_bounds = [bound(j) for j in cols]
 
     xs = [x for x, _ in inst.points]
-    # interpolant per Y-coordinate, only where some admissible exponent uses it
-    interp = [None] * inst.nvars
-    for t in range(inst.nvars):
-        if any(j[t] > 0 for j in cols):
-            interp[t] = lagrange_interp(ctx, xs, [ys[t] for _, ys in inst.points])
+    # interpolants of the Y-coordinates some column uses, and prod (X - x_r)
+    used = [t for t in range(inst.nvars) if any(j[t] > 0 for j in cols)]
+    fs, every = lagrange_rows(ctx, xs, [[ys[t] for _, ys in inst.points] for t in used])
+    interp = dict(zip(used, fs))
 
     # moduli, their remainder maps and the powers of the interpolants
     # reduced by them depend on |i| only.  P_|i| is P_(|i|+1) times the
@@ -376,16 +385,15 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
     for depth in reversed(range(m)):
         sub_x = [x for x, mm in zip(xs, inst.mults) if mm > depth]
         if g is None or g.deg != len(sub_x):
-            g = weighted_product(ctx, sub_x, [1] * len(sub_x))
+            g = every if len(sub_x) == len(xs) else weighted_product(ctx, sub_x, [1] * len(sub_x))
         mod_by_depth[depth] = g if depth == m - 1 else mod_by_depth[depth + 1] * g
     rem_by_depth, memo_by_depth = [], []
     for depth in range(m):
         rem = remainder_by(mod_by_depth[depth])
         rem_by_depth.append(rem)
         memo = {(0,) * inst.nvars: Poly.one(ctx)}
-        for t, f in enumerate(interp):
-            if f is not None:
-                memo[tuple(int(u == t) for u in range(inst.nvars))] = rem(f)
+        for t, f in interp.items():
+            memo[tuple(int(u == t) for u in range(inst.nvars))] = rem(f)
         memo_by_depth.append(memo)
 
     def rpow(delta, depth):

@@ -44,27 +44,21 @@ is returned.  An extension field is never lifted.
 
 One representation serves every field: the residue arrays of
 field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
-d = 1 for a prime field, and a generator half is one stacked (alpha, d, n)
-array, as the builders write it, so a compression pivot updates all later
-generator columns with one outer-product op.  The elimination stacks both
-halves into one array.  The Schur step, the echelon and the
-back-substitution are written once for every field: each op is one
-field.Residues call, whose d = 1 shortcuts (one product where an extension
-applies its multiplication table, pow(x, -1, p) inverses) keep prime fields
-near the cost of plain integer rows, and d appears here only in the lift
-policy.  The
-random draws are digits of the sampled indices.  The returned vector is a
-residue array as well.
+a generator half one stacked (alpha, d, n) array, as the builders write it,
+and the elimination stacks both halves.  The Schur step, the echelon and
+the back-substitution are written once, each op one Residues call whose
+d = 1 shortcuts keep a prime-field step at about 13 numpy calls; d appears
+here only in the lift policy.  The random draws are digits of the sampled
+indices, drawn in bulk (_draw); the answer is a residue array.
 
 Generator applies (_apply, _apply_last, _precondition) are batched products
 of the stacked halves: A·x is conv_sum(V, corr(x, W)), reduced mod p between
 the two, so that long pair products are FFT products summed over the pairs
-in the frequency domain before the inverse transforms.  _kept stacks a
-level's halves into one array of pairs (v_c, w_c), whose swap is the
-generator of A^T, transformed once per level once their products are FFT
-products (from decoders' alpha = 5, size 145 up); _precondition makes four
-products of them, and the top level's, the padded matrix's, serve every
-attempt and the final check.
+in the frequency domain, at a transform length sized to their output
+(Residues._plan).  _kept stacks a level's halves into one array of pairs
+(v_c, w_c), whose swap is the generator of A^T, transformed once per level
+once their products are FFT products; _precondition makes four products of
+them, and the top level's serve every attempt and the final check.
 """
 
 from __future__ import annotations
@@ -140,9 +134,17 @@ def _draw(R, min_size: int, rng, k: int) -> np.ndarray:
     """k uniform draws from the sampling subset S, as a (d, k) residue
     array: each is randrange(|S|) (subset_range), its index turned into
     little-endian base-p digits, so S is the first |S| elements of the
-    field's canonical enumeration."""
+    field's canonical enumeration.  Below 2^32 they come in bulk, as the
+    same sequence and generator state: randrange(|S|) keeps the top
+    |S|.bit_length() bits of one 32-bit word, again while they reach |S|,
+    and getrandbits(32 j) gives j such words, the first lowest."""
     size = subset_range(R.ctx, min_size)
-    idx = [rng.randrange(size) for _ in range(k)]
+    bits = size.bit_length()
+    idx = np.zeros(0, np.int64) if bits <= 32 else [rng.randrange(size) for _ in range(k)]
+    while len(idx) < k:  # one word per draw still missing
+        j = k - len(idx)
+        words = np.frombuffer(rng.getrandbits(32 * j).to_bytes(4 * j, "little"), "<u4") >> 32 - bits
+        idx = np.concatenate([idx, words[words < size]])
     idx = np.array(idx, dtype=np.int64 if max(size, R.p) < 2**63 else object)
     out = R.zeros(k)
     for t in range(R.d):
@@ -259,28 +261,26 @@ def _schur_step(R, G):
     pair's first entry leaves the Schur complement's displacement.
 
     One product of (w0, v0) with both halves (R.combine) gives the first
-    column and row, and one product of their scalars with (col0, W_k)
-    (R.scale) both Gauss transforms, written into a new contiguous array
-    (faster than in place in G); x -= (x // p) * p reduces it (faster than
-    % on int64, exact for negative x).
+    column and row, one R.inv call both inverses, and one product of the
+    scalars with (col0, W_k) (R.scale) both Gauss transforms, written into
+    a new contiguous array (faster than in place in G); x -= (x // p) * p
+    reduces it (faster than % on int64, exact for negative x).
     """
     p = R.p
     f = G[..., 0]  # (v0, w0): (2, alpha, d) scalars
     c = R.combine(f[::-1], G)  # (w0 . V, v0 . W): the first column and row
-    col0 = c[0]
-    try:
-        inv_pivot = R.inv(col0[:, 0])
-    except DivisionByZero:  # the leading entry is zero
+    try:  # w0 = 0, with no index k, makes the pivot zero too
+        k = f[1].nonzero()[0][0]
+        inv = R.inv(c[0, :, 0], f[1, k])  # 1 / pivot, 1 / w0_k
+    except (IndexError, DivisionByZero):  # the leading entry is zero
         return None
-    k = f[1].nonzero()[0][0]
-    inv = np.array([[inv_pivot], [R.inv(f[1, k])]])
-    norm = R.scale(inv_pivot, c[1]) % p  # the first row over the pivot
+    norm = R.scale(inv[0], c[1]) % p  # the first row over the pivot
     # V -= (v0 / pivot) (x) col0 and W -= (w0 / w0_k) (x) W_k
     c[1] = G[1, k]
-    Y = R.scale(R.mul(f, inv), c[:, None, :, 1:])
+    Y = R.scale(R.mul(f, inv[:, None]), c[:, None, :, 1:])
     np.subtract(G[..., 1:], Y, out=Y)
     Y -= Y // p * p
-    Y[0, k], Y[1, k] = col0[:, :-1], norm[:, :-1]
+    Y[0, k], Y[1, k] = c[0, :, :-1], norm[:, :-1]
     return norm, Y
 
 

@@ -1,6 +1,7 @@
 """CLI and file-format tests: exit codes, round trips, seed stability."""
 
 import random
+import time
 
 import pytest
 
@@ -187,6 +188,31 @@ def test_solve_no_solution_exit2(tmp_path, capsys):
     inst = write(tmp_path, "n.txt", "field 13\ns 1\nell 1\nb 0\nk 0\npoints 1\n3 1 5\n")
     assert main(["solve", "--in", inst, "--seed", "1"]) == 2
     assert "NoSolutionSpace" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "ell, k, points, code",
+    [
+        (10**8, 1, "0 1 1\n1 1 2\n2 1 5\n", 0),  # b = 3 admits Y-degrees 0..2
+        (2, 0, "4 30000000 7\n", 2),  # the capped multiplicity's product
+        (2, 1, "4 30000000 7\n", 2),  # the whole product, every weight >= n
+    ],
+    ids=["ell", "mult", "mult-weight"],
+)
+def test_solve_costs_the_admissible_exponents(tmp_path, capsys, ell, k, points, code):
+    # a Y-degree bound, or a multiplicity, far above what the degree budget
+    # admits costs no time or memory of its own: columns are enumerated
+    # within the budget, and the degree count comes before any product
+    count = points.count("\n")
+    inst = write(tmp_path, "i.txt", f"field 13\ns 1\nell {ell}\nb 3\nk {k}\npoints {count}\n{points}")
+    sol = write(tmp_path, "s.txt", "")
+    t0 = time.perf_counter()
+    assert main(["solve", "--in", inst, "--seed", "1", "--out", sol]) == code
+    assert time.perf_counter() - t0 < 5
+    if code == 0:
+        assert main(["verify", "--in", inst, "--solution", sol]) == 0
+    else:
+        assert "NO_SOLUTION" in capsys.readouterr().out
 
 
 def test_solve_input_errors_exit1(tmp_path, capsys):

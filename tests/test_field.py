@@ -133,17 +133,21 @@ GF256 = FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1))
 @pytest.mark.parametrize("ctx", [prime_field(101), prime_field(2**61 - 1), GF256], ids=repr)
 def test_residue_inverses_round_trip(ctx):
     # Residues.inv: pow(s, -1, p) at d = 1, extended Euclid above; s * s^-1
-    # is one and the inverse of the inverse is s, for both residue dtypes
+    # is one and the inverse of the inverse is s, for both residue dtypes,
+    # one scalar at a time and several stacked
     R = residues(ctx)
     rng = random.Random(ctx.order % 1000)
     for _ in range(50):
         a = ctx.from_index(rng.randrange(1, ctx.order))
         s = R.array([a])[:, 0]
         inv = R.inv(s)
-        assert inv.shape == (ctx.d,) and inv.dtype == R.dtype
-        assert R.elements(inv[:, None]) == [a.inv()]
-        assert R.emul(s[:, None], inv[:, None]).tolist() == R.unit(1, 0).tolist()
-        assert R.inv(inv).tolist() == s.tolist()
+        assert inv.shape == (1, ctx.d) and inv.dtype == R.dtype
+        assert R.elements(inv.T) == [a.inv()]
+        assert R.emul(s[:, None], inv.T).tolist() == R.unit(1, 0).tolist()
+        assert R.inv(inv[0]).tolist() == [s.tolist()]
+    elems = [ctx.from_index(rng.randrange(1, ctx.order)) for _ in range(3)]
+    arr = R.array(elems)
+    assert R.elements(R.inv(*arr.T).T) == [e.inv() for e in elems]
 
 
 @pytest.mark.parametrize("ctx", [prime_field(101), GF256], ids=repr)
@@ -211,6 +215,19 @@ def test_sample_subset_roughly_uniform():
     expected = n / 13
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < 40
+
+
+@pytest.mark.parametrize("size", [1, 2, 13, 893976, 2**31, 2**32 - 5, 2**32, 2**40])
+@pytest.mark.parametrize("k", [0, 1, 385])
+def test_bulk_draws_are_the_randrange_sequence(size, k):
+    # below 2^32 the indices come from one getrandbits per batch; they are
+    # the indices randrange gives, and the generator ends in the same state
+    R = residues(prime_field(2**61 - 1))  # S is the first `size` elements
+    rng, ref = random.Random(size + k), random.Random(size + k)
+    want = [ref.randrange(size) for _ in range(k)]
+    got = _draw(R, size, rng, k)
+    assert got.shape == (1, k) and got[0].tolist() == want
+    assert rng.random() == ref.random()
 
 
 # ---------------------------------------------------------------- FFT products
@@ -344,3 +361,82 @@ def test_conv_sum_matches_python_ints_across_the_crossover(ctx, terms, m, extra,
     assert (R.conv_sum(a, b) == kronecker_conv_sum(R, a, b)).all()
     keep = slice(m // 2, m + extra)
     assert (R.conv(a[0], b[0], keep) == kronecker_conv_sum(R, a[:1], b[:1])[..., keep]).all()
+
+
+def wrap_cases():
+    """(n, m, w, length): operand lengths with n + m - 1 = 2^L + w for w = 1,
+    the largest w _plan takes cyclic at 2^L and one past it, and the
+    transform length _plan must pick."""
+    for base in (256, 512):
+        top = math.isqrt(field_module._WRAP * base)
+        for w in (1, top, top + 1):
+            n = (base + w + 1) // 2
+            yield n, base + w + 1 - n, w, base if w <= top else 2 * base
+
+
+@pytest.mark.parametrize("n, m, w, length", list(wrap_cases()))
+@pytest.mark.parametrize(
+    "ctx",
+    [prime_field(16777213), prime_field(2**31 - 1), FieldCtx(13, (6, 12, 6, 0, 1)),
+     FieldCtx(2, (1, 1, 0, 1, 1, 0, 0, 0, 1))],
+    ids=repr,
+)
+def test_cyclic_fft_products_match_python_ints(ctx, n, m, w, length):
+    # just past a power of two, FFT products run cyclic at it and take the
+    # wrapped coefficients apart: conv, corr and conv_sum, on arrays and on
+    # kept spectra, whole and at kept slices inside and outside the wrapped
+    # coefficients and the ones past the transform length
+    R = residues(ctx)
+    rng = np.random.default_rng(n + m + ctx.d)
+    rows = -(-16 // ctx.d**2)
+    a = rng.integers(0, ctx.p, (3, rows, ctx.d, n))
+    b = rng.integers(0, ctx.p, (3, rows, ctx.d, m))
+    assert R._plan(3 * rows * ctx.d**2, n, m, 3)[0] == length
+    assert R._plan(rows * ctx.d**2, n, m, 1)[0] == length
+    assert (R.conv_sum(a, b) == kronecker_conv_sum(R, a, b)).all()
+    one = kronecker_conv_sum(R, a[:1], b[:1])
+    assert (R.conv(a[0], b[0]) == one).all()
+    for keep in (slice(w + 2), slice(w - 1, length), slice(length - 2, None), slice(n),
+                 slice(m - 1, n + m - 1), slice(length, None)):
+        assert (R.conv(a[0], b[0], keep) == one[..., keep]).all()
+    flipped = kronecker_conv_sum(R, a[:1], b[:1, ..., ::-1])[..., m - 1 : m - 1 + n]
+    assert (R.corr(a[0], b[0]) == flipped).all()
+    spectrum = R.transform(a, m)
+    assert isinstance(spectrum, Spectrum) and spectrum.plan[0] == length
+    assert (R.conv_sum(spectrum, b) == kronecker_conv_sum(R, a, b)).all()
+    assert (R.conv_sum(flip(spectrum), b) == kronecker_conv_sum(R, a[..., ::-1], b)).all()
+    assert (R.corr(b[0], spectrum[0]) == kronecker_conv_sum(
+        R, b[:1], a[:1, ..., ::-1])[..., n - 1 : n - 1 + m]).all()
+
+
+def test_kernel_levels_plan_their_transform_lengths():
+    # a level's pairs stacked as _kept stacks them: gs_wide's (alpha 4, size
+    # 257) products run cyclic at 512, gs_deep's (alpha 10, size 385) at 1024
+    R = residues(prime_field(16777213))
+    assert R._plan(4 * 2, 257, 257, 4)[0] == 512
+    assert R._plan(10 * 2, 385, 385, 10)[0] == 1024
+    assert R._plan(4 * 2, 256, 256, 4)[0] == 512  # 511 coefficients, no wrap
+
+
+@pytest.mark.parametrize(
+    "p, k, terms",
+    [(131071, 1, 1), (131071, 1, 4), (2**31 - 1, 2, 1), (2**31 - 1, 2, 8)],
+)
+def test_cyclic_fft_products_exact_at_the_rounding_bound(p, k, terms):
+    # every residue p - 1, the longer operand at the longest length the
+    # bound allows for k limbs, the shorter one as long as a cyclic product
+    # at the power of two at or above it allows
+    R = residues(prime_field(p))
+    n = longest_length(R, terms, k)
+    length = 1 << (n - 1).bit_length()
+    m = length + 1 + math.isqrt(field_module._WRAP * length) - n
+    assert R.fft_limbs(n, terms)[0] == k and m <= n
+    rows = -(-field_module._FFT_WORK // (terms * m * m))
+    assert R._plan(terms * rows, n, m, terms)[0] == length
+    a = np.full((terms, rows, 1, n), p - 1, dtype=np.int64)
+    b = np.full((terms, rows, 1, m), p - 1, dtype=np.int64)
+    ones = np.convolve(np.ones(n, dtype=np.int64), np.ones(m, dtype=np.int64))
+    want = [terms * (p - 1) ** 2 * int(c) % p for c in ones]
+    got = R.conv_sum(a, b)
+    assert got.shape == (rows, 1, n + m - 1)
+    assert all(row.tolist() == want for row in got[:, 0])

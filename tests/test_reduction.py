@@ -6,13 +6,15 @@ from mvinterp.approx import unpack_solution, verify_approx
 from mvinterp.errors import DegreeViolation, DuplicateNode, NoSolutionSpace
 from mvinterp.field import FieldCtx, prime_field, residues
 from mvinterp.outcomes import NoSolution, NotApplicable, Solution
-from mvinterp.poly import Poly, poly_divrem
+from mvinterp.poly import Poly, lagrange_interp, poly_divrem, weighted_product
 from mvinterp.reduction import (
     InterpolationInstance,
     MultiPoly,
     assemble_Q,
     binom_mod,
     build_reduction,
+    exp_dot,
+    exp_leq,
     graded_exponents,
     multi_binom,
     preprocess_high_multiplicity,
@@ -256,6 +258,25 @@ def test_trivial_weight_check():
     assert isinstance(trivial_weight_check(inst2), NoSolution)
 
 
+def test_degree_count_is_build_reductions_verdict():
+    # with a weight below n, the shortcut answers NoSolution exactly where
+    # the capped instance has no admissible column, for weights of any sign
+    for mults in ((1, 1), (5, 1), (4, 6)):
+        for weights in ((-3,), (-1,), (0,), (1,), (-2, 1), (0, 1)):
+            pts = [(0, 11, 3)[: len(weights) + 1], (8, 12, 5)[: len(weights) + 1]]
+            for ell in (1, 2, 3):
+                for b in range(-3, 7):
+                    inst = mk_inst(F13, pts, mults, ell, b, weights)
+                    try:
+                        build_reduction(preprocess_high_multiplicity(inst)[0])
+                        admissible = True
+                    except NoSolutionSpace:
+                        admissible = False
+                    out = trivial_weight_check(inst)
+                    assert isinstance(out, NotApplicable) == admissible, (mults, weights, ell, b)
+                    assert admissible or "NoSolutionSpace" in out.reason
+
+
 # ---------------------------------------------------------------- build_reduction
 
 
@@ -350,6 +371,52 @@ def test_build_reduction_known_divisors():
         checked += 1
         nontrivial += bool(kernel)
     assert checked >= 15 and nontrivial > 0 and dropped > 0
+
+
+def reduction_by_definition(inst):
+    """build_reduction's exponents, bounds, moduli and residues as its
+    docstring defines them: every exponent up to ydeg_bound tried, one
+    interpolant per Y-coordinate and one product per modulus."""
+    ctx, xs = inst.ctx, [x for x, _ in inst.points]
+    cols = [j for j in graded_exponents(inst.nvars, inst.ydeg_bound)
+            if inst.wdeg_bound - exp_dot(j, inst.weights) >= 1]
+    interp = [lagrange_interp(ctx, xs, [ys[t] for _, ys in inst.points])
+              for t in range(inst.nvars)]
+    moduli, entries = [], []
+    for i in graded_exponents(inst.nvars, inst.max_mult, strict=True):
+        kept = [(x, m - sum(i)) for x, m in zip(xs, inst.mults) if m > sum(i)]
+        moduli.append(weighted_product(ctx, [x for x, _ in kept], [e for _, e in kept]))
+        row = []
+        for j in cols:
+            f = Poly.zero(ctx)
+            if exp_leq(i, j):
+                f = Poly.one(ctx)
+                for t, r in enumerate(interp):
+                    f = f * r ** (j[t] - i[t])
+                f = poly_divrem(f, moduli[-1])[1].scale(multi_binom(ctx, j, i))
+            row.append(f)
+        entries.append(row)
+    bounds = [inst.wdeg_bound - exp_dot(j, inst.weights) for j in cols]
+    return tuple(cols), tuple(bounds), moduli, entries
+
+
+@pytest.mark.parametrize(
+    "p, n, mults, ell, b, weights",
+    [
+        (16777213, 24, (2,), 3, 20, (5,)),  # gs: one tree gives P and R
+        (101, 6, (1, 2, 3), 4, 2, (1, -3)),  # s = 2, a negative weight
+        (101, 7, (2, 1), 5, 7, (3, 0)),  # s = 2, a zero weight
+    ],
+)
+def test_build_reduction_matches_its_definition(p, n, mults, ell, b, weights):
+    F, rng = prime_field(p), random.Random(n)
+    pts = [(x, *[rng.randrange(p) for _ in weights]) for x in rng.sample(range(p), n)]
+    inst = mk_inst(F, pts, tuple(mults[r % len(mults)] for r in range(n)), ell, b, weights)
+    plan, approx = build_reduction(inst)
+    cols, bounds, moduli, entries = reduction_by_definition(inst)
+    assert plan.exponents == cols and approx.col_bounds == bounds
+    assert list(approx.moduli) == moduli
+    assert [list(row) for row in approx.residues] == entries
 
 
 def test_row_dimension_identity():
