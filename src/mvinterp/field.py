@@ -565,7 +565,7 @@ class Residues:
         else:
             flat = self.mul_matrix(c).swapaxes(-3, -2).reshape(c.shape[:-2] + (d, J * d))
             vs = vs.reshape(vs.shape[:-3] + (J * d, vs.shape[-1]))
-        if c.dtype is vs.dtype is _INT64 and J <= self._int64_terms:  # no casts
+        if c.dtype is vs.dtype is _INT64 and J <= self._int64_terms:  # no casts, ~2% of a step
             sums = flat @ vs
             sums %= self.p
             return sums
@@ -734,8 +734,8 @@ class Residues:
         acc = self.sum_dtype(max(len(a), len(b)) * w)
         tail = np.zeros(b.shape[:-1] + (2 * w - 1,), acc)
         tail[..., :w] = b[..., -w:]
-        hankel = tail[..., np.add.outer(np.arange(w), np.arange(w))]  # [i, r]: b[m-w+i+r]
-        wrapped = np.einsum("c...xr,c...yir->...xyi", a[..., : -w - 1 : -1].astype(acc), hankel)
+        hankel = tail[..., None, :, np.add.outer(np.arange(w), np.arange(w))]  # [r, i]: b[m-w+i+r]
+        wrapped = (a[..., None, None, : -w - 1 : -1].astype(acc) @ hankel).sum(0)[..., 0, :]
         wrapped = (wrapped % p).astype(np.int64, copy=False)
         head = out[..., : max(min(hi, w) - lo, 0)]  # the kept coefficients below w
         head -= wrapped[..., lo : lo + head.shape[-1]]

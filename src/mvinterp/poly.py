@@ -6,7 +6,7 @@ the same for every field; FieldElements are built only when a caller asks
 for them (`c`, `coeff`, `lead`, `to_ints`, `eval`).  A product is one
 residue convolution.  Power-series inversion is Newton iteration, division
 switches to it for long quotients, and products of many linear factors
-(`weighted_product`, `lagrange_rows`) run level by level on a product
+(`weighted_product`, `lagrange_interp`) run level by level on a product
 tree of stacked arrays.
 """
 
@@ -287,24 +287,22 @@ def _product_tree(ctx: FieldCtx, roots: np.ndarray) -> list:
     return levels
 
 
-def lagrange_interp(ctx: FieldCtx, xs, ys) -> Poly:
-    """Unique polynomial of degree < n through (xs[i], ys[i]); xs distinct."""
-    xs, ys = [ctx.el(x) for x in xs], [ctx.el(y) for y in ys]
-    if len(xs) != len(ys):
-        raise BadLength(f"{len(xs)} nodes vs {len(ys)} values")
-    return lagrange_rows(ctx, xs, [ys])[0][0] if xs else Poly.zero(ctx)
-
-
-def lagrange_rows(ctx: FieldCtx, xs, rows) -> tuple:
-    """([f_t], M): the polynomial f_t of degree < n through (xs[i],
-    rows[t][i]) for each row t, and M = prod_k (X - xs[k]), from one product
-    tree of the n >= 1 distinct nodes (FieldElements).  Barycentric form:
-    weights w_i = prod_{k != i} (x_i - x_k) (_node_weights), c_i = y_i / w_i,
-    and sum_i c_i * M / (X - x_i) combined up the tree as f_L * M_R + f_R *
-    M_L, one stacked product of every row per level."""
+def lagrange_interp(ctx: FieldCtx, xs, rows) -> tuple:
+    """([f_t], M): the unique polynomial f_t of degree < n through (xs[i],
+    rows[t][i]) for each row of values t, and M = prod_i (X - xs[i]); xs
+    distinct.  Barycentric form on one product tree of the nodes: weights
+    w_i = prod_{k != i} (x_i - x_k) (_node_weights), c_i = y_i / w_i, and
+    sum_i c_i * M / (X - x_i) combined up the tree as f_L * M_R + f_R * M_L,
+    one stacked product of every row per level."""
+    xs, rows = [ctx.el(x) for x in xs], [[ctx.el(y) for y in ys] for ys in rows]
+    for ys in rows:
+        if len(ys) != len(xs):
+            raise BadLength(f"{len(xs)} nodes vs {len(ys)} values")
     if len(set(xs)) != len(xs):
         raise DuplicateNode("interpolation nodes must be pairwise distinct")
     n = len(xs)
+    if n == 0:
+        return [Poly.zero(ctx) for _ in rows], Poly.one(ctx)
     R, p = residues(ctx), ctx.p
     x = R.array(xs)
     levels = _product_tree(ctx, x)
@@ -325,7 +323,7 @@ def lagrange_rows(ctx: FieldCtx, xs, rows) -> tuple:
 def _node_weights(R, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """prod_{k != i} (x_i - x_k) for the nodes lo <= i < hi of x (d, n), as
     a (d, hi - lo) array: a halving product over the (hi - lo, d, n) array
-    of differences, which lagrange_rows keeps to _WEIGHT_CELLS cells."""
+    of differences, which lagrange_interp keeps to _WEIGHT_CELLS cells."""
     rows = hi - lo
     diff = x.T[lo:hi, :, None] - x[None, :, :]  # reduced by the products
     diff[np.arange(rows), :, np.arange(lo, hi)] = R.unit(1, 0)[:, 0]

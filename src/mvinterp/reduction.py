@@ -37,7 +37,7 @@ from .errors import (
 )
 from .field import FieldCtx, FieldElement, residues
 from .outcomes import NoSolution, NotApplicable, Solution
-from .poly import Poly, lagrange_rows, remainder_by, weighted_product
+from .poly import Poly, lagrange_interp, remainder_by, weighted_product
 
 # ---------------------------------------------------------------- indices
 
@@ -322,16 +322,21 @@ def trivial_weight_check(inst: InterpolationInstance):
     weight >= n only Y-degree 0 can appear: compare wdeg_bound with the
     degree of the forced vanishing product.  Otherwise NoSolution where the
     multiplier of preprocess_high_multiplicity, of degree sum_r (m_r - ell)^+,
-    leaves no column bound >= 1 (the budget less ell times a negative k)."""
+    leaves no column bound >= 1 (_top_bound)."""
     if all(w >= inst.n for w in inst.weights):
         if inst.wdeg_bound <= sum(inst.mults):
             return NoSolution("degree budget below the forced vanishing product")
         prod = weighted_product(inst.ctx, [x for x, _ in inst.points], inst.mults)
         return Solution(MultiPoly(inst.ctx, inst.nvars, {(0,) * inst.nvars: prod}))
-    ell = inst.ydeg_bound
-    if inst.wdeg_bound - sum(max(m - ell, 0) for m in inst.mults) - ell * min(0, *inst.weights) < 1:
+    if _top_bound(inst) - sum(max(m - inst.ydeg_bound, 0) for m in inst.mults) < 1:
         return NoSolution("NoSolutionSpace: no admissible Y-exponent satisfies the degree bounds")
     return NotApplicable()
+
+
+def _top_bound(inst: InterpolationInstance) -> int:
+    """The largest column bound wdeg_bound - j.weights over |j| <= ell: j
+    puts all ell on the least weight if it is negative, else j = 0."""
+    return inst.wdeg_bound - inst.ydeg_bound * min(0, *inst.weights)
 
 
 # ---------------------------------------------------------------- reduction
@@ -360,10 +365,9 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
         known = divisors[j].deg if j in divisors else 0
         return inst.wdeg_bound - exp_dot(j, inst.weights) - known
 
-    # bound(j) >= 1 caps j_t, weight > 0, by the budget negative weights leave
-    ell = inst.ydeg_bound
-    budget = inst.wdeg_bound - 1 - ell * sum(w for w in inst.weights if w < 0)
-    caps = tuple(min(ell, budget // w) if w > 0 else ell for w in inst.weights)
+    # bound(j) >= 1 caps j_t w_t, weight > 0, below the largest column bound
+    ell, top = inst.ydeg_bound, _top_bound(inst)
+    caps = tuple(min(ell, (top - 1) // w) if w > 0 else ell for w in inst.weights)
     cols = [j for j in _graded(caps, ell) if bound(j) >= 1]
     if not cols:
         raise NoSolutionSpace("no admissible Y-exponent satisfies the degree bounds")
@@ -373,7 +377,7 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
     xs = [x for x, _ in inst.points]
     # interpolants of the Y-coordinates some column uses, and prod (X - x_r)
     used = [t for t in range(inst.nvars) if any(j[t] > 0 for j in cols)]
-    fs, every = lagrange_rows(ctx, xs, [[ys[t] for _, ys in inst.points] for t in used])
+    fs, every = lagrange_interp(ctx, xs, [[ys[t] for _, ys in inst.points] for t in used])
     interp = dict(zip(used, fs))
 
     # moduli, their remainder maps and the powers of the interpolants

@@ -49,7 +49,7 @@ and the elimination stacks both halves.  The Schur step, the echelon and
 the back-substitution are written once, each op one Residues call whose
 d = 1 shortcuts keep a prime-field step at about 13 numpy calls; d appears
 here only in the lift policy.  The random draws are digits of the sampled
-indices, drawn in bulk (_draw); the answer is a residue array.
+indices; the answer is a residue array.
 
 Generator applies (_apply, _apply_last, _precondition) are batched products
 of the stacked halves: A·x is conv_sum(V, corr(x, W)), reduced mod p between
@@ -134,17 +134,9 @@ def _draw(R, min_size: int, rng, k: int) -> np.ndarray:
     """k uniform draws from the sampling subset S, as a (d, k) residue
     array: each is randrange(|S|) (subset_range), its index turned into
     little-endian base-p digits, so S is the first |S| elements of the
-    field's canonical enumeration.  Below 2^32 they come in bulk, as the
-    same sequence and generator state: randrange(|S|) keeps the top
-    |S|.bit_length() bits of one 32-bit word, again while they reach |S|,
-    and getrandbits(32 j) gives j such words, the first lowest."""
+    field's canonical enumeration."""
     size = subset_range(R.ctx, min_size)
-    bits = size.bit_length()
-    idx = np.zeros(0, np.int64) if bits <= 32 else [rng.randrange(size) for _ in range(k)]
-    while len(idx) < k:  # one word per draw still missing
-        j = k - len(idx)
-        words = np.frombuffer(rng.getrandbits(32 * j).to_bytes(4 * j, "little"), "<u4") >> 32 - bits
-        idx = np.concatenate([idx, words[words < size]])
+    idx = [rng.randrange(size) for _ in range(k)]
     idx = np.array(idx, dtype=np.int64 if max(size, R.p) < 2**63 else object)
     out = R.zeros(k)
     for t in range(R.d):

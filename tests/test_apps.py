@@ -521,10 +521,8 @@ def test_benchmark_tracer_finds_every_layer(monkeypatch):
     # globals their callers look them up in; a renamed or re-imported name
     # would silently read 0 there, so every one must still be found, except
     # the three lift layers apps no longer calls (the kernel lifts itself),
-    # the Hankel flip (the kernel flips a hankel-tagged generator itself),
-    # the dense route wrapper (the dense backend is a BUILDERS entry) and
-    # lagrange_interp (build_reduction interpolates every Y-coordinate at
-    # once with lagrange_rows, on the tree that also gives prod (X - x_r))
+    # the Hankel flip (the kernel flips a hankel-tagged generator itself) and
+    # the dense route wrapper (the dense backend is a BUILDERS entry)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     layers = importlib.import_module("layers")
     with layers.Tracer(layers.LAYERS + layers.DENSE) as tracer:
@@ -532,7 +530,6 @@ def test_benchmark_tracer_finds_every_layer(monkeypatch):
             "approx.lift_instance",
             "field.build_extension",
             "field.project_solution_to_base",
-            "poly.lagrange_interp",
             "struct_solve.hankel_to_toeplitz",
             "toeplitz_like.solve_via_dense",
         ]

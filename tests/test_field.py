@@ -217,19 +217,6 @@ def test_sample_subset_roughly_uniform():
     assert chi2 < 40
 
 
-@pytest.mark.parametrize("size", [1, 2, 13, 893976, 2**31, 2**32 - 5, 2**32, 2**40])
-@pytest.mark.parametrize("k", [0, 1, 385])
-def test_bulk_draws_are_the_randrange_sequence(size, k):
-    # below 2^32 the indices come from one getrandbits per batch; they are
-    # the indices randrange gives, and the generator ends in the same state
-    R = residues(prime_field(2**61 - 1))  # S is the first `size` elements
-    rng, ref = random.Random(size + k), random.Random(size + k)
-    want = [ref.randrange(size) for _ in range(k)]
-    got = _draw(R, size, rng, k)
-    assert got.shape == (1, k) and got[0].tolist() == want
-    assert rng.random() == ref.random()
-
-
 # ---------------------------------------------------------------- FFT products
 
 

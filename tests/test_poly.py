@@ -259,7 +259,7 @@ def test_series_inv_char2():
 
 
 def test_lagrange_known():
-    f = lagrange_interp(F13, (0, 1, 2), (1, 2, 5))
+    f = lagrange_interp(F13, (0, 1, 2), [(1, 2, 5)])[0][0]
     assert f == P13(1, 0, 1)  # X^2 + 1
 
 
@@ -269,7 +269,7 @@ def test_lagrange_roundtrip_random():
     for n in (1, 2, 5, 11):
         xs = rng.sample(range(101), n)
         ys = [rng.randrange(101) for _ in range(n)]
-        f = lagrange_interp(F, xs, ys)
+        f = lagrange_interp(F, xs, [ys])[0][0]
         assert f.deg < n
         for x, y in zip(xs, ys):
             assert f.eval(F.el(x)) == F.el(y)
@@ -289,20 +289,21 @@ def test_lagrange_roundtrip_every_field(ctx, n):
     rng = random.Random(n)
     xs = [ctx.from_index(i) for i in rng.sample(range(min(ctx.order, 10**9)), n)]
     ys = [rand_el(ctx, rng) for _ in range(n)]
-    f = lagrange_interp(ctx, xs, ys)
+    # a polynomial of degree < n comes back unchanged, from the same tree
+    g = Poly(ctx, ys)
+    (f, h), M = lagrange_interp(ctx, xs, [ys, [g.eval(x) for x in xs]])
     assert f.deg < n
     assert [f.eval(x) for x in xs] == ys
-    # a polynomial of degree < n comes back unchanged
-    g = Poly(ctx, ys)
-    assert lagrange_interp(ctx, xs, [g.eval(x) for x in xs]) == g
+    assert h == g
+    assert M == weighted_product(ctx, xs, [1] * n)
 
 
 def test_lagrange_errors():
     with pytest.raises(DuplicateNode):
-        lagrange_interp(F13, (1, 1), (2, 3))
+        lagrange_interp(F13, (1, 1), [(2, 3)])
     with pytest.raises(BadLength):
-        lagrange_interp(F13, (1, 2), (3,))
-    assert lagrange_interp(F13, (), ()).is_zero()
+        lagrange_interp(F13, (1, 2), [(3,)])
+    assert lagrange_interp(F13, (), [()]) == ([Poly.zero(F13)], Poly.one(F13))
 
 
 def test_weighted_product_known():

@@ -380,7 +380,7 @@ def reduction_by_definition(inst):
     ctx, xs = inst.ctx, [x for x, _ in inst.points]
     cols = [j for j in graded_exponents(inst.nvars, inst.ydeg_bound)
             if inst.wdeg_bound - exp_dot(j, inst.weights) >= 1]
-    interp = [lagrange_interp(ctx, xs, [ys[t] for _, ys in inst.points])
+    interp = [lagrange_interp(ctx, xs, [[ys[t] for _, ys in inst.points]])[0][0]
               for t in range(inst.nvars)]
     moduli, entries = [], []
     for i in graded_exponents(inst.nvars, inst.max_mult, strict=True):
