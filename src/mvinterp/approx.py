@@ -79,15 +79,15 @@ class ApproxInstance:
 def trim_instance(a: ApproxInstance):
     """Normalize to total_cols <= total_rows + 1 by shrinking from the right.
 
-    Returns (a', dropped, last_bound): `dropped` whole trailing unknowns were
-    removed and the last kept unknown's bound became `last_bound`.  Solutions
-    of a' become solutions of a by appending `dropped` zero polynomials.
+    Returns (a', dropped): `dropped` whole trailing unknowns were removed and
+    the last kept unknown's bound shrank to a'.col_bounds[-1].  Solutions of
+    a' become solutions of a by appending `dropped` zero polynomials.
     """
     target = a.total_rows + 1
     if target < 1:
         raise Degenerate("impossible row total")
     if a.total_cols <= target:
-        return a, 0, a.col_bounds[-1]
+        return a, 0
     bounds = []
     acc = 0
     for b in a.col_bounds:
@@ -103,7 +103,7 @@ def trim_instance(a: ApproxInstance):
         tuple(row[:kept] for row in a.residues),
         bounds,
     )
-    return trimmed, a.nu - kept, bounds[-1]
+    return trimmed, a.nu - kept
 
 
 def lift_trimmed(a: ApproxInstance, qs, dropped: int):

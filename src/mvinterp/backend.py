@@ -23,7 +23,7 @@ from .struct_solve import GeneratorPair, nullspace_structured
 # builders are looked up on their modules at each call, so a wrapper set on
 # the module attribute (perfbench's per-layer tracer) is the one called.
 BUILDERS = {
-    "hankel": lambda a: mosaic_hankel.build_hankel_generators(a)[0],
+    "hankel": lambda a: mosaic_hankel.build_hankel_generators(a),
     "toeplitz": lambda a: toeplitz_like.build_toeplitz_generators(a),
     "dense": lambda a: toeplitz_like.dense_build_Aprime(a),
 }
@@ -51,7 +51,7 @@ def solve_approx(a: ApproxInstance, rng, backend: str = "hankel", *, max_retries
         build = BUILDERS[backend]
     except KeyError:
         raise Degenerate(f"unknown backend {backend!r}") from None
-    trimmed, dropped, _ = trim_instance(a)
+    trimmed, dropped = trim_instance(a)
     out = solve_built(trimmed, build(trimmed), rng, max_retries)
     if not isinstance(out, Solution):
         return out

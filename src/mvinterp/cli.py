@@ -292,7 +292,7 @@ def cmd_bench(args) -> int:
     for n in sizes:
         parsed = _gen_instance(BENCH_PRIME, n, 1, 2, n // 4, "auto", "gs", seed=n)
         _, a = build_reduction(parsed.interpolation_instance())
-        a, _, _ = trim_instance(a)
+        a, _ = trim_instance(a)
         for bk in backends:
             # only the nullspace kernel is timed: the linearization is built
             # once outside the clock

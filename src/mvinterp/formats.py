@@ -158,6 +158,7 @@ def parse_instance(text: str):
     bounds = None
     moduli = {}
     residues = {}
+    seen = set()  # keywords that may appear once
 
     for lineno, toks in _content_lines(text):
         key = toks[0]
@@ -173,6 +174,10 @@ def parse_instance(text: str):
             )
             rows.append((x, m, ys))
             continue
+        if key not in ("modulus", "residue"):
+            if key in seen:
+                raise ParseError(f"line {lineno}: repeated {key} line")
+            seen.add(key)
         if key == "field":
             ctx = _parse_field(toks[1:])
         elif key in ("s", "ell", "b", "n0", "points"):
@@ -196,9 +201,12 @@ def parse_instance(text: str):
             coeffs = [parse_element(ctx, t) for t in toks[head + 1 :]]
             poly = Poly(ctx, coeffs) if coeffs else Poly.zero(ctx)
             if key == "modulus":
-                moduli[_int(toks[1], "row")] = poly
+                table, index = moduli, _int(toks[1], "row")
             else:
-                residues[(_int(toks[1], "row"), _int(toks[2], "column"))] = poly
+                table, index = residues, (_int(toks[1], "row"), _int(toks[2], "column"))
+            if index in table:
+                raise ParseError(f"line {lineno}: repeated {key} {index}")
+            table[index] = poly
         else:
             raise ParseError(f"line {lineno}: unknown keyword {key!r}")
 

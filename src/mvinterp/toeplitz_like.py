@@ -7,9 +7,9 @@ companion-matrix actions on the residue — which makes A' - Z A' Z^T of
 rank at most mu+nu: shifting a column right and down differs from the next
 companion action only through the reduction term (a multiple of P_i's
 coefficient vector scaled by the outgoing top coefficient) plus block
-boundary corrections.  The top-coefficient sequences are computed fast as
-power-series quotients (last_coeff_sequence), never by materializing the
-blocks.
+boundary corrections.  The top coefficients of X^v F_{i,j} mod P_i are the
+first N'_j terms of the Markov series rev(F_{i,j})/rev(P_i), so they are
+read off mosaic_hankel.compute_s_star, never by materializing the blocks.
 """
 
 from __future__ import annotations
@@ -17,37 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from .approx import ApproxInstance
-from .errors import BadLength, TooLarge
-from .poly import Poly, poly_mod, reverse, series_inv, trunc
+from .errors import TooLarge
+from .mosaic_hankel import compute_s_star
+from .poly import Poly, poly_mod
 from .struct_solve import TAG_TOEPLITZ, GeneratorPair
 
 DENSE_GUARD_CELLS = 1 << 20  # largest matrix either linearization builds densely
-
-
-def last_coeff_sequence(P: Poly, F: Poly, count: int):
-    """c_i = top coefficient (degree m-1) of X^i * F mod P, for i < count.
-
-    The top coefficients of X^i mod P satisfy the m-term recurrence of
-    monic P, so their generating function is X^(m-1) / rev(P); correlating
-    it with F's coefficients gives the c_i as the first count terms of
-    rev(F) / rev(P).  One series inverse and one product overall instead of
-    count modular multiplications.
-    """
-    m = P.deg
-    if m < 1 or P.lead() != P.ctx.one():
-        raise BadLength("modulus must be monic of degree >= 1")
-    if count < 1:
-        return ()
-    if F.deg >= m:
-        raise BadLength("residue degree must stay below the modulus degree")
-    s = _tops(P, F, series_inv(reverse(P, m), count), count)
-    return tuple(s.coeff(i) for i in range(count))
-
-
-def _tops(P: Poly, F: Poly, rev_inv: Poly, count: int) -> Poly:
-    """The first count terms of rev(F) / rev(P), the top coefficients of
-    X^i * F mod P, from an inverse of rev(P) to at least count terms."""
-    return trunc(reverse(F, P.deg - 1) * trunc(rev_inv, count), count)
 
 
 def _alpha_columns(p: Poly, f: Poly, count: int):
@@ -104,13 +79,12 @@ def build_toeplitz_generators(a: ApproxInstance) -> GeneratorPair:
     col_starts = np.cumsum((0,) + a.col_bounds)
     v = np.zeros((mu + nu, ctx.d, M), a.moduli[0].a.dtype)
     w = np.zeros((mu + nu, ctx.d, N), v.dtype)
-    for i, P in enumerate(a.moduli):
+    for i, (P, series) in enumerate(zip(a.moduli, compute_s_star(a))):
         r0, m = row_offsets[i], P.deg
         v[i, :, r0 : r0 + m] = -P.coeffs(m) % p
         if i + 1 < mu:
             v[i, 0, r0 + m] = p - 1
-        rev_inv = series_inv(reverse(P, m), max(a.col_bounds))
-        tops = [_tops(P, f, rev_inv, b).coeffs(b) for f, b in zip(a.residues[i], a.col_bounds)]
+        tops = [s.coeffs(b) for s, b in zip(series, a.col_bounds)]
         w[i, :, 1:] = np.concatenate(tops, axis=1)[:, : N - 1]
     for j, bound in enumerate(a.col_bounds):
         for i, P in enumerate(a.moduli):

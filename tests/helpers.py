@@ -13,7 +13,7 @@ from mvinterp.approx import ApproxInstance
 from mvinterp.field import prime_field, residues
 from mvinterp.linalg import _np_eligible, _rref_generic, _rref_np, _to_np
 from mvinterp.errors import BadLength, TooLarge
-from mvinterp.mosaic_hankel import compute_s_star, layout_for
+from mvinterp.mosaic_hankel import compute_s_star
 from mvinterp.poly import Poly, reverse, series_inv, trunc
 from mvinterp.reduction import (
     InterpolationInstance,
@@ -359,19 +359,26 @@ def dense_build_A(a: ApproxInstance):
     if M * N > DENSE_GUARD_CELLS:
         raise TooLarge(f"{M}x{N} dense mosaic exceeds the guard")
     s_star = compute_s_star(a)
-    layout = layout_for(a)
-    col_starts = [c - n + 1 for c, n in zip(layout.col_offsets, a.col_bounds)]
     rows = [[a.ctx.zero()] * N for _ in range(M)]
+    r0 = 0
     for i, mi in enumerate(a.row_bounds):
-        r0 = layout.row_offsets[i]
+        c0 = 0
         for j, nj in enumerate(a.col_bounds):
-            c0 = col_starts[j]
             s = s_star[i][j]
             for u in range(mi):
                 row = rows[r0 + u]
                 for v in range(nj):
                     row[c0 + v] = s.coeff(u + v)
+            c0 += nj
+        r0 += mi
     return rows
+
+
+def markov_tops(P, F, count):
+    """The top coefficients of X^v * F mod P for v < count: the first count
+    terms of compute_s_star on the one-block instance (P; F; count)."""
+    series = compute_s_star(ApproxInstance(P.ctx, (P,), ((F,),), (count,)))[0][0]
+    return tuple(series.coeff(v) for v in range(count))
 
 
 # ------------------------------------------------------------ dense residue oracles

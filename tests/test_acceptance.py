@@ -27,11 +27,7 @@ from mvinterp.apps import (
 from mvinterp.cli import main
 from mvinterp.field import prime_field, residues
 from mvinterp.linalg import matrix_rank
-from mvinterp.mosaic_hankel import (
-    build_hankel_generators,
-    compute_s_star,
-    layout_for,
-)
+from mvinterp.mosaic_hankel import build_hankel_generators, compute_s_star
 from mvinterp.outcomes import Failure, NoSolution, NotApplicable, Solution
 from mvinterp.poly import Poly, poly_divrem, poly_mod, trunc, reverse
 from mvinterp.reduction import (
@@ -53,17 +49,14 @@ from mvinterp.struct_solve import (
     TAG_TOEPLITZ,
     subset_floor,
 )
-from mvinterp.toeplitz_like import (
-    build_toeplitz_generators,
-    dense_build_Aprime,
-    last_coeff_sequence,
-)
+from mvinterp.toeplitz_like import build_toeplitz_generators, dense_build_Aprime
 
 from helpers import (
     dense_build_A,
     displacement_of_dense,
     generator_product,
     kernel_basis,
+    markov_tops,
     random_approx_instance,
     random_interp_instance,
     random_monic,
@@ -248,7 +241,7 @@ def test_criterion_03_displacement_rank_bounds():
         A = dense_build_A(a)
         disp = displacement_of_dense(TAG_HANKEL, A, ctx)
         assert matrix_rank(ctx, disp, a.total_cols) <= bound
-        G, _ = build_hankel_generators(a)
+        G = build_hankel_generators(a)
         assert generator_product(G) == disp
 
         Ap = dense_build_Aprime(a)
@@ -259,8 +252,9 @@ def test_criterion_03_displacement_rank_bounds():
 
 
 def test_criterion_04_generator_micro_oracles():
-    """last-coefficient sequences against naive modular shifts on >= 1000
-    random pairs, and the series table satisfies its multiply-back identity."""
+    """last-coefficient sequences (the series table's leading terms) against
+    naive modular shifts on >= 1000 random pairs, and the series table
+    satisfies its multiply-back identity."""
     rng = random.Random(404)
     pairs = 0
     while pairs < 1000:
@@ -270,20 +264,20 @@ def test_criterion_04_generator_micro_oracles():
         F = random_poly(ctx, P.deg, rng)
         count = rng.randint(1, 10)
         naive = [poly_mod(F.shift(v), P).coeff(P.deg - 1) for v in range(count)]
-        assert list(last_coeff_sequence(P, F, count)) == naive
+        assert list(markov_tops(P, F, count)) == naive
         pairs += 1
 
     for trial in range(50):
         ctx = prime_field((13, 101)[trial % 2])
         a = random_approx_instance(ctx, rng)
         table = compute_s_star(a)
-        layout = layout_for(a)
+        beta = max(a.col_bounds)
         for i, p_i in enumerate(a.moduli):
             p_rev = reverse(p_i, p_i.deg)
+            delta = p_i.deg + beta - 1
             for j, f in enumerate(a.residues[i]):
                 f_rev = reverse(f, p_i.deg - 1)
-                gamma = layout.gammas[j]
-                delta = layout.deltas[i]
+                gamma = beta - a.col_bounds[j]
                 lhs = trunc(table[i][j].shift(gamma) * p_rev, delta)
                 assert lhs == trunc(f_rev.shift(gamma), delta)
 

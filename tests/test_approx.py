@@ -94,23 +94,23 @@ def test_verify_multi_row():
 
 def test_trim_identity():
     a = single(X2, X, 3)  # total_cols = 3 = total_rows + 1
-    t, dropped, last = trim_instance(a)
-    assert t is a and dropped == 0 and last == 3
+    t, dropped = trim_instance(a)
+    assert t is a and dropped == 0 and t.col_bounds[-1] == 3
 
 
 def test_trim_shrinks_last_kept():
     a = ApproxInstance(F13, [X2], [[X, P13(1)]], [2, 2])
-    t, dropped, last = trim_instance(a)
+    t, dropped = trim_instance(a)
     assert t.col_bounds == (2, 1)
-    assert dropped == 0 and last == 1
+    assert dropped == 0
     assert t.total_cols == a.total_rows + 1
 
 
 def test_trim_drops_whole_columns():
     a = ApproxInstance(F13, [X2], [[X, P13(1)]], [4, 2])
-    t, dropped, last = trim_instance(a)
+    t, dropped = trim_instance(a)
     assert t.col_bounds == (3,)
-    assert dropped == 1 and last == 3
+    assert dropped == 1
 
 
 def test_trim_preserves_solutions_by_padding():
@@ -130,7 +130,7 @@ def test_trim_preserves_solutions_by_padding():
             )
         bounds = [rng.randrange(1, 5) for _ in range(nu)]
         a = ApproxInstance(F13, moduli, residues, bounds)
-        t, dropped, _ = trim_instance(a)
+        t, dropped = trim_instance(a)
         assert t.total_cols <= a.total_rows + 1
         # any solution of the trimmed instance lifts by zero-padding
         qs = [

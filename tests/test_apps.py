@@ -372,6 +372,22 @@ def test_soft_pipeline_solves_and_verifies():
     assert verify_solution(inst, out.value)
 
 
+def test_soft_pipeline_no_budget_is_no_solution():
+    # b <= 0 leaves no admissible monomial in any group's reduction
+    inst = InterpolationInstance(
+        F13,
+        1,
+        2,
+        0,
+        (1,),
+        ((el(0), (el(1),)), (el(0), (el(2),)), (el(1), (el(3),))),
+        (1, 1, 1),
+        allow_duplicate_x=True,
+    )
+    out = soft_interpolate(inst, random.Random(11))
+    assert isinstance(out, NoSolution) and "NoSolutionSpace" in out.reason
+
+
 def test_soft_random_agrees_with_dense_backend():
     for seed in spread_seeds(6000, 12):
         rng = random.Random(seed)
@@ -422,7 +438,7 @@ def test_small_prime_field_solves_in_base_field_first(monkeypatch):
         _, a = build_reduction(inst)
         if a.total_rows + a.total_cols <= 200:
             break
-    trimmed, _, _ = trim_instance(a)
+    trimmed, _ = trim_instance(a)
     assert subset_floor(max(trimmed.total_rows, trimmed.total_cols)) > ctx.order
 
     def no_lift(*args):

@@ -243,6 +243,84 @@ def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, tex
     assert capsys.readouterr().err.startswith("error:")
 
 
+S2_REENCODE = "field 13\ns 2\nell 1\nb 3\nk 1 1\nn0 1\npoints 2\n0 1 0 0\n1 1 2 3\n"
+REENCODE = SAMPLE.replace("k 1", "k 0\nn0 1").replace("0 1 1", "0 1 0")
+SOLVE, RAW = ["solve"], ["solve", "--mode", "raw-approx"]
+REENC, WU = ["solve", "--mode", "reencode"], ["solve", "--mode", "wu"]
+HEAD = "hash 0\nbackend hankel\n"
+
+# id -> (argv, instance text, solution text, expected error text)
+INPUT_CHECKS = {
+    "repeated-field": (SOLVE, SAMPLE.replace("13", "13\nfield 17", 1), None, "repeated field"),
+    "repeated-s": (SOLVE, SAMPLE.replace("s 1", "s 1\ns 1"), None, "repeated s"),
+    "repeated-ell": (SOLVE, SAMPLE.replace("ell 1", "ell 1\nell 2"), None, "repeated ell"),
+    "repeated-b": (SOLVE, SAMPLE.replace("b 3", "b 3\nb 4"), None, "repeated b"),
+    "repeated-k": (SOLVE, SAMPLE.replace("k 1", "k 1\nk 1"), None, "repeated k"),
+    "repeated-n0": (REENC, REENCODE.replace("n0 1", "n0 1\nn0 1"), None, "repeated n0"),
+    "repeated-points": (SOLVE, SAMPLE + "points 1\n3 1 1\n", None, "repeated points"),
+    "repeated-approx": (
+        RAW, APPROX_SAMPLE.replace("approx 1 2", "approx 1 2\napprox 1 2"), None, "repeated approx"
+    ),
+    "repeated-bounds": (RAW, APPROX_SAMPLE + "bounds 1 1\n", None, "repeated bounds"),
+    "repeated-modulus": (RAW, APPROX_SAMPLE + "modulus 0 : 1 1\n", None, "repeated modulus 0"),
+    "repeated-residue": (RAW, APPROX_SAMPLE + "residue 0 1 : 3\n", None, "repeated residue (0, 1)"),
+    "non-integer-token": (SOLVE, SAMPLE.replace("b 3", "b x"), None, "bad b"),
+    "element-too-long": (SOLVE, SAMPLE.replace("0 1 1", "0 1 1,2"), None, "more than 1 coeff"),
+    "extension-count": (SOLVE, SAMPLE.replace("13", "5 2 2 4", 1), None, "needs 3 coefficients"),
+    # X^2 + 1 = (X - 2)(X + 2) over F_5
+    "reducible-extension": (SOLVE, SAMPLE.replace("13", "5 2 1 0 1", 1), None, "reducible"),
+    "point-row-tokens": (SOLVE, SAMPLE.replace("0 1 1", "0 1 1 1"), None, "point row needs"),
+    "approx-one-number": (
+        RAW, APPROX_SAMPLE.replace("approx 1 2", "approx 1"), None, "approx takes mu and nu"
+    ),
+    "modulus-before-field": (
+        RAW, "approx 1 1\nbounds 1\nmodulus 0 : 0 1\nfield 13\n", None, "must precede"
+    ),
+    "record-without-colon": (
+        RAW, APPROX_SAMPLE.replace("modulus 0 :", "modulus 0"), None, "expected 'modulus"
+    ),
+    "missing-moduli": (
+        RAW, APPROX_SAMPLE.replace("modulus 0 : 0 0 1\n", ""), None, "need moduli 0..0"
+    ),
+    "degree-0-modulus": (
+        RAW, "field 13\napprox 1 1\nbounds 1\nmodulus 0 : 1\n", None, "bad approximation"
+    ),
+    "missing-b": (SOLVE, SAMPLE.replace("b 3\n", ""), None, "missing b line"),
+    "missing-points": (SOLVE, "field 13\ns 1\nell 1\nb 3\nk 1\n", None, "missing points"),
+    "solution-without-colon": (["verify"], SAMPLE, HEAD + "0 1 2\n", "expected '<exponents>"),
+    "solution-exponent-count": (["verify"], SAMPLE, HEAD + "0 1 : 2\n", "expected 1 exponents"),
+    "solution-duplicate": (["verify"], SAMPLE, HEAD + "0 : 1\n0 : 2\n", "duplicate record"),
+    "solution-without-header": (["verify"], SAMPLE, "0 : 1\n", "missing hash or backend"),
+    "reencode-s2": (REENC, S2_REENCODE, None, "needs s = 1"),
+    "reencode-inf": (REENC, REENCODE.replace("2 1 5", "2 1 inf"), None, "infinite y"),
+    "reencode-zero-y-past-n0": (REENC, REENCODE.replace("1 1 2", "1 1 0"), None, "y != 0"),
+    "wu-s2": (WU, S2_REENCODE, None, "wu mode needs s = 1"),
+    "wu-mixed-multiplicity": (WU, SAMPLE.replace("1 1 2", "1 2 2"), None, "common multiplicity"),
+    "raw-approx-on-interpolation": (RAW, SAMPLE, None, "needs an approx-format"),
+    "gen-n-zero": (["gen", "--p", "13", "--n", "0"], None, None, "need n, m, ell >= 1"),
+    "gen-reencode-m-over-ell": (
+        ["gen", "--p", "13", "--n", "4", "--m", "3", "--ell", "2", "--mode", "reencode"],
+        None,
+        None,
+        "needs m <= ell",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, text, solution, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_input_checks_exit1(tmp_path, capsys, argv, text, solution, message):
+    # every input check ends in exit 1 and one error line, never a traceback
+    if text is not None:
+        argv = argv + ["--in", write(tmp_path, "i.txt", text)]
+    if solution is not None:
+        argv = argv + ["--solution", write(tmp_path, "s.txt", solution)]
+    else:
+        argv = argv + ["--seed", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
 def test_gen_past_int64_primes(tmp_path):
     # rng.sample takes no range past sys.maxsize; the x are drawn one by one
     path = write(tmp_path, "g.txt", "")
