@@ -2,11 +2,12 @@
 
 A FieldCtx describes either a prime field (d = 1) or an extension
 F_p[t]/(f) with f monic irreducible of degree d.  FieldElement is a value
-type holding a fully reduced coefficient vector of length d.  Residues is
-the one array layer: n values of either kind of field are a (d, n) array of
-residues mod p, and every bulk computation (polynomials, generators, the
-structured kernel, the verifiers) runs on it.  All higher modules are
-written against this interface and never branch on d.
+type holding a fully reduced coefficient vector of length d; at d > 1 it
+inverts through Residues.  Residues is the one array layer: n values of
+either kind of field are a (d, n) array of residues mod p, and every bulk
+computation (polynomials, generators, the structured kernel, the verifiers)
+runs on it.  All higher modules are written against this interface and
+never branch on d.
 
 Also builds the extension fields F_{p^d} that the structured kernel lifts a
 too-small prime field to.
@@ -79,7 +80,8 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-# -- minimal coefficient-list arithmetic mod p, used only for ctx setup --
+# -- coefficient-list arithmetic in F_p[t]: Rabin's test, FieldElement --
+# -- products and the inverses of extension scalars (Residues.inv)     --
 # (the general Poly type lives in poly.py and depends on this module)
 
 
@@ -118,26 +120,27 @@ def _ppow_mod(a, e, f, p):
     return result
 
 
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # a mod b with b made monic on the fly
-        inv_lead = pow(b[-1], p - 2, p)
-        bm = [(c * inv_lead) % p for c in b]
-        r = list(a)
-        while len(r) >= len(bm) and r:
-            c = r[-1]
-            if c:
-                off = len(r) - len(bm)
-                for j in range(len(bm)):
-                    r[off + j] = (r[off + j] - c * bm[j]) % p
-            _ptrim(r)
-            if not r:
-                break
-            if len(r) < len(bm):
-                break
-        a, b = b, _ptrim(r)
-    return a
+def _pxgcd(a, b, p):
+    """(g, s) with g a gcd of the coefficient lists a and b over F_p and
+    s*a = g mod b, by the extended Euclidean algorithm (von zur Gathen &
+    Gerhard, Modern Computer Algebra, Alg. 3.14); g is b when a is zero."""
+    r0, r1 = _ptrim(list(b)), _ptrim(list(a))
+    s0, s1 = [], [1]
+    while r1:
+        inv_lead = pow(r1[-1], -1, p)
+        q = [0] * (len(r0) - len(r1) + 1)
+        while len(r0) >= len(r1):  # r0 becomes r0 mod r1
+            off = len(r0) - len(r1)
+            q[off] = c = r0[-1] * inv_lead % p
+            for j, v in enumerate(r1):
+                r0[off + j] = (r0[off + j] - c * v) % p
+            _ptrim(r0)
+        s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))  # s0 - q*s1
+        for i, qi in enumerate(q):
+            for j, v in enumerate(s1):
+                s[i + j] = (s[i + j] - qi * v) % p
+        r0, r1, s0, s1 = r1, r0, s1, _ptrim(s)
+    return r0, s0
 
 
 def _prime_divisors(n):
@@ -167,8 +170,7 @@ def _is_irreducible(f, p):
         while len(diff) < 2:
             diff.append(0)
         diff[1] = (diff[1] - 1) % p
-        g = _pgcd(f, _ptrim(diff), p)
-        if len(g) != 1:
+        if len(_pxgcd(diff, f, p)[0]) != 1:
             return False
     return _ppow_mod(x, p**d, f, p) == x
 
@@ -300,48 +302,15 @@ class FieldElement:
         return FieldElement(ctx, tuple(prod) + (0,) * (ctx.d - len(prod)))
 
     def inv(self) -> "FieldElement":
+        """At d > 1, Residues.inv of its residues."""
         ctx = self.ctx
-        p = ctx.p
         if ctx.d == 1:
             a = self.c[0]
             if a == 0:
                 raise DivisionByZero("inverse of zero")
-            return FieldElement(ctx, (pow(a, -1, p),))
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        # extended Euclid over F_p[t]
-        r0, r1 = list(ctx.modulus), _ptrim(list(self.c))
-        s0, s1 = [], [1]
-        while r1:
-            inv_lead = pow(r1[-1], p - 2, p)
-            q = []
-            r = list(r0)
-            while len(r) >= len(r1) and r:
-                c = (r[-1] * inv_lead) % p
-                off = len(r) - len(r1)
-                if len(q) < off + 1:
-                    q.extend([0] * (off + 1 - len(q)))
-                q[off] = c
-                for j in range(len(r1)):
-                    r[off + j] = (r[off + j] - c * r1[j]) % p
-                _ptrim(r)
-            # s_next = s0 - q*s1
-            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] = (qs1[i + j] + qi * sj) % p
-            s_next = [0] * max(len(s0), len(qs1))
-            for i, v in enumerate(s0):
-                s_next[i] = v
-            for i, v in enumerate(qs1):
-                s_next[i] = (s_next[i] - v) % p
-            r0, r1 = r1, r
-            s0, s1 = s1, _ptrim(s_next)
-        # r0 = gcd (a nonzero constant since modulus is irreducible)
-        scale = pow(r0[0], p - 2, p)
-        out = [(v * scale) % p for v in s0]
-        return FieldElement(ctx, tuple(out) + (0,) * (ctx.d - len(out)))
+            return FieldElement(ctx, (pow(a, -1, ctx.p),))
+        R = residues(ctx)
+        return R.elements(R.inv(np.array(self.c)).T)[0]
 
     def __truediv__(self, other):
         self._check(other)
@@ -400,8 +369,9 @@ class Residues:
     just pass a power of two (_plan), short ones np.convolve calls or one
     skewed product table (conv_sum).
 
-    Callers never branch on d; the prime-field shortcuts are here.  At
-    d = 1 inv is pow(s, -1, p) of Python ints, emul and mul one product,
+    Callers never branch on d; the prime-field shortcuts are here.  inv
+    is the extended Euclid of each scalar's residue list and f, at d = 1
+    pow(s, -1, p) of Python ints.  At d = 1 emul and mul are one product,
     scale one broadcast multiply left unreduced, combine one product (no
     casts over int64), dot one np.vdot, and the residue-pair fold a view.
     """
@@ -479,13 +449,21 @@ class Residues:
     def inv(self, *s: np.ndarray) -> np.ndarray:
         """Inverses of the scalars s, each (d,), stacked as (len(s), d);
         DivisionByZero on a zero.  At d = 1 each is one pow(x, -1, p) of a
-        Python int, else FieldElement's extended Euclid."""
+        Python int, else the extended Euclid (_pxgcd) of its residue list
+        and the modulus, whose gcd is a nonzero constant unless it is zero."""
         if self.d == 1:
             try:
                 return np.array([[pow(int(x[0]), -1, self.p)] for x in s], self.dtype)
             except ValueError:
                 raise DivisionByZero("inverse of zero") from None
-        return np.array([FieldElement(self.ctx, tuple(x.tolist())).inv().c for x in s], self.dtype)
+        p, out = self.p, []
+        for x in s:
+            g, inv = _pxgcd(x.tolist(), self.ctx.modulus, p)
+            if len(g) != 1:
+                raise DivisionByZero("inverse of zero")
+            c = pow(g[0], -1, p)
+            out.append([v * c % p for v in inv] + [0] * (self.d - len(inv)))
+        return np.array(out, self.dtype)
 
     def inv_each(self, a: np.ndarray) -> np.ndarray:
         """Entrywise inverses of a (..., d, n) array without zero entries,

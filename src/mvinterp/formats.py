@@ -308,14 +308,13 @@ def format_solution(Q: MultiPoly, inst_hash: str, backend: str) -> str:
 
 def parse_solution(text: str, ctx: FieldCtx, nvars: int):
     """Return (hash, backend, MultiPoly) from a solution file."""
-    inst_hash = None
-    backend = None
+    header = {}
     terms = {}
     for lineno, toks in _content_lines(text):
-        if toks[0] == "hash" and len(toks) == 2:
-            inst_hash = toks[1]
-        elif toks[0] == "backend" and len(toks) == 2:
-            backend = toks[1]
+        if toks[0] in ("hash", "backend") and len(toks) == 2:
+            if toks[0] in header:
+                raise ParseError(f"line {lineno}: repeated {toks[0]} line")
+            header[toks[0]] = toks[1]
         else:
             if ":" not in toks:
                 raise ParseError(f"line {lineno}: expected '<exponents> : <coeffs>'")
@@ -327,6 +326,6 @@ def parse_solution(text: str, ctx: FieldCtx, nvars: int):
             if j in terms:
                 raise ParseError(f"line {lineno}: duplicate record for {j}")
             terms[j] = Poly(ctx, coeffs)
-    if inst_hash is None or backend is None:
+    if len(header) < 2:
         raise ParseError("missing hash or backend header")
-    return inst_hash, backend, MultiPoly(ctx, nvars, terms)
+    return header["hash"], header["backend"], MultiPoly(ctx, nvars, terms)

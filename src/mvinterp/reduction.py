@@ -35,7 +35,7 @@ from .errors import (
     DuplicateNode,
     NoSolutionSpace,
 )
-from .field import FieldCtx, FieldElement, residues
+from .field import FieldCtx, residues
 from .outcomes import NoSolution, NotApplicable, Solution
 from .poly import Poly, lagrange_interp, remainder_by, weighted_product
 
@@ -66,26 +66,6 @@ def _compositions(total: int, caps):
 
 def exp_dot(j, weights) -> int:
     return sum(a * w for a, w in zip(j, weights))
-
-
-def exp_leq(i, j) -> bool:
-    return all(a <= b for a, b in zip(i, j))
-
-
-def binom_mod(ctx: FieldCtx, n: int, k: int) -> FieldElement:
-    """Binomial coefficient reduced mod the characteristic."""
-    if k < 0 or k > n:
-        return ctx.zero()
-    return ctx.el(math.comb(n, k))
-
-
-def multi_binom(ctx: FieldCtx, j, i) -> FieldElement:
-    acc = ctx.one()
-    for a, b in zip(j, i):
-        acc = acc * binom_mod(ctx, a, b)
-        if acc.is_zero():
-            return acc
-    return acc
 
 
 # ---------------------------------------------------------------- types
@@ -276,10 +256,10 @@ def verify_solution(inst: InterpolationInstance, Q: MultiPoly) -> bool:
         depth = m - sum(i)
         acc = np.zeros((depth, R.d, inst.n), R.dtype)
         for col, j in enumerate(js):
-            b = multi_binom(ctx, j, i) if exp_leq(i, j) else ctx.zero()
-            if b.is_zero():
+            b = math.prod(map(math.comb, j, i)) % ctx.p  # 0 unless i <= j entrywise
+            if not b:
                 continue
-            w = b.c[0] * ypow[0][j[0] - i[0]]  # binomials lie in the prime field
+            w = b * ypow[0][j[0] - i[0]]
             for t in range(1, inst.nvars):
                 w = R.emul(w % R.p, ypow[t][j[t] - i[t]])
             acc += R.emul(hasse[:depth, col], w % R.p)
@@ -416,14 +396,14 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
         moduli.append(mod_by_depth[depth])
         row = []
         for j in cols:
-            coef = multi_binom(ctx, j, i) if exp_leq(i, j) else ctx.zero()
-            if coef.is_zero():
+            coef = math.prod(map(math.comb, j, i)) % ctx.p  # 0 unless i <= j entrywise
+            if not coef:
                 row.append(Poly.zero(ctx))
                 continue
             f = rpow(tuple(a - b for a, b in zip(j, i)), depth)
             if j in divisors:
                 f = rem_by_depth[depth](f * divisors[j])
-            row.append(f.scale(coef))
+            row.append(f.scale(ctx.el(coef)))
         entries.append(row)
 
     plan = ReductionPlan(

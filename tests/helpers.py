@@ -5,6 +5,7 @@ from the seed printed by the test that drew them.  The dense oracles work
 on plain FieldElement rows, independently of the structured kernel.
 """
 
+import math
 import random
 
 import numpy as np
@@ -15,13 +16,7 @@ from mvinterp.linalg import _np_eligible, _rref_generic, _rref_np, _to_np
 from mvinterp.errors import BadLength, TooLarge
 from mvinterp.mosaic_hankel import compute_s_star
 from mvinterp.poly import Poly, reverse, series_inv, trunc
-from mvinterp.reduction import (
-    InterpolationInstance,
-    binom_mod,
-    exp_leq,
-    graded_exponents,
-    multi_binom,
-)
+from mvinterp.reduction import InterpolationInstance, graded_exponents
 from mvinterp.struct_solve import TAG_TOEPLITZ, GeneratorPair
 from mvinterp.toeplitz_like import DENSE_GUARD_CELLS
 
@@ -280,6 +275,27 @@ def kernel_basis(ctx, rows, ncols):
 
 
 # ------------------------------------------------------------ Hasse expansion
+
+
+def exp_leq(i, j) -> bool:
+    return all(a <= b for a, b in zip(i, j))
+
+
+def binom_mod(ctx, n: int, k: int):
+    """Binomial coefficient reduced mod the characteristic, as a FieldElement."""
+    if k < 0 or k > n:
+        return ctx.zero()
+    return ctx.el(math.comb(n, k))
+
+
+def multi_binom(ctx, j, i):
+    """prod_t binom(j_t, i_t) in ctx, by FieldElement products."""
+    acc = ctx.one()
+    for a, b in zip(j, i):
+        acc = acc * binom_mod(ctx, a, b)
+        if acc.is_zero():
+            return acc
+    return acc
 
 
 def _hasse_eval(q, x, h):

@@ -34,12 +34,9 @@ from mvinterp.reduction import (
     InterpolationInstance,
     MultiPoly,
     assemble_Q,
-    binom_mod,
     build_reduction,
     exp_dot,
-    exp_leq,
     graded_exponents,
-    multi_binom,
     preprocess_high_multiplicity,
     trivial_weight_check,
     verify_solution,
@@ -52,11 +49,14 @@ from mvinterp.struct_solve import (
 from mvinterp.toeplitz_like import build_toeplitz_generators, dense_build_Aprime
 
 from helpers import (
+    binom_mod,
     dense_build_A,
     displacement_of_dense,
+    exp_leq,
     generator_product,
     kernel_basis,
     markov_tops,
+    multi_binom,
     random_approx_instance,
     random_interp_instance,
     random_monic,

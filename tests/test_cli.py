@@ -291,6 +291,10 @@ INPUT_CHECKS = {
     "solution-exponent-count": (["verify"], SAMPLE, HEAD + "0 1 : 2\n", "expected 1 exponents"),
     "solution-duplicate": (["verify"], SAMPLE, HEAD + "0 : 1\n0 : 2\n", "duplicate record"),
     "solution-without-header": (["verify"], SAMPLE, "0 : 1\n", "missing hash or backend"),
+    "solution-repeated-hash": (["verify"], SAMPLE, "hash a\n" + HEAD + "0 : 1\n", "repeated hash"),
+    "solution-repeated-backend": (
+        ["verify"], SAMPLE, HEAD + "backend dense\n0 : 1\n", "repeated backend"
+    ),
     "reencode-s2": (REENC, S2_REENCODE, None, "needs s = 1"),
     "reencode-inf": (REENC, REENCODE.replace("2 1 5", "2 1 inf"), None, "infinite y"),
     "reencode-zero-y-past-n0": (REENC, REENCODE.replace("1 1 2", "1 1 0"), None, "y != 0"),

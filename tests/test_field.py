@@ -128,13 +128,17 @@ def test_extension_exhaustive_f9():
 
 
 GF256 = FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1))
+F31_2 = build_extension(prime_field(2**31 - 1), 2, random.Random(0))  # object residues
 
 
-@pytest.mark.parametrize("ctx", [prime_field(101), prime_field(2**61 - 1), GF256], ids=repr)
+@pytest.mark.parametrize(
+    "ctx", [prime_field(101), prime_field(2**61 - 1), GF256, F31_2], ids=repr
+)
 def test_residue_inverses_round_trip(ctx):
-    # Residues.inv: pow(s, -1, p) at d = 1, extended Euclid above; s * s^-1
-    # is one and the inverse of the inverse is s, for both residue dtypes,
-    # one scalar at a time and several stacked
+    # Residues.inv: pow(s, -1, p) at d = 1, above the extended Euclid of the
+    # scalar's residues and the modulus (FieldElement.inv calls it too);
+    # s * s^-1 is one and the inverse of the inverse is s, for both residue
+    # dtypes and both kinds of field, one scalar at a time and several stacked
     R = residues(ctx)
     rng = random.Random(ctx.order % 1000)
     for _ in range(50):
@@ -155,6 +159,28 @@ def test_residue_inverse_of_zero_raises(ctx):
     R = residues(ctx)
     with pytest.raises(DivisionByZero):
         R.inv(R.zeros(1)[:, 0])
+    # a zero after a nonzero scalar, as _schur_step stacks its pivots
+    with pytest.raises(DivisionByZero):
+        R.inv(R.unit(1, 0)[:, 0], R.zeros(1)[:, 0])
+
+
+def _monic(p, d):
+    """Every monic coefficient list of degree d over F_p."""
+    for i in range(p**d):
+        yield [i // p**k % p for k in range(d)] + [1]
+
+
+# Gauss's count of monic irreducibles of degree d, (1/d) sum_{e | d} mu(e) p^(d/e)
+GAUSS = {2: {2: 1, 3: 2, 4: 3, 5: 6, 6: 9}, 3: {2: 3, 3: 8, 4: 18}}
+
+
+@pytest.mark.parametrize("p", sorted(GAUSS))
+def test_irreducible_counts_match_gauss(p):
+    # Rabin's test through the extended Euclid's gcd: reducibles without a
+    # root, such as (t^2 + t + 1)^2 over F_2, fail only its gcd condition
+    for d, count in GAUSS[p].items():
+        assert sum(field_module._is_irreducible(f, p) for f in _monic(p, d)) == count
+    assert not field_module._is_irreducible([1, 0, 1, 0, 1], 2)  # (t^2 + t + 1)^2
 
 
 def test_reducible_modulus_rejected():

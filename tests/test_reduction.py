@@ -11,12 +11,9 @@ from mvinterp.reduction import (
     InterpolationInstance,
     MultiPoly,
     assemble_Q,
-    binom_mod,
     build_reduction,
     exp_dot,
-    exp_leq,
     graded_exponents,
-    multi_binom,
     preprocess_high_multiplicity,
     trivial_weight_check,
     verify_solution,
@@ -25,9 +22,12 @@ from mvinterp.reduction import (
 from mvinterp.toeplitz_like import dense_build_Aprime
 
 from helpers import (
+    binom_mod,
+    exp_leq,
     from_ints,
     hasse_shift_expand,
     kernel_basis,
+    multi_binom,
     random_interp_instance,
     random_monic,
     random_poly,
