@@ -27,8 +27,9 @@ hash and the backend, then one record per nonzero unknown:
     backend <name>
     <j_1> ... <j_s> : <c_0> ... <c_deg>
 
-Both formats round-trip exactly (parse of a printed file reproduces the
-object, and printing is canonical).
+Instance and solution files round-trip exactly (parse of a printed file
+reproduces the object, and printing is canonical); approximation files are
+only read.
 """
 
 from __future__ import annotations
@@ -269,22 +270,6 @@ def format_instance(inst: ParsedInstance) -> str:
         cells = [format_element(x), str(m)]
         cells += ["inf" if y is None else format_element(y) for y in ys]
         out.append(" ".join(cells))
-    return "\n".join(out) + "\n"
-
-
-def format_approx(parsed: ParsedApprox) -> str:
-    a = parsed.approx
-    out = [_field_line(parsed.ctx)]
-    out.append(f"approx {a.mu} {a.nu}")
-    out.append("bounds " + " ".join(str(b) for b in a.col_bounds))
-    for i, p in enumerate(a.moduli):
-        out.append(f"modulus {i} : " + " ".join(format_element(c) for c in p.c))
-    for i, row in enumerate(a.residues):
-        for j, f in enumerate(row):
-            if not f.is_zero():
-                out.append(
-                    f"residue {i} {j} : " + " ".join(format_element(c) for c in f.c)
-                )
     return "\n".join(out) + "\n"
 
 

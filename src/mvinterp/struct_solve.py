@@ -1,29 +1,33 @@
 """Nullspace solver for matrices represented by displacement generators.
 
-A matrix A is handled only through a length-alpha generator (V, W) with
-V·W equal to its displacement:
+A matrix A is handled through a length-alpha generator (V, W) with V·W
+equal to its displacement:
 
 - tag "toeplitz":  A - Z A Z^T   (Z = down-shift)
 - tag "hankel":    A - Z A Z
 
 Both operators are nilpotent-invertible, so (V, W) determines A; callers
-build generators in O(alpha * size) and this module never materializes A.
+build generators in O(alpha * size); matrices are built only up to _DENSE_WIDTH wide.
 
 The solve itself: flip Hankel structure to Toeplitz (column reversal,
 undone on the answer), pad to square with zero rows on top of a wide matrix
 or zero columns left of a tall one (its generator needs the same padding
 only, which _kept writes), pre/post-multiply by random unit-triangular
-Toeplitz matrices to force a generic rank profile, then run a
-Schur-complement elimination that only touches generators.  Each trailing
-submatrix of the preconditioned matrix is again Toeplitz-like with no
-larger displacement rank, so each step keeps the generator at its length
-(a generalized Schur step).  It is compressed before the first step from
-size _COMPRESS_FROM up, and again only when a leading entry vanishes.
+Toeplitz matrices to force a generic rank profile (Kaltofen & Saunders,
+AAECC-9, 1991), then run a Schur-complement elimination on generators.
+Each trailing submatrix of the preconditioned matrix is again Toeplitz-like
+with no larger displacement rank, so each step keeps the generator at its
+length (a generalized Schur step).  It is compressed before the first step
+from size _COMPRESS_FROM up, and again only when a leading entry vanishes.
 Empty then means a zero Schur complement: the rank is certified.  Nonempty
 is a pivot breakdown, and the complement, Toeplitz-like as well, is
 preconditioned with fresh draws and eliminated in turn, keeping the pivots
 already found.  Each level's leading block is invertible, so the rank is
-the sum of the levels' ranks (rank M = t + rank S).  The recorded pivot rows
+the sum of the levels' ranks (rank M = t + rank S).  A level's last
+_DENSE_WIDTH rows are eliminated on its dense matrix (_dense), without
+pivoting: pivot rows, rank and breakdowns depend on the preconditioned
+matrix alone.  So is a matrix at most that wide, and a breakdown's dense
+complement, each preconditioned by two products.  The recorded pivot rows
 give the nullspace by back-substitution with randomly drawn free
 coordinates, climbing back out through the levels.  Every candidate is
 verified by applying A through the generator, so a returned Solution is
@@ -45,11 +49,11 @@ is returned.  An extension field is never lifted.
 One representation serves every field: the residue arrays of
 field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
 a generator half one stacked (alpha, d, n) array, as the builders write it,
-and the elimination stacks both halves.  The Schur step, the echelon and
-the back-substitution are written once, each op one Residues call whose
-d = 1 shortcuts keep a prime-field step at about 13 numpy calls; d appears
-here only in the lift policy.  The random draws are digits of the sampled
-indices; the answer is a residue array.
+and the elimination stacks both halves.  The Schur step, the echelon, the
+dense level and the back-substitution are written once, each op one
+Residues call whose d = 1 shortcuts keep a prime-field step at about 13
+numpy calls; d appears here only in the lift policy.  The random draws are
+digits of the sampled indices; the answer is a residue array.
 
 Generator applies (_apply, _apply_last, _precondition) are batched products
 of the stacked halves: A·x is conv_sum(V, corr(x, W)), reduced mod p between
@@ -58,7 +62,7 @@ in the frequency domain, at a transform length sized to their output
 (Residues._plan).  _kept stacks a level's halves into one array of pairs
 (v_c, w_c), whose swap is the generator of A^T, transformed once per level
 once their products are FFT products; _precondition makes four products of
-them, and the top level's serve every attempt and the final check.
+them, and the top level's serve every attempt.
 """
 
 from __future__ import annotations
@@ -78,6 +82,9 @@ TAG_HANKEL = "hankel"
 # at size 33, 0.89x at 65, 0.91x at 97, 1.01x at 129, 1.02x at 257 and 385;
 # GF(2^8): 0.78x at 17, 0.93x at 33, 1.07x at 49; F_5 lifted (d = 7): 0.87x at 61
 _COMPRESS_FROM = 64
+# a level's last rows, this many, are eliminated densely: 2^61 - 1 loses
+# 1.4-1.8 ms per level at 40-48 and F_16777213 saves 0.4-0.9 ms at 32-64
+_DENSE_WIDTH = 32
 
 
 def subset_floor(size: int) -> int:
@@ -287,18 +294,71 @@ def _eliminate(R, v, w, size):
     breakdown.
 
     From size _COMPRESS_FROM up the generator is compressed first; every
-    Schur step keeps its length.
+    Schur step keeps its length.  The last _DENSE_WIDTH rows are dense
+    (_eliminate_dense), and so is the rest of a breakdown among them.
     """
     G = np.stack(_compress(R, v, w) if size >= _COMPRESS_FROM else (v, w))
     pivot_rows = []
-    for _ in range(size):
+    for _ in range(size - _DENSE_WIDTH):
         step = _schur_step(R, G)
         if step is None:
             rest = _compress(R, *G)
             return pivot_rows, rest if len(rest[0]) else None
         norm, G = step
         pivot_rows.append(norm)
+    if not G.shape[-1]:
+        return pivot_rows, None
+    rows, rest = _eliminate_dense(R, _dense(R, G[0], G[1], G.shape[-1]))
+    return pivot_rows + rows, rest
+
+
+def _dense(R, v, w, size):
+    """The matrix of toeplitz-tagged halves, padded to size as _kept pads it,
+    as (size, d, size) rows: D = sum_c v_c (x) w_c is one R.combine, and A
+    sums D along each diagonal (A - Z A Z^T = D), one cumulative sum down
+    the columns of an array whose row i is shifted right by size - 1 - i."""
+    d = R.d
+    D = R.combine(v.transpose(2, 0, 1), w)  # (nrows, d, ncols)
+
+    def unskewed(x):  # a view: diagonal j - i is column size - 1 + j - i
+        return x.reshape(d, -1)[:, size - 1 : -1].reshape(d, size, -1)[..., :size]
+
+    skew = np.zeros((d, size, 2 * size), R.dtype)
+    unskewed(skew)[:, size - len(D) :, size - D.shape[2] :] = D.transpose(1, 0, 2)
+    return unskewed(np.cumsum(skew, axis=1) % R.p).transpose(1, 0, 2).copy()
+
+
+def _eliminate_dense(R, S):
+    """_eliminate of a dense (size, d, size) matrix, without pivoting: per
+    pivot one normalized row and one outer-product update of the rows below;
+    the rest is the nonzero complement at a zero leading entry, else None."""
+    p, pivot_rows = R.p, []
+    while len(S):
+        try:
+            inv = R.inv(S[0, :, 0])
+        except DivisionByZero:
+            return pivot_rows, S if S.any() else None
+        norm = R.scale(inv[0], S[0]) % p
+        pivot_rows.append(norm)
+        S = S[1:, :, 1:] - R.scale(S[1:, :, 0], norm[:, 1:])
+        S %= p
     return pivot_rows, None
+
+
+def _level(R, level, u_full, l_full):
+    """A level of an attempt (_kept's, or a dense matrix: U·A·L is two
+    products), preconditioned with the draws u_full and l_full and eliminated:
+    its pivot rows and the next level (a breakdown's complement) or None."""
+    size = u_full.shape[1]
+    if isinstance(level, np.ndarray):
+        j_i = np.arange(size) - np.arange(size)[:, None]
+        U, L = (np.where(j_i >= 0, x[:, j_i], 0).astype(x.dtype) for x in (u_full, l_full))
+        UA = R.combine(U.transpose(1, 2, 0), level)  # U[i, j] = u_full[j - i]
+        return _eliminate_dense(R, R.combine(UA.transpose(0, 2, 1), L.transpose(2, 0, 1)))
+    pivot_rows, rest = _eliminate(R, *_precondition(R, *level, u_full, l_full), size)
+    if isinstance(rest, tuple):
+        rest = _kept(R, *rest, size - len(pivot_rows))
+    return pivot_rows, rest
 
 
 def _back_substitute(R, pivot_rows, free):
@@ -327,9 +387,9 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     the sum of the levels' ranks.  A zero or unverified candidate starts a
     new attempt on the whole matrix.
 
-    The matrix is solved padded to size = max(nrows, ncols) (_kept), and a
-    Solution holds the (d, ncols) residue array whose padded (d, size)
-    vector _apply has checked.  A hankel-tagged generator is solved as
+    The matrix is solved padded to size = max(nrows, ncols) (_kept,
+    _dense), and a Solution holds the (d, ncols) residue array that _apply
+    has checked on G.  A hankel-tagged generator is solved as
     hankel_to_toeplitz(G) and the answer reversed.  Draws come from
     subset_range(field, subset_floor(size)), the whole field when it is
     smaller than that floor, at every level.  Over a prime field below that
@@ -342,7 +402,7 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     size = max(G.nrows, G.ncols)
     min_size = subset_floor(size)
     R = residues(G.ctx)
-    top = _kept(R, G.v, G.w, size)
+    top = _dense(R, G.v, G.w, size) if size <= _DENSE_WIDTH else _kept(R, G.v, G.w, size)
     one = R.unit(1, 0)
 
     attempts = 0
@@ -355,10 +415,9 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
             attempts += 1
             u_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
             l_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
-            pivot_rows, rest = _eliminate(R, *_precondition(R, *level, u_full, l_full), left)
+            pivot_rows, level = _level(R, level, u_full, l_full)
             levels.append((pivot_rows, l_full))
             left -= len(pivot_rows)
-            level = None if rest is None else _kept(R, *rest, left)
         if level is not None:
             break
         if size - left == G.ncols:
@@ -372,9 +431,7 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
         vec = y[:, size - G.ncols :]  # a tall matrix's zero columns dropped
         if R.is_zero(vec):
             continue
-        # the padded matrix is A under zero rows (wide) or right of zero
-        # columns (tall), so it maps y to zero exactly when A maps vec there
-        if not R.is_zero(_apply(R, top[0][:, 0], top[0][:, 1], y, size)):
+        if not R.is_zero(_apply(R, G.v, G.w, vec, G.nrows)):
             continue  # never on a correct run; belt and braces
         return Solution(vec)
     if R.d != 1 or R.p >= min_size:

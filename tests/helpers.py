@@ -12,6 +12,7 @@ import numpy as np
 
 from mvinterp.approx import ApproxInstance
 from mvinterp.field import prime_field, residues
+from mvinterp.formats import _field_line, format_element
 from mvinterp.linalg import _np_eligible, _rref_generic, _rref_np, _to_np
 from mvinterp.errors import BadLength, TooLarge
 from mvinterp.mosaic_hankel import compute_s_star
@@ -422,3 +423,20 @@ def dense_toeplitz(R, first, upper):
 def dense_matvec(R, A, x):
     """A·x for an (M, d, N) residue matrix and a (d, N) vector, as (d, M)."""
     return (R.emul(A, x[None]).sum(axis=-1) % R.p).T
+
+
+def format_approx(parsed):
+    """An approximation file for a ParsedApprox, as parse_instance reads it."""
+    a = parsed.approx
+    out = [_field_line(parsed.ctx)]
+    out.append(f"approx {a.mu} {a.nu}")
+    out.append("bounds " + " ".join(str(b) for b in a.col_bounds))
+    for i, p in enumerate(a.moduli):
+        out.append(f"modulus {i} : " + " ".join(format_element(c) for c in p.c))
+    for i, row in enumerate(a.residues):
+        for j, f in enumerate(row):
+            if not f.is_zero():
+                out.append(
+                    f"residue {i} {j} : " + " ".join(format_element(c) for c in f.c)
+                )
+    return "\n".join(out) + "\n"

@@ -459,16 +459,16 @@ def test_only_a_small_prime_field_failure_is_lifted(monkeypatch):
     # the sampling-set floor, the kernel lifts its Failure once to the
     # smallest sufficient extension; over F_65537, at or above it, the
     # Failure is the answer
-    real = struct_solve._eliminate
+    real = struct_solve._level
     fields = []
 
-    def break_down_in_prime_fields(R, v, w, size):
+    def break_down_in_prime_fields(R, level, u_full, l_full):
         fields.append(R.ctx)
-        return ([], (v, w)) if R.d == 1 else real(R, v, w, size)
+        return ([], level) if R.d == 1 else real(R, level, u_full, l_full)
 
     lifts = []
     build = struct_solve.build_extension
-    monkeypatch.setattr(struct_solve, "_eliminate", break_down_in_prime_fields)
+    monkeypatch.setattr(struct_solve, "_level", break_down_in_prime_fields)
     monkeypatch.setattr(
         struct_solve, "build_extension", lambda *args: lifts.append(args) or build(*args)
     )
@@ -517,7 +517,7 @@ def test_small_extension_field_samples_the_whole_field(monkeypatch):
     assert verify_solution(params_instance(p), out.value)
     assert isinstance(gs_interpolate(p, random.Random(5), backend="dense"), Solution)
     # a Failure there is the answer: a non-prime base is never lifted
-    monkeypatch.setattr(struct_solve, "_eliminate", lambda R, v, w, size: ([], (v, w)))
+    monkeypatch.setattr(struct_solve, "_level", lambda R, level, u_full, l_full: ([], level))
     monkeypatch.setattr(struct_solve, "build_extension", None)
     assert isinstance(solve_approx(a, random.Random(5)), Failure)
 

@@ -5,13 +5,13 @@ import time
 
 import pytest
 
+from helpers import format_approx
 from mvinterp import cli
 from mvinterp.cli import _auto_b, main
 from mvinterp.formats import (
     ParsedApprox,
     ParsedInstance,
     ParseError,
-    format_approx,
     format_instance,
     format_solution,
     instance_hash,

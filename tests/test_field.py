@@ -154,6 +154,34 @@ def test_residue_inverses_round_trip(ctx):
     assert R.elements(R.inv(*arr.T).T) == [e.inv() for e in elems]
 
 
+F25_2 = build_extension(prime_field(33554393), 2, random.Random(0))  # 2^53 past 4 terms
+
+
+@pytest.mark.parametrize("ctx", [GF256, FieldCtx(13, (6, 12, 6, 0, 1)), F25_2], ids=repr)
+def test_matrix_products_match_element_arithmetic(ctx):
+    # at d > 1 combine and scale multiply by multiplication matrices, in
+    # float64 while the sums stay below 2^53 (up to _f64_terms scalar
+    # products) and in int64 above it: both agree with FieldElement
+    # arithmetic, on random residues and on residues within p/64 of p, whose
+    # sums are the largest, at each side of F25_2's bound
+    R = residues(ctx)
+    rng = random.Random(ctx.p)
+    f = R._f64_terms
+    for J in sorted({1, min(f, 12), min(f + 1, 13), min(3 * f, 13)}):
+        for lo in (0, ctx.p - 1 - ctx.p // 64):
+            c, vs = (
+                np.array([[rng.randrange(lo, ctx.p) for _ in range(n)] for _ in range(J)])
+                for n in (ctx.d, ctx.d * 5)
+            )
+            vs = vs.reshape(J, ctx.d, 5)
+            cs = R.elements(c.T)
+            cols = zip(*(R.elements(v) for v in vs))
+            want = [sum((a * b for a, b in zip(cs, col)), ctx.zero()) for col in cols]
+            assert R.elements(R.combine(c, vs)) == want
+            assert R.elements(R.scale(c[0], vs[0])) == [cs[0] * b for b in R.elements(vs[0])]
+    assert f == 4 if ctx is F25_2 else f > 13
+
+
 @pytest.mark.parametrize("ctx", [prime_field(101), GF256], ids=repr)
 def test_residue_inverse_of_zero_raises(ctx):
     R = residues(ctx)

@@ -157,11 +157,15 @@ def gs_deep_params():
 
 
 def test_one_compression_per_attempt(monkeypatch):
-    # each attempt on the gs 384 x 385 system compresses its preconditioned
-    # generator once, and once more at the leading entry that vanishes where
-    # the Schur complement is zero.  The F7 case's levels are below
-    # _COMPRESS_FROM: they compress only where a leading entry vanishes
-    calls = dict.fromkeys(["_compress", "_precondition", "_schur_step"], 0)
+    # with the dense crossover pinned to 0, each attempt on the gs 384 x 385
+    # system compresses its preconditioned generator once, and once more at
+    # the leading entry that vanishes where the Schur complement is zero.
+    # The F7 case's levels are below _COMPRESS_FROM: they compress only
+    # where a leading entry vanishes.  At the crossover the same entries
+    # vanish at the same widths, met by dense eliminations, which never
+    # compress: one per gs attempt, ending its level, and one per F7 level
+    crossover = struct_solve._DENSE_WIDTH
+    calls = dict.fromkeys(["_compress", "_precondition", "_schur_step", "_eliminate_dense"], 0)
     vanished = []
     for name in calls:
 
@@ -170,47 +174,75 @@ def test_one_compression_per_attempt(monkeypatch):
             out = real(*args)
             if name == "_schur_step" and out is None:
                 vanished.append(args[1].shape[-1])
+            if name == "_eliminate_dense" and len(out[0]) < len(args[1]):
+                vanished.append(len(args[1]) - len(out[0]))
             return out
 
         monkeypatch.setattr(struct_solve, name, counted)
-    assert isinstance(gs_interpolate(gs_deep_params(), random.Random(5)), Solution)
-    attempts = calls["_precondition"]
-    assert attempts <= calls["_compress"] <= 2 * attempts
-    calls.update(dict.fromkeys(calls, 0))
-    vanished.clear()
-    out = nullspace_structured(golden_case(F7, "square", 1), random.Random(101), 8)
-    assert isinstance(out, Solution)
-    assert max(vanished) < struct_solve._COMPRESS_FROM
-    assert calls["_compress"] == len(vanished) > 1
+
+    def solve(case, width):
+        calls.update(dict.fromkeys(calls, 0))
+        vanished.clear()
+        monkeypatch.setattr(struct_solve, "_DENSE_WIDTH", width)
+        if case == "gs":
+            out = gs_interpolate(gs_deep_params(), random.Random(5))
+        else:
+            out = nullspace_structured(golden_case(F7, "square", 1), random.Random(101), 8)
+        assert isinstance(out, Solution)
+        return dict(calls), list(vanished)
+
+    generator, at_vanish = solve("gs", 0)
+    attempts = generator["_precondition"]
+    assert attempts <= generator["_compress"] <= 2 * attempts
+    dense, at_vanish_dense = solve("gs", crossover)
+    assert dense["_precondition"] == dense["_compress"] == dense["_eliminate_dense"] == attempts
+    assert at_vanish_dense == at_vanish
+
+    generator, at_vanish = solve("F7", 0)
+    assert max(at_vanish) < struct_solve._COMPRESS_FROM
+    assert generator["_compress"] == len(at_vanish) > 1
+    dense, at_vanish_dense = solve("F7", crossover)
+    assert dense["_compress"] == dense["_precondition"] == dense["_schur_step"] == 0
+    assert dense["_eliminate_dense"] == generator["_precondition"]
+    assert at_vanish_dense == at_vanish
 
 
 @pytest.mark.parametrize(
-    "ctx", [F13, F24, F13_4, GF256], ids=["F13", "F16777213", "F13^4", "GF256"]
+    "ctx", [F13, F24, F13_4, GF256, M61], ids=["F13", "F16777213", "F13^4", "GF256", "M61"]
 )
 def test_elimination_with_and_without_the_first_compression(monkeypatch, ctx):
     # the pivot rows, the rank and whether a nonzero Schur complement is
-    # left depend on the preconditioned matrix alone, not on its generator:
-    # compressed before the first step, or as _precondition gives it
+    # left depend on the preconditioned matrix alone, not on how it is held:
+    # its generator compressed before the first step or as _precondition
+    # gives it, eliminated by Schur steps alone (the dense crossover pinned
+    # to 0) or finished densely from the crossover on, or the dense level,
+    # U·A·L of the matrix eliminated row by row
     R = Residues(ctx)
+    crossover = struct_solve._DENSE_WIDTH
     breakdowns = certified = 0
-    for k, seed in enumerate(spread_seeds(47, 8)):
+    for k, seed in enumerate(spread_seeds(47, 13)):  # the last 5 at crossover - 2..+2
         r = random.Random(seed)
-        size = r.randint(6, 30)
+        size = r.randint(6, 30) if k < 8 else crossover - 10 + k
         if k % 2:
             A = low_rank_matrix(ctx, size, size, r.randint(1, size - 1), r)
             G = gen_from_dense("toeplitz", A, ctx)
         else:
             G = rand_generator("toeplitz", ctx, size, size, r.randint(1, 4), r)
         u, l = ([ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)] for _ in range(2))
-        v, w = _precondition(R, *_kept(R, G.v, G.w, size), R.array(u), R.array(l))
-        out = []
+        u, l = R.array(u), R.array(l)
+        v, w = _precondition(R, *_kept(R, G.v, G.w, size), u, l)
+        out = [struct_solve._level(R, struct_solve._dense(R, G.v, G.w, size), u, l)]
+        out.append(struct_solve._eliminate(R, v, w, size))
+        monkeypatch.setattr(struct_solve, "_DENSE_WIDTH", 0)
         for first in (0, size + 1):  # compress up front always, never
             monkeypatch.setattr(struct_solve, "_COMPRESS_FROM", first)
             out.append(struct_solve._eliminate(R, v, w, size))
-        (rows, rest), (rows_b, rest_b) = out
-        assert len(rows) == len(rows_b)
-        assert all(np.array_equal(a, b) for a, b in zip(rows, rows_b))
-        assert (rest is None) == (rest_b is None)
+        monkeypatch.undo()
+        rows, rest = out[0]
+        for rows_b, rest_b in out[1:]:
+            assert len(rows) == len(rows_b)
+            assert all(np.array_equal(a, b) for a, b in zip(rows, rows_b))
+            assert (rest is None) == (rest_b is None)
         breakdowns += rest is not None
         certified += rest is None and len(rows) < size
     assert certified and (breakdowns or ctx is not F13)
@@ -218,18 +250,18 @@ def test_elimination_with_and_without_the_first_compression(monkeypatch, ctx):
 
 @pytest.mark.parametrize("case", ["gs-384x385", "F7-breakdown"])
 def test_last_attempt_levels_sum_to_the_rank(monkeypatch, case):
-    # over the recorded _eliminate calls of one solve, the last attempt
-    # (from the last call on the whole padded matrix) ends certified, and
-    # its levels' ranks sum to the matrix rank: 384 for the gs system in one
-    # level, 5 for the F7 case, which breaks down into several
+    # over the recorded levels of one solve, the last attempt (from the last
+    # level of the whole padded matrix) ends certified, and its levels'
+    # ranks sum to the matrix rank: 384 for the gs system in one level, 5
+    # for the F7 case, which breaks down into several
     calls = []
 
-    def recorded(R, v, w, size, real=struct_solve._eliminate):
-        rows, rest = real(R, v, w, size)
-        calls.append((size, len(rows), rest is None))
+    def recorded(R, level, u_full, l_full, real=struct_solve._level):
+        rows, rest = real(R, level, u_full, l_full)
+        calls.append((u_full.shape[1], len(rows), rest is None))
         return rows, rest
 
-    monkeypatch.setattr(struct_solve, "_eliminate", recorded)
+    monkeypatch.setattr(struct_solve, "_level", recorded)
     if case == "gs-384x385":
         out = gs_interpolate(gs_deep_params(), random.Random(5))
     else:
@@ -384,11 +416,11 @@ def test_breakdown_resumes_on_the_schur_complement(monkeypatch):
     # climbs back through the levels is in the kernel
     sizes = []
 
-    def recorded(R, halves, last, u_full, l_full, real=struct_solve._precondition):
+    def recorded(R, level, u_full, l_full, real=struct_solve._level):
         sizes.append(u_full.shape[1])
-        return real(R, halves, last, u_full, l_full)
+        return real(R, level, u_full, l_full)
 
-    monkeypatch.setattr(struct_solve, "_precondition", recorded)
+    monkeypatch.setattr(struct_solve, "_level", recorded)
     G = golden_case(F7, "square", 1)
     out = nullspace_structured(G, random.Random(101), 8)
     assert isinstance(out, Solution)
@@ -472,11 +504,11 @@ def test_small_prime_field_failures_are_lifted(p, m):
 def break_down_in_prime_fields(monkeypatch):
     """Make every prime-field elimination a pivot breakdown with no pivots,
     so the base field runs out of attempts and the kernel lifts."""
-    real = struct_solve._eliminate
+    real = struct_solve._level
     monkeypatch.setattr(
         struct_solve,
-        "_eliminate",
-        lambda R, v, w, size: ([], (v, w)) if R.d == 1 else real(R, v, w, size),
+        "_level",
+        lambda R, level, u, l: ([], level) if R.d == 1 else real(R, level, u, l),
     )
 
 
