@@ -13,21 +13,22 @@ candidates against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numpy as np
 
 from .errors import BadLength, CtxMismatch, Degenerate
-from .field import FieldCtx
-from .poly import Poly, poly_mod
+from .field import FieldCtx, residues
+from .poly import Poly, quotients
 
 
-@dataclass(frozen=True)
 class ApproxInstance:
-    ctx: FieldCtx
-    moduli: tuple  # P_i: monic Poly, degree >= 1, one per row
-    residues: tuple  # mu x nu tuple of tuples of Poly, deg < deg(moduli[i])
-    col_bounds: tuple  # N'_j >= 1, one per unknown
+    """moduli: monic Polys P_i of degree >= 1; rows[i]: the (nu, d, deg P_i)
+    array of row i's residues, `residues` the same as Polys, built on first
+    use; col_bounds: N'_j >= 1.  The constructor checks Polys, from_rows
+    takes a builder's arrays."""
 
-    def __init__(self, ctx, moduli, residues, col_bounds):
+    __slots__ = ("ctx", "moduli", "rows", "col_bounds", "_residues")
+
+    def __init__(self, ctx: FieldCtx, moduli, residues, col_bounds):
         moduli = tuple(moduli)
         residues = tuple(tuple(row) for row in residues)
         col_bounds = tuple(int(b) for b in col_bounds)
@@ -50,10 +51,35 @@ class ApproxInstance:
         for b in col_bounds:
             if b < 1:
                 raise Degenerate("unknown degree bounds must be >= 1")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "col_bounds", col_bounds)
+        rows = [np.stack([f.coeffs(p.deg) for f in row]) for p, row in zip(moduli, residues)]
+        self.ctx, self.moduli, self.rows, self.col_bounds = ctx, moduli, tuple(rows), col_bounds
+        self._residues = residues
+
+    @classmethod
+    def from_rows(cls, ctx: FieldCtx, moduli, rows, col_bounds) -> "ApproxInstance":
+        """The instance of reduced (nu, d, deg P_i) row arrays, unchecked."""
+        a = object.__new__(cls)
+        a.ctx, a.moduli, a.rows, a.col_bounds = ctx, tuple(moduli), tuple(rows), tuple(col_bounds)
+        a._residues = None
+        return a
+
+    @property
+    def residues(self) -> tuple:
+        if self._residues is None:
+            self._residues = tuple(
+                tuple(Poly.from_residues(self.ctx, f) for f in F) for F in self.rows
+            )
+        return self._residues
+
+    def blocks(self):
+        """(P, F) per run of consecutive rows with one modulus object (a
+        builder's rows of one derivative depth): F stacks their arrays as
+        (rows, nu, d, deg P)."""
+        lo = 0
+        for hi in range(1, self.mu + 1):
+            if hi == self.mu or self.moduli[hi] is not self.moduli[lo]:
+                yield self.moduli[lo], np.stack(self.rows[lo:hi])
+                lo = hi
 
     @property
     def mu(self) -> int:
@@ -97,12 +123,7 @@ def trim_instance(a: ApproxInstance):
         bounds.append(b)
         acc += b
     kept = len(bounds)
-    trimmed = ApproxInstance(
-        a.ctx,
-        a.moduli,
-        tuple(row[:kept] for row in a.residues),
-        bounds,
-    )
+    trimmed = ApproxInstance.from_rows(a.ctx, a.moduli, [F[:kept] for F in a.rows], bounds)
     return trimmed, a.nu - kept
 
 
@@ -125,7 +146,9 @@ def unpack_solution(ctx, vec, bounds):
 
 
 def verify_approx(a: ApproxInstance, qs) -> bool:
-    """Check conditions: some q_j nonzero, degree bounds, modular identities."""
+    """Check conditions: some q_j nonzero, degree bounds, modular identities:
+    per run of rows with one modulus P, the sums sum_j F_ij q_j as one
+    stacked product, each equal to P times its quotient."""
     if len(qs) != a.nu:
         raise BadLength(f"{len(qs)} polynomials for {a.nu} unknowns")
     if all(q.is_zero() for q in qs):
@@ -133,11 +156,12 @@ def verify_approx(a: ApproxInstance, qs) -> bool:
     for q, bound in zip(qs, a.col_bounds):
         if q.deg >= bound:
             return False
-    for p, row in zip(a.moduli, a.residues):
-        acc = Poly.zero(a.ctx)
-        for f, q in zip(row, qs):
-            if not (f.is_zero() or q.is_zero()):
-                acc = acc + f * q
-        if not poly_mod(acc, p).is_zero():
+    R = residues(a.ctx)
+    Q = np.stack([q.coeffs(max(a.col_bounds)) for q in qs])
+    for P, F in a.blocks():
+        acc = R.conv_sum(F.swapaxes(0, 1), Q[:, None])
+        if acc.shape[-1] > P.deg:
+            acc = (acc - R.conv(quotients(acc, P), P.a)) % R.p
+        if acc.any():
             return False
     return True

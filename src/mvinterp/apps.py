@@ -310,9 +310,7 @@ def soft_group(points, mults):
 def soft_reduce(inst: InterpolationInstance):
     """Per-group reductions concatenated into one approximation instance."""
     groups, _ = soft_group(inst.points, inst.mults)
-    plans = []
-    moduli = []
-    residues = []
+    plans, moduli, rows = [], [], []
     for g in groups:
         sub = InterpolationInstance(
             inst.ctx,
@@ -326,12 +324,12 @@ def soft_reduce(inst: InterpolationInstance):
         plan, approx = build_reduction(sub)
         plans.append(plan)
         moduli.extend(approx.moduli)
-        residues.extend(approx.residues)
+        rows.extend(approx.rows)
     head = plans[0]
     for plan in plans[1:]:
         if plan.exponents != head.exponents or plan.col_bounds != head.col_bounds:
             raise MvInterpError("internal error: group plans disagree on unknowns")
-    combined = ApproxInstance(inst.ctx, tuple(moduli), tuple(residues), head.col_bounds)
+    combined = ApproxInstance.from_rows(inst.ctx, moduli, rows, head.col_bounds)
     return head, combined, groups
 
 

@@ -33,7 +33,13 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 _INT64_SAFE = 2**62
 _INT64 = np.dtype(np.int64)
-_SKEW_CELLS = 1 << 16  # largest product table Residues.conv builds at once
+# Residues.conv takes one product table, costing about one np.convolve call
+# plus one per _SKEW_PAIR of its m * (n + m) cells a pair, while that beats a
+# call per pair, up to _SKEW_CELLS (2^18: GF(2^8) gs at n = 200 ran ~10% faster
+# than at 2^16).  It picked the faster way in 136 of 147 timed shapes over
+# F_101 (2-32 pairs, m = 2-30, n = m-4m), the old m <= count in 91
+_SKEW_PAIR = 3072
+_SKEW_CELLS = 1 << 18
 # residue-row products times m^2 from which conv and conv_sum take FFT products.
 # A kernel level on kept spectra (Residues.transform), FFT against np.convolve
 # per level: 1.14x at 1.3e5 (2 pairs, m = 257), 0.94x at 1.6e5 (4, 200), 0.81x
@@ -481,7 +487,7 @@ class Residues:
 
     def mul_matrix(self, c: np.ndarray) -> np.ndarray:
         """(..., d, d) matrices of multiplication by the scalars c (..., d)."""
-        m = (c @ self._by_scalar) % self.p
+        m = self._matmul(c, self._by_scalar, 1) % self.p
         return m.reshape(c.shape[:-1] + (self.d, self.d))
 
     def mul(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -497,7 +503,7 @@ class Residues:
         if self.d == 1:
             return pairs[..., 0, :, :]
         flat = pairs.reshape(pairs.shape[:-3] + (self.d * self.d, pairs.shape[-1]))
-        return (self._fold @ flat) % self.p
+        return self._matmul(self._fold, flat, self.d) % self.p
 
     def emul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Entrywise products of (..., d, n) arrays, reduced; at d = 1 one
@@ -553,8 +559,9 @@ class Residues:
         return (sums % self.p).astype(out, copy=False)
 
     def _matmul(self, a: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
-        """a @ b of reduced residues, sums of `terms` scalar products at d > 1:
-        exact in float64 (BLAS, ~20x numpy's int64 matmul) below 2^53."""
+        """a @ b of residues below p in absolute value, sums of d * terms
+        scalar products at d > 1: exact in float64 (BLAS, ~20x numpy's int64
+        matmul) below 2^53."""
         if terms <= self._f64_terms and a.dtype is b.dtype is _INT64:
             return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         return a @ b
@@ -607,10 +614,10 @@ class Residues:
         Otherwise, over int64 residues, once the residue-row products times
         m^2 (m the shorter length) reach _FFT_WORK and fft_limbs finds limbs,
         these are float64 FFT products of b-bit limbs, taking a Spectrum's
-        kept limb spectra.  Below that, many short products run at once as
-        one table of every y_u * x skewed by u and summed, or each pair of
-        residue rows is one np.convolve, or with Python ints one product of
-        two long integers (Kronecker substitution).
+        kept limb spectra.  Below that, short products (_SKEW_PAIR) run at
+        once as one table of every y_u * x skewed by u and summed, or each
+        pair of residue rows is one np.convolve, or with Python ints one
+        product of two long integers (Kronecker substitution).
         """
         if a.shape[-1] < b.shape[-1]:
             a, b = b, a
@@ -635,15 +642,16 @@ class Residues:
             pairs = self._fft_pairs(a[None], b[None], keep, plan)  # sums of one term
             return self._fold_pairs(pairs).astype(out, copy=False)
         a, b = _array(a).astype(acc, copy=False), _array(b).astype(acc, copy=False)
-        if a.shape[:-2] != b.shape[:-2]:
-            a, b = np.broadcast_to(a, lead + (d, n)), np.broadcast_to(b, lead + (d, m))
-        lead += (d, d)
-        if m <= count and count * m * (n + m) <= _SKEW_CELLS:
-            table = np.zeros(lead + (m, n + m), dtype=acc)
+        cells = m * (n + m)
+        if count * (_SKEW_PAIR - cells) > _SKEW_PAIR and count * cells <= _SKEW_CELLS:
+            table = np.zeros(lead + (d, d, m, n + m), dtype=acc)
             table[..., :n] = a[..., :, None, None, :] * b[..., None, :, :, None]
-            flat = table.reshape(lead + (m * (n + m),))[..., : m * (n + m - 1)]
-            pairs = flat.reshape(lead + (m, n + m - 1)).sum(axis=-2)
+            flat = table.reshape(lead + (d, d, m * (n + m)))[..., : m * (n + m - 1)]
+            pairs = flat.reshape(lead + (d, d, m, n + m - 1)).sum(axis=-2)
         else:
+            if a.shape[:-2] != b.shape[:-2]:
+                a, b = np.broadcast_to(a, lead + (d, n)), np.broadcast_to(b, lead + (d, m))
+            lead += (d, d)
             rows = zip(a.reshape(-1, d, n), b.reshape(-1, d, m))
             one = np.convolve if acc is np.int64 else _kronecker
             pairs = [one(x, y) for xs, ys in rows for x in xs for y in ys]

@@ -20,20 +20,23 @@ from __future__ import annotations
 import numpy as np
 
 from .approx import ApproxInstance
-from .poly import reverse, series_inv, trunc
+from .field import residues
 from .struct_solve import TAG_HANKEL, GeneratorPair
 
 
 def compute_s_star(a: ApproxInstance):
-    """Per block (i,j): the series rev(F_{i,j})/rev(P_i) truncated to
-    deg(P_i) + N'_j - 1 terms (all the entries the Hankel block needs; its
-    first N'_j terms are the Toeplitz builder's top-coefficient rows)."""
-    beta = max(a.col_bounds)
-    invs = [series_inv(reverse(p, p.deg), p.deg + beta - 1) for p in a.moduli]
-    return tuple(
-        tuple(trunc(reverse(f, p.deg - 1) * inv, p.deg + nj - 1) for f, nj in zip(fs, a.col_bounds))
-        for p, fs, inv in zip(a.moduli, a.residues, invs)
-    )
+    """Per row i, the (nu, d, deg(P_i) + beta - 1) array of the series
+    rev(F_{i,j})/rev(P_i) to that many terms, beta = max N'_j: every entry
+    Hankel block (i, j) needs lies in its first deg(P_i) + N'_j - 1 terms,
+    and its first N'_j terms are the Toeplitz builder's top-coefficient
+    rows.  One product per run of rows sharing a modulus, with the inverse
+    of its reversal the modulus keeps (Poly.rev_inverse)."""
+    R, beta = residues(a.ctx), max(a.col_bounds)
+    out = []
+    for P, F in a.blocks():
+        k = P.deg + beta - 1
+        out.extend(R.conv(F[..., ::-1], P.rev_inverse(k), slice(0, k)))
+    return tuple(out)
 
 
 def build_hankel_generators(a: ApproxInstance) -> GeneratorPair:
@@ -41,36 +44,34 @@ def build_hankel_generators(a: ApproxInstance) -> GeneratorPair:
 
     The displacement is supported on the first row of every row block and
     the last column of every column block; everything else telescopes away
-    along the Hankel antidiagonals.  Both halves are written as stacked
-    residue arrays straight from the series sections.
+    along the Hankel antidiagonals.  Both halves are written straight from
+    the series sections, one gather per row block for all column blocks:
+    pair j < nu is the last-column profile of column block j against a unit
+    row, pair nu + i a unit column against row block i's first-row profile.
     """
     p, mu, nu = a.ctx.p, a.mu, a.nu
-    mis, njs = a.row_bounds, a.col_bounds
-    s = [
-        [f.coeffs(mi + nj - 1) for f, nj in zip(row, njs)]
-        for row, mi in zip(compute_s_star(a), mis)
-    ]
+    mis, njs = a.row_bounds, np.array(a.col_bounds)
+    s = compute_s_star(a)
     row_starts = np.cumsum((0,) + mis[:-1])
     col_ends = np.cumsum(njs) - 1
-    v = np.zeros((mu + nu, a.ctx.d, a.total_rows), s[0][0].dtype)
-    w = np.zeros((mu + nu, a.ctx.d, a.total_cols), s[0][0].dtype)
-    # one pair per column block: the last-column profile against a unit row
-    for j, nj in enumerate(njs):
-        for i, (mi, r0) in enumerate(zip(mis, row_starts)):
-            col = s[i][j][:, nj : nj + mi - 1]
-            if j + 1 < nu:
-                col = col - s[i][j + 1][:, : mi - 1]
-            v[j, :, r0 + 1 : r0 + mi] = col % p
-        w[j, 0, col_ends[j]] = 1
-    # one pair per row block: a unit column against the first-row profile
-    for i, r0 in enumerate(row_starts):
-        v[nu + i, 0, r0] = 1
-        for j, (nj, c1) in enumerate(zip(njs, col_ends)):
-            row = s[i][j][:, :nj].copy()
-            if i > 0:
-                mp = mis[i - 1]
-                row[:, :-1] -= s[i - 1][j][:, mp : mp + nj - 1]
-                if j + 1 < nu:
-                    row[:, -1] -= s[i - 1][j + 1][:, mp - 1]
-            w[nu + i, :, c1 - nj + 1 : c1 + 1] = row % p
+    block = np.repeat(np.arange(nu), njs)  # column c of A lies in block[c]
+    offset = np.arange(a.total_cols) - (col_ends - njs + 1)[block]  # at offset[c] in it
+    last = offset == njs[block] - 1
+    v = np.zeros((mu + nu, a.ctx.d, a.total_rows), s[0].dtype)
+    w = np.zeros((mu + nu, a.ctx.d, a.total_cols), s[0].dtype)
+    v[nu + np.arange(mu), 0, row_starts] = 1
+    w[np.arange(nu), 0, col_ends] = 1
+    for i, (mi, r0) in enumerate(zip(mis, row_starts)):
+        u = np.arange(mi - 1)
+        col = np.take_along_axis(s[i], (njs[:, None] + u)[:, None, :], axis=2)
+        col[:-1] -= s[i][1:, :, : mi - 1]
+        v[:nu, :, r0 + 1 : r0 + mi] = col % p
+        row = s[i][block, :, offset]  # (total_cols, d)
+        if i > 0:
+            # s[i-1] at mp + offset, but at mp - 1 of the next block in a block's last column
+            mp = mis[i - 1]
+            prev = s[i - 1][np.minimum(block + last, nu - 1), :, np.where(last, mp - 1, mp + offset)]
+            prev[-1] = 0  # the last block has no next one
+            row -= prev
+        w[nu + i] = row.T % p
     return GeneratorPair(TAG_HANKEL, a.total_rows, a.total_cols, v, w, a.ctx)

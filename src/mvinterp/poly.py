@@ -38,14 +38,15 @@ class Poly:
     """Immutable dense polynomial over a fixed FieldCtx.
 
     `a` is the (d, deg + 1) residue array of its coefficients; `c`, the
-    FieldElement tuple, is built on first use.
+    FieldElement tuple, and the inverse of its reversal (rev_inverse) are
+    built on first use.
     """
 
-    __slots__ = ("ctx", "a", "_c")
+    __slots__ = ("ctx", "a", "_c", "_inv")
 
     def __init__(self, ctx: FieldCtx, coeffs):
         cs = [v if isinstance(v, FieldElement) else ctx.el(v) for v in coeffs]
-        self.ctx, self.a, self._c = ctx, _strip(residues(ctx).array(cs)), None
+        self.ctx, self.a, self._c, self._inv = ctx, _strip(residues(ctx).array(cs)), None, None
 
     # -- constructors -------------------------------------------------
 
@@ -53,7 +54,7 @@ class Poly:
     def from_residues(cls, ctx: FieldCtx, a: np.ndarray) -> "Poly":
         """Polynomial of a reduced (d, n) coefficient array."""
         f = object.__new__(cls)
-        f.ctx, f._c = ctx, None
+        f.ctx, f._c, f._inv = ctx, None, None
         f.a = _strip(a.astype(residues(ctx).dtype, copy=False))
         return f
 
@@ -92,6 +93,15 @@ class Poly:
             return self.a[:, :n]
         zeros = np.zeros((self.ctx.d, n - self.a.shape[1]), self.a.dtype)
         return np.concatenate([self.a, zeros], axis=1)
+
+    def rev_inverse(self, n: int) -> np.ndarray:
+        """The inverse of rev(self) modulo X^n as a (d, n) array, self
+        nonzero.  It is kept, so the quotients by one modulus (remainders,
+        compute_s_star, verify_approx) share one inverse, computed once when
+        its first caller asks for the longest precision."""
+        if self._inv is None or self._inv.shape[1] < n:
+            self._inv = series_inv(reverse(self, self.deg), n).coeffs(n)
+        return self._inv[:, :n]
 
     def lead(self) -> FieldElement:
         if self.is_zero():
@@ -210,16 +220,34 @@ def series_inv(f: Poly, n: int) -> Poly:
     k = 1
     while k < n:
         k = min(2 * k, n)
-        e = -R.conv(f.a[:, :k], g)[:, :k] % p  # g * (2 - f g) mod X^k
+        e = -R.conv(f.a[:, :k], g, slice(0, k)) % p  # g * (2 - f g) mod X^k
         e[0, 0] = (e[0, 0] + 2) % p
-        g = R.conv(g, e)[:, :k]
+        g = R.conv(g, e, slice(0, k))
     return Poly.from_residues(f.ctx, g)
 
 
-def _quotient(a: Poly, b: Poly, b_rev_inv: Poly) -> Poly:
-    """Quotient of a by b from an inverse of rev(b) to precision >= dq + 1."""
-    dq = a.deg - b.deg
-    return reverse(trunc(reverse(a, a.deg) * trunc(b_rev_inv, dq + 1), dq + 1), dq)
+def inherit_rev_inverse(f: Poly, fg: Poly, g: Poly, n: int):
+    """Keep on f the inverse of rev(f) modulo X^n, rev(g) / rev(fg) for
+    fg = f * g: one product in place of a Newton iteration."""
+    f._inv = residues(f.ctx).conv(fg.rev_inverse(n), g.a[:, ::-1], slice(0, n))
+
+
+def quotients(a: np.ndarray, b: Poly) -> np.ndarray:
+    """Quotients by b of the (..., d, L) stack a, L > deg b, as (..., d,
+    L - deg b): the top coefficients of each, reversed, times the inverse
+    of rev(b) (Poly.rev_inverse), reversed back."""
+    k = a.shape[-1] - b.deg
+    top = a[..., b.deg :][..., ::-1]
+    return residues(b.ctx).conv(top, b.rev_inverse(k), slice(0, k))[..., ::-1]
+
+
+def remainders(a: np.ndarray, b: Poly) -> np.ndarray:
+    """The (..., d, L) stack a, L >= deg b, reduced mod b as (..., d, deg b):
+    one stacked quotient and one stacked product for the whole stack."""
+    if a.shape[-1] == b.deg:
+        return a
+    lo = residues(b.ctx).conv(quotients(a, b), b.a, slice(0, b.deg))
+    return (a[..., : b.deg] - lo) % b.ctx.p
 
 
 def poly_divrem(a: Poly, b: Poly) -> tuple:
@@ -234,7 +262,7 @@ def poly_divrem(a: Poly, b: Poly) -> tuple:
         return Poly.zero(ctx), a
     dq = da - db
     if dq >= _NEWTON_DIV_CUTOFF:
-        q = _quotient(a, b, series_inv(reverse(b, db), dq + 1))
+        q = Poly.from_residues(ctx, quotients(a.a, b))
         return q, a - b * q
     R = residues(ctx)
     inv_lead = R.inv(b.a[:, -1])[0]
@@ -250,25 +278,6 @@ def poly_divrem(a: Poly, b: Poly) -> tuple:
 
 def poly_mod(a: Poly, b: Poly) -> Poly:
     return poly_divrem(a, b)[1]
-
-
-def remainder_by(b: Poly):
-    """a -> a mod b, reusing one Newton inverse of rev(b) for every
-    quotient.  It is computed when a quotient first needs it, to at least
-    deg b terms (enough for a product of two remainders), and again at
-    twice the precision or more when a later quotient is longer."""
-    db = b.deg
-    inv = [Poly.zero(b.ctx), 0]  # the inverse of rev(b) and its precision
-
-    def rem(a: Poly) -> Poly:
-        if a.deg < db:
-            return a
-        if a.deg - db + 1 > inv[1]:
-            k = max(a.deg - db + 1, db, 2 * inv[1])
-            inv[:] = series_inv(reverse(b, db), k), k
-        return a - b * _quotient(a, b, inv[0])
-
-    return rem
 
 
 def _product_tree(ctx: FieldCtx, roots: np.ndarray) -> list:

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .field import FieldCtx, residues
 from .outcomes import NoSolution, NotApplicable, Solution
-from .poly import Poly, lagrange_interp, remainder_by, weighted_product
+from .poly import Poly, inherit_rev_inverse, lagrange_interp, remainders, weighted_product
 
 # ---------------------------------------------------------------- indices
 
@@ -360,51 +360,71 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
     fs, every = lagrange_interp(ctx, xs, [[ys[t] for _, ys in inst.points] for t in used])
     interp = dict(zip(used, fs))
 
-    # moduli, their remainder maps and the powers of the interpolants
-    # reduced by them depend on |i| only.  P_|i| is P_(|i|+1) times the
-    # vanishing product g of the points with mults > |i|, rebuilt only when
-    # that set grows
-    mod_by_depth = [None] * m
+    # the moduli depend on |i| only.  P_|i| is P_(|i|+1) times the
+    # vanishing product g_|i| of the points with mults > |i|, rebuilt only
+    # when that set grows.  One Newton inverse of rev(P_0), to the longest
+    # precision a remainder below, compute_s_star or verify_approx takes,
+    # gives every 1/rev(P_|i|) as rev(g_(|i|-1)) / rev(P_(|i|-1))
+    mod_by_depth, vanish = [None] * m, [None] * m
     g = None
     for depth in reversed(range(m)):
         sub_x = [x for x, mm in zip(xs, inst.mults) if mm > depth]
         if g is None or g.deg != len(sub_x):
             g = every if len(sub_x) == len(xs) else weighted_product(ctx, sub_x, [1] * len(sub_x))
         mod_by_depth[depth] = g if depth == m - 1 else mod_by_depth[depth + 1] * g
-    rem_by_depth, memo_by_depth = [], []
-    for depth in range(m):
-        rem = remainder_by(mod_by_depth[depth])
-        rem_by_depth.append(rem)
-        memo = {(0,) * inst.nvars: Poly.one(ctx)}
-        for t, f in interp.items():
-            memo[tuple(int(u == t) for u in range(inst.nvars))] = rem(f)
-        memo_by_depth.append(memo)
+        vanish[depth] = g
+    divided = [c for c, j in enumerate(cols) if j in divisors]
+    dlen = max((divisors[cols[c]].deg + 1 for c in divided), default=1)
+    precision = max(mod_by_depth[0].deg + max(col_bounds), dlen) - 1
+    mod_by_depth[0].rev_inverse(precision)
+    for depth in range(1, m):
+        inherit_rev_inverse(mod_by_depth[depth], mod_by_depth[depth - 1], vanish[depth - 1], precision)
 
-    def rpow(delta, depth):
-        memo = memo_by_depth[depth]
-        if delta not in memo:
-            t = next(idx for idx, e in enumerate(delta) if e > 0)
-            prev = rpow(delta[:t] + (delta[t] - 1,) + delta[t + 1 :], depth)
-            unit = tuple(int(u == t) for u in range(inst.nvars))
-            memo[delta] = rem_by_depth[depth](prev * memo[unit])
-        return memo[delta]
+    # entry (i, j) is binom(j, i) mod p, 0 unless i <= j entrywise, times
+    # R^(j - i): index[i, j] places that power in the stack of its depth
+    R, p, n, width = residues(ctx), ctx.p, len(xs), mod_by_depth[0].deg
+    coef = np.array([[math.prod(map(math.comb, j, i)) % p for j in cols] for i in rows])
+    index = np.zeros(coef.shape, int)
+    need = [{} for _ in range(m)]  # per depth: R^delta -> its place in the stack
+    for r, i in enumerate(rows):
+        at = need[sum(i)]
+        for c, j in enumerate(cols):
+            if coef[r, c]:
+                index[r, c] = at.setdefault(tuple(a - b for a, b in zip(j, i)), len(at))
 
-    moduli = []
-    entries = []
-    for i in rows:
-        depth = sum(i)
-        moduli.append(mod_by_depth[depth])
-        row = []
-        for j in cols:
-            coef = math.prod(map(math.comb, j, i)) % ctx.p  # 0 unless i <= j entrywise
-            if not coef:
-                row.append(Poly.zero(ctx))
-                continue
-            f = rpow(tuple(a - b for a, b in zip(j, i)), depth)
-            if j in divisors:
-                f = rem_by_depth[depth](f * divisors[j])
-            row.append(f.scale(ctx.el(coef)))
-        entries.append(row)
+    # every R^delta mod P_0, a multiple of every P_|i|, on one chain graded
+    # by |delta|: delta is its parent, delta less one in its first nonzero
+    # entry t, times R_t, one stacked product and remainder per grade
+    def parent(delta):
+        t = next(t for t, e in enumerate(delta) if e)
+        return delta[:t] + (delta[t] - 1,) + delta[t + 1 :], t
+
+    grades = [set() for _ in range(max(1, *map(sum, cols)) + 1)]
+    for delta in set().union(*need):
+        grades[sum(delta)].add(delta)
+    for k in range(len(grades) - 1, 1, -1):
+        grades[k - 1].update(parent(delta)[0] for delta in grades[k])
+    power = {(0,) * inst.nvars: R.unit(width, 0)}
+    power.update((delta, interp[parent(delta)[1]].coeffs(width)) for delta in grades[1])
+    for level in map(sorted, filter(None, grades[2:])):
+        links = [parent(delta) for delta in level]
+        ups, ts = np.stack([power[up] for up, _ in links]), [interp[t].coeffs(n) for _, t in links]
+        power.update(zip(level, remainders(R.conv(ups, np.stack(ts)), mod_by_depth[0])))
+
+    # per depth: the stack reduced once more by P_|i|, the known divisors
+    # multiplied in with one product and one remainder, then one gather and
+    # one binomial scaling for the depth's rows
+    dstack = np.stack([divisors[cols[c]].coeffs(dlen) for c in divided]) if divided else None
+    moduli, blocks, lo = [], [], 0
+    for depth, P in enumerate(mod_by_depth):
+        hi = lo + sum(sum(i) == depth for i in rows)
+        stack = np.stack([power[delta] for delta in need[depth]] or [R.zeros(width)])
+        E = remainders(stack, P)[index[lo:hi]]  # (rows, nu, d, deg P)
+        if divided:
+            E[:, divided] = remainders(R.conv(E[:, divided], dstack), P)
+        blocks.extend(E * coef[lo:hi, :, None, None] % p)
+        moduli += [P] * (hi - lo)
+        lo = hi
 
     plan = ReductionPlan(
         ctx,
@@ -415,7 +435,7 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
         tuple(col_bounds),
         tuple(divisors.get(j) for j in cols),
     )
-    approx = ApproxInstance(ctx, moduli, entries, col_bounds)
+    approx = ApproxInstance.from_rows(ctx, moduli, blocks, col_bounds)
     return plan, approx
 
 

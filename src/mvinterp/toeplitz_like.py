@@ -84,7 +84,7 @@ def build_toeplitz_generators(a: ApproxInstance) -> GeneratorPair:
         v[i, :, r0 : r0 + m] = -P.coeffs(m) % p
         if i + 1 < mu:
             v[i, 0, r0 + m] = p - 1
-        tops = [s.coeffs(b) for s, b in zip(series, a.col_bounds)]
+        tops = [s[:, :b] for s, b in zip(series, a.col_bounds)]
         w[i, :, 1:] = np.concatenate(tops, axis=1)[:, : N - 1]
     for j, bound in enumerate(a.col_bounds):
         for i, P in enumerate(a.moduli):

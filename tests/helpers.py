@@ -381,7 +381,7 @@ def dense_build_A(a: ApproxInstance):
     for i, mi in enumerate(a.row_bounds):
         c0 = 0
         for j, nj in enumerate(a.col_bounds):
-            s = s_star[i][j]
+            s = Poly.from_residues(a.ctx, s_star[i][j])
             for u in range(mi):
                 row = rows[r0 + u]
                 for v in range(nj):
@@ -394,7 +394,7 @@ def dense_build_A(a: ApproxInstance):
 def markov_tops(P, F, count):
     """The top coefficients of X^v * F mod P for v < count: the first count
     terms of compute_s_star on the one-block instance (P; F; count)."""
-    series = compute_s_star(ApproxInstance(P.ctx, (P,), ((F,),), (count,)))[0][0]
+    series = Poly.from_residues(P.ctx, compute_s_star(ApproxInstance(P.ctx, (P,), ((F,),), (count,)))[0][0])
     return tuple(series.coeff(v) for v in range(count))
 
 

@@ -278,7 +278,7 @@ def test_criterion_04_generator_micro_oracles():
             for j, f in enumerate(a.residues[i]):
                 f_rev = reverse(f, p_i.deg - 1)
                 gamma = beta - a.col_bounds[j]
-                lhs = trunc(table[i][j].shift(gamma) * p_rev, delta)
+                lhs = trunc(Poly.from_residues(ctx, table[i][j]).shift(gamma) * p_rev, delta)
                 assert lhs == trunc(f_rev.shift(gamma), delta)
 
 

@@ -1,7 +1,10 @@
 """End-to-end pipeline tests: gs / re-encoding / infinity-aware / soft."""
 
 import importlib
+import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -550,3 +553,18 @@ def test_benchmark_tracer_finds_every_layer(monkeypatch):
             "toeplitz_like.solve_via_dense",
         ]
     assert apps.solve_approx is solve_approx  # originals restored on exit
+
+
+@pytest.mark.parametrize("workload", ["small_field", "decoders"])
+def test_benchmark_runs_and_its_oracle_agrees(workload):
+    # the benchmark's contract, end to end on real workload instances: its
+    # own Hasse-condition oracle accepts every outcome, and the library
+    # names its set-up uses (linalg.matrix_rank for small_field) still
+    # import; the test above covers layers.Tracer's (FieldTooSmall)
+    root = Path(__file__).resolve().parent.parent
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
+    cmd += ["--seed", "1", "--seconds", "1", "--trace", "0"]
+    run = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0

@@ -155,15 +155,18 @@ def test_residue_inverses_round_trip(ctx):
 
 
 F25_2 = build_extension(prime_field(33554393), 2, random.Random(0))  # 2^53 past 4 terms
+F26_2 = build_extension(prime_field(67108859), 2, random.Random(0))  # 2^53 past 1 term
 
 
-@pytest.mark.parametrize("ctx", [GF256, FieldCtx(13, (6, 12, 6, 0, 1)), F25_2], ids=repr)
+@pytest.mark.parametrize("ctx", [GF256, FieldCtx(13, (6, 12, 6, 0, 1)), F25_2, F26_2], ids=repr)
 def test_matrix_products_match_element_arithmetic(ctx):
-    # at d > 1 combine and scale multiply by multiplication matrices, in
-    # float64 while the sums stay below 2^53 (up to _f64_terms scalar
-    # products) and in int64 above it: both agree with FieldElement
-    # arithmetic, on random residues and on residues within p/64 of p, whose
-    # sums are the largest, at each side of F25_2's bound
+    # at d > 1 combine and scale multiply by multiplication matrices, and
+    # emul and conv fold their residue pairs by the table of t^(a+b) mod f,
+    # in float64 while the sums stay below 2^53 (up to _f64_terms scalar
+    # products, d of them in a fold) and in int64 above it: all agree with
+    # FieldElement arithmetic, on random residues and on residues within p/64
+    # of p, whose sums are the largest, at each side of F25_2's and F26_2's
+    # bounds (F26_2 folds in int64, its multiplication matrices at the bound)
     R = residues(ctx)
     rng = random.Random(ctx.p)
     f = R._f64_terms
@@ -179,7 +182,13 @@ def test_matrix_products_match_element_arithmetic(ctx):
             want = [sum((a * b for a, b in zip(cs, col)), ctx.zero()) for col in cols]
             assert R.elements(R.combine(c, vs)) == want
             assert R.elements(R.scale(c[0], vs[0])) == [cs[0] * b for b in R.elements(vs[0])]
-    assert f == 4 if ctx is F25_2 else f > 13
+            x, y = R.elements(vs[0]), R.elements(vs[-1])
+            assert R.elements(R.emul(vs[0], vs[-1])) == [a * b for a, b in zip(x, y)]
+            mat = R.mul_matrix(c[0]).astype(object)
+            assert R.elements(mat @ vs[0].astype(object) % ctx.p) == [cs[0] * b for b in x]
+            prod = [sum((x[i] * y[k - i] for i in range(5) if 0 <= k - i < 5), ctx.zero()) for k in range(9)]
+            assert R.elements(R.conv(vs[0], vs[-1])) == prod
+    assert f == 4 if ctx is F25_2 else f == 1 if ctx is F26_2 else f > 13
 
 
 @pytest.mark.parametrize("ctx", [prime_field(101), GF256], ids=repr)

@@ -62,14 +62,14 @@ def mat_vec(rows, x, ctx):
 def test_s_star_worked_example():
     a = single_block_instance()
     s = compute_s_star(a)
-    assert s[0][0] == P13(1)  # rev(X)/rev(X^2) = 1/1
+    assert Poly.from_residues(F13, s[0][0]) == P13(1)  # rev(X)/rev(X^2) = 1/1
 
 
 def test_s_star_zero_residue():
     ctx = F13
     P = Poly(ctx, [ctx.one(), ctx.zero(), ctx.one()])  # X^2 + 1
     a = ApproxInstance(ctx, (P,), ((Poly.zero(ctx),),), (3,))
-    assert compute_s_star(a)[0][0].is_zero()
+    assert not compute_s_star(a)[0][0].any()
 
 
 def test_s_star_multiply_back_identity():
@@ -85,7 +85,7 @@ def test_s_star_multiply_back_identity():
             for j, f in enumerate(a.residues[i]):
                 f_rev = reverse(f, p.deg - 1)
                 gamma = beta - a.col_bounds[j]
-                S = s_star[i][j].shift(gamma)
+                S = Poly.from_residues(F13, s_star[i][j]).shift(gamma)
                 lhs = trunc(f_rev.shift(gamma), delta)
                 rhs = trunc(S * p_rev, delta)
                 assert lhs == rhs

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from mvinterp.approx import unpack_solution, verify_approx
+from mvinterp.approx import trim_instance, unpack_solution, verify_approx
 from mvinterp.errors import DegreeViolation, DuplicateNode, NoSolutionSpace
-from mvinterp.field import FieldCtx, prime_field, residues
+from mvinterp.field import FieldCtx, Residues, prime_field, residues
+from mvinterp.mosaic_hankel import build_hankel_generators
 from mvinterp.outcomes import NoSolution, NotApplicable, Solution
 from mvinterp.poly import Poly, lagrange_interp, poly_divrem, weighted_product
 from mvinterp.reduction import (
@@ -373,13 +374,18 @@ def test_build_reduction_known_divisors():
     assert checked >= 15 and nontrivial > 0 and dropped > 0
 
 
-def reduction_by_definition(inst):
+def reduction_by_definition(inst, divisors=None):
     """build_reduction's exponents, bounds, moduli and residues as its
     docstring defines them: every exponent up to ydeg_bound tried, one
-    interpolant per Y-coordinate and one product per modulus."""
-    ctx, xs = inst.ctx, [x for x, _ in inst.points]
-    cols = [j for j in graded_exponents(inst.nvars, inst.ydeg_bound)
-            if inst.wdeg_bound - exp_dot(j, inst.weights) >= 1]
+    interpolant per Y-coordinate, one product per modulus, and a known
+    divisor D_j multiplied in and taken off column j's bound."""
+    ctx, xs, divisors = inst.ctx, [x for x, _ in inst.points], divisors or {}
+    one = Poly.one(ctx)
+
+    def bound(j):
+        return inst.wdeg_bound - exp_dot(j, inst.weights) - divisors.get(j, one).deg
+
+    cols = [j for j in graded_exponents(inst.nvars, inst.ydeg_bound) if bound(j) >= 1]
     interp = [lagrange_interp(ctx, xs, [[ys[t] for _, ys in inst.points]])[0][0]
               for t in range(inst.nvars)]
     moduli, entries = [], []
@@ -390,14 +396,34 @@ def reduction_by_definition(inst):
         for j in cols:
             f = Poly.zero(ctx)
             if exp_leq(i, j):
-                f = Poly.one(ctx)
+                f = divisors.get(j, one)
                 for t, r in enumerate(interp):
                     f = f * r ** (j[t] - i[t])
                 f = poly_divrem(f, moduli[-1])[1].scale(multi_binom(ctx, j, i))
             row.append(f)
         entries.append(row)
-    bounds = [inst.wdeg_bound - exp_dot(j, inst.weights) for j in cols]
-    return tuple(cols), tuple(bounds), moduli, entries
+    return tuple(cols), tuple(bound(j) for j in cols), moduli, entries
+
+
+GF256 = FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1))
+
+
+def check_against_definition(ctx, n, mults, ell, b, weights, divided=False):
+    rng = random.Random(n)
+    xs = [ctx.from_index(k) for k in rng.sample(range(min(ctx.order, 10**6)), n + 4)]
+    pts = [(x, *[ctx.from_index(rng.randrange(min(ctx.order, 10**6))) for _ in weights])
+           for x in xs[:n]]
+    inst = mk_inst(ctx, pts, tuple(mults[r % len(mults)] for r in range(n)), ell, b, weights)
+    divisors = None
+    if divided:  # re-encoding's shape: g^(m - j) divides Q_j for j < m, g vanishing on 4 more nodes
+        g = weighted_product(ctx, xs[n:], [1] * 4)
+        divisors = {(j,): g ** (inst.max_mult - j) for j in range(inst.max_mult)}
+    plan, approx = build_reduction(inst, divisors)
+    cols, bounds, moduli, entries = reduction_by_definition(inst, divisors)
+    assert plan.exponents == cols and approx.col_bounds == bounds
+    assert list(approx.moduli) == moduli
+    assert [list(row) for row in approx.residues] == entries
+    assert all(F.dtype == residues(ctx).dtype for F in approx.rows)
 
 
 @pytest.mark.parametrize(
@@ -406,17 +432,55 @@ def reduction_by_definition(inst):
         (16777213, 24, (2,), 3, 20, (5,)),  # gs: one tree gives P and R
         (101, 6, (1, 2, 3), 4, 2, (1, -3)),  # s = 2, a negative weight
         (101, 7, (2, 1), 5, 7, (3, 0)),  # s = 2, a zero weight
+        pytest.param(101, 5, (1, 3, 2), 3, 3, (0, 1, -1), id="s3"),
+        # binomials vanish in characteristic 2
+        pytest.param(GF256, 12, (3, 1, 2), 4, 14, (2,), id="GF256"),
+        pytest.param(2**61 - 1, 9, (2, 3), 3, 12, (2,), id="p61-object"),
     ],
 )
 def test_build_reduction_matches_its_definition(p, n, mults, ell, b, weights):
-    F, rng = prime_field(p), random.Random(n)
-    pts = [(x, *[rng.randrange(p) for _ in weights]) for x in rng.sample(range(p), n)]
-    inst = mk_inst(F, pts, tuple(mults[r % len(mults)] for r in range(n)), ell, b, weights)
-    plan, approx = build_reduction(inst)
-    cols, bounds, moduli, entries = reduction_by_definition(inst)
-    assert plan.exponents == cols and approx.col_bounds == bounds
-    assert list(approx.moduli) == moduli
-    assert [list(row) for row in approx.residues] == entries
+    ctx = p if isinstance(p, FieldCtx) else prime_field(p)
+    check_against_definition(ctx, n, mults, ell, b, weights)
+
+
+@pytest.mark.parametrize("ctx", [prime_field(16777213), GF256], ids=repr)
+def test_build_reduction_with_divisors_matches_its_definition(ctx):
+    check_against_definition(ctx, 16, (3, 2), 4, 40, (4,), divided=True)
+
+
+def test_products_follow_depths_not_entries(monkeypatch):
+    # build_reduction and build_hankel_generators work per derivative depth
+    # on stacked residues: their top-level Residues products (conv and
+    # conv_sum, not counting the calls nested in them) do not grow with the
+    # mu * nu entries.  s = 3 has 350 entries against 15 for s = 1 on the
+    # same nodes, m = 3 and l = 4, and takes about as many products
+    count, depth = [0], [0]
+
+    def counted(f):
+        def call(self, *args, **kw):
+            count[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return f(self, *args, **kw)
+            finally:
+                depth[0] -= 1
+
+        return call
+
+    monkeypatch.setattr(Residues, "conv", counted(Residues.conv))
+    monkeypatch.setattr(Residues, "conv_sum", counted(Residues.conv_sum))
+    F, rng = prime_field(16777213), random.Random(5)
+    xs = rng.sample(range(F.p), 12)
+    products, entries = {}, {}
+    for s in (1, 3):
+        pts = [(x, *[rng.randrange(F.p) for _ in range(s)]) for x in xs]
+        inst = mk_inst(F, pts, (3,) * len(xs), 4, 60, (0,) * s)
+        count[0] = 0
+        _, approx = build_reduction(inst)
+        build_hankel_generators(trim_instance(approx)[0])
+        products[s], entries[s] = count[0], approx.mu * approx.nu
+    assert entries == {1: 15, 3: 350}
+    assert products[3] <= products[1] + 2 * 4 and 4 * products[3] < entries[3]
 
 
 def test_row_dimension_identity():
