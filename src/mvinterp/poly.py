@@ -4,10 +4,10 @@ Poly is an immutable polynomial whose coefficients (low-to-high, trailing
 zeros stripped) are one (d, n) residue array of the field's Residues layer,
 the same for every field; FieldElements are built only when a caller asks
 for them (`c`, `coeff`, `lead`, `to_ints`, `eval`).  A product is one
-residue convolution.  Power-series inversion is Newton iteration, division
-switches to it for long quotients, and products of many linear factors
-(`weighted_product`, `lagrange_interp`) run level by level on a product
-tree of stacked arrays.
+residue convolution.  Power-series inversion is Newton iteration, every
+division takes its quotient from it (`quotients`), and products of many
+linear factors (`weighted_product`, `lagrange_interp`) run level by level
+on a product tree of stacked arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import (
 )
 from .field import FieldCtx, FieldElement, residues
 
-_NEWTON_DIV_CUTOFF = 32
 _WEIGHT_CELLS = 1 << 16  # largest array of node differences at once
 
 
@@ -213,7 +212,7 @@ def series_inv(f: Poly, n: int) -> Poly:
     """Inverse of f modulo X^n by Newton iteration; needs f(0) != 0."""
     if n <= 0:
         return Poly.zero(f.ctx)
-    if f.coeff(0).is_zero():
+    if f.is_zero() or not f.a[:, 0].any():
         raise NotInvertible("constant term is zero")
     R, p = residues(f.ctx), f.ctx.p
     g = R.inv(f.a[:, 0]).T
@@ -251,29 +250,15 @@ def remainders(a: np.ndarray, b: Poly) -> np.ndarray:
 
 
 def poly_divrem(a: Poly, b: Poly) -> tuple:
-    """Quotient and remainder of a by b; Newton division for long quotients."""
+    """Quotient and remainder of a by b: the Newton quotient, a - b * q."""
     if b.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if a.ctx != b.ctx:
         raise CtxMismatch(f"{a.ctx} vs {b.ctx}")
-    ctx = a.ctx
-    da, db = a.deg, b.deg
-    if da < db:
-        return Poly.zero(ctx), a
-    dq = da - db
-    if dq >= _NEWTON_DIV_CUTOFF:
-        q = Poly.from_residues(ctx, quotients(a.a, b))
-        return q, a - b * q
-    R = residues(ctx)
-    inv_lead = R.inv(b.a[:, -1])[0]
-    rem = a.a.astype(R.dtype)
-    q = R.zeros(dq + 1)
-    for i in range(da, db - 1, -1):
-        if rem[:, i].any():
-            q[:, i - db] = R.mul(rem[:, i], inv_lead)
-            step = R.scale(q[:, i - db], b.a)
-            rem[:, i - db : i + 1] = (rem[:, i - db : i + 1] - step) % R.p
-    return Poly.from_residues(ctx, q), Poly.from_residues(ctx, rem[:, :db])
+    if a.deg < b.deg:
+        return Poly.zero(a.ctx), a
+    q = Poly.from_residues(a.ctx, quotients(a.a, b))
+    return q, a - b * q
 
 
 def poly_mod(a: Poly, b: Poly) -> Poly:

@@ -1,15 +1,15 @@
-"""Toeplitz-like linearization via companion-matrix action.
+"""Toeplitz-like linearization on stacked residues.
 
 The defining linear map of an instance sends the coefficient vector of
 (q_0..q_{nu-1}) to the stacked coefficients of sum_j F_{i,j} q_j mod P_i.
-Its matrix has (i,j) block with columns X^v F_{i,j} mod P_i — successive
-companion-matrix actions on the residue — which makes A' - Z A' Z^T of
-rank at most mu+nu: shifting a column right and down differs from the next
-companion action only through the reduction term (a multiple of P_i's
-coefficient vector scaled by the outgoing top coefficient) plus block
+Its matrix has (i,j) block with columns X^v F_{i,j} mod P_i, which makes
+A' - Z A' Z^T of rank at most mu+nu: shifting a column right and down
+differs from the next one only through the reduction term (a multiple of
+P_i's coefficient vector scaled by the outgoing top coefficient) plus block
 boundary corrections.  The top coefficients of X^v F_{i,j} mod P_i are the
-first N'_j terms of the Markov series rev(F_{i,j})/rev(P_i), so they are
-read off mosaic_hankel.compute_s_star, never by materializing the blocks.
+first N'_j terms of the Markov series rev(F_{i,j})/rev(P_i), read off
+mosaic_hankel.compute_s_star; the shifted residues the builders need are
+one stacked remainder per run of rows sharing a modulus (_shifted_mod).
 """
 
 from __future__ import annotations
@@ -18,30 +18,22 @@ import numpy as np
 
 from .approx import ApproxInstance
 from .errors import TooLarge
+from .field import residues
 from .mosaic_hankel import compute_s_star
-from .poly import Poly, poly_mod
+from .poly import remainders
 from .struct_solve import TAG_TOEPLITZ, GeneratorPair
 
 DENSE_GUARD_CELLS = 1 << 20  # largest matrix either linearization builds densely
 
 
-def _alpha_columns(p: Poly, f: Poly, count: int):
-    """Coefficient columns of X^v * f mod p for v < count (companion action)."""
-    ctx = p.ctx
-    m = p.deg
-    pc = [p.coeff(u) for u in range(m)]
-    cur = [f.coeff(u) for u in range(m)]
-    cols = [list(cur)]
-    for _ in range(1, count):
-        top = cur[m - 1]
-        if top.is_zero():
-            cur = [ctx.zero()] + cur[: m - 1]
-        else:
-            cur = [ctx.zero() - top * pc[0]] + [
-                cur[u - 1] - top * pc[u] for u in range(1, m)
-            ]
-        cols.append(list(cur))
-    return cols
+def _shifted_mod(P, F: np.ndarray, shifts) -> np.ndarray:
+    """X^shifts[k] F[..., k, :, :] mod P of the (..., K, d, deg P) residue
+    stack F, as one stacked remainder."""
+    m = P.deg
+    x = np.zeros(F.shape[:-1] + (m + max(shifts, default=0),), F.dtype)
+    for k, s in enumerate(shifts):
+        x[..., k, :, s : s + m] = F[..., k, :, :]
+    return remainders(x, P)
 
 
 def dense_build_Aprime(a: ApproxInstance):
@@ -49,18 +41,18 @@ def dense_build_Aprime(a: ApproxInstance):
     M, N = a.total_rows, a.total_cols
     if M * N > DENSE_GUARD_CELLS:
         raise TooLarge(f"{M}x{N} dense matrix exceeds the guard")
-    rows = [[a.ctx.zero()] * N for _ in range(M)]
+    R, beta = residues(a.ctx), max(a.col_bounds)
+    block = np.repeat(np.arange(a.nu), a.col_bounds)  # column c of A' is X^offset[c] F_i,block[c]
+    offset = np.arange(N) - np.cumsum((0,) + a.col_bounds)[block]
+    A = np.zeros((a.ctx.d, M, N), R.dtype)
     r0 = 0
-    for i, p in enumerate(a.moduli):
-        c0 = 0
-        for j, bound in enumerate(a.col_bounds):
-            cols = _alpha_columns(p, a.residues[i][j], bound)
-            for v, col in enumerate(cols):
-                for u in range(p.deg):
-                    rows[r0 + u][c0 + v] = col[u]
-            c0 += bound
-        r0 += p.deg
-    return rows
+    for P, F in a.blocks():
+        rows, nu, d, m = F.shape
+        F = np.broadcast_to(F[:, :, None], (rows, nu, beta, d, m))
+        cols = _shifted_mod(P, F, range(beta)).transpose(3, 0, 4, 1, 2)  # (d, rows, m, nu, beta)
+        A[:, r0 : r0 + rows * m] = cols.reshape(d, rows * m, nu, beta)[:, :, block, offset]
+        r0 += rows * m
+    return [R.elements(row) for row in A.swapaxes(0, 1)]
 
 
 def build_toeplitz_generators(a: ApproxInstance) -> GeneratorPair:
@@ -86,11 +78,12 @@ def build_toeplitz_generators(a: ApproxInstance) -> GeneratorPair:
             v[i, 0, r0 + m] = p - 1
         tops = [s[:, :b] for s, b in zip(series, a.col_bounds)]
         w[i, :, 1:] = np.concatenate(tops, axis=1)[:, : N - 1]
-    for j, bound in enumerate(a.col_bounds):
-        for i, P in enumerate(a.moduli):
-            f = a.residues[i][j]
-            if j > 0:
-                f = f - poly_mod(a.residues[i][j - 1].shift(a.col_bounds[j - 1]), P)
-            v[mu + j, :, row_offsets[i] : row_offsets[i + 1]] = f.coeffs(P.deg)
-        w[mu + j, 0, col_starts[j]] = 1
+    r0 = 0
+    for P, F in a.blocks():
+        rows, m = len(F), P.deg
+        F = F.copy()
+        F[:, 1:] = (F[:, 1:] - _shifted_mod(P, F[:, :-1], a.col_bounds[:-1])) % p
+        v[mu:, :, r0 : r0 + rows * m] = F.transpose(1, 2, 0, 3).reshape(nu, ctx.d, rows * m)
+        r0 += rows * m
+    w[mu + np.arange(nu), 0, col_starts[:-1]] = 1
     return GeneratorPair(TAG_TOEPLITZ, M, N, v, w, ctx)

@@ -3,6 +3,11 @@
 Everything random takes an explicit random.Random so failures reproduce
 from the seed printed by the test that drew them.  The dense oracles work
 on plain FieldElement rows, independently of the structured kernel.
+kernel_basis eliminates prime fields below 2^31 with the library's int64
+echelon form and every other field with _rref_generic, an element-wise
+echelon form in FieldElement arithmetic, independent of the library's
+elimination over F_p (linalg), which runs every field through one
+realified matrix.
 """
 
 import math
@@ -13,7 +18,7 @@ import numpy as np
 from mvinterp.approx import ApproxInstance
 from mvinterp.field import prime_field, residues
 from mvinterp.formats import _field_line, format_element
-from mvinterp.linalg import _np_eligible, _rref_generic, _rref_np, _to_np
+from mvinterp.linalg import _NP_PRIME_LIMIT, _rref_np
 from mvinterp.errors import BadLength, TooLarge
 from mvinterp.mosaic_hankel import compute_s_star
 from mvinterp.poly import Poly, reverse, series_inv, trunc
@@ -234,6 +239,44 @@ def displacement_of_dense(tag, rows, ctx):
                 line.append(rows[i][j] - (rows[i - 1][j + 1] if j + 1 < N else z))
         out.append(line)
     return out
+
+
+def _np_eligible(ctx) -> bool:
+    return ctx.d == 1 and ctx.p < _NP_PRIME_LIMIT
+
+
+def _to_np(ctx, rows, ncols):
+    arr = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        arr[i] = [e.c[0] for e in row]
+    return arr
+
+
+def _rref_generic(rows, ctx):
+    """Reduced row echelon form and pivot columns, element by element in
+    FieldElement arithmetic: the reference the library's elimination over
+    F_p (linalg._rref_np) is checked against."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    r = 0
+    pivots = []
+    for c in range(n):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if not rows[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(m):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
 
 
 def kernel_basis(ctx, rows, ncols):

@@ -1,16 +1,22 @@
 import random
 
-from helpers import kernel_basis, spread_seeds
-from mvinterp.field import build_extension, prime_field
-from mvinterp.linalg import (
-    _rref_generic,
-    _rref_np,
-    _to_np,
-    kernel_vector_echelon,
-    matrix_rank,
-)
+import pytest
+
+from helpers import _rref_generic, _to_np, kernel_basis, low_rank_matrix, spread_seeds
+from mvinterp.field import FieldCtx, build_extension, prime_field
+from mvinterp.linalg import _rref_np, kernel_vector_echelon, matrix_rank
 
 F13 = prime_field(13)
+
+# fields the library eliminates over F_p at d > 1 or in object dtype, and
+# kernel_basis element by element (_rref_generic)
+REALIFIED = {
+    "F9": build_extension(prime_field(3), 2, random.Random(1)),
+    "F13^4": FieldCtx(13, (6, 12, 6, 0, 1)),
+    "GF256": FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1)),
+    "P2147483647^2": build_extension(prime_field(2**31 - 1), 2, random.Random(3)),
+    "M61": prime_field(2**61 - 1),
+}
 
 
 def rand_matrix(ctx, m, n, rng):
@@ -47,18 +53,27 @@ def test_kernel_vector_echelon_matches_rank():
             assert all(e.is_zero() for e in mat_vec(A, v, F13))
 
 
-def test_extension_field_generic_path():
-    ext = build_extension(prime_field(3), 2, random.Random(1))
+@pytest.mark.parametrize("name", list(REALIFIED))
+def test_extension_field_generic_path(name):
+    ctx = REALIFIED[name]
     for seed in spread_seeds(7, 15):
         rng = random.Random(seed)
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        A = rand_matrix(ext, m, n, rng)
-        basis = kernel_basis(ext, A, n)
-        assert matrix_rank(ext, A, n) + len(basis) == n
+        if seed % 2:
+            A = rand_matrix(ctx, m, n, rng)
+        else:
+            A = low_rank_matrix(ctx, m, n, rng.randint(0, min(m, n) - 1), rng)
+        basis = kernel_basis(ctx, A, n)
+        rank = matrix_rank(ctx, A, n)
+        assert rank + len(basis) == n
         for v in basis:
-            assert all(e.is_zero() for e in mat_vec(A, v, ext))
-        v = kernel_vector_echelon(ext, A, n)
-        assert (v is None) == (len(basis) == 0)
+            assert all(e.is_zero() for e in mat_vec(A, v, ctx))
+        v = kernel_vector_echelon(ctx, A, n)
+        if rank == n:
+            assert v is None
+        else:
+            assert v is not None and any(not e.is_zero() for e in v)
+            assert all(e.is_zero() for e in mat_vec(A, v, ctx))
 
 
 def test_np_and_generic_rref_agree():

@@ -195,7 +195,7 @@ def test_divrem_known():
 @EVERY_FIELD
 def test_divrem_property_small_and_newton(ctx):
     rng = random.Random(5)
-    for da, db in [(6, 3), (10, 1), (4, 4), (90, 40), (200, 64)]:
+    for da, db in [(6, 3), (10, 1), (4, 4), (7, 0), (90, 40), (200, 64)]:
         a = Poly(ctx, [rand(ctx, rng) for _ in range(da)] + [ctx.one()])
         b = Poly(ctx, [rand(ctx, rng) for _ in range(db)] + [rand(ctx, rng, 1)])
         q, r = poly_divrem(a, b)
@@ -244,6 +244,8 @@ def test_series_inv_property(ctx):
 def test_series_inv_requires_unit():
     with pytest.raises(NotInvertible):
         series_inv(P13(0, 1), 4)
+    with pytest.raises(NotInvertible):
+        series_inv(Poly.zero(F13), 4)
     assert series_inv(P13(3), 0).is_zero()
 
 

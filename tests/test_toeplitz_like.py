@@ -10,6 +10,7 @@ from helpers import (
     markov_tops,
     pack_solution,
     random_approx_instance,
+    random_interp_instance,
     random_monic,
     random_poly,
     spread_seeds,
@@ -17,14 +18,17 @@ from helpers import (
 from mvinterp.approx import ApproxInstance, verify_approx
 from mvinterp.apps import solve_approx
 from mvinterp.errors import TooLarge
-from mvinterp.field import prime_field
+from mvinterp.field import FieldCtx, prime_field
 from mvinterp.linalg import matrix_rank
 from mvinterp.outcomes import NoSolution, Solution
 from mvinterp.poly import Poly, poly_mod
+from mvinterp.reduction import build_reduction
 from mvinterp.toeplitz_like import build_toeplitz_generators, dense_build_Aprime
 
 F13 = prime_field(13)
 F65537 = prime_field(65537)
+F13_4 = FieldCtx(13, (6, 12, 6, 0, 1))
+GF256 = FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1))
 
 
 def P13(*coefs):
@@ -43,6 +47,24 @@ def naive_tops(P, F, count):
 
 def mat_vec(rows, x, ctx):
     return [sum((a * b for a, b in zip(r, x)), ctx.zero()) for r in rows]
+
+
+def builder_instances(base, count):
+    """The builders' test inputs: a random instance per seed over F_13,
+    then over F_13^4 and GF(2^8), then count // 4 build_reduction outputs
+    over F_13 with multiplicities up to 3 in which some derivative depth
+    has several rows sharing one modulus object."""
+    seeds = spread_seeds(base, count)
+    for ctx in (F13, F13_4, GF256):
+        for seed in seeds:
+            yield random_approx_instance(ctx, random.Random(seed))
+    rng, made = random.Random(base), 0
+    while made < count // 4:
+        inst = random_interp_instance(13, rng, max_n=5, allow_negative_weights=False)
+        _, a = build_reduction(inst)
+        if a.total_rows + a.total_cols <= 60 and any(len(F) > 1 for _, F in a.blocks()):
+            yield a
+            made += 1
 
 
 # ------------------------------------------------------- top coefficients
@@ -90,18 +112,19 @@ def test_dense_unit_column():
 
 
 def test_dense_matches_definition():
-    for seed in spread_seeds(409, 40):
-        rng = random.Random(seed)
-        a = random_approx_instance(F13, rng)
+    # column v + 1 of block (i, j) is X times column v less its top
+    # coefficient times P_i (the companion action), with no division
+    for a in builder_instances(409, 40):
         A = dense_build_Aprime(a)
         r0 = 0
         for i, p in enumerate(a.moduli):
             c0 = 0
             for j, bound in enumerate(a.col_bounds):
+                g = a.residues[i][j]
                 for v in range(bound):
-                    g = poly_mod(a.residues[i][j].shift(v), p)
                     for u in range(p.deg):
                         assert A[r0 + u][c0 + v] == g.coeff(u)
+                    g = g.shift(1) - p.scale(g.coeff(p.deg - 1))
                 c0 += bound
             r0 += p.deg
 
@@ -143,15 +166,13 @@ def test_generator_zero_residues():
 
 
 def test_generator_matches_displacement_randomly():
-    for seed in spread_seeds(419, 60):
-        rng = random.Random(seed)
-        a = random_approx_instance(F13, rng)
+    for a in builder_instances(419, 60):
         G = build_toeplitz_generators(a)
         assert G.alpha == a.mu + a.nu
         A = dense_build_Aprime(a)
-        disp = displacement_of_dense("toeplitz", A, F13)
+        disp = displacement_of_dense("toeplitz", A, a.ctx)
         assert generator_product(G) == disp
-        assert matrix_rank(F13, disp, a.total_cols) <= a.mu + a.nu
+        assert matrix_rank(a.ctx, disp, a.total_cols) <= a.mu + a.nu
 
 
 def test_block_last_rows_match_tops():
