@@ -30,7 +30,7 @@ from .errors import (
     NoSolutionSpace,
     PreconditionViolated,
 )
-from .field import FieldCtx
+from .field import FieldCtx, residues
 from .outcomes import NoSolution, NotApplicable, Solution
 from .poly import Poly, poly_divrem, weighted_product
 from .reduction import (
@@ -160,15 +160,15 @@ class DivisorPlan:
     approx: ApproxInstance
 
 
-def _divisor_plan(p: GsParams, points, divisors) -> DivisorPlan:
+def _divisor_plan(k: int, ell: int, b: int, inst, divisors) -> DivisorPlan:
+    """The plan of deg Q_j + j*k < b, j <= ell, on inst (None: no point left)."""
     raw_bounds = tuple(
-        p.b - j * p.k - (divisors[(j,)].deg if (j,) in divisors else 0)
-        for j in range(p.ell + 1)
+        b - j * k - (divisors[(j,)].deg if (j,) in divisors else 0) for j in range(ell + 1)
     )
     kept = tuple(j for j, bnd in enumerate(raw_bounds) if bnd >= 1)
-    if not kept or not points:
+    if not kept or inst is None:
         return DivisorPlan(divisors, raw_bounds, kept, None, None)
-    reduction, approx = build_reduction(_gs_instance(p, points), divisors)
+    reduction, approx = build_reduction(inst, divisors)
     return DivisorPlan(divisors, raw_bounds, kept, reduction, approx)
 
 
@@ -185,10 +185,13 @@ def _solve_divisor_plan(plan: DivisorPlan, ctx: FieldCtx, rng, backend, **kw):
 # ------------------------------------------------------- re-encoding pipeline
 
 
-def reencode_build(p: GsParams, n0: int) -> DivisorPlan:
-    """Pre-solve the zero-valued prefix: g0^(m-j) divides Q_j for j < m."""
-    g0 = weighted_product(p.ctx, [x for x, _ in p.points[:n0]], [1] * n0)
-    return _divisor_plan(p, p.points[n0:], {(j,): g0 ** (p.m - j) for j in range(p.m)})
+def reencode_build(inst: InterpolationInstance, n0: int) -> DivisorPlan:
+    """Pre-solve the zero-valued prefix of the gs instance inst: g0^(m-j)
+    divides Q_j for j < m."""
+    g0, m, n = weighted_product(inst.ctx, inst.x[:, :n0], [1] * n0), inst.mults[0], inst.n
+    rest = inst.restrict(range(n0, n)) if n0 < n else None
+    divisors = {(j,): g0 ** (m - j) for j in range(m)}
+    return _divisor_plan(inst.weights[0], inst.ydeg_bound, inst.wdeg_bound, rest, divisors)
 
 
 def reencode_interpolate(p: GsParams, n0: int, rng, backend: str = "hankel", **kw):
@@ -208,8 +211,9 @@ def reencode_interpolate(p: GsParams, n0: int, rng, backend: str = "hankel", **k
     if bad:
         raise AssumptionViolated(bad[0])
 
-    out = _solve_divisor_plan(reencode_build(p, n0), p.ctx, rng, backend, **kw)
-    if isinstance(out, Solution) and not verify_solution(_gs_instance(p), out.value):
+    inst = _gs_instance(p)  # the points become residue arrays here, once
+    out = _solve_divisor_plan(reencode_build(inst, n0), p.ctx, rng, backend, **kw)
+    if isinstance(out, Solution) and not verify_solution(inst, out.value):
         raise MvInterpError("internal error: re-encoded solution failed verification")
     return out
 
@@ -229,21 +233,26 @@ class ExtPoint:
         return self.y is None
 
 
-def wu_build(points, p: GsParams) -> DivisorPlan:
-    """The points at infinity as divisibility: g_inf^(m-ell+t) divides Q_t
-    for t > ell - m."""
-    inf_xs = [pt.x for pt in points if pt.is_infinite]
-    g_inf = weighted_product(p.ctx, inf_xs, [1] * len(inf_xs))
-    divisors = {(t,): g_inf ** (p.m - p.ell + t) for t in range(p.ell - p.m + 1, p.ell + 1)}
+def wu_split(points, p: GsParams):
+    """The points' one conversion: the gs instance of the finite ones (None
+    if there is none) and the (d, n_inf) residue array of the x at infinity."""
     finite = [(pt.x, pt.y) for pt in points if not pt.is_infinite]
-    return _divisor_plan(p, finite, divisors)
+    inf_x = residues(p.ctx).array([pt.x for pt in points if pt.is_infinite])
+    return (_gs_instance(p, finite) if finite else None), inf_x
 
 
-def wu_infinity_ok(Q: MultiPoly, inf_xs, m: int, ell: int) -> bool:
+def wu_build(inst, inf_x, p: GsParams) -> DivisorPlan:
+    """The points at infinity (wu_split) as divisibility: g_inf^(m-ell+t)
+    divides Q_t for t > ell - m; inst holds the finite points."""
+    g_inf = weighted_product(p.ctx, inf_x, [1] * inf_x.shape[1])
+    divisors = {(t,): g_inf ** (p.m - p.ell + t) for t in range(p.ell - p.m + 1, p.ell + 1)}
+    return _divisor_plan(p.k, p.ell, p.b, inst, divisors)
+
+
+def wu_infinity_ok(Q: MultiPoly, inf_x, m: int, ell: int) -> bool:
     """Y-reversal condition as divisibility: the vanishing product of the
-    infinity points to the power m-j must divide Q_{ell-j} for j < m."""
-    ctx = Q.ctx
-    g_inf = weighted_product(ctx, inf_xs, [1] * len(inf_xs))
+    infinity points inf_x (d, n_inf) to the power m-j divides Q_{ell-j}, j < m."""
+    g_inf = weighted_product(Q.ctx, inf_x, [1] * inf_x.shape[1])
     for j in range(m):
         q = Q.coeff((ell - j,))
         if q.is_zero():
@@ -253,16 +262,14 @@ def wu_infinity_ok(Q: MultiPoly, inf_xs, m: int, ell: int) -> bool:
     return True
 
 
-def verify_wu(points, p: GsParams, Q: MultiPoly) -> bool:
-    """Q answers the infinity-aware problem: nonzero, Y-degree <= ell,
-    weighted degree < b, vanishing to order m at every finite point, and
-    the divisibility conditions of the points at infinity."""
+def verify_wu(inst, inf_x, p: GsParams, Q: MultiPoly) -> bool:
+    """Q answers the infinity-aware problem on the points of wu_split:
+    nonzero, Y-degree <= ell, weighted degree < b, vanishing to order m at
+    every finite point, and the divisibility conditions at infinity."""
     ok = not Q.is_zero() and Q.ydeg <= p.ell and Q.wdeg((p.k,)) < p.b
-    finite = [(pt.x, pt.y) for pt in points if not pt.is_infinite]
-    if ok and finite:
-        ok = verify_solution(_gs_instance(p, finite), Q)
-    inf_xs = [pt.x for pt in points if pt.is_infinite]
-    return ok and wu_infinity_ok(Q, inf_xs, p.m, p.ell)
+    if ok and inst is not None:
+        ok = verify_solution(inst, Q)
+    return ok and wu_infinity_ok(Q, inf_x, p.m, p.ell)
 
 
 def wu_interpolate(points, p: GsParams, rng, backend: str = "hankel", **kw):
@@ -277,8 +284,9 @@ def wu_interpolate(points, p: GsParams, rng, backend: str = "hankel", **kw):
     if p.m > p.ell:
         raise AssumptionViolated("H1")
 
-    out = _solve_divisor_plan(wu_build(points, p), p.ctx, rng, backend, **kw)
-    if isinstance(out, Solution) and not verify_wu(points, p, out.value):
+    inst, inf_x = wu_split(points, p)
+    out = _solve_divisor_plan(wu_build(inst, inf_x, p), p.ctx, rng, backend, **kw)
+    if isinstance(out, Solution) and not verify_wu(inst, inf_x, p, out.value):
         raise MvInterpError("internal error: infinity-aware solution failed verification")
     return out
 
@@ -286,17 +294,17 @@ def wu_interpolate(points, p: GsParams, rng, backend: str = "hankel", **kw):
 # ------------------------------------------------------------- soft decoding
 
 
-def soft_group(points, mults):
-    """Partition indices of possibly-x-repeating points into the minimum
-    number of groups with pairwise-distinct x.
+def soft_group(x, mults):
+    """Partition indices of the possibly repeating nodes x (d, n) into the
+    minimum number of groups with pairwise-distinct x.
 
     Duplicates of one x are spread over groups in order of decreasing
     multiplicity, so the first groups collect the heavy points and the sum
     of per-group maxima stays small.  Returns (groups, per-group max mult).
     """
     by_x = {}
-    for idx, (x, _) in enumerate(points):
-        by_x.setdefault(x.to_index(), []).append(idx)
+    for idx, key in enumerate(zip(*x.tolist())):
+        by_x.setdefault(key, []).append(idx)
     q = max(len(v) for v in by_x.values())
     groups = [[] for _ in range(q)]
     for dup in by_x.values():
@@ -309,19 +317,10 @@ def soft_group(points, mults):
 
 def soft_reduce(inst: InterpolationInstance):
     """Per-group reductions concatenated into one approximation instance."""
-    groups, _ = soft_group(inst.points, inst.mults)
+    groups, _ = soft_group(inst.x, inst.mults)
     plans, moduli, rows = [], [], []
     for g in groups:
-        sub = InterpolationInstance(
-            inst.ctx,
-            inst.nvars,
-            inst.ydeg_bound,
-            inst.wdeg_bound,
-            inst.weights,
-            tuple(inst.points[i] for i in g),
-            tuple(inst.mults[i] for i in g),
-        )
-        plan, approx = build_reduction(sub)
+        plan, approx = build_reduction(inst.restrict(g))
         plans.append(plan)
         moduli.extend(approx.moduli)
         rows.extend(approx.rows)

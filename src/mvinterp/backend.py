@@ -13,15 +13,14 @@ from __future__ import annotations
 from . import mosaic_hankel, toeplitz_like
 from .approx import ApproxInstance, lift_trimmed, trim_instance, unpack_solution, verify_approx
 from .errors import Degenerate, MvInterpError
-from .field import residues
 from .linalg import kernel_vector_echelon
 from .outcomes import NoSolution, Solution
 from .struct_solve import GeneratorPair, nullspace_structured
 
 # backend name -> linearization of a trimmed instance: a GeneratorPair for
-# the structured kernel, or the dense rows for echelon elimination.  The
-# builders are looked up on their modules at each call, so a wrapper set on
-# the module attribute (perfbench's per-layer tracer) is the one called.
+# the structured kernel, or the (M, d, N) dense matrix for echelon elimination.
+# The builders are looked up on their modules at each call, so a wrapper set
+# on the module attribute (perfbench's per-layer tracer) is the one called.
 BUILDERS = {
     "hankel": lambda a: mosaic_hankel.build_hankel_generators(a),
     "toeplitz": lambda a: toeplitz_like.build_toeplitz_generators(a),
@@ -34,10 +33,10 @@ def solve_built(a: ApproxInstance, built, rng, max_retries: int = 8):
     (d, total_cols) residue vector."""
     if isinstance(built, GeneratorPair):
         return nullspace_structured(built, rng, max_retries)
-    vec = kernel_vector_echelon(a.ctx, built, a.total_cols)
+    vec = kernel_vector_echelon(a.ctx, built)
     if vec is None:
         return NoSolution("dense rank equals the unknown count")
-    return Solution(residues(a.ctx).array(vec))
+    return Solution(vec)
 
 
 def solve_approx(a: ApproxInstance, rng, backend: str = "hankel", *, max_retries: int = 8):

@@ -23,6 +23,7 @@ from .apps import (
     solve_approx,
     verify_wu,
     wu_interpolate,
+    wu_split,
 )
 from .backend import BUILDERS, solve_built
 from .errors import MvInterpError
@@ -174,7 +175,8 @@ def cmd_verify(args) -> int:
                 a, [Q.coeff((j,)) for j in range(a.nu)]
             )
         elif parsed.has_infinite():
-            ok = verify_wu(*_wu_params(parsed), Q)
+            pts, p = _wu_params(parsed)
+            ok = verify_wu(*wu_split(pts, p), p, Q)
         else:
             inst = parsed.interpolation_instance(allow_duplicate_x=True)
             ok = verify_solution(inst, Q)

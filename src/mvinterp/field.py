@@ -16,6 +16,7 @@ too-small prime field to.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -436,8 +437,9 @@ class Residues:
 
     def array(self, elems) -> np.ndarray:
         """(d, n) residues of n FieldElements."""
-        a = np.array([e.c for e in elems], dtype=self.dtype)
-        return a.reshape(len(elems), self.d).T.copy()
+        flat = itertools.chain.from_iterable(e.c for e in elems)
+        flat = np.fromiter(flat, self.dtype, len(elems) * self.d)
+        return flat.reshape(len(elems), self.d).T.copy()
 
     def elements(self, a: np.ndarray) -> list:
         return [FieldElement(self.ctx, tuple(c)) for c in a.T.tolist()]
@@ -529,13 +531,13 @@ class Residues:
         L = coeffs.shape[-1]
         acc, out = self._dtypes(L, coeffs, x)
         powers = np.zeros((L,) + x.shape, dtype=x.dtype)
-        powers[0, 0] = 1
+        powers[:1, 0] = 1  # x^0, none for the zero polynomial (L = 0)
         k, xk = 1, x
         while k < L:
             take = min(k, L - k)
             powers[k : k + take] = self.emul(powers[:take], xk)
             k, xk = 2 * k, self.emul(xk, xk)
-        pairs = coeffs.astype(acc, copy=False) @ powers.astype(acc, copy=False).reshape(L, -1)
+        pairs = coeffs.astype(acc, copy=False) @ powers.astype(acc, copy=False).reshape(L, x.size)
         pairs = pairs.reshape(coeffs.shape[:-1] + x.shape) % self.p
         return self._fold_pairs(pairs).astype(out, copy=False)
 

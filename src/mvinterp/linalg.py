@@ -1,9 +1,9 @@
 """Dense exact linear algebra over a FieldCtx: one elimination over F_p.
 
-Over F_{p^d} the M x N matrix A is eliminated as the (M d) x (N d) matrix
-B over F_p of the d x d multiplication matrices of its entries (_realify).
-B is A as an F_p-linear map: its kernel is the residues of A's kernel, and
-rank B = d rank A.
+Over F_{p^d} the M x N matrix A, an (M, d, N) residue array, is eliminated
+as the (M d) x (N d) matrix B over F_p of the d x d multiplication matrices
+of its entries (_realify).  B is A as an F_p-linear map: its kernel is the
+residues of A's kernel, and rank B = d rank A.
 
 - matrix_rank: oracle-grade reduced row echelon form of B in numpy.
 - kernel_vector_echelon: a deliberately plain, loop-only single-vector
@@ -17,24 +17,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import FieldCtx, FieldElement, residues
+from .field import FieldCtx, residues
 
 _NP_PRIME_LIMIT = 1 << 31
 
 
-def _realify(ctx: FieldCtx, rows, ncols) -> np.ndarray:
-    """The (M d) x (N d) matrix over F_p of the M x N FieldElement rows, in
+def _realify(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
+    """The (M d) x (N d) matrix over F_p of the (M, d, N) matrix A, in
     int64 below _NP_PRIME_LIMIT, else object; at d = 1 the residues."""
     dtype = np.int64 if ctx.p < _NP_PRIME_LIMIT else object
-    if ctx.d == 1:
-        arr = np.zeros((len(rows), ncols), dtype)
-        for i, row in enumerate(rows):
-            arr[i] = [e.c[0] for e in row]
-        return arr
-    R, d = residues(ctx), ctx.d
-    blocks = R.mul_matrix(R.array([e for row in rows for e in row]).T)
-    blocks = blocks.reshape(len(rows), ncols, d, d).swapaxes(1, 2)
-    return blocks.reshape(len(rows) * d, ncols * d).astype(dtype)
+    M, d, N = A.shape
+    if d == 1:
+        return A[:, 0].astype(dtype)
+    blocks = residues(ctx).mul_matrix(A.swapaxes(1, 2)).swapaxes(1, 2)  # (M, d, N, d)
+    return blocks.reshape(M * d, N * d).astype(dtype)
 
 
 def _rref_np(arr: np.ndarray, p: int):
@@ -63,24 +59,20 @@ def _rref_np(arr: np.ndarray, p: int):
 
 
 def matrix_rank(ctx: FieldCtx, rows, ncols: int) -> int:
-    return len(_rref_np(_realify(ctx, rows, ncols), ctx.p)) // ctx.d
+    """Rank of the matrix of FieldElement rows, converted once."""
+    A = residues(ctx).array([e for row in rows for e in row]).reshape(ctx.d, len(rows), ncols)
+    return len(_rref_np(_realify(ctx, A.swapaxes(0, 1)), ctx.p)) // ctx.d
 
 
-def kernel_vector_echelon(ctx: FieldCtx, rows, ncols: int):
-    """One nonzero kernel vector, or None when the columns are independent.
+def kernel_vector_echelon(ctx: FieldCtx, A: np.ndarray):
+    """One nonzero kernel vector of the (M, d, N) matrix A as a (d, N)
+    residue array, or None when the columns are independent.
 
     Plain forward elimination plus back-substitution on raw ints, written
     without numpy on purpose (benchmark baseline).
     """
-    d = ctx.d
-    sol = _kernel_vector_int(_realify(ctx, rows, ncols).tolist(), ncols * d, ctx.p)
-    if sol is None:
-        return None
-    return [FieldElement(ctx, tuple(sol[j * d : j * d + d])) for j in range(ncols)]
-
-
-def _kernel_vector_int(rows, ncols, p):
-    nrows = len(rows)
+    M, d, N = A.shape
+    rows, nrows, ncols, p = _realify(ctx, A).tolist(), M * d, N * d, ctx.p
     r = 0
     pivots = []
     for c in range(ncols):
@@ -113,4 +105,4 @@ def _kernel_vector_int(rows, ncols, p):
             if v[j]:
                 s += row[j] * v[j]
         v[c] = -s % p
-    return v
+    return np.array(v, residues(ctx).dtype).reshape(N, d).T.copy()

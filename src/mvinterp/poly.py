@@ -3,11 +3,11 @@
 Poly is an immutable polynomial whose coefficients (low-to-high, trailing
 zeros stripped) are one (d, n) residue array of the field's Residues layer,
 the same for every field; FieldElements are built only when a caller asks
-for them (`c`, `coeff`, `lead`, `to_ints`, `eval`).  A product is one
-residue convolution.  Power-series inversion is Newton iteration, every
-division takes its quotient from it (`quotients`), and products of many
-linear factors (`weighted_product`, `lagrange_interp`) run level by level
-on a product tree of stacked arrays.
+for them (`c`, `coeff`, `lead`, `eval`).  A product is one residue
+convolution.  Power-series inversion is Newton iteration, every division
+takes its quotient from it (`quotients`), and products of many linear
+factors (`weighted_product`, `lagrange_interp`, on node arrays) run level
+by level on a product tree of stacked arrays.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ class Poly:
 
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, ())
+        return cls.from_residues(ctx, residues(ctx).zeros(0))
 
     @classmethod
     def one(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (ctx.one(),))
+        return cls.from_residues(ctx, residues(ctx).unit(1, 0))
 
     # -- structure ----------------------------------------------------
 
@@ -161,10 +161,9 @@ class Poly:
         return self if lead == self.ctx.one() else self.scale(lead.inv())
 
     def eval(self, x: FieldElement) -> FieldElement:
-        acc = self.ctx.zero()
-        for v in reversed(self.c):
-            acc = acc * x + v
-        return acc
+        R = residues(self.ctx)
+        v = R.evaluate(self.a, np.array(self.ctx.el(x).c, R.dtype)[:, None])
+        return FieldElement(self.ctx, tuple(v[:, 0].tolist()))
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -281,34 +280,38 @@ def _product_tree(ctx: FieldCtx, roots: np.ndarray) -> list:
     return levels
 
 
-def lagrange_interp(ctx: FieldCtx, xs, rows) -> tuple:
-    """([f_t], M): the unique polynomial f_t of degree < n through (xs[i],
-    rows[t][i]) for each row of values t, and M = prod_i (X - xs[i]); xs
-    distinct.  Barycentric form on one product tree of the nodes: weights
-    w_i = prod_{k != i} (x_i - x_k) (_node_weights), c_i = y_i / w_i, and
-    sum_i c_i * M / (X - x_i) combined up the tree as f_L * M_R + f_R * M_L,
-    one stacked product of every row per level."""
-    xs, rows = [ctx.el(x) for x in xs], [[ctx.el(y) for y in ys] for ys in rows]
-    for ys in rows:
-        if len(ys) != len(xs):
-            raise BadLength(f"{len(xs)} nodes vs {len(ys)} values")
-    if len(set(xs)) != len(xs):
-        raise DuplicateNode("interpolation nodes must be pairwise distinct")
-    n = len(xs)
+def _check_nodes(x: np.ndarray, values: np.ndarray):
+    """BadLength unless the values (..., d, n) match the nodes x (d, n),
+    DuplicateNode unless the nodes are pairwise distinct."""
+    if values.shape[-1] != x.shape[1]:
+        raise BadLength(f"{x.shape[1]} nodes vs {values.shape[-1]} values")
+    if len(set(zip(*x.tolist()))) != x.shape[1]:
+        raise DuplicateNode("nodes must be pairwise distinct")
+
+
+def lagrange_interp(ctx: FieldCtx, x: np.ndarray, ys: np.ndarray) -> tuple:
+    """([f_t], M): the unique polynomial f_t of degree < n through the
+    nodes x (d, n) and the values ys[t] (d, n) for each t of ys (s, d, n),
+    and M = prod_i (X - x_i); x distinct.  Barycentric form on one product
+    tree of the nodes: weights w_i = prod_{k != i} (x_i - x_k)
+    (_node_weights), c_i = y_i / w_i, and sum_i c_i * M / (X - x_i) combined
+    up the tree as f_L * M_R + f_R * M_L, one stacked product of every row
+    per level."""
+    _check_nodes(x, ys)
+    n, s = x.shape[1], len(ys)
     if n == 0:
-        return [Poly.zero(ctx) for _ in rows], Poly.one(ctx)
+        return [Poly.zero(ctx) for _ in range(s)], Poly.one(ctx)
     R, p = residues(ctx), ctx.p
-    x = R.array(xs)
     levels = _product_tree(ctx, x)
     fs = []
-    if rows:
+    if s:
         step = max(1, _WEIGHT_CELLS // (ctx.d * n))
         w = [_node_weights(R, x, lo, min(lo + step, n)) for lo in range(0, n, step)]
-        c = R.emul(np.stack([R.array(ys) for ys in rows]), R.inv_each(np.concatenate(w, axis=1)))
-        f = np.zeros((len(rows) * len(levels[0]), ctx.d, 1), R.dtype)  # the rows' leaves in turn
-        f.reshape(len(rows), -1, ctx.d)[:, :n] = c.transpose(0, 2, 1)
+        c = R.emul(ys, R.inv_each(np.concatenate(w, axis=1)))
+        f = np.zeros((s * len(levels[0]), ctx.d, 1), R.dtype)  # the rows' leaves in turn
+        f.reshape(s, -1, ctx.d)[:, :n] = c.transpose(0, 2, 1)
         for m in levels[:-1]:
-            m = np.tile(m, (len(rows), 1, 1)) if len(rows) > 1 else m
+            m = np.tile(m, (s, 1, 1)) if s > 1 else m
             f = (R.conv(f[0::2], m[1::2]) + R.conv(f[1::2], m[0::2])) % p
         fs = [Poly.from_residues(ctx, g) for g in f]
     return fs, Poly.from_residues(ctx, levels[-1][0])
@@ -329,14 +332,10 @@ def _node_weights(R, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return diff[..., 0].T
 
 
-def weighted_product(ctx: FieldCtx, xs, ms) -> Poly:
-    """prod_i (X - xs[i])^ms[i] for distinct nodes, as one product tree."""
-    xs = [ctx.el(x) for x in xs]
-    if len(xs) != len(ms):
-        raise BadLength(f"{len(xs)} nodes vs {len(ms)} multiplicities")
-    if len(set(xs)) != len(xs):
-        raise DuplicateNode("product nodes must be pairwise distinct")
-    if any(m < 0 for m in ms):
+def weighted_product(ctx: FieldCtx, x: np.ndarray, ms) -> Poly:
+    """prod_i (X - x_i)^ms[i] over the distinct nodes x (d, n): one product tree."""
+    ms = np.asarray(ms, dtype=np.int64)
+    _check_nodes(x, ms)
+    if (ms < 0).any():
         raise ValueError("negative multiplicity")
-    roots = residues(ctx).array([x for x, m in zip(xs, ms) for _ in range(m)])
-    return Poly.from_residues(ctx, _product_tree(ctx, roots)[-1][0])
+    return Poly.from_residues(ctx, _product_tree(ctx, np.repeat(x, ms, axis=1))[-1][0])

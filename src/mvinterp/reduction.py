@@ -21,6 +21,7 @@ shortcut (both elementary solution-space transformations).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -73,6 +74,9 @@ def exp_dot(j, weights) -> int:
 
 @dataclass(frozen=True)
 class InterpolationInstance:
+    """The problem on FieldElement points, validated and kept as residue
+    arrays once (__post_init__): x (d, n) of the x_r, y (s, d, n) of the y_r."""
+
     ctx: FieldCtx
     nvars: int  # number of Y variables (s)
     ydeg_bound: int  # inclusive cap on total Y-degree
@@ -101,12 +105,21 @@ class InterpolationInstance:
             raise BadLength("need one multiplicity per point, at least one point")
         if any(m < 1 for m in mults):
             raise Degenerate("multiplicities must be >= 1")
-        if not self.allow_duplicate_x:
-            if len({x for x, _ in points}) != len(points):
-                raise DuplicateNode("x-coordinates must be pairwise distinct")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "mults", mults)
+        if not self.allow_duplicate_x and len({x for x, _ in points}) != len(points):
+            raise DuplicateNode("x-coordinates must be pairwise distinct")
+        R = residues(self.ctx)
+        flat = R.array([y for _, ys in points for y in ys]).reshape(self.ctx.d, -1, self.nvars)
+        x, y = R.array([x for x, _ in points]), flat.transpose(2, 0, 1).copy()
+        vars(self).update(weights=weights, points=tuple(points), mults=mults, x=x, y=y)
+
+    def restrict(self, keep, **changes) -> "InterpolationInstance":
+        """The instance on the points keep (indices) with `changes` to its
+        fields, its points and arrays taken over, not checked again."""
+        out, keep = copy.copy(self), list(keep)
+        points, mults = tuple(self.points[r] for r in keep), tuple(self.mults[r] for r in keep)
+        vars(out).update(points=points, mults=mults, x=self.x[:, keep], y=self.y[..., keep])
+        vars(out).update(changes)
+        return out
 
     @property
     def n(self) -> int:
@@ -241,14 +254,12 @@ def verify_solution(inst: InterpolationInstance, Q: MultiPoly) -> bool:
     ctx = inst.ctx
     R = residues(ctx)
     m = inst.max_mult
-    x = R.array([x for x, _ in inst.points])
     mults = np.array(inst.mults)
     js = list(Q.terms)
-    hasse = _hasse_arrays(ctx, [Q.terms[j] for j in js], x, m)
+    hasse = _hasse_arrays(ctx, [Q.terms[j] for j in js], inst.x, m)
     ypow = []  # ypow[t][e] = y_t^e at every point
-    for t in range(inst.nvars):
+    for y in inst.y:
         pw = [R.unit(1, 0)]
-        y = R.array([ys[t] for _, ys in inst.points])
         for _ in range(Q.ydeg):
             pw.append(R.emul(pw[-1], y))
         ypow.append(pw)
@@ -281,18 +292,13 @@ def preprocess_high_multiplicity(inst: InterpolationInstance):
     cap = inst.ydeg_bound
     if inst.max_mult <= cap:
         return inst, Poly.one(inst.ctx)
-    xs = [x for (x, _), m in zip(inst.points, inst.mults) if m > cap]
-    exps = [m - cap for m in inst.mults if m > cap]
-    multiplier = weighted_product(inst.ctx, xs, exps)
-    capped = InterpolationInstance(
-        inst.ctx,
-        inst.nvars,
-        inst.ydeg_bound,
-        inst.wdeg_bound - multiplier.deg,
-        inst.weights,
-        inst.points,
-        tuple(min(m, cap) for m in inst.mults),
-        allow_duplicate_x=inst.allow_duplicate_x,
+    mults = np.array(inst.mults)
+    over = mults > cap
+    multiplier = weighted_product(inst.ctx, inst.x[:, over], mults[over] - cap)
+    capped = inst.restrict(
+        range(inst.n),
+        wdeg_bound=inst.wdeg_bound - multiplier.deg,
+        mults=tuple(min(m, cap) for m in inst.mults),
     )
     return capped, multiplier
 
@@ -306,7 +312,7 @@ def trivial_weight_check(inst: InterpolationInstance):
     if all(w >= inst.n for w in inst.weights):
         if inst.wdeg_bound <= sum(inst.mults):
             return NoSolution("degree budget below the forced vanishing product")
-        prod = weighted_product(inst.ctx, [x for x, _ in inst.points], inst.mults)
+        prod = weighted_product(inst.ctx, inst.x, inst.mults)
         return Solution(MultiPoly(inst.ctx, inst.nvars, {(0,) * inst.nvars: prod}))
     if _top_bound(inst) - sum(max(m - inst.ydeg_bound, 0) for m in inst.mults) < 1:
         return NoSolution("NoSolutionSpace: no admissible Y-exponent satisfies the degree bounds")
@@ -354,10 +360,9 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
     rows = graded_exponents(inst.nvars, m, strict=True)
     col_bounds = [bound(j) for j in cols]
 
-    xs = [x for x, _ in inst.points]
     # interpolants of the Y-coordinates some column uses, and prod (X - x_r)
     used = [t for t in range(inst.nvars) if any(j[t] > 0 for j in cols)]
-    fs, every = lagrange_interp(ctx, xs, [[ys[t] for _, ys in inst.points] for t in used])
+    fs, every = lagrange_interp(ctx, inst.x, inst.y[used])
     interp = dict(zip(used, fs))
 
     # the moduli depend on |i| only.  P_|i| is P_(|i|+1) times the
@@ -366,11 +371,11 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
     # precision a remainder below, compute_s_star or verify_approx takes,
     # gives every 1/rev(P_|i|) as rev(g_(|i|-1)) / rev(P_(|i|-1))
     mod_by_depth, vanish = [None] * m, [None] * m
-    g = None
+    mults, g = np.array(inst.mults), None
     for depth in reversed(range(m)):
-        sub_x = [x for x, mm in zip(xs, inst.mults) if mm > depth]
-        if g is None or g.deg != len(sub_x):
-            g = every if len(sub_x) == len(xs) else weighted_product(ctx, sub_x, [1] * len(sub_x))
+        sub = mults > depth
+        if g is None or g.deg != sub.sum():
+            g = every if sub.all() else weighted_product(ctx, inst.x[:, sub], [1] * int(sub.sum()))
         mod_by_depth[depth] = g if depth == m - 1 else mod_by_depth[depth + 1] * g
         vanish[depth] = g
     divided = [c for c, j in enumerate(cols) if j in divisors]
@@ -382,7 +387,7 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
 
     # entry (i, j) is binom(j, i) mod p, 0 unless i <= j entrywise, times
     # R^(j - i): index[i, j] places that power in the stack of its depth
-    R, p, n, width = residues(ctx), ctx.p, len(xs), mod_by_depth[0].deg
+    R, p, n, width = residues(ctx), ctx.p, inst.n, mod_by_depth[0].deg
     coef = np.array([[math.prod(map(math.comb, j, i)) % p for j in cols] for i in rows])
     index = np.zeros(coef.shape, int)
     need = [{} for _ in range(m)]  # per depth: R^delta -> its place in the stack

@@ -36,23 +36,23 @@ def _shifted_mod(P, F: np.ndarray, shifts) -> np.ndarray:
     return remainders(x, P)
 
 
-def dense_build_Aprime(a: ApproxInstance):
-    """The matrix of the defining map itself (oracle / dense baseline)."""
+def dense_build_Aprime(a: ApproxInstance) -> np.ndarray:
+    """The (M, d, N) residue matrix of the defining map (dense baseline)."""
     M, N = a.total_rows, a.total_cols
     if M * N > DENSE_GUARD_CELLS:
         raise TooLarge(f"{M}x{N} dense matrix exceeds the guard")
     R, beta = residues(a.ctx), max(a.col_bounds)
     block = np.repeat(np.arange(a.nu), a.col_bounds)  # column c of A' is X^offset[c] F_i,block[c]
     offset = np.arange(N) - np.cumsum((0,) + a.col_bounds)[block]
-    A = np.zeros((a.ctx.d, M, N), R.dtype)
+    A = np.zeros((M, a.ctx.d, N), R.dtype)
     r0 = 0
     for P, F in a.blocks():
         rows, nu, d, m = F.shape
         F = np.broadcast_to(F[:, :, None], (rows, nu, beta, d, m))
-        cols = _shifted_mod(P, F, range(beta)).transpose(3, 0, 4, 1, 2)  # (d, rows, m, nu, beta)
-        A[:, r0 : r0 + rows * m] = cols.reshape(d, rows * m, nu, beta)[:, :, block, offset]
+        cols = _shifted_mod(P, F, range(beta)).transpose(0, 4, 3, 1, 2)  # (rows, m, d, nu, beta)
+        A[r0 : r0 + rows * m] = cols.reshape(rows * m, d, nu, beta)[..., block, offset]
         r0 += rows * m
-    return [R.elements(row) for row in A.swapaxes(0, 1)]
+    return A
 
 
 def build_toeplitz_generators(a: ApproxInstance) -> GeneratorPair:

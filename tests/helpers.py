@@ -204,6 +204,23 @@ def elements(ctx, x):
     return residues(ctx).elements(x)
 
 
+def res(ctx, values):
+    """The (d, n) residue array of n ints or FieldElements."""
+    return residues(ctx).array([ctx.el(v) for v in values])
+
+
+def res_matrix(ctx, rows, ncols):
+    """The (M, d, N) residue array of a matrix of FieldElement rows."""
+    A = res(ctx, [e for row in rows for e in row])
+    return A.reshape(ctx.d, len(rows), ncols).swapaxes(0, 1)
+
+
+def element_rows(ctx, A):
+    """FieldElement rows of an (M, d, N) residue matrix, such as
+    dense_build_Aprime's."""
+    return [elements(ctx, row) for row in A]
+
+
 def apply_generator(G, x):
     """A·x for the matrix a generator of either tag represents."""
     return mat_vec(reconstruct_dense(G), x, G.ctx)

@@ -52,6 +52,7 @@ from helpers import (
     binom_mod,
     dense_build_A,
     displacement_of_dense,
+    element_rows,
     exp_leq,
     generator_product,
     kernel_basis,
@@ -61,6 +62,7 @@ from helpers import (
     random_interp_instance,
     random_monic,
     random_poly,
+    res,
 )
 
 
@@ -170,7 +172,7 @@ def test_criterion_01_cross_route_and_dense_agreement():
                 p, rng, cap=cap, max_s=3, max_n=12, max_mult=3, max_ell=4
             )
             A = dense_build_A(a)
-            Ap = dense_build_Aprime(a)
+            Ap = element_rows(ctx, dense_build_Aprime(a))
             n_cols = a.total_cols
             solvable = matrix_rank(ctx, A, n_cols) < n_cols
             solvable_p = matrix_rank(ctx, Ap, n_cols) < n_cols
@@ -203,7 +205,7 @@ def test_criterion_02_reduction_nullspace_bijection():
         inst, plan, a = sized_instance(
             p, rng, cap=60, max_s=2, max_n=5, max_mult=2, max_ell=3
         )
-        Ap = dense_build_Aprime(a)
+        Ap = element_rows(ctx, dense_build_Aprime(a))
         route_kernel = kernel_basis(ctx, Ap, a.total_cols)
         cols = list(zip(plan.exponents, plan.col_bounds))
         h_rows, unknowns = hasse_condition_matrix(inst, cols)
@@ -244,7 +246,7 @@ def test_criterion_03_displacement_rank_bounds():
         G = build_hankel_generators(a)
         assert generator_product(G) == disp
 
-        Ap = dense_build_Aprime(a)
+        Ap = element_rows(ctx, dense_build_Aprime(a))
         disp_p = displacement_of_dense(TAG_TOEPLITZ, Ap, ctx)
         assert matrix_rank(ctx, disp_p, a.total_cols) <= bound
         Gp = build_toeplitz_generators(a)
@@ -337,16 +339,16 @@ def test_criterion_06_reencoding_dimension_identities():
             for i, x in enumerate(xs)
         )
         params = GsParams(ctx, k=k, m=m, ell=ell, b=b, points=pts)
-        plan = reencode_build(params, n0)
+        orig = InterpolationInstance(
+            ctx, 1, ell, b, (k,), tuple((x, (y,)) for x, y in pts), (m,) * n
+        )
+        plan = reencode_build(orig, n0)
         tri = m * (m + 1) // 2
         assert sum(plan.raw_bounds) == sum(b - j * k for j in range(ell + 1)) - n0 * tri
         if plan.approx is not None:
             assert plan.approx.total_rows == tri * (n - n0)
         out = reencode_interpolate(params, n0, random.Random(6060 + trial))
         if isinstance(out, Solution):
-            orig = InterpolationInstance(
-                ctx, 1, ell, b, (k,), tuple((x, (y,)) for x, y in pts), (m,) * n
-            )
             assert verify_solution(orig, out.value)
             produced += 1
     assert produced > 0
@@ -383,7 +385,7 @@ def test_criterion_07_wu_infinity_divisibility():
             if not q.is_zero():
                 _, rem = poly_divrem(q, g_inf ** (m - j))
                 assert rem.is_zero()
-        assert wu_infinity_ok(Q, [ctx.el(x) for x in xs[n_fin:]], m, ell)
+        assert wu_infinity_ok(Q, res(ctx, xs[n_fin:]), m, ell)
     assert produced >= 10
 
 

@@ -27,20 +27,21 @@ from mvinterp.apps import (
     wu_build,
     wu_infinity_ok,
     wu_interpolate,
+    wu_split,
 )
 from mvinterp.errors import (
     AssumptionViolated,
     Degenerate,
     PreconditionViolated,
 )
-from mvinterp.field import FieldCtx, prime_field
+from mvinterp.field import FieldCtx, FieldElement, Residues, prime_field
 from mvinterp.linalg import matrix_rank
 from mvinterp.outcomes import Failure, NoSolution, Solution
 from mvinterp.poly import Poly
 from mvinterp.reduction import InterpolationInstance, build_reduction, verify_solution
 from mvinterp.struct_solve import subset_floor
 
-from helpers import dense_build_A, random_interp_instance, spread_seeds
+from helpers import dense_build_A, random_interp_instance, res, spread_seeds
 
 F13 = prime_field(13)
 F101 = prime_field(101)
@@ -162,7 +163,7 @@ def test_unknown_backend_rejected():
 
 def test_reencode_worked_example():
     p = GsParams(F13, k=1, m=1, ell=1, b=3, points=gs_points(F13, [(0, 0), (1, 0), (2, 5)]))
-    plan = reencode_build(p, 2)
+    plan = reencode_build(params_instance(p), 2)
     assert plan.raw_bounds == (1, 2)
     assert plan.kept == (0, 1)
     assert plan.approx.total_rows == 1  # one point left, multiplicity one
@@ -185,7 +186,8 @@ def test_reencode_dimension_identities():
             (el(x), el(0) if i < n0 else el(rng.randint(1, 12)))
             for i, x in enumerate(xs)
         )
-        plan = reencode_build(GsParams(F13, k=k, m=m, ell=ell, b=b, points=pts), n0)
+        p = GsParams(F13, k=k, m=m, ell=ell, b=b, points=pts)
+        plan = reencode_build(params_instance(p), n0)
         tri = m * (m + 1) // 2
         assert sum(plan.raw_bounds) == sum(b - j * k for j in range(ell + 1)) - n0 * tri
         if plan.approx is not None:
@@ -241,7 +243,7 @@ def test_reencode_budget_exhausted():
     pts = gs_points(F13, [(0, 0), (1, 0), (2, 5)])
     p = GsParams(F13, k=0, m=2, ell=2, b=4, points=pts)
     # raw bounds: j<2: 4 - 2*(2-j) -> (0, 2); j=2: 4 -> kept (1, 2)
-    plan = reencode_build(p, 2)
+    plan = reencode_build(params_instance(p), 2)
     assert plan.raw_bounds == (0, 2, 4)
     assert plan.kept == (1, 2)
     out = reencode_interpolate(p, 2, random.Random(7))
@@ -258,7 +260,7 @@ def test_wu_worked_example():
     out = wu_interpolate(pts, p, random.Random(8))
     assert isinstance(out, Solution)
     Q = out.value
-    assert wu_infinity_ok(Q, [el(3)], 1, 2)
+    assert wu_infinity_ok(Q, res(F13, [3]), 1, 2)
     assert Q.ydeg <= 2 and Q.wdeg((1,)) < 4
     # finite points are actually hit
     inst = InterpolationInstance(
@@ -270,7 +272,7 @@ def test_wu_worked_example():
 def test_wu_build_bounds():
     pts = (ExtPoint(el(0), el(1)), ExtPoint(el(3), None), ExtPoint(el(4), None))
     p = GsParams(F13, k=1, m=2, ell=3, b=9, points=())
-    plan = wu_build(pts, p)
+    plan = wu_build(*wu_split(pts, p), p)
     # t <= ell-m keeps b - t*k; above that each unknown loses (m-ell+t)*n_inf
     assert plan.raw_bounds == (9, 8, 7 - 2, 6 - 4)
     assert plan.approx is not None and plan.approx.mu == 2
@@ -293,7 +295,7 @@ def test_wu_divisibility_of_top_coefficients():
         out = wu_interpolate(pts, p, random.Random(seed + 9))
         if not isinstance(out, Solution):
             continue
-        assert wu_infinity_ok(out.value, [el(x) for x in xs[n_fin:]], m, ell)
+        assert wu_infinity_ok(out.value, res(F13, xs[n_fin:]), m, ell)
 
 
 def test_wu_without_infinity_matches_gs():
@@ -315,7 +317,7 @@ def test_wu_all_points_at_infinity():
     p = GsParams(F13, k=1, m=1, ell=2, b=4, points=())
     out = wu_interpolate(pts, p, random.Random(10))
     assert isinstance(out, Solution)
-    assert wu_infinity_ok(out.value, [el(2), el(5)], 1, 2)
+    assert wu_infinity_ok(out.value, res(F13, [2, 5]), 1, 2)
 
 
 def test_wu_duplicate_x_rejected():
@@ -329,15 +331,13 @@ def test_wu_duplicate_x_rejected():
 
 
 def test_soft_group_spreads_heavy_duplicates():
-    pts = ((el(4), (el(1),)), (el(4), (el(2),)), (el(9), (el(3),)))
-    groups, maxima = soft_group(pts, (1, 3, 2))
+    groups, maxima = soft_group(res(F13, [4, 4, 9]), (1, 3, 2))
     assert groups == ((1, 2), (0,))
     assert maxima == (3, 1)
 
 
 def test_soft_group_distinct_x_is_one_group():
-    pts = ((el(1), (el(0),)), (el(2), (el(0),)))
-    groups, maxima = soft_group(pts, (2, 1))
+    groups, maxima = soft_group(res(F13, [1, 2]), (2, 1))
     assert groups == ((0, 1),)
     assert maxima == (2,)
 
@@ -568,3 +568,59 @@ def test_benchmark_runs_and_its_oracle_agrees(workload):
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0
+
+
+# ------------------------------------------------------- conversion tripwire
+
+
+def test_points_become_residue_arrays_once(monkeypatch):
+    # inside a pipeline no FieldElement is built and no residue array is
+    # read back into FieldElements; points become arrays only where an
+    # instance is built (__post_init__) or a pipeline takes its points
+    gf256 = FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1))
+    p24 = prime_field(16777213)
+    rng = random.Random(2525)
+
+    def gs(ctx, n, allow_duplicate_x=False):
+        xs = [ctx.from_index(i) for i in rng.sample(range(1, min(ctx.order, 10**6)), n)]
+        if allow_duplicate_x:
+            xs[1] = xs[0]
+        pts = tuple((x, (ctx.from_index(rng.randrange(ctx.order)),)) for x in xs)
+        return InterpolationInstance(ctx, 1, 3, 10, (2,), pts, (2,) * n,
+                                     allow_duplicate_x=allow_duplicate_x)
+
+    insts = [gs(p24, 8), gs(gf256, 8), gs(F101, 8, allow_duplicate_x=True)]
+    ys = [el(0, F101)] * 5 + [F101.from_index(rng.randrange(1, 101)) for _ in range(3)]
+    xs = [F101.from_index(i) for i in rng.sample(range(101), 8)]
+    reencode = GsParams(F101, k=2, m=2, ell=3, b=10, points=tuple(zip(xs, ys)))
+    wu_pts = tuple(ExtPoint(x, None if i >= 6 else y) for i, (x, y) in enumerate(zip(xs, ys)))
+    wu = GsParams(F101, k=2, m=2, ell=3, b=10, points=())
+    approx = build_reduction(insts[0])[1]
+
+    seen = []
+
+    def watch(fn, allowed=()):
+        def watched(*args, **kw):
+            caller = sys._getframe(1)
+            where = (caller.f_globals.get("__name__"), caller.f_code.co_name)
+            if where not in allowed:
+                seen.append((fn.__qualname__, where))
+            return fn(*args, **kw)
+
+        return watched
+
+    monkeypatch.setattr(FieldElement, "__init__", watch(FieldElement.__init__))
+    monkeypatch.setattr(Residues, "elements", watch(Residues.elements))
+    monkeypatch.setattr(Residues, "array", watch(Residues.array, {
+        ("mvinterp.reduction", "__post_init__"), ("mvinterp.apps", "wu_split")}))
+    outs = [
+        interpolate_instance(insts[0], random.Random(1)),
+        interpolate_instance(insts[1], random.Random(2)),
+        soft_interpolate(insts[2], random.Random(3)),
+        reencode_interpolate(reencode, 5, random.Random(4)),
+        wu_interpolate(wu_pts, wu, random.Random(5)),
+        solve_approx(approx, None, "dense"),
+    ]
+    monkeypatch.undo()
+    assert [type(o).__name__ for o in outs] == ["Solution"] * 6
+    assert not seen, sorted(set(seen))

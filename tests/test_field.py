@@ -191,6 +191,22 @@ def test_matrix_products_match_element_arithmetic(ctx):
     assert f == 4 if ctx is F25_2 else f == 1 if ctx is F26_2 else f > 13
 
 
+@pytest.mark.parametrize("ctx", [prime_field(13), FieldCtx(13, (6, 12, 6, 0, 1)), GF256], ids=repr)
+def test_evaluate_zero_and_constant_polynomials(ctx):
+    # the zero polynomial, a (d, 0) coefficient array, is 0 at every entry of
+    # x, and a constant (L = 1) is itself, alone and stacked
+    R = residues(ctx)
+    rng = random.Random(ctx.order)
+    x = R.array([ctx.from_index(rng.randrange(ctx.order)) for _ in range(6)])
+    for lead in ((), (3,)):
+        zero = np.zeros(lead + (ctx.d, 0), R.dtype)
+        out = R.evaluate(zero, x)
+        assert out.dtype == R.dtype and out.tolist() == np.zeros(lead + x.shape, int).tolist()
+        c = R.array([ctx.from_index(rng.randrange(ctx.order)) for _ in range(3)]).T[:, :, None]
+        c = c[0] if not lead else c
+        assert R.evaluate(c, x).tolist() == np.broadcast_to(c, lead + x.shape).tolist()
+
+
 @pytest.mark.parametrize("ctx", [prime_field(101), GF256], ids=repr)
 def test_residue_inverse_of_zero_raises(ctx):
     R = residues(ctx)

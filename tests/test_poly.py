@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import extend_recurrence, from_ints, rand_el
+from helpers import extend_recurrence, from_ints, rand_el, res
 from mvinterp.errors import BadLength, DivisionByZero, DuplicateNode, NotInvertible
 from mvinterp.field import FieldCtx, prime_field, residues
 from mvinterp.poly import (
@@ -79,6 +79,29 @@ def test_eval_horner():
     f = P13(5, 3, 1)  # X^2 + 3X + 5
     assert f.eval(F13.el(0)) == F13.el(5)
     assert f.eval(F13.el(2)) == F13.el((4 + 6 + 5) % 13)
+
+
+@pytest.mark.parametrize(
+    "ctx", [F13, FieldCtx(13, (6, 12, 6, 0, 1)), FieldCtx(2, (1, 0, 1, 1, 1, 0, 0, 0, 1))],
+    ids=repr,
+)
+def test_eval_matches_horner(ctx):
+    # Poly.eval is Residues.evaluate at one point: the Horner definition
+    # sum_i c_i x^i in element arithmetic, the zero polynomial included
+    rng = random.Random(ctx.order)
+
+    def horner(f, x):
+        acc = ctx.zero()
+        for v in reversed(f.c):
+            acc = acc * x + v
+        return acc
+
+    polys = [Poly.zero(ctx), Poly.one(ctx)]
+    polys += [Poly(ctx, [rand(ctx, rng) for _ in range(rng.randint(1, 12))]) for _ in range(20)]
+    for f in polys:
+        for x in (ctx.zero(), ctx.one(), rand(ctx, rng), rand(ctx, rng)):
+            assert f.eval(x) == horner(f, x)
+    assert Poly.zero(ctx).eval(rand(ctx, rng, low=1)) == ctx.zero()
 
 
 def test_shift_scale_monic():
@@ -261,7 +284,7 @@ def test_series_inv_char2():
 
 
 def test_lagrange_known():
-    f = lagrange_interp(F13, (0, 1, 2), [(1, 2, 5)])[0][0]
+    f = lagrange_interp(F13, res(F13, (0, 1, 2)), res(F13, (1, 2, 5))[None])[0][0]
     assert f == P13(1, 0, 1)  # X^2 + 1
 
 
@@ -271,7 +294,7 @@ def test_lagrange_roundtrip_random():
     for n in (1, 2, 5, 11):
         xs = rng.sample(range(101), n)
         ys = [rng.randrange(101) for _ in range(n)]
-        f = lagrange_interp(F, xs, [ys])[0][0]
+        f = lagrange_interp(F, res(F, xs), res(F, ys)[None])[0][0]
         assert f.deg < n
         for x, y in zip(xs, ys):
             assert f.eval(F.el(x)) == F.el(y)
@@ -293,37 +316,37 @@ def test_lagrange_roundtrip_every_field(ctx, n):
     ys = [rand_el(ctx, rng) for _ in range(n)]
     # a polynomial of degree < n comes back unchanged, from the same tree
     g = Poly(ctx, ys)
-    (f, h), M = lagrange_interp(ctx, xs, [ys, [g.eval(x) for x in xs]])
+    (f, h), M = lagrange_interp(ctx, res(ctx, xs), np.stack([res(ctx, ys), res(ctx, [g.eval(x) for x in xs])]))
     assert f.deg < n
     assert [f.eval(x) for x in xs] == ys
     assert h == g
-    assert M == weighted_product(ctx, xs, [1] * n)
+    assert M == weighted_product(ctx, res(ctx, xs), [1] * n)
 
 
 def test_lagrange_errors():
     with pytest.raises(DuplicateNode):
-        lagrange_interp(F13, (1, 1), [(2, 3)])
+        lagrange_interp(F13, res(F13, (1, 1)), res(F13, (2, 3))[None])
     with pytest.raises(BadLength):
-        lagrange_interp(F13, (1, 2), [(3,)])
-    assert lagrange_interp(F13, (), [()]) == ([Poly.zero(F13)], Poly.one(F13))
+        lagrange_interp(F13, res(F13, (1, 2)), res(F13, (3,))[None])
+    assert lagrange_interp(F13, res(F13, ()), res(F13, ())[None]) == ([Poly.zero(F13)], Poly.one(F13))
 
 
 def test_weighted_product_known():
-    g = weighted_product(F13, (0, 1, 2), (1, 1, 1))
+    g = weighted_product(F13, res(F13, (0, 1, 2)), (1, 1, 1))
     assert g == P13(0, 2, 10, 1)  # X^3 + 10X^2 + 2X
 
 
 def test_weighted_product_multiplicities():
-    g = weighted_product(F13, (3, 5), (2, 1))
+    g = weighted_product(F13, res(F13, (3, 5)), (2, 1))
     ref = P13(10, 1) * P13(10, 1) * P13(8, 1)
     assert g == ref
-    assert weighted_product(F13, (), ()) == Poly.one(F13)
-    assert weighted_product(F13, (4,), (0,)) == Poly.one(F13)
+    assert weighted_product(F13, res(F13, ()), ()) == Poly.one(F13)
+    assert weighted_product(F13, res(F13, (4,)), (0,)) == Poly.one(F13)
 
 
 def test_weighted_product_duplicate_nodes():
     with pytest.raises(DuplicateNode):
-        weighted_product(F13, (2, 2), (1, 1))
+        weighted_product(F13, res(F13, (2, 2)), (1, 1))
 
 
 # ------------------------------------ recurrences (helpers.extend_recurrence)

@@ -24,6 +24,7 @@ from mvinterp.toeplitz_like import dense_build_Aprime
 
 from helpers import (
     binom_mod,
+    element_rows,
     exp_leq,
     from_ints,
     hasse_shift_expand,
@@ -32,6 +33,7 @@ from helpers import (
     random_interp_instance,
     random_monic,
     random_poly,
+    res,
     spread_seeds,
 )
 
@@ -362,7 +364,8 @@ def test_build_reduction_known_divisors():
         plan, approx = build_reduction(inst, divisors)
         assert plan.exponents == kept, seed
         assert plan.col_bounds == tuple(budget[j] for j in kept), seed
-        kernel = kernel_basis(inst.ctx, dense_build_Aprime(approx), approx.total_cols)
+        kernel = kernel_basis(inst.ctx, element_rows(inst.ctx, dense_build_Aprime(approx)),
+                              approx.total_cols)
         for vec in kernel:
             x = residues(inst.ctx).array(vec)
             Q = assemble_Q(plan, unpack_solution(inst.ctx, x, plan.col_bounds))
@@ -386,12 +389,12 @@ def reduction_by_definition(inst, divisors=None):
         return inst.wdeg_bound - exp_dot(j, inst.weights) - divisors.get(j, one).deg
 
     cols = [j for j in graded_exponents(inst.nvars, inst.ydeg_bound) if bound(j) >= 1]
-    interp = [lagrange_interp(ctx, xs, [[ys[t] for _, ys in inst.points]])[0][0]
+    interp = [lagrange_interp(ctx, res(ctx, xs), res(ctx, [ys[t] for _, ys in inst.points])[None])[0][0]
               for t in range(inst.nvars)]
     moduli, entries = [], []
     for i in graded_exponents(inst.nvars, inst.max_mult, strict=True):
         kept = [(x, m - sum(i)) for x, m in zip(xs, inst.mults) if m > sum(i)]
-        moduli.append(weighted_product(ctx, [x for x, _ in kept], [e for _, e in kept]))
+        moduli.append(weighted_product(ctx, res(ctx, [x for x, _ in kept]), [e for _, e in kept]))
         row = []
         for j in cols:
             f = Poly.zero(ctx)
@@ -416,7 +419,7 @@ def check_against_definition(ctx, n, mults, ell, b, weights, divided=False):
     inst = mk_inst(ctx, pts, tuple(mults[r % len(mults)] for r in range(n)), ell, b, weights)
     divisors = None
     if divided:  # re-encoding's shape: g^(m - j) divides Q_j for j < m, g vanishing on 4 more nodes
-        g = weighted_product(ctx, xs[n:], [1] * 4)
+        g = weighted_product(ctx, res(ctx, xs[n:]), [1] * 4)
         divisors = {(j,): g ** (inst.max_mult - j) for j in range(inst.max_mult)}
     plan, approx = build_reduction(inst, divisors)
     cols, bounds, moduli, entries = reduction_by_definition(inst, divisors)
