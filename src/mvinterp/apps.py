@@ -1,26 +1,23 @@
 """End-to-end interpolation pipelines.
 
-Every pipeline follows the same arc: validate its parameter assumptions,
-reduce the interpolation problem to a simultaneous approximation instance,
-hand that to `backend.solve_approx` (structured hankel / toeplitz route or
-the dense baseline), and re-verify the assembled multivariate answer
-against the original points before returning it.  The solver always runs in the
-instance's own field; the small-field policy (sampling the whole field, and
-lifting a Failure over a too-small prime field to an extension) lives in the
-structured kernel, so the pipelines never see another field.
-
-The decoding-flavoured pipelines (gs / reencode / wu) are univariate in Y
-(one weight k); the bare `interpolate_instance` engine and the soft-decoding
-grouping accept anything `build_reduction` accepts.  Re-encoding and points
-at infinity are thin maps of known divisors of the Q_j (powers of the
-vanishing polynomial of the zero-valued prefix or of the infinite points)
-over `build_reduction` on the remaining points, and all four pipelines share
-one solve-and-assemble tail.
+Every pipeline checks its own assumptions, then runs one arc (`_arc`) with
+its own reduce step and verifier: reduce to (plan, approx) through
+`build_reduction`, which alone decides the columns and their budgets; solve
+with `backend.solve_approx`; assemble Q with the columns' known divisors
+multiplied back in; verify Q against the problem as posed.  The known
+divisors are the multiplicity-capping multiplier of the bare engine
+(`interpolate_instance`, also behind gs) and the powers of the vanishing
+polynomial of re-encoding's zero-valued prefix or of wu's points at
+infinity; with no point left the first column's divisor is the answer.
+Soft decoding stacks the reductions of groups of distinct x.  The solver
+runs in the instance's own field: lifting a too-small prime field to an
+extension lives in the structured kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 from .approx import ApproxInstance
 from .backend import solve_approx
@@ -36,46 +33,54 @@ from .poly import Poly, poly_divrem, weighted_product
 from .reduction import (
     InterpolationInstance,
     MultiPoly,
-    ReductionPlan,
     assemble_Q,
     build_reduction,
-    preprocess_high_multiplicity,
+    cap_multiplicities,
+    capping_multiplier,
+    reduction_columns,
     trivial_weight_check,
     verify_solution,
 )
 
 
-def _solve_reduced(plan: ReductionPlan, a: ApproxInstance, rng, backend, **kw):
-    """The tail every pipeline shares: solve the reduced instance, then
-    assemble Q with the known divisors multiplied back in."""
-    out = solve_approx(a, rng, backend, **kw)
-    if not isinstance(out, Solution):
-        return out
-    return Solution(assemble_Q(plan, out.value))
+def _arc(reduce, verify, rng, backend, **kw):
+    """The tail every pipeline shares.  reduce() gives (plan, approx), with
+    approx None when no point is left; then solve, assemble Q with the known
+    divisors multiplied back in, and verify(Q)."""
+    try:
+        plan, approx = reduce()
+    except NoSolutionSpace as exc:
+        return NoSolution(f"NoSolutionSpace: {exc}")
+    if approx is None:  # no condition: the first column's divisor, or 1
+        qs = [Poly.one(plan.ctx)] + [Poly.zero(plan.ctx)] * (plan.nu - 1)
+    else:
+        out = solve_approx(approx, rng, backend, **kw)
+        if not isinstance(out, Solution):
+            return out
+        qs = out.value
+    Q = assemble_Q(plan, qs)
+    if not verify(Q):
+        raise MvInterpError("internal error: assembled solution failed verification")
+    return Solution(Q)
 
 
 def interpolate_instance(inst: InterpolationInstance, rng, backend: str = "hankel", **kw):
-    """Bare engine: degenerate-weight shortcut, multiplicity capping, reduce,
-    solve, assemble, verify."""
+    """Bare engine: degenerate-weight shortcut, else multiplicity capping
+    and the shared arc, the capping multiplier a known factor of every Q_j."""
     short = trivial_weight_check(inst)
     if not isinstance(short, NotApplicable):
         if isinstance(short, Solution) and not verify_solution(inst, short.value):
             raise MvInterpError("internal error: shortcut solution failed verification")
         return short
-    capped, multiplier = preprocess_high_multiplicity(inst)
-    try:
-        plan, a = build_reduction(capped)
-    except NoSolutionSpace as exc:
-        return NoSolution(f"NoSolutionSpace: {exc}")
-    out = _solve_reduced(plan, a, rng, backend, **kw)
-    if not isinstance(out, Solution):
-        return out
-    Q = out.value
-    if multiplier.deg > 0:
-        Q = Q.mul_univariate(multiplier)
-    if not verify_solution(inst, Q):
-        raise MvInterpError("internal error: assembled solution failed verification")
-    return Solution(Q)
+
+    def reduce():
+        capped = cap_multiplicities(inst)
+        plan, approx = build_reduction(capped)  # its degree count before any product
+        if capped is not inst:
+            plan = replace(plan, divisors=(capping_multiplier(inst),) * plan.nu)
+        return plan, approx
+
+    return _arc(reduce, partial(verify_solution, inst), rng, backend, **kw)
 
 
 # --------------------------------------------------------------- GS pipeline
@@ -141,57 +146,19 @@ def gs_interpolate(p: GsParams, rng, backend: str = "hankel", **kw):
     return interpolate_instance(_gs_instance(p), rng, backend, **kw)
 
 
-# ------------------------------------------------ pipelines with known divisors
-
-
-@dataclass(frozen=True)
-class DivisorPlan:
-    """A uniform-multiplicity gs instance whose Q_j have known factors D_j.
-
-    raw_bounds keeps every unknown's degree budget b - j*k - deg D_j before
-    nonpositive ones are dropped; kept lists the Y-exponents that remain.
-    reduction and approx are None when nothing is kept or no point remains.
-    """
-
-    divisors: dict  # (j,) -> D_j
-    raw_bounds: tuple
-    kept: tuple
-    reduction: ReductionPlan
-    approx: ApproxInstance
-
-
-def _divisor_plan(k: int, ell: int, b: int, inst, divisors) -> DivisorPlan:
-    """The plan of deg Q_j + j*k < b, j <= ell, on inst (None: no point left)."""
-    raw_bounds = tuple(
-        b - j * k - (divisors[(j,)].deg if (j,) in divisors else 0) for j in range(ell + 1)
-    )
-    kept = tuple(j for j, bnd in enumerate(raw_bounds) if bnd >= 1)
-    if not kept or inst is None:
-        return DivisorPlan(divisors, raw_bounds, kept, None, None)
-    reduction, approx = build_reduction(inst, divisors)
-    return DivisorPlan(divisors, raw_bounds, kept, reduction, approx)
-
-
-def _solve_divisor_plan(plan: DivisorPlan, ctx: FieldCtx, rng, backend, **kw):
-    if not plan.kept:
-        return NoSolution("every unknown's degree budget is exhausted")
-    if plan.approx is None:
-        # no conditions: the divisor of any admissible single unknown works
-        j = (plan.kept[0],)
-        return Solution(MultiPoly(ctx, 1, {j: plan.divisors.get(j, Poly.one(ctx))}))
-    return _solve_reduced(plan.reduction, plan.approx, rng, backend, **kw)
-
-
 # ------------------------------------------------------- re-encoding pipeline
 
 
-def reencode_build(inst: InterpolationInstance, n0: int) -> DivisorPlan:
+def reencode_build(inst: InterpolationInstance, n0: int):
     """Pre-solve the zero-valued prefix of the gs instance inst: g0^(m-j)
-    divides Q_j for j < m."""
+    divides Q_j for j < m.  build_reduction's (plan, approx) on the points
+    past the prefix; approx is None when none is left."""
     g0, m, n = weighted_product(inst.ctx, inst.x[:, :n0], [1] * n0), inst.mults[0], inst.n
-    rest = inst.restrict(range(n0, n)) if n0 < n else None
     divisors = {(j,): g0 ** (m - j) for j in range(m)}
-    return _divisor_plan(inst.weights[0], inst.ydeg_bound, inst.wdeg_bound, rest, divisors)
+    if n0 == n:
+        plan = reduction_columns(inst.ctx, inst.weights, inst.ydeg_bound, inst.wdeg_bound, divisors)
+        return plan, None
+    return build_reduction(inst.restrict(range(n0, n)), divisors)
 
 
 def reencode_interpolate(p: GsParams, n0: int, rng, backend: str = "hankel", **kw):
@@ -212,10 +179,8 @@ def reencode_interpolate(p: GsParams, n0: int, rng, backend: str = "hankel", **k
         raise AssumptionViolated(bad[0])
 
     inst = _gs_instance(p)  # the points become residue arrays here, once
-    out = _solve_divisor_plan(reencode_build(inst, n0), p.ctx, rng, backend, **kw)
-    if isinstance(out, Solution) and not verify_solution(inst, out.value):
-        raise MvInterpError("internal error: re-encoded solution failed verification")
-    return out
+    reduce, verify = partial(reencode_build, inst, n0), partial(verify_solution, inst)
+    return _arc(reduce, verify, rng, backend, **kw)
 
 
 # --------------------------------------------------------------- Wu pipeline
@@ -241,12 +206,15 @@ def wu_split(points, p: GsParams):
     return (_gs_instance(p, finite) if finite else None), inf_x
 
 
-def wu_build(inst, inf_x, p: GsParams) -> DivisorPlan:
+def wu_build(inst, inf_x, p: GsParams):
     """The points at infinity (wu_split) as divisibility: g_inf^(m-ell+t)
-    divides Q_t for t > ell - m; inst holds the finite points."""
+    divides Q_t for t > ell - m.  build_reduction's (plan, approx) on the
+    finite points inst; approx is None when there is none."""
     g_inf = weighted_product(p.ctx, inf_x, [1] * inf_x.shape[1])
     divisors = {(t,): g_inf ** (p.m - p.ell + t) for t in range(p.ell - p.m + 1, p.ell + 1)}
-    return _divisor_plan(p.k, p.ell, p.b, inst, divisors)
+    if inst is None:
+        return reduction_columns(p.ctx, (p.k,), p.ell, p.b, divisors), None
+    return build_reduction(inst, divisors)
 
 
 def wu_infinity_ok(Q: MultiPoly, inf_x, m: int, ell: int) -> bool:
@@ -285,10 +253,8 @@ def wu_interpolate(points, p: GsParams, rng, backend: str = "hankel", **kw):
         raise AssumptionViolated("H1")
 
     inst, inf_x = wu_split(points, p)
-    out = _solve_divisor_plan(wu_build(inst, inf_x, p), p.ctx, rng, backend, **kw)
-    if isinstance(out, Solution) and not verify_wu(inst, inf_x, p, out.value):
-        raise MvInterpError("internal error: infinity-aware solution failed verification")
-    return out
+    reduce, verify = partial(wu_build, inst, inf_x, p), partial(verify_wu, inst, inf_x, p)
+    return _arc(reduce, verify, rng, backend, **kw)
 
 
 # ------------------------------------------------------------- soft decoding
@@ -316,29 +282,18 @@ def soft_group(x, mults):
 
 
 def soft_reduce(inst: InterpolationInstance):
-    """Per-group reductions concatenated into one approximation instance."""
-    groups, _ = soft_group(inst.x, inst.mults)
-    plans, moduli, rows = [], [], []
-    for g in groups:
+    """Per-group reductions concatenated into one approximation instance;
+    returns (plan, approx).  Every group has the same columns, since
+    build_reduction reads no point to choose them, so the last group's plan
+    serves them all."""
+    moduli, rows = [], []
+    for g in soft_group(inst.x, inst.mults)[0]:
         plan, approx = build_reduction(inst.restrict(g))
-        plans.append(plan)
         moduli.extend(approx.moduli)
         rows.extend(approx.rows)
-    head = plans[0]
-    for plan in plans[1:]:
-        if plan.exponents != head.exponents or plan.col_bounds != head.col_bounds:
-            raise MvInterpError("internal error: group plans disagree on unknowns")
-    combined = ApproxInstance.from_rows(inst.ctx, moduli, rows, head.col_bounds)
-    return head, combined, groups
+    return plan, ApproxInstance.from_rows(inst.ctx, moduli, rows, plan.col_bounds)
 
 
 def soft_interpolate(inst: InterpolationInstance, rng, backend: str = "hankel", **kw):
     """Interpolation that tolerates repeated x-coordinates by grouping."""
-    try:
-        plan, combined, _ = soft_reduce(inst)
-    except NoSolutionSpace as exc:
-        return NoSolution(f"NoSolutionSpace: {exc}")
-    out = _solve_reduced(plan, combined, rng, backend, **kw)
-    if isinstance(out, Solution) and not verify_solution(inst, out.value):
-        raise MvInterpError("internal error: grouped solution failed verification")
-    return out
+    return _arc(partial(soft_reduce, inst), partial(verify_solution, inst), rng, backend, **kw)

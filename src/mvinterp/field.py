@@ -257,9 +257,11 @@ class FieldCtx:
         return f"F{self.p}^{self.d}"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def prime_field(p: int) -> FieldCtx:
-    """Cached constructor for F_p."""
+    """Cached constructor for F_p.  The cache is bounded: a context it
+    evicts and builds again compares equal to the old one, so elements of
+    both still combine."""
     return FieldCtx(p)
 
 

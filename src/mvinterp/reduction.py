@@ -7,8 +7,8 @@ wdeg_bound, vanishing at each point (x_r, y_r) with multiplicity >= mults[r]
 (no monomial of total degree < mults[r] in the shifted polynomial).
 
 build_reduction turns this into an ApproxInstance row-indexed by derivative
-orders i (|i| < max mult) and column-indexed by admissible exponents j: the
-residues are binom(j, i) * R^(j-i) mod P_i with R_t the Lagrange interpolant
+orders i (|i| < max mult) and column-indexed by the admissible exponents j,
+which reduction_columns picks from the degree bounds alone: the residues are binom(j, i) * R^(j-i) mod P_i with R_t the Lagrange interpolant
 of the t-th Y-coordinate and P_i the product of (X - x_r)^(mults[r] - |i|)
 over points still constrained at order |i|.  A column may carry a known
 factor D_j of Q_j (re-encoding and points at infinity give one): it then
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -283,82 +283,86 @@ def verify_solution(inst: InterpolationInstance, Q: MultiPoly) -> bool:
 # ---------------------------------------------------------------- preprocessing
 
 
-def preprocess_high_multiplicity(inst: InterpolationInstance):
-    """Cap multiplicities at ydeg_bound, factoring out the forced divisor.
-
-    Solutions of the capped instance times the multiplier are exactly the
-    solutions of the original.
-    """
+def cap_multiplicities(inst: InterpolationInstance) -> InterpolationInstance:
+    """inst with multiplicities capped at ydeg_bound and wdeg_bound lowered
+    by the degree of the forced divisor capping_multiplier(inst), which it
+    does not build.  Solutions of the capped instance times that divisor
+    are exactly the solutions of inst."""
     cap = inst.ydeg_bound
     if inst.max_mult <= cap:
-        return inst, Poly.one(inst.ctx)
-    mults = np.array(inst.mults)
-    over = mults > cap
-    multiplier = weighted_product(inst.ctx, inst.x[:, over], mults[over] - cap)
-    capped = inst.restrict(
-        range(inst.n),
-        wdeg_bound=inst.wdeg_bound - multiplier.deg,
-        mults=tuple(min(m, cap) for m in inst.mults),
-    )
-    return capped, multiplier
+        return inst
+    excess = sum(max(m - cap, 0) for m in inst.mults)
+    mults = tuple(min(m, cap) for m in inst.mults)
+    return inst.restrict(range(inst.n), wdeg_bound=inst.wdeg_bound - excess, mults=mults)
+
+
+def capping_multiplier(inst: InterpolationInstance) -> Poly:
+    """The forced divisor prod (X - x_r)^(m_r - ydeg_bound) over m_r > ydeg_bound."""
+    excess = np.array(inst.mults) - inst.ydeg_bound
+    return weighted_product(inst.ctx, inst.x[:, excess > 0], excess[excess > 0])
 
 
 def trivial_weight_check(inst: InterpolationInstance):
-    """Shortcuts by degree count, before any product is built.  With every
+    """Shortcut by degree count, before any product is built.  With every
     weight >= n only Y-degree 0 can appear: compare wdeg_bound with the
-    degree of the forced vanishing product.  Otherwise NoSolution where the
-    multiplier of preprocess_high_multiplicity, of degree sum_r (m_r - ell)^+,
-    leaves no column bound >= 1 (_top_bound)."""
-    if all(w >= inst.n for w in inst.weights):
-        if inst.wdeg_bound <= sum(inst.mults):
-            return NoSolution("degree budget below the forced vanishing product")
-        prod = weighted_product(inst.ctx, inst.x, inst.mults)
-        return Solution(MultiPoly(inst.ctx, inst.nvars, {(0,) * inst.nvars: prod}))
-    if _top_bound(inst) - sum(max(m - inst.ydeg_bound, 0) for m in inst.mults) < 1:
-        return NoSolution("NoSolutionSpace: no admissible Y-exponent satisfies the degree bounds")
-    return NotApplicable()
-
-
-def _top_bound(inst: InterpolationInstance) -> int:
-    """The largest column bound wdeg_bound - j.weights over |j| <= ell: j
-    puts all ell on the least weight if it is negative, else j = 0."""
-    return inst.wdeg_bound - inst.ydeg_bound * min(0, *inst.weights)
+    degree of the forced vanishing product."""
+    if not all(w >= inst.n for w in inst.weights):
+        return NotApplicable()
+    if inst.wdeg_bound <= sum(inst.mults):
+        return NoSolution("degree budget below the forced vanishing product")
+    prod = weighted_product(inst.ctx, inst.x, inst.mults)
+    return Solution(MultiPoly(inst.ctx, inst.nvars, {(0,) * inst.nvars: prod}))
 
 
 # ---------------------------------------------------------------- reduction
 
 
-def build_reduction(inst: InterpolationInstance, divisors=None):
-    """Reduce to an ApproxInstance; returns (plan, approx).
-
-    Row i (derivative order, |i| < max mult) has modulus
-    P_i = prod_{mults[r] > |i|} (X - x_r)^(mults[r] - |i|) and residues
-    F_{i,j} = binom(j, i) * prod_t R_t^(j_t - i_t) * D_j mod P_i, where R_t
-    interpolates the t-th Y-coordinates at the x-nodes.
+def reduction_columns(ctx: FieldCtx, weights, ydeg_bound: int, wdeg_bound: int, divisors=None):
+    """The row-less ReductionPlan of the degree bounds: which columns exist
+    and what they solve for.  No point is read, so an instance with no
+    condition left (re-encoding's whole prefix, wu's points all at
+    infinity) gets its columns here too.
 
     divisors maps a Y-exponent j to a known nonzero factor D_j of Q_j
     (D_j = 1 where absent).  Column j then stands for Q_j / D_j, with the
     bound wdeg_bound - j.weights - deg D_j; a column whose bound is below 1
-    is dropped.
+    is dropped, and NoSolutionSpace is raised when none is left.
     """
-    ctx = inst.ctx
-    m = inst.max_mult
     divisors = {tuple(j): d for j, d in (divisors or {}).items()}
     if any(d.is_zero() for d in divisors.values()):
         raise Degenerate("a known divisor is zero")
 
     def bound(j):
         known = divisors[j].deg if j in divisors else 0
-        return inst.wdeg_bound - exp_dot(j, inst.weights) - known
+        return wdeg_bound - exp_dot(j, weights) - known
 
-    # bound(j) >= 1 caps j_t w_t, weight > 0, below the largest column bound
-    ell, top = inst.ydeg_bound, _top_bound(inst)
-    caps = tuple(min(ell, (top - 1) // w) if w > 0 else ell for w in inst.weights)
-    cols = [j for j in _graded(caps, ell) if bound(j) >= 1]
+    # bound(j) >= 1 caps j_t w_t, weight > 0, below the largest column
+    # bound, which puts all of ydeg_bound on the least weight if it is
+    # negative, else j = 0
+    top = wdeg_bound - ydeg_bound * min(0, *weights)
+    caps = tuple(min(ydeg_bound, (top - 1) // w) if w > 0 else ydeg_bound for w in weights)
+    cols = tuple(j for j in _graded(caps, ydeg_bound) if bound(j) >= 1)
     if not cols:
         raise NoSolutionSpace("no admissible Y-exponent satisfies the degree bounds")
+    return ReductionPlan(
+        ctx, len(weights), cols, (), (), tuple(map(bound, cols)), tuple(map(divisors.get, cols))
+    )
+
+
+def build_reduction(inst: InterpolationInstance, divisors=None):
+    """Reduce to an ApproxInstance; returns (plan, approx).
+
+    The columns, their bounds and known divisors are reduction_columns'.
+    Row i (derivative order, |i| < max mult) has modulus
+    P_i = prod_{mults[r] > |i|} (X - x_r)^(mults[r] - |i|) and residues
+    F_{i,j} = binom(j, i) * prod_t R_t^(j_t - i_t) * D_j mod P_i, where R_t
+    interpolates the t-th Y-coordinates at the x-nodes.
+    """
+    ctx = inst.ctx
+    m = inst.max_mult
+    plan = reduction_columns(ctx, inst.weights, inst.ydeg_bound, inst.wdeg_bound, divisors)
+    cols, col_bounds = plan.exponents, plan.col_bounds
     rows = graded_exponents(inst.nvars, m, strict=True)
-    col_bounds = [bound(j) for j in cols]
 
     # interpolants of the Y-coordinates some column uses, and prod (X - x_r)
     used = [t for t in range(inst.nvars) if any(j[t] > 0 for j in cols)]
@@ -378,8 +382,8 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
             g = every if sub.all() else weighted_product(ctx, inst.x[:, sub], [1] * int(sub.sum()))
         mod_by_depth[depth] = g if depth == m - 1 else mod_by_depth[depth + 1] * g
         vanish[depth] = g
-    divided = [c for c, j in enumerate(cols) if j in divisors]
-    dlen = max((divisors[cols[c]].deg + 1 for c in divided), default=1)
+    divided = [c for c, d in enumerate(plan.divisors) if d is not None]
+    dlen = max((plan.divisors[c].deg + 1 for c in divided), default=1)
     precision = max(mod_by_depth[0].deg + max(col_bounds), dlen) - 1
     mod_by_depth[0].rev_inverse(precision)
     for depth in range(1, m):
@@ -419,7 +423,7 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
     # per depth: the stack reduced once more by P_|i|, the known divisors
     # multiplied in with one product and one remainder, then one gather and
     # one binomial scaling for the depth's rows
-    dstack = np.stack([divisors[cols[c]].coeffs(dlen) for c in divided]) if divided else None
+    dstack = np.stack([plan.divisors[c].coeffs(dlen) for c in divided]) if divided else None
     moduli, blocks, lo = [], [], 0
     for depth, P in enumerate(mod_by_depth):
         hi = lo + sum(sum(i) == depth for i in rows)
@@ -431,17 +435,8 @@ def build_reduction(inst: InterpolationInstance, divisors=None):
         moduli += [P] * (hi - lo)
         lo = hi
 
-    plan = ReductionPlan(
-        ctx,
-        inst.nvars,
-        tuple(cols),
-        tuple(rows),
-        tuple(p.deg for p in moduli),
-        tuple(col_bounds),
-        tuple(divisors.get(j) for j in cols),
-    )
-    approx = ApproxInstance.from_rows(ctx, moduli, blocks, col_bounds)
-    return plan, approx
+    plan = replace(plan, row_indices=tuple(rows), row_bounds=tuple(p.deg for p in moduli))
+    return plan, ApproxInstance.from_rows(ctx, moduli, blocks, col_bounds)
 
 
 def assemble_Q(plan: ReductionPlan, qs) -> MultiPoly:

@@ -500,3 +500,12 @@ def format_approx(parsed):
                     f"residue {i} {j} : " + " ".join(format_element(c) for c in f.c)
                 )
     return "\n".join(out) + "\n"
+
+
+def assert_column_budgets(plan, b, k, ell, known):
+    """Every column a univariate plan keeps has the budget b - j*k - known(j)
+    as its bound, and the columns it leaves out are exactly those whose
+    budget is <= 0; known(j) is the degree of the known divisor of Q_j."""
+    budgets = [(j, b - j * k - known(j)) for j in range(ell + 1)]
+    assert plan.exponents == tuple((j,) for j, v in budgets if v >= 1), budgets
+    assert plan.col_bounds == tuple(v for _, v in budgets if v >= 1), budgets

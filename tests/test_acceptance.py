@@ -35,9 +35,10 @@ from mvinterp.reduction import (
     MultiPoly,
     assemble_Q,
     build_reduction,
+    cap_multiplicities,
+    capping_multiplier,
     exp_dot,
     graded_exponents,
-    preprocess_high_multiplicity,
     trivial_weight_check,
     verify_solution,
 )
@@ -49,6 +50,7 @@ from mvinterp.struct_solve import (
 from mvinterp.toeplitz_like import build_toeplitz_generators, dense_build_Aprime
 
 from helpers import (
+    assert_column_budgets,
     binom_mod,
     dense_build_A,
     displacement_of_dense,
@@ -342,11 +344,10 @@ def test_criterion_06_reencoding_dimension_identities():
         orig = InterpolationInstance(
             ctx, 1, ell, b, (k,), tuple((x, (y,)) for x, y in pts), (m,) * n
         )
-        plan = reencode_build(orig, n0)
-        tri = m * (m + 1) // 2
-        assert sum(plan.raw_bounds) == sum(b - j * k for j in range(ell + 1)) - n0 * tri
-        if plan.approx is not None:
-            assert plan.approx.total_rows == tri * (n - n0)
+        plan, approx = reencode_build(orig, n0)
+        # g0^(m-j), of degree n0*(m-j), is a known factor of Q_j for j < m
+        assert_column_budgets(plan, b, k, ell, lambda j: n0 * (m - j) if j < m else 0)
+        assert approx.total_rows == m * (m + 1) // 2 * (n - n0)
         out = reencode_interpolate(params, n0, random.Random(6060 + trial))
         if isinstance(out, Solution):
             assert verify_solution(orig, out.value)
@@ -402,7 +403,7 @@ def test_criterion_08_preprocessing_round_trips():
         )
         if inst.max_mult <= inst.ydeg_bound:
             continue
-        capped, multiplier = preprocess_high_multiplicity(inst)
+        capped, multiplier = cap_multiplicities(inst), capping_multiplier(inst)
         assert capped.max_mult <= inst.ydeg_bound
         assert multiplier.deg > 0
         assert brute_force_solvable(inst) == brute_force_solvable(capped)
@@ -464,9 +465,11 @@ def test_criterion_09_scaling_benchmark(capsys):
 
     s_struct = slope("hankel")
     s_dense = slope("dense")
-    assert s_struct <= 2.4, s_struct
-    assert s_dense >= 2.6, s_dense
-    assert data[("hankel", 512)] < data[("dense", 512)]
+    # every median and both slopes, so an intermittent failure shows its timings
+    shown = f"medians (ms) {data}, slopes hankel {s_struct:.3f} dense {s_dense:.3f}"
+    assert s_struct <= 2.4, shown
+    assert s_dense >= 2.6, shown
+    assert data[("hankel", 512)] < data[("dense", 512)], shown
 
 
 def test_criterion_10_small_field_extension_path():

@@ -38,10 +38,21 @@ from mvinterp.field import FieldCtx, FieldElement, Residues, prime_field
 from mvinterp.linalg import matrix_rank
 from mvinterp.outcomes import Failure, NoSolution, Solution
 from mvinterp.poly import Poly
-from mvinterp.reduction import InterpolationInstance, build_reduction, verify_solution
+from mvinterp.reduction import (
+    InterpolationInstance,
+    MultiPoly,
+    build_reduction,
+    verify_solution,
+)
 from mvinterp.struct_solve import subset_floor
 
-from helpers import dense_build_A, random_interp_instance, res, spread_seeds
+from helpers import (
+    assert_column_budgets,
+    dense_build_A,
+    random_interp_instance,
+    res,
+    spread_seeds,
+)
 
 F13 = prime_field(13)
 F101 = prime_field(101)
@@ -163,10 +174,9 @@ def test_unknown_backend_rejected():
 
 def test_reencode_worked_example():
     p = GsParams(F13, k=1, m=1, ell=1, b=3, points=gs_points(F13, [(0, 0), (1, 0), (2, 5)]))
-    plan = reencode_build(params_instance(p), 2)
-    assert plan.raw_bounds == (1, 2)
-    assert plan.kept == (0, 1)
-    assert plan.approx.total_rows == 1  # one point left, multiplicity one
+    plan, approx = reencode_build(params_instance(p), 2)
+    assert plan.exponents == ((0,), (1,)) and plan.col_bounds == (1, 2)
+    assert approx.total_rows == 1  # one point left, multiplicity one
     out = reencode_interpolate(p, 2, random.Random(5))
     assert isinstance(out, Solution)
     assert verify_solution(params_instance(p), out.value)
@@ -187,11 +197,10 @@ def test_reencode_dimension_identities():
             for i, x in enumerate(xs)
         )
         p = GsParams(F13, k=k, m=m, ell=ell, b=b, points=pts)
-        plan = reencode_build(params_instance(p), n0)
-        tri = m * (m + 1) // 2
-        assert sum(plan.raw_bounds) == sum(b - j * k for j in range(ell + 1)) - n0 * tri
-        if plan.approx is not None:
-            assert plan.approx.total_rows == tri * (n - n0)
+        plan, approx = reencode_build(params_instance(p), n0)
+        # g0^(m-j), of degree n0*(m-j), is a known factor of Q_j for j < m
+        assert_column_budgets(plan, b, k, ell, lambda j: n0 * (m - j) if j < m else 0)
+        assert approx.total_rows == m * (m + 1) // 2 * (n - n0)
 
 
 def test_reencode_preconditions():
@@ -242,10 +251,9 @@ def test_reencode_with_only_zero_points():
 def test_reencode_budget_exhausted():
     pts = gs_points(F13, [(0, 0), (1, 0), (2, 5)])
     p = GsParams(F13, k=0, m=2, ell=2, b=4, points=pts)
-    # raw bounds: j<2: 4 - 2*(2-j) -> (0, 2); j=2: 4 -> kept (1, 2)
-    plan = reencode_build(params_instance(p), 2)
-    assert plan.raw_bounds == (0, 2, 4)
-    assert plan.kept == (1, 2)
+    # budgets: j<2: 4 - 2*(2-j) -> (0, 2); j=2: 4 -> kept (1, 2)
+    plan, _ = reencode_build(params_instance(p), 2)
+    assert plan.exponents == ((1,), (2,)) and plan.col_bounds == (2, 4)
     out = reencode_interpolate(p, 2, random.Random(7))
     if isinstance(out, Solution):
         assert verify_solution(params_instance(p), out.value)
@@ -272,10 +280,11 @@ def test_wu_worked_example():
 def test_wu_build_bounds():
     pts = (ExtPoint(el(0), el(1)), ExtPoint(el(3), None), ExtPoint(el(4), None))
     p = GsParams(F13, k=1, m=2, ell=3, b=9, points=())
-    plan = wu_build(*wu_split(pts, p), p)
+    plan, approx = wu_build(*wu_split(pts, p), p)
     # t <= ell-m keeps b - t*k; above that each unknown loses (m-ell+t)*n_inf
-    assert plan.raw_bounds == (9, 8, 7 - 2, 6 - 4)
-    assert plan.approx is not None and plan.approx.mu == 2
+    assert plan.col_bounds == (9, 8, 7 - 2, 6 - 4)
+    assert_column_budgets(plan, 9, 1, 3, lambda t: 2 * (2 - 3 + t) if t > 3 - 2 else 0)
+    assert approx.mu == 2
 
 
 def test_wu_divisibility_of_top_coefficients():
@@ -320,6 +329,26 @@ def test_wu_all_points_at_infinity():
     assert wu_infinity_ok(out.value, res(F13, [2, 5]), 1, 2)
 
 
+def test_no_point_left_answers_the_first_columns_divisor():
+    # with no condition left the answer is the known divisor of the first
+    # column whose budget is positive, or 1 where that column has none
+    g0 = Poly(F13, [el(0), el(2), el(10), el(1)])  # X(X-1)(X-2)
+    pts = gs_points(F13, [(0, 0), (1, 0), (2, 0)])
+    for k, m, ell, b, want in (
+        (1, 2, 2, 8, {(0,): g0 ** 2}),  # budgets 2, 4, 6
+        (1, 2, 2, 6, {(1,): g0}),  # budgets 0, 2, 4
+        (1, 1, 1, 3, {(1,): Poly.one(F13)}),  # budgets 0, 2
+    ):
+        p = GsParams(F13, k=k, m=m, ell=ell, b=b, points=pts)
+        out = reencode_interpolate(p, 3, random.Random(0))
+        assert isinstance(out, Solution) and out.value == MultiPoly(F13, 1, want), (k, m, ell, b)
+    # every wu point at infinity: column 0 has no divisor, as b > 0
+    p = GsParams(F13, k=1, m=1, ell=2, b=4, points=())
+    out = wu_interpolate((ExtPoint(el(2), None), ExtPoint(el(5), None)), p, random.Random(0))
+    assert isinstance(out, Solution)
+    assert out.value == MultiPoly(F13, 1, {(0,): Poly.one(F13)})
+
+
 def test_wu_duplicate_x_rejected():
     pts = (ExtPoint(el(1), el(2)), ExtPoint(el(1), None))
     p = GsParams(F13, k=0, m=1, ell=1, b=3, points=())
@@ -353,8 +382,8 @@ def test_soft_reduce_row_count():
         (2, 1, 1),
         allow_duplicate_x=True,
     )
-    plan, combined, groups = soft_reduce(inst)
-    assert len(groups) == 2
+    plan, combined = soft_reduce(inst)
+    assert len(soft_group(inst.x, inst.mults)[0]) == 2
     # group holding multiplicity 2 contributes 2 rows, the other 1
     assert combined.mu == 3
 

@@ -63,6 +63,23 @@ def test_prime_field_basic_arith():
     assert (a / b).c == ((3 * pow(5, -1, 7)) % 7,)
 
 
+def test_prime_field_cache_is_bounded():
+    # no unbounded cache: past its maxsize the oldest context is evicted,
+    # and one built again is equal to it, so their elements still combine
+    limit = prime_field.cache_info().maxsize
+    assert limit is not None
+    old = prime_field(1009)
+    a = old.el(3)
+    primes = [q for q in range(1013, 3000) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+    for q in primes[:100]:
+        prime_field(q)
+        assert prime_field.cache_info().currsize <= limit
+    new = prime_field(1009)
+    assert new is not old and new == old and hash(new) == hash(old)
+    b = new.el(5)
+    assert a + b == new.el(8) and b * a == old.el(15)
+
+
 def test_exhaustive_inverses_f101():
     F = prime_field(101)
     one = F.one()

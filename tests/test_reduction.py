@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mvinterp.approx import trim_instance, unpack_solution, verify_approx
+from mvinterp.apps import interpolate_instance
 from mvinterp.errors import DegreeViolation, DuplicateNode, NoSolutionSpace
 from mvinterp.field import FieldCtx, Residues, prime_field, residues
 from mvinterp.mosaic_hankel import build_hankel_generators
@@ -13,9 +14,10 @@ from mvinterp.reduction import (
     MultiPoly,
     assemble_Q,
     build_reduction,
+    cap_multiplicities,
+    capping_multiplier,
     exp_dot,
     graded_exponents,
-    preprocess_high_multiplicity,
     trivial_weight_check,
     verify_solution,
 )
@@ -221,13 +223,13 @@ def test_verify_matches_full_expansion_every_field(ctx):
 
 
 def test_preprocess_identity():
-    inst2, mult = preprocess_high_multiplicity(INST13)
+    inst2, mult = cap_multiplicities(INST13), capping_multiplier(INST13)
     assert inst2 is INST13 and mult == Poly.one(F13)
 
 
 def test_preprocess_caps_multiplicity():
     inst = mk_inst(F13, [(0, 5)], (3,), 1, 10, (1,))
-    capped, mult = preprocess_high_multiplicity(inst)
+    capped, mult = cap_multiplicities(inst), capping_multiplier(inst)
     assert mult == P13(0, 0, 1)  # X^2
     assert capped.mults == (1,)
     assert capped.wdeg_bound == 8
@@ -236,7 +238,7 @@ def test_preprocess_caps_multiplicity():
 def test_preprocess_roundtrip_verdicts():
     rng = random.Random(7)
     inst = mk_inst(F13, [(0, 1), (1, 2), (3, 4)], (3, 1, 2), 1, 9, (1,))
-    capped, mult = preprocess_high_multiplicity(inst)
+    capped, mult = cap_multiplicities(inst), capping_multiplier(inst)
     assert mult.deg == 2 + 1  # (X-0)^2 (X-3)^1
     for _ in range(40):
         terms = {}
@@ -262,8 +264,9 @@ def test_trivial_weight_check():
 
 
 def test_degree_count_is_build_reductions_verdict():
-    # with a weight below n, the shortcut answers NoSolution exactly where
-    # the capped instance has no admissible column, for weights of any sign
+    # with a weight below n, interpolate_instance answers NoSolution with
+    # build_reduction's reason exactly where the capped instance has no
+    # admissible column, for weights of any sign
     for mults in ((1, 1), (5, 1), (4, 6)):
         for weights in ((-3,), (-1,), (0,), (1,), (-2, 1), (0, 1)):
             pts = [(0, 11, 3)[: len(weights) + 1], (8, 12, 5)[: len(weights) + 1]]
@@ -271,13 +274,14 @@ def test_degree_count_is_build_reductions_verdict():
                 for b in range(-3, 7):
                     inst = mk_inst(F13, pts, mults, ell, b, weights)
                     try:
-                        build_reduction(preprocess_high_multiplicity(inst)[0])
-                        admissible = True
-                    except NoSolutionSpace:
-                        admissible = False
-                    out = trivial_weight_check(inst)
-                    assert isinstance(out, NotApplicable) == admissible, (mults, weights, ell, b)
-                    assert admissible or "NoSolutionSpace" in out.reason
+                        build_reduction(cap_multiplicities(inst))
+                        reason = None
+                    except NoSolutionSpace as exc:
+                        reason = f"NoSolutionSpace: {exc}"
+                    out = interpolate_instance(inst, random.Random(b))
+                    space = isinstance(out, NoSolution) and out.reason.startswith("NoSolutionSpace")
+                    assert space == (reason is not None), (mults, weights, ell, b)
+                    assert reason is None or out.reason == reason
 
 
 # ---------------------------------------------------------------- build_reduction
