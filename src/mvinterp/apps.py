@@ -283,14 +283,17 @@ def soft_group(x, mults):
 
 def soft_reduce(inst: InterpolationInstance):
     """Per-group reductions concatenated into one approximation instance;
-    returns (plan, approx).  Every group has the same columns, since
-    build_reduction reads no point to choose them, so the last group's plan
-    serves them all."""
-    moduli, rows = [], []
+    returns (plan, approx), the plan's rows every group's in stacking order.
+    Every group has the same columns, since build_reduction reads no point
+    to choose them, so the last group's serve them all."""
+    moduli, rows, indices, bounds = [], [], (), ()
     for g in soft_group(inst.x, inst.mults)[0]:
         plan, approx = build_reduction(inst.restrict(g))
         moduli.extend(approx.moduli)
         rows.extend(approx.rows)
+        indices += plan.row_indices
+        bounds += plan.row_bounds
+    plan = replace(plan, row_indices=indices, row_bounds=bounds)
     return plan, ApproxInstance.from_rows(inst.ctx, moduli, rows, plan.col_bounds)
 
 

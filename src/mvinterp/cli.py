@@ -335,7 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--mode", choices=MODES, default="gs")
     so.add_argument("--backend", choices=tuple(BUILDERS), default="hankel")
     so.add_argument("--seed", type=int, required=True)
-    so.add_argument("--max-retries", type=int, default=8)
+    so.add_argument(
+        "--max-retries", type=int, default=8,
+        help="attempts before Failure (default 8): preconditionings; over a field smaller "
+        "than the sampling set only those without a pivot, but on a prime field's chain "
+        "of 32 levels or more; there a long chain on a small matrix is answered densely, "
+        "and a Failure is lifted",
+    )
     so.add_argument("--in", dest="infile", required=True)
     so.add_argument("--out", default=None)
     so.set_defaults(func=cmd_solve)

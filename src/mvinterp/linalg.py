@@ -34,27 +34,36 @@ def _realify(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
 
 
 def _rref_np(arr: np.ndarray, p: int):
-    """In-place reduced row echelon mod p; returns pivot column list."""
+    """In-place reduced row echelon mod p; returns pivot column list.  Pivot
+    rows are normalized at the end, and entries reduced when they must be."""
     m, n = arr.shape
     r = 0
-    pivots = []
+    pivots, invs = [], []
+    every = max((1 << 62) // (p * p) - 1, 1)  # updates between reductions
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(arr[r:, c])[0]
+        col = arr[:, c] % p
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             arr[[r, pr]] = arr[[pr, r]]
-        inv = pow(int(arr[r, c]), -1, p)
-        arr[r] = arr[r] * inv % p
-        col = arr[:, c].copy()
+            col[[r, pr]] = col[[pr, r]]
+        # rows r on are zero mod p left of column c: only columns c on change
+        sub = arr[:, c:]
+        sub[r] %= p
+        invs.append(pow(int(col[r]), -1, p))
+        col = col * invs[-1] % p
         col[r] = 0
-        arr -= np.outer(col, arr[r])
-        arr %= p
+        sub -= col[:, None] * sub[r]
         pivots.append(c)
         r += 1
+        if r % every == 0:
+            sub %= p
+    arr %= p
+    arr[:r] = arr[:r] * np.array(invs, dtype=arr.dtype)[:, None] % p
     return pivots
 
 

@@ -29,7 +29,7 @@ class NoSolution:
 
 @dataclass(frozen=True)
 class Failure:
-    attempts: int = 0
+    attempts: int = 0  # preconditionings; below the floor, not on a long chain, pivotless levels
 
     def __bool__(self):
         return False

@@ -195,11 +195,6 @@ class Poly:
 # -- named operations -------------------------------------------------
 
 
-def trunc(f: Poly, n: int) -> Poly:
-    """f mod X^n."""
-    return Poly.from_residues(f.ctx, f.a[:, : max(n, 0)])
-
-
 def reverse(f: Poly, n: int) -> Poly:
     """Degree-n reversal X^n * f(1/X); requires deg f <= n."""
     if f.deg > n:
@@ -258,10 +253,6 @@ def poly_divrem(a: Poly, b: Poly) -> tuple:
         return Poly.zero(a.ctx), a
     q = Poly.from_residues(a.ctx, quotients(a.a, b))
     return q, a - b * q
-
-
-def poly_mod(a: Poly, b: Poly) -> Poly:
-    return poly_divrem(a, b)[1]
 
 
 def _product_tree(ctx: FieldCtx, roots: np.ndarray) -> list:

@@ -172,9 +172,6 @@ class MultiPoly:
     def coeff(self, j) -> Poly:
         return self.terms.get(tuple(j), Poly.zero(self.ctx))
 
-    def mul_univariate(self, f: Poly) -> "MultiPoly":
-        return MultiPoly(self.ctx, self.nvars, {j: q * f for j, q in self.terms.items()})
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 

@@ -38,13 +38,16 @@ This module owns the whole small-field policy.  The random draws come
 from a sampling set of subset_floor(size) elements, enough for one
 preconditioning to succeed with probability >= 1/2.  A field smaller than
 that is sampled whole and never refused: its Solution and NoSolution are as
-certain as anywhere else, only breakdowns grow likelier.  Every
-preconditioning, of the whole matrix or of a complement, is one attempt, so
-Failure needs max_retries of them.  Over a prime field below the floor that
-Failure is answered by the lift: the generator's residue arrays are embedded
-into a just big enough extension F_{p^d}, the matrix is solved there, and
-the first nonzero residue row of the answer, a base-field nullspace vector,
-is returned.  An extension field is never lifted.
+certain as anywhere else, only breakdowns grow likelier: a level eliminates
+about p pivots before one.  Every preconditioning, of the whole matrix or of
+a complement, is an attempt, and Failure needs max_retries of them; below
+the floor, but on a prime field's long chain (_route), only a level without
+a pivot or a rejected candidate is one, and a pivot resets the count.  A
+prime field below the floor may be answered densely (_route) and has its
+Failure lifted: the generator's residue arrays are embedded into a just big
+enough extension F_{p^d}, the matrix is solved there, and the first nonzero
+residue row of the answer, a base-field nullspace vector, is returned.  An
+extension field is never lifted.
 
 One representation serves every field: the residue arrays of
 field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
@@ -73,6 +76,7 @@ import numpy as np
 
 from .errors import DivisionByZero, WrongTag
 from .field import FieldCtx, build_extension, flip, residues
+from .linalg import _rref_np
 from .outcomes import Failure, NoSolution, Solution
 
 TAG_TOEPLITZ = "toeplitz"
@@ -85,6 +89,8 @@ _COMPRESS_FROM = 64
 # a level's last rows, this many, are eliminated densely: 2^61 - 1 loses
 # 1.4-1.8 ms per level at 40-48 and F_16777213 saves 0.4-0.9 ms at 32-64
 _DENSE_WIDTH = 32
+# largest matrix a linearization or the dense answer builds densely
+DENSE_GUARD_CELLS = 1 << 20
 
 
 def subset_floor(size: int) -> int:
@@ -385,7 +391,8 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     An attempt counts one preconditioning: a pivot breakdown resumes on the
     Schur complement with fresh draws, and the rank certified at the end is
     the sum of the levels' ranks.  A zero or unverified candidate starts a
-    new attempt on the whole matrix.
+    new chain on the whole matrix; below the sampling-set floor, but on
+    _route's "long" chain, it is an attempt, and a level with a pivot none.
 
     The matrix is solved padded to size = max(nrows, ncols) (_kept,
     _dense), and a Solution holds the (d, ncols) residue array that _apply
@@ -393,8 +400,8 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     hankel_to_toeplitz(G) and the answer reversed.  Draws come from
     subset_range(field, subset_floor(size)), the whole field when it is
     smaller than that floor, at every level.  Over a prime field below that
-    floor a Failure is lifted (_lift); the extension's NoSolution and
-    Failure are returned as they are.
+    floor _route may answer densely, a Failure is lifted (_lift), and the
+    extension's NoSolution and Failure are the answer.
     """
     if G.tag == TAG_HANKEL:
         out = nullspace_structured(hankel_to_toeplitz(G), rng, max_retries)
@@ -402,20 +409,25 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     size = max(G.nrows, G.ncols)
     min_size = subset_floor(size)
     R = residues(G.ctx)
+    whole = R.ctx.order < min_size
+    route = _route(size, R.p) if whole and R.d == 1 else "chain"
+    if route == "dense":
+        return _dense_answer(R, G, size, min_size, rng)
+    refund = whole and route == "chain"  # a level with a pivot is no attempt
     top = _dense(R, G.v, G.w, size) if size <= _DENSE_WIDTH else _kept(R, G.v, G.w, size)
     one = R.unit(1, 0)
-
-    attempts = 0
-    while attempts < max_retries:
+    misses = rejected = 0
+    while misses < max_retries:
         # one attempt is a chain of levels: precondition and eliminate the
         # padded matrix, then after each pivot breakdown the Schur complement
         # left, until the rank is certified
         level, left, levels = top, size, []
-        while level is not None and attempts < max_retries:
-            attempts += 1
+        while level is not None and misses < max_retries:
             u_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
             l_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
             pivot_rows, level = _level(R, level, u_full, l_full)
+            # on refund: levels in a row without a pivot, and rejections
+            misses = rejected if refund and pivot_rows else misses + 1
             levels.append((pivot_rows, l_full))
             left -= len(pivot_rows)
         if level is not None:
@@ -429,13 +441,14 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
             x = _back_substitute(R, pivot_rows, y)
             y = R.conv(l_full, x)[:, : x.shape[1]]  # L·x
         vec = y[:, size - G.ncols :]  # a tall matrix's zero columns dropped
-        if R.is_zero(vec):
+        # a zero candidate, or (never on a correct run) a wrong one
+        if R.is_zero(vec) or not R.is_zero(_apply(R, G.v, G.w, vec, G.nrows)):
+            rejected += refund
+            misses += refund
             continue
-        if not R.is_zero(_apply(R, G.v, G.w, vec, G.nrows)):
-            continue  # never on a correct run; belt and braces
         return Solution(vec)
-    if R.d != 1 or R.p >= min_size:
-        return Failure(attempts)
+    if R.d != 1 or not whole:
+        return Failure(misses)
     # the lift: an extension's NoSolution or Failure is the answer, since a
     # base-field matrix has the same rank over F_{p^d}
     lifted = _lift(G, min_size, rng)
@@ -444,8 +457,36 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
         return out
     vec = out.value[out.value.any(axis=1)][:1]  # the first nonzero residue row
     if not R.is_zero(_apply(R, G.v, G.w, vec, G.nrows)):
-        return Failure(attempts)  # never on a correct run; belt and braces
+        return Failure(misses)  # never on a correct run; belt and braces
     return Solution(vec)
+
+
+def _route(size: int, p: int) -> str:
+    """The route of a prime field below the floor, by size and expected
+    levels size / p: "chain" under 1.5; "dense" (_dense_answer) while size *
+    p <= 4000 within DENSE_GUARD_CELLS; then "chain" under 32, and "long"
+    (every level an attempt, so the faster lift comes sooner) from 32."""
+    if size < 1.5 * p:
+        return "chain"
+    if size * p <= 4000 and size * size <= DENSE_GUARD_CELLS:
+        return "dense"
+    return "chain" if size < 32 * p else "long"
+
+
+def _dense_answer(R, G: GeneratorPair, size: int, min_size: int, rng):
+    """nullspace_structured over F_p by G's matrix (_dense, unpadded) in
+    reduced echelon form (linalg._rref_np): free coordinates drawn until the
+    vector is nonzero, which _apply checks (never wrong on a correct run)."""
+    A = _dense(R, G.v, G.w, size)[size - G.nrows :, 0, size - G.ncols :]
+    piv = _rref_np(A, R.p)
+    if len(piv) == G.ncols:
+        return NoSolution("dense rank equals the unknown count")
+    free = np.delete(np.arange(G.ncols), piv)
+    vec = R.zeros(G.ncols)
+    while not vec.any():
+        vec[0, free] = _draw(R, min_size, rng, len(free))[0]
+        vec[0, piv] = -(A[: len(piv), free] @ vec[0, free]) % R.p
+    return Solution(vec) if R.is_zero(_apply(R, G.v, G.w, vec, G.nrows)) else Failure(0)
 
 
 def _lift(G: GeneratorPair, min_size: int, rng) -> GeneratorPair:

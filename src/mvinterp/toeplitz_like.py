@@ -21,9 +21,7 @@ from .errors import TooLarge
 from .field import residues
 from .mosaic_hankel import compute_s_star
 from .poly import remainders
-from .struct_solve import TAG_TOEPLITZ, GeneratorPair
-
-DENSE_GUARD_CELLS = 1 << 20  # largest matrix either linearization builds densely
+from .struct_solve import DENSE_GUARD_CELLS, TAG_TOEPLITZ, GeneratorPair
 
 
 def _shifted_mod(P, F: np.ndarray, shifts) -> np.ndarray:

@@ -21,12 +21,26 @@ from mvinterp.formats import _field_line, format_element
 from mvinterp.linalg import _NP_PRIME_LIMIT, _rref_np
 from mvinterp.errors import BadLength, TooLarge
 from mvinterp.mosaic_hankel import compute_s_star
-from mvinterp.poly import Poly, reverse, series_inv, trunc
-from mvinterp.reduction import InterpolationInstance, graded_exponents
+from mvinterp.poly import Poly, poly_divrem, reverse, series_inv
+from mvinterp.reduction import InterpolationInstance, MultiPoly, graded_exponents
 from mvinterp.struct_solve import TAG_TOEPLITZ, GeneratorPair
 from mvinterp.toeplitz_like import DENSE_GUARD_CELLS
 
 _RECONSTRUCT_GUARD_CELLS = 1 << 14
+
+
+def trunc(f: Poly, n: int) -> Poly:
+    """f mod X^n."""
+    return Poly.from_residues(f.ctx, f.a[:, : max(n, 0)])
+
+
+def poly_mod(a: Poly, b: Poly) -> Poly:
+    return poly_divrem(a, b)[1]
+
+
+def mul_univariate(Q: MultiPoly, f: Poly) -> MultiPoly:
+    """Q with every coefficient Q_j multiplied by f."""
+    return MultiPoly(Q.ctx, Q.nvars, {j: q * f for j, q in Q.terms.items()})
 
 
 def from_ints(ctx, ints):

@@ -384,8 +384,11 @@ def test_soft_reduce_row_count():
     )
     plan, combined = soft_reduce(inst)
     assert len(soft_group(inst.x, inst.mults)[0]) == 2
-    # group holding multiplicity 2 contributes 2 rows, the other 1
+    # group holding multiplicity 2 contributes 2 rows, the other 1; the
+    # plan carries every group's rows in stacking order
     assert combined.mu == 3
+    assert plan.mu == combined.mu
+    assert plan.row_bounds == tuple(P.deg for P in combined.moduli)
 
 
 def test_soft_pipeline_solves_and_verifies():
@@ -487,10 +490,10 @@ def test_small_prime_field_solves_in_base_field_first(monkeypatch):
 
 
 def test_only_a_small_prime_field_failure_is_lifted(monkeypatch):
-    # an elimination that breaks down in every prime field: over F_5, below
-    # the sampling-set floor, the kernel lifts its Failure once to the
-    # smallest sufficient extension; over F_65537, at or above it, the
-    # Failure is the answer
+    # an elimination that breaks down in every prime field: over F_13, below
+    # the sampling-set floor with a chain short enough to stay a chain, the
+    # kernel lifts its Failure once to the smallest sufficient extension;
+    # over F_65537, at or above it, the Failure is the answer
     real = struct_solve._level
     fields = []
 
@@ -505,14 +508,16 @@ def test_only_a_small_prime_field_failure_is_lifted(monkeypatch):
         struct_solve, "build_extension", lambda *args: lifts.append(args) or build(*args)
     )
 
-    ctx = prime_field(5)
+    ctx = prime_field(13)
     rng = random.Random(12)
-    pts = gs_points(ctx, [(i, rng.randrange(5)) for i in range(5)])
+    pts = gs_points(ctx, [(i, rng.randrange(13)) for i in range(5)])
     p = GsParams(ctx, k=0, m=2, ell=3, b=8, points=pts)
     _, a = build_reduction(params_instance(p))
-    need = subset_floor(max(a.total_rows, min(a.total_cols, a.total_rows + 1)))
+    size = max(a.total_rows, min(a.total_cols, a.total_rows + 1))
+    assert struct_solve._route(size, 13) == "chain"  # not the dense answer
+    need = subset_floor(size)
     d = 1
-    while 5**d < need:
+    while 13**d < need:
         d += 1
     out = solve_approx(a, random.Random(3))
     assert [(args[0], args[1]) for args in lifts] == [(ctx, d)]

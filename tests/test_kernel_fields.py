@@ -13,6 +13,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     dense_from_halves,
@@ -31,7 +33,7 @@ from helpers import (
 from mvinterp import struct_solve
 from mvinterp.apps import GsParams, gs_interpolate
 from mvinterp.field import FieldCtx, Residues, build_extension, prime_field
-from mvinterp.linalg import matrix_rank
+from mvinterp.linalg import _rref_np, matrix_rank
 from mvinterp.outcomes import Failure, NoSolution, Solution
 from mvinterp.reduction import InterpolationInstance, verify_solution
 from mvinterp.struct_solve import (
@@ -465,8 +467,8 @@ def test_tiny_field_verdicts_match_the_dense_rank(name):
 
 
 def test_f5_square_systems_rarely_fail():
-    # random 20 x 20 systems over F_5, each of rank 19 or 20: at most 8
-    # preconditionings in all, then the lift, so no solve ends in Failure
+    # random 20 x 20 systems over F_5, each of rank 19 or 20: four
+    # expected levels, so they take the dense answer and none ends in Failure
     F5 = prime_field(5)
     outcomes = []
     for seed in range(37, 47):
@@ -481,24 +483,213 @@ def test_f5_square_systems_rarely_fail():
     assert Failure not in outcomes
 
 
-# ------------------------------------------------------------ the lift
+# ------------------------------------------------------------ small prime fields
 
 
-@pytest.mark.parametrize("p, m", [(5, 60), (13, 130)])
-def test_small_prime_field_failures_are_lifted(p, m):
-    # systems many times larger than p eliminate about p pivots per level,
-    # so the 8 preconditionings run out in the base field; the lift to
-    # F_{p^d} answers each with a base-field vector in the dense kernel
+def test_the_route_follows_the_chain_length_and_the_matrix_size():
+    # a chain expected within 1.5 levels stays a chain; a longer one takes
+    # the dense answer while size * p <= 4000 and the matrix is within
+    # DENSE_GUARD_CELLS (1024 rows), past that the chain under 32 levels,
+    # and the long chain, which ends in the lift, from 32 levels on
+    route = struct_solve._route
+    assert route(8, 7) == route(25, 101) == "chain"  # the F7 golden case
+    dense = [(22, 13), (61, 5), (131, 13), (201, 2), (307, 13), (800, 5), (1001, 2), (1024, 3)]
+    assert [route(s, p) for s, p in dense] == ["dense"] * len(dense)
+    assert route(308, 13) == route(415, 13) == route(601, 101) == "chain"
+    assert route(416, 13) == route(801, 5) == route(1025, 2) == route(4000, 2) == "long"
+
+
+def count_lifts(monkeypatch):
+    lifts = []
+    build = struct_solve.build_extension
+    monkeypatch.setattr(
+        struct_solve, "build_extension", lambda *args: lifts.append(args[:2]) or build(*args)
+    )
+    return lifts
+
+
+def test_the_dense_answer_stops_at_the_cells_guard(monkeypatch):
+    # with the guard at 30 x 30, an F_5 system of size 30 (29 x 30) takes
+    # the dense answer and one of size 31 the chain, answered with no lift
+    monkeypatch.setattr(struct_solve, "DENSE_GUARD_CELLS", 30 * 30)
+    dense = []
+    real = struct_solve._dense_answer
+    monkeypatch.setattr(struct_solve, "_dense_answer", lambda *a: dense.append(a[2]) or real(*a))
+    lifts = count_lifts(monkeypatch)
+    F5 = prime_field(5)
+    R = Residues(F5)
+    for m in (29, 30):
+        G = rand_generator("toeplitz", F5, m, m + 1, 3, random.Random(m))
+        out = nullspace_structured(G, random.Random(0), 8)
+        assert isinstance(out, Solution)
+        assert not dense_matvec(R, dense_from_halves(R, G.v, G.w), out.value).any()
+    assert dense == [30] and lifts == []
+
+
+@pytest.mark.parametrize("p, m", [(5, 60), (13, 130), (101, 600)])
+def test_long_chains_make_no_lift(monkeypatch, p, m):
+    # systems many times larger than p: F_5 and F_13 take the dense answer,
+    # F_101 the chain, whose levels with a pivot spend none of the 8
+    # attempts; each is answered with a base-field vector, with no lift
     ctx = prime_field(p)
     R = Residues(ctx)
-    for seed in range(6):
+    lifts = count_lifts(monkeypatch)
+    for seed in range(3):
         r = random.Random(seed)
         G = rand_generator("toeplitz", ctx, m, m + 1, 3, r)
         out = nullspace_structured(G, r, 8)
         assert isinstance(out, Solution)  # more unknowns than equations
         x = out.value
-        assert x.shape == (1, m + 1) and x.any()  # a base-field vector
+        assert x.shape == (1, m + 1) and x.any()
         assert not dense_matvec(R, dense_from_halves(R, G.v, G.w), x).any()
+    assert lifts == []
+
+
+def first_pivot_only(R, S):
+    """_eliminate_dense cut after its first pivot: a breakdown on every level."""
+    if not S[0, :, 0].any():
+        return [], S if S.any() else None
+    norm = R.scale(R.inv(S[0, :, 0])[0], S[0]) % R.p
+    rest = (S[1:, :, 1:] - R.scale(S[1:, :, 0], norm[:, 1:])) % R.p
+    return [norm], rest if rest.any() else None
+
+
+def test_a_chain_of_one_pivot_levels_never_fails(monkeypatch):
+    # every level eliminates its first pivot and then breaks down, so a
+    # chain runs one level per pivot, far past max_retries; below the floor
+    # none of them is a miss, so the solve neither fails nor lifts
+    F13 = prime_field(13)
+    levels = []
+    real = struct_solve._level
+    monkeypatch.setattr(struct_solve, "_eliminate_dense", first_pivot_only)
+    monkeypatch.setattr(
+        struct_solve, "_level", lambda *args: levels.append(args[0].ctx) or real(*args)
+    )
+    lifts = count_lifts(monkeypatch)
+    for seed in range(4):
+        r = random.Random(seed)
+        m, n = r.randint(10, 18), r.randint(10, 18)
+        if seed % 2:
+            A = low_rank_matrix(F13, m, n, r.randint(9, min(m, n)), r)
+        else:
+            A = rand_matrix(F13, m, n, r)
+        levels.clear()
+        out = nullspace_structured(gen_from_dense("toeplitz", A, F13), r, 8)
+        assert len(levels) > 8
+        if matrix_rank(F13, A, n) == n:
+            assert isinstance(out, NoSolution)
+        else:
+            assert isinstance(out, Solution)
+            assert all(e.is_zero() for e in mat_vec(A, elements(F13, out.value), F13))
+    assert lifts == []
+
+
+def test_a_long_chain_spends_an_attempt_on_every_level(monkeypatch):
+    # the same one-pivot levels on the "long" route: each is an attempt, so
+    # max_retries of them end the base-field chain in one lift
+    F13 = prime_field(13)
+    real = struct_solve._eliminate_dense
+    monkeypatch.setattr(struct_solve, "_route", lambda size, p: "long")
+
+    def cut_in_prime_fields(R, S):
+        return (first_pivot_only if R.d == 1 else real)(R, S)
+
+    monkeypatch.setattr(struct_solve, "_eliminate_dense", cut_in_prime_fields)
+    levels = []
+    real_level = struct_solve._level
+    monkeypatch.setattr(
+        struct_solve, "_level", lambda *args: levels.append(args[0].ctx) or real_level(*args)
+    )
+    lifts = count_lifts(monkeypatch)
+    A = low_rank_matrix(F13, 14, 14, 10, random.Random(3))
+    out = nullspace_structured(gen_from_dense("toeplitz", A, F13), random.Random(4), 8)
+    assert levels[:8] == [F13] * 8 and all(c.d > 1 for c in levels[8:])
+    assert lifts == [(F13, 3)]  # 13^2 < subset_floor(14) = 1350 <= 13^3
+    assert isinstance(out, Solution)
+    assert all(e.is_zero() for e in mat_vec(A, elements(F13, out.value), F13))
+
+
+def test_levels_without_progress_fail_and_lift_once(monkeypatch):
+    # a level that eliminates nothing is a miss: max_retries of them in a
+    # row end the base-field chain, and the Failure is lifted once; over an
+    # extension field below the floor the same Failure is the answer
+    F13 = prime_field(13)
+    levels = []
+    real = struct_solve._level
+
+    def no_pivot_in_prime_fields(R, level, u_full, l_full):
+        levels.append(R.ctx)
+        return ([], level) if R.d == 1 else real(R, level, u_full, l_full)
+
+    monkeypatch.setattr(struct_solve, "_level", no_pivot_in_prime_fields)
+    lifts = count_lifts(monkeypatch)
+    A = low_rank_matrix(F13, 12, 12, 9, random.Random(5))
+    out = nullspace_structured(gen_from_dense("toeplitz", A, F13), random.Random(6), 5)
+    assert levels[:5] == [F13] * 5 and all(c.d > 1 for c in levels[5:])
+    assert lifts == [(F13, 3)]  # 13^2 < subset_floor(12) = 1014 <= 13^3
+    assert isinstance(out, Solution)
+    assert all(e.is_zero() for e in mat_vec(A, elements(F13, out.value), F13))
+
+    GF4 = TINY_FIELDS["GF4"]
+    monkeypatch.setattr(struct_solve, "_level", lambda R, level, u, l: ([], level))
+    A = low_rank_matrix(GF4, 6, 6, 3, random.Random(7))
+    assert nullspace_structured(gen_from_dense("toeplitz", A, GF4), random.Random(8), 5) == Failure(5)
+    assert lifts == [(F13, 3)]
+
+
+def test_a_dense_answer_no_solution_agrees_with_the_dense_rank(monkeypatch):
+    # tall systems over F_5 take the dense answer: full column rank is a
+    # NoSolution, a rank deficit a Solution in the kernel
+    F5 = prime_field(5)
+    routes = []
+    real = struct_solve._route
+    monkeypatch.setattr(struct_solve, "_route", lambda *a: routes.append(real(*a)) or routes[-1])
+    verdicts = []
+    for seed in range(6):
+        r = random.Random(seed)
+        A = rand_matrix(F5, 30, 24, r) if seed % 2 else low_rank_matrix(F5, 30, 24, 20, r)
+        out = nullspace_structured(gen_from_dense("toeplitz", A, F5), r, 8)
+        if matrix_rank(F5, A, 24) == 24:
+            assert out == NoSolution("dense rank equals the unknown count")
+        else:
+            assert isinstance(out, Solution)
+            assert all(e.is_zero() for e in mat_vec(A, elements(F5, out.value), F5))
+        verdicts.append(type(out))
+    assert routes == ["dense"] * 6 and set(verdicts) == {Solution, NoSolution}
+
+
+SMALL_PRIMES = [prime_field(p) for p in (2, 3, 5, 7, 13)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(SMALL_PRIMES),
+    st.integers(4, 48),
+    st.integers(4, 48),
+    st.integers(0, 3),
+    st.sampled_from([None, "chain", "dense", "long"]),
+    st.integers(0, 2**32),
+)
+def test_every_small_field_route_matches_the_dense_rank(ctx, m, n, kind, route, seed):
+    # random systems (kind 0: rand_generator, else low_rank_matrix of rank
+    # kind..) on the route the cost rule picks (None) or on one forced:
+    # every verdict is the dense matrix's, every Solution in its kernel
+    r = random.Random(seed)
+    if kind:
+        G = gen_from_dense("toeplitz", low_rank_matrix(ctx, m, n, min(kind * 4, m, n), r), ctx)
+    else:
+        G = rand_generator("toeplitz", ctx, m, n, r.randint(1, 3), r)
+    R = Residues(ctx)
+    A = dense_from_halves(R, G.v, G.w)
+    with pytest.MonkeyPatch.context() as mp:
+        if route:
+            mp.setattr(struct_solve, "_route", lambda size, p: route)
+        out = nullspace_structured(G, r, 8)
+    if len(_rref_np(A[:, 0].copy(), ctx.p)) == n:
+        assert isinstance(out, NoSolution)
+    else:
+        assert isinstance(out, Solution) and out.value.any()
+        assert not dense_matvec(R, A, out.value).any()
 
 
 def break_down_in_prime_fields(monkeypatch):
@@ -517,11 +708,7 @@ def test_a_size_two_system_over_f2_lifts_to_degree_six(monkeypatch):
     # elimination breaking down, the one lift goes to F_64
     F2 = prime_field(2)
     break_down_in_prime_fields(monkeypatch)
-    lifts = []
-    build = struct_solve.build_extension
-    monkeypatch.setattr(
-        struct_solve, "build_extension", lambda *args: lifts.append(args[:2]) or build(*args)
-    )
+    lifts = count_lifts(monkeypatch)
     A = [[F2.one(), F2.one()], [F2.one(), F2.one()]]
     out = nullspace_structured(gen_from_dense("toeplitz", A, F2), random.Random(0), 8)
     assert lifts == [(F2, 6)]

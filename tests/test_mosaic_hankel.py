@@ -8,8 +8,10 @@ from helpers import (
     generator_product,
     kernel_basis,
     pack_solution,
+    poly_mod,
     random_approx_instance,
     spread_seeds,
+    trunc,
 )
 from mvinterp.approx import ApproxInstance, trim_instance, unpack_solution, verify_approx
 from mvinterp.backend import solve_approx
@@ -18,7 +20,7 @@ from mvinterp.field import FieldCtx, prime_field, residues
 from mvinterp.linalg import matrix_rank
 from mvinterp.mosaic_hankel import build_hankel_generators, compute_s_star
 from mvinterp.outcomes import NoSolution, Solution
-from mvinterp.poly import Poly, poly_mod, reverse, trunc
+from mvinterp.poly import Poly, reverse
 
 F13 = prime_field(13)
 F65537 = prime_field(65537)

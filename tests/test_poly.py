@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import extend_recurrence, from_ints, rand_el, res
+from helpers import extend_recurrence, from_ints, poly_mod, rand_el, res, trunc
 from mvinterp.errors import BadLength, DivisionByZero, DuplicateNode, NotInvertible
 from mvinterp.field import FieldCtx, prime_field, residues
 from mvinterp.poly import (
     Poly,
     lagrange_interp,
     poly_divrem,
-    poly_mod,
     reverse,
     series_inv,
-    trunc,
     weighted_product,
 )
 

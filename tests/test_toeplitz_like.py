@@ -10,6 +10,7 @@ from helpers import (
     kernel_basis,
     markov_tops,
     pack_solution,
+    poly_mod,
     random_approx_instance,
     random_interp_instance,
     random_monic,
@@ -22,7 +23,7 @@ from mvinterp.errors import TooLarge
 from mvinterp.field import FieldCtx, prime_field
 from mvinterp.linalg import matrix_rank
 from mvinterp.outcomes import NoSolution, Solution
-from mvinterp.poly import Poly, poly_mod
+from mvinterp.poly import Poly
 from mvinterp.reduction import build_reduction
 from mvinterp.toeplitz_like import build_toeplitz_generators, dense_build_Aprime
 
