@@ -291,6 +291,11 @@ def cmd_bench(args) -> int:
     from .reduction import build_reduction
 
     print("size,backend,median_ms,verdict,reps")
+    # every case built first, so the dense build's size guard stops the
+    # command before any solve runs; then warmed up, then the reps run
+    # round-robin: a stall of the host touches one rep of several medians,
+    # not several reps of one
+    cases = []
     for n in sizes:
         parsed = _gen_instance(BENCH_PRIME, n, 1, 2, n // 4, "auto", "gs", seed=n)
         _, a = build_reduction(parsed.interpolation_instance())
@@ -302,22 +307,24 @@ def cmd_bench(args) -> int:
                 built = BUILDERS[bk](a)
             except MvInterpError as exc:  # the dense build's size guard
                 return _die(str(exc))
-            solve_built(a, built, random.Random(0))  # warm-up, untimed
-            times, verdicts = [], set()
-            for rep in range(args.reps):
-                rng = random.Random(1000 * n + rep)
-                t0 = time.perf_counter()
-                out = solve_built(a, built, rng)
-                times.append((time.perf_counter() - t0) * 1000.0)
-                if isinstance(out, Solution):
-                    qs = unpack_solution(a.ctx, out.value, a.col_bounds)
-                    verdicts.add("solution" if verify_approx(a, qs) else "failure")
-                else:
-                    verdicts.add("no-solution" if isinstance(out, NoSolution) else "failure")
-            # the verdict every rep shares, so no rep's failure is hidden
-            verdict = verdicts.pop() if len(verdicts) == 1 else "mixed"
-            print(f"{n},{bk},{statistics.median(times):.3f},{verdict},{args.reps}")
-            sys.stdout.flush()
+            cases.append((n, bk, a, built, [], set()))
+    for _, _, a, built, _, _ in cases:
+        solve_built(a, built, random.Random(0))  # warm-up, untimed
+    for rep in range(args.reps):
+        for n, bk, a, built, times, verdicts in cases:
+            rng = random.Random(1000 * n + rep)
+            t0 = time.perf_counter()
+            out = solve_built(a, built, rng)
+            times.append((time.perf_counter() - t0) * 1000.0)
+            if isinstance(out, Solution):
+                qs = unpack_solution(a.ctx, out.value, a.col_bounds)
+                verdicts.add("solution" if verify_approx(a, qs) else "failure")
+            else:
+                verdicts.add("no-solution" if isinstance(out, NoSolution) else "failure")
+    for n, bk, _, _, times, verdicts in cases:
+        # the verdict every rep shares, so no rep's failure is hidden
+        verdict = verdicts.pop() if len(verdicts) == 1 else "mixed"
+        print(f"{n},{bk},{statistics.median(times):.3f},{verdict},{args.reps}")
     return 0
 
 
@@ -337,10 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--seed", type=int, required=True)
     so.add_argument(
         "--max-retries", type=int, default=8,
-        help="attempts before Failure (default 8): preconditionings; over a field smaller "
-        "than the sampling set only those without a pivot, but on a prime field's chain "
-        "of 32 levels or more; there a long chain on a small matrix is answered densely, "
-        "and a Failure is lifted",
+        help="attempts before Failure (default 8): preconditionings of what the "
+        "deterministic first elimination (level 0, no attempt) leaves, and rejected "
+        "candidates; over a field smaller than the sampling set only levels without a "
+        "pivot, but on a prime field's chain of 32 levels or more; there a long chain on "
+        "a small matrix is answered densely, and a Failure is lifted",
     )
     so.add_argument("--in", dest="infile", required=True)
     so.add_argument("--out", default=None)

@@ -10,39 +10,41 @@ Both operators are nilpotent-invertible, so (V, W) determines A; callers
 build generators in O(alpha * size); matrices are built only up to _DENSE_WIDTH wide.
 
 The solve itself: flip Hankel structure to Toeplitz (column reversal,
-undone on the answer), pad to square with zero rows on top of a wide matrix
-or zero columns left of a tall one (its generator needs the same padding
-only, which _kept writes), pre/post-multiply by random unit-triangular
-Toeplitz matrices to force a generic rank profile (Kaltofen & Saunders,
-AAECC-9, 1991), then run a Schur-complement elimination on generators.
-Each trailing submatrix of the preconditioned matrix is again Toeplitz-like
-with no larger displacement rank, so each step keeps the generator at its
-length (a generalized Schur step).  It is compressed before the first step
-from size _COMPRESS_FROM up, and again only when a leading entry vanishes.
-Empty then means a zero Schur complement: the rank is certified.  Nonempty
-is a pivot breakdown, and the complement, Toeplitz-like as well, is
-preconditioned with fresh draws and eliminated in turn, keeping the pivots
-already found.  Each level's leading block is invertible, so the rank is
-the sum of the levels' ranks (rank M = t + rank S).  A level's last
+undone on the answer), then run a Schur-complement elimination on
+generators.  Each trailing submatrix is again Toeplitz-like with no larger
+displacement rank, so each step keeps the generator at its length (a
+generalized Schur step).  Level 0 (_level0) eliminates the matrix as its
+builder wrote it: in the builders' column orders most leading blocks are
+invertible, and when every row or column takes a pivot that is the whole
+elimination.  A vanishing leading entry compresses the generator; empty
+then means a zero Schur complement: the rank is certified.  Nonempty is a
+pivot breakdown, and only then is the complement brought to a generic rank
+profile: padded to square with zero rows on top of a wide matrix or zero
+columns left of a tall one (its generator needs the same padding only,
+which _kept writes), pre/post-multiplied by random unit-triangular Toeplitz
+matrices (Kaltofen & Saunders, AAECC-9, 1991), and eliminated in turn,
+keeping the pivots found, and so on after each breakdown.  Each level's leading block is invertible, so the
+rank is the sum of the levels' ranks (rank M = t + rank S).  A level's last
 _DENSE_WIDTH rows are eliminated on its dense matrix (_dense), without
-pivoting: pivot rows, rank and breakdowns depend on the preconditioned
-matrix alone.  So is a matrix at most that wide, and a breakdown's dense
-complement, each preconditioned by two products.  The recorded pivot rows
-give the nullspace by back-substitution with randomly drawn free
-coordinates, climbing back out through the levels.  Every candidate is
-verified by applying A through the generator, so a returned Solution is
-unconditionally correct; NoSolution is returned only when the certified
-rank equals the column count.
+pivoting: pivot rows, rank and breakdowns depend on the matrix and the
+draws alone.  So is a matrix at most that wide, which skips level 0, and a
+breakdown's dense complement, each preconditioned by two products.  The
+recorded pivot rows give the nullspace by back-substitution with randomly
+drawn free coordinates, climbing back out through the levels, level 0 last.
+Every candidate is verified by applying A through the generator, so a
+returned Solution is unconditionally correct; NoSolution is returned only
+when the certified rank equals the column count.
 
 This module owns the whole small-field policy.  The random draws come
 from a sampling set of subset_floor(size) elements, enough for one
 preconditioning to succeed with probability >= 1/2.  A field smaller than
 that is sampled whole and never refused: its Solution and NoSolution are as
-certain as anywhere else, only breakdowns grow likelier: a level eliminates
-about p pivots before one.  Every preconditioning, of the whole matrix or of
-a complement, is an attempt, and Failure needs max_retries of them; below
-the floor, but on a prime field's long chain (_route), only a level without
-a pivot or a rejected candidate is one, and a pivot resets the count.  A
+certain as anywhere else, only breakdowns grow likelier: a level, level 0
+included, eliminates about p pivots before one.  Every preconditioning, and
+every rejected candidate, is an attempt; level 0, which draws nothing, is
+none.  Failure needs max_retries of them; below the floor, but on a prime
+field's long chain (_route), only a level without a pivot or a rejected
+candidate is one, and a pivot resets the count.  A
 prime field below the floor may be answered densely (_route) and has its
 Failure lifted: the generator's residue arrays are embedded into a just big
 enough extension F_{p^d}, the matrix is solved there, and the first nonzero
@@ -65,7 +67,7 @@ in the frequency domain, at a transform length sized to their output
 (Residues._plan).  _kept stacks a level's halves into one array of pairs
 (v_c, w_c), whose swap is the generator of A^T, transformed once per level
 once their products are FFT products; _precondition makes four products of
-them, and the top level's serve every attempt.
+them, and those of the level level 0 leaves serve every attempt.
 """
 
 from __future__ import annotations
@@ -81,11 +83,6 @@ from .outcomes import Failure, NoSolution, Solution
 
 TAG_TOEPLITZ = "toeplitz"
 TAG_HANKEL = "hankel"
-# levels this large compress before the first Schur step.  _eliminate without
-# / with it, on generators from gs solves (24-bit prime, 2 rows fewer): 0.78x
-# at size 33, 0.89x at 65, 0.91x at 97, 1.01x at 129, 1.02x at 257 and 385;
-# GF(2^8): 0.78x at 17, 0.93x at 33, 1.07x at 49; F_5 lifted (d = 7): 0.87x at 61
-_COMPRESS_FROM = 64
 # a level's last rows, this many, are eliminated densely: 2^61 - 1 loses
 # 1.4-1.8 ms per level at 40-48 and F_16777213 saves 0.4-0.9 ms at 32-64
 _DENSE_WIDTH = 32
@@ -289,57 +286,74 @@ def _schur_step(R, G):
     return norm, Y
 
 
-def _eliminate(R, v, w, size):
-    """Generator-based Schur elimination under a generic rank profile.
+def _eliminate(R, v, w):
+    """Generator-based Schur elimination, without pivoting, of the matrix A
+    of the halves v (alpha, d, nrows) and w (alpha, d, ncols).
 
-    Returns (pivot_rows, rest): pivot_rows[t] is the normalized row t of
-    the elimination, a (d, size - t) array.  At a vanishing leading entry
-    the generator is compressed again; rest is None when that leaves it
-    empty (a zero Schur complement) or after all size steps, and otherwise
-    the compressed (v, w) halves of the nonzero complement: a pivot
-    breakdown.
+    Returns (pivot_rows, rest): pivot_rows[t] is the normalized row t, a
+    (d, ncols - t) array.  At a vanishing leading entry the generator is
+    compressed again; rest is None when that leaves it empty (a zero Schur
+    complement) or once the rows or columns run out, and otherwise the
+    compressed (v, w) halves of the nonzero complement: a pivot breakdown.
 
-    From size _COMPRESS_FROM up the generator is compressed first; every
-    Schur step keeps its length.  The last _DENSE_WIDTH rows are dense
-    (_eliminate_dense), and so is the rest of a breakdown among them.
+    The shorter half is zero-padded at its end.  That changes the matrix
+    only past A's rows (or columns), which the first min(nrows, ncols) steps
+    never read: each complement's leading block is A's.  Pivot rows and a
+    breakdown's halves are cut to A's columns and rows.  Each Schur step
+    keeps the generator's length.  The last _DENSE_WIDTH rows of the shorter
+    side are dense (_eliminate_dense, on A's rows and columns), and so is
+    the rest of a breakdown among them, unless the sides differ by more.
     """
-    G = np.stack(_compress(R, v, w) if size >= _COMPRESS_FROM else (v, w))
+    nrows, ncols = v.shape[2], w.shape[2]
+    G = np.zeros((2, len(v), R.d, max(nrows, ncols)), R.dtype)
+    G[0, ..., :nrows], G[1, ..., :ncols] = v, w
     pivot_rows = []
-    for _ in range(size - _DENSE_WIDTH):
+    tail = _DENSE_WIDTH if abs(nrows - ncols) <= _DENSE_WIDTH else 0
+    for t in range(min(nrows, ncols) - tail):
         step = _schur_step(R, G)
         if step is None:
-            rest = _compress(R, *G)
+            rest = _compress(R, G[0, ..., : nrows - t], G[1, ..., : ncols - t])
             return pivot_rows, rest if len(rest[0]) else None
         norm, G = step
-        pivot_rows.append(norm)
-    if not G.shape[-1]:
+        pivot_rows.append(norm[:, : ncols - t])
+    t = len(pivot_rows)
+    if t == min(nrows, ncols):
         return pivot_rows, None
-    rows, rest = _eliminate_dense(R, _dense(R, G[0], G[1], G.shape[-1]))
+    rows, rest = _eliminate_dense(R, _dense(R, G[0, ..., : nrows - t], G[1, ..., : ncols - t]))
     return pivot_rows + rows, rest
 
 
-def _dense(R, v, w, size):
-    """The matrix of toeplitz-tagged halves, padded to size as _kept pads it,
-    as (size, d, size) rows: D = sum_c v_c (x) w_c is one R.combine, and A
-    sums D along each diagonal (A - Z A Z^T = D), one cumulative sum down
-    the columns of an array whose row i is shifted right by size - 1 - i."""
-    d = R.d
+def _dense(R, v, w):
+    """The (nrows, d, ncols) matrix of toeplitz-tagged halves v and w:
+    D = sum_c v_c (x) w_c is one R.combine, and A sums D along each diagonal
+    (A - Z A Z^T = D), one cumulative sum down the columns of an array whose
+    row i is shifted right by nrows - 1 - i."""
+    d, nrows, ncols = R.d, v.shape[2], w.shape[2]
     D = R.combine(v.transpose(2, 0, 1), w)  # (nrows, d, ncols)
 
-    def unskewed(x):  # a view: diagonal j - i is column size - 1 + j - i
-        return x.reshape(d, -1)[:, size - 1 : -1].reshape(d, size, -1)[..., :size]
+    def unskewed(x):  # a view: diagonal j - i is column nrows - 1 + j - i
+        flat = x.reshape(d, -1)[:, nrows - 1 : nrows - 1 + nrows * (nrows + ncols - 1)]
+        return flat.reshape(d, nrows, nrows + ncols - 1)[..., :ncols]
 
-    skew = np.zeros((d, size, 2 * size), R.dtype)
-    unskewed(skew)[:, size - len(D) :, size - D.shape[2] :] = D.transpose(1, 0, 2)
+    skew = np.zeros((d, nrows, nrows + ncols), R.dtype)
+    unskewed(skew)[:] = D.transpose(1, 0, 2)
     return unskewed(np.cumsum(skew, axis=1) % R.p).transpose(1, 0, 2).copy()
 
 
+def _padded(S, size):
+    """A dense (nrows, d, ncols) matrix padded to square as _kept pads."""
+    out = np.zeros((size,) + S.shape[1:2] + (size,), S.dtype)  # np.pad: np.int64 zeros
+    out[size - len(S) :, :, size - S.shape[2] :] = S
+    return out
+
+
 def _eliminate_dense(R, S):
-    """_eliminate of a dense (size, d, size) matrix, without pivoting: per
-    pivot one normalized row and one outer-product update of the rows below;
-    the rest is the nonzero complement at a zero leading entry, else None."""
+    """_eliminate of a dense (nrows, d, ncols) matrix, without pivoting: per
+    pivot one normalized row and one outer-product update of the rows below,
+    until the rows or the columns run out; the rest is the nonzero
+    complement at a zero leading entry, else None."""
     p, pivot_rows = R.p, []
-    while len(S):
+    while S.size:
         try:
             inv = R.inv(S[0, :, 0])
         except DivisionByZero:
@@ -353,15 +367,17 @@ def _eliminate_dense(R, S):
 
 def _level(R, level, u_full, l_full):
     """A level of an attempt (_kept's, or a dense matrix: U·A·L is two
-    products), preconditioned with the draws u_full and l_full and eliminated:
-    its pivot rows and the next level (a breakdown's complement) or None."""
+    products), preconditioned with the draws u_full and l_full and
+    eliminated: its pivot rows and the next level (a breakdown's complement)
+    or None."""
     size = u_full.shape[1]
     if isinstance(level, np.ndarray):
         j_i = np.arange(size) - np.arange(size)[:, None]
         U, L = (np.where(j_i >= 0, x[:, j_i], 0).astype(x.dtype) for x in (u_full, l_full))
         UA = R.combine(U.transpose(1, 2, 0), level)  # U[i, j] = u_full[j - i]
         return _eliminate_dense(R, R.combine(UA.transpose(0, 2, 1), L.transpose(2, 0, 1)))
-    pivot_rows, rest = _eliminate(R, *_precondition(R, *level, u_full, l_full), size)
+    v, w = _precondition(R, *level, u_full, l_full)
+    pivot_rows, rest = _eliminate(R, v, w)
     if isinstance(rest, tuple):
         rest = _kept(R, *rest, size - len(pivot_rows))
     return pivot_rows, rest
@@ -388,20 +404,23 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     """Nonzero right-nullspace element of the represented matrix, or a
     certified NoSolution, or Failure after max_retries attempts.
 
-    An attempt counts one preconditioning: a pivot breakdown resumes on the
-    Schur complement with fresh draws, and the rank certified at the end is
-    the sum of the levels' ranks.  A zero or unverified candidate starts a
-    new chain on the whole matrix; below the sampling-set floor, but on
-    _route's "long" chain, it is an attempt, and a level with a pivot none.
+    Level 0 (_level0) eliminates G's matrix as given, once per call and
+    with no draws: it is no attempt.  An attempt counts one preconditioning
+    of what it leaves: a pivot breakdown resumes on the Schur complement
+    with fresh draws, and the rank certified at the end is the sum of the
+    levels' ranks, level 0's included.  A zero or unverified candidate is an
+    attempt too, and starts a new chain from level 0's complement; below
+    the sampling-set floor, but on _route's "long" chain, a level with a
+    pivot is none.
 
-    The matrix is solved padded to size = max(nrows, ncols) (_kept,
-    _dense), and a Solution holds the (d, ncols) residue array that _apply
-    has checked on G.  A hankel-tagged generator is solved as
-    hankel_to_toeplitz(G) and the answer reversed.  Draws come from
-    subset_range(field, subset_floor(size)), the whole field when it is
-    smaller than that floor, at every level.  Over a prime field below that
-    floor _route may answer densely, a Failure is lifted (_lift), and the
-    extension's NoSolution and Failure are the answer.
+    Later levels are solved padded to square (_kept, _dense), and a Solution
+    holds the (d, ncols) residue array that _apply has checked on G.  A
+    hankel-tagged generator is solved as hankel_to_toeplitz(G) and the
+    answer reversed.  Draws come from subset_range(field, subset_floor(size)),
+    size = max(nrows, ncols), the whole field when it is smaller than that
+    floor, at every level.  Over a prime field below that floor _route may
+    answer densely, a Failure is lifted (_lift), and the extension's
+    NoSolution and Failure are the answer.
     """
     if G.tag == TAG_HANKEL:
         out = nullspace_structured(hankel_to_toeplitz(G), rng, max_retries)
@@ -412,16 +431,16 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     whole = R.ctx.order < min_size
     route = _route(size, R.p) if whole and R.d == 1 else "chain"
     if route == "dense":
-        return _dense_answer(R, G, size, min_size, rng)
+        return _dense_answer(R, G, min_size, rng)
     refund = whole and route == "chain"  # a level with a pivot is no attempt
-    top = _dense(R, G.v, G.w, size) if size <= _DENSE_WIDTH else _kept(R, G.v, G.w, size)
+    rows0, top, start, ncols = _level0(R, G)
     one = R.unit(1, 0)
     misses = rejected = 0
     while misses < max_retries:
-        # one attempt is a chain of levels: precondition and eliminate the
-        # padded matrix, then after each pivot breakdown the Schur complement
+        # one attempt is a chain of levels: precondition and eliminate what
+        # level 0 left, then after each pivot breakdown the Schur complement
         # left, until the rank is certified
-        level, left, levels = top, size, []
+        level, left, levels = top, start, []
         while level is not None and misses < max_retries:
             u_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
             l_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
@@ -432,7 +451,7 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
             left -= len(pivot_rows)
         if level is not None:
             break
-        if size - left == G.ncols:
+        if start - left == ncols:
             return NoSolution("certified rank equals the unknown count")
         # the innermost free coordinates, then each level's solution x, as
         # L·x, is the free tail of the level above
@@ -440,11 +459,13 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
         for pivot_rows, l_full in reversed(levels):
             x = _back_substitute(R, pivot_rows, y)
             y = R.conv(l_full, x)[:, : x.shape[1]]  # L·x
-        vec = y[:, size - G.ncols :]  # a tall matrix's zero columns dropped
+        vec = y[:, start - ncols :]  # a tall level's zero columns dropped
+        if rows0:  # then level 0's coordinates
+            vec = _back_substitute(R, rows0, vec)
         # a zero candidate, or (never on a correct run) a wrong one
         if R.is_zero(vec) or not R.is_zero(_apply(R, G.v, G.w, vec, G.nrows)):
-            rejected += refund
-            misses += refund
+            rejected += 1
+            misses += 1
             continue
         return Solution(vec)
     if R.d != 1 or not whole:
@@ -461,6 +482,22 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     return Solution(vec)
 
 
+def _level0(R, G: GeneratorPair):
+    """Level 0: G's matrix eliminated as the builder wrote it (_eliminate: no
+    draws, no attempt), or left whole when at most _DENSE_WIDTH wide.  Returns
+    its pivot rows, the level the chains start from, padded as _kept pads
+    (None once the rank is certified), that level's size and the columns left."""
+    size = max(G.nrows, G.ncols)
+    rows, rest = ([], _dense(R, G.v, G.w)) if size <= _DENSE_WIDTH else _eliminate(R, G.v, G.w)
+    nrows, ncols = G.nrows - len(rows), G.ncols - len(rows)
+    start = max(nrows, ncols)
+    if rest is None:
+        return rows, None, ncols, ncols
+    if isinstance(rest, np.ndarray):
+        return rows, _padded(rest, start), start, ncols
+    return rows, _kept(R, *rest, start), start, ncols
+
+
 def _route(size: int, p: int) -> str:
     """The route of a prime field below the floor, by size and expected
     levels size / p: "chain" under 1.5; "dense" (_dense_answer) while size *
@@ -473,11 +510,11 @@ def _route(size: int, p: int) -> str:
     return "chain" if size < 32 * p else "long"
 
 
-def _dense_answer(R, G: GeneratorPair, size: int, min_size: int, rng):
-    """nullspace_structured over F_p by G's matrix (_dense, unpadded) in
+def _dense_answer(R, G: GeneratorPair, min_size: int, rng):
+    """nullspace_structured over F_p by G's matrix (_dense) in
     reduced echelon form (linalg._rref_np): free coordinates drawn until the
     vector is nonzero, which _apply checks (never wrong on a correct run)."""
-    A = _dense(R, G.v, G.w, size)[size - G.nrows :, 0, size - G.ncols :]
+    A = _dense(R, G.v, G.w)[:, 0]
     piv = _rref_np(A, R.p)
     if len(piv) == G.ncols:
         return NoSolution("dense rank equals the unknown count")

@@ -33,7 +33,7 @@ from helpers import (
 from mvinterp import struct_solve
 from mvinterp.apps import GsParams, gs_interpolate
 from mvinterp.field import FieldCtx, Residues, build_extension, prime_field
-from mvinterp.linalg import _rref_np, matrix_rank
+from mvinterp.linalg import _realify, _rref_np, matrix_rank
 from mvinterp.outcomes import Failure, NoSolution, Solution
 from mvinterp.reduction import InterpolationInstance, verify_solution
 from mvinterp.struct_solve import (
@@ -159,16 +159,21 @@ def gs_deep_params():
 
 
 def test_one_compression_per_attempt(monkeypatch):
-    # with the dense crossover pinned to 0, each attempt on the gs 384 x 385
-    # system compresses its preconditioned generator once, and once more at
-    # the leading entry that vanishes where the Schur complement is zero.
-    # The F7 case's levels are below _COMPRESS_FROM: they compress only
-    # where a leading entry vanishes.  At the crossover the same entries
-    # vanish at the same widths, met by dense eliminations, which never
-    # compress: one per gs attempt, ending its level, and one per F7 level
+    # with the dense crossover pinned to 0, the gs 384 x 385 system's level 0
+    # (its own generator, not preconditioned) breaks down at pivot 187 and
+    # compresses the 197 x 198 complement once; each attempt on that
+    # complement compresses once more, at the leading entry that vanishes
+    # where the Schur complement is zero.  At the crossover the same entries
+    # vanish at the same widths, the attempts' last ones met by dense
+    # eliminations, which never compress.  The F7 case (8 x 8, rank 5, a
+    # zero leading entry) pinned to 0 breaks down at level 0's first step,
+    # which hands its compressed generator to a chain of preconditioned
+    # levels, each compressing once where its leading entry vanishes; at the
+    # crossover its top level is dense, with no level 0, and the same draws
+    # meet the same breakdowns level by level, with no compression
     crossover = struct_solve._DENSE_WIDTH
     calls = dict.fromkeys(["_compress", "_precondition", "_schur_step", "_eliminate_dense"], 0)
-    vanished = []
+    vanished, widths = [], []
     for name in calls:
 
         def counted(*args, real=getattr(struct_solve, name), name=name):
@@ -178,35 +183,45 @@ def test_one_compression_per_attempt(monkeypatch):
                 vanished.append(args[1].shape[-1])
             if name == "_eliminate_dense" and len(out[0]) < len(args[1]):
                 vanished.append(len(args[1]) - len(out[0]))
+            if name == "_precondition":
+                widths.append(args[3].shape[1])
             return out
 
         monkeypatch.setattr(struct_solve, name, counted)
 
+    A = low_rank_matrix(F7, 8, 8, 5, random.Random(3))
+    A.sort(key=lambda row: not row[0].is_zero())  # a row permutation: rank 5
+    assert A[0][0].is_zero()
+    f7 = gen_from_dense("toeplitz", A, F7)
+
     def solve(case, width):
         calls.update(dict.fromkeys(calls, 0))
         vanished.clear()
+        widths.clear()
         monkeypatch.setattr(struct_solve, "_DENSE_WIDTH", width)
         if case == "gs":
             out = gs_interpolate(gs_deep_params(), random.Random(5))
         else:
-            out = nullspace_structured(golden_case(F7, "square", 1), random.Random(101), 8)
+            out = nullspace_structured(f7, random.Random(104), 8)
         assert isinstance(out, Solution)
         return dict(calls), list(vanished)
 
     generator, at_vanish = solve("gs", 0)
     attempts = generator["_precondition"]
-    assert attempts <= generator["_compress"] <= 2 * attempts
+    assert at_vanish[0] == 385 - 187 and set(widths) == {198}
+    assert generator["_compress"] == 1 + attempts == len(at_vanish)
     dense, at_vanish_dense = solve("gs", crossover)
-    assert dense["_precondition"] == dense["_compress"] == dense["_eliminate_dense"] == attempts
+    assert dense["_precondition"] == dense["_eliminate_dense"] == attempts
+    assert dense["_compress"] == 1
     assert at_vanish_dense == at_vanish
 
     generator, at_vanish = solve("F7", 0)
-    assert max(at_vanish) < struct_solve._COMPRESS_FROM
-    assert generator["_compress"] == len(at_vanish) > 1
+    assert at_vanish[0] == 8 and generator["_precondition"] > 1
+    assert generator["_compress"] == len(at_vanish) == 1 + generator["_precondition"]
     dense, at_vanish_dense = solve("F7", crossover)
     assert dense["_compress"] == dense["_precondition"] == dense["_schur_step"] == 0
     assert dense["_eliminate_dense"] == generator["_precondition"]
-    assert at_vanish_dense == at_vanish
+    assert at_vanish_dense == at_vanish[1:]
 
 
 @pytest.mark.parametrize(
@@ -233,12 +248,11 @@ def test_elimination_with_and_without_the_first_compression(monkeypatch, ctx):
         u, l = ([ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)] for _ in range(2))
         u, l = R.array(u), R.array(l)
         v, w = _precondition(R, *_kept(R, G.v, G.w, size), u, l)
-        out = [struct_solve._level(R, struct_solve._dense(R, G.v, G.w, size), u, l)]
-        out.append(struct_solve._eliminate(R, v, w, size))
+        out = [struct_solve._level(R, struct_solve._dense(R, G.v, G.w), u, l)]
+        out.append(struct_solve._eliminate(R, v, w))
         monkeypatch.setattr(struct_solve, "_DENSE_WIDTH", 0)
-        for first in (0, size + 1):  # compress up front always, never
-            monkeypatch.setattr(struct_solve, "_COMPRESS_FROM", first)
-            out.append(struct_solve._eliminate(R, v, w, size))
+        out.append(struct_solve._level(R, _kept(R, G.v, G.w, size), u, l))
+        out.append(struct_solve._eliminate(R, *_compress(R, v, w)))
         monkeypatch.undo()
         rows, rest = out[0]
         for rows_b, rest_b in out[1:]:
@@ -253,17 +267,25 @@ def test_elimination_with_and_without_the_first_compression(monkeypatch, ctx):
 @pytest.mark.parametrize("case", ["gs-384x385", "F7-breakdown"])
 def test_last_attempt_levels_sum_to_the_rank(monkeypatch, case):
     # over the recorded levels of one solve, the last attempt (from the last
-    # level of the whole padded matrix) ends certified, and its levels'
-    # ranks sum to the matrix rank: 384 for the gs system in one level, 5
-    # for the F7 case, which breaks down into several
-    calls = []
+    # level at the size of the first) ends certified, and its levels' ranks
+    # and level 0's sum to the matrix rank: 384 for the gs system, 187 in
+    # level 0 and 197 in one preconditioned level of its complement, 5 for
+    # the F7 case, whose top level is dense (no level 0) and breaks down
+    # into several
+    calls, level0 = [], []
 
     def recorded(R, level, u_full, l_full, real=struct_solve._level):
         rows, rest = real(R, level, u_full, l_full)
         calls.append((u_full.shape[1], len(rows), rest is None))
         return rows, rest
 
+    def recorded0(R, G, real=struct_solve._level0):
+        out = real(R, G)
+        level0.append(len(out[0]))
+        return out
+
     monkeypatch.setattr(struct_solve, "_level", recorded)
+    monkeypatch.setattr(struct_solve, "_level0", recorded0)
     if case == "gs-384x385":
         out = gs_interpolate(gs_deep_params(), random.Random(5))
     else:
@@ -274,7 +296,157 @@ def test_last_attempt_levels_sum_to_the_rank(monkeypatch, case):
     last = calls[start:]
     assert last[-1][2]
     assert (len(last) > 1) == (case == "F7-breakdown")
-    assert sum(rank for _, rank, _ in last) == (384 if case == "gs-384x385" else 5)
+    assert level0 == ([187] if case == "gs-384x385" else [0])
+    assert sum(rank for _, rank, _ in last) + level0[0] == (384 if case == "gs-384x385" else 5)
+
+
+# ------------------------------------------------------------ level 0
+
+LEVEL0_FIELDS = {"F65537": F65537, "F16777213": F24, "F13^4": F13_4, "GF256": GF256, "M61": M61}
+
+
+def residue_matrix(R, m, n, rng):
+    """A uniformly random (m, d, n) residue matrix."""
+    flat = [rng.randrange(R.p) for _ in range(m * R.d * n)]
+    return np.array(flat, dtype=R.dtype).reshape(m, R.d, n)
+
+
+def singular_block_case(R, m, n, k, deficient, rng):
+    """A random m x n matrix whose leading (k+1) x (k+1) block is singular
+    (row k's first k + 1 entries a combination of the rows above) but whose
+    leading k x k block is not, so level 0 stops after k pivots; deficient,
+    its last column is a combination of the others.  Returned with the
+    generator (its displacement, the identity) the kernel is given."""
+    A = residue_matrix(R, m, n, rng)
+    A[k, :, : k + 1] = R.combine(residue_matrix(R, k, 1, rng)[..., 0], A[:k, :, : k + 1])
+    if deficient:
+        mix = residue_matrix(R, n - 1, 1, rng)[..., 0]
+        A[:, :, -1] = R.combine(mix, A[:, :, :-1].transpose(2, 1, 0)).T
+    return A, gen_from_residues(R, A)
+
+
+def low_rank_residues(R, m, n, rank, rng):
+    """The product of random m x rank and rank x n residue matrices."""
+    B = residue_matrix(R, m, rank, rng)
+    return R.combine(B.transpose(0, 2, 1), residue_matrix(R, rank, n, rng)[None])
+
+
+def gen_from_residues(R, A):
+    """gen_from_dense of an (m, d, n) residue matrix: V = A - Z A Z^T, W = I."""
+    m, d, n = A.shape
+    D = A.copy()
+    D[1:, :, 1:] -= A[:-1, :, :-1]
+    w = np.zeros((n, d, n), R.dtype)
+    w[np.arange(n), 0, np.arange(n)] = 1
+    return GeneratorPair("toeplitz", m, n, (D % R.p).transpose(2, 1, 0).copy(), w, R.ctx)
+
+
+def dense_rank(R, A):
+    return len(_rref_np(_realify(R.ctx, A), R.p)) // R.d
+
+
+def assert_level0_is_the_dense_elimination(R, A, G):
+    """Level 0's pivot rows and complement are those of the unpreconditioned
+    dense matrix: the rows and columns its padding adds are never read."""
+    rows, rest = struct_solve._eliminate(R, G.v, G.w)
+    rows_d, rest_d = struct_solve._eliminate_dense(R, A.copy())
+    assert len(rows) == len(rows_d)
+    assert all(np.array_equal(a, b) for a, b in zip(rows, rows_d))
+    if rest is None or rest_d is None:
+        assert rest is rest_d is None
+    else:
+        complement = rest if isinstance(rest, np.ndarray) else dense_from_halves(R, *rest)
+        assert np.array_equal(complement, rest_d)
+    return rows, rest
+
+
+@pytest.mark.parametrize("shape", ["wide", "square", "tall"])
+@pytest.mark.parametrize("name", list(LEVEL0_FIELDS))
+def test_level0_stops_at_a_singular_leading_block(monkeypatch, name, shape):
+    # level 0 eliminates the matrix as given, with no draws, until the
+    # leading entry vanishes at pivot k; only the complement left is
+    # preconditioned (its first level is max(m, n) - k wide, a generator or,
+    # from a breakdown in the dense tail, a dense matrix), and the
+    # verdict is the dense rank's: NoSolution only at full column rank
+    ctx = LEVEL0_FIELDS[name]
+    R = Residues(ctx)
+    starts = []
+    real = struct_solve._level
+    monkeypatch.setattr(struct_solve, "_level", lambda *a: starts.append(a[2].shape[1]) or real(*a))
+    verdicts, stops = set(), []
+    for seed in range(4):
+        r = random.Random(seed)
+        m = r.randint(33, 64)
+        n = {"wide": m + r.randint(1, 16), "square": m, "tall": m - r.randint(1, 16)}[shape]
+        k = r.randint(1, min(m, n) - 2)
+        A, G = singular_block_case(R, m, n, k, seed % 2, r)
+        for width in (struct_solve._DENSE_WIDTH, 0):  # with its dense tail, and without
+            with monkeypatch.context() as mp:
+                mp.setattr(struct_solve, "_DENSE_WIDTH", width)
+                rows, rest = assert_level0_is_the_dense_elimination(R, A, G)
+            assert len(rows) <= k and rest is not None  # GF(2^8): a leading minor may vanish first
+        stops.append(len(rows) == k)
+        starts.clear()
+        out = nullspace_structured(G, random.Random(seed), 8)
+        assert starts[0] == max(m, n) - len(rows)
+        if dense_rank(R, A) == n:
+            assert out == NoSolution("certified rank equals the unknown count")
+        else:
+            assert isinstance(out, Solution) and out.value.any()
+            assert not dense_matvec(R, A, out.value).any()
+        verdicts.add(type(out))
+    assert verdicts == ({Solution} if shape == "wide" else {Solution, NoSolution})
+    assert all(stops) if ctx.order > 2**16 else any(stops)
+
+
+def test_level0_alone_certifies_a_zero_complement(monkeypatch):
+    # a rank-r product's leading r x r block is invertible and its complement
+    # zero: level 0 certifies the rank with no preconditioned level (none is
+    # callable here), and its free coordinates are the only draws
+    R = Residues(F24)
+    monkeypatch.setattr(struct_solve, "_level", None)
+    for m, n, rank in ((40, 41, 39), (50, 50, 20), (70, 36, 36), (70, 36, 30)):
+        r = random.Random(m + n + rank)
+        A = low_rank_residues(R, m, n, rank, r)
+        G = gen_from_residues(R, A)
+        rows, rest = assert_level0_is_the_dense_elimination(R, A, G)
+        assert len(rows) == rank and rest is None
+        out = nullspace_structured(G, random.Random(1), 1)
+        if rank == n:
+            assert out == NoSolution("certified rank equals the unknown count")
+        else:
+            assert isinstance(out, Solution) and out.value.any()
+            assert not dense_matvec(R, A, out.value).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(list(LEVEL0_FIELDS)),
+    st.integers(33, 56),
+    st.integers(33, 56),
+    st.sampled_from(["block", "low rank", "random"]),
+    st.integers(0, 2**32),
+)
+def test_level0_verdicts_match_the_dense_rank(name, m, n, kind, seed):
+    # whatever level 0 leaves (every row or column pivoted, a zero
+    # complement, a breakdown among the generator steps or in the dense
+    # tail), its rows are the dense elimination's, and the verdict the
+    # dense rank's, every Solution in the kernel
+    R = Residues(LEVEL0_FIELDS[name])
+    r = random.Random(seed)
+    if kind == "block":
+        A, G = singular_block_case(R, m, n, r.randint(1, min(m, n) - 2), r.random() < 0.5, r)
+    else:
+        rank = r.randint(1, min(m, n)) if kind == "low rank" else None
+        A = low_rank_residues(R, m, n, rank, r) if rank else residue_matrix(R, m, n, r)
+        G = gen_from_residues(R, A)
+    assert_level0_is_the_dense_elimination(R, A, G)
+    out = nullspace_structured(G, r, 8)
+    if dense_rank(R, A) == n:
+        assert isinstance(out, NoSolution)
+    else:
+        assert isinstance(out, Solution) and out.value.any()
+        assert not dense_matvec(R, A, out.value).any()
 
 
 def test_back_substitution_sums_past_int64():
@@ -514,7 +686,9 @@ def test_the_dense_answer_stops_at_the_cells_guard(monkeypatch):
     monkeypatch.setattr(struct_solve, "DENSE_GUARD_CELLS", 30 * 30)
     dense = []
     real = struct_solve._dense_answer
-    monkeypatch.setattr(struct_solve, "_dense_answer", lambda *a: dense.append(a[2]) or real(*a))
+    monkeypatch.setattr(
+        struct_solve, "_dense_answer", lambda *a: dense.append(max(a[1].nrows, a[1].ncols)) or real(*a)
+    )
     lifts = count_lifts(monkeypatch)
     F5 = prime_field(5)
     R = Residues(F5)

@@ -278,7 +278,7 @@ def test_eliminate_certifies_rank():
             R.array([ctx.one()] + coefs[: size - 1]),
             R.array([ctx.one()] + coefs[size - 1 :]),
         )
-        rows, rest = _eliminate(R, pv, pw, size)
+        rows, rest = _eliminate(R, pv, pw)
         assert rest is None
         assert len(rows) == true_rank
 
