@@ -347,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="attempts before Failure (default 8): preconditionings of what the "
         "deterministic first elimination (level 0, no attempt) leaves, and rejected "
         "candidates; over a field smaller than the sampling set only levels without a "
-        "pivot, but on a prime field's chain of 32 levels or more; there a long chain on "
-        "a small matrix is answered densely, and a Failure is lifted",
+        "pivot, but on a prime field's chain of 32 levels or more, and a Failure there "
+        "is lifted.  A system at most 32 wide, or a long chain's small matrix over such "
+        "a prime field, level 0 eliminates densely with pivoting: it never fails",
     )
     so.add_argument("--in", dest="infile", required=True)
     so.add_argument("--out", default=None)

@@ -554,7 +554,7 @@ class Residues:
         else:
             flat = self.mul_matrix(c).swapaxes(-3, -2).reshape(c.shape[:-2] + (d, J * d))
             vs = vs.reshape(vs.shape[:-3] + (J * d, vs.shape[-1]))
-        if c.dtype is vs.dtype is _INT64 and J <= self._int64_terms:  # no casts, ~2% of a step
+        if c.dtype == vs.dtype == _INT64 and J <= self._int64_terms:  # no casts, ~2% of a step
             sums = self._matmul(flat, vs, J)
             sums %= self.p
             return sums
@@ -566,7 +566,7 @@ class Residues:
         """a @ b of residues below p in absolute value, sums of d * terms
         scalar products at d > 1: exact in float64 (BLAS, ~20x numpy's int64
         matmul) below 2^53."""
-        if terms <= self._f64_terms and a.dtype is b.dtype is _INT64:
+        if terms <= self._f64_terms and a.dtype == b.dtype == _INT64:
             return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         return a @ b
 
@@ -632,7 +632,7 @@ class Residues:
             and b.size == m
             and m <= self._int64_terms
             and m * m < _FFT_WORK
-            and a.dtype is b.dtype is _INT64
+            and a.dtype == b.dtype == _INT64
         ):
             out = np.convolve(a.ravel(), b.ravel())[keep] % self.p
             return out[(None,) * (max(a.ndim, b.ndim) - 1)]  # the leading axes

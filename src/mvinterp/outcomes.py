@@ -29,7 +29,9 @@ class NoSolution:
 
 @dataclass(frozen=True)
 class Failure:
-    attempts: int = 0  # preconditionings; below the floor, not on a long chain, pivotless levels
+    # preconditionings of generator levels (a system level 0 eliminates
+    # densely never fails); below the floor, not on a long chain, pivotless levels
+    attempts: int = 0
 
     def __bool__(self):
         return False

@@ -7,47 +7,46 @@ equal to its displacement:
 - tag "hankel":    A - Z A Z
 
 Both operators are nilpotent-invertible, so (V, W) determines A; callers
-build generators in O(alpha * size); matrices are built only up to _DENSE_WIDTH wide.
+build generators in O(alpha * size); matrices are built only up to
+_DENSE_WIDTH wide, or on the dense route (_route).
 
 The solve itself: flip Hankel structure to Toeplitz (column reversal,
-undone on the answer), then run a Schur-complement elimination on
-generators.  Each trailing submatrix is again Toeplitz-like with no larger
-displacement rank, so each step keeps the generator at its length (a
-generalized Schur step).  Level 0 (_level0) eliminates the matrix as its
-builder wrote it: in the builders' column orders most leading blocks are
-invertible, and when every row or column takes a pivot that is the whole
-elimination.  A vanishing leading entry compresses the generator; empty
-then means a zero Schur complement: the rank is certified.  Nonempty is a
-pivot breakdown, and only then is the complement brought to a generic rank
-profile: padded to square with zero rows on top of a wide matrix or zero
-columns left of a tall one (its generator needs the same padding only,
-which _kept writes), pre/post-multiplied by random unit-triangular Toeplitz
-matrices (Kaltofen & Saunders, AAECC-9, 1991), and eliminated in turn,
-keeping the pivots found, and so on after each breakdown.  Each level's leading block is invertible, so the
-rank is the sum of the levels' ranks (rank M = t + rank S).  A level's last
-_DENSE_WIDTH rows are eliminated on its dense matrix (_dense), without
-pivoting: pivot rows, rank and breakdowns depend on the matrix and the
-draws alone.  So is a matrix at most that wide, which skips level 0, and a
-breakdown's dense complement, each preconditioned by two products.  The
-recorded pivot rows give the nullspace by back-substitution with randomly
-drawn free coordinates, climbing back out through the levels, level 0 last.
-Every candidate is verified by applying A through the generator, so a
-returned Solution is unconditionally correct; NoSolution is returned only
-when the certified rank equals the column count.
+undone on the answer), then eliminate.  Level 0 (_level0) draws nothing.
+A matrix at most _DENSE_WIDTH wide, or on the dense route, it eliminates
+densely with partial pivoting (_eliminate_dense), which certifies the rank.
+Any other it eliminates as its builder wrote it, by generalized Schur steps
+on its generator (each trailing submatrix is again Toeplitz-like with no
+larger displacement rank, so each step keeps the generator's length): in
+the builders' column orders most leading blocks are invertible.  A
+vanishing leading entry compresses the generator; empty then means a zero
+Schur complement: the rank is certified.  Nonempty is a pivot breakdown,
+and only then is the complement brought to a generic rank profile: padded
+to square (zero rows on top of a wide matrix, zero columns left of a tall
+one, as _kept writes its generator), pre/post-multiplied by random
+unit-triangular Toeplitz matrices (Kaltofen & Saunders, AAECC-9, 1991),
+and eliminated in turn, and so on after each breakdown; the rank is the
+sum of the levels' ranks (rank M = t + rank S).  A level's last
+_DENSE_WIDTH rows are eliminated densely with pivoting, which never breaks
+down.  The pivot rows and columns give the nullspace by back-substitution
+with random free coordinates, climbing back out through the levels, level
+0 last.  Every candidate is verified by applying A through the generator,
+so a returned Solution is unconditionally correct; NoSolution is returned
+only when the certified rank equals the column count.
 
 This module owns the whole small-field policy.  The random draws come
 from a sampling set of subset_floor(size) elements, enough for one
 preconditioning to succeed with probability >= 1/2.  A field smaller than
 that is sampled whole and never refused: its Solution and NoSolution are as
-certain as anywhere else, only breakdowns grow likelier: a level, level 0
-included, eliminates about p pivots before one.  Every preconditioning, and
-every rejected candidate, is an attempt; level 0, which draws nothing, is
-none.  Failure needs max_retries of them; below the floor, but on a prime
+certain as anywhere else, only breakdowns grow likelier: a generator
+level, level 0 included, eliminates about p pivots before one.  Every
+preconditioning, and every rejected candidate, is an attempt; level 0,
+which draws nothing, is none, so a matrix it eliminates densely never
+fails.  Failure needs max_retries of them; below the floor, but on a prime
 field's long chain (_route), only a level without a pivot or a rejected
-candidate is one, and a pivot resets the count.  A
-prime field below the floor may be answered densely (_route) and has its
-Failure lifted: the generator's residue arrays are embedded into a just big
-enough extension F_{p^d}, the matrix is solved there, and the first nonzero
+candidate is one, and a pivot resets the count.  A prime field below the
+floor may take the dense route (_route) and has a chain's Failure lifted:
+the generator's residue arrays are embedded into a just big enough
+extension F_{p^d}, the matrix is solved there, and the first nonzero
 residue row of the answer, a base-field nullspace vector, is returned.  An
 extension field is never lifted.
 
@@ -55,7 +54,7 @@ One representation serves every field: the residue arrays of
 field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
 a generator half one stacked (alpha, d, n) array, as the builders write it,
 and the elimination stacks both halves.  The Schur step, the echelon, the
-dense level and the back-substitution are written once, each op one
+dense elimination and the back-substitution are written once, each op one
 Residues call whose d = 1 shortcuts keep a prime-field step at about 13
 numpy calls; d appears here only in the lift policy.  The random draws are
 digits of the sampled indices; the answer is a residue array.
@@ -78,7 +77,6 @@ import numpy as np
 
 from .errors import DivisionByZero, WrongTag
 from .field import FieldCtx, build_extension, flip, residues
-from .linalg import _rref_np
 from .outcomes import Failure, NoSolution, Solution
 
 TAG_TOEPLITZ = "toeplitz"
@@ -86,7 +84,7 @@ TAG_HANKEL = "hankel"
 # a level's last rows, this many, are eliminated densely: 2^61 - 1 loses
 # 1.4-1.8 ms per level at 40-48 and F_16777213 saves 0.4-0.9 ms at 32-64
 _DENSE_WIDTH = 32
-# largest matrix a linearization or the dense answer builds densely
+# largest matrix a linearization or the dense route builds densely
 DENSE_GUARD_CELLS = 1 << 20
 
 
@@ -286,41 +284,43 @@ def _schur_step(R, G):
     return norm, Y
 
 
-def _eliminate(R, v, w):
+def _eliminate(R, v, w, width=None):
     """Generator-based Schur elimination, without pivoting, of the matrix A
     of the halves v (alpha, d, nrows) and w (alpha, d, ncols).
 
-    Returns (pivot_rows, rest): pivot_rows[t] is the normalized row t, a
-    (d, ncols - t) array.  At a vanishing leading entry the generator is
-    compressed again; rest is None when that leaves it empty (a zero Schur
-    complement) or once the rows or columns run out, and otherwise the
-    compressed (v, w) halves of the nonzero complement: a pivot breakdown.
+    Returns (pivot_rows, cols, rest): pivot_rows[t] is the normalized row
+    t, a (d, ncols - cols[t]) array from its pivot column cols[t] on.  At a
+    vanishing leading entry the generator is compressed again; rest is None
+    when that leaves it empty (a zero Schur complement) or once the rows or
+    columns run out, and otherwise the compressed (v, w) halves of the
+    nonzero complement: a pivot breakdown, with cols 0..t-1.
 
     The shorter half is zero-padded at its end.  That changes the matrix
     only past A's rows (or columns), which the first min(nrows, ncols) steps
     never read: each complement's leading block is A's.  Pivot rows and a
     breakdown's halves are cut to A's columns and rows.  Each Schur step
-    keeps the generator's length.  The last _DENSE_WIDTH rows of the shorter
-    side are dense (_eliminate_dense, on A's rows and columns), and so is
-    the rest of a breakdown among them, unless the sides differ by more.
+    keeps the generator's length.  The last `width` rows (_DENSE_WIDTH by
+    default) of the shorter side, unless the sides differ by more, are
+    eliminated with pivoting (_eliminate_dense), which never breaks down.
     """
     nrows, ncols = v.shape[2], w.shape[2]
     G = np.zeros((2, len(v), R.d, max(nrows, ncols)), R.dtype)
     G[0, ..., :nrows], G[1, ..., :ncols] = v, w
     pivot_rows = []
-    tail = _DENSE_WIDTH if abs(nrows - ncols) <= _DENSE_WIDTH else 0
+    width = _DENSE_WIDTH if width is None else width
+    tail = width if abs(nrows - ncols) <= width else 0
     for t in range(min(nrows, ncols) - tail):
         step = _schur_step(R, G)
         if step is None:
             rest = _compress(R, G[0, ..., : nrows - t], G[1, ..., : ncols - t])
-            return pivot_rows, rest if len(rest[0]) else None
+            return pivot_rows, list(range(t)), rest if len(rest[0]) else None
         norm, G = step
         pivot_rows.append(norm[:, : ncols - t])
     t = len(pivot_rows)
-    if t == min(nrows, ncols):
-        return pivot_rows, None
-    rows, rest = _eliminate_dense(R, _dense(R, G[0, ..., : nrows - t], G[1, ..., : ncols - t]))
-    return pivot_rows + rows, rest
+    rows, cols = [], []
+    if t < min(nrows, ncols):
+        rows, cols = _eliminate_dense(R, _dense(R, G[0, ..., : nrows - t], G[1, ..., : ncols - t]))
+    return pivot_rows + rows, list(range(t)) + [t + c for c in cols], None
 
 
 def _dense(R, v, w):
@@ -340,60 +340,64 @@ def _dense(R, v, w):
     return unskewed(np.cumsum(skew, axis=1) % R.p).transpose(1, 0, 2).copy()
 
 
-def _padded(S, size):
-    """A dense (nrows, d, ncols) matrix padded to square as _kept pads."""
-    out = np.zeros((size,) + S.shape[1:2] + (size,), S.dtype)  # np.pad: np.int64 zeros
-    out[size - len(S) :, :, size - S.shape[2] :] = S
-    return out
-
-
 def _eliminate_dense(R, S):
-    """_eliminate of a dense (nrows, d, ncols) matrix, without pivoting: per
-    pivot one normalized row and one outer-product update of the rows below,
-    until the rows or the columns run out; the rest is the nonzero
-    complement at a zero leading entry, else None."""
-    p, pivot_rows = R.p, []
-    while S.size:
-        try:
-            inv = R.inv(S[0, :, 0])
-        except DivisionByZero:
-            return pivot_rows, S if S.any() else None
-        norm = R.scale(inv[0], S[0]) % p
+    """Gaussian elimination with partial pivoting of a dense (nrows, d,
+    ncols) matrix S, in place: per column, the first row from the next pivot
+    row on with a nonzero entry is swapped up, normalized and subtracted
+    from the rows below; a column without one is free.  Returns (pivot_rows,
+    cols) as _eliminate does.  Updates add products below p^2 (R.scale),
+    left unreduced until one more would pass R.sum_dtype's int64 bound
+    (always over object residues); a column and a pivot row reduce as read."""
+    p, nrows, ncols = R.p, len(S), S.shape[2]
+    pivot_rows, cols, updates = [], [], 0
+    for c in range(ncols):
+        r = len(cols)
+        if r == nrows:
+            break
+        col = S[r:, :, c] % p
+        nonzero = col.nonzero()[0]  # rows, in order
+        if not nonzero.size:
+            continue
+        i = nonzero[0]
+        if i:
+            S[[r, r + i]] = S[[r + i, r]]
+            col[[0, i]] = col[[i, 0]]
+        norm = R.scale(R.inv(col[0])[0], S[r, :, c:] % p) % p
         pivot_rows.append(norm)
-        S = S[1:, :, 1:] - R.scale(S[1:, :, 0], norm[:, 1:])
-        S %= p
-    return pivot_rows, None
+        cols.append(c)
+        below = S[r + 1 :, :, c + 1 :]
+        if R.sum_dtype(updates + 1) is not np.int64:
+            below %= p
+            updates = 0
+        below -= R.scale(col[1:], norm[:, 1:])
+        updates += 1
+    return pivot_rows, cols
 
 
 def _level(R, level, u_full, l_full):
-    """A level of an attempt (_kept's, or a dense matrix: U·A·L is two
-    products), preconditioned with the draws u_full and l_full and
-    eliminated: its pivot rows and the next level (a breakdown's complement)
-    or None."""
-    size = u_full.shape[1]
-    if isinstance(level, np.ndarray):
-        j_i = np.arange(size) - np.arange(size)[:, None]
-        U, L = (np.where(j_i >= 0, x[:, j_i], 0).astype(x.dtype) for x in (u_full, l_full))
-        UA = R.combine(U.transpose(1, 2, 0), level)  # U[i, j] = u_full[j - i]
-        return _eliminate_dense(R, R.combine(UA.transpose(0, 2, 1), L.transpose(2, 0, 1)))
+    """A level of an attempt, as _kept gives it, preconditioned with the
+    draws u_full and l_full and eliminated: its pivot rows and columns and
+    the next level (a breakdown's complement, as _kept gives it) or None."""
     v, w = _precondition(R, *level, u_full, l_full)
-    pivot_rows, rest = _eliminate(R, v, w)
-    if isinstance(rest, tuple):
-        rest = _kept(R, *rest, size - len(pivot_rows))
-    return pivot_rows, rest
+    pivot_rows, cols, rest = _eliminate(R, v, w)
+    if rest is not None:
+        rest = _kept(R, *rest, u_full.shape[1] - len(pivot_rows))
+    return pivot_rows, cols, rest
 
 
-def _back_substitute(R, pivot_rows, free):
-    """Element of the nullspace of the staircase system whose trailing
-    (free) coordinates are the given (d, size - rank) draws.  Coordinate t
-    is one R.dot of pivot row t, whose leading 1 meets the coordinate while
-    it is still zero, with the coordinates from t on: they are kept along
+def _back_substitute(R, pivot_rows, cols, free):
+    """Element of the nullspace of the echelon system of the pivot rows,
+    whose leading 1s lie in the columns cols, with the given (d, size -
+    rank) draws on its other (free) coordinates.  Coordinate cols[t] is one
+    R.dot of pivot row t, whose leading 1 meets the coordinate while it is
+    still zero, with the coordinates from cols[t] on: they are kept along
     the leading axis, cast once to the dtype of sums of size products."""
-    rank = len(pivot_rows)
-    x = np.concatenate([R.zeros(rank), free], axis=1)
-    y = x.T.astype(R.sum_dtype(x.shape[1]))
-    for t in range(rank - 1, -1, -1):
-        y[t] = -R.dot(pivot_rows[t], y[t:]) % R.p
+    size = len(cols) + free.shape[1]
+    x = R.zeros(size)
+    x[:, np.delete(np.arange(size), cols)] = free
+    y = x.T.astype(R.sum_dtype(size))
+    for row, c in zip(reversed(pivot_rows), reversed(cols)):
+        y[c] = -R.dot(row, y[c:]) % R.p
     return y.T.astype(x.dtype)
 
 
@@ -404,23 +408,25 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     """Nonzero right-nullspace element of the represented matrix, or a
     certified NoSolution, or Failure after max_retries attempts.
 
-    Level 0 (_level0) eliminates G's matrix as given, once per call and
-    with no draws: it is no attempt.  An attempt counts one preconditioning
-    of what it leaves: a pivot breakdown resumes on the Schur complement
-    with fresh draws, and the rank certified at the end is the sum of the
-    levels' ranks, level 0's included.  A zero or unverified candidate is an
-    attempt too, and starts a new chain from level 0's complement; below
-    the sampling-set floor, but on _route's "long" chain, a level with a
-    pivot is none.
+    Level 0 (_level0) eliminates G's matrix once per call and with no
+    draws: it is no attempt, and a matrix it eliminates densely (at most
+    _DENSE_WIDTH wide, or on _route's dense route) never fails.  An attempt
+    counts one preconditioning of what it leaves: a pivot breakdown resumes
+    on the Schur complement with fresh draws, and the rank certified at the
+    end is the sum of the levels' ranks, level 0's included.  A zero or
+    unverified candidate is an attempt too, and starts a new chain from
+    level 0's complement; below the sampling-set floor, but on _route's
+    "long" chain, a level with a pivot is none.
 
-    Later levels are solved padded to square (_kept, _dense), and a Solution
-    holds the (d, ncols) residue array that _apply has checked on G.  A
+    Later levels are solved padded to square (_kept), and a Solution holds
+    the (d, ncols) residue array that _apply has checked on G.  A
     hankel-tagged generator is solved as hankel_to_toeplitz(G) and the
     answer reversed.  Draws come from subset_range(field, subset_floor(size)),
     size = max(nrows, ncols), the whole field when it is smaller than that
-    floor, at every level.  Over a prime field below that floor _route may
-    answer densely, a Failure is lifted (_lift), and the extension's
-    NoSolution and Failure are the answer.
+    floor, at every level; the innermost free coordinates are drawn until
+    one is nonzero.  Over a prime field below that floor a chain's Failure
+    is lifted (_lift), and the extension's NoSolution and Failure are the
+    answer.
     """
     if G.tag == TAG_HANKEL:
         out = nullspace_structured(hankel_to_toeplitz(G), rng, max_retries)
@@ -430,10 +436,8 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     R = residues(G.ctx)
     whole = R.ctx.order < min_size
     route = _route(size, R.p) if whole and R.d == 1 else "chain"
-    if route == "dense":
-        return _dense_answer(R, G, min_size, rng)
     refund = whole and route == "chain"  # a level with a pivot is no attempt
-    rows0, top, start, ncols = _level0(R, G)
+    rows0, cols0, top, start, ncols = _level0(R, G, route == "dense")
     one = R.unit(1, 0)
     misses = rejected = 0
     while misses < max_retries:
@@ -444,24 +448,25 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
         while level is not None and misses < max_retries:
             u_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
             l_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
-            pivot_rows, level = _level(R, level, u_full, l_full)
+            pivot_rows, cols, level = _level(R, level, u_full, l_full)
             # on refund: levels in a row without a pivot, and rejections
             misses = rejected if refund and pivot_rows else misses + 1
-            levels.append((pivot_rows, l_full))
+            levels.append((pivot_rows, cols, l_full))
             left -= len(pivot_rows)
         if level is not None:
             break
         if start - left == ncols:
             return NoSolution("certified rank equals the unknown count")
-        # the innermost free coordinates, then each level's solution x, as
-        # L·x, is the free tail of the level above
+        # the innermost free coordinates, drawn until one is nonzero, then
+        # each level's solution x, as L·x, is the free tail of the level above
         y = _draw(R, min_size, rng, left)
-        for pivot_rows, l_full in reversed(levels):
-            x = _back_substitute(R, pivot_rows, y)
+        while not y.any():
+            y = _draw(R, min_size, rng, left)
+        for pivot_rows, cols, l_full in reversed(levels):
+            x = _back_substitute(R, pivot_rows, cols, y)
             y = R.conv(l_full, x)[:, : x.shape[1]]  # L·x
         vec = y[:, start - ncols :]  # a tall level's zero columns dropped
-        if rows0:  # then level 0's coordinates
-            vec = _back_substitute(R, rows0, vec)
+        vec = _back_substitute(R, rows0, cols0, vec)  # then level 0's coordinates
         # a zero candidate, or (never on a correct run) a wrong one
         if R.is_zero(vec) or not R.is_zero(_apply(R, G.v, G.w, vec, G.nrows)):
             rejected += 1
@@ -482,48 +487,32 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     return Solution(vec)
 
 
-def _level0(R, G: GeneratorPair):
-    """Level 0: G's matrix eliminated as the builder wrote it (_eliminate: no
-    draws, no attempt), or left whole when at most _DENSE_WIDTH wide.  Returns
-    its pivot rows, the level the chains start from, padded as _kept pads
-    (None once the rank is certified), that level's size and the columns left."""
-    size = max(G.nrows, G.ncols)
-    rows, rest = ([], _dense(R, G.v, G.w)) if size <= _DENSE_WIDTH else _eliminate(R, G.v, G.w)
+def _level0(R, G: GeneratorPair, dense: bool):
+    """Level 0, no draws and no attempt: G's matrix eliminated as the builder
+    wrote it (_eliminate), densely with pivoting throughout when dense or at
+    most _DENSE_WIDTH wide, which certifies the rank.  Returns
+    its pivot rows and columns, the level the chains start from, padded as
+    _kept pads (None once the rank is certified), that level's size and the
+    columns left."""
+    rows, cols, rest = _eliminate(R, G.v, G.w, max(G.nrows, G.ncols) if dense else None)
     nrows, ncols = G.nrows - len(rows), G.ncols - len(rows)
-    start = max(nrows, ncols)
     if rest is None:
-        return rows, None, ncols, ncols
-    if isinstance(rest, np.ndarray):
-        return rows, _padded(rest, start), start, ncols
-    return rows, _kept(R, *rest, start), start, ncols
+        return rows, cols, None, ncols, ncols
+    start = max(nrows, ncols)
+    return rows, cols, _kept(R, *rest, start), start, ncols
 
 
 def _route(size: int, p: int) -> str:
     """The route of a prime field below the floor, by size and expected
-    levels size / p: "chain" under 1.5; "dense" (_dense_answer) while size *
-    p <= 4000 within DENSE_GUARD_CELLS; then "chain" under 32, and "long"
-    (every level an attempt, so the faster lift comes sooner) from 32."""
+    levels size / p: "chain" under 1.5; "dense" (level 0 eliminates the
+    whole matrix with pivoting) while size * p <= 4000 within
+    DENSE_GUARD_CELLS; then "chain" under 32, and "long" (every level an
+    attempt, so the faster lift comes sooner) from 32."""
     if size < 1.5 * p:
         return "chain"
     if size * p <= 4000 and size * size <= DENSE_GUARD_CELLS:
         return "dense"
     return "chain" if size < 32 * p else "long"
-
-
-def _dense_answer(R, G: GeneratorPair, min_size: int, rng):
-    """nullspace_structured over F_p by G's matrix (_dense) in
-    reduced echelon form (linalg._rref_np): free coordinates drawn until the
-    vector is nonzero, which _apply checks (never wrong on a correct run)."""
-    A = _dense(R, G.v, G.w)[:, 0]
-    piv = _rref_np(A, R.p)
-    if len(piv) == G.ncols:
-        return NoSolution("dense rank equals the unknown count")
-    free = np.delete(np.arange(G.ncols), piv)
-    vec = R.zeros(G.ncols)
-    while not vec.any():
-        vec[0, free] = _draw(R, min_size, rng, len(free))[0]
-        vec[0, piv] = -(A[: len(piv), free] @ vec[0, free]) % R.p
-    return Solution(vec) if R.is_zero(_apply(R, G.v, G.w, vec, G.nrows)) else Failure(0)
 
 
 def _lift(G: GeneratorPair, min_size: int, rng) -> GeneratorPair:

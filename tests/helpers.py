@@ -23,6 +23,7 @@ from mvinterp.errors import BadLength, TooLarge
 from mvinterp.mosaic_hankel import compute_s_star
 from mvinterp.poly import Poly, poly_divrem, reverse, series_inv
 from mvinterp.reduction import InterpolationInstance, MultiPoly, graded_exponents
+from mvinterp import struct_solve
 from mvinterp.struct_solve import TAG_TOEPLITZ, GeneratorPair
 from mvinterp.toeplitz_like import DENSE_GUARD_CELLS
 
@@ -497,6 +498,18 @@ def dense_toeplitz(R, first, upper):
 def dense_matvec(R, A, x):
     """A·x for an (M, d, N) residue matrix and a (d, N) vector, as (d, M)."""
     return (R.emul(A, x[None]).sum(axis=-1) % R.p).T
+
+
+def level0_passes_through(monkeypatch):
+    """Make the kernel's level 0 hand G whole, unpreconditioned, to the
+    chain of preconditioned levels, as a breakdown at its first Schur step
+    does: no pivot rows, G's halves padded to square as _kept pads."""
+
+    def through(R, G, dense):
+        size = max(G.nrows, G.ncols)
+        return [], [], struct_solve._kept(R, G.v, G.w, size), size, G.ncols
+
+    monkeypatch.setattr(struct_solve, "_level0", through)
 
 
 def format_approx(parsed):

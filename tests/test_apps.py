@@ -49,6 +49,7 @@ from mvinterp.struct_solve import subset_floor
 from helpers import (
     assert_column_budgets,
     dense_build_A,
+    level0_passes_through,
     random_interp_instance,
     res,
     spread_seeds,
@@ -490,7 +491,8 @@ def test_small_prime_field_solves_in_base_field_first(monkeypatch):
 
 
 def test_only_a_small_prime_field_failure_is_lifted(monkeypatch):
-    # an elimination that breaks down in every prime field: over F_13, below
+    # an elimination that breaks down in every prime field, the whole
+    # matrix handed to the chain of preconditioned levels: over F_13, below
     # the sampling-set floor with a chain short enough to stay a chain, the
     # kernel lifts its Failure once to the smallest sufficient extension;
     # over F_65537, at or above it, the Failure is the answer
@@ -499,10 +501,11 @@ def test_only_a_small_prime_field_failure_is_lifted(monkeypatch):
 
     def break_down_in_prime_fields(R, level, u_full, l_full):
         fields.append(R.ctx)
-        return ([], level) if R.d == 1 else real(R, level, u_full, l_full)
+        return ([], [], level) if R.d == 1 else real(R, level, u_full, l_full)
 
     lifts = []
     build = struct_solve.build_extension
+    level0_passes_through(monkeypatch)
     monkeypatch.setattr(struct_solve, "_level", break_down_in_prime_fields)
     monkeypatch.setattr(
         struct_solve, "build_extension", lambda *args: lifts.append(args) or build(*args)
@@ -514,7 +517,7 @@ def test_only_a_small_prime_field_failure_is_lifted(monkeypatch):
     p = GsParams(ctx, k=0, m=2, ell=3, b=8, points=pts)
     _, a = build_reduction(params_instance(p))
     size = max(a.total_rows, min(a.total_cols, a.total_rows + 1))
-    assert struct_solve._route(size, 13) == "chain"  # not the dense answer
+    assert struct_solve._route(size, 13) == "chain"  # not the dense route
     need = subset_floor(size)
     d = 1
     while 13**d < need:
@@ -553,8 +556,10 @@ def test_small_extension_field_samples_the_whole_field(monkeypatch):
     assert isinstance(out, Solution)
     assert verify_solution(params_instance(p), out.value)
     assert isinstance(gs_interpolate(p, random.Random(5), backend="dense"), Solution)
-    # a Failure there is the answer: a non-prime base is never lifted
-    monkeypatch.setattr(struct_solve, "_level", lambda R, level, u_full, l_full: ([], level))
+    # a Failure there, of a chain handed the whole matrix, is the answer: a
+    # non-prime base is never lifted
+    level0_passes_through(monkeypatch)
+    monkeypatch.setattr(struct_solve, "_level", lambda R, level, u_full, l_full: ([], [], level))
     monkeypatch.setattr(struct_solve, "build_extension", None)
     assert isinstance(solve_approx(a, random.Random(5)), Failure)
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import numpy as np
@@ -389,6 +390,34 @@ def test_one_pair_products_match_python_ints(p, monkeypatch):
                 assert got.dtype == np.int64 and got.shape == (1, 1, n + m - 1)
                 assert got.reshape(-1).tolist() == want.tolist()
                 assert rows == ([np.dtype(np.int64)] if R._int64_terms >= m else [])
+
+
+@pytest.mark.parametrize(
+    "ctx", [prime_field(13), prime_field(16777213), FieldCtx(13, (6, 12, 6, 0, 1))], ids=repr
+)
+def test_unpickled_int64_operands_take_the_int64_paths(ctx, monkeypatch):
+    # an unpickled int64 array's dtype can equal np.dtype(np.int64) without
+    # being it; combine, and at d = 1 conv's one-row path, compare dtypes by
+    # value, so such operands never reach _dtypes's casts (patched to
+    # raise) and answer as fresh arrays do
+    R = residues(ctx)
+    rng = np.random.default_rng(ctx.p)
+    c = rng.integers(0, ctx.p, (3, ctx.d))
+    vs = rng.integers(0, ctx.p, (3, ctx.d, 7))
+    a, b = rng.integers(0, ctx.p, (1, 9)), rng.integers(0, ctx.p, (1, 4))
+    fresh = [R.combine(c, vs)] + ([R.conv(a, b)] if ctx.d == 1 else [])
+
+    def unpickled(x):
+        return pickle.loads(pickle.dumps(x))
+
+    def no_casts(*args):
+        raise AssertionError("_dtypes reached")
+
+    monkeypatch.setattr(type(R), "_dtypes", no_casts)
+    got = [R.combine(unpickled(c), unpickled(vs))]
+    if ctx.d == 1:
+        got.append(R.conv(unpickled(a), unpickled(b)))
+    assert all(x.dtype == np.int64 and np.array_equal(x, y) for x, y in zip(got, fresh))
 
 
 @pytest.mark.parametrize("ctx", [prime_field(16777213), FieldCtx(13, (6, 12, 6, 0, 1))], ids=repr)

@@ -5,8 +5,9 @@ residues), an odd-characteristic extension, a quadratic extension of the
 large prime (Python-int residues) and GF(2^8).  Verdicts are
 checked against the dense matrix the generator represents; the golden
 vectors pin the exact output for fixed draws, which depends only on the
-matrix and the random stream (the pivot rows of the elimination are
-invariants of the preconditioned matrix).
+matrix and the random stream (a kernel vector is determined by its
+coordinates off the pivot columns, which are the matrix's column rank
+profile).
 """
 
 import random
@@ -22,6 +23,7 @@ from helpers import (
     elements,
     gen_from_dense,
     generator,
+    level0_passes_through,
     low_rank_matrix,
     mat_vec,
     rand_el,
@@ -168,9 +170,8 @@ def test_one_compression_per_attempt(monkeypatch):
     # eliminations, which never compress.  The F7 case (8 x 8, rank 5, a
     # zero leading entry) pinned to 0 breaks down at level 0's first step,
     # which hands its compressed generator to a chain of preconditioned
-    # levels, each compressing once where its leading entry vanishes; at the
-    # crossover its top level is dense, with no level 0, and the same draws
-    # meet the same breakdowns level by level, with no compression
+    # levels, each compressing once where its leading entry vanishes (at
+    # the crossover level 0 eliminates it densely, with pivoting, alone)
     crossover = struct_solve._DENSE_WIDTH
     calls = dict.fromkeys(["_compress", "_precondition", "_schur_step", "_eliminate_dense"], 0)
     vanished, widths = [], []
@@ -182,7 +183,7 @@ def test_one_compression_per_attempt(monkeypatch):
             if name == "_schur_step" and out is None:
                 vanished.append(args[1].shape[-1])
             if name == "_eliminate_dense" and len(out[0]) < len(args[1]):
-                vanished.append(len(args[1]) - len(out[0]))
+                vanished.append(len(args[1]) - len(out[0]))  # the rows left unpivoted
             if name == "_precondition":
                 widths.append(args[3].shape[1])
             return out
@@ -218,22 +219,19 @@ def test_one_compression_per_attempt(monkeypatch):
     generator, at_vanish = solve("F7", 0)
     assert at_vanish[0] == 8 and generator["_precondition"] > 1
     assert generator["_compress"] == len(at_vanish) == 1 + generator["_precondition"]
-    dense, at_vanish_dense = solve("F7", crossover)
-    assert dense["_compress"] == dense["_precondition"] == dense["_schur_step"] == 0
-    assert dense["_eliminate_dense"] == generator["_precondition"]
-    assert at_vanish_dense == at_vanish[1:]
 
 
 @pytest.mark.parametrize(
     "ctx", [F13, F24, F13_4, GF256, M61], ids=["F13", "F16777213", "F13^4", "GF256", "M61"]
 )
 def test_elimination_with_and_without_the_first_compression(monkeypatch, ctx):
-    # the pivot rows, the rank and whether a nonzero Schur complement is
-    # left depend on the preconditioned matrix alone, not on how it is held:
-    # its generator compressed before the first step or as _precondition
-    # gives it, eliminated by Schur steps alone (the dense crossover pinned
-    # to 0) or finished densely from the crossover on, or the dense level,
-    # U·A·L of the matrix eliminated row by row
+    # the pivot rows and columns, the rank and whether a nonzero Schur
+    # complement is left depend on the preconditioned matrix alone, not on
+    # how it is held: by Schur steps alone (the dense crossover pinned to
+    # 0), its generator compressed before the first step or as
+    # _precondition gives it, through _level or not.  From the crossover on
+    # the dense tail pivots: it takes the same pivots up to a breakdown, and
+    # goes on past it
     R = Residues(ctx)
     crossover = struct_solve._DENSE_WIDTH
     breakdowns = certified = 0
@@ -248,17 +246,21 @@ def test_elimination_with_and_without_the_first_compression(monkeypatch, ctx):
         u, l = ([ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)] for _ in range(2))
         u, l = R.array(u), R.array(l)
         v, w = _precondition(R, *_kept(R, G.v, G.w, size), u, l)
-        out = [struct_solve._level(R, struct_solve._dense(R, G.v, G.w), u, l)]
-        out.append(struct_solve._eliminate(R, v, w))
+        rows_c, cols_c, rest_c = struct_solve._eliminate(R, v, w)
         monkeypatch.setattr(struct_solve, "_DENSE_WIDTH", 0)
+        out = [struct_solve._eliminate(R, v, w)]
         out.append(struct_solve._level(R, _kept(R, G.v, G.w, size), u, l))
         out.append(struct_solve._eliminate(R, *_compress(R, v, w)))
         monkeypatch.undo()
-        rows, rest = out[0]
-        for rows_b, rest_b in out[1:]:
-            assert len(rows) == len(rows_b)
+        rows, cols, rest = out[0]
+        for rows_b, cols_b, rest_b in out[1:]:
+            assert len(rows) == len(rows_b) and cols == cols_b
             assert all(np.array_equal(a, b) for a, b in zip(rows, rows_b))
             assert (rest is None) == (rest_b is None)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, rows_c))
+        assert cols_c[: len(cols)] == cols
+        if rest is None or rest_c is not None:  # no breakdown, or the same one
+            assert len(rows_c) == len(rows) and (rest_c is None) == (rest is None)
         breakdowns += rest is not None
         certified += rest is None and len(rows) < size
     assert certified and (breakdowns or ctx is not F13)
@@ -270,17 +272,20 @@ def test_last_attempt_levels_sum_to_the_rank(monkeypatch, case):
     # level at the size of the first) ends certified, and its levels' ranks
     # and level 0's sum to the matrix rank: 384 for the gs system, 187 in
     # level 0 and 197 in one preconditioned level of its complement, 5 for
-    # the F7 case, whose top level is dense (no level 0) and breaks down
-    # into several
+    # the F7 case, handed whole to a chain of generator levels (the dense
+    # crossover pinned to 0), which breaks down into several
     calls, level0 = [], []
+    if case == "F7-breakdown":
+        level0_passes_through(monkeypatch)
+        monkeypatch.setattr(struct_solve, "_DENSE_WIDTH", 0)
 
     def recorded(R, level, u_full, l_full, real=struct_solve._level):
-        rows, rest = real(R, level, u_full, l_full)
+        rows, cols, rest = real(R, level, u_full, l_full)
         calls.append((u_full.shape[1], len(rows), rest is None))
-        return rows, rest
+        return rows, cols, rest
 
-    def recorded0(R, G, real=struct_solve._level0):
-        out = real(R, G)
+    def recorded0(R, G, dense, real=struct_solve._level0):
+        out = real(R, G, dense)
         level0.append(len(out[0]))
         return out
 
@@ -346,17 +351,19 @@ def dense_rank(R, A):
 
 
 def assert_level0_is_the_dense_elimination(R, A, G):
-    """Level 0's pivot rows and complement are those of the unpreconditioned
-    dense matrix: the rows and columns its padding adds are never read."""
-    rows, rest = struct_solve._eliminate(R, G.v, G.w)
-    rows_d, rest_d = struct_solve._eliminate_dense(R, A.copy())
-    assert len(rows) == len(rows_d)
+    """Level 0's k Schur-step pivot rows are the first k of the pivoting
+    dense elimination of the unpreconditioned matrix, in columns 0..k-1:
+    the rows and columns its padding adds are never read.  Certified, all
+    its rows and columns are the dense elimination's; at a breakdown the
+    complement left holds the rest of the dense rank."""
+    rows, cols, rest = struct_solve._eliminate(R, G.v, G.w)
+    rows_d, cols_d = struct_solve._eliminate_dense(R, A.copy())
     assert all(np.array_equal(a, b) for a, b in zip(rows, rows_d))
-    if rest is None or rest_d is None:
-        assert rest is rest_d is None
+    if rest is None:
+        assert len(rows) == len(rows_d) and cols == cols_d
     else:
-        complement = rest if isinstance(rest, np.ndarray) else dense_from_halves(R, *rest)
-        assert np.array_equal(complement, rest_d)
+        assert cols == cols_d[: len(cols)] == list(range(len(rows)))
+        assert len(rows) + dense_rank(R, dense_from_halves(R, *rest)) == len(rows_d)
     return rows, rest
 
 
@@ -365,38 +372,44 @@ def assert_level0_is_the_dense_elimination(R, A, G):
 def test_level0_stops_at_a_singular_leading_block(monkeypatch, name, shape):
     # level 0 eliminates the matrix as given, with no draws, until the
     # leading entry vanishes at pivot k; only the complement left is
-    # preconditioned (its first level is max(m, n) - k wide, a generator or,
-    # from a breakdown in the dense tail, a dense matrix), and the
-    # verdict is the dense rank's: NoSolution only at full column rank
+    # preconditioned (its first level is max(m, n) - k wide), unless the
+    # singular block lies in the last _DENSE_WIDTH rows, whose pivoting
+    # elimination certifies the rank with no level; the verdict is the
+    # dense rank's: NoSolution only at full column rank
     ctx = LEVEL0_FIELDS[name]
     R = Residues(ctx)
     starts = []
     real = struct_solve._level
     monkeypatch.setattr(struct_solve, "_level", lambda *a: starts.append(a[2].shape[1]) or real(*a))
-    verdicts, stops = set(), []
+    verdicts, stops, passed = set(), [], []
     for seed in range(4):
         r = random.Random(seed)
         m = r.randint(33, 64)
         n = {"wide": m + r.randint(1, 16), "square": m, "tall": m - r.randint(1, 16)}[shape]
         k = r.randint(1, min(m, n) - 2)
         A, G = singular_block_case(R, m, n, k, seed % 2, r)
-        for width in (struct_solve._DENSE_WIDTH, 0):  # with its dense tail, and without
+        for width in (0, struct_solve._DENSE_WIDTH):  # without a dense tail, and with it
             with monkeypatch.context() as mp:
                 mp.setattr(struct_solve, "_DENSE_WIDTH", width)
                 rows, rest = assert_level0_is_the_dense_elimination(R, A, G)
-            assert len(rows) <= k and rest is not None  # GF(2^8): a leading minor may vanish first
-        stops.append(len(rows) == k)
-        starts.clear()
-        out = nullspace_structured(G, random.Random(seed), 8)
-        assert starts[0] == max(m, n) - len(rows)
-        if dense_rank(R, A) == n:
-            assert out == NoSolution("certified rank equals the unknown count")
-        else:
-            assert isinstance(out, Solution) and out.value.any()
-            assert not dense_matvec(R, A, out.value).any()
-        verdicts.add(type(out))
+                starts.clear()
+                out = nullspace_structured(G, random.Random(seed), 8)
+            if rest is None:
+                assert width and not starts
+                passed.append(len(rows) > k)
+            else:  # GF(2^8): a leading minor may vanish first
+                assert len(rows) <= k and starts[0] == max(m, n) - len(rows)
+            if not width:
+                stops.append(len(rows) == k)
+            if dense_rank(R, A) == n:
+                assert out == NoSolution("certified rank equals the unknown count")
+            else:
+                assert isinstance(out, Solution) and out.value.any()
+                assert not dense_matvec(R, A, out.value).any()
+            verdicts.add(type(out))
     assert verdicts == ({Solution} if shape == "wide" else {Solution, NoSolution})
     assert all(stops) if ctx.order > 2**16 else any(stops)
+    assert all(passed) and passed
 
 
 def test_level0_alone_certifies_a_zero_complement(monkeypatch):
@@ -429,8 +442,8 @@ def test_level0_alone_certifies_a_zero_complement(monkeypatch):
 )
 def test_level0_verdicts_match_the_dense_rank(name, m, n, kind, seed):
     # whatever level 0 leaves (every row or column pivoted, a zero
-    # complement, a breakdown among the generator steps or in the dense
-    # tail), its rows are the dense elimination's, and the verdict the
+    # complement, the dense tail's pivots, a breakdown among the generator
+    # steps), its rows are the dense elimination's, and the verdict the
     # dense rank's, every Solution in the kernel
     R = Residues(LEVEL0_FIELDS[name])
     r = random.Random(seed)
@@ -447,6 +460,129 @@ def test_level0_verdicts_match_the_dense_rank(name, m, n, kind, seed):
     else:
         assert isinstance(out, Solution) and out.value.any()
         assert not dense_matvec(R, A, out.value).any()
+
+
+# ------------------------------------------------------------ the dense elimination
+
+ELIMINATION_FIELDS = {
+    "F2": prime_field(2),
+    "F13": F13,
+    "F1073741789": prime_field(1073741789),  # int64, reduced every 3 updates
+    "F2147483647": prime_field(2**31 - 1),  # int64, reduced before every update
+    "P2147483659": P31,  # object residues
+    "M61": M61,
+    "GF4": FieldCtx(2, (1, 1, 1)),
+    "F13^4": F13_4,
+    "GF256": GF256,
+}
+
+
+def dense_cases(R, rng):
+    """Random, low-rank and all-zero matrices, 1 x n and n x 1 among them,
+    each also with a zero row and a zero column."""
+    for m, n in ((1, 1), (1, 7), (7, 1), (5, 5), (9, 6), (6, 9), (14, 14)):
+        for rank in (None, min(m, n) // 2, 0):
+            if rank is None:
+                A = residue_matrix(R, m, n, rng)
+            elif rank:
+                A = low_rank_residues(R, m, n, rank, rng)
+            else:
+                A = np.zeros((m, R.d, n), R.dtype)
+            yield A
+            A = A.copy()
+            A[rng.randrange(m)] = 0
+            A[:, :, rng.randrange(n)] = 0
+            yield A
+
+
+@pytest.mark.parametrize("name", list(ELIMINATION_FIELDS))
+def test_the_dense_elimination_matches_the_reduced_echelon_form(name):
+    # _eliminate_dense finds the pivot columns of linalg's reduced echelon
+    # form of the realified matrix (column c of A is its columns c d .. c d
+    # + d - 1), each pivot row normalized from its pivot column on; the
+    # back-substitution with any draws on the other columns is in the kernel
+    ctx = ELIMINATION_FIELDS[name]
+    R = Residues(ctx)
+    r = random.Random(ctx.p)
+    for A in dense_cases(R, r):
+        n = A.shape[2]
+        pivots = _rref_np(_realify(ctx, A), ctx.p)
+        rows, cols = struct_solve._eliminate_dense(R, A.copy())
+        assert [c * ctx.d + k for c in cols for k in range(ctx.d)] == pivots
+        assert [row.shape for row in rows] == [(ctx.d, n - c) for c in cols]
+        assert all(np.array_equal(row[:, :1], R.unit(1, 0)) for row in rows)
+        free = residue_matrix(R, 1, n - len(cols), r)[0]
+        x = struct_solve._back_substitute(R, rows, cols, free)
+        assert np.array_equal(x[:, np.delete(np.arange(n), cols)], free)
+        assert not dense_matvec(R, A, x).any()
+
+
+DENSE_LEVEL0_FIELDS = {
+    "F2": prime_field(2),
+    "F3": prime_field(3),
+    "F13": F13,
+    "GF4": FieldCtx(2, (1, 1, 1)),
+    "GF256": GF256,
+    "F13^4": F13_4,
+    "M61": M61,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(list(DENSE_LEVEL0_FIELDS)),
+    st.integers(1, struct_solve._DENSE_WIDTH),
+    st.sampled_from(["wide", "square", "tall"]),
+    st.integers(0, 2**32),
+)
+def test_a_dense_level0_never_fails_or_lifts(name, size, shape, seed):
+    # a system at most _DENSE_WIDTH wide is eliminated by level 0 with
+    # pivoting, so even far below the sampling-set floor, with one attempt
+    # allowed, its verdict is the dense rank's: never a Failure, never a lift
+    R = Residues(DENSE_LEVEL0_FIELDS[name])
+    r = random.Random(seed)
+    other = r.randint(1, size)
+    m, n = {"wide": (other, size), "square": (size, size), "tall": (size, other)}[shape]
+    rank = r.randint(0, min(m, n))
+    A = low_rank_residues(R, m, n, rank, r) if rank else np.zeros((m, R.d, n), R.dtype)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(struct_solve, "build_extension", None)
+        out = nullspace_structured(gen_from_residues(R, A), r, 1)
+    if dense_rank(R, A) == n:
+        assert out == NoSolution("certified rank equals the unknown count")
+    else:
+        assert isinstance(out, Solution) and out.value.any()
+        assert not dense_matvec(R, A, out.value).any()
+
+
+@pytest.mark.parametrize("name", ["F2", "GF4", "F13^4", "M61"])
+def test_a_dense_level0_draws_only_its_free_coordinates(monkeypatch, name):
+    # a dense level 0 preconditions nothing and draws its ncols - rank free
+    # coordinates once, again only after an all-zero draw (over F_2 with one
+    # free coordinate, half the time)
+    ctx = DENSE_LEVEL0_FIELDS[name]
+    R = Residues(ctx)
+    draws = []
+    real = struct_solve._draw
+    monkeypatch.setattr(struct_solve, "_draw", lambda *a: draws.append(real(*a)) or draws[-1])
+    monkeypatch.setattr(struct_solve, "_precondition", None)
+    redrawn = 0
+    for seed in range(20):
+        r = random.Random(seed)
+        n = r.randint(2, struct_solve._DENSE_WIDTH)
+        m = n - 1 if seed % 2 else r.randint(1, struct_solve._DENSE_WIDTH)
+        A = residue_matrix(R, m, n, r)
+        rank = dense_rank(R, A)
+        draws.clear()
+        out = nullspace_structured(gen_from_residues(R, A), r, 8)
+        if rank == n:
+            assert isinstance(out, NoSolution) and draws == []
+            continue
+        assert isinstance(out, Solution) and not dense_matvec(R, A, out.value).any()
+        assert [x.shape for x in draws] == [(ctx.d, n - rank)] * len(draws)
+        assert not any(x.any() for x in draws[:-1]) and draws[-1].any()
+        redrawn += len(draws) > 1
+    assert redrawn or ctx.order > 2
 
 
 def test_back_substitution_sums_past_int64():
@@ -507,54 +643,55 @@ GOLDEN_FIELDS = {"F7": F7, "F65537": F65537, "F13^4": F13_4, "M61": M61, "GF256"
 
 # nullspace_structured(G, random.Random(100 + seed), 8) for the generator
 # golden_case(field, kind, seed) builds; F7 and GF256 are sampled whole.
-# Recorded from the per-vector implementation this kernel replaced, except
-# F7: it breaks down twice, and since the elimination resumes on the Schur
-# complement it preconditions at sizes 8, 7 and 6 where a restart drew a
-# fresh size-8 attempt, so its draws, and its vector, differ.
+# Every case is at most 9 wide, so level 0 eliminates its dense matrix with
+# pivoting and draws nothing but the free coordinates: a vector is the one
+# kernel vector with those draws on the non-pivot columns, and depends on
+# the matrix and the random stream alone.  F65537 and M61 share a sampling
+# set (the first subset_floor(9) = 600 elements), so their free
+# coordinates agree.
 GOLDEN = {
-    ("F7", "square", 1): [0, 2, 6, 1, 2, 6, 4, 1],
-    ("F65537", "wide", 1): [30834, 45722, 38518, 52645, 30498, 61228, 45033, 18957, 44118],
-    ("F65537", "square", 2): [52889, 8589, 19637, 36369, 50488, 24686, 29754, 33229],
-    ("F65537", "tall", 3): [36947, 10437, 24894, 45136, 18825, 43279],
+    ("F7", "square", 1): [5, 3, 1, 6, 4, 4, 6, 1],
+    ("F65537", "wide", 1): [14845, 59912, 32448, 358, 7148, 7407, 35247, 595, 199],
+    ("F65537", "square", 2): [13701, 31179, 32266, 21878, 61412, 75, 346, 315],
+    ("F65537", "tall", 3): [49399, 15152, 51551, 11154, 467, 220],
     ("F13^4", "wide", 1): [
-        (12, 6, 4, 5), (0, 7, 12, 7), (4, 10, 2, 0), (6, 7, 2, 7), (4, 2, 12, 2),
-        (6, 5, 7, 4), (11, 4, 0, 12), (4, 0, 5, 10), (7, 3, 7, 3),
+        (2, 8, 1, 11), (6, 2, 5, 8), (10, 6, 7, 5), (8, 4, 11, 4), (6, 5, 9, 12),
+        (4, 3, 5, 2), (0, 4, 10, 7), (10, 6, 3, 0), (4, 2, 1, 0),
     ],
     ("F13^4", "square", 2): [
-        (8, 5, 8, 2), (2, 6, 11, 8), (2, 6, 0, 11), (6, 10, 7, 9), (9, 11, 9, 2),
-        (11, 4, 10, 7), (4, 6, 0, 5), (3, 12, 3, 9),
+        (9, 11, 12, 11), (8, 1, 8, 0), (11, 6, 3, 10), (6, 4, 0, 0), (12, 3, 2, 8),
+        (10, 5, 0, 0), (8, 0, 2, 0), (3, 11, 1, 0),
     ],
     ("F13^4", "tall", 3): [
-        (5, 3, 0, 11), (9, 12, 11, 2), (6, 6, 0, 8), (4, 10, 4, 8), (7, 5, 2, 7),
-        (7, 11, 8, 2),
+        (7, 4, 0, 10), (1, 4, 9, 4), (10, 8, 9, 11), (12, 6, 2, 7), (12, 9, 2, 0),
+        (12, 3, 1, 0),
     ],
     ("M61", "wide", 1): [
-        2068703654681153284, 1074502063148546764, 33669571086863302,
-        1958599733383005796, 480146195052310574, 1380806783238888900,
-        391668073993020467, 2270209738785645675, 1001610126146464808,
+        1570755134391065575, 1562044139900088101, 2237607677266138266,
+        616320041559613138, 1380604998207520357, 151182754432899390,
+        66559311980390917, 595, 199,
     ],
     ("M61", "square", 2): [
-        1878703946774741076, 1995666806049900668, 1202743605107168461,
-        1041429403257339020, 1240029596976163855, 2001479733229365730,
-        1382222875461047534, 129122862321458159,
+        1967191557164029975, 2284299047459303052, 1030891200630165658,
+        2030079018051944005, 1592330302309165391, 75, 346, 315,
     ],
     ("M61", "tall", 3): [
-        839190928295313704, 2197804232779141863, 630801841077170683,
-        754309803561791188, 847606018109240730, 18983463720743403,
+        555712559771564416, 1727852224510364856, 2207247734671883795,
+        844678456852291606, 467, 220,
     ],
     ("GF256", "wide", 1): [
-        (0, 1, 1, 0, 1, 1, 0, 0), (1, 0, 0, 0, 1, 0, 0, 1), (1, 1, 0, 0, 1, 0, 1, 0),
-        (1, 0, 1, 0, 1, 0, 1, 1), (0, 1, 1, 0, 1, 0, 0, 0), (0, 1, 0, 1, 1, 0, 1, 0),
-        (1, 1, 1, 1, 0, 0, 1, 0), (1, 1, 0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 1, 0, 1, 0),
+        (1, 0, 1, 1, 0, 1, 0, 0), (1, 0, 1, 0, 0, 0, 1, 0), (1, 0, 1, 1, 0, 0, 0, 0),
+        (1, 0, 0, 0, 1, 0, 0, 0), (1, 1, 1, 1, 1, 0, 1, 0), (1, 0, 1, 1, 0, 0, 1, 0),
+        (1, 0, 1, 0, 1, 1, 0, 1), (1, 1, 0, 0, 0, 1, 1, 0), (1, 1, 1, 0, 1, 1, 0, 1),
     ],
     ("GF256", "square", 2): [
-        (0, 0, 0, 1, 0, 0, 0, 1), (1, 1, 1, 1, 0, 0, 1, 1), (0, 0, 0, 0, 0, 1, 0, 0),
-        (0, 1, 0, 0, 1, 0, 1, 1), (0, 0, 0, 0, 1, 1, 1, 1), (0, 0, 1, 1, 1, 0, 1, 1),
-        (0, 1, 0, 1, 1, 1, 1, 0), (0, 0, 1, 0, 0, 0, 0, 1),
+        (1, 1, 0, 0, 0, 1, 1, 0), (0, 0, 1, 0, 1, 1, 0, 0), (0, 1, 0, 1, 1, 1, 0, 1),
+        (0, 1, 0, 1, 1, 0, 0, 1), (1, 0, 0, 0, 0, 0, 0, 1), (1, 1, 0, 1, 0, 0, 1, 0),
+        (1, 1, 1, 0, 1, 1, 0, 1), (0, 1, 1, 0, 1, 0, 1, 0),
     ],
     ("GF256", "tall", 3): [
-        (1, 1, 1, 0, 1, 0, 1, 1), (1, 0, 0, 0, 1, 1, 1, 0), (0, 1, 0, 0, 1, 0, 1, 0),
-        (0, 0, 1, 0, 1, 1, 1, 1), (1, 1, 1, 0, 1, 0, 0, 1), (0, 0, 1, 0, 0, 1, 1, 0),
+        (1, 1, 1, 1, 0, 0, 0, 1), (0, 1, 1, 0, 0, 0, 1, 1), (1, 0, 1, 0, 1, 0, 1, 0),
+        (0, 0, 0, 0, 0, 1, 1, 1), (1, 0, 0, 1, 0, 1, 1, 1), (0, 1, 1, 1, 0, 1, 1, 0),
     ],
 }
 
@@ -585,9 +722,10 @@ def test_nullspace_golden_vectors(key):
 
 
 def test_breakdown_resumes_on_the_schur_complement(monkeypatch):
-    # the F7 case breaks down: the next preconditioning is of the Schur
-    # complement left, smaller than the padded matrix, and the vector that
-    # climbs back through the levels is in the kernel
+    # the F7 case, handed whole to a chain of generator levels (the dense
+    # crossover pinned to 0), breaks down: the next preconditioning is of
+    # the Schur complement left, smaller than the padded matrix, and the
+    # vector that climbs back through the levels is in the kernel
     sizes = []
 
     def recorded(R, level, u_full, l_full, real=struct_solve._level):
@@ -595,6 +733,8 @@ def test_breakdown_resumes_on_the_schur_complement(monkeypatch):
         return real(R, level, u_full, l_full)
 
     monkeypatch.setattr(struct_solve, "_level", recorded)
+    monkeypatch.setattr(struct_solve, "_DENSE_WIDTH", 0)
+    level0_passes_through(monkeypatch)
     G = golden_case(F7, "square", 1)
     out = nullspace_structured(G, random.Random(101), 8)
     assert isinstance(out, Solution)
@@ -639,8 +779,9 @@ def test_tiny_field_verdicts_match_the_dense_rank(name):
 
 
 def test_f5_square_systems_rarely_fail():
-    # random 20 x 20 systems over F_5, each of rank 19 or 20: four
-    # expected levels, so they take the dense answer and none ends in Failure
+    # random 20 x 20 systems over F_5, each of rank 19 or 20: at most
+    # _DENSE_WIDTH wide, level 0 eliminates them with pivoting, so none
+    # ends in Failure
     F5 = prime_field(5)
     outcomes = []
     for seed in range(37, 47):
@@ -660,7 +801,7 @@ def test_f5_square_systems_rarely_fail():
 
 def test_the_route_follows_the_chain_length_and_the_matrix_size():
     # a chain expected within 1.5 levels stays a chain; a longer one takes
-    # the dense answer while size * p <= 4000 and the matrix is within
+    # the dense route while size * p <= 4000 and the matrix is within
     # DENSE_GUARD_CELLS (1024 rows), past that the chain under 32 levels,
     # and the long chain, which ends in the lift, from 32 levels on
     route = struct_solve._route
@@ -680,29 +821,38 @@ def count_lifts(monkeypatch):
     return lifts
 
 
-def test_the_dense_answer_stops_at_the_cells_guard(monkeypatch):
-    # with the guard at 30 x 30, an F_5 system of size 30 (29 x 30) takes
-    # the dense answer and one of size 31 the chain, answered with no lift
-    monkeypatch.setattr(struct_solve, "DENSE_GUARD_CELLS", 30 * 30)
-    dense = []
-    real = struct_solve._dense_answer
+def spy_dense_eliminations(monkeypatch):
+    """The (nrows, d, ncols) shapes _eliminate_dense is called on."""
+    shapes = []
+    real = struct_solve._eliminate_dense
     monkeypatch.setattr(
-        struct_solve, "_dense_answer", lambda *a: dense.append(max(a[1].nrows, a[1].ncols)) or real(*a)
+        struct_solve, "_eliminate_dense", lambda R, S: shapes.append(S.shape) or real(R, S)
     )
+    return shapes
+
+
+def test_the_dense_answer_stops_at_the_cells_guard(monkeypatch):
+    # with the guard at 40 x 40, an F_5 system of size 40 (39 x 40) takes
+    # the dense route, level 0's pivoting elimination of the whole matrix,
+    # and one of size 41 the chain (dense tails of at most 32 rows only),
+    # answered with no lift
+    monkeypatch.setattr(struct_solve, "DENSE_GUARD_CELLS", 40 * 40)
+    shapes = spy_dense_eliminations(monkeypatch)
     lifts = count_lifts(monkeypatch)
     F5 = prime_field(5)
     R = Residues(F5)
-    for m in (29, 30):
+    for m in (39, 40):
         G = rand_generator("toeplitz", F5, m, m + 1, 3, random.Random(m))
         out = nullspace_structured(G, random.Random(0), 8)
         assert isinstance(out, Solution)
         assert not dense_matvec(R, dense_from_halves(R, G.v, G.w), out.value).any()
-    assert dense == [30] and lifts == []
+    assert [s for s in shapes if s[0] > struct_solve._DENSE_WIDTH] == [(39, 1, 40)]
+    assert lifts == []
 
 
 @pytest.mark.parametrize("p, m", [(5, 60), (13, 130), (101, 600)])
 def test_long_chains_make_no_lift(monkeypatch, p, m):
-    # systems many times larger than p: F_5 and F_13 take the dense answer,
+    # systems many times larger than p: F_5 and F_13 take the dense route,
     # F_101 the chain, whose levels with a pivot spend none of the 8
     # attempts; each is answered with a base-field vector, with no lift
     ctx = prime_field(p)
@@ -719,23 +869,31 @@ def test_long_chains_make_no_lift(monkeypatch, p, m):
     assert lifts == []
 
 
-def first_pivot_only(R, S):
-    """_eliminate_dense cut after its first pivot: a breakdown on every level."""
-    if not S[0, :, 0].any():
-        return [], S if S.any() else None
-    norm = R.scale(R.inv(S[0, :, 0])[0], S[0]) % R.p
-    rest = (S[1:, :, 1:] - R.scale(S[1:, :, 0], norm[:, 1:])) % R.p
-    return [norm], rest if rest.any() else None
+def first_pivot_only(R, v, w):
+    """_eliminate cut after its first Schur step: a breakdown on every
+    level, with its compressed complement."""
+    nrows, ncols = v.shape[2], w.shape[2]
+    G = np.zeros((2, len(v), R.d, max(nrows, ncols)), R.dtype)
+    G[0, ..., :nrows], G[1, ..., :ncols] = v, w
+    step = _schur_step(R, G)
+    rows = [] if step is None else [step[0][:, :ncols]]
+    if step is not None:
+        G = step[1]
+    t = len(rows)
+    rest = _compress(R, G[0, ..., : nrows - t], G[1, ..., : ncols - t])
+    return rows, list(range(t)), rest if len(rest[0]) else None
 
 
 def test_a_chain_of_one_pivot_levels_never_fails(monkeypatch):
     # every level eliminates its first pivot and then breaks down, so a
-    # chain runs one level per pivot, far past max_retries; below the floor
-    # none of them is a miss, so the solve neither fails nor lifts
+    # chain, handed the whole matrix, runs one level per pivot, far past
+    # max_retries; below the floor none of them is a miss, so the solve
+    # neither fails nor lifts
     F13 = prime_field(13)
     levels = []
     real = struct_solve._level
-    monkeypatch.setattr(struct_solve, "_eliminate_dense", first_pivot_only)
+    level0_passes_through(monkeypatch)
+    monkeypatch.setattr(struct_solve, "_eliminate", first_pivot_only)
     monkeypatch.setattr(
         struct_solve, "_level", lambda *args: levels.append(args[0].ctx) or real(*args)
     )
@@ -762,13 +920,14 @@ def test_a_long_chain_spends_an_attempt_on_every_level(monkeypatch):
     # the same one-pivot levels on the "long" route: each is an attempt, so
     # max_retries of them end the base-field chain in one lift
     F13 = prime_field(13)
-    real = struct_solve._eliminate_dense
+    real = struct_solve._eliminate
+    level0_passes_through(monkeypatch)
     monkeypatch.setattr(struct_solve, "_route", lambda size, p: "long")
 
-    def cut_in_prime_fields(R, S):
-        return (first_pivot_only if R.d == 1 else real)(R, S)
+    def cut_in_prime_fields(R, v, w):
+        return (first_pivot_only if R.d == 1 else real)(R, v, w)
 
-    monkeypatch.setattr(struct_solve, "_eliminate_dense", cut_in_prime_fields)
+    monkeypatch.setattr(struct_solve, "_eliminate", cut_in_prime_fields)
     levels = []
     real_level = struct_solve._level
     monkeypatch.setattr(
@@ -793,8 +952,9 @@ def test_levels_without_progress_fail_and_lift_once(monkeypatch):
 
     def no_pivot_in_prime_fields(R, level, u_full, l_full):
         levels.append(R.ctx)
-        return ([], level) if R.d == 1 else real(R, level, u_full, l_full)
+        return ([], [], level) if R.d == 1 else real(R, level, u_full, l_full)
 
+    level0_passes_through(monkeypatch)
     monkeypatch.setattr(struct_solve, "_level", no_pivot_in_prime_fields)
     lifts = count_lifts(monkeypatch)
     A = low_rank_matrix(F13, 12, 12, 9, random.Random(5))
@@ -805,31 +965,34 @@ def test_levels_without_progress_fail_and_lift_once(monkeypatch):
     assert all(e.is_zero() for e in mat_vec(A, elements(F13, out.value), F13))
 
     GF4 = TINY_FIELDS["GF4"]
-    monkeypatch.setattr(struct_solve, "_level", lambda R, level, u, l: ([], level))
+    monkeypatch.setattr(struct_solve, "_level", lambda R, level, u, l: ([], [], level))
     A = low_rank_matrix(GF4, 6, 6, 3, random.Random(7))
     assert nullspace_structured(gen_from_dense("toeplitz", A, GF4), random.Random(8), 5) == Failure(5)
     assert lifts == [(F13, 3)]
 
 
 def test_a_dense_answer_no_solution_agrees_with_the_dense_rank(monkeypatch):
-    # tall systems over F_5 take the dense answer: full column rank is a
+    # tall 40 x 34 systems over F_5 take the dense route, level 0's pivoting
+    # elimination of the whole matrix: full column rank is the kernel's
     # NoSolution, a rank deficit a Solution in the kernel
     F5 = prime_field(5)
     routes = []
     real = struct_solve._route
     monkeypatch.setattr(struct_solve, "_route", lambda *a: routes.append(real(*a)) or routes[-1])
+    shapes = spy_dense_eliminations(monkeypatch)
     verdicts = []
     for seed in range(6):
         r = random.Random(seed)
-        A = rand_matrix(F5, 30, 24, r) if seed % 2 else low_rank_matrix(F5, 30, 24, 20, r)
+        A = rand_matrix(F5, 40, 34, r) if seed % 2 else low_rank_matrix(F5, 40, 34, 30, r)
         out = nullspace_structured(gen_from_dense("toeplitz", A, F5), r, 8)
-        if matrix_rank(F5, A, 24) == 24:
-            assert out == NoSolution("dense rank equals the unknown count")
+        if matrix_rank(F5, A, 34) == 34:
+            assert out == NoSolution("certified rank equals the unknown count")
         else:
             assert isinstance(out, Solution)
             assert all(e.is_zero() for e in mat_vec(A, elements(F5, out.value), F5))
         verdicts.append(type(out))
     assert routes == ["dense"] * 6 and set(verdicts) == {Solution, NoSolution}
+    assert shapes == [(40, 1, 34)] * 6
 
 
 SMALL_PRIMES = [prime_field(p) for p in (2, 3, 5, 7, 13)]
@@ -867,13 +1030,15 @@ def test_every_small_field_route_matches_the_dense_rank(ctx, m, n, kind, route, 
 
 
 def break_down_in_prime_fields(monkeypatch):
-    """Make every prime-field elimination a pivot breakdown with no pivots,
-    so the base field runs out of attempts and the kernel lifts."""
+    """Hand the whole matrix to the chain and make every prime-field level
+    a pivot breakdown with no pivots, so the base field runs out of
+    attempts and the kernel lifts."""
     real = struct_solve._level
+    level0_passes_through(monkeypatch)
     monkeypatch.setattr(
         struct_solve,
         "_level",
-        lambda R, level, u, l: ([], level) if R.d == 1 else real(R, level, u, l),
+        lambda R, level, u, l: ([], [], level) if R.d == 1 else real(R, level, u, l),
     )
 
 

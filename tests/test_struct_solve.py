@@ -21,6 +21,7 @@ from helpers import (
     reconstruct_dense,
     spread_seeds,
 )
+from mvinterp import struct_solve
 from mvinterp.errors import TooLarge, WrongTag
 import mvinterp.field as field_module
 from mvinterp.field import FieldCtx, Residues, Spectrum, build_extension, prime_field
@@ -261,26 +262,32 @@ def test_precondition_matches_dense_oracle(ctx):
             )
 
 
-def test_eliminate_certifies_rank():
-    rng = random.Random(23)
-    ctx = F65537
-    for _ in range(25):
-        size = rng.randint(1, 10)
-        r = rng.randint(0, size)
-        A = low_rank_matrix(ctx, size, size, r, rng)
-        true_rank = matrix_rank(ctx, A, size)
-        G = gen_from_dense("toeplitz", A, ctx)
-        R = residues(ctx)
-        coefs = [ctx.el(rng.randrange(ctx.p)) for _ in range(2 * size - 2)]
-        pv, pw = _precondition(
-            R,
-            *_kept(R, G.v, G.w, size),
-            R.array([ctx.one()] + coefs[: size - 1]),
-            R.array([ctx.one()] + coefs[size - 1 :]),
-        )
-        rows, rest = _eliminate(R, pv, pw)
-        assert rest is None
-        assert len(rows) == true_rank
+def test_eliminate_certifies_rank(monkeypatch):
+    # a preconditioned matrix has a generic rank profile: its leading r x r
+    # block is invertible, so Schur steps alone (the dense tail pinned to 0)
+    # take pivots in columns 0..r-1 and certify the rank, and the pivoting
+    # dense tail at the crossover finds the same pivots
+    for width in (0, struct_solve._DENSE_WIDTH):
+        monkeypatch.setattr(struct_solve, "_DENSE_WIDTH", width)
+        rng = random.Random(23)
+        ctx = F65537
+        for _ in range(25):
+            size = rng.randint(1, 10)
+            r = rng.randint(0, size)
+            A = low_rank_matrix(ctx, size, size, r, rng)
+            true_rank = matrix_rank(ctx, A, size)
+            G = gen_from_dense("toeplitz", A, ctx)
+            R = residues(ctx)
+            coefs = [ctx.el(rng.randrange(ctx.p)) for _ in range(2 * size - 2)]
+            pv, pw = _precondition(
+                R,
+                *_kept(R, G.v, G.w, size),
+                R.array([ctx.one()] + coefs[: size - 1]),
+                R.array([ctx.one()] + coefs[size - 1 :]),
+            )
+            rows, cols, rest = _eliminate(R, pv, pw)
+            assert rest is None
+            assert len(rows) == true_rank and cols == list(range(true_rank))
 
 
 # ------------------------------------------------------------ the solver
