@@ -285,8 +285,9 @@ def _schur_step(R, G):
 
 
 def _eliminate(R, v, w, width=None):
-    """Generator-based Schur elimination, without pivoting, of the matrix A
-    of the halves v (alpha, d, nrows) and w (alpha, d, ncols).
+    """Generator-based Schur elimination of the matrix A of the halves v
+    (alpha, d, nrows) and w (alpha, d, ncols): Schur steps without
+    pivoting, then a dense tail with pivoting.
 
     Returns (pivot_rows, cols, rest): pivot_rows[t] is the normalized row
     t, a (d, ncols - cols[t]) array from its pivot column cols[t] on.  At a
@@ -490,10 +491,10 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
 def _level0(R, G: GeneratorPair, dense: bool):
     """Level 0, no draws and no attempt: G's matrix eliminated as the builder
     wrote it (_eliminate), densely with pivoting throughout when dense or at
-    most _DENSE_WIDTH wide, which certifies the rank.  Returns
-    its pivot rows and columns, the level the chains start from, padded as
-    _kept pads (None once the rank is certified), that level's size and the
-    columns left."""
+    most _DENSE_WIDTH wide, which certifies the rank.  Returns its pivot
+    rows and columns, the level the chains start from, padded as _kept pads
+    (None once the rank is certified), that level's size and the columns
+    left."""
     rows, cols, rest = _eliminate(R, G.v, G.w, max(G.nrows, G.ncols) if dense else None)
     nrows, ncols = G.nrows - len(rows), G.ncols - len(rows)
     if rest is None:
