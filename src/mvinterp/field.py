@@ -58,6 +58,9 @@ _FFT_CHUNK = 1 << 18
 # kernel level against 2^(L+1), median of 40 runs: 2^L = 256 0.85x at w = 1,
 # 0.98x at 33, 1.07x at 47; 512 0.83x at 1, 1.03x at 47; 1024 0.84x at 63
 _WRAP = 4
+# fewest products per float64 chunk (_matmul): 32 x 32 by 32 x 385 took 2.5,
+# 0.69, 0.41, 0.33 ms in chunks of 1, 4, 8, 16; numpy's int64 matmul 0.41
+_F64_CHUNK = 8
 
 
 def is_probable_prime(n: int) -> bool:
@@ -381,16 +384,18 @@ class Residues:
     Callers never branch on d; the prime-field shortcuts are here.  inv
     is the extended Euclid of each scalar's residue list and f, at d = 1
     pow(s, -1, p) of Python ints.  At d = 1 emul and mul are one product,
-    scale one broadcast multiply left unreduced, combine one product (no
-    casts over int64), dot one np.vdot, and the residue-pair fold a view.
+    scale one broadcast multiply left unreduced, combine and dot one product
+    of residue rows, and the residue-pair fold a view.  A float64 sum holds
+    f64_terms = (2^53 - 1) // (d (p - 1)^2) scalar products exactly (0 over
+    object residues): _matmul's products are float64 ones there.
     """
 
     def __init__(self, ctx: FieldCtx):
         p, d = ctx.p, ctx.d
         self.ctx, self.p, self.d = ctx, p, d
         self._int64_terms = (_INT64_SAFE - 1) // (d * (p - 1) ** 2) - d
-        self._f64_terms = (2**53 - 1) // (d * (p - 1) ** 2) if d > 1 else 0
         self.dtype = self.sum_dtype(0)
+        self.f64_terms = (2**53 - 1) // (d * (p - 1) ** 2) if self.dtype is np.int64 else 0
         powers = [[1] + [0] * (d - 1)]  # t^e mod f, e < 2d - 1
         for _ in range(2 * d - 2):
             prev = powers[-1]
@@ -491,7 +496,7 @@ class Residues:
 
     def mul_matrix(self, c: np.ndarray) -> np.ndarray:
         """(..., d, d) matrices of multiplication by the scalars c (..., d)."""
-        m = self._matmul(c, self._by_scalar, 1) % self.p
+        m = self._matmul(c.reshape(-1, self.d), self._by_scalar, 1) % self.p
         return m.reshape(c.shape[:-1] + (self.d, self.d))
 
     def mul(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -547,38 +552,58 @@ class Residues:
         """sum_j c_j * vs_j for scalars c (..., J, d) and vectors vs
         (..., J, d, n), leading axes broadcast, as (..., d, n), reduced: one
         product, at d = 1 of c with vs, above of c's multiplication matrices
-        with vs."""
+        with vs.  Where vs is shared along c's last leading axis, that axis
+        joins the product's rows: one BLAS call, not one per row."""
         J, d = c.shape[-2:]
+        lead, n = c.shape[:-2], vs.shape[-1]
         if d == 1:
-            flat, vs = c.swapaxes(-1, -2), vs[..., 0, :]
+            flat = c.swapaxes(-1, -2)
         else:
-            flat = self.mul_matrix(c).swapaxes(-3, -2).reshape(c.shape[:-2] + (d, J * d))
-            vs = vs.reshape(vs.shape[:-3] + (J * d, vs.shape[-1]))
+            flat = self.mul_matrix(c).swapaxes(-3, -2).reshape(lead + (d, J * d))
+        vs = vs.reshape(vs.shape[:-3] + (J * d, n))
+        shared = len(lead) > 0 and (vs.ndim == 2 or vs.shape[-3] == 1)
+        if shared:
+            flat = flat.reshape(lead[:-1] + (lead[-1] * d, J * d))
+            vs = vs if vs.ndim == 2 else vs[..., 0, :, :]
         if c.dtype == vs.dtype == _INT64 and J <= self._int64_terms:  # no casts, ~2% of a step
-            sums = self._matmul(flat, vs, J)
-            sums %= self.p
-            return sums
-        acc, out = self._dtypes(J, c, vs)
-        sums = flat.astype(acc, copy=False) @ vs  # vs is promoted to acc
-        return (sums % self.p).astype(out, copy=False)
+            sums = self.reduce(self._matmul(flat, vs, J))
+        else:
+            acc, out = self._dtypes(J, c, vs)
+            sums = (flat.astype(acc, copy=False) @ vs % self.p).astype(out, copy=False)
+        return sums.reshape(sums.shape[:-2] + (lead[-1], d, n)) if shared else sums
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """x mod p in place: x - (x // p) * p takes half of %'s int64 time."""
+        x -= x // self.p * self.p
+        return x
 
     def _matmul(self, a: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
         """a @ b of residues below p in absolute value, sums of d * terms
-        scalar products at d > 1: exact in float64 (BLAS, ~20x numpy's int64
-        matmul) below 2^53."""
-        if terms <= self._f64_terms and a.dtype == b.dtype == _INT64:
-            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-        return a @ b
+        scalar products: over int64, one float64 product (BLAS, ~20x numpy's
+        int64 matmul) up to f64_terms, exact below 2^53; past it, a sum of
+        such products of chunks, each reduced, if they hold _F64_CHUNK."""
+        f = self.f64_terms
+        if not f or f < min(terms, _F64_CHUNK) or a.dtype != _INT64 or b.dtype != _INT64:
+            return a @ b
+        a, b = a.astype(np.float64), b.astype(np.float64)
+        if terms <= f:
+            return (a @ b).astype(np.int64)
+        step, out = self.d * f, 0
+        for i in range(0, a.shape[-1], step):
+            out = out + self.reduce((a[..., i : i + step] @ b[..., i : i + step, :]).astype(_INT64))
+        return out
 
     def dot(self, a: np.ndarray, b: np.ndarray):
-        """sum_u a[:, u] * b[u] of a (d, n) vector and an (n, d) one, as a
-        reduced scalar (d,), in b's dtype, which the caller casts to
-        sum_dtype(n) once for many dots.  At d = 1 it is one np.vdot, which
-        reads both flat, and the scalar is a number."""
+        """sum_u a[..., :, u] * b[u] of (..., d, n) vectors and an (n, d)
+        one, as reduced scalars (..., d), in b's dtype, which the caller casts
+        to sum_dtype(n) once for many dots: one product.  At d = 1 one vector
+        is one np.vdot, which reads both flat, and its scalar a number."""
         if self.d == 1:
-            return np.vdot(a, b) % self.p
+            if a.size == b.size:
+                return np.vdot(a, b) % self.p
+            return (a[..., 0, :] @ b[:, 0] % self.p)[..., None]
         pairs = (a @ b) % self.p
-        return (self._fold @ pairs.reshape(-1)) % self.p
+        return pairs.reshape(a.shape[:-2] + (-1,)) @ self._fold.T % self.p
 
     def _plan(self, count: int, n: int, m: int, terms: int):
         """(length, k, bits) of the FFT products of `count` residue-row pairs

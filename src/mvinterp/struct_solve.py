@@ -33,6 +33,11 @@ with random free coordinates, climbing back out through the levels, level
 so a returned Solution is unconditionally correct; NoSolution is returned
 only when the certified rank equals the column count.
 
+Where residue products sum exactly in float64 (Residues.f64_terms > 0)
+Schur steps go in blocks (_schur_block: the complement's displacement
+[V2 | P] M [W2 ; Q], M of rank alpha, factored explicitly), elsewhere one
+at a time; pivots depend on the matrix alone, so the answers agree.
+
 This module owns the whole small-field policy.  The random draws come
 from a sampling set of subset_floor(size) elements, enough for one
 preconditioning to succeed with probability >= 1/2.  A field smaller than
@@ -53,11 +58,12 @@ extension field is never lifted.
 One representation serves every field: the residue arrays of
 field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
 a generator half one stacked (alpha, d, n) array, as the builders write it,
-and the elimination stacks both halves.  The Schur step, the echelon, the
-dense elimination and the back-substitution are written once, each op one
-Residues call whose d = 1 shortcuts keep a prime-field step at about 13
-numpy calls; d appears here only in the lift policy.  The random draws are
-digits of the sampled indices; the answer is a residue array.
+and the elimination stacks both halves.  The Schur step and block, the
+echelon, the dense elimination and the back-substitution are written once,
+each op one Residues call whose d = 1 shortcuts keep a prime-field step at
+about 13 numpy calls; d appears here only in the lift policy and a block's
+size.  The random draws are digits of the sampled indices; the answer is a
+residue array.
 
 Generator applies (_apply, _apply_last, _precondition) are batched products
 of the stacked halves: A·x is conv_sum(V, corr(x, W)), reduced mod p between
@@ -84,6 +90,9 @@ TAG_HANKEL = "hankel"
 # a level's last rows, this many, are eliminated densely: 2^61 - 1 loses
 # 1.4-1.8 ms per level at 40-48 and F_16777213 saves 0.4-0.9 ms at 32-64
 _DENSE_WIDTH = 32
+# pivots per block: (2^53 - 1) // (p - 1)^2 at p = 16777213.  2 * _BLOCK // d
+# over F_{p^d}: n = 200 gs beat Schur steps by 18% (F_13^4) and 7% (GF(2^8))
+_BLOCK = 32
 # largest matrix a linearization or the dense route builds densely
 DENSE_GUARD_CELLS = 1 << 20
 
@@ -251,8 +260,9 @@ def _precondition(R, halves, last, u_full, l_full):
 def _schur_step(R, G):
     """One generalized Schur step on the halves stacked as one
     (2, alpha, d, n) array G = (V, W): the normalized first row of the
-    matrix, a (d, n) array, and a generator of its Schur complement of the
-    same length, or None when the leading entry is zero.
+    matrix, a (1, d, n) array (a block of one row, as _schur_block gives
+    them), and a generator of its Schur complement of the same length, or
+    None when the leading entry is zero.
 
     Two Gauss transforms bring the generator to proper form: one clears W's
     first column except at an index k (its inverse applied to V), the other
@@ -263,8 +273,8 @@ def _schur_step(R, G):
     One product of (w0, v0) with both halves (R.combine) gives the first
     column and row, one R.inv call both inverses, and one product of the
     scalars with (col0, W_k) (R.scale) both Gauss transforms, written into
-    a new contiguous array (faster than in place in G); x -= (x // p) * p
-    reduces it (faster than % on int64, exact for negative x).
+    a new contiguous array (faster than in place in G); R.reduce reduces
+    it (faster than % on int64, exact for negative x).
     """
     p = R.p
     f = G[..., 0]  # (v0, w0): (2, alpha, d) scalars
@@ -279,45 +289,109 @@ def _schur_step(R, G):
     c[1] = G[1, k]
     Y = R.scale(R.mul(f, inv[:, None]), c[:, None, :, 1:])
     np.subtract(G[..., 1:], Y, out=Y)
-    Y -= Y // p * p
+    R.reduce(Y)
     Y[0, k], Y[1, k] = c[0, :, :-1], norm[:, :-1]
-    return norm, Y
+    return norm[None], Y
+
+
+def _schur_block(R, G, h):
+    """Up to h generalized Schur steps on G as _schur_step takes it: the
+    pivot rows [I | X A12] of A's leading r x r block A11 = X^-1, (r, d, n),
+    and a generator of its Schur complement; None at a zero leading entry.
+    r < h when the leading (r + 1) x (r + 1) block is singular.
+
+    A's top rows and first columns (A^T's generator is the halves swapped)
+    are dense; Gauss-Jordan on A11 gives r and X.  With V1, W1 the halves'
+    first r entries, V2, W2 the rest, P (Q) the first r columns (rows) from
+    row (column) r - 1 to n - 2 and Z1 the down-shift, the complement's
+    displacement is [V2 | P] M [W2 ; Q] (Kailath & Sayed, SIAM Review 1995),
+    M = diag(I, X) - [W1 X ; Z1^T X] [V1 , Z1] = N diag(I, X): N = I - L X
+    K', L = [W1 ; Z1^T], K' = [V1 , Z1 A11], is idempotent of rank alpha as
+    K' L = A11, its rows in L's left kernel.  That kernel's rows H = (e_c -
+    f_c e_k, -w'_c[1:r], 0), c != k, and e_last, with k the first pair with
+    w_k[0] != 0, f_c = w_c[0] / w_k[0] and w'_c = w_c - f_c w_k, are the
+    identity on their columns J: N = N[:, J] H, and as [V2 | P] L = A21 the
+    new pairs are (V2_c - A21 X V1_c, W'2_c - w'_c[1:r] X Q), and at k (P's
+    last column - A21 X Z1 A11's, X Q's last row): one R.combine.
+    """
+    alpha, n = G.shape[1], G.shape[3]
+    T, C = _dense(R, G[..., :h], G[::-1])  # A's top rows and A^T's
+    X, r = _inverse_prefix(R, T[..., :h])
+    if not r:
+        return None
+    XT = R.combine(X.transpose(0, 2, 1), T[:r, :, r - 1 :])  # X A[:r, r-1:] = [X Q | last]
+    rows = np.concatenate([np.eye(r, dtype=G.dtype)[:, None] * R.unit(1, 0), XT[..., 1:]], axis=2)
+    V, W = G
+    k = W[:, :, 0].nonzero()[0][0]  # r > 0: A's first column is not zero
+    W = R.reduce(W - R.scale(R.mul(W[:, :, 0], R.inv(W[k, :, 0])), W[k]))  # the w'_c; w'_k = 0
+    K = V[..., :r].transpose(0, 2, 1).copy()  # K'[:, J] as (alpha, r, d) scalars
+    K[k, 0], K[k, 1:] = 0, T[: r - 1, :, r - 1]
+    S = np.zeros((2, alpha, r, R.d), G.dtype)  # the multipliers of A21's rows and X Q's
+    S[0] = R.combine(K, X.transpose(2, 1, 0)).transpose(0, 2, 1)
+    S[1, :, : r - 1] = W[..., 1:r].transpose(0, 2, 1)
+    out = np.stack([V[..., r:], W[..., r:]])
+    out[0, k], out[1, k] = C[r - 1, :, r - 1 : n - 1], XT[r - 1, :, : n - r]
+    out -= R.combine(S, np.stack([C[:r, :, r:], XT[:r, :, : n - r]])[:, None])
+    return rows, R.reduce(out)
+
+
+def _inverse_prefix(R, A):
+    """(X, r): by Gauss-Jordan without pivoting on [A | I], r the first zero
+    pivot of the (h, d, h) matrix A, or h, and X its leading block's inverse.
+    Unreduced, h pivots' products stay below 2^58 where f64_terms > 0."""
+    p, h = R.p, len(A)
+    aug = np.concatenate([A, np.eye(h, dtype=A.dtype)[:, None] * R.unit(1, 0)], axis=2)
+    for r in range(h):
+        row = aug[r] % p
+        try:
+            inv = R.inv(row[:, r])
+        except DivisionByZero:
+            return aug[:r, :, h : h + r] % p, r
+        row = R.scale(inv[0], row) % p
+        aug -= R.scale(aug[:, :, r] % p, row)
+        aug[r] = row
+    return aug[:, :, h:] % p, h
 
 
 def _eliminate(R, v, w, width=None):
     """Generator-based Schur elimination of the matrix A of the halves v
-    (alpha, d, nrows) and w (alpha, d, ncols): Schur steps without
+    (alpha, d, nrows) and w (alpha, d, ncols): blocks of Schur steps without
     pivoting, then a dense tail with pivoting.
 
-    Returns (pivot_rows, cols, rest): pivot_rows[t] is the normalized row
-    t, a (d, ncols - cols[t]) array from its pivot column cols[t] on.  At a
-    vanishing leading entry the generator is compressed again; rest is None
-    when that leaves it empty (a zero Schur complement) or once the rows or
-    columns run out, and otherwise the compressed (v, w) halves of the
-    nonzero complement: a pivot breakdown, with cols 0..t-1.
+    Returns (pivot_rows, cols, rest): the pivot columns cols, their rows in
+    blocks, each (h, d, ncols - c) from its pivot columns c .. c + h - 1 on,
+    where it is the identity.  At a vanishing leading entry the generator is
+    compressed again; rest is None when that leaves it empty (a zero Schur
+    complement) or once the rows or columns run out, and otherwise the
+    compressed (v, w) halves of the nonzero complement: a pivot breakdown,
+    with cols 0..t-1.
 
-    The shorter half is zero-padded at its end.  That changes the matrix
-    only past A's rows (or columns), which the first min(nrows, ncols) steps
-    never read: each complement's leading block is A's.  Pivot rows and a
-    breakdown's halves are cut to A's columns and rows.  Each Schur step
-    keeps the generator's length.  The last `width` rows (_DENSE_WIDTH by
-    default) of the shorter side, unless the sides differ by more, are
-    eliminated with pivoting (_eliminate_dense), which never breaks down.
+    A step takes min(_BLOCK, 2 _BLOCK // d) pivots (_schur_block) where
+    f64_terms > 0, else one (_schur_step): int64 and Python-int blocks made
+    n = 256 gs over 998244353 and 2^31 - 1 2.2x slower.  The shorter half is
+    zero-padded at its end,
+    which changes the matrix only past A's rows (or columns), never read by
+    the first min(nrows, ncols) pivots.  Pivot rows and a breakdown's halves
+    are cut to A's columns and rows.  Each step keeps the generator's
+    length.  The last `width` rows (_DENSE_WIDTH by default) of the shorter
+    side, unless the sides differ by more, are eliminated with pivoting
+    (_eliminate_dense), which never breaks down.
     """
     nrows, ncols = v.shape[2], w.shape[2]
     G = np.zeros((2, len(v), R.d, max(nrows, ncols)), R.dtype)
     G[0, ..., :nrows], G[1, ..., :ncols] = v, w
-    pivot_rows = []
+    pivot_rows, t = [], 0
     width = _DENSE_WIDTH if width is None else width
-    tail = width if abs(nrows - ncols) <= width else 0
-    for t in range(min(nrows, ncols) - tail):
-        step = _schur_step(R, G)
+    stop = min(nrows, ncols) - (width if abs(nrows - ncols) <= width else 0)
+    block = min(_BLOCK, 2 * _BLOCK // R.d) if R.f64_terms else 0
+    while t < stop:
+        step = _schur_block(R, G, min(block, stop - t)) if block else _schur_step(R, G)
         if step is None:
             rest = _compress(R, G[0, ..., : nrows - t], G[1, ..., : ncols - t])
             return pivot_rows, list(range(t)), rest if len(rest[0]) else None
-        norm, G = step
-        pivot_rows.append(norm[:, : ncols - t])
-    t = len(pivot_rows)
+        rows, G = step
+        pivot_rows.append(rows[..., : ncols - t])
+        t += len(rows)
     rows, cols = [], []
     if t < min(nrows, ncols):
         rows, cols = _eliminate_dense(R, _dense(R, G[0, ..., : nrows - t], G[1, ..., : ncols - t]))
@@ -325,20 +399,22 @@ def _eliminate(R, v, w, width=None):
 
 
 def _dense(R, v, w):
-    """The (nrows, d, ncols) matrix of toeplitz-tagged halves v and w:
-    D = sum_c v_c (x) w_c is one R.combine, and A sums D along each diagonal
-    (A - Z A Z^T = D), one cumulative sum down the columns of an array whose
-    row i is shifted right by nrows - 1 - i."""
-    d, nrows, ncols = R.d, v.shape[2], w.shape[2]
-    D = R.combine(v.transpose(2, 0, 1), w)  # (nrows, d, ncols)
+    """The (..., nrows, d, ncols) matrices of toeplitz-tagged halves v
+    (..., alpha, d, nrows) and w (..., alpha, d, ncols): D = sum_c v_c (x)
+    w_c is one R.combine, and A sums D along each diagonal (A - Z A Z^T =
+    D), one cumulative sum down the columns of an array whose row i is
+    shifted right by nrows - 1 - i."""
+    lead, d, nrows, ncols = v.shape[:-3], R.d, v.shape[-1], w.shape[-1]
+    D = R.combine(np.moveaxis(v, -1, -3), w[..., None, :, :, :])  # (..., nrows, d, ncols)
 
     def unskewed(x):  # a view: diagonal j - i is column nrows - 1 + j - i
-        flat = x.reshape(d, -1)[:, nrows - 1 : nrows - 1 + nrows * (nrows + ncols - 1)]
-        return flat.reshape(d, nrows, nrows + ncols - 1)[..., :ncols]
+        flat = x.reshape(lead + (d, -1))[..., nrows - 1 : nrows - 1 + nrows * (nrows + ncols - 1)]
+        return flat.reshape(lead + (d, nrows, nrows + ncols - 1))[..., :ncols]
 
-    skew = np.zeros((d, nrows, nrows + ncols), R.dtype)
-    unskewed(skew)[:] = D.transpose(1, 0, 2)
-    return unskewed(np.cumsum(skew, axis=1) % R.p).transpose(1, 0, 2).copy()
+    skew = np.zeros(lead + (d, nrows, nrows + ncols), R.dtype)
+    unskewed(skew)[:] = D.swapaxes(-3, -2)
+    R.reduce(np.cumsum(skew, axis=-2, out=skew))
+    return unskewed(skew).swapaxes(-3, -2).copy()
 
 
 def _eliminate_dense(R, S):
@@ -363,14 +439,14 @@ def _eliminate_dense(R, S):
         if i:
             S[[r, r + i]] = S[[r + i, r]]
             col[[0, i]] = col[[i, 0]]
-        norm = R.scale(R.inv(col[0])[0], S[r, :, c:] % p) % p
+        norm = R.scale(R.inv(col[0]), S[r : r + 1, :, c:] % p) % p
         pivot_rows.append(norm)
         cols.append(c)
         below = S[r + 1 :, :, c + 1 :]
         if R.sum_dtype(updates + 1) is not np.int64:
             below %= p
             updates = 0
-        below -= R.scale(col[1:], norm[:, 1:])
+        below -= R.scale(col[1:], norm[0, :, 1:])
         updates += 1
     return pivot_rows, cols
 
@@ -382,23 +458,27 @@ def _level(R, level, u_full, l_full):
     v, w = _precondition(R, *level, u_full, l_full)
     pivot_rows, cols, rest = _eliminate(R, v, w)
     if rest is not None:
-        rest = _kept(R, *rest, u_full.shape[1] - len(pivot_rows))
+        rest = _kept(R, *rest, u_full.shape[1] - len(cols))
     return pivot_rows, cols, rest
 
 
 def _back_substitute(R, pivot_rows, cols, free):
-    """Element of the nullspace of the echelon system of the pivot rows,
-    whose leading 1s lie in the columns cols, with the given (d, size -
-    rank) draws on its other (free) coordinates.  Coordinate cols[t] is one
-    R.dot of pivot row t, whose leading 1 meets the coordinate while it is
-    still zero, with the coordinates from cols[t] on: they are kept along
-    the leading axis, cast once to the dtype of sums of size products."""
+    """Element of the nullspace of the echelon system of the pivot rows in
+    _eliminate's blocks, with the given (d, size - rank) draws on its other
+    (free) coordinates.  A block's h coordinates c .. c + h - 1 are one
+    R.dot of its rows with the coordinates from c on, x[c:c+h] = -(X A12)
+    x[c+h:], since its leading identity meets them while they are still
+    zero: they are kept along the leading axis, cast once to the dtype of
+    sums of size products."""
     size = len(cols) + free.shape[1]
     x = R.zeros(size)
     x[:, np.delete(np.arange(size), cols)] = free
     y = x.T.astype(R.sum_dtype(size))
-    for row, c in zip(reversed(pivot_rows), reversed(cols)):
-        y[c] = -R.dot(row, y[c:]) % R.p
+    t = len(cols)
+    for rows in reversed(pivot_rows):
+        t -= len(rows)
+        c = cols[t]
+        y[c : c + len(rows)] = -R.dot(rows, y[c:]) % R.p
     return y.T.astype(x.dtype)
 
 
@@ -451,9 +531,9 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
             l_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
             pivot_rows, cols, level = _level(R, level, u_full, l_full)
             # on refund: levels in a row without a pivot, and rejections
-            misses = rejected if refund and pivot_rows else misses + 1
+            misses = rejected if refund and cols else misses + 1
             levels.append((pivot_rows, cols, l_full))
-            left -= len(pivot_rows)
+            left -= len(cols)
         if level is not None:
             break
         if start - left == ncols:
@@ -496,7 +576,7 @@ def _level0(R, G: GeneratorPair, dense: bool):
     (None once the rank is certified), that level's size and the columns
     left."""
     rows, cols, rest = _eliminate(R, G.v, G.w, max(G.nrows, G.ncols) if dense else None)
-    nrows, ncols = G.nrows - len(rows), G.ncols - len(rows)
+    nrows, ncols = G.nrows - len(cols), G.ncols - len(cols)
     if rest is None:
         return rows, cols, None, ncols, ncols
     start = max(nrows, ncols)

@@ -180,14 +180,14 @@ F26_2 = build_extension(prime_field(67108859), 2, random.Random(0))  # 2^53 past
 def test_matrix_products_match_element_arithmetic(ctx):
     # at d > 1 combine and scale multiply by multiplication matrices, and
     # emul and conv fold their residue pairs by the table of t^(a+b) mod f,
-    # in float64 while the sums stay below 2^53 (up to _f64_terms scalar
+    # in float64 while the sums stay below 2^53 (up to f64_terms scalar
     # products, d of them in a fold) and in int64 above it: all agree with
     # FieldElement arithmetic, on random residues and on residues within p/64
     # of p, whose sums are the largest, at each side of F25_2's and F26_2's
     # bounds (F26_2 folds in int64, its multiplication matrices at the bound)
     R = residues(ctx)
     rng = random.Random(ctx.p)
-    f = R._f64_terms
+    f = R.f64_terms
     for J in sorted({1, min(f, 12), min(f + 1, 13), min(3 * f, 13)}):
         for lo in (0, ctx.p - 1 - ctx.p // 64):
             c, vs = (
@@ -207,6 +207,33 @@ def test_matrix_products_match_element_arithmetic(ctx):
             prod = [sum((x[i] * y[k - i] for i in range(5) if 0 <= k - i < 5), ctx.zero()) for k in range(9)]
             assert R.elements(R.conv(vs[0], vs[-1])) == prod
     assert f == 4 if ctx is F25_2 else f == 1 if ctx is F26_2 else f > 13
+
+
+@pytest.mark.parametrize("p, f", [(16777213, 32), (94906249, 1)])
+def test_prime_field_products_at_the_float64_bound_are_exact(p, f):
+    # at d = 1 one float64 product sums f64_terms = (2^53 - 1) // (p - 1)^2
+    # residue products exactly: 32 at p = 16777213, where 33 are summed in
+    # two chunks, each reduced, and 1 at p = 94906249, whose longer sums are
+    # int64 products (a chunk would hold fewer than _F64_CHUNK).  On residues
+    # within p/1024 of p, whose f + 1 products would pass 2^53, combine
+    # agrees with object-dtype products: rows of scalars against shared
+    # vectors (one product), against their own vectors (a batch of
+    # products), and one vector of scalars
+    R = residues(prime_field(p))
+    assert R.f64_terms == f and (p - 1) ** 2 * (f + 1) >= 2**53
+    rng = random.Random(p)
+
+    def near_p(*shape):
+        flat = [rng.randrange(p - p // 1024, p) for _ in range(math.prod(shape))]
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    for J in sorted({f, f + 1, 33}):
+        c, vs, own = near_p(4, J, 1), near_p(J, 1, 9), near_p(4, J, 1, 9)
+        want = (c[..., 0].astype(object) @ vs[:, 0].astype(object)) % p
+        assert R.combine(c, vs)[:, 0].tolist() == want.tolist()
+        assert R.combine(c[0], vs)[0].tolist() == want[0].tolist()
+        want = np.einsum("ij,ijn->in", c[..., 0].astype(object), own[:, :, 0].astype(object)) % p
+        assert R.combine(c, own)[:, 0].tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("ctx", [prime_field(13), FieldCtx(13, (6, 12, 6, 0, 1)), GF256], ids=repr)

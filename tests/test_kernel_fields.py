@@ -43,6 +43,7 @@ from mvinterp.struct_solve import (
     _compress,
     _kept,
     _precondition,
+    _schur_block,
     _schur_step,
     nullspace_structured,
 )
@@ -141,7 +142,7 @@ def test_schur_step_tracks_the_dense_schur_complement(name):
                 certified += zero and len(S) < size
                 break
             norm, (v, w) = step
-            assert R.elements(norm) == [e * S[0][0].inv() for e in S[0]]
+            assert R.elements(norm[0]) == [e * S[0][0].inv() for e in S[0]]
             S = dense_schur_complement(S)
             assert len(v) <= alpha
             if S:
@@ -149,6 +150,117 @@ def test_schur_step_tracks_the_dense_schur_complement(name):
         else:
             completed += 1
     assert certified and completed
+
+
+def gauss_jordan(R, A, k):
+    """A (m, d, n) after k Gauss-Jordan pivots without pivoting, one entry
+    at a time: rows 0..k-1 reduced to [I | X A12], the Schur complement of
+    the leading k x k block below and right of them; None if a pivot is
+    zero."""
+    A = A % R.p
+    for i in range(k):
+        if not A[i, :, i].any():
+            return None
+        A[i] = R.scale(R.inv(A[i, :, i])[0], A[i]) % R.p
+        col = A[:, :, i].copy()
+        col[i] = 0
+        A = (A - R.scale(col, A[i])) % R.p
+    return A
+
+
+BLOCK_FIELDS = {"F65537": F65537, "F13^4": F13_4, "GF256": GF256}
+
+
+@pytest.mark.parametrize("shape", ["square", "wide", "tall"])
+@pytest.mark.parametrize("name", list(BLOCK_FIELDS))
+def test_block_step_tracks_the_dense_schur_complement(name, shape):
+    # each block step of up to h = _BLOCK pivots takes r <= h at once: its
+    # rows are the reduced rows [I | X A12] of the Gauss-Jordan oracle, and
+    # its generator, no longer than the compressed one, is that of the
+    # dense Schur complement.  A singular leading minor cuts a block short
+    # (r < h) and the next step meets a zero leading entry; a zero
+    # complement then compresses to nothing, which certifies the rank.  The
+    # blocks back-substitute the vector that their rows taken one at a
+    # time do, for the same free draws, in the nullspace once certified
+    ctx = BLOCK_FIELDS[name]
+    R = Residues(ctx)
+    cut = certified = 0
+    for seed in range(3):
+        r = random.Random(seed)
+        m = r.randint(40, 70)
+        n = {"square": m, "wide": m + r.randint(1, 9), "tall": m - r.randint(1, 9)}[shape]
+        if seed == 0:  # the leading (k + 1) x (k + 1) block singular
+            A = singular_block_case(R, m, n, r.randint(34, min(m, n) - 2), False, r)[0]
+        elif seed == 1:  # a zero complement after the rank's pivots
+            A = low_rank_residues(R, m, n, r.randint(33, min(m, n) - 1), r)
+        else:
+            A = residue_matrix(R, m, n, r)
+        G = gen_from_residues(R, A)
+        v, w = _compress(R, G.v, G.w)
+        size, alpha = max(m, n), len(v)
+        G = np.zeros((2, alpha, R.d, size), R.dtype)
+        G[0, ..., :m], G[1, ..., :n] = v, w
+        blocks, t, in_kernel = [], 0, True
+        while t < min(m, n):
+            h = min(struct_solve._BLOCK, min(m, n) - t)
+            step = _schur_block(R, G, h)
+            if step is None:
+                assert not gauss_jordan(R, A, t)[t, :, t].any()
+                left = _compress(R, G[0, ..., : m - t], G[1, ..., : n - t])[0]
+                zero = not gauss_jordan(R, A, t)[t:, :, t:].any()
+                assert (not len(left)) == zero
+                in_kernel = zero
+                break
+            rows, G = step
+            k = len(rows)
+            assert 1 <= k <= h and G.shape[:3] == (2, alpha, R.d)
+            want = gauss_jordan(R, A, t + k)
+            assert np.array_equal(rows[..., : n - t], want[t : t + k, :, t:])
+            if k < h:
+                assert not want[t + k, :, t + k].any()
+                cut += 1
+            t += k
+            S, (v, w) = want[t:, :, t:], G
+            if S.size:
+                assert np.array_equal(dense_from_halves(R, v[..., : m - t], w[..., : n - t]), S)
+            blocks.append(rows[..., : n - t + k])
+        certified += in_kernel
+        cols = list(range(t))
+        free = residue_matrix(R, 1, n - t, r)[0]
+        x = struct_solve._back_substitute(R, blocks, cols, free)
+        singles = [rows[i : i + 1, :, i:] for rows in blocks for i in range(len(rows))]
+        assert np.array_equal(struct_solve._back_substitute(R, singles, cols, free), x)
+        if in_kernel:
+            assert not dense_matvec(R, A, x).any()
+    assert certified and cut
+
+
+@pytest.mark.parametrize(
+    "ctx, blocked",
+    [(F24, True), (F13_4, True), (GF256, True), (prime_field(2**31 - 1), False), (M61, False)],
+    ids=["F16777213", "F13^4", "GF256", "F2147483647", "M61"],
+)
+def test_blocks_run_where_float64_products_are_exact(monkeypatch, ctx, blocked):
+    # the kernel takes block steps where its residues are int64 and a
+    # product of two sums exactly in float64 (f64_terms > 0), and Schur
+    # steps, blocks of one, elsewhere: 2^31 - 1 is int64 but its products
+    # pass 2^53, and 2^61 - 1 is stored as Python ints
+    calls = dict.fromkeys(["_schur_block", "_schur_step"], 0)
+    for name in calls:
+
+        def counted(*args, real=getattr(struct_solve, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(struct_solve, name, counted)
+    R = Residues(ctx)
+    assert (R.f64_terms > 0) == blocked
+    r = random.Random(11)
+    G = rand_generator("toeplitz", ctx, 64, 65, 3, r)
+    out = nullspace_structured(G, r, 8)
+    assert isinstance(out, Solution)
+    assert not dense_matvec(R, dense_from_halves(R, G.v, G.w), out.value).any()
+    assert (calls["_schur_block"] > 0, calls["_schur_step"] > 0) == (blocked, not blocked)
 
 
 def gs_deep_params():
@@ -171,16 +283,17 @@ def test_one_compression_per_attempt(monkeypatch):
     # zero leading entry) pinned to 0 breaks down at level 0's first step,
     # which hands its compressed generator to a chain of preconditioned
     # levels, each compressing once where its leading entry vanishes (at
-    # the crossover level 0 eliminates it densely, with pivoting, alone)
+    # the crossover level 0 eliminates it densely, with pivoting, alone).  A
+    # breakdown is a block step (_schur_block) that meets a zero leading entry
     crossover = struct_solve._DENSE_WIDTH
-    calls = dict.fromkeys(["_compress", "_precondition", "_schur_step", "_eliminate_dense"], 0)
+    calls = dict.fromkeys(["_compress", "_precondition", "_schur_block", "_eliminate_dense"], 0)
     vanished, widths = [], []
     for name in calls:
 
         def counted(*args, real=getattr(struct_solve, name), name=name):
             calls[name] += 1
             out = real(*args)
-            if name == "_schur_step" and out is None:
+            if name == "_schur_block" and out is None:
                 vanished.append(args[1].shape[-1])
             if name == "_eliminate_dense" and len(out[0]) < len(args[1]):
                 vanished.append(len(args[1]) - len(out[0]))  # the rows left unpivoted
@@ -225,13 +338,13 @@ def test_one_compression_per_attempt(monkeypatch):
     "ctx", [F13, F24, F13_4, GF256, M61], ids=["F13", "F16777213", "F13^4", "GF256", "M61"]
 )
 def test_elimination_with_and_without_the_first_compression(monkeypatch, ctx):
-    # the pivot rows and columns, the rank and whether a nonzero Schur
-    # complement is left depend on the preconditioned matrix alone, not on
-    # how it is held: by Schur steps alone (the dense crossover pinned to
-    # 0), its generator compressed before the first step or as
-    # _precondition gives it, through _level or not.  From the crossover on
-    # the dense tail pivots: it takes the same pivots up to a breakdown, and
-    # goes on past it
+    # the pivot columns, the rank, whether a nonzero Schur complement is
+    # left and the vector back-substituted for the same free draws depend on
+    # the preconditioned matrix alone, not on how it is held: by block
+    # steps alone (the dense crossover pinned to 0), its generator compressed
+    # before the first step or as _precondition gives it, through _level or
+    # not.  From the crossover on the dense tail pivots, its rows unreduced:
+    # it takes the same pivots up to a breakdown, and goes on past it
     R = Residues(ctx)
     crossover = struct_solve._DENSE_WIDTH
     breakdowns = certified = 0
@@ -253,16 +366,17 @@ def test_elimination_with_and_without_the_first_compression(monkeypatch, ctx):
         out.append(struct_solve._eliminate(R, *_compress(R, v, w)))
         monkeypatch.undo()
         rows, cols, rest = out[0]
+        free = residue_matrix(R, 1, size - len(cols), r)[0]
+        x = struct_solve._back_substitute(R, rows, cols, free)
         for rows_b, cols_b, rest_b in out[1:]:
-            assert len(rows) == len(rows_b) and cols == cols_b
-            assert all(np.array_equal(a, b) for a, b in zip(rows, rows_b))
-            assert (rest is None) == (rest_b is None)
-        assert all(np.array_equal(a, b) for a, b in zip(rows, rows_c))
+            assert cols == cols_b and (rest is None) == (rest_b is None)
+            assert np.array_equal(struct_solve._back_substitute(R, rows_b, cols_b, free), x)
         assert cols_c[: len(cols)] == cols
         if rest is None or rest_c is not None:  # no breakdown, or the same one
-            assert len(rows_c) == len(rows) and (rest_c is None) == (rest is None)
+            assert cols_c == cols and (rest_c is None) == (rest is None)
+            assert np.array_equal(struct_solve._back_substitute(R, rows_c, cols_c, free), x)
         breakdowns += rest is not None
-        certified += rest is None and len(rows) < size
+        certified += rest is None and len(cols) < size
     assert certified and (breakdowns or ctx is not F13)
 
 
@@ -281,12 +395,12 @@ def test_last_attempt_levels_sum_to_the_rank(monkeypatch, case):
 
     def recorded(R, level, u_full, l_full, real=struct_solve._level):
         rows, cols, rest = real(R, level, u_full, l_full)
-        calls.append((u_full.shape[1], len(rows), rest is None))
+        calls.append((u_full.shape[1], len(cols), rest is None))
         return rows, cols, rest
 
     def recorded0(R, G, dense, real=struct_solve._level0):
         out = real(R, G, dense)
-        level0.append(len(out[0]))
+        level0.append(len(out[1]))
         return out
 
     monkeypatch.setattr(struct_solve, "_level", recorded)
@@ -351,20 +465,25 @@ def dense_rank(R, A):
 
 
 def assert_level0_is_the_dense_elimination(R, A, G):
-    """Level 0's k Schur-step pivot rows are the first k of the pivoting
-    dense elimination of the unpreconditioned matrix, in columns 0..k-1:
+    """Level 0's k pivots are the first k of the pivoting dense elimination
+    of the unpreconditioned matrix, in columns 0..k-1, and its rows, reduced
+    in blocks, back-substitute the dense rows' vector for the same draws:
     the rows and columns its padding adds are never read.  Certified, all
-    its rows and columns are the dense elimination's; at a breakdown the
-    complement left holds the rest of the dense rank."""
+    its pivot columns are the dense elimination's; at a breakdown the
+    complement left holds the rest of the dense rank.  Returns its pivot
+    columns and complement."""
     rows, cols, rest = struct_solve._eliminate(R, G.v, G.w)
     rows_d, cols_d = struct_solve._eliminate_dense(R, A.copy())
-    assert all(np.array_equal(a, b) for a, b in zip(rows, rows_d))
+    k = len(cols)
+    free = residue_matrix(R, 1, A.shape[2] - k, random.Random(k))[0]
+    x = struct_solve._back_substitute(R, rows_d[:k], cols_d[:k], free)
+    assert np.array_equal(struct_solve._back_substitute(R, rows, cols, free), x)
     if rest is None:
-        assert len(rows) == len(rows_d) and cols == cols_d
+        assert cols == cols_d
     else:
-        assert cols == cols_d[: len(cols)] == list(range(len(rows)))
-        assert len(rows) + dense_rank(R, dense_from_halves(R, *rest)) == len(rows_d)
-    return rows, rest
+        assert cols == cols_d[:k] == list(range(k))
+        assert k + dense_rank(R, dense_from_halves(R, *rest)) == len(cols_d)
+    return cols, rest
 
 
 @pytest.mark.parametrize("shape", ["wide", "square", "tall"])
@@ -391,16 +510,16 @@ def test_level0_stops_at_a_singular_leading_block(monkeypatch, name, shape):
         for width in (0, struct_solve._DENSE_WIDTH):  # without a dense tail, and with it
             with monkeypatch.context() as mp:
                 mp.setattr(struct_solve, "_DENSE_WIDTH", width)
-                rows, rest = assert_level0_is_the_dense_elimination(R, A, G)
+                cols, rest = assert_level0_is_the_dense_elimination(R, A, G)
                 starts.clear()
                 out = nullspace_structured(G, random.Random(seed), 8)
             if rest is None:
                 assert width and not starts
-                passed.append(len(rows) > k)
+                passed.append(len(cols) > k)
             else:  # GF(2^8): a leading minor may vanish first
-                assert len(rows) <= k and starts[0] == max(m, n) - len(rows)
+                assert len(cols) <= k and starts[0] == max(m, n) - len(cols)
             if not width:
-                stops.append(len(rows) == k)
+                stops.append(len(cols) == k)
             if dense_rank(R, A) == n:
                 assert out == NoSolution("certified rank equals the unknown count")
             else:
@@ -422,8 +541,8 @@ def test_level0_alone_certifies_a_zero_complement(monkeypatch):
         r = random.Random(m + n + rank)
         A = low_rank_residues(R, m, n, rank, r)
         G = gen_from_residues(R, A)
-        rows, rest = assert_level0_is_the_dense_elimination(R, A, G)
-        assert len(rows) == rank and rest is None
+        cols, rest = assert_level0_is_the_dense_elimination(R, A, G)
+        assert len(cols) == rank and rest is None
         out = nullspace_structured(G, random.Random(1), 1)
         if rank == n:
             assert out == NoSolution("certified rank equals the unknown count")
@@ -509,8 +628,8 @@ def test_the_dense_elimination_matches_the_reduced_echelon_form(name):
         pivots = _rref_np(_realify(ctx, A), ctx.p)
         rows, cols = struct_solve._eliminate_dense(R, A.copy())
         assert [c * ctx.d + k for c in cols for k in range(ctx.d)] == pivots
-        assert [row.shape for row in rows] == [(ctx.d, n - c) for c in cols]
-        assert all(np.array_equal(row[:, :1], R.unit(1, 0)) for row in rows)
+        assert [row.shape for row in rows] == [(1, ctx.d, n - c) for c in cols]
+        assert all(np.array_equal(row[0, :, :1], R.unit(1, 0)) for row in rows)
         free = residue_matrix(R, 1, n - len(cols), r)[0]
         x = struct_solve._back_substitute(R, rows, cols, free)
         assert np.array_equal(x[:, np.delete(np.arange(n), cols)], free)
@@ -870,13 +989,13 @@ def test_long_chains_make_no_lift(monkeypatch, p, m):
 
 
 def first_pivot_only(R, v, w):
-    """_eliminate cut after its first Schur step: a breakdown on every
-    level, with its compressed complement."""
+    """_eliminate cut after a first block step of one pivot: a breakdown on
+    every level, with its compressed complement."""
     nrows, ncols = v.shape[2], w.shape[2]
     G = np.zeros((2, len(v), R.d, max(nrows, ncols)), R.dtype)
     G[0, ..., :nrows], G[1, ..., :ncols] = v, w
-    step = _schur_step(R, G)
-    rows = [] if step is None else [step[0][:, :ncols]]
+    step = _schur_block(R, G, 1)
+    rows = [] if step is None else [step[0][..., :ncols]]
     if step is not None:
         G = step[1]
     t = len(rows)
