@@ -58,9 +58,6 @@ _FFT_CHUNK = 1 << 18
 # kernel level against 2^(L+1), median of 40 runs: 2^L = 256 0.85x at w = 1,
 # 0.98x at 33, 1.07x at 47; 512 0.83x at 1, 1.03x at 47; 1024 0.84x at 63
 _WRAP = 4
-# fewest products per float64 chunk (_matmul): 32 x 32 by 32 x 385 took 2.5,
-# 0.69, 0.41, 0.33 ms in chunks of 1, 4, 8, 16; numpy's int64 matmul 0.41
-_F64_CHUNK = 8
 
 
 def is_probable_prime(n: int) -> bool:
@@ -385,9 +382,8 @@ class Residues:
     is the extended Euclid of each scalar's residue list and f, at d = 1
     pow(s, -1, p) of Python ints.  At d = 1 emul and mul are one product,
     scale one broadcast multiply left unreduced, combine and dot one product
-    of residue rows, and the residue-pair fold a view.  A float64 sum holds
-    f64_terms = (2^53 - 1) // (d (p - 1)^2) scalar products exactly (0 over
-    object residues): _matmul's products are float64 ones there.
+    of residue rows, and the residue-pair fold a view.  One float64 product
+    sums f64_terms = (2^53 - 1) // (d (p - 1)^2) scalar products exactly.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -579,19 +575,11 @@ class Residues:
 
     def _matmul(self, a: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
         """a @ b of residues below p in absolute value, sums of d * terms
-        scalar products: over int64, one float64 product (BLAS, ~20x numpy's
-        int64 matmul) up to f64_terms, exact below 2^53; past it, a sum of
-        such products of chunks, each reduced, if they hold _F64_CHUNK."""
-        f = self.f64_terms
-        if not f or f < min(terms, _F64_CHUNK) or a.dtype != _INT64 or b.dtype != _INT64:
-            return a @ b
-        a, b = a.astype(np.float64), b.astype(np.float64)
-        if terms <= f:
-            return (a @ b).astype(np.int64)
-        step, out = self.d * f, 0
-        for i in range(0, a.shape[-1], step):
-            out = out + self.reduce((a[..., i : i + step] @ b[..., i : i + step, :]).astype(_INT64))
-        return out
+        scalar products: one float64 product over int64 (BLAS, ~20x numpy's
+        int64 matmul) up to f64_terms, exact below 2^53, else a @ b."""
+        if terms <= self.f64_terms and a.dtype == b.dtype == _INT64:
+            return (a.astype(np.float64) @ b.astype(np.float64)).astype(_INT64)
+        return a @ b
 
     def dot(self, a: np.ndarray, b: np.ndarray):
         """sum_u a[..., :, u] * b[u] of (..., d, n) vectors and an (n, d)

@@ -33,10 +33,9 @@ with random free coordinates, climbing back out through the levels, level
 so a returned Solution is unconditionally correct; NoSolution is returned
 only when the certified rank equals the column count.
 
-Where residue products sum exactly in float64 (Residues.f64_terms > 0)
-Schur steps go in blocks (_schur_block: the complement's displacement
-[V2 | P] M [W2 ; Q], M of rank alpha, factored explicitly), elsewhere one
-at a time; pivots depend on the matrix alone, so the answers agree.
+Schur steps go in blocks (_schur_block) where each of a block's products
+is one exact float64 product, elsewhere one at a time; pivots depend on
+the matrix alone, so the answers agree.
 
 This module owns the whole small-field policy.  The random draws come
 from a sampling set of subset_floor(size) elements, enough for one
@@ -90,8 +89,10 @@ TAG_HANKEL = "hankel"
 # a level's last rows, this many, are eliminated densely: 2^61 - 1 loses
 # 1.4-1.8 ms per level at 40-48 and F_16777213 saves 0.4-0.9 ms at 32-64
 _DENSE_WIDTH = 32
-# pivots per block: (2^53 - 1) // (p - 1)^2 at p = 16777213.  2 * _BLOCK // d
-# over F_{p^d}: n = 200 gs beat Schur steps by 18% (F_13^4) and 7% (GF(2^8))
+# pivots per block, h = min(_BLOCK, 2 * _BLOCK // d, f64_terms): n = 200 gs
+# beat Schur steps by 18% over F_13^4 (h = 16), 7% over GF(2^8) (8).  Blocks
+# of h < _BLOCK // 4 lost (n = 64 gs took 1.25x the time at 4, 3.1x at 1 and
+# 0.92x at 8), and int64 blocks 2.2x (n = 256 gs over 998244353)
 _BLOCK = 32
 # largest matrix a linearization or the dense route builds densely
 DENSE_GUARD_CELLS = 1 << 20
@@ -260,9 +261,8 @@ def _precondition(R, halves, last, u_full, l_full):
 def _schur_step(R, G):
     """One generalized Schur step on the halves stacked as one
     (2, alpha, d, n) array G = (V, W): the normalized first row of the
-    matrix, a (1, d, n) array (a block of one row, as _schur_block gives
-    them), and a generator of its Schur complement of the same length, or
-    None when the leading entry is zero.
+    matrix as a block of one row, (1, d, n), and a generator of its Schur
+    complement of the same length, or None when the leading entry is zero.
 
     Two Gauss transforms bring the generator to proper form: one clears W's
     first column except at an index k (its inverse applied to V), the other
@@ -338,7 +338,7 @@ def _schur_block(R, G, h):
 def _inverse_prefix(R, A):
     """(X, r): by Gauss-Jordan without pivoting on [A | I], r the first zero
     pivot of the (h, d, h) matrix A, or h, and X its leading block's inverse.
-    Unreduced, h pivots' products stay below 2^58 where f64_terms > 0."""
+    Unreduced, h <= f64_terms pivots' products stay below 2^54."""
     p, h = R.p, len(A)
     aug = np.concatenate([A, np.eye(h, dtype=A.dtype)[:, None] * R.unit(1, 0)], axis=2)
     for r in range(h):
@@ -366,16 +366,16 @@ def _eliminate(R, v, w, width=None):
     compressed (v, w) halves of the nonzero complement: a pivot breakdown,
     with cols 0..t-1.
 
-    A step takes min(_BLOCK, 2 _BLOCK // d) pivots (_schur_block) where
-    f64_terms > 0, else one (_schur_step): int64 and Python-int blocks made
-    n = 256 gs over 998244353 and 2^31 - 1 2.2x slower.  The shorter half is
-    zero-padded at its end,
-    which changes the matrix only past A's rows (or columns), never read by
-    the first min(nrows, ncols) pivots.  Pivot rows and a breakdown's halves
-    are cut to A's columns and rows.  Each step keeps the generator's
-    length.  The last `width` rows (_DENSE_WIDTH by default) of the shorter
-    side, unless the sides differ by more, are eliminated with pivoting
-    (_eliminate_dense), which never breaks down.
+    A step takes h = min(_BLOCK, 2 _BLOCK // d, f64_terms) pivots
+    (_schur_block) where h >= _BLOCK // 4, else one (_schur_step).  A block
+    of fewer than h pivots stopped at a zero leading entry, so the
+    compression follows it at once.  The shorter half is zero-padded at its
+    end, which changes the matrix only past A's rows (or columns), never
+    read by the first min(nrows, ncols) pivots.  Pivot rows and a
+    breakdown's halves are cut to A's columns and rows.  Each step keeps the
+    generator's length.  The last `width` rows (_DENSE_WIDTH by default) of
+    the shorter side, unless the sides differ by more, are eliminated with
+    pivoting (_eliminate_dense), which never breaks down.
     """
     nrows, ncols = v.shape[2], w.shape[2]
     G = np.zeros((2, len(v), R.d, max(nrows, ncols)), R.dtype)
@@ -383,15 +383,18 @@ def _eliminate(R, v, w, width=None):
     pivot_rows, t = [], 0
     width = _DENSE_WIDTH if width is None else width
     stop = min(nrows, ncols) - (width if abs(nrows - ncols) <= width else 0)
-    block = min(_BLOCK, 2 * _BLOCK // R.d) if R.f64_terms else 0
+    block = min(_BLOCK, 2 * _BLOCK // R.d, R.f64_terms)
+    block = block if block >= _BLOCK // 4 else 0
     while t < stop:
-        step = _schur_block(R, G, min(block, stop - t)) if block else _schur_step(R, G)
-        if step is None:
+        h = min(block, stop - t) if block else 1
+        step = _schur_block(R, G, h) if block else _schur_step(R, G)
+        if step is not None:
+            rows, G = step
+            pivot_rows.append(rows[..., : ncols - t])
+            t += len(rows)
+        if step is None or len(rows) < h:  # the next leading entry is zero
             rest = _compress(R, G[0, ..., : nrows - t], G[1, ..., : ncols - t])
             return pivot_rows, list(range(t)), rest if len(rest[0]) else None
-        rows, G = step
-        pivot_rows.append(rows[..., : ncols - t])
-        t += len(rows)
     rows, cols = [], []
     if t < min(nrows, ncols):
         rows, cols = _eliminate_dense(R, _dense(R, G[0, ..., : nrows - t], G[1, ..., : ncols - t]))
@@ -405,7 +408,8 @@ def _dense(R, v, w):
     D), one cumulative sum down the columns of an array whose row i is
     shifted right by nrows - 1 - i."""
     lead, d, nrows, ncols = v.shape[:-3], R.d, v.shape[-1], w.shape[-1]
-    D = R.combine(np.moveaxis(v, -1, -3), w[..., None, :, :, :])  # (..., nrows, d, ncols)
+    c = v.swapaxes(-1, -3).swapaxes(-1, -2)  # (..., nrows, alpha, d), a tenth of np.moveaxis
+    D = R.combine(c, w[..., None, :, :, :])  # (..., nrows, d, ncols)
 
     def unskewed(x):  # a view: diagonal j - i is column nrows - 1 + j - i
         flat = x.reshape(lead + (d, -1))[..., nrows - 1 : nrows - 1 + nrows * (nrows + ncols - 1)]

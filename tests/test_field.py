@@ -212,13 +212,12 @@ def test_matrix_products_match_element_arithmetic(ctx):
 @pytest.mark.parametrize("p, f", [(16777213, 32), (94906249, 1)])
 def test_prime_field_products_at_the_float64_bound_are_exact(p, f):
     # at d = 1 one float64 product sums f64_terms = (2^53 - 1) // (p - 1)^2
-    # residue products exactly: 32 at p = 16777213, where 33 are summed in
-    # two chunks, each reduced, and 1 at p = 94906249, whose longer sums are
-    # int64 products (a chunk would hold fewer than _F64_CHUNK).  On residues
+    # residue products exactly: 32 at p = 16777213 and 1 at p = 94906249;
+    # longer sums (33 at p = 16777213) are int64 products.  On residues
     # within p/1024 of p, whose f + 1 products would pass 2^53, combine
-    # agrees with object-dtype products: rows of scalars against shared
-    # vectors (one product), against their own vectors (a batch of
-    # products), and one vector of scalars
+    # agrees with object-dtype products at f, f + 1 and 33 terms: rows of
+    # scalars against shared vectors (one product), against their own
+    # vectors (a batch of products), and one vector of scalars
     R = residues(prime_field(p))
     assert R.f64_terms == f and (p - 1) ** 2 * (f + 1) >= 2**53
     rng = random.Random(p)

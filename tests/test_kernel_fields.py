@@ -237,13 +237,24 @@ def test_block_step_tracks_the_dense_schur_complement(name, shape):
 
 @pytest.mark.parametrize(
     "ctx, blocked",
-    [(F24, True), (F13_4, True), (GF256, True), (prime_field(2**31 - 1), False), (M61, False)],
-    ids=["F16777213", "F13^4", "GF256", "F2147483647", "M61"],
+    [
+        (F24, True),
+        (prime_field(33554393), True),
+        (F13_4, True),
+        (GF256, True),
+        (prime_field(35871193), False),
+        (build_extension(prime_field(2), 12, random.Random(1)), False),
+        (prime_field(2**31 - 1), False),
+        (M61, False),
+    ],
+    ids=["F16777213", "F33554393", "F13^4", "GF256", "F35871193", "F2^12", "F2147483647", "M61"],
 )
 def test_blocks_run_where_float64_products_are_exact(monkeypatch, ctx, blocked):
-    # the kernel takes block steps where its residues are int64 and a
-    # product of two sums exactly in float64 (f64_terms > 0), and Schur
-    # steps, blocks of one, elsewhere: 2^31 - 1 is int64 but its products
+    # the kernel takes block steps of h = min(_BLOCK, 2 _BLOCK // d,
+    # f64_terms) pivots where h >= _BLOCK // 4, so that each of a block's
+    # products is one exact float64 product, and Schur steps, blocks of one,
+    # elsewhere: f64_terms is 8 at p = 33554393 and 7 at p = 35871193,
+    # 2 _BLOCK // d is 5 over F_2^12, 2^31 - 1 is int64 but its products
     # pass 2^53, and 2^61 - 1 is stored as Python ints
     calls = dict.fromkeys(["_schur_block", "_schur_step"], 0)
     for name in calls:
@@ -254,7 +265,8 @@ def test_blocks_run_where_float64_products_are_exact(monkeypatch, ctx, blocked):
 
         monkeypatch.setattr(struct_solve, name, counted)
     R = Residues(ctx)
-    assert (R.f64_terms > 0) == blocked
+    h = min(struct_solve._BLOCK, 2 * struct_solve._BLOCK // ctx.d, R.f64_terms)
+    assert (h >= struct_solve._BLOCK // 4) == blocked
     r = random.Random(11)
     G = rand_generator("toeplitz", ctx, 64, 65, 3, r)
     out = nullspace_structured(G, r, 8)
@@ -284,7 +296,8 @@ def test_one_compression_per_attempt(monkeypatch):
     # which hands its compressed generator to a chain of preconditioned
     # levels, each compressing once where its leading entry vanishes (at
     # the crossover level 0 eliminates it densely, with pivoting, alone).  A
-    # breakdown is a block step (_schur_block) that meets a zero leading entry
+    # breakdown is a block step (_schur_block) that meets a zero leading
+    # entry: it returns None, or fewer pivots than it was asked for
     crossover = struct_solve._DENSE_WIDTH
     calls = dict.fromkeys(["_compress", "_precondition", "_schur_block", "_eliminate_dense"], 0)
     vanished, widths = [], []
@@ -293,8 +306,8 @@ def test_one_compression_per_attempt(monkeypatch):
         def counted(*args, real=getattr(struct_solve, name), name=name):
             calls[name] += 1
             out = real(*args)
-            if name == "_schur_block" and out is None:
-                vanished.append(args[1].shape[-1])
+            if name == "_schur_block" and (out is None or len(out[0]) < args[2]):
+                vanished.append((args[1] if out is None else out[1]).shape[-1])
             if name == "_eliminate_dense" and len(out[0]) < len(args[1]):
                 vanished.append(len(args[1]) - len(out[0]))  # the rows left unpivoted
             if name == "_precondition":
