@@ -30,7 +30,7 @@ class NoSolution:
 @dataclass(frozen=True)
 class Failure:
     # preconditionings of generator levels (a system level 0 eliminates
-    # densely never fails); below the floor, not on a long chain, pivotless levels
+    # densely never fails); below the floor, pivotless levels
     attempts: int = 0
 
     def __bool__(self):

@@ -15,12 +15,15 @@ undone on the answer), then eliminate.  Level 0 (_level0) draws nothing.
 A matrix at most _DENSE_WIDTH wide, or on the dense route, it eliminates
 densely with partial pivoting (_eliminate_dense), which certifies the rank.
 Any other it eliminates as its builder wrote it, by generalized Schur steps
-on its generator (each trailing submatrix is again Toeplitz-like with no
-larger displacement rank, so each step keeps the generator's length): in
-the builders' column orders most leading blocks are invertible.  A
-vanishing leading entry compresses the generator; empty then means a zero
-Schur complement: the rank is certified.  Nonempty is a pivot breakdown,
-and only then is the complement brought to a generic rank profile: padded
+on its generator in blocks (the Schur complement of any invertible leading
+block is again Toeplitz-like with no larger displacement rank, so each
+step keeps the generator's length): a block needs only its own h x h
+block invertible and pivots inside it, so it steps over the leading
+minors that vanish in the builders' column orders.  A zero leading entry
+of a singular block compresses the generator; empty then means a zero
+Schur complement: the rank is certified.  Nonempty is a pivot breakdown
+(in the last step before the dense tail, the tail widens instead), and
+only then is the complement brought to a generic rank profile: padded
 to square (zero rows on top of a wide matrix, zero columns left of a tall
 one, as _kept writes its generator), pre/post-multiplied by random
 unit-triangular Toeplitz matrices (Kaltofen & Saunders, AAECC-9, 1991),
@@ -34,20 +37,24 @@ so a returned Solution is unconditionally correct; NoSolution is returned
 only when the certified rank equals the column count.
 
 Schur steps go in blocks (_schur_block) where each of a block's products
-is one exact float64 product, elsewhere one at a time; pivots depend on
-the matrix alone, so the answers agree.
+is one exact float64 product, elsewhere one at a time.  A level that
+certifies the rank pivots on the matrix's column rank profile whatever the
+block size h, so its answers agree; where a breakdown comes, and so which
+draws follow, depends on h as well as the matrix.
 
 This module owns the whole small-field policy.  The random draws come
 from a sampling set of subset_floor(size) elements, enough for one
 preconditioning to succeed with probability >= 1/2.  A field smaller than
 that is sampled whole and never refused: its Solution and NoSolution are as
-certain as anywhere else, only breakdowns grow likelier: a generator
-level, level 0 included, eliminates about p pivots before one.  Every
-preconditioning, and every rejected candidate, is an attempt; level 0,
+certain as anywhere else, only breakdowns grow likelier.  Where blocks
+run, a breakdown is a zero leading entry whose h x h block is singular, as
+a random one is with probability about 1/p; where Schur steps run, it is
+any zero leading entry, about one pivot in p.  Every preconditioning, and
+every rejected candidate, is an attempt; level 0,
 which draws nothing, is none, so a matrix it eliminates densely never
-fails.  Failure needs max_retries of them; below the floor, but on a prime
-field's long chain (_route), only a level without a pivot or a rejected
-candidate is one, and a pivot resets the count.  A prime field below the
+fails.  Failure needs max_retries of them; below the floor only a level
+without a pivot or a rejected candidate is one, and a pivot resets the
+count.  A prime field below the
 floor may take the dense route (_route) and has a chain's Failure lifted:
 the generator's residue arrays are embedded into a just big enough
 extension F_{p^d}, the matrix is solved there, and the first nonzero
@@ -197,17 +204,18 @@ def _echelon(R, A, B):
     that sum_c A_c (x) B_c is unchanged; rows that become zero are dropped.
 
     Right-looking: each pivot updates all later rows of A with one
-    outer-product op (R.scale).  Later rows are reduced mod p only when they
-    become pivots, which the dtype's bound on accumulated products allows.
-    Row i of B takes the multipliers of pivot i against the rows of B below
-    it, none of which has changed yet, so B is one product (R.combine) with
-    the unit upper-triangular matrix T of all multipliers.
+    outer-product op (R.scale) of products below p^2, left unreduced until
+    one more would pass R.sum_dtype's int64 bound, as in _eliminate_dense;
+    a row reduces when it becomes a pivot.  Row i of B takes the
+    multipliers of pivot i against the rows of B below it, none of which
+    has changed yet, so B is one product (R.combine) with the unit
+    upper-triangular matrix T of all multipliers.
     """
     p = R.p
     A = A.copy()
     T = np.zeros((len(A),) + A.shape[:2], dtype=A.dtype)  # (alpha, alpha, d) scalars
     T[..., 0] = np.eye(len(A), dtype=A.dtype)
-    keep = []
+    keep, updates = [], 0
     for i in range(len(A)):
         A[i] %= p
         cols = A[i].T.nonzero()[0]
@@ -215,9 +223,13 @@ def _echelon(R, A, B):
             continue
         keep.append(i)
         pc = cols[0]
+        if R.sum_dtype(updates + 1) is not np.int64:
+            A[i + 1 :] %= p
+            updates = 0
         # A_j -= (a_j / s) A_i  and  B_i += (a_j / s) B_j
         T[i, i + 1 :] = R.mul(A[i + 1 :, :, pc] % p, R.inv(A[i, :, pc]))
         A[i + 1 :] -= R.scale(T[i, i + 1 :], A[i])
+        updates += 1
     return A[keep], R.combine(T[keep], B)
 
 
@@ -297,11 +309,13 @@ def _schur_step(R, G):
 def _schur_block(R, G, h):
     """Up to h generalized Schur steps on G as _schur_step takes it: the
     pivot rows [I | X A12] of A's leading r x r block A11 = X^-1, (r, d, n),
-    and a generator of its Schur complement; None at a zero leading entry.
-    r < h when the leading (r + 1) x (r + 1) block is singular.
+    and a generator of its Schur complement.  r = h when the leading h x h
+    block is invertible, whatever its leading minors; else r is its first
+    zero pivot without pivoting (_inverse_prefix), and None when that is 0.
 
     A's top rows and first columns (A^T's generator is the halves swapped)
-    are dense; Gauss-Jordan on A11 gives r and X.  With V1, W1 the halves'
+    are dense; Gauss-Jordan on A11 gives r and X.  Nothing below needs more
+    than A11 invertible.  With V1, W1 the halves'
     first r entries, V2, W2 the rest, P (Q) the first r columns (rows) from
     row (column) r - 1 to n - 2 and Z1 the down-shift, the complement's
     displacement is [V2 | P] M [W2 ; Q] (Kailath & Sayed, SIAM Review 1995),
@@ -336,17 +350,26 @@ def _schur_block(R, G, h):
 
 
 def _inverse_prefix(R, A):
-    """(X, r): by Gauss-Jordan without pivoting on [A | I], r the first zero
-    pivot of the (h, d, h) matrix A, or h, and X its leading block's inverse.
-    Unreduced, h <= f64_terms pivots' products stay below 2^54."""
+    """(X, r) for the (h, d, h) matrix A by Gauss-Jordan on [A | I]: (A^-1,
+    h) when A is invertible, else r0, its first zero pivot without
+    pivoting, and X the inverse of its leading r0 x r0 block.  From r0 on
+    the first row below with a nonzero entry in the pivot column is swapped
+    up.  Unreduced, h <= f64_terms pivots' products stay below 2^54."""
     p, h = R.p, len(A)
     aug = np.concatenate([A, np.eye(h, dtype=A.dtype)[:, None] * R.unit(1, 0)], axis=2)
+    prefix = None
     for r in range(h):
         row = aug[r] % p
         try:
             inv = R.inv(row[:, r])
         except DivisionByZero:
-            return aug[:r, :, h : h + r] % p, r
+            prefix = prefix or (aug[:r, :, h : h + r] % p, r)
+            below = (aug[r + 1 :, :, r] % p).any(axis=1).nonzero()[0]
+            if not below.size:
+                return prefix
+            aug[[r, r + 1 + below[0]]] = aug[[r + 1 + below[0], r]]
+            row = aug[r] % p
+            inv = R.inv(row[:, r])
         row = R.scale(inv[0], row) % p
         aug -= R.scale(aug[:, :, r] % p, row)
         aug[r] = row
@@ -355,27 +378,28 @@ def _inverse_prefix(R, A):
 
 def _eliminate(R, v, w, width=None):
     """Generator-based Schur elimination of the matrix A of the halves v
-    (alpha, d, nrows) and w (alpha, d, ncols): blocks of Schur steps without
-    pivoting, then a dense tail with pivoting.
+    (alpha, d, nrows) and w (alpha, d, ncols): block steps, each pivoting
+    only inside its own block, then a dense tail with pivoting.
 
     Returns (pivot_rows, cols, rest): the pivot columns cols, their rows in
     blocks, each (h, d, ncols - c) from its pivot columns c .. c + h - 1 on,
-    where it is the identity.  At a vanishing leading entry the generator is
-    compressed again; rest is None when that leaves it empty (a zero Schur
-    complement) or once the rows or columns run out, and otherwise the
-    compressed (v, w) halves of the nonzero complement: a pivot breakdown,
-    with cols 0..t-1.
+    where it is the identity.  A step that takes no pivot (a zero leading
+    entry of a singular block) compresses the generator again; rest is None
+    when that leaves it empty (a zero Schur complement) or once the rows or
+    columns run out, and otherwise the compressed (v, w) halves of the
+    nonzero complement: a pivot breakdown, with cols 0..t-1.
 
     A step takes h = min(_BLOCK, 2 _BLOCK // d, f64_terms) pivots
     (_schur_block) where h >= _BLOCK // 4, else one (_schur_step).  A block
-    of fewer than h pivots stopped at a zero leading entry, so the
-    compression follows it at once.  The shorter half is zero-padded at its
-    end, which changes the matrix only past A's rows (or columns), never
-    read by the first min(nrows, ncols) pivots.  Pivot rows and a
-    breakdown's halves are cut to A's columns and rows.  Each step keeps the
-    generator's length.  The last `width` rows (_DENSE_WIDTH by default) of
-    the shorter side, unless the sides differ by more, are eliminated with
-    pivoting (_eliminate_dense), which never breaks down.
+    cut short by a singular h x h block is no breakdown: the next one
+    starts at its zero leading entry.  A breakdown in the last step before
+    the dense tail widens the tail instead.  The shorter half is
+    zero-padded at its end, which changes the matrix only past A's rows (or
+    columns), never read by the first min(nrows, ncols) pivots.  Pivot rows
+    and a breakdown's halves are cut to A's columns and rows.  Each step
+    keeps the generator's length.  The last `width` rows (_DENSE_WIDTH by
+    default) of the shorter side, unless the sides differ by more, are
+    eliminated with pivoting (_eliminate_dense), which never breaks down.
     """
     nrows, ncols = v.shape[2], w.shape[2]
     G = np.zeros((2, len(v), R.d, max(nrows, ncols)), R.dtype)
@@ -388,13 +412,14 @@ def _eliminate(R, v, w, width=None):
     while t < stop:
         h = min(block, stop - t) if block else 1
         step = _schur_block(R, G, h) if block else _schur_step(R, G)
-        if step is not None:
-            rows, G = step
-            pivot_rows.append(rows[..., : ncols - t])
-            t += len(rows)
-        if step is None or len(rows) < h:  # the next leading entry is zero
+        if step is None and t + h == stop < min(nrows, ncols):
+            break
+        if step is None:
             rest = _compress(R, G[0, ..., : nrows - t], G[1, ..., : ncols - t])
             return pivot_rows, list(range(t)), rest if len(rest[0]) else None
+        rows, G = step
+        pivot_rows.append(rows[..., : ncols - t])
+        t += len(rows)
     rows, cols = [], []
     if t < min(nrows, ncols):
         rows, cols = _eliminate_dense(R, _dense(R, G[0, ..., : nrows - t], G[1, ..., : ncols - t]))
@@ -500,8 +525,8 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     on the Schur complement with fresh draws, and the rank certified at the
     end is the sum of the levels' ranks, level 0's included.  A zero or
     unverified candidate is an attempt too, and starts a new chain from
-    level 0's complement; below the sampling-set floor, but on _route's
-    "long" chain, a level with a pivot is none.
+    level 0's complement; below the sampling-set floor a level with a
+    pivot is none.
 
     Later levels are solved padded to square (_kept), and a Solution holds
     the (d, ncols) residue array that _apply has checked on G.  A
@@ -520,9 +545,8 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
     min_size = subset_floor(size)
     R = residues(G.ctx)
     whole = R.ctx.order < min_size
-    route = _route(size, R.p) if whole and R.d == 1 else "chain"
-    refund = whole and route == "chain"  # a level with a pivot is no attempt
-    rows0, cols0, top, start, ncols = _level0(R, G, route == "dense")
+    dense = whole and R.d == 1 and _route(size, R.p) == "dense"
+    rows0, cols0, top, start, ncols = _level0(R, G, dense)
     one = R.unit(1, 0)
     misses = rejected = 0
     while misses < max_retries:
@@ -534,8 +558,9 @@ def nullspace_structured(G: GeneratorPair, rng, max_retries: int = 8):
             u_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
             l_full = np.concatenate([one, _draw(R, min_size, rng, left - 1)], axis=1)
             pivot_rows, cols, level = _level(R, level, u_full, l_full)
-            # on refund: levels in a row without a pivot, and rejections
-            misses = rejected if refund and cols else misses + 1
+            # below the floor a level with a pivot is no attempt: misses
+            # are levels in a row without one, and rejections
+            misses = rejected if whole and cols else misses + 1
             levels.append((pivot_rows, cols, l_full))
             left -= len(cols)
         if level is not None:
@@ -588,16 +613,14 @@ def _level0(R, G: GeneratorPair, dense: bool):
 
 
 def _route(size: int, p: int) -> str:
-    """The route of a prime field below the floor, by size and expected
-    levels size / p: "chain" under 1.5; "dense" (level 0 eliminates the
-    whole matrix with pivoting) while size * p <= 4000 within
-    DENSE_GUARD_CELLS; then "chain" under 32, and "long" (every level an
-    attempt, so the faster lift comes sooner) from 32."""
-    if size < 1.5 * p:
-        return "chain"
-    if size * p <= 4000 and size * size <= DENSE_GUARD_CELLS:
-        return "dense"
-    return "chain" if size < 32 * p else "long"
+    """The route of a prime field below the floor: "dense" (level 0
+    eliminates the whole matrix with pivoting) from 1.5 p rows while size *
+    p <= 1000 within DENSE_GUARD_CELLS, else "chain".  Blocks break down
+    about once in 32 (p - 1)^2 pivots, so the chain beat the dense route
+    from F_2 at 700 rows, F_3 at 600 and F_7 at 300, and the lift at every
+    size timed (F_2 at 1100 rows: 0.55 against 4.8 s)."""
+    dense = 1.5 * p <= size and size * p <= 1000 and size * size <= DENSE_GUARD_CELLS
+    return "dense" if dense else "chain"
 
 
 def _lift(G: GeneratorPair, min_size: int, rng) -> GeneratorPair:

@@ -152,20 +152,42 @@ def test_schur_step_tracks_the_dense_schur_complement(name):
     assert certified and completed
 
 
-def gauss_jordan(R, A, k):
-    """A (m, d, n) after k Gauss-Jordan pivots without pivoting, one entry
-    at a time: rows 0..k-1 reduced to [I | X A12], the Schur complement of
-    the leading k x k block below and right of them; None if a pivot is
-    zero."""
+def gauss_jordan(R, A, k, block=0):
+    """A (m, d, n) after k Gauss-Jordan pivots, one entry at a time: rows
+    0..k-1 reduced to [I | X A12], X the inverse of the leading k x k block,
+    the Schur complement of that block below and right of them.  A zero
+    pivot takes the first row below it, among the first `block` rows, with
+    a nonzero entry in its column; None if there is none."""
     A = A % R.p
     for i in range(k):
-        if not A[i, :, i].any():
+        below = [j for j in range(i, max(i + 1, block)) if A[j, :, i].any()]
+        if not below:
             return None
+        A[[i, below[0]]] = A[[below[0], i]]
         A[i] = R.scale(R.inv(A[i, :, i])[0], A[i]) % R.p
         col = A[:, :, i].copy()
         col[i] = 0
         A = (A - R.scale(col, A[i])) % R.p
     return A
+
+
+def blocks_stop(R, A, h, stop):
+    """The pivots that steps of up to h pivots take on the dense matrix A
+    before one is empty or `stop` is reached: a step takes its whole
+    leading h x h block when that is invertible (gauss_jordan pivoting
+    inside it), else the pivots before its first zero pivot without
+    pivoting, none at a zero leading entry."""
+    S, t = A % R.p, 0
+    while t < stop:
+        size = min(h, stop - t)
+        whole = gauss_jordan(R, S, size, size)
+        if whole is not None:
+            S, t = whole[size:, :, size:], t + size
+        elif not S[0, :, 0].any():
+            return t
+        while whole is None and S[0, :, 0].any():
+            S, t = gauss_jordan(R, S, 1)[1:, :, 1:], t + 1
+    return t
 
 
 BLOCK_FIELDS = {"F65537": F65537, "F13^4": F13_4, "GF256": GF256}
@@ -174,53 +196,64 @@ BLOCK_FIELDS = {"F65537": F65537, "F13^4": F13_4, "GF256": GF256}
 @pytest.mark.parametrize("shape", ["square", "wide", "tall"])
 @pytest.mark.parametrize("name", list(BLOCK_FIELDS))
 def test_block_step_tracks_the_dense_schur_complement(name, shape):
-    # each block step of up to h = _BLOCK pivots takes r <= h at once: its
-    # rows are the reduced rows [I | X A12] of the Gauss-Jordan oracle, and
-    # its generator, no longer than the compressed one, is that of the
-    # dense Schur complement.  A singular leading minor cuts a block short
-    # (r < h) and the next step meets a zero leading entry; a zero
-    # complement then compresses to nothing, which certifies the rank.  The
-    # blocks back-substitute the vector that their rows taken one at a
-    # time do, for the same free draws, in the nullspace once certified
+    # each block step of up to h = _BLOCK pivots takes r <= h at once: h
+    # when the leading h x h block of the matrix left is invertible, whatever
+    # its leading minors, else r0, its first zero pivot without pivoting.
+    # Its rows are the reduced rows [I | X A12] of the Gauss-Jordan oracle,
+    # which swaps rows inside the block, and its generator, no longer than
+    # the compressed one, is that of the dense Schur complement.  A
+    # vanishing leading minor inside an invertible block is stepped over,
+    # at the block's start or in its middle; a singular block cuts the step
+    # short (r < h), and the next step, at a zero leading entry, returns
+    # None when its own block is singular too; a zero complement then
+    # compresses to nothing, which certifies the rank.  The blocks
+    # back-substitute the vector that their rows taken one at a time do,
+    # for the same free draws, in the nullspace once certified
     ctx = BLOCK_FIELDS[name]
     R = Residues(ctx)
     cut = certified = 0
-    for seed in range(3):
+    pivoted = set()
+    for seed in range(5):
         r = random.Random(seed)
-        m = r.randint(40, 70)
+        m = r.randint(40, 70) if seed < 3 else r.randint(50, 70)
         n = {"square": m, "wide": m + r.randint(1, 9), "tall": m - r.randint(1, 9)}[shape]
-        if seed == 0:  # the leading (k + 1) x (k + 1) block singular
-            A = singular_block_case(R, m, n, r.randint(34, min(m, n) - 2), False, r)[0]
+        if seed == 0:  # row k in the span of the rows above: every minor from k + 1 on vanishes
+            A = singular_block_case(R, m, n, r.randint(34, min(m, n) - 2), False, r, n)[0]
         elif seed == 1:  # a zero complement after the rank's pivots
             A = low_rank_residues(R, m, n, r.randint(33, min(m, n) - 1), r)
-        else:
+        elif seed == 2:
             A = residue_matrix(R, m, n, r)
+        else:  # only the leading (k + 1) x (k + 1) minor vanishes, at a block's start or inside it
+            A = singular_block_case(R, m, n, 32 if seed == 3 else r.randint(34, 44), False, r)[0]
         G = gen_from_residues(R, A)
         v, w = _compress(R, G.v, G.w)
         size, alpha = max(m, n), len(v)
         G = np.zeros((2, alpha, R.d, size), R.dtype)
         G[0, ..., :m], G[1, ..., :n] = v, w
-        blocks, t, in_kernel = [], 0, True
+        blocks, t, in_kernel, S = [], 0, True, A % R.p
         while t < min(m, n):
             h = min(struct_solve._BLOCK, min(m, n) - t)
             step = _schur_block(R, G, h)
+            whole = gauss_jordan(R, S, h, h)
             if step is None:
-                assert not gauss_jordan(R, A, t)[t, :, t].any()
+                assert whole is None and not S[0, :, 0].any()
                 left = _compress(R, G[0, ..., : m - t], G[1, ..., : n - t])[0]
-                zero = not gauss_jordan(R, A, t)[t:, :, t:].any()
+                zero = not S.any()
                 assert (not len(left)) == zero
                 in_kernel = zero
                 break
             rows, G = step
             k = len(rows)
             assert 1 <= k <= h and G.shape[:3] == (2, alpha, R.d)
-            want = gauss_jordan(R, A, t + k)
-            assert np.array_equal(rows[..., : n - t], want[t : t + k, :, t:])
+            want = whole if k == h else gauss_jordan(R, S, k)
+            assert np.array_equal(rows[..., : n - t], want[:k])
             if k < h:
-                assert not want[t + k, :, t + k].any()
+                assert whole is None and not want[k, :, k].any()
                 cut += 1
+            elif gauss_jordan(R, S, h) is None:  # a leading minor vanished inside the block
+                pivoted.add("middle" if S[0, :, 0].any() else "start")
             t += k
-            S, (v, w) = want[t:, :, t:], G
+            S, (v, w) = want[k:, :, k:], G
             if S.size:
                 assert np.array_equal(dense_from_halves(R, v[..., : m - t], w[..., : n - t]), S)
             blocks.append(rows[..., : n - t + k])
@@ -232,7 +265,7 @@ def test_block_step_tracks_the_dense_schur_complement(name, shape):
         assert np.array_equal(struct_solve._back_substitute(R, singles, cols, free), x)
         if in_kernel:
             assert not dense_matvec(R, A, x).any()
-    assert certified and cut
+    assert certified and cut and pivoted == {"start", "middle"}
 
 
 @pytest.mark.parametrize(
@@ -285,19 +318,20 @@ def gs_deep_params():
 
 
 def test_one_compression_per_attempt(monkeypatch):
-    # with the dense crossover pinned to 0, the gs 384 x 385 system's level 0
-    # (its own generator, not preconditioned) breaks down at pivot 187 and
-    # compresses the 197 x 198 complement once; each attempt on that
-    # complement compresses once more, at the leading entry that vanishes
-    # where the Schur complement is zero.  At the crossover the same entries
-    # vanish at the same widths, the attempts' last ones met by dense
-    # eliminations, which never compress.  The F7 case (8 x 8, rank 5, a
-    # zero leading entry) pinned to 0 breaks down at level 0's first step,
-    # which hands its compressed generator to a chain of preconditioned
-    # levels, each compressing once where its leading entry vanishes (at
-    # the crossover level 0 eliminates it densely, with pivoting, alone).  A
-    # breakdown is a block step (_schur_block) that meets a zero leading
-    # entry: it returns None, or fewer pivots than it was asked for
+    # with the dense crossover pinned to 0, the gs 384 x 385 system in the
+    # toeplitz builder's column order has its level 0 (its own generator,
+    # not preconditioned) break down at pivot 103 and compress the 281 x 282
+    # complement once; each attempt on that complement compresses once
+    # more, at the leading entry that vanishes where the Schur complement is
+    # zero.  At the crossover the same entries vanish at the same widths,
+    # the attempts' last ones met by dense eliminations, which never
+    # compress.  The F7 case (8 x 8, rank 5, a zero leading entry) pinned to
+    # 0 breaks down at level 0's first step, which hands its compressed
+    # generator to a chain of preconditioned levels, each compressing once
+    # where its leading entry vanishes (at the crossover level 0 eliminates
+    # it densely, with pivoting, alone).  A breakdown is a block step
+    # (_schur_block) that returns None: its leading entry is zero and its
+    # h x h block singular; a step cut short by a singular block is none
     crossover = struct_solve._DENSE_WIDTH
     calls = dict.fromkeys(["_compress", "_precondition", "_schur_block", "_eliminate_dense"], 0)
     vanished, widths = [], []
@@ -306,8 +340,8 @@ def test_one_compression_per_attempt(monkeypatch):
         def counted(*args, real=getattr(struct_solve, name), name=name):
             calls[name] += 1
             out = real(*args)
-            if name == "_schur_block" and (out is None or len(out[0]) < args[2]):
-                vanished.append((args[1] if out is None else out[1]).shape[-1])
+            if name == "_schur_block" and out is None:
+                vanished.append(args[1].shape[-1])
             if name == "_eliminate_dense" and len(out[0]) < len(args[1]):
                 vanished.append(len(args[1]) - len(out[0]))  # the rows left unpivoted
             if name == "_precondition":
@@ -327,7 +361,7 @@ def test_one_compression_per_attempt(monkeypatch):
         widths.clear()
         monkeypatch.setattr(struct_solve, "_DENSE_WIDTH", width)
         if case == "gs":
-            out = gs_interpolate(gs_deep_params(), random.Random(5))
+            out = gs_interpolate(gs_deep_params(), random.Random(5), "toeplitz")
         else:
             out = nullspace_structured(f7, random.Random(104), 8)
         assert isinstance(out, Solution)
@@ -335,7 +369,7 @@ def test_one_compression_per_attempt(monkeypatch):
 
     generator, at_vanish = solve("gs", 0)
     attempts = generator["_precondition"]
-    assert at_vanish[0] == 385 - 187 and set(widths) == {198}
+    assert at_vanish[0] == 385 - 103 and set(widths) == {282}
     assert generator["_compress"] == 1 + attempts == len(at_vanish)
     dense, at_vanish_dense = solve("gs", crossover)
     assert dense["_precondition"] == dense["_eliminate_dense"] == attempts
@@ -397,10 +431,11 @@ def test_elimination_with_and_without_the_first_compression(monkeypatch, ctx):
 def test_last_attempt_levels_sum_to_the_rank(monkeypatch, case):
     # over the recorded levels of one solve, the last attempt (from the last
     # level at the size of the first) ends certified, and its levels' ranks
-    # and level 0's sum to the matrix rank: 384 for the gs system, 187 in
-    # level 0 and 197 in one preconditioned level of its complement, 5 for
-    # the F7 case, handed whole to a chain of generator levels (the dense
-    # crossover pinned to 0), which breaks down into several
+    # and level 0's sum to the matrix rank: 384 for the gs system in the
+    # toeplitz builder's column order, 103 in level 0 and 281 in one
+    # preconditioned level of its complement, 5 for the F7 case, handed
+    # whole to a chain of generator levels (the dense crossover pinned to
+    # 0), which breaks down into several
     calls, level0 = [], []
     if case == "F7-breakdown":
         level0_passes_through(monkeypatch)
@@ -419,7 +454,7 @@ def test_last_attempt_levels_sum_to_the_rank(monkeypatch, case):
     monkeypatch.setattr(struct_solve, "_level", recorded)
     monkeypatch.setattr(struct_solve, "_level0", recorded0)
     if case == "gs-384x385":
-        out = gs_interpolate(gs_deep_params(), random.Random(5))
+        out = gs_interpolate(gs_deep_params(), random.Random(5), "toeplitz")
     else:
         out = nullspace_structured(golden_case(F7, "square", 1), random.Random(101), 8)
     assert isinstance(out, Solution)
@@ -428,8 +463,31 @@ def test_last_attempt_levels_sum_to_the_rank(monkeypatch, case):
     last = calls[start:]
     assert last[-1][2]
     assert (len(last) > 1) == (case == "F7-breakdown")
-    assert level0 == ([187] if case == "gs-384x385" else [0])
+    assert level0 == ([103] if case == "gs-384x385" else [0])
     assert sum(rank for _, rank, _ in last) + level0[0] == (384 if case == "gs-384x385" else 5)
+
+
+def test_level0_steps_over_the_hankel_orders_vanishing_minors(monkeypatch):
+    # in the hankel builder's column order (the kernel's columns reversed)
+    # the gs 384 x 385 system's leading minors 188-199 vanish, but no
+    # block's own h x h block is singular: the block from pivot 160 is cut
+    # short at 187, the next starts at a zero leading entry and pivots
+    # inside its block, and level 0 takes all 384 pivots, so the solve
+    # compresses, keeps and preconditions nothing (none is callable here)
+    steps = []
+    real = struct_solve._inverse_prefix
+
+    def recorded(R, A):
+        out = real(R, A)
+        steps.append((bool((A[0, :, 0] % R.p).any()), out[1], len(A)))
+        return out
+
+    monkeypatch.setattr(struct_solve, "_inverse_prefix", recorded)
+    for name in ("_compress", "_kept", "_precondition"):
+        monkeypatch.setattr(struct_solve, name, None)
+    assert isinstance(gs_interpolate(gs_deep_params(), random.Random(5)), Solution)
+    assert (True, 27, 32) in steps and (False, 32, 32) in steps
+    assert sum(r for _, r, _ in steps) == 384 - struct_solve._DENSE_WIDTH
 
 
 # ------------------------------------------------------------ level 0
@@ -443,14 +501,16 @@ def residue_matrix(R, m, n, rng):
     return np.array(flat, dtype=R.dtype).reshape(m, R.d, n)
 
 
-def singular_block_case(R, m, n, k, deficient, rng):
+def singular_block_case(R, m, n, k, deficient, rng, span=None):
     """A random m x n matrix whose leading (k+1) x (k+1) block is singular
-    (row k's first k + 1 entries a combination of the rows above) but whose
-    leading k x k block is not, so level 0 stops after k pivots; deficient,
-    its last column is a combination of the others.  Returned with the
-    generator (its displacement, the identity) the kernel is given."""
+    (row k's first `span` entries, k + 1 by default, a combination of the
+    rows above, so the leading j x j blocks for k < j <= span are singular
+    too) but whose leading k x k block is not; deficient, its last column
+    is a combination of the others.  Returned with the generator (its
+    displacement, the identity) the kernel is given."""
     A = residue_matrix(R, m, n, rng)
-    A[k, :, : k + 1] = R.combine(residue_matrix(R, k, 1, rng)[..., 0], A[:k, :, : k + 1])
+    span = k + 1 if span is None else span
+    A[k, :, :span] = R.combine(residue_matrix(R, k, 1, rng)[..., 0], A[:k, :, :span])
     if deficient:
         mix = residue_matrix(R, n - 1, 1, rng)[..., 0]
         A[:, :, -1] = R.combine(mix, A[:, :, :-1].transpose(2, 1, 0)).T
@@ -502,45 +562,56 @@ def assert_level0_is_the_dense_elimination(R, A, G):
 @pytest.mark.parametrize("shape", ["wide", "square", "tall"])
 @pytest.mark.parametrize("name", list(LEVEL0_FIELDS))
 def test_level0_stops_at_a_singular_leading_block(monkeypatch, name, shape):
-    # level 0 eliminates the matrix as given, with no draws, until the
-    # leading entry vanishes at pivot k; only the complement left is
-    # preconditioned (its first level is max(m, n) - k wide), unless the
-    # singular block lies in the last _DENSE_WIDTH rows, whose pivoting
-    # elimination certifies the rank with no level; the verdict is the
-    # dense rank's: NoSolution only at full column rank
+    # level 0 eliminates the matrix as given, with no draws, and stops only
+    # where the h x h block left is singular and its leading entry zero
+    # (blocks_stop; h = 1 where the kernel takes Schur steps, over 2^61 -
+    # 1): with row k in the span of the rows above, every leading minor
+    # from k + 1 on vanishes and it stops after k pivots; only the
+    # complement left is preconditioned (its first level is max(m, n) - k
+    # wide), unless the singular block lies in the last step before the
+    # dense tail or in the tail, whose pivoting elimination certifies the
+    # rank with no level.  With only row k's first k + 1 entries in that
+    # span, one minor vanishes, and blocks step over it.  The verdict is
+    # the dense rank's: NoSolution only at full column rank
     ctx = LEVEL0_FIELDS[name]
     R = Residues(ctx)
+    h = min(struct_solve._BLOCK, 2 * struct_solve._BLOCK // ctx.d, R.f64_terms)
+    h = h if h >= struct_solve._BLOCK // 4 else 1
     starts = []
     real = struct_solve._level
     monkeypatch.setattr(struct_solve, "_level", lambda *a: starts.append(a[2].shape[1]) or real(*a))
-    verdicts, stops, passed = set(), [], []
+    verdicts, stops, through, passed = set(), [], [], []
     for seed in range(4):
         r = random.Random(seed)
         m = r.randint(33, 64)
         n = {"wide": m + r.randint(1, 16), "square": m, "tall": m - r.randint(1, 16)}[shape]
         k = r.randint(1, min(m, n) - 2)
-        A, G = singular_block_case(R, m, n, k, seed % 2, r)
-        for width in (0, struct_solve._DENSE_WIDTH):  # without a dense tail, and with it
-            with monkeypatch.context() as mp:
-                mp.setattr(struct_solve, "_DENSE_WIDTH", width)
-                cols, rest = assert_level0_is_the_dense_elimination(R, A, G)
-                starts.clear()
-                out = nullspace_structured(G, random.Random(seed), 8)
-            if rest is None:
-                assert width and not starts
-                passed.append(len(cols) > k)
-            else:  # GF(2^8): a leading minor may vanish first
-                assert len(cols) <= k and starts[0] == max(m, n) - len(cols)
-            if not width:
-                stops.append(len(cols) == k)
-            if dense_rank(R, A) == n:
-                assert out == NoSolution("certified rank equals the unknown count")
-            else:
-                assert isinstance(out, Solution) and out.value.any()
-                assert not dense_matvec(R, A, out.value).any()
-            verdicts.add(type(out))
+        for span in (n, k + 1):  # the blocks from k on singular, or one minor
+            A, G = singular_block_case(R, m, n, k, seed % 2, r, span)
+            for width in (0, struct_solve._DENSE_WIDTH):  # without a dense tail, and with it
+                with monkeypatch.context() as mp:
+                    mp.setattr(struct_solve, "_DENSE_WIDTH", width)
+                    cols, rest = assert_level0_is_the_dense_elimination(R, A, G)
+                    starts.clear()
+                    out = nullspace_structured(G, random.Random(seed), 8)
+                if rest is None:
+                    assert not starts
+                    if width:
+                        passed.append(len(cols) > k)
+                else:
+                    assert starts[0] == max(m, n) - len(cols)
+                if not width:
+                    assert len(cols) == blocks_stop(R, A, h, min(m, n))
+                    (stops if span == n else through).append(len(cols) > k)
+                if dense_rank(R, A) == n:
+                    assert out == NoSolution("certified rank equals the unknown count")
+                else:
+                    assert isinstance(out, Solution) and out.value.any()
+                    assert not dense_matvec(R, A, out.value).any()
+                verdicts.add(type(out))
     assert verdicts == ({Solution} if shape == "wide" else {Solution, NoSolution})
-    assert all(stops) if ctx.order > 2**16 else any(stops)
+    assert not any(stops) if ctx.order > 2**16 else not all(stops)
+    assert any(through) == (h > 1)
     assert all(passed) and passed
 
 
@@ -562,6 +633,31 @@ def test_level0_alone_certifies_a_zero_complement(monkeypatch):
         else:
             assert isinstance(out, Solution) and out.value.any()
             assert not dense_matvec(R, A, out.value).any()
+
+
+def test_a_late_breakdown_widens_the_dense_tail(monkeypatch):
+    # the block steps of a 100 x 101 matrix end at pivot 68, and the dense
+    # tail takes the last 32 rows.  With row 66 in the span of the rows
+    # above, the block from 64 is cut short at 66 and the next, 2 pivots at
+    # a zero leading entry, is singular: in the last step before the tail
+    # that is no breakdown, and the pivoting elimination takes the 34 rows
+    # from 66 on and certifies the rank, with no compression and no level
+    # (none is callable here).  With no dense tail the same step breaks
+    # down, and its complement is compressed
+    R = Residues(F24)
+    shapes = spy_dense_eliminations(monkeypatch)
+    A, G = singular_block_case(R, 100, 101, 66, False, random.Random(66), 101)
+    with monkeypatch.context() as mp:
+        for name in ("_compress", "_level"):
+            mp.setattr(struct_solve, name, None)
+        cols, rest = assert_level0_is_the_dense_elimination(R, A, G)
+        out = nullspace_structured(G, random.Random(1), 8)
+    assert rest is None and len(cols) == dense_rank(R, A) == 99
+    assert shapes[0] == (34, 1, 35)
+    assert isinstance(out, Solution) and not dense_matvec(R, A, out.value).any()
+    monkeypatch.setattr(struct_solve, "_DENSE_WIDTH", 0)
+    cols, rest = assert_level0_is_the_dense_elimination(R, A, G)
+    assert len(cols) == 66 and rest is not None
 
 
 @settings(max_examples=40, deadline=None)
@@ -932,16 +1028,16 @@ def test_f5_square_systems_rarely_fail():
 
 
 def test_the_route_follows_the_chain_length_and_the_matrix_size():
-    # a chain expected within 1.5 levels stays a chain; a longer one takes
-    # the dense route while size * p <= 4000 and the matrix is within
-    # DENSE_GUARD_CELLS (1024 rows), past that the chain under 32 levels,
-    # and the long chain, which ends in the lift, from 32 levels on
+    # a system narrower than 1.5 p stays a chain; a wider one takes the
+    # dense route while size * p <= 1000 and the matrix is within
+    # DENSE_GUARD_CELLS, and the chain past that at any size: block steps
+    # break down so rarely that the chain beat the dense route and the lift
     route = struct_solve._route
     assert route(8, 7) == route(25, 101) == "chain"  # the F7 golden case
-    dense = [(22, 13), (61, 5), (131, 13), (201, 2), (307, 13), (800, 5), (1001, 2), (1024, 3)]
+    dense = [(22, 13), (61, 5), (76, 13), (200, 5), (201, 2), (333, 3), (500, 2)]
     assert [route(s, p) for s, p in dense] == ["dense"] * len(dense)
-    assert route(308, 13) == route(415, 13) == route(601, 101) == "chain"
-    assert route(416, 13) == route(801, 5) == route(1025, 2) == route(4000, 2) == "long"
+    chain = [(77, 13), (201, 5), (334, 3), (501, 2), (601, 101), (1024, 3), (1025, 2), (4000, 2)]
+    assert [route(s, p) for s, p in chain] == ["chain"] * len(chain)
 
 
 def count_lifts(monkeypatch):
@@ -982,11 +1078,12 @@ def test_the_dense_answer_stops_at_the_cells_guard(monkeypatch):
     assert lifts == []
 
 
-@pytest.mark.parametrize("p, m", [(5, 60), (13, 130), (101, 600)])
+@pytest.mark.parametrize("p, m", [(5, 60), (13, 130), (101, 600), (3, 1100)])
 def test_long_chains_make_no_lift(monkeypatch, p, m):
-    # systems many times larger than p: F_5 and F_13 take the dense route,
-    # F_101 the chain, whose levels with a pivot spend none of the 8
-    # attempts; each is answered with a base-field vector, with no lift
+    # systems many times larger than p: F_5 takes the dense route, F_13,
+    # F_101 and F_3 past the dense guard the chain, whose levels with a
+    # pivot spend none of the 8 attempts; each is answered with a
+    # base-field vector, with no lift
     ctx = prime_field(p)
     R = Residues(ctx)
     lifts = count_lifts(monkeypatch)
@@ -1046,32 +1143,6 @@ def test_a_chain_of_one_pivot_levels_never_fails(monkeypatch):
             assert isinstance(out, Solution)
             assert all(e.is_zero() for e in mat_vec(A, elements(F13, out.value), F13))
     assert lifts == []
-
-
-def test_a_long_chain_spends_an_attempt_on_every_level(monkeypatch):
-    # the same one-pivot levels on the "long" route: each is an attempt, so
-    # max_retries of them end the base-field chain in one lift
-    F13 = prime_field(13)
-    real = struct_solve._eliminate
-    level0_passes_through(monkeypatch)
-    monkeypatch.setattr(struct_solve, "_route", lambda size, p: "long")
-
-    def cut_in_prime_fields(R, v, w):
-        return (first_pivot_only if R.d == 1 else real)(R, v, w)
-
-    monkeypatch.setattr(struct_solve, "_eliminate", cut_in_prime_fields)
-    levels = []
-    real_level = struct_solve._level
-    monkeypatch.setattr(
-        struct_solve, "_level", lambda *args: levels.append(args[0].ctx) or real_level(*args)
-    )
-    lifts = count_lifts(monkeypatch)
-    A = low_rank_matrix(F13, 14, 14, 10, random.Random(3))
-    out = nullspace_structured(gen_from_dense("toeplitz", A, F13), random.Random(4), 8)
-    assert levels[:8] == [F13] * 8 and all(c.d > 1 for c in levels[8:])
-    assert lifts == [(F13, 3)]  # 13^2 < subset_floor(14) = 1350 <= 13^3
-    assert isinstance(out, Solution)
-    assert all(e.is_zero() for e in mat_vec(A, elements(F13, out.value), F13))
 
 
 def test_levels_without_progress_fail_and_lift_once(monkeypatch):
@@ -1136,7 +1207,7 @@ SMALL_PRIMES = [prime_field(p) for p in (2, 3, 5, 7, 13)]
     st.integers(4, 48),
     st.integers(4, 48),
     st.integers(0, 3),
-    st.sampled_from([None, "chain", "dense", "long"]),
+    st.sampled_from([None, "chain", "dense"]),
     st.integers(0, 2**32),
 )
 def test_every_small_field_route_matches_the_dense_rank(ctx, m, n, kind, route, seed):

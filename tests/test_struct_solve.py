@@ -216,6 +216,31 @@ def test_compress_preserves_product_and_reaches_rank(ctx):
         assert len(cv) == matrix_rank(ctx, prod, n)
 
 
+@pytest.mark.parametrize("p", [2**31 - 1, 998244353, 16777213])
+def test_compress_keeps_the_matrix_past_int64_updates(p):
+    # _echelon leaves the rows below a pivot unreduced only while one more
+    # update of products below p^2 stays within int64 (R.sum_dtype): over
+    # 2^31 - 1 it reduces before every update, over 998244353 before every
+    # fourth, over 16777213 never.  Halves of alpha = 8 with 4 random pairs
+    # repeated in shuffled order (rank 4), and halves all p - 1 (rank 1),
+    # compress to halves of the same matrix, both read in object arithmetic
+    ctx = prime_field(p)
+    R = residues(ctx)
+    rng = random.Random(p)
+    full = np.full((8, 1, 12), p - 1, dtype=np.int64)
+    cases = [(full, full.copy(), 1)]
+    for _ in range(100):
+        pairs = [[rng.randrange(p) for _ in range(24)] for _ in range(4)] * 2
+        rng.shuffle(pairs)
+        halves = np.array(pairs, dtype=np.int64).reshape(8, 2, 1, 12)
+        cases.append((halves[:, 0].copy(), halves[:, 1].copy(), 4))
+    for v, w, rank in cases:
+        cv, cw = _compress(R, v, w)
+        want = dense_from_halves(R, v.astype(object), w.astype(object))
+        assert np.array_equal(dense_from_halves(R, cv.astype(object), cw.astype(object)), want)
+        assert len(cv) == rank
+
+
 # ------------------------------------------------------------ preconditioner
 
 
