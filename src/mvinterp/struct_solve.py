@@ -40,7 +40,12 @@ Schur steps go in blocks (_schur_block) where each of a block's products
 is one exact float64 product, elsewhere one at a time.  A level that
 certifies the rank pivots on the matrix's column rank profile whatever the
 block size h, so its answers agree; where a breakdown comes, and so which
-draws follow, depends on h as well as the matrix.
+draws follow, depends on h as well as the matrix.  Over a prime field
+whose int64 residues sum _STEP products, a block's Gauss-Jordan
+(_inverse_prefix) and the dense elimination take _STEP pivots per step,
+their block inverted in Python ints (_inverse4), unless one is zero: the
+inverse, the pivot columns and the vector for given draws are unique, so
+the answers are those of one pivot at a time.
 
 This module owns the whole small-field policy.  The random draws come
 from a sampling set of subset_floor(size) elements, enough for one
@@ -66,9 +71,11 @@ field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
 a generator half one stacked (alpha, d, n) array, as the builders write it,
 and the elimination stacks both halves.  The Schur step and block, the
 echelon, the dense elimination and the back-substitution are written once,
-each op one Residues call whose d = 1 shortcuts keep a prime-field step at
-about 13 numpy calls; d appears here only in the lift policy and a block's
-size.  The random draws are digits of the sampled indices; the answer is a
+each op one Residues call whose d = 1 shortcuts keep a prime-field Schur
+step at about 13 numpy calls and a single pivot of the Gauss-Jordan or the
+dense elimination at about 10, which a step of _STEP pivots cuts to about 3
+a pivot; d appears here only in the lift policy, a block's size and the
+step's.  The random draws are digits of the sampled indices; the answer is a
 residue array.
 
 Generator applies (_apply, _apply_last, _precondition) are batched products
@@ -101,6 +108,10 @@ _DENSE_WIDTH = 32
 # of h < _BLOCK // 4 lost (n = 64 gs took 1.25x the time at 4, 3.1x at 1 and
 # 0.92x at 8), and int64 blocks 2.2x (n = 256 gs over 998244353)
 _BLOCK = 32
+# pivots per step of _inverse_prefix and _eliminate_dense (_steps): on the
+# gs workloads' blocks and dense tails steps of 2 ran 1.5-1.7x as fast as
+# single pivots, steps of 4 1.7-2.2x
+_STEP = 4
 # largest matrix a linearization or the dense route builds densely
 DENSE_GUARD_CELLS = 1 << 20
 
@@ -187,12 +198,14 @@ def _apply_last(R, v, w, nrows):
 def _kept(R, v, w, size):
     """One level's halves v and w, padded to size and stacked as its products
     take them: one zeroed (alpha, 2, d, size) array of the pairs (v_c, w_c),
-    in the dtype of sums of alpha + 4 products (the most _echelon leaves
-    unreduced), with v and w written right-aligned, so that a wide matrix
-    sits under zero rows and a tall one right of zero columns; transformed
-    once (R.transform) when its products are FFT products.  Returned with
-    A's last column and row, one _apply_last of the halves and their swap."""
-    x = np.zeros((len(v), 2, R.d, size), R.sum_dtype(len(v) + 4))
+    with v and w written right-aligned, so that a wide matrix sits under
+    zero rows and a tall one right of zero columns; transformed once
+    (R.transform) when its products are FFT products.  Returned with A's
+    last column and row, one _apply_last of the halves and their swap.  It
+    is stored in R.dtype: the halves are reduced (_compress reduces a row
+    when it becomes a pivot, _precondition each product), and every product
+    of them sums in the dtype that Residues picks for its length."""
+    x = np.zeros((len(v), 2, R.d, size), R.dtype)
     x[:, 0, :, size - v.shape[2] :] = v
     x[:, 1, :, size - w.shape[2] :] = w
     x = R.transform(x, size)
@@ -245,7 +258,10 @@ def _precondition(R, halves, last, u_full, l_full):
     u_full = 1,u_1,..) and L (lower, first column l_full = 1,l_1,..), from
     A's level as _kept gives it: width grows by 4.  Four products, on arrays
     and Spectra alike: one corr and one conv_sum make A·c and A^T·a, and one
-    corr each of the halves and of the new rows with u_full and l_full."""
+    corr each of the halves and of the new rows with u_full and l_full.
+    Each product sums in the dtype Residues picks for its length and returns
+    reduced residues, and the negations reduce at once: nothing here is left
+    unreduced."""
     size = u_full.shape[1]
     zero = R.zeros(1)
     a_vec = np.concatenate([u_full[:, 1:], zero], axis=1)
@@ -326,7 +342,9 @@ def _schur_block(R, G, h):
     w_k[0] != 0, f_c = w_c[0] / w_k[0] and w'_c = w_c - f_c w_k, are the
     identity on their columns J: N = N[:, J] H, and as [V2 | P] L = A21 the
     new pairs are (V2_c - A21 X V1_c, W'2_c - w'_c[1:r] X Q), and at k (P's
-    last column - A21 X Z1 A11's, X Q's last row): one R.combine.
+    last column - A21 X Z1 A11's, X Q's last row): one R.combine.  It is
+    reduced and the pairs it updates are, so `out -=` leaves entries in (-p,
+    p) for R.reduce.
     """
     alpha, n = G.shape[1], G.shape[3]
     T, C = _dense(R, G[..., :h], G[::-1])  # A's top rows and A^T's
@@ -349,31 +367,99 @@ def _schur_block(R, G, h):
     return rows, R.reduce(out)
 
 
+def _steps(R) -> int:
+    """_STEP over a prime field whose int64 residues sum _STEP products, else 1."""
+    return _STEP if R.d == 1 and R.sum_dtype(_STEP) is np.int64 else 1
+
+
+def _inverse2(a, b, c, d, p):
+    """[[a, b], [c, d]]^-1 mod p, row by row, for residues a..d; None when
+    one of its pivots without pivoting, a and the determinant, is zero."""
+    det = (a * d - b * c) % p
+    if not (a and det):
+        return None
+    i = pow(det, -1, p)
+    return d * i % p, -b * i % p, -c * i % p, a * i % p
+
+
+def _mul2(x, y, p, sign=1):
+    """sign x y mod p for 2 x 2 matrices x and y, row by row."""
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = x, y
+    a, b = (x0 * y0 + x1 * y2) * sign % p, (x0 * y1 + x1 * y3) * sign % p
+    return a, b, (x2 * y0 + x3 * y2) * sign % p, (x2 * y1 + x3 * y3) * sign % p
+
+
+def _inverse4(P, p):
+    """P^-1 mod p as a (4, 4) array, for a 4 x 4 matrix P of residues (rows
+    of Python ints) by its 2 x 2 blocks [[A, B], [C, D]]: with S = D -
+    C A^-1 B, P^-1 = [[A^-1 + A^-1 B S^-1 C A^-1, -A^-1 B S^-1], [-S^-1 C
+    A^-1, S^-1]].  None when one of P's four pivots without pivoting, a_00,
+    det A, s_00 and det S, is zero."""
+    (a0, a1, b0, b1), (a2, a3, b2, b3), (c0, c1, d0, d1), (c2, c3, d2, d3) = P
+    X = _inverse2(a0, a1, a2, a3, p)
+    if X is None:
+        return None
+    C = c0, c1, c2, c3
+    U, V = _mul2(X, (b0, b1, b2, b3), p), _mul2(C, X, p)  # A^-1 B, C A^-1
+    s = _mul2(C, U, p, -1)
+    S = _inverse2((d0 + s[0]) % p, (d1 + s[1]) % p, (d2 + s[2]) % p, (d3 + s[3]) % p, p)
+    if S is None:
+        return None
+    T, L = _mul2(U, S, p, -1), _mul2(S, V, p, -1)
+    K = [(x + k) % p for x, k in zip(X, _mul2(U, L, p, -1))]
+    rows = [*K[:2], *T[:2], *K[2:], *T[2:], *L[:2], *S[:2], *L[2:], *S[2:]]
+    return np.array(rows).reshape(4, 4)
+
+
 def _inverse_prefix(R, A):
-    """(X, r) for the (h, d, h) matrix A by Gauss-Jordan on [A | I]: (A^-1,
-    h) when A is invertible, else r0, its first zero pivot without
-    pivoting, and X the inverse of its leading r0 x r0 block.  From r0 on
-    the first row below with a nonzero entry in the pivot column is swapped
-    up.  Unreduced, h <= f64_terms pivots' products stay below 2^54."""
-    p, h = R.p, len(A)
-    aug = np.concatenate([A, np.eye(h, dtype=A.dtype)[:, None] * R.unit(1, 0)], axis=2)
-    prefix = None
-    for r in range(h):
-        row = aug[r] % p
+    """(X, r) for the (h, d, h) matrix A by Gauss-Jordan in place: (A^-1, h)
+    when A is invertible, else r0, its first zero pivot without pivoting,
+    and X the inverse of its leading r0 x r0 block.  From r0 on the first
+    row below with a nonzero entry in the pivot column is swapped up, and
+    the inverse's columns are swapped back at the end.  A step takes the
+    next _steps(R) pivots when none is zero (_inverse4), one product making
+    their rows and one more updating every row, else one.  Unreduced, an
+    entry takes at most h <= f64_terms products below p^2: below 2^53 + p."""
+    p, h, step = R.p, len(A), _steps(R)
+    X = A % p
+    Y, eye, one = X[:, 0], np.eye(step, dtype=X.dtype), R.unit(1, 0)[:, 0]  # Y: X when d = 1
+    swaps, prefix, r = [], None, 0
+    while r < h:
+        K = slice(r, r + step)
+        top = Y[K] % p if 1 < step <= h - r else None
+        inv = None if top is None else _inverse4(top[:, K].tolist(), p)
+        if inv is not None:
+            top[:, K] = eye
+            rows = inv @ top % p
+            F = Y[:, K] % p
+            Y[:, K] = 0
+            Y -= F @ rows
+            Y[K] = rows
+            r += step
+            continue
+        row = X[r] % p
         try:
             inv = R.inv(row[:, r])
         except DivisionByZero:
-            prefix = prefix or (aug[:r, :, h : h + r] % p, r)
-            below = (aug[r + 1 :, :, r] % p).any(axis=1).nonzero()[0]
+            prefix = prefix or (X[:r, :, :r] % p, r)
+            below = (X[r + 1 :, :, r] % p).any(axis=1).nonzero()[0]
             if not below.size:
                 return prefix
-            aug[[r, r + 1 + below[0]]] = aug[[r + 1 + below[0], r]]
-            row = aug[r] % p
+            s = r + 1 + below[0]
+            X[[r, s]] = X[[s, r]]
+            swaps.append([r, s])
+            row = X[r] % p
             inv = R.inv(row[:, r])
+        row[:, r] = one
         row = R.scale(inv[0], row) % p
-        aug -= R.scale(aug[:, :, r] % p, row)
-        aug[r] = row
-    return aug[:, :, h:] % p, h
+        col = X[:, :, r] % p
+        X[:, :, r] = 0
+        X -= R.scale(col, row)
+        X[r] = row
+        r += 1
+    for pair in reversed(swaps):
+        X[:, :, pair] = X[:, :, pair[::-1]]
+    return X % p, h
 
 
 def _eliminate(R, v, w, width=None):
@@ -451,32 +537,43 @@ def _eliminate_dense(R, S):
     ncols) matrix S, in place: per column, the first row from the next pivot
     row on with a nonzero entry is swapped up, normalized and subtracted
     from the rows below; a column without one is free.  Returns (pivot_rows,
-    cols) as _eliminate does.  Updates add products below p^2 (R.scale),
-    left unreduced until one more would pass R.sum_dtype's int64 bound
-    (always over object residues); a column and a pivot row reduce as read."""
-    p, nrows, ncols = R.p, len(S), S.shape[2]
-    pivot_rows, cols, updates = [], [], 0
-    for c in range(ncols):
+    cols) as _eliminate does.  A step takes the next _steps(R) pivots when
+    none is zero (_inverse4), as the loop would with no swap: one product
+    makes their rows, reduced in the block (one row each, from its pivot
+    column on), and one more the update of the rows below.  An update adds
+    sums of k products below p^2 for k pivots, left unreduced until k more
+    would pass R.sum_dtype's int64 bound (always over object residues); a
+    column and the pivot rows reduce as read."""
+    p, nrows, ncols, step = R.p, len(S), S.shape[2], _steps(R)
+    pivot_rows, cols, updates, c = [], [], 0, 0
+    while c < ncols and len(cols) < nrows:
         r = len(cols)
-        if r == nrows:
-            break
-        col = S[r:, :, c] % p
-        nonzero = col.nonzero()[0]  # rows, in order
-        if not nonzero.size:
-            continue
-        i = nonzero[0]
-        if i:
-            S[[r, r + i]] = S[[r + i, r]]
-            col[[0, i]] = col[[i, 0]]
-        norm = R.scale(R.inv(col[0]), S[r : r + 1, :, c:] % p) % p
-        pivot_rows.append(norm)
-        cols.append(c)
-        below = S[r + 1 :, :, c + 1 :]
-        if R.sum_dtype(updates + 1) is not np.int64:
+        top = S[r : r + step, 0, c:] % p if 1 < step <= min(nrows - r, ncols - c) else None
+        inv = None if top is None else _inverse4(top[:, :step].tolist(), p)
+        if inv is not None:
+            k, rows = step, inv @ top % p
+            pivot_rows += [rows[i : i + 1, None, i:] for i in range(k)]
+            update = ((S[r + k :, 0, c : c + k] % p) @ rows[:, k:])[:, None]
+        else:
+            k, col = 1, S[r:, :, c] % p
+            nonzero = col.nonzero()[0]  # rows, in order
+            if not nonzero.size:
+                c += 1
+                continue
+            i = nonzero[0]
+            if i:
+                S[[r, r + i]] = S[[r + i, r]]
+                col[[0, i]] = col[[i, 0]]
+            pivot_rows.append(R.scale(R.inv(col[0]), S[r : r + 1, :, c:] % p) % p)
+            update = R.scale(col[1:], pivot_rows[-1][0, :, 1:])
+        cols += range(c, c + k)
+        below = S[r + k :, :, c + k :]
+        if R.sum_dtype(updates + k) is not np.int64:
             below %= p
             updates = 0
-        below -= R.scale(col[1:], norm[0, :, 1:])
-        updates += 1
+        below -= update
+        updates += k
+        c += k
     return pivot_rows, cols
 
 
@@ -497,8 +594,9 @@ def _back_substitute(R, pivot_rows, cols, free):
     (free) coordinates.  A block's h coordinates c .. c + h - 1 are one
     R.dot of its rows with the coordinates from c on, x[c:c+h] = -(X A12)
     x[c+h:], since its leading identity meets them while they are still
-    zero: they are kept along the leading axis, cast once to the dtype of
-    sums of size products."""
+    zero: they are kept along the leading axis, cast once to
+    R.sum_dtype(size), since a row's R.dot sums up to size products of
+    residues below p, and each coordinate is reduced as it is written."""
     size = len(cols) + free.shape[1]
     x = R.zeros(size)
     x[:, np.delete(np.arange(size), cols)] = free

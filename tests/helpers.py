@@ -500,6 +500,37 @@ def dense_matvec(R, A, x):
     return (R.emul(A, x[None]).sum(axis=-1) % R.p).T
 
 
+def inverse_prefix(p, A):
+    """What struct_solve._inverse_prefix returns for an (h, 1, h) residue
+    matrix A over F_p: (A^-1, h) when A is invertible, else (X, r0), r0 its
+    first zero pivot without pivoting and X the inverse of its leading r0 x
+    r0 block, X as an (r, 1, r) array.  Gauss-Jordan on [A | I] in Python
+    ints, one entry at a time."""
+
+    def gauss_jordan(M, pivoting):  # (M^-1, n), or (None, the first pivot with no row)
+        n = len(M)
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+        for r in range(n):
+            s = next((i for i in range(r, n if pivoting else r + 1) if aug[i][r]), None)
+            if s is None:
+                return None, r
+            aug[r], aug[s] = aug[s], aug[r]
+            inv = pow(aug[r][r], -1, p)
+            aug[r] = [x * inv % p for x in aug[r]]
+            for i in range(n):
+                f = aug[i][r]
+                if i != r and f:
+                    aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
+        return [row[n:] for row in aug], n
+
+    rows = [[int(x) % p for x in row] for row in A[:, 0]]
+    X, r = gauss_jordan(rows, True)
+    if X is None:
+        r = gauss_jordan(rows, False)[1]
+        X = gauss_jordan([row[:r] for row in rows[:r]], False)[0]
+    return np.array(X, dtype=np.int64).reshape(r, 1, r), r
+
+
 def level0_passes_through(monkeypatch):
     """Make the kernel's level 0 hand G whole, unpreconditioned, to the
     chain of preconditioned levels, as a breakdown at its first Schur step

@@ -23,6 +23,7 @@ from helpers import (
     elements,
     gen_from_dense,
     generator,
+    inverse_prefix,
     level0_passes_through,
     low_rank_matrix,
     mat_vec,
@@ -308,9 +309,9 @@ def test_blocks_run_where_float64_products_are_exact(monkeypatch, ctx, blocked):
     assert (calls["_schur_block"] > 0, calls["_schur_step"] > 0) == (blocked, not blocked)
 
 
-def gs_deep_params():
+def gs_deep_params(p=16777213):
     """gs at n=64, m=3, l=6: a 384 x 385 system of displacement rank 10."""
-    ctx = prime_field(16777213)
+    ctx = prime_field(p)
     rng = random.Random(64)
     xs = rng.sample(range(ctx.p), 64)
     pts = tuple((ctx.el(x), ctx.el(rng.randrange(ctx.p))) for x in xs)
@@ -745,6 +746,101 @@ def test_the_dense_elimination_matches_the_reduced_echelon_form(name):
         assert not dense_matvec(R, A, x).any()
 
 
+# ------------------------------------------------------------ steps of four pivots
+
+STEP_FIELDS = {
+    "F7": F7,
+    "F101": prime_field(101),
+    "F65537": F65537,
+    "F16777213": F24,
+    "F33554393": prime_field(33554393),  # h = 8 = f64_terms: 8 products reach 2^53
+}
+
+
+def spy_steps(monkeypatch):
+    """The outcomes of _inverse4: True for a step taken, False for a block
+    with a zero pivot without pivoting."""
+    taken = []
+    real = struct_solve._inverse4
+
+    def spied(P, p):
+        out = real(P, p)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(struct_solve, "_inverse4", spied)
+    return taken
+
+
+def planted_blocks(R, m, n, starts, rng):
+    """(kind, k, A): m x n residue matrices whose pivot k without pivoting
+    is zero, at each offset 0-3 of the steps from `starts`: "minor" only
+    the leading (k+1) x (k+1) minor vanishes, "dependent" the last column
+    is also a combination of the others, "rows" row k lies in the span of
+    the rows above; then two random matrices (k = None)."""
+    for k in (s + j for s in starts for j in range(4)):
+        for kind in ("minor", "dependent", "rows"):
+            span = n if kind == "rows" else None
+            yield kind, k, singular_block_case(R, m, n, k, kind == "dependent", rng, span)[0]
+    for _ in range(2):
+        yield "random", None, residue_matrix(R, m, n, rng)
+
+
+@pytest.mark.parametrize("name", list(STEP_FIELDS))
+def test_the_inverse_prefix_matches_the_gauss_jordan_oracle(monkeypatch, name):
+    # the block Gauss-Jordan takes four pivots per step, one where the
+    # step's 4 x 4 block has a zero pivot without pivoting: planted at each
+    # offset of the first and the last two steps.  Its answer is the
+    # oracle's whatever the steps: (A^-1, h) for an invertible block (one
+    # vanishing minor), else the inverse of the leading r0 x r0 block and
+    # r0, the zero pivot, whether the block is singular elsewhere (a
+    # dependent last column, so its own step may be invertible) or from
+    # that row on
+    R = Residues(STEP_FIELDS[name])
+    h = min(struct_solve._BLOCK, R.f64_terms)
+    assert struct_solve._steps(R) == 4
+    taken = spy_steps(monkeypatch)
+    seen = set()
+    for kind, k, A in planted_blocks(R, h, h, sorted({0, h - 8, h - 4}), random.Random(h)):
+        X, r = struct_solve._inverse_prefix(R, A.copy())
+        want, r0 = inverse_prefix(R.p, A)
+        assert r == r0 and np.array_equal(X, want)
+        seen.add((kind, "h" if r == h else "k" if r == k else r))
+    assert {("minor", "h"), ("dependent", "k"), ("rows", "k"), ("random", "h")} <= seen
+    assert not all(taken) and any(taken)
+
+
+@pytest.mark.parametrize("name", [*STEP_FIELDS, "F960383881"])
+def test_the_dense_steps_match_the_per_pivot_loop(monkeypatch, name):
+    # _eliminate_dense takes four pivots per step where the loop would
+    # take them without a swap, with planted zero pivots at each offset of
+    # a step, dependent columns and whole rows in the span of those above.
+    # Its pivot columns are the per-pivot loop's (_STEP = 1), its rows one
+    # per pivot, normalized from the pivot column on, and the vector they
+    # back-substitute for given free draws is that loop's and in the
+    # kernel.  Over 960383881 int64 sums hold four residue products and no
+    # more, so the rows below reduce before every step
+    ctx = STEP_FIELDS.get(name) or prime_field(960383881)
+    R = Residues(ctx)
+    assert struct_solve._steps(R) == 4
+    taken = spy_steps(monkeypatch)
+    rng = random.Random(ctx.p)
+    for m, n in ((32, 33), (64, 65), (40, 36)):
+        for kind, k, A in planted_blocks(R, m, n, (0, 24), rng):
+            rows, cols = struct_solve._eliminate_dense(R, A.copy())
+            with monkeypatch.context() as mp:
+                mp.setattr(struct_solve, "_STEP", 1)
+                rows1, cols1 = struct_solve._eliminate_dense(R, A.copy())
+            assert cols == cols1
+            assert [row.shape for row in rows] == [(1, 1, n - c) for c in cols]
+            assert all(row[0, 0, 0] == 1 for row in rows)
+            free = residue_matrix(R, 1, n - len(cols), rng)[0]
+            x = struct_solve._back_substitute(R, rows, cols, free)
+            assert np.array_equal(x, struct_solve._back_substitute(R, rows1, cols1, free))
+            assert not dense_matvec(R, A, x).any()
+    assert not all(taken) and any(taken)
+
+
 DENSE_LEVEL0_FIELDS = {
     "F2": prime_field(2),
     "F3": prime_field(3),
@@ -831,6 +927,26 @@ def test_back_substitution_sums_past_int64():
     assert isinstance(out, Solution)
     assert out.value.any()
     assert all(e.is_zero() for e in mat_vec(A, elements(ctx, out.value), ctx))
+
+
+def test_the_gs_deep_shape_solves_over_a_31_bit_prime(monkeypatch):
+    # over 2^31 - 1 int64 sums hold one residue product and float64 ones
+    # none, so every lazy reduction runs at its tightest bound: Schur steps
+    # one pivot at a time, _echelon and the dense tail reducing before every
+    # update, object sums elsewhere.  Both column orders of the gs_deep
+    # shape solve, each Solution passes verify_solution, and the toeplitz
+    # order meets a zero leading entry and compresses its generator
+    params = gs_deep_params(2**31 - 1)
+    pts = tuple((x, (y,)) for x, y in params.points)
+    inst = InterpolationInstance(params.ctx, 1, 6, 103, (16,), pts, (3,) * 64)
+    compressions = []
+    real = struct_solve._compress
+    monkeypatch.setattr(struct_solve, "_compress", lambda *a: compressions.append(1) or real(*a))
+    for backend in ("hankel", "toeplitz"):
+        compressions.clear()
+        out = gs_interpolate(params, random.Random(5), backend)
+        assert isinstance(out, Solution) and verify_solution(inst, out.value)
+    assert compressions
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 998244353, 479001599])
