@@ -382,8 +382,9 @@ class Residues:
     is the extended Euclid of each scalar's residue list and f, at d = 1
     pow(s, -1, p) of Python ints.  At d = 1 emul and mul are one product,
     scale one broadcast multiply left unreduced, combine and dot one product
-    of residue rows, and the residue-pair fold a view.  One float64 product
-    sums f64_terms = (2^53 - 1) // (d (p - 1)^2) scalar products exactly.
+    of residue rows, and the residue-pair fold a view.  Over int64 residues
+    one float64 product sums f64_terms = (2^53 - 1) // (d (p - 1)^2) scalar
+    products exactly, and two of 16-bit limbs (_matmul) 64 or more.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -391,7 +392,9 @@ class Residues:
         self.ctx, self.p, self.d = ctx, p, d
         self._int64_terms = (_INT64_SAFE - 1) // (d * (p - 1) ** 2) - d
         self.dtype = self.sum_dtype(0)
-        self.f64_terms = (2**53 - 1) // (d * (p - 1) ** 2) if self.dtype is np.int64 else 0
+        int64 = self.dtype is np.int64
+        self.f64_terms = (2**53 - 1) // (d * (p - 1) ** 2) if int64 else 0
+        self._limb_terms = (2**53 - 1) // (d * (p - 1) << 16) if int64 else 0
         powers = [[1] + [0] * (d - 1)]  # t^e mod f, e < 2d - 1
         for _ in range(2 * d - 2):
             prev = powers[-1]
@@ -458,24 +461,22 @@ class Residues:
     def is_zero(self, a: np.ndarray) -> bool:
         return not np.count_nonzero(a)
 
-    def inv(self, *s: np.ndarray) -> np.ndarray:
-        """Inverses of the scalars s, each (d,), stacked as (len(s), d);
-        DivisionByZero on a zero.  At d = 1 each is one pow(x, -1, p) of a
-        Python int, else the extended Euclid (_pxgcd) of its residue list
-        and the modulus, whose gcd is a nonzero constant unless it is zero."""
+    def inv(self, s: np.ndarray) -> np.ndarray:
+        """Inverse of the scalar s (d,) as a (1, d) array; DivisionByZero on
+        zero.  At d = 1 it is one pow(x, -1, p) of a Python int, else the
+        extended Euclid (_pxgcd) of its residue list and the modulus, whose
+        gcd is a nonzero constant unless s is zero."""
         if self.d == 1:
             try:
-                return np.array([[pow(int(x[0]), -1, self.p)] for x in s], self.dtype)
+                return np.array([[pow(int(s[0]), -1, self.p)]], self.dtype)
             except ValueError:
                 raise DivisionByZero("inverse of zero") from None
-        p, out = self.p, []
-        for x in s:
-            g, inv = _pxgcd(x.tolist(), self.ctx.modulus, p)
-            if len(g) != 1:
-                raise DivisionByZero("inverse of zero")
-            c = pow(g[0], -1, p)
-            out.append([v * c % p for v in inv] + [0] * (self.d - len(inv)))
-        return np.array(out, self.dtype)
+        p = self.p
+        g, inv = _pxgcd(s.tolist(), self.ctx.modulus, p)
+        if len(g) != 1:
+            raise DivisionByZero("inverse of zero")
+        c = pow(g[0], -1, p)
+        return np.array([[v * c % p for v in inv] + [0] * (self.d - len(inv))], self.dtype)
 
     def inv_each(self, a: np.ndarray) -> np.ndarray:
         """Entrywise inverses of a (..., d, n) array without zero entries,
@@ -547,9 +548,10 @@ class Residues:
     def combine(self, c: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """sum_j c_j * vs_j for scalars c (..., J, d) and vectors vs
         (..., J, d, n), leading axes broadcast, as (..., d, n), reduced: one
-        product, at d = 1 of c with vs, above of c's multiplication matrices
-        with vs.  Where vs is shared along c's last leading axis, that axis
-        joins the product's rows: one BLAS call, not one per row."""
+        exact product (_matmul), at d = 1 of c with vs, above of c's
+        multiplication matrices with vs.  Where vs is shared along c's last
+        leading axis, that axis joins the product's rows: one BLAS call, not
+        one per row."""
         J, d = c.shape[-2:]
         lead, n = c.shape[:-2], vs.shape[-1]
         if d == 1:
@@ -561,11 +563,11 @@ class Residues:
         if shared:
             flat = flat.reshape(lead[:-1] + (lead[-1] * d, J * d))
             vs = vs if vs.ndim == 2 else vs[..., 0, :, :]
-        if c.dtype == vs.dtype == _INT64 and J <= self._int64_terms:  # no casts, ~2% of a step
-            sums = self.reduce(self._matmul(flat, vs, J))
+        sums = self._matmul(flat, vs, J)
+        if sums.dtype == _INT64:  # no casts
+            sums = self.reduce(sums)
         else:
-            acc, out = self._dtypes(J, c, vs)
-            sums = (flat.astype(acc, copy=False) @ vs % self.p).astype(out, copy=False)
+            sums = (sums % self.p).astype(self._dtypes(J, c, vs)[1], copy=False)
         return sums.reshape(sums.shape[:-2] + (lead[-1], d, n)) if shared else sums
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
@@ -575,11 +577,20 @@ class Residues:
 
     def _matmul(self, a: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
         """a @ b of residues below p in absolute value, sums of d * terms
-        scalar products: one float64 product over int64 (BLAS, ~20x numpy's
-        int64 matmul) up to f64_terms, exact below 2^53, else a @ b."""
-        if terms <= self.f64_terms and a.dtype == b.dtype == _INT64:
-            return (a.astype(np.float64) @ b.astype(np.float64)).astype(_INT64)
-        return a @ b
+        scalar products, exact and unreduced.  Over int64 operands it is
+        float64 products (BLAS, ~20x numpy's int64 matmul) exact below 2^53:
+        one up to f64_terms, else up to _limb_terms one each of a's 16-bit
+        limbs a >> 16 and a & 0xFFFF (below 2^16 in absolute value, as int64
+        storage means p < 2^31), recombined mod p.  Past that, a @ b in the
+        dtype that _dtypes picks for the sums."""
+        if a.dtype == b.dtype == _INT64 and terms <= max(self.f64_terms, self._limb_terms):
+            f, b = np.float64, b.astype(np.float64)
+            if terms <= self.f64_terms:
+                return (a.astype(f) @ b).astype(_INT64)
+            hi = self.reduce(((a >> 16).astype(f) @ b).astype(_INT64))
+            return (hi << 16) + ((a & 0xFFFF).astype(f) @ b).astype(_INT64)
+        acc = self._dtypes(terms, a, b)[0]
+        return a.astype(acc, copy=False) @ b.astype(acc, copy=False)
 
     def dot(self, a: np.ndarray, b: np.ndarray):
         """sum_u a[..., :, u] * b[u] of (..., d, n) vectors and an (n, d)

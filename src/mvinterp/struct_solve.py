@@ -36,47 +36,44 @@ with random free coordinates, climbing back out through the levels, level
 so a returned Solution is unconditionally correct; NoSolution is returned
 only when the certified rank equals the column count.
 
-Schur steps go in blocks (_schur_block) where each of a block's products
-is one exact float64 product, elsewhere one at a time.  A level that
-certifies the rank pivots on the matrix's column rank profile whatever the
-block size h, so its answers agree; where a breakdown comes, and so which
-draws follow, depends on h as well as the matrix.  Over a prime field
-whose int64 residues sum _STEP products, a block's Gauss-Jordan
-(_inverse_prefix) and the dense elimination take _STEP pivots per step,
-their block inverted in Python ints (_inverse4), unless one is zero: the
-inverse, the pivot columns and the vector for given draws are unique, so
-the answers are those of one pivot at a time.
+Schur steps go in blocks (_schur_block) over every field, their products
+exact float64 products over int64 residues (Residues._matmul).  A level
+that certifies the rank pivots on the matrix's column rank profile
+whatever the block size h, so its answers agree; where a breakdown comes,
+and so which draws follow, depends on h as well as the matrix.  Over a
+prime field whose int64 residues sum _STEP products, a block's
+Gauss-Jordan (_inverse_prefix) and the dense elimination take _STEP pivots
+per step, their block inverted in Python ints (_inverse4), unless one is
+zero: the inverse, the pivot columns and the vector for given draws are
+unique, so the answers are those of one pivot at a time.
 
 This module owns the whole small-field policy.  The random draws come
 from a sampling set of subset_floor(size) elements, enough for one
 preconditioning to succeed with probability >= 1/2.  A field smaller than
 that is sampled whole and never refused: its Solution and NoSolution are as
-certain as anywhere else, only breakdowns grow likelier.  Where blocks
-run, a breakdown is a zero leading entry whose h x h block is singular, as
-a random one is with probability about 1/p; where Schur steps run, it is
-any zero leading entry, about one pivot in p.  Every preconditioning, and
-every rejected candidate, is an attempt; level 0,
-which draws nothing, is none, so a matrix it eliminates densely never
-fails.  Failure needs max_retries of them; below the floor only a level
-without a pivot or a rejected candidate is one, and a pivot resets the
-count.  A prime field below the
-floor may take the dense route (_route) and has a chain's Failure lifted:
-the generator's residue arrays are embedded into a just big enough
-extension F_{p^d}, the matrix is solved there, and the first nonzero
-residue row of the answer, a base-field nullspace vector, is returned.  An
-extension field is never lifted.
+certain as anywhere else, only breakdowns grow likelier.  A breakdown is a
+zero leading entry whose h x h block is singular, as a random one is with
+probability about 1/p.  Every preconditioning, and every rejected
+candidate, is an attempt; level 0, which draws nothing, is none, so a
+matrix it eliminates densely never fails.  Failure needs max_retries of
+them; below the floor only a level without a pivot or a rejected candidate
+is one, and a pivot resets the count.  A prime field below the floor may
+take the dense route (_route) and has a chain's Failure lifted: the
+generator's residue arrays are embedded into a just big enough extension
+F_{p^d}, the matrix is solved there, and the first nonzero residue row of
+the answer, a base-field nullspace vector, is returned.  An extension field
+is never lifted.
 
 One representation serves every field: the residue arrays of
 field.Residues.  A vector over F_{p^d} is a (d, n) array of residues mod p,
 a generator half one stacked (alpha, d, n) array, as the builders write it,
-and the elimination stacks both halves.  The Schur step and block, the
-echelon, the dense elimination and the back-substitution are written once,
-each op one Residues call whose d = 1 shortcuts keep a prime-field Schur
-step at about 13 numpy calls and a single pivot of the Gauss-Jordan or the
-dense elimination at about 10, which a step of _STEP pivots cuts to about 3
-a pivot; d appears here only in the lift policy, a block's size and the
-step's.  The random draws are digits of the sampled indices; the answer is a
-residue array.
+and the elimination stacks both halves.  The Schur block, the echelon, the
+dense elimination and the back-substitution are written once, each op one
+Residues call whose d = 1 shortcuts keep a single pivot of the
+Gauss-Jordan or the dense elimination at about 10 numpy calls, which a step
+of _STEP pivots cuts to about 3 a pivot; d appears here only in the lift
+policy, a block's size and the step's.  The random draws are digits of the
+sampled indices; the answer is a residue array.
 
 Generator applies (_apply, _apply_last, _precondition) are batched products
 of the stacked halves: A·x is conv_sum(V, corr(x, W)), reduced mod p between
@@ -103,10 +100,11 @@ TAG_HANKEL = "hankel"
 # a level's last rows, this many, are eliminated densely: 2^61 - 1 loses
 # 1.4-1.8 ms per level at 40-48 and F_16777213 saves 0.4-0.9 ms at 32-64
 _DENSE_WIDTH = 32
-# pivots per block, h = min(_BLOCK, 2 * _BLOCK // d, f64_terms): n = 200 gs
-# beat Schur steps by 18% over F_13^4 (h = 16), 7% over GF(2^8) (8).  Blocks
-# of h < _BLOCK // 4 lost (n = 64 gs took 1.25x the time at 4, 3.1x at 1 and
-# 0.92x at 8), and int64 blocks 2.2x (n = 256 gs over 998244353)
+# pivots per block, h = min(_BLOCK, max(_BLOCK // 4, 2 * _BLOCK // d)) over
+# int64 residues, _BLOCK // 4 over Python ints.  n = 256 gs kernels, ms: at
+# _BLOCK = 16, 32, 64 4.5, 4.0, 4.8 over 16777213, 8.4, 8.0, 9.4 over
+# 998244353, 8.9, 8.8, 11.8 over 2^31 - 1; at h = 2, 4, 8, 16 172, 139, 144,
+# 157 over F_2^23; at h = 4, 8, 16, 32 69, 63, 68, 92 over 2^61 - 1
 _BLOCK = 32
 # pivots per step of _inverse_prefix and _eliminate_dense (_steps): on the
 # gs workloads' blocks and dense tails steps of 2 ran 1.5-1.7x as fast as
@@ -286,46 +284,11 @@ def _precondition(R, halves, last, u_full, l_full):
     return new_v, new_w
 
 
-def _schur_step(R, G):
-    """One generalized Schur step on the halves stacked as one
-    (2, alpha, d, n) array G = (V, W): the normalized first row of the
-    matrix as a block of one row, (1, d, n), and a generator of its Schur
-    complement of the same length, or None when the leading entry is zero.
-
-    Two Gauss transforms bring the generator to proper form: one clears W's
-    first column except at an index k (its inverse applied to V), the other
-    V's first row except at k.  Pair k is then the first column and the
-    normalized first row; shifting it down by one and dropping every other
-    pair's first entry leaves the Schur complement's displacement.
-
-    One product of (w0, v0) with both halves (R.combine) gives the first
-    column and row, one R.inv call both inverses, and one product of the
-    scalars with (col0, W_k) (R.scale) both Gauss transforms, written into
-    a new contiguous array (faster than in place in G); R.reduce reduces
-    it (faster than % on int64, exact for negative x).
-    """
-    p = R.p
-    f = G[..., 0]  # (v0, w0): (2, alpha, d) scalars
-    c = R.combine(f[::-1], G)  # (w0 . V, v0 . W): the first column and row
-    try:  # w0 = 0, with no index k, makes the pivot zero too
-        k = f[1].nonzero()[0][0]
-        inv = R.inv(c[0, :, 0], f[1, k])  # 1 / pivot, 1 / w0_k
-    except (IndexError, DivisionByZero):  # the leading entry is zero
-        return None
-    norm = R.scale(inv[0], c[1]) % p  # the first row over the pivot
-    # V -= (v0 / pivot) (x) col0 and W -= (w0 / w0_k) (x) W_k
-    c[1] = G[1, k]
-    Y = R.scale(R.mul(f, inv[:, None]), c[:, None, :, 1:])
-    np.subtract(G[..., 1:], Y, out=Y)
-    R.reduce(Y)
-    Y[0, k], Y[1, k] = c[0, :, :-1], norm[:, :-1]
-    return norm[None], Y
-
-
 def _schur_block(R, G, h):
-    """Up to h generalized Schur steps on G as _schur_step takes it: the
-    pivot rows [I | X A12] of A's leading r x r block A11 = X^-1, (r, d, n),
-    and a generator of its Schur complement.  r = h when the leading h x h
+    """Up to h generalized Schur steps on the halves stacked as one
+    (2, alpha, d, n) array G = (V, W): the pivot rows [I | X A12] of A's
+    leading r x r block A11 = X^-1, (r, d, n), and a generator of its Schur
+    complement of the same length.  r = h when the leading h x h
     block is invertible, whatever its leading minors; else r is its first
     zero pivot without pivoting (_inverse_prefix), and None when that is 0.
 
@@ -418,13 +381,18 @@ def _inverse_prefix(R, A):
     row below with a nonzero entry in the pivot column is swapped up, and
     the inverse's columns are swapped back at the end.  A step takes the
     next _steps(R) pivots when none is zero (_inverse4), one product making
-    their rows and one more updating every row, else one.  Unreduced, an
-    entry takes at most h <= f64_terms products below p^2: below 2^53 + p."""
+    their rows and one more updating every row, else one.  Updates of
+    products below p^2 stay unreduced until one more step would pass
+    R.sum_dtype's int64 bound d (p - 1)^2 (terms + d) < 2^62, as in
+    _eliminate_dense but never over Python ints; pivots reduce as read."""
     p, h, step = R.p, len(A), _steps(R)
     X = A % p
     Y, eye, one = X[:, 0], np.eye(step, dtype=X.dtype), R.unit(1, 0)[:, 0]  # Y: X when d = 1
-    swaps, prefix, r = [], None, 0
+    swaps, prefix, r, updates = [], None, 0, 0
     while r < h:
+        if R.sum_dtype(updates + step) is not R.dtype:
+            X %= p
+            updates = 0
         K = slice(r, r + step)
         top = Y[K] % p if 1 < step <= h - r else None
         inv = None if top is None else _inverse4(top[:, K].tolist(), p)
@@ -436,6 +404,7 @@ def _inverse_prefix(R, A):
             Y -= F @ rows
             Y[K] = rows
             r += step
+            updates += step
             continue
         row = X[r] % p
         try:
@@ -457,6 +426,7 @@ def _inverse_prefix(R, A):
         X -= R.scale(col, row)
         X[r] = row
         r += 1
+        updates += 1
     for pair in reversed(swaps):
         X[:, :, pair] = X[:, :, pair[::-1]]
     return X % p, h
@@ -475,8 +445,8 @@ def _eliminate(R, v, w, width=None):
     columns run out, and otherwise the compressed (v, w) halves of the
     nonzero complement: a pivot breakdown, with cols 0..t-1.
 
-    A step takes h = min(_BLOCK, 2 _BLOCK // d, f64_terms) pivots
-    (_schur_block) where h >= _BLOCK // 4, else one (_schur_step).  A block
+    A step (_schur_block) takes up to h = min(_BLOCK, max(_BLOCK // 4,
+    2 _BLOCK // d)) pivots over int64 residues, _BLOCK // 4 over Python ints.  A block
     cut short by a singular h x h block is no breakdown: the next one
     starts at its zero leading entry.  A breakdown in the last step before
     the dense tail widens the tail instead.  The shorter half is
@@ -493,11 +463,10 @@ def _eliminate(R, v, w, width=None):
     pivot_rows, t = [], 0
     width = _DENSE_WIDTH if width is None else width
     stop = min(nrows, ncols) - (width if abs(nrows - ncols) <= width else 0)
-    block = min(_BLOCK, 2 * _BLOCK // R.d, R.f64_terms)
-    block = block if block >= _BLOCK // 4 else 0
+    block = min(_BLOCK, max(_BLOCK // 4, 2 * _BLOCK // R.d)) if R.dtype is np.int64 else _BLOCK // 4
     while t < stop:
-        h = min(block, stop - t) if block else 1
-        step = _schur_block(R, G, h) if block else _schur_step(R, G)
+        h = min(block, stop - t)
+        step = _schur_block(R, G, h)
         if step is None and t + h == stop < min(nrows, ncols):
             break
         if step is None:

@@ -156,7 +156,7 @@ def test_residue_inverses_round_trip(ctx):
     # Residues.inv: pow(s, -1, p) at d = 1, above the extended Euclid of the
     # scalar's residues and the modulus (FieldElement.inv calls it too);
     # s * s^-1 is one and the inverse of the inverse is s, for both residue
-    # dtypes and both kinds of field, one scalar at a time and several stacked
+    # dtypes and both kinds of field
     R = residues(ctx)
     rng = random.Random(ctx.order % 1000)
     for _ in range(50):
@@ -167,9 +167,6 @@ def test_residue_inverses_round_trip(ctx):
         assert R.elements(inv.T) == [a.inv()]
         assert R.emul(s[:, None], inv.T).tolist() == R.unit(1, 0).tolist()
         assert R.inv(inv[0]).tolist() == [s.tolist()]
-    elems = [ctx.from_index(rng.randrange(1, ctx.order)) for _ in range(3)]
-    arr = R.array(elems)
-    assert R.elements(R.inv(*arr.T).T) == [e.inv() for e in elems]
 
 
 F25_2 = build_extension(prime_field(33554393), 2, random.Random(0))  # 2^53 past 4 terms
@@ -235,6 +232,44 @@ def test_prime_field_products_at_the_float64_bound_are_exact(p, f):
         assert R.combine(c, own)[:, 0].tolist() == want.tolist()
 
 
+LIMB_FIELDS = [prime_field(33554467), prime_field(998244353), prime_field(2**31 - 1), F25_2]
+
+
+@pytest.mark.parametrize("ctx", LIMB_FIELDS, ids=repr)
+def test_limb_products_are_exact_at_their_bound(ctx):
+    # past f64_terms, _matmul sums two float64 products of one operand's
+    # 16-bit limbs while d terms 2^16 (p - 1) < 2^53 (_limb_terms terms),
+    # and past that numpy's product in the dtype its sums need.  On residues
+    # in (-p, p), with rows and columns of p - 1, 1 - p and -1 (whose low
+    # limb is 2^16 - 1), whose sums are the largest, _matmul and combine
+    # agree with object products at the limb bound and one term past it
+    R = residues(ctx)
+    p, d, bound = ctx.p, ctx.d, R._limb_terms
+    assert R.f64_terms < bound and d * bound * (p - 1) << 16 < 2**53
+    assert d * (bound + 1) * (p - 1) << 16 >= 2**53
+    rng = random.Random(p)
+
+    def extremes(rows, cols):  # random residues below three extreme rows
+        x = np.array([[rng.randrange(1 - p, p) for _ in range(cols)] for _ in range(rows)])
+        x[:3] = np.array([p - 1, 1 - p, -1])[:, None]
+        return x
+
+    for terms in (bound, bound + 1):
+        a, b = extremes(4, d * terms), extremes(5, d * terms).T
+        want = a.astype(object) @ b.astype(object) % p
+        assert (R._matmul(a, b, terms) % p).tolist() == want.tolist()
+        c, vs = extremes(4, terms * d).reshape(4, terms, d), b[:, :4].reshape(terms, d, 4)
+        got = R.combine(c, vs)
+        assert got.dtype == np.int64
+        assert got.tolist() == R.combine(c.astype(object), vs.astype(object)).tolist()
+    if p == 998244353:  # an alpha = 10 generator's first row sums in int64
+        c, vs = extremes(4, 10), extremes(9, 10).T
+        assert R._matmul(c, vs, 10).dtype == np.int64
+        got = R.combine(c[..., None], vs[:, None])
+        want = c.astype(object) @ vs.astype(object) % p
+        assert got.dtype == np.int64 and got[:, 0].tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("ctx", [prime_field(13), FieldCtx(13, (6, 12, 6, 0, 1)), GF256], ids=repr)
 def test_evaluate_zero_and_constant_polynomials(ctx):
     # the zero polynomial, a (d, 0) coefficient array, is 0 at every entry of
@@ -256,9 +291,6 @@ def test_residue_inverse_of_zero_raises(ctx):
     R = residues(ctx)
     with pytest.raises(DivisionByZero):
         R.inv(R.zeros(1)[:, 0])
-    # a zero after a nonzero scalar, as _schur_step stacks its pivots
-    with pytest.raises(DivisionByZero):
-        R.inv(R.unit(1, 0)[:, 0], R.zeros(1)[:, 0])
 
 
 def _monic(p, d):

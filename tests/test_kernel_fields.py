@@ -45,7 +45,6 @@ from mvinterp.struct_solve import (
     _kept,
     _precondition,
     _schur_block,
-    _schur_step,
     nullspace_structured,
 )
 
@@ -101,22 +100,24 @@ def test_nullspace_matches_dense_oracle(name):
 # ------------------------------------------------------------ the Schur step
 
 
-def generator_matrix(R, v, w, n):
-    return reconstruct_dense(GeneratorPair("toeplitz", n, n, v, w, R.ctx))
-
-
-def dense_schur_complement(S):
-    inv = S[0][0].inv()
-    return [[row[j] - row[0] * inv * S[0][j] for j in range(1, len(S))] for row in S[1:]]
+def block_size(R):
+    """The pivots a block step of the kernel takes at most: min(_BLOCK,
+    max(_BLOCK // 4, 2 _BLOCK // d)) over int64 residues, _BLOCK // 4 over
+    Python ints."""
+    block = struct_solve._BLOCK
+    return min(block, max(block // 4, 2 * block // R.d)) if R.dtype is np.int64 else block // 4
 
 
 @pytest.mark.parametrize("name", ["F65537", "F13^4", "P2147483659^2", "M61", "GF256"])
 def test_schur_step_tracks_the_dense_schur_complement(name):
-    # after every step the generator represents the next Schur complement of
-    # the preconditioned matrix, at no more than its compressed length; a
-    # zero complement reached mid-elimination compresses to nothing.  One
-    # step serves every field: int64 and object residues, d = 1 and d > 1
+    # block steps of one pivot and of the field's own h: after every step
+    # the generator represents the Schur complement of the preconditioned
+    # matrix, at no more than its compressed length, and the step's rows are
+    # the Gauss-Jordan oracle's; a zero complement reached mid-elimination
+    # compresses to nothing.  One step serves every field: int64 and object
+    # residues, d = 1 and d > 1
     ctx = FIELDS[name]
+    R = Residues(ctx)
     certified = completed = 0
     for k, seed in enumerate(spread_seeds(31, 8)):
         r = random.Random(seed)
@@ -126,30 +127,34 @@ def test_schur_step_tracks_the_dense_schur_complement(name):
         else:
             rank = r.randint(1, size - 1)
             G = gen_from_dense("toeplitz", low_rank_matrix(ctx, size, size, rank, r), ctx)
-        R = Residues(ctx)
         u = [ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)]
         l = [ctx.one()] + [rand_el(ctx, r) for _ in range(size - 1)]
         v, w = _precondition(R, *_kept(R, G.v, G.w, size), R.array(u), R.array(l))
-        S = generator_matrix(R, v, w, size)
+        S = dense_from_halves(R, v, w)
         v, w = _compress(R, v, w)
         alpha = len(v)
-        assert generator_matrix(R, v, w, size) == S
-        while S:
-            step = _schur_step(R, np.stack([v, w]))
-            if S[0][0].is_zero():
-                assert step is None
-                zero = all(e.is_zero() for row in S for e in row)
-                assert (not len(_compress(R, v, w)[0])) == zero
-                certified += zero and len(S) < size
-                break
-            norm, (v, w) = step
-            assert R.elements(norm[0]) == [e * S[0][0].inv() for e in S[0]]
-            S = dense_schur_complement(S)
-            assert len(v) <= alpha
-            if S:
-                assert generator_matrix(R, v, w, len(S)) == S
-        else:
-            completed += 1
+        assert np.array_equal(dense_from_halves(R, v, w), S)
+        for h in (1, block_size(R)):
+            G, A = np.stack([v, w]), S
+            while len(A):
+                h = min(h, len(A))
+                step = _schur_block(R, G, h)
+                whole = gauss_jordan(R, A, h, h)
+                if step is None:
+                    assert whole is None and not A[0, :, 0].any()
+                    zero = not A.any()
+                    assert (not len(_compress(R, *G)[0])) == zero
+                    certified += zero and len(A) < size
+                    break
+                rows, G = step
+                t = len(rows)
+                want = whole if t == h else gauss_jordan(R, A, t)
+                assert np.array_equal(rows, want[:t]) and len(G[0]) <= alpha
+                A = want[t:, :, t:]
+                if len(A):
+                    assert np.array_equal(dense_from_halves(R, *G), A)
+            else:
+                completed += 1
     assert certified and completed
 
 
@@ -270,43 +275,36 @@ def test_block_step_tracks_the_dense_schur_complement(name, shape):
 
 
 @pytest.mark.parametrize(
-    "ctx, blocked",
+    "ctx",
     [
-        (F24, True),
-        (prime_field(33554393), True),
-        (F13_4, True),
-        (GF256, True),
-        (prime_field(35871193), False),
-        (build_extension(prime_field(2), 12, random.Random(1)), False),
-        (prime_field(2**31 - 1), False),
-        (M61, False),
+        F24,
+        prime_field(33554393),
+        F13_4,
+        GF256,
+        prime_field(35871193),
+        build_extension(prime_field(2), 12, random.Random(1)),
+        prime_field(2**31 - 1),
+        M61,
     ],
     ids=["F16777213", "F33554393", "F13^4", "GF256", "F35871193", "F2^12", "F2147483647", "M61"],
 )
-def test_blocks_run_where_float64_products_are_exact(monkeypatch, ctx, blocked):
-    # the kernel takes block steps of h = min(_BLOCK, 2 _BLOCK // d,
-    # f64_terms) pivots where h >= _BLOCK // 4, so that each of a block's
-    # products is one exact float64 product, and Schur steps, blocks of one,
-    # elsewhere: f64_terms is 8 at p = 33554393 and 7 at p = 35871193,
-    # 2 _BLOCK // d is 5 over F_2^12, 2^31 - 1 is int64 but its products
-    # pass 2^53, and 2^61 - 1 is stored as Python ints
-    calls = dict.fromkeys(["_schur_block", "_schur_step"], 0)
-    for name in calls:
-
-        def counted(*args, real=getattr(struct_solve, name), name=name):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(struct_solve, name, counted)
+def test_blocks_run_where_float64_products_are_exact(monkeypatch, ctx):
+    # every field takes block steps, of h = min(_BLOCK, max(_BLOCK // 4,
+    # 2 _BLOCK // d)) pivots over int64 residues and _BLOCK // 4 over
+    # Python ints: 32 at every int64 prime, whose products past f64_terms
+    # (8 at p = 33554393, 7 at p = 35871193, none at 2^31 - 1) are two
+    # float64 products of 16-bit limbs, 8 over F_2^12 and over 2^61 - 1
+    sizes = []
+    real = struct_solve._schur_block
+    monkeypatch.setattr(struct_solve, "_schur_block", lambda *a: sizes.append(a[2]) or real(*a))
     R = Residues(ctx)
-    h = min(struct_solve._BLOCK, 2 * struct_solve._BLOCK // ctx.d, R.f64_terms)
-    assert (h >= struct_solve._BLOCK // 4) == blocked
     r = random.Random(11)
     G = rand_generator("toeplitz", ctx, 64, 65, 3, r)
     out = nullspace_structured(G, r, 8)
     assert isinstance(out, Solution)
     assert not dense_matvec(R, dense_from_halves(R, G.v, G.w), out.value).any()
-    assert (calls["_schur_block"] > 0, calls["_schur_step"] > 0) == (blocked, not blocked)
+    want = 32 if ctx.d == 1 and R.dtype is np.int64 else 16 if ctx is F13_4 else 8
+    assert block_size(R) == want and max(sizes) == want
 
 
 def gs_deep_params(p=16777213):
@@ -565,19 +563,17 @@ def assert_level0_is_the_dense_elimination(R, A, G):
 def test_level0_stops_at_a_singular_leading_block(monkeypatch, name, shape):
     # level 0 eliminates the matrix as given, with no draws, and stops only
     # where the h x h block left is singular and its leading entry zero
-    # (blocks_stop; h = 1 where the kernel takes Schur steps, over 2^61 -
-    # 1): with row k in the span of the rows above, every leading minor
-    # from k + 1 on vanishes and it stops after k pivots; only the
-    # complement left is preconditioned (its first level is max(m, n) - k
-    # wide), unless the singular block lies in the last step before the
-    # dense tail or in the tail, whose pivoting elimination certifies the
-    # rank with no level.  With only row k's first k + 1 entries in that
-    # span, one minor vanishes, and blocks step over it.  The verdict is
-    # the dense rank's: NoSolution only at full column rank
+    # (blocks_stop; h = 8 over 2^61 - 1): with row k in the span of the rows
+    # above, every leading minor from k + 1 on vanishes and it stops after k
+    # pivots; only the complement left is preconditioned (its first level is
+    # max(m, n) - k wide), unless the singular block lies in the last step
+    # before the dense tail or in the tail, whose pivoting elimination
+    # certifies the rank with no level.  With only row k's first k + 1
+    # entries in that span, one minor vanishes, and blocks step over it.  The
+    # verdict is the dense rank's: NoSolution only at full column rank
     ctx = LEVEL0_FIELDS[name]
     R = Residues(ctx)
-    h = min(struct_solve._BLOCK, 2 * struct_solve._BLOCK // ctx.d, R.f64_terms)
-    h = h if h >= struct_solve._BLOCK // 4 else 1
+    h = block_size(R)
     starts = []
     real = struct_solve._level
     monkeypatch.setattr(struct_solve, "_level", lambda *a: starts.append(a[2].shape[1]) or real(*a))
@@ -753,7 +749,7 @@ STEP_FIELDS = {
     "F101": prime_field(101),
     "F65537": F65537,
     "F16777213": F24,
-    "F33554393": prime_field(33554393),  # h = 8 = f64_terms: 8 products reach 2^53
+    "F33554393": prime_field(33554393),  # f64_terms = 8: longer products take limbs
 }
 
 
@@ -786,19 +782,30 @@ def planted_blocks(R, m, n, starts, rng):
         yield "random", None, residue_matrix(R, m, n, rng)
 
 
-@pytest.mark.parametrize("name", list(STEP_FIELDS))
+INVERSE_FIELDS = {
+    **STEP_FIELDS,
+    "F960383881": prime_field(960383881),  # four-pivot steps, reduced before each
+    "F998244353": prime_field(998244353),  # one pivot a step, reduced every 3
+    "F2147483647": prime_field(2**31 - 1),  # one pivot a step, reduced before each
+}
+
+
+@pytest.mark.parametrize("name", list(INVERSE_FIELDS))
 def test_the_inverse_prefix_matches_the_gauss_jordan_oracle(monkeypatch, name):
-    # the block Gauss-Jordan takes four pivots per step, one where the
+    # the block Gauss-Jordan of a full block, h = _BLOCK, takes four pivots
+    # per step where int64 sums hold four residue products, one where the
     # step's 4 x 4 block has a zero pivot without pivoting: planted at each
     # offset of the first and the last two steps.  Its answer is the
     # oracle's whatever the steps: (A^-1, h) for an invertible block (one
     # vanishing minor), else the inverse of the leading r0 x r0 block and
     # r0, the zero pivot, whether the block is singular elsewhere (a
     # dependent last column, so its own step may be invertible) or from
-    # that row on
-    R = Residues(STEP_FIELDS[name])
-    h = min(struct_solve._BLOCK, R.f64_terms)
-    assert struct_solve._steps(R) == 4
+    # that row on.  Its updates stay exact where the products of h pivots
+    # pass int64 sums (p above about 2^28.5)
+    R = Residues(INVERSE_FIELDS[name])
+    h = struct_solve._BLOCK
+    four = R.sum_dtype(4) is np.int64
+    assert struct_solve._steps(R) == (4 if four else 1)
     taken = spy_steps(monkeypatch)
     seen = set()
     for kind, k, A in planted_blocks(R, h, h, sorted({0, h - 8, h - 4}), random.Random(h)):
@@ -807,7 +814,7 @@ def test_the_inverse_prefix_matches_the_gauss_jordan_oracle(monkeypatch, name):
         assert r == r0 and np.array_equal(X, want)
         seen.add((kind, "h" if r == h else "k" if r == k else r))
     assert {("minor", "h"), ("dependent", "k"), ("rows", "k"), ("random", "h")} <= seen
-    assert not all(taken) and any(taken)
+    assert not all(taken) and any(taken) if four else not taken
 
 
 @pytest.mark.parametrize("name", [*STEP_FIELDS, "F960383881"])
@@ -931,9 +938,9 @@ def test_back_substitution_sums_past_int64():
 
 def test_the_gs_deep_shape_solves_over_a_31_bit_prime(monkeypatch):
     # over 2^31 - 1 int64 sums hold one residue product and float64 ones
-    # none, so every lazy reduction runs at its tightest bound: Schur steps
-    # one pivot at a time, _echelon and the dense tail reducing before every
-    # update, object sums elsewhere.  Both column orders of the gs_deep
+    # none, so every lazy reduction runs at its tightest bound: blocks of 32
+    # pivots on products of 16-bit limbs, their Gauss-Jordan, _echelon and
+    # the dense tail reducing before every update, object sums elsewhere.  Both column orders of the gs_deep
     # shape solve, each Solution passes verify_solution, and the toeplitz
     # order meets a zero leading entry and compresses its generator
     params = gs_deep_params(2**31 - 1)
@@ -1091,7 +1098,7 @@ TINY_FIELDS = {
     "F3": prime_field(3),
     "F5": prime_field(5),
     "F13": prime_field(13),
-    "GF4": FieldCtx(2, (1, 1, 1)),  # the extension-field Schur step
+    "GF4": FieldCtx(2, (1, 1, 1)),  # extension-field blocks
 }
 
 
